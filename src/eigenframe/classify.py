@@ -821,8 +821,9 @@ def classify(
     conn = eval_connection(spec, points)
     bsys = beta_algebraic(conn)
     lsys = lambda_algebraic(conn)
-    bscale = 1.0 + np.abs(bsys.matrix).max()
-    lscale = 1.0 + np.abs(lsys.matrix).max()
+    # for n=2 there are no distinct index triples, so both matrices are empty
+    bscale = 1.0 + np.abs(bsys.matrix).max(initial=0.0)
+    lscale = 1.0 + np.abs(lsys.matrix).max(initial=0.0)
     rank_beta = generic_rank(bsys.matrix / bscale)
     rank_lambda = generic_rank(lsys.matrix / lscale)
     rich, witness = is_rich(spec, points, 1e-7)

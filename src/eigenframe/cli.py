@@ -159,8 +159,8 @@ def cmd_analyze(args, config: RunConfig) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
-    spec = _load_frame(args.frame_file)
     case = _load_case(args.frame_file)
+    spec = case.spec
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
     points = spec.sample_points(config.samples, config.seed)
     if kind == "beta":
@@ -238,20 +238,14 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
 
 
 def cmd_selftest(args, config: RunConfig) -> int:
-    results = []
-    for entry in corpus_mod.list_examples():
-        case = corpus_mod.load_example(entry["path"])
-        verdict = corpus_mod.run_example(
-            case, samples=config.samples, tol=config.tol, seed=config.seed
-        )
-        results.append(verdict)
-    extended = Path(corpus_mod.corpus_dir()) / "extended"
-    if extended.is_dir():
-        for path in sorted(extended.glob("*.json")):
-            case = corpus_mod.load_example(path)
-            results.append(corpus_mod.run_example(
-                case, samples=config.samples, tol=config.tol, seed=config.seed))
-    prop = _property_sweeps(config)
+    root = Path(corpus_mod.corpus_dir())
+    bundled = [corpus_mod.load_example(p) for p in sorted(root.glob("*.json"))]
+    extended = [corpus_mod.load_example(p) for p in sorted(root.glob("extended/*.json"))]
+    results = [
+        corpus_mod.run_example(case, samples=config.samples, tol=config.tol, seed=config.seed)
+        for case in bundled + extended
+    ]
+    prop = _property_sweeps(config, {case.id: case for case in bundled})
     all_passed = all(r["passed"] for r in results) and prop["passed"]
     out = {
         "examples": [
@@ -266,10 +260,11 @@ def cmd_selftest(args, config: RunConfig) -> int:
     return EXIT_PASS if all_passed else EXIT_MATH_FAILURE
 
 
-def _property_sweeps(config: RunConfig) -> dict:
+def _property_sweeps(config: RunConfig, bundled: dict) -> dict:
     """Quick cross-cutting invariants (the full versions live in the test
     suite): geometric identities on random frames, the rank-duality
-    identity, and scaling covariance on a corpus example."""
+    identity, and scaling covariance on a bundled corpus example (bundled
+    maps example ids to loaded cases)."""
     from .geometry import frame_from_sources, check_symmetry_flatness
     from .systems import beta_algebraic, check_rank_duality_n3, generic_rank, lambda_algebraic
 
@@ -300,10 +295,9 @@ def _property_sweeps(config: RunConfig) -> dict:
     sweeps["rank_duality"] = worst_dual
     sweeps["rank_equality"] = rank_ok
     # scaling covariance on a bundled example
-    entries = {e["id"]: e for e in corpus_mod.list_examples()}
     worst_scaled = 0.0
-    if "ex6.10" in entries:
-        case = corpus_mod.load_example(entries["ex6.10"]["path"])
+    if "ex6.10" in bundled:
+        case = bundled["ex6.10"]
         spec = case.spec
         bcand = next(c for k, c in case.candidates if k == "beta")
         alphas = ["1+u2^2/4", "2+u1/2", "1+u3/3"]

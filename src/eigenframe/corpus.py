@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -135,11 +136,20 @@ def load_example(path) -> ExampleCase:
     return load_example_from_doc(doc, source=str(path))
 
 
+@lru_cache(maxsize=None)
+def _schema_validator():
+    """SCHEMA's validator, checked against its metaschema once, on first use
+    (jsonschema.validate repeats that check on every call)."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
 def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     path = source
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as err:
+    # the error jsonschema.validate would raise
+    err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(doc))
+    if err is not None:
         raise SchemaError(f"{path}: {err.message}") from err
     n = doc["n"]
     vars = doc["vars"]

@@ -205,6 +205,17 @@ def eval_frame_jets(spec: FrameSpec, points: np.ndarray):
     return points, R, Rgrad, Rhess
 
 
+def eval_frame_values(spec: FrameSpec, points: np.ndarray):
+    """Values of all frame entries at points, without derivatives."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    m, n = points.shape[0], spec.n
+    R = np.empty((m, n, n))
+    for j, col in enumerate(spec.columns):
+        for a, entry in enumerate(col):
+            R[:, a, j] = ex.eval_scalar_many(entry, points, spec.params)
+    return points, R
+
+
 def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
     det = np.linalg.det(R)
     norm = np.sqrt((R**2).sum(axis=(1, 2)))

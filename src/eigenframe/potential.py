@@ -1,13 +1,25 @@
-"""Curl tests and reconstruction of potentials by staircase integration.
+"""Curl tests and reconstruction of potentials by ray integration.
 
 Given a frame and a verified length candidate b, the matrix field
 L^T diag[b] L is the Hessian of the scalar potential being reconstructed;
 given a verified speed candidate l, R diag[l] L is the Jacobian of the flux
-map.  Integration runs along axis-ordered staircase paths with an adaptive
-Gauss-Legendre 7/15 pair, and scalar potentials ride along the staircase as
-an ODE state integrated with fixed-substep RK4.  Curl tests gate every
-integration; path independence is checked by re-running the sweep with the
-axis order reversed.
+map.  The box is convex, so every grid node x is reached from the base point
+x0 by the ray x0 + t d, d = x - x0 (the homotopy operator of the Poincare
+lemma):
+
+    f(x)        = int_0^1 M(x0 + t d) d dt,
+    grad eta(x) = int_0^1 H(x0 + t d) d dt,
+    eta(x)      = int_0^1 grad eta(x0 + t d) . d dt,
+    q(x)        = int_0^1 grad eta(x0 + t d) . A(x0 + t d) d dt,
+
+with grad eta carried along the ray by a Legendre-basis cumulative-integration
+matrix at the Gauss nodes.  All nodes are integrated together, one
+values-only field evaluation over the grid per ray parameter.  A Gauss-
+Legendre pair of Q and 2Q nodes estimates the error of every ray; rays over
+the tolerance are split into panels.  Curl tests gate every integration;
+path independence is checked by a second family of rays from another grid
+node.  Single line integrals (integrate_jacobian) run along axis-ordered
+staircase paths with an adaptive Gauss-Legendre 7/15 pair.
 
 The chart-space boundary-value solver (solve_rich_beta) fills a grid with
 the unique solution determined by one single-variable function per axis,
@@ -21,6 +33,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,14 +48,17 @@ from .errors import (
 from .geometry import (
     FrameSpec,
     RiemannChart,
+    _invert_frame,
     distinct_triple_mask,
     eval_frame_jets,
+    eval_frame_values,
 )
 from .systems import BetaCandidate, LambdaCandidate, require_rich
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_CURL_TOL = 1e-7
-_RK_SUBSTEP = 0.01  # target substep length for staircase ODE states
+_RAY_Q = 16  # nodes of the coarse Gauss-Legendre rule per ray panel; the fine rule has 2Q
+_RAY_MAX_PANELS = 64  # a ray still over the tolerance at this many panels fails
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +85,15 @@ class MatrixField:
         return self._value_grad(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
+def _frame_with_inverse(spec: FrameSpec, pts: np.ndarray):
+    pts, R = eval_frame_values(spec, pts)
+    L, _ = _invert_frame(pts, R)
+    return R, L
+
+
 def _frame_with_grads(spec: FrameSpec, pts: np.ndarray):
     pts, R, Rgrad, _ = eval_frame_jets(spec, pts)
-    L = np.linalg.inv(R)
+    L, _ = _invert_frame(pts, R)
     Lgrad = -np.einsum("mkp,mpqd,mqa->mkad", L, Rgrad, L, optimize=True)
     return pts, R, Rgrad, L, Lgrad
 
@@ -81,8 +103,7 @@ def length_hessian_field(spec: FrameSpec, cand: BetaCandidate) -> MatrixField:
     params = {**spec.params, **cand.params}
 
     def values(pts):
-        _, R, _, _ = eval_frame_jets(spec, pts)
-        L = np.linalg.inv(R)
+        _, L = _frame_with_inverse(spec, pts)
         b = np.stack([ex.eval_scalar_many(e, pts, params) for e in cand.exprs], axis=1)
         return np.einsum("mka,mk,mkb->mab", L, b, L, optimize=True)
 
@@ -107,8 +128,7 @@ def flux_jacobian_field(spec: FrameSpec, cand: LambdaCandidate) -> MatrixField:
     params = {**spec.params, **cand.params}
 
     def values(pts):
-        _, R, _, _ = eval_frame_jets(spec, pts)
-        L = np.linalg.inv(R)
+        R, L = _frame_with_inverse(spec, pts)
         lam = np.stack([ex.eval_scalar_many(e, pts, params) for e in cand.exprs], axis=1)
         return np.einsum("mak,mk,mkb->mab", R, lam, L, optimize=True)
 
@@ -300,92 +320,131 @@ class PotentialGrid:
         return out.getvalue()
 
 
-def _grid_axes(lo, hi, counts) -> list:
-    return [np.linspace(lo[d], hi[d], counts[d]) for d in range(len(counts))]
+def _grid_axes(lo, hi, counts, base: np.ndarray) -> list:
+    """Node arrays per axis; a node within rounding of the base point is
+    moved onto it, so the gauge holds exactly at that node."""
+    axes = [np.linspace(lo[d], hi[d], counts[d]) for d in range(len(counts))]
+    for axis, b in zip(axes, base):
+        axis[np.abs(axis - b) <= 1e-12 * max(1.0, abs(b))] = b
+    return axes
 
 
-def _base_node_index(axes: list, base: np.ndarray):
-    """Grid index of the base point when it falls on a node, else None."""
-    idx = []
-    for d, axis in enumerate(axes):
-        j = int(np.argmin(np.abs(axis - base[d])))
-        if abs(axis[j] - base[d]) > 1e-12 * max(1.0, abs(base[d])):
-            return None
-        idx.append(j)
-    return tuple(idx)
+# ---------------------------------------------------------------------------
+# Ray integration from the base point
+# ---------------------------------------------------------------------------
 
 
-def _regauge(values: dict, axes: list, base: np.ndarray, scalar_keys, vector_keys):
-    """Pin the gauge exactly at the base point when it is a grid node: the
-    scalar fields and gradient fields are shifted by their base-node values
-    (the shift is within quadrature error, so consistency residuals keep
-    their meaning)."""
-    idx = _base_node_index(axes, base)
-    if idx is None:
-        return
-    for key in scalar_keys:
-        if key in values:
-            values[key] = values[key] - values[key][idx]
-    for key in vector_keys:
-        if key in values:
-            values[key] = values[key] - values[key][idx]
+@lru_cache(maxsize=None)
+def _ray_rule(q: int):
+    """Gauss-Legendre nodes t and weights w on [0, 1], and the cumulative-
+    integration matrix K: (K f)_i is the integral from 0 to t_i of the
+    degree q-1 interpolant of the values f at the nodes, built in the
+    Legendre basis (a monomial basis is unstable at these orders)."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(q)
+    # Legendre coefficients of the interpolant, exact by Gauss orthogonality
+    to_coef = (np.arange(q) + 0.5)[:, None] * (leg.legvander(x, q - 1) * w[:, None]).T
+    # antiderivative of every P_k from -1, at the nodes
+    anti = leg.legval(x, leg.legint(np.eye(q), lbnd=-1)).T
+    return 0.5 * (x + 1.0), 0.5 * w, 0.5 * anti @ to_coef
 
 
-def _sweep_vector_potential(
-    field: MatrixField,
-    base: np.ndarray,
-    axes: list,
-    quad_tol: float,
-    order: Sequence[int],
-) -> np.ndarray:
-    """F with DF = M on the whole grid, one staircase sweep per axis in the
-    given order; grid edges are integrated once each (shared-prefix paths)."""
-    n = len(axes)
-    shape = tuple(len(a) for a in axes)
-    F = np.zeros(shape + (n,))
-    corner = np.array([axes[d][0] for d in range(n)])
-    F[(0,) * n] = integrate_jacobian(field, base, corner, quad_tol, check_curl=False)
+def _panel_sums(rates, base, d, grad0, panels: int, q: int):
+    """One Gauss rule of q nodes on each of `panels` equal panels of [0, 1]:
+    the carried vector G(1) and the scalar integrals S(1) of every ray."""
+    t, w, K = _ray_rule(q)
+    h = 1.0 / panels
+    G = np.array(grad0, dtype=float)
+    S = 0.0
+    for p in range(panels):
+        steps = [rates(base + (p + tj) * h * d, d) for tj in t]
+        Jd = np.stack([s[0] for s in steps])  # (q, m, n)
+        V = np.stack([s[1] for s in steps])  # (q, k, m, n)
+        del steps  # peak memory: a few (q, m, n) arrays
+        G_nodes = np.einsum("ij,jmn->imn", h * K, Jd)
+        G_nodes += G
+        S = S + h * np.einsum("j,jmn,jkmn->mk", w, G_nodes, V)
+        G = G + h * np.einsum("j,jmn->mn", w, Jd)
+    return G, S
 
-    filled_shape = [1] * n
 
-    def extend_along(axis):
-        """Extend the filled block [0:filled] along one axis, edge by edge,
-        batching the quadrature over all filled transverse nodes."""
-        trans_shape = tuple(filled_shape[d] for d in range(n) if d != axis)
-        trans_axes = [np.arange(s) for s in trans_shape]
-        mesh = np.meshgrid(*trans_axes, indexing="ij") if trans_axes else []
-        trans_idx = (
-            np.stack([m.ravel() for m in mesh], axis=-1)
-            if mesh
-            else np.zeros((1, 0), dtype=int)
-        )
-        other_dims = [d for d in range(n) if d != axis]
-        for k in range(1, len(axes[axis])):
-            t0, t1 = axes[axis][k - 1], axes[axis][k]
+def _ray_family(rates, base: np.ndarray, nodes: np.ndarray, quad_tol: float, grad0):
+    """Integrals along the rays x(t) = base + t d, d = node - base, to every
+    node at once:
 
-            def columns(ts):
-                npts = len(ts) * trans_idx.shape[0]
-                pts = np.empty((trans_idx.shape[0], len(ts), n))
-                for c, d in enumerate(other_dims):
-                    pts[:, :, d] = axes[d][trans_idx[:, c]][:, None]
-                pts[:, :, axis] = ts[None, :]
-                vals = field.values(pts.reshape(npts, n))[:, :, axis]
-                return vals.reshape(trans_idx.shape[0], len(ts), n).transpose(1, 0, 2)
+        G(t) = grad0 + int_0^t J(x(s)) d ds,   S_k = int_0^1 G(t) . v_k(t) dt,
 
-            seg = adaptive_gauss_segment(columns, t0, t1, quad_tol)  # (ntrans, n)
-            for row, tidx in enumerate(trans_idx):
-                idx_prev = [0] * n
-                idx_here = [0] * n
-                for c, d in enumerate(other_dims):
-                    idx_prev[d] = idx_here[d] = int(tidx[c])
-                idx_prev[axis] = k - 1
-                idx_here[axis] = k
-                F[tuple(idx_here)] = F[tuple(idx_prev)] + seg[row]
-        filled_shape[axis] = len(axes[axis])
+    where rates(points, d) returns J d and the stacked v_k.  Each ray
+    parameter costs one rates call over all unfinished nodes.  A node is
+    done when the Q- and 2Q-node rules agree to quad_tol (relative once the
+    result exceeds 1); the rest are split into twice as many panels."""
+    d = nodes - base
+    grad0 = np.broadcast_to(grad0, d.shape)
+    G, S = np.empty(d.shape), None
+    todo = np.arange(d.shape[0])
+    panels = 1
+    while True:
+        Gc, Sc = _panel_sums(rates, base, d[todo], grad0[todo], panels, _RAY_Q)
+        Gf, Sf = _panel_sums(rates, base, d[todo], grad0[todo], panels, 2 * _RAY_Q)
+        fine = np.hstack([Gf, Sf])
+        err = np.abs(fine - np.hstack([Gc, Sc])).max(axis=1)
+        ok = err <= quad_tol * (1.0 + np.abs(fine).max(axis=1))
+        if S is None:
+            S = np.empty((d.shape[0], Sf.shape[1]))
+        G[todo[ok]], S[todo[ok]] = Gf[ok], Sf[ok]
+        todo, err = todo[~ok], err[~ok]
+        if todo.size == 0:
+            return G, S
+        if panels >= _RAY_MAX_PANELS:
+            worst = int(np.argmax(err))
+            raise QuadratureFailureError(
+                f"ray from {base.tolist()} to {nodes[todo[worst]].tolist()} did not "
+                f"converge in {panels} panels (error {err[worst]:.3e} > {quad_tol:.1e})"
+            )
+        panels *= 2
 
-    for axis in order:
-        extend_along(axis)
-    return F
+
+def _ray_families(rates, base: np.ndarray, axes: list, quad_tol: float, grad0=0.0):
+    """Family A of rays from the base point and family B from the grid corner
+    farthest from it.  B starts from A's carried vector at that corner and
+    its scalars are shifted by A's values there, so the two agree exactly at
+    the corner and elsewhere up to path dependence and quadrature error."""
+    nodes = PotentialGrid(axes, {}, ()).nodes()
+    G, S = _ray_family(rates, base, nodes, quad_tol, grad0)
+    far = tuple(0 if abs(a[0] - b) >= abs(a[-1] - b) else len(a) - 1 for a, b in zip(axes, base))
+    c = int(np.ravel_multi_index(far, [len(a) for a in axes]))
+    G_b, S_b = _ray_family(rates, nodes[c], nodes, quad_tol, G[c])
+    return G, S, G_b, S_b + S[c]
+
+
+def _jacobian_rates(field: MatrixField):
+    """d/dt of f along a ray is M d; there is no scalar."""
+
+    def rates(pts, d):
+        return np.einsum("mab,mb->ma", field.values(pts), d), np.empty((0,) + d.shape)
+
+    return rates
+
+
+def _potential_rates(hess: MatrixField, flux: Optional[MatrixField] = None):
+    """grad eta changes by H d along a ray; eta integrates grad eta . d and,
+    with a flux Jacobian A, q integrates grad eta . A d."""
+
+    def rates(pts, d):
+        Hd = np.einsum("mab,mb->ma", hess.values(pts), d)
+        if flux is None:
+            return Hd, d[None]
+        return Hd, np.stack([d, np.einsum("mab,mb->ma", flux.values(pts), d)])
+
+    return rates
+
+
+def _require_closed(spec: FrameSpec, base: np.ndarray, field: MatrixField, curl_tol: float):
+    probes = np.vstack([spec.sample_points(20), base[None, :]])
+    res = curl_residual(field, probes)
+    if res > curl_tol:
+        raise CurlViolationError(res, curl_tol)
+    return res, probes
 
 
 def reconstruct_flux(
@@ -399,143 +458,23 @@ def reconstruct_flux(
 ) -> PotentialGrid:
     """Flux map f with Df = R diag[l] L and f(base) = 0 on a grid."""
     lo, hi = box if box is not None else (spec.domain_lo, spec.domain_hi)
-    axes = _grid_axes(lo, hi, counts)
     base = np.asarray(base, dtype=float)
+    axes = _grid_axes(lo, hi, counts, base)
+    shape = tuple(counts) + (spec.n,)
     field = flux_jacobian_field(spec, cand)
-    probes = np.vstack([spec.sample_points(20), base[None, :]])
-    res = curl_residual(field, probes)
-    if res > curl_tol:
-        raise CurlViolationError(res, curl_tol)
-    F = _sweep_vector_potential(field, base, axes, quad_tol, order=list(range(spec.n)))
-    F_rev = _sweep_vector_potential(
-        field, base, axes, quad_tol, order=list(reversed(range(spec.n)))
-    )
-    path_res = float(np.abs(F - F_rev).max())
-    values = {"f": F}
-    _regauge(values, axes, base, scalar_keys=(), vector_keys=("f",))
+    res, _ = _require_closed(spec, base, field, curl_tol)
+    F, _, F_b, _ = _ray_families(_jacobian_rates(field), base, axes, quad_tol)
     return PotentialGrid(
         axes=axes,
-        values=values,
+        values={"f": F.reshape(shape)},
         base_point=tuple(base),
         meta={
             "curl_residual": res,
-            "path_independence_residual": path_res,
+            "path_independence_residual": float(np.abs(F - F_b).max()),
             "quad_tol": quad_tol,
             "kind": "flux",
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Scalar potentials: staircase ODE sweep
-# ---------------------------------------------------------------------------
-
-
-def _rk4_leg(deriv, state: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    """Classic RK4 from t0 to t1 with substeps of at most _RK_SUBSTEP."""
-    nsub = max(4, int(np.ceil(abs(t1 - t0) / _RK_SUBSTEP)))
-    h = (t1 - t0) / nsub
-    t = t0
-    for _ in range(nsub):
-        k1 = deriv(t, state)
-        k2 = deriv(t + h / 2, state + h / 2 * k1)
-        k3 = deriv(t + h / 2, state + h / 2 * k2)
-        k4 = deriv(t + h, state + h * k3)
-        state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return state
-
-
-def _ode_state_sweep(
-    Mfield: MatrixField,
-    Afield: Optional[MatrixField],
-    base: np.ndarray,
-    axes: list,
-    order: Sequence[int],
-    grad_at_base: Optional[np.ndarray] = None,
-):
-    """Propagate the state (grad, scalar[, flux-scalar]) along lattice
-    staircases: d grad = M dx, d scalar = grad . dx, d q = grad . A dx."""
-    n = len(axes)
-    with_q = Afield is not None
-    width = n + 1 + (1 if with_q else 0)
-    shape = tuple(len(a) for a in axes)
-    state = np.zeros(shape + (width,))
-
-    def make_deriv(points_of_t, axis):
-        def deriv(t, S):
-            pts = points_of_t(t)
-            M = Mfield.values(pts)[:, :, axis]  # (m, n) column
-            out = np.zeros_like(S)
-            out[:, :n] = M
-            out[:, n] = S[:, axis]
-            if with_q:
-                A = Afield.values(pts)[:, :, axis]
-                out[:, n + 1] = np.einsum("mk,mk->m", S[:, :n], A)
-            return out
-
-        return deriv
-
-    # base -> grid corner
-    corner = np.array([axes[d][0] for d in range(n)])
-    S = np.zeros((1, width))
-    if grad_at_base is not None:
-        S[0, :n] = grad_at_base
-    current = base.astype(float).copy()
-    for axis in range(n):
-        t0, t1 = current[axis], corner[axis]
-        if t0 != t1:
-            start = current.copy()
-
-            def pts_of(t, axis=axis, start=start):
-                p = start.copy()
-                p[axis] = t
-                return p[None, :]
-
-            S = _rk4_leg(make_deriv(pts_of, axis), S, t0, t1)
-        current[axis] = corner[axis]
-    state[(0,) * n] = S[0]
-
-    filled_shape = [1] * n
-    for axis in order:
-        other_dims = [d for d in range(n) if d != axis]
-        trans_shape = tuple(filled_shape[d] for d in other_dims)
-        mesh = np.meshgrid(*[np.arange(s) for s in trans_shape], indexing="ij")
-        trans_idx = (
-            np.stack([m.ravel() for m in mesh], axis=-1)
-            if mesh
-            else np.zeros((1, 0), dtype=int)
-        )
-        trans_pts = np.zeros((trans_idx.shape[0], n))
-        for c, d in enumerate(other_dims):
-            trans_pts[:, d] = axes[d][trans_idx[:, c]]
-        # gather current state of the starting wall
-        S = np.empty((trans_idx.shape[0], width))
-        for row, tidx in enumerate(trans_idx):
-            idx = [0] * n
-            for c, d in enumerate(other_dims):
-                idx[d] = int(tidx[c])
-            S[row] = state[tuple(idx)]
-        for k in range(1, len(axes[axis])):
-            t0, t1 = axes[axis][k - 1], axes[axis][k]
-
-            def pts_of(t, axis=axis, trans_pts=trans_pts):
-                p = trans_pts.copy()
-                p[:, axis] = t
-                return p
-
-            S = _rk4_leg(make_deriv(pts_of, axis), S, t0, t1)
-            for row, tidx in enumerate(trans_idx):
-                idx = [0] * n
-                for c, d in enumerate(other_dims):
-                    idx[d] = int(tidx[c])
-                idx[axis] = k
-                state[tuple(idx)] = S[row]
-        filled_shape[axis] = len(axes[axis])
-    grad = state[..., :n]
-    scalar = state[..., n]
-    q = state[..., n + 1] if with_q else None
-    return grad, scalar, q
 
 
 def reconstruct_eta(
@@ -550,38 +489,33 @@ def reconstruct_eta(
     """Scalar potential with Hessian L^T diag[b] L, gauge-fixed so that the
     value and gradient vanish at the base point.
 
-    The gradient grid is computed twice (staircase ODE state and adaptive
-    quadrature of the Hessian rows); their agreement and the reversed-order
-    sweep are recorded as consistency residuals.
+    psi is the gradient carried along the second ray family; its agreement
+    with grad_eta, and that of the two families' potentials, are recorded
+    as consistency residuals.
     """
     lo, hi = box if box is not None else (spec.domain_lo, spec.domain_hi)
-    axes = _grid_axes(lo, hi, counts)
     base = np.asarray(base, dtype=float)
+    axes = _grid_axes(lo, hi, counts, base)
+    shape = tuple(counts)
     field = length_hessian_field(spec, cand)
-    probes = np.vstack([spec.sample_points(20), base[None, :]])
-    res = curl_residual(field, probes)
-    if res > curl_tol:
-        raise CurlViolationError(res, curl_tol)
+    res, probes = _require_closed(spec, base, field, curl_tol)
     V = field.values(probes)
     sym = float(np.abs(V - V.transpose(0, 2, 1)).max() / (1.0 + np.abs(V).max()))
-    grad, eta, _ = _ode_state_sweep(field, None, base, axes, order=list(range(spec.n)))
-    grad_rev, eta_rev, _ = _ode_state_sweep(
-        field, None, base, axes, order=list(reversed(range(spec.n)))
-    )
-    psi_quad = _sweep_vector_potential(field, base, axes, quad_tol, order=list(range(spec.n)))
-    values = {"eta": eta, "grad_eta": grad, "psi": psi_quad}
-    _regauge(values, axes, base, scalar_keys=("eta",), vector_keys=("grad_eta", "psi"))
+    grad, S, psi, S_b = _ray_families(_potential_rates(field), base, axes, quad_tol)
+    grad_res = float(np.abs(grad - psi).max())
     return PotentialGrid(
         axes=axes,
-        values=values,
+        values={
+            "eta": S[:, 0].reshape(shape),
+            "grad_eta": grad.reshape(shape + (spec.n,)),
+            "psi": psi.reshape(shape + (spec.n,)),
+        },
         base_point=tuple(base),
         meta={
             "curl_residual": res,
             "symmetry_residual": sym,
-            "path_independence_residual": float(
-                max(np.abs(eta - eta_rev).max(), np.abs(grad - grad_rev).max())
-            ),
-            "grad_consistency_residual": float(np.abs(grad - psi_quad).max()),
+            "path_independence_residual": max(float(np.abs(S - S_b).max()), grad_res),
+            "grad_consistency_residual": grad_res,
             "quad_tol": quad_tol,
             "kind": "eta",
         },
@@ -600,37 +534,30 @@ def entropy_flux(
 ) -> PotentialGrid:
     """Scalar q whose gradient is grad(eta) . (R diag[l] L), gauge q(base)=0.
 
-    grad(eta) rides along the staircase as an ODE state driven by the
-    Hessian field of the length candidate (or is evaluated directly when a
-    closed-form potential is attached to the candidate).
+    grad(eta) is carried along each ray by the Hessian field of the length
+    candidate, starting from zero or, when a closed-form potential is
+    attached to the candidate, from that potential's gradient at the base.
     """
     lo, hi = box if box is not None else (spec.domain_lo, spec.domain_hi)
-    axes = _grid_axes(lo, hi, counts)
     base = np.asarray(base, dtype=float)
+    axes = _grid_axes(lo, hi, counts, base)
+    shape = tuple(counts)
     Mfield = length_hessian_field(spec, beta_cand)
     Afield = flux_jacobian_field(spec, lambda_cand)
-    probes = np.vstack([spec.sample_points(20), base[None, :]])
     for f in (Mfield, Afield):
-        res = curl_residual(f, probes)
-        if res > curl_tol:
-            raise CurlViolationError(res, curl_tol)
+        _require_closed(spec, base, f, curl_tol)
     # with a closed-form potential attached, q corresponds to that potential
-    # (its base gradient seeds the state); otherwise to the gauge-fixed one
-    grad0 = None
+    # (its base gradient seeds the rays); otherwise to the gauge-fixed one
+    grad0 = 0.0
     if beta_cand.eta_expr is not None:
         grad0 = ex.eval_jet2(
             beta_cand.eta_expr, base, {**spec.params, **beta_cand.params}
         ).grad
-    grad, eta, q = _ode_state_sweep(
-        Mfield, Afield, base, axes, order=list(range(spec.n)), grad_at_base=grad0
-    )
-    _, _, q_rev = _ode_state_sweep(
-        Mfield, Afield, base, axes, order=list(reversed(range(spec.n))), grad_at_base=grad0
-    )
+    grad, S, _, S_b = _ray_families(_potential_rates(Mfield, Afield), base, axes, quad_tol, grad0)
     # curl of w = grad(eta) . A at grid probes, using d(grad eta) = M
     nodes = PotentialGrid(axes, {}, tuple(base)).nodes()
     take = nodes[:: max(1, nodes.shape[0] // 40)]
-    gflat = grad.reshape(-1, spec.n)[:: max(1, nodes.shape[0] // 40)]
+    gflat = grad[:: max(1, nodes.shape[0] // 40)]
     MV = Mfield.values(take)
     AV, AG = Afield.value_grad(take)
     # d_e w_d = sum_k M[e,k] A[k,d] + grad_k dA[k,d]/dx_e
@@ -641,15 +568,17 @@ def entropy_flux(
     wres = float(np.abs(curl_w).max() / (1.0 + np.abs(MV).max() + np.abs(AV).max()))
     if wres > 100 * curl_tol:
         raise CurlViolationError(wres, 100 * curl_tol)
-    values = {"q": q, "eta": eta, "grad_eta": grad}
-    _regauge(values, axes, base, scalar_keys=("q", "eta"), vector_keys=())
     return PotentialGrid(
         axes=axes,
-        values=values,
+        values={
+            "q": S[:, 1].reshape(shape),
+            "eta": S[:, 0].reshape(shape),
+            "grad_eta": grad.reshape(shape + (spec.n,)),
+        },
         base_point=tuple(base),
         meta={
             "q_curl_residual": wres,
-            "path_independence_residual": float(np.abs(q - q_rev).max()),
+            "path_independence_residual": float(np.abs(S[:, 1] - S_b[:, 1]).max()),
             "kind": "entropy-flux",
         },
     )

@@ -30,6 +30,20 @@ def test_analyze_json_round_trip(capsys):
     assert json.loads(json.dumps(parsed)) == parsed
 
 
+def test_analyze_two_dimensional_frame_reports_ranks_only(tmp_path, capsys):
+    frame = tmp_path / "frame2.json"
+    frame.write_text(json.dumps({
+        "id": "n2", "n": 2, "vars": ["u1", "u2"], "frame": [["1", "0"], ["0", "u1"]],
+        "domain": {"lo": [1, 1], "hi": [2, 2]}, "base": [1.5, 1.5],
+    }))
+    rc = cli.main(["--output", "json", "analyze", str(frame)])
+    assert rc == cli.EXIT_PASS
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 2
+    assert out["lambda_case"] == out["beta_case"] == "not_n3"
+    assert out["rank_beta"] == out["rank_lambda"] == 0
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     cand = tmp_path / "beta.json"
     cand.write_text(json.dumps({

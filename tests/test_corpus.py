@@ -49,6 +49,22 @@ def test_load_rejects_undeclared_variable(tmp_path):
         corpus_mod.load_example(bad)
 
 
+def test_schema_error_text_matches_jsonschema_validate():
+    """The cached validator raises the message jsonschema.validate gives."""
+    import jsonschema
+
+    missing = _valid_doc()
+    del missing["expected"]
+    wrong_type = _valid_doc()
+    wrong_type["n"] = "three"
+    for doc in (missing, wrong_type, missing):
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(doc, corpus_mod.SCHEMA)
+        with pytest.raises(SchemaError) as err:
+            corpus_mod.load_example_from_doc(doc, source="doc.json")
+        assert str(err.value) == f"doc.json: {ref.value.message}"
+
+
 def test_load_rejects_missing_field(tmp_path):
     doc = _valid_doc()
     del doc["expected"]

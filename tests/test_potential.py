@@ -1,5 +1,5 @@
-"""Curl tests, staircase reconstruction, gauge comparison, and the
-chart-space boundary-value solver."""
+"""Curl tests, line integrals, reconstruction by ray integration, gauge
+comparison, and the chart-space boundary-value solver."""
 
 from __future__ import annotations
 
@@ -11,7 +11,12 @@ from conftest import V3
 from eigenframe import geometry as g
 from eigenframe import potential as pot
 from eigenframe import systems as sy
-from eigenframe.errors import CurlViolationError, NotRankZeroError
+from eigenframe.errors import (
+    CurlViolationError,
+    NotRankZeroError,
+    QuadratureFailureError,
+    SingularFrameError,
+)
 
 
 def standard_frame():
@@ -75,7 +80,7 @@ def test_non_solution_trips_curl_detector(corpus_cases):
 
 
 # ---------------------------------------------------------------------------
-# staircase integration
+# line integrals along staircases
 # ---------------------------------------------------------------------------
 
 
@@ -95,6 +100,11 @@ def test_staircase_order_independence(corpus_cases):
     f_fwd = pot.integrate_jacobian(field, base, target, order=(0, 1, 2))
     f_rev = pot.integrate_jacobian(field, base, target, order=(2, 1, 0))
     assert np.abs(f_fwd - f_rev).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# reconstruction by ray integration
+# ---------------------------------------------------------------------------
 
 
 def test_flux_reconstruction_matches_closed_form(corpus_cases):
@@ -149,6 +159,56 @@ def test_zero_candidate_reconstructs_affine(corpus_cases):
     assert np.abs(grid.values["eta"]).max() < 1e-12
 
 
+def test_path_independence_residual_detects_non_solution(corpus_cases):
+    """With the curl gate off, the second ray family must disagree with the
+    first for a Hessian field that is not closed."""
+    spec = corpus_cases["ex6.10"].spec
+    bad = sy.BetaCandidate.from_sources(["1", "1", "1"], V3)
+    grid = pot.reconstruct_eta(spec, bad, spec.base_point, (5, 5, 5), curl_tol=np.inf)
+    assert grid.meta["path_independence_residual"] > 1e-6
+
+
+def test_unresolvable_ray_raises_quadrature_failure():
+    spec = g.frame_from_sources([["1", "0"], ["0", "1"]], ["u1", "u2"],
+                                domain=((0, 0), (1, 1)))
+    lam = sy.LambdaCandidate.from_sources(["sin(20000*u1)", "0"], ["u1", "u2"])
+    with pytest.raises(QuadratureFailureError):
+        pot.reconstruct_flux(spec, lam, spec.base_point, (2, 2))
+
+
+def test_flux_vanishes_exactly_at_base_node(corpus_cases):
+    case = corpus_cases["ex6.6"]
+    lam = next(c for k, c in case.candidates if k == "lambda")
+    grid = pot.reconstruct_flux(case.spec, lam, case.spec.base_point, (11, 11, 11))
+    assert np.all(grid.values["f"][5, 5, 5] == 0.0)
+    # a node that misses the base point by rounding is moved onto it
+    lo, hi = (0.3,) * 3, (1.6,) * 3
+    base = (0.5 * (0.3 + 1.6),) * 3
+    assert np.linspace(0.3, 1.6, 9)[4] != base[0]
+    trivial = sy.LambdaCandidate.from_sources(["3", "3", "3"], V3)
+    grid = pot.reconstruct_flux(standard_frame(), trivial, base, (9, 9, 9), box=(lo, hi))
+    assert grid.axes[0][4] == base[0]
+    assert np.all(grid.values["f"][4, 4, 4] == 0.0)
+
+
+def test_singular_frame_raises_singular_frame_error():
+    """det R = u1 vanishes on the face u1 = 0 of the box."""
+    spec = g.frame_from_sources(
+        [["u1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], V3,
+        domain=((0, 0, 0), (1, 1, 1)),
+    )
+    lam = sy.LambdaCandidate.from_sources(["1", "1", "1"], V3)
+    bet = sy.BetaCandidate.from_sources(["1", "1", "1"], V3)
+    singular = np.array([[0.0, 0.5, 0.5]])
+    for field in (pot.flux_jacobian_field(spec, lam), pot.length_hessian_field(spec, bet)):
+        with pytest.raises(SingularFrameError):
+            field.values(singular)
+        with pytest.raises(SingularFrameError):
+            field.value_grad(singular)
+    with pytest.raises(SingularFrameError):
+        pot.reconstruct_flux(spec, lam, spec.base_point, (3, 3, 3))
+
+
 def test_affine_gauge_absorbs_affine_shift(corpus_cases):
     rng = np.random.default_rng(9)
     pts = rng.uniform(1.0, 2.0, size=(50, 3))
@@ -171,7 +231,7 @@ def test_entropy_flux_of_trivial_speeds_is_scaled_potential(corpus_cases):
     assert np.abs(grid.values["q"] - 3 * grid.values["eta"]).max() < 1e-10
 
 
-def test_entropy_flux_gas_matches_physical(corpus_cases):
+def _gas_entropy_flux(corpus_cases, counts):
     case = corpus_cases["ex6.1b"]
     lam = next(c for k, c in case.candidates if k == "lambda")
     # pick the candidate carrying the total energy: its first component is
@@ -185,12 +245,29 @@ def test_entropy_flux_gas_matches_physical(corpus_cases):
         if k == "beta" and c.eta_expr is not None
         and abs(ex.eval_scalar(c.exprs[0], base, c.params) - target) < 1e-10
     )
-    grid = pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (6, 6, 6))
+    grid = pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, counts)
     pts = grid.nodes()
     qref = pts[:, 1] * np.exp(pts[:, 2]) * pts[:, 0] ** -1.4
     q = grid.values["q"].ravel()
     assert np.abs(q - qref - (q - qref).mean()).max() < 1e-8
     assert grid.meta["q_curl_residual"] < 1e-9
+
+
+def test_entropy_flux_gas_matches_physical(corpus_cases):
+    _gas_entropy_flux(corpus_cases, (6, 6, 6))
+
+
+def test_entropy_flux_gas_matches_physical_on_fine_grid(corpus_cases):
+    _gas_entropy_flux(corpus_cases, (11, 11, 11))
+
+
+def test_entropy_flux_vanishes_exactly_at_base_node(corpus_cases):
+    case = corpus_cases["ex6.10"]
+    bet = next(c for k, c in case.candidates if k == "beta")
+    lam = next(c for k, c in case.candidates if k == "lambda")
+    grid = pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (5, 5, 5))
+    assert grid.values["q"][2, 2, 2] == 0.0
+    assert grid.values["eta"][2, 2, 2] == 0.0
 
 
 def test_entropy_flux_rejects_non_solution(corpus_cases):
