@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,11 +31,9 @@ from .errors import (
     ChartDomainError,
     InconclusiveVanishingError,
     NormalizationFailedError,
-    NotRichError,
 )
 from .geometry import (
     ConnectionEval,
-    FrameSpec,
     chart_forward,
     eval_connection,
     is_rich,
@@ -134,16 +131,10 @@ def _row_activity(matrices: np.ndarray, tol: float, trace: _Trace, tag: str) -> 
     return active
 
 
-def classify_lambda_n3(
-    spec: FrameSpec,
-    points: np.ndarray,
-    tol: float = CLASSIFY_TOL,
-    conn: Optional[ConnectionEval] = None,
-) -> tuple:
+def classify_lambda_n3(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> tuple:
     """Case label for the speed system: rank 0 -> I; rank 1 -> IIa when all
     three unknowns enter the constraint, IIb when exactly two; rank 2 -> III."""
     trace = _Trace()
-    conn = conn or eval_connection(spec, points)
     sys = lambda_algebraic(conn)
     scale = 1.0 + np.abs(sys.matrix).max()
     rank = generic_rank(sys.matrix / scale)
@@ -179,9 +170,6 @@ class _PermView:
     def __init__(self, conn: ConnectionEval, perm: tuple):
         self.conn = conn
         self.perm = perm
-        self._dirG = np.einsum(
-            "mijke,med->mdijk", conn.GammaGrad, conn.R, optimize=True
-        )
 
     def G(self, i: int, j: int, k: int) -> np.ndarray:
         p = self.perm
@@ -194,14 +182,10 @@ class _PermView:
     def dG(self, d: int, i: int, j: int, k: int) -> np.ndarray:
         """r_d(Gamma[i,j,k]) in permuted labels (exact)."""
         p = self.perm
-        return self._dirG[:, p[d - 1], p[i - 1], p[j - 1], p[k - 1]]
+        return self.conn.dGamma[:, p[d - 1], p[i - 1], p[j - 1], p[k - 1]]
 
     def dC(self, d: int, i: int, j: int, k: int) -> np.ndarray:
         return self.dG(d, i, j, k) - self.dG(d, j, i, k)
-
-    def scale(self) -> np.ndarray:
-        m = self.conn.Gamma.shape[0]
-        return 1.0 + np.abs(self.conn.Gamma.reshape(m, -1)).max(axis=1)
 
     # constraint coefficients beta^1 = alpha2 beta^2 + alpha3 beta^3
     def alpha2(self) -> np.ndarray:
@@ -219,9 +203,10 @@ class _PermView:
         return (self.dG(d, 2, 1, 3) * c - self.G(2, 1, 3) * self.dC(d, 3, 2, 1)) / c**2
 
 
-def _displaced_views(spec: FrameSpec, conn: ConnectionEval, perm: tuple, h: float):
+def _displaced_views(conn: ConnectionEval, perm: tuple, h: float):
     """Views at points displaced along each (unit) frame direction, plus the
     field norms, for central finite differences r_d(f)."""
+    spec = conn.spec
     out = []
     for d in range(3):
         col = conn.R[:, :, perm[d]]
@@ -244,20 +229,13 @@ def _fd(build, views, d: int, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def normalize_indices(
-    spec: FrameSpec,
-    points: np.ndarray,
-    tol: float = CLASSIFY_TOL,
-    conn: Optional[ConnectionEval] = None,
-) -> list:
+def normalize_indices(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> list:
     """Permutations (new -> old) under which c[3,2,1] is bounded away from
     zero at every sample.  Permutations that additionally keep Gamma[3,2,1]
     nonvanishing (the preferred normalization) are ranked first; within each
     group the order is lexicographic.  c[3,2,1] != 0 is the only condition
     the downstream formulas divide by."""
-    conn = conn or eval_connection(spec, points)
-    m = conn.Gamma.shape[0]
-    scale = 1.0 + np.abs(conn.Gamma.reshape(m, -1)).max(axis=1)
+    scale = conn.gamma_scale()
     preferred, fallback = [], []
     for perm in itertools.permutations(range(3)):
         view = _PermView(conn, perm)
@@ -324,21 +302,15 @@ def _classify_rich_rank1_from_Z(Z: np.ndarray, tol: float, trace: _Trace) -> tup
     return "rich-3", p
 
 
-def classify_beta_rich_rank1(
-    spec: FrameSpec,
-    chart,
-    u_points: np.ndarray,
-    tol: float = CLASSIFY_TOL,
-) -> tuple:
+def classify_beta_rich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> tuple:
     """Rich frame with rank-1 algebraic part: classify via the chart-space
-    connection at the images of the u-samples."""
-    require_rich = is_rich(spec, u_points, 1e-7)
-    if not require_rich[0]:
-        raise NotRichError(f"frame is not rich: {require_rich[1]}")
+    connection at the images of the u-samples under the frame's chart.
+    Richness is the caller's verdict (classify)."""
+    spec, chart = conn.spec, conn.spec.chart
     if chart is None:
         raise ChartDomainError("rich rank-1 classification requires a chart")
     trace = _Trace()
-    w_points = chart_forward(chart, u_points, spec.params)
+    w_points = chart_forward(chart, conn.points, spec.params)
     pb = pullback_connection(spec, chart, w_points)
     trace.note("chart symmetry residual", pb.symmetry_residual(), "info")
     case, perm = _classify_rich_rank1_from_Z(pb.Z, tol, trace)
@@ -376,13 +348,13 @@ def _phi_psi(view: _PermView) -> tuple:
     return phi, psi
 
 
-def _case_all_three_rows(spec, conn, perm, tol, trace):
+def _case_all_three_rows(conn, perm):
     """Six integrability rows A b^2 + B b^3 = 0 of the fully-prescribed
     system, via commutators evaluated with exact first-level coefficients
     and single-level finite differences of those coefficients."""
     view = _PermView(conn, perm)
     phi, psi = _phi_psi(view)
-    views = _displaced_views(spec, conn, perm, _FD_STEP)
+    views = _displaced_views(conn, perm, _FD_STEP)
 
     def phi_of(v):
         return _phi_psi(v)[0]
@@ -421,7 +393,7 @@ def _case_all_three_rows(spec, conn, perm, tol, trace):
                 - csum_psi[:, s_col]
             )
             rows.append((a_row, b_row, f"pair ({i},{j}) unknown b{s_col + 2}"))
-    return view, phi, psi, views, rows
+    return view, phi, psi, rows
 
 
 def _stack_rows(rows) -> np.ndarray:
@@ -475,14 +447,12 @@ def _null_branch(nulls: np.ndarray, tol: float, trace: _Trace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _phi_ratio_field(spec, perm, tol):
+def _phi_ratio_field(spec, perm):
     """Callable giving the per-point solution-direction ratio Phi = b^2/b^3
     from the null space of the integrability rows."""
 
     def ratio(points: np.ndarray) -> np.ndarray:
-        conn = eval_connection(spec, points)
-        t = _Trace()
-        _, _, _, _, rows = _case_all_three_rows(spec, conn, perm, tol, t)
+        _, _, _, rows = _case_all_three_rows(eval_connection(spec, points), perm)
         stack = _stack_rows(rows)
         stack = stack / (1.0 + np.abs(stack).max())
         _, _, vt = np.linalg.svd(stack)
@@ -506,8 +476,8 @@ def _directional_fd_of_field(field, conn: ConnectionEval, perm, h: float):
     return out
 
 
-def _case_all_three(spec, conn, perm, tol, trace):
-    view, phi, psi, views, rows = _case_all_three_rows(spec, conn, perm, tol, trace)
+def _case_all_three(conn, perm, tol, trace):
+    view, phi, psi, rows = _case_all_three_rows(conn, perm)
     rank, nulls = _row_rank_and_nulls(rows, tol, trace, "integrability rows")
     if rank == 0:
         return "nr-4b"
@@ -529,7 +499,7 @@ def _case_all_three(spec, conn, perm, tol, trace):
             ok = _vanishes(f"phi[{i},3]", mag, tol, trace) and ok
         return "nr-3b" if ok else "nr-1"
     # mixed: b^2 = Phi b^3 with Phi the per-point null ratio
-    ratio = _phi_ratio_field(spec, perm, tol)
+    ratio = _phi_ratio_field(conn.spec, perm)
     Phi = nulls[:, 0] / nulls[:, 1]
     dPhi = _directional_fd_of_field(ratio, conn, perm, _RATIO_STEP)
     worst = 0.0
@@ -589,10 +559,10 @@ _C2 = {name: idx for idx, name in enumerate(
 )}
 
 
-def _case_two_rows(spec, conn, perm, trace):
+def _case_two_rows(conn, perm, trace):
     view = _PermView(conn, perm)
     coef = _coef_bundle_case2(view)
-    views = _displaced_views(spec, conn, perm, _FD_STEP)
+    views = _displaced_views(conn, perm, _FD_STEP)
     dcoef = {d: _fd(_coef_bundle_case2, views, d, _FD_STEP) for d in (1, 2, 3)}
 
     def v(name):
@@ -640,33 +610,31 @@ def _case_two_rows(spec, conn, perm, trace):
         - C(2, 3, 1) * v("q1") - C(2, 3, 2) * v("q2") - C(2, 3, 3) * v("q3"),
         "[r2,r3] on b3",
     ))
-    return view, coef, rows
+    return coef, views, rows
 
 
-def _acal_ratio_field(spec, perm, exact: bool, tol):
-    """Per-point ratio field A = b^3/b^2, from the exact constraint row when
-    it is nonvanishing, else from the null of the full compatibility rows."""
+def _constraint_ratio(coef: np.ndarray) -> np.ndarray:
+    """A = b^3/b^2 from the constraint row A0 b^2 + B0 b^3 = 0."""
+    return -coef[:, _C2["A0"]] / coef[:, _C2["B0"]]
 
-    def from_constraint(points):
-        conn = eval_connection(spec, points)
-        coef = _coef_bundle_case2(_PermView(conn, perm))
-        return -coef[:, _C2["A0"]] / coef[:, _C2["B0"]]
+
+def _acal_ratio_field(spec, perm):
+    """Callable giving the per-point ratio A = b^3/b^2 from the null of the
+    full compatibility rows (used when the constraint row vanishes)."""
 
     def from_rows(points):
-        conn = eval_connection(spec, points)
-        t = _Trace()
-        _, _, rows = _case_two_rows(spec, conn, perm, t)
+        _, _, rows = _case_two_rows(eval_connection(spec, points), perm, _Trace())
         stack = _stack_rows(rows)
         stack = stack / (1.0 + np.abs(stack).max())
         _, _, vt = np.linalg.svd(stack)
         nulls = vt[:, -1, :]
         return nulls[:, 1] / nulls[:, 0]
 
-    return from_constraint if exact else from_rows
+    return from_rows
 
 
-def _case_two(spec, conn, perm, tol, trace):
-    view, coef, rows = _case_two_rows(spec, conn, perm, trace)
+def _case_two(conn, perm, tol, trace):
+    coef, views, rows = _case_two_rows(conn, perm, trace)
     rank, nulls = _row_rank_and_nulls(rows, tol, trace, "L system")
     if rank == 0:
         return "nr-4a"
@@ -695,10 +663,16 @@ def _case_two(spec, conn, perm, tol, trace):
     ) / cscale
     exact = con_mag > 10 * tol
     trace.note("constraint row magnitude", con_mag, "exact ratio" if exact else "null ratio")
-    field = _acal_ratio_field(spec, perm, exact, tol)
-    Acal = field(conn.points)
-    h = _FD_STEP if exact else _RATIO_STEP
-    dA = _directional_fd_of_field(field, conn, perm, h)
+    if exact:
+        # differentiated on the displaced views the rows already used
+        def acal_of(view):
+            return _constraint_ratio(_coef_bundle_case2(view))
+
+        Acal = _constraint_ratio(coef)
+        dA = {d: _fd(acal_of, views, d, _FD_STEP) for d in (1, 3)}
+    else:
+        Acal = nulls[:, 1] / nulls[:, 0]
+        dA = _directional_fd_of_field(_acal_ratio_field(conn.spec, perm), conn, perm, _RATIO_STEP)
     worst = 0.0
     for i, (a_name, b_name, q_name) in (
         (1, ("a1", "b1", "q1")),
@@ -719,10 +693,10 @@ def _case_two(spec, conn, perm, tol, trace):
 # ---------------------------------------------------------------------------
 
 
-def _case_one(spec, conn, perm, tol, trace):
+def _case_one(conn, perm, tol, trace):
     view = _PermView(conn, perm)
     G, C, dG, dC = view.G, view.C, view.dG, view.dC
-    scale = view.scale()
+    scale = conn.gamma_scale()
     g112 = float((np.abs(G(1, 1, 2)) / scale).max())
     g113 = float((np.abs(G(1, 1, 3)) / scale).max())
     z112 = _vanishes("Gamma[1,1,2]", g112, tol, trace)
@@ -761,20 +735,14 @@ def _case_one(spec, conn, perm, tol, trace):
 # ---------------------------------------------------------------------------
 
 
-def classify_beta_nonrich_rank1(
-    spec: FrameSpec,
-    points: np.ndarray,
-    tol: float = CLASSIFY_TOL,
-    conn: Optional[ConnectionEval] = None,
-) -> tuple:
+def classify_beta_nonrich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> tuple:
     """Non-rich frame with rank-1 algebraic part.  Returns (case, permutation,
     trace)."""
-    conn = conn or eval_connection(spec, points)
-    perms = normalize_indices(spec, points, tol, conn)
+    perms = normalize_indices(conn, tol)
+    scale = conn.gamma_scale()
     last_error = None
     for perm in perms:
         view = _PermView(conn, perm)
-        scale = view.scale()
         num2 = float((np.abs(view.G(3, 1, 2)) / scale).max())
         num3 = float((np.abs(view.G(2, 1, 3)) / scale).max())
         trace = _Trace()
@@ -783,11 +751,11 @@ def classify_beta_nonrich_rank1(
             a2_zero = _vanishes("alpha2 numerator Gamma[3,1,2]", num2, tol, trace)
             a3_zero = _vanishes("alpha3 numerator Gamma[2,1,3]", num3, tol, trace)
             if not a2_zero and not a3_zero:
-                case = _case_all_three(spec, conn, perm, tol, trace)
+                case = _case_all_three(conn, perm, tol, trace)
             elif a2_zero and not a3_zero:
-                case = _case_two(spec, conn, perm, tol, trace)
+                case = _case_two(conn, perm, tol, trace)
             elif a2_zero and a3_zero:
-                case = _case_one(spec, conn, perm, tol, trace)
+                case = _case_one(conn, perm, tol, trace)
             else:
                 # orientation (alpha2 != 0, alpha3 == 0): the swapped
                 # permutation realizes the canonical orientation
@@ -808,17 +776,9 @@ def classify_beta_nonrich_rank1(
 # ---------------------------------------------------------------------------
 
 
-def classify(
-    spec: FrameSpec,
-    points: Optional[np.ndarray] = None,
-    tol: float = CLASSIFY_TOL,
-    samples: int = 50,
-    seed: int = 0,
-) -> ClassificationReport:
-    """Full classification over a sample set (Halton by default)."""
-    if points is None:
-        points = spec.sample_points(samples, seed)
-    conn = eval_connection(spec, points)
+def classify(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> ClassificationReport:
+    """Full classification over the connection's sample set."""
+    spec = conn.spec
     bsys = beta_algebraic(conn)
     lsys = lambda_algebraic(conn)
     # for n=2 there are no distinct index triples, so both matrices are empty
@@ -826,7 +786,7 @@ def classify(
     lscale = 1.0 + np.abs(lsys.matrix).max(initial=0.0)
     rank_beta = generic_rank(bsys.matrix / bscale)
     rank_lambda = generic_rank(lsys.matrix / lscale)
-    rich, witness = is_rich(spec, points, 1e-7)
+    rich, witness = is_rich(conn, 1e-7)
     trace = _Trace()
     trace.note("richness worst witness", witness["value"], "rich" if rich else "not rich")
     if spec.n != 3:
@@ -835,7 +795,7 @@ def classify(
             lambda_case="not_n3", beta_case="not_n3", freedom=FREEDOM["not_n3"],
             trace=list(trace), permutation=tuple(range(spec.n)),
         )
-    lambda_case, lrank, ltrace = classify_lambda_n3(spec, points, tol, conn)
+    lambda_case, lrank, ltrace = classify_lambda_n3(conn, tol)
     trace.extend(ltrace)
     perm = (0, 1, 2)
     if rank_beta == 0:
@@ -843,10 +803,10 @@ def classify(
     elif rank_beta >= 2:
         beta_case = "rank2-unclassified"
     elif rich:
-        beta_case, perm, btrace = classify_beta_rich_rank1(spec, spec.chart, points, tol)
+        beta_case, perm, btrace = classify_beta_rich_rank1(conn, tol)
         trace.extend(btrace)
     else:
-        beta_case, perm, btrace = classify_beta_nonrich_rank1(spec, points, tol, conn)
+        beta_case, perm, btrace = classify_beta_nonrich_rank1(conn, tol)
         trace.extend(btrace)
     return ClassificationReport(
         n=3, richness=rich, rank_beta=rank_beta, rank_lambda=rank_lambda,

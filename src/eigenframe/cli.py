@@ -8,8 +8,20 @@ Commands:
   reconstruct  scalar-potential or flux grids from a verified candidate
   selftest     run the bundled example corpus plus quick property sweeps
 
-Exit codes: 0 pass, 1 mathematical failure, 2 input error, 3 numerical
-degeneracy.  Sampling is deterministic in --seed.
+Exit codes (an error prints one "error: ..." line to stderr):
+  0  pass
+  1  mathematical failure: a residual above --tol; CurlViolationError,
+     NotRichError, NotRankZeroError, ChartDomainError, ZeroScalingError,
+     QuadratureFailureError, StepFailureError
+  2  input error: SchemaError, CorpusParseError, ExprSyntaxError,
+     IllegalCharacterError, UnknownIdentifierError, a missing file,
+     ValueError (bad flag values, malformed JSON)
+  3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
+     NormalizationFailedError, InconclusiveVanishingError, DomainError
+
+Each command evaluates the frame once on its sample set (one
+ConnectionEval) and hands that to every check.  Sampling is deterministic
+in --seed.
 """
 
 from __future__ import annotations
@@ -147,13 +159,12 @@ def _emit(report: dict, config: RunConfig):
 
 def cmd_analyze(args, config: RunConfig) -> int:
     spec = _load_frame(args.frame_file)
-    points = spec.sample_points(config.samples, config.seed)
-    report = classify(spec, points)
-    conn = eval_connection(spec, np.asarray(spec.base_point)[None, :])
+    report = classify(eval_connection(spec, spec.sample_points(config.samples, config.seed)))
+    base = eval_connection(spec, np.asarray(spec.base_point)[None, :])
     out = report.to_dict()
     out["base_point"] = list(spec.base_point)
-    out["gamma_at_base"] = np.round(conn.Gamma[0], 12).tolist()
-    out["c_at_base"] = np.round(conn.c[0], 12).tolist()
+    out["gamma_at_base"] = np.round(base.Gamma[0], 12).tolist()
+    out["c_at_base"] = np.round(base.c[0], 12).tolist()
     _emit(out, config)
     return EXIT_PASS
 
@@ -162,11 +173,9 @@ def cmd_verify(args, config: RunConfig) -> int:
     case = _load_case(args.frame_file)
     spec = case.spec
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
-    points = spec.sample_points(config.samples, config.seed)
-    if kind == "beta":
-        rec = beta_residual(spec, cand, points)
-    else:
-        rec = lambda_residual(spec, cand, points)
+    conn = eval_connection(spec, spec.sample_points(config.samples, config.seed))
+    residual = beta_residual if kind == "beta" else lambda_residual
+    rec = residual(conn, cand)
     out = {
         "kind": kind,
         "max_scaled_residual": rec.max_scaled,
@@ -178,7 +187,7 @@ def cmd_verify(args, config: RunConfig) -> int:
         },
     }
     if kind == "beta":
-        out["convexity"] = convexity_classify(spec, cand, points)
+        out["convexity"] = convexity_classify(spec, cand, conn.points)
     passed = rec.max_scaled < config.tol
     # cross-system identity, paired with a verified partner from the frame
     # file when one is recorded there
@@ -187,11 +196,11 @@ def cmd_verify(args, config: RunConfig) -> int:
         if k != partner_kind:
             continue
         check = beta_residual if k == "beta" else lambda_residual
-        if check(spec, partner, points).max_scaled > config.tol:
+        if check(conn, partner).max_scaled > config.tol:
             continue
         bcand, lcand = (cand, partner) if kind == "beta" else (partner, cand)
         try:
-            res = sevennec_identity(spec, bcand, lcand, points)
+            res = sevennec_identity(conn, bcand, lcand)
         except CoincidentEigenvaluesError:
             continue
         out["cross-identity"] = res
@@ -205,7 +214,7 @@ def cmd_verify(args, config: RunConfig) -> int:
 def cmd_reconstruct(args, config: RunConfig) -> int:
     spec = _load_frame(args.frame_file)
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
-    points = spec.sample_points(config.samples, config.seed)
+    conn = eval_connection(spec, spec.sample_points(config.samples, config.seed))
     counts = config.grid[: spec.n]
     if len(counts) < spec.n:
         counts = tuple(counts) + (counts[-1],) * (spec.n - len(counts))
@@ -213,7 +222,7 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     if config.flux or kind == "lambda":
         if kind != "lambda":
             raise SchemaError("--flux reconstruction needs a lambda candidate")
-        rec = lambda_residual(spec, cand, points)
+        rec = lambda_residual(conn, cand)
         if rec.max_scaled > config.tol:
             print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
             return EXIT_MATH_FAILURE
@@ -222,7 +231,7 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         out_csv = Path(f"{stem}_flux.csv")
         out_json = Path(f"{stem}_flux.json")
     else:
-        rec = beta_residual(spec, cand, points)
+        rec = beta_residual(conn, cand)
         if rec.max_scaled > config.tol:
             print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
             return EXIT_MATH_FAILURE
@@ -283,10 +292,9 @@ def _property_sweeps(config: RunConfig, bundled: dict) -> dict:
             for j in range(3)
         ]
         spec = frame_from_sources(cols, ["u1", "u2", "u3"], domain=((0, 0, 0), (1, 1, 1)))
-        pts = spec.sample_points(20, config.seed)
-        t, c = check_symmetry_flatness(spec, pts)
+        conn = eval_connection(spec, spec.sample_points(20, config.seed))
+        t, c = check_symmetry_flatness(conn)
         worst_geom = max(worst_geom, t, c)
-        conn = eval_connection(spec, pts)
         worst_dual = max(worst_dual, check_rank_duality_n3(conn))
         rank_ok = rank_ok and (
             generic_rank(beta_algebraic(conn).matrix) == generic_rank(lambda_algebraic(conn).matrix)
@@ -307,8 +315,8 @@ def _property_sweeps(config: RunConfig, bundled: dict) -> dict:
             f"({sq[j]})*({exprlang.to_source(e)})" for j, e in enumerate(bcand.exprs)
         ]
         scaled_cand = BetaCandidate.from_sources(new_sources, spec.vars, bcand.params)
-        pts = spec.sample_points(20, config.seed)
-        worst_scaled = beta_residual(scaled, scaled_cand, pts).max_scaled
+        conn = eval_connection(scaled, spec.sample_points(20, config.seed))
+        worst_scaled = beta_residual(conn, scaled_cand).max_scaled
     sweeps["scaling_covariance"] = worst_scaled
     passed = (
         worst_geom < 1e-8 and worst_dual < 1e-12 and rank_ok and worst_scaled < 1e-8

@@ -30,6 +30,7 @@ from .errors import (
     SchemaError,
 )
 from .geometry import (
+    ConnectionEval,
     FrameSpec,
     chart_from_sources,
     check_symmetry_flatness,
@@ -211,21 +212,17 @@ def list_examples(directory: Optional[Path] = None) -> list:
     return catalog
 
 
-def _closed_eta_check(spec, cand, points) -> float:
+def _closed_eta_check(conn: ConnectionEval, cand) -> float:
     """Residual of the closed-form potential against the candidate: the
     frame must be orthogonal for its Hessian and reproduce the lengths."""
-    params = {**spec.params, **cand.params}
-    jets = ex.eval_jet2_many(cand.eta_expr, points, params)
-    from .geometry import eval_frame_jets
-
-    _, R, _, _ = eval_frame_jets(spec, points)
-    H = jets.hess
-    quad = np.einsum("mai,mab,mbj->mij", R, H, R, optimize=True)
-    vals, _ = eval_candidate(cand.exprs, points, params)
+    params = {**conn.spec.params, **cand.params}
+    H = ex.eval_jet2_many(cand.eta_expr, conn.points, params).hess
+    quad = np.einsum("mai,mab,mbj->mij", conn.R, H, conn.R, optimize=True)
+    vals, _ = eval_candidate(cand.exprs, conn.points, params)
     scale = 1.0 + np.abs(quad).max()
-    res_diag = np.abs(np.stack([quad[:, i, i] for i in range(spec.n)], axis=1) - vals)
+    res_diag = np.abs(np.stack([quad[:, i, i] for i in range(conn.n)], axis=1) - vals)
     off = quad.copy()
-    for i in range(spec.n):
+    for i in range(conn.n):
         off[:, i, i] = 0.0
     return float(max(res_diag.max(), np.abs(off).max()) / scale)
 
@@ -265,20 +262,20 @@ def run_example(
 
     spec = case.spec
     points = spec.sample_points(samples, seed)
-    torsion, curvature = check_symmetry_flatness(spec, points)
+    conn = eval_connection(spec, points)
+    torsion, curvature = check_symmetry_flatness(conn)
     record("torsion identity", torsion, 1e-8)
     record("curvature identity", curvature, 1e-8)
-    conn = eval_connection(spec, points)
-    c_br = structure_coefficients_bracket(spec, points)
+    c_br = structure_coefficients_bracket(conn)
     cross = float(np.abs(conn.c - c_br).max() / (1.0 + np.abs(conn.Gamma).max()))
     record("bracket cross-check", cross, 1e-10)
     if spec.n == 3:
         record("rank duality identity", check_rank_duality_n3(conn), 1e-12)
     if spec.chart is not None:
-        chart_rep = verify_riemann_chart(spec, spec.chart, points)
+        chart_rep = verify_riemann_chart(conn, spec.chart)
         record("chart normalization", chart_rep["normalization_residual"], 1e-9)
         record("chart round trip", chart_rep["roundtrip_residual"], 1e-9)
-    report = classify(spec, points)
+    report = classify(conn)
     record("richness expectation", float(report.richness != case.expected["rich"]), 1,
            passed=report.richness == case.expected["rich"])
     record("rank expectation",
@@ -293,15 +290,15 @@ def run_example(
     verified = {"beta": [], "lambda": []}
     for idx, (kind, cand) in enumerate(case.candidates):
         if kind == "beta":
-            rec = beta_residual(spec, cand, points, conn)
+            rec = beta_residual(conn, cand)
         else:
-            rec = lambda_residual(spec, cand, points, conn)
+            rec = lambda_residual(conn, cand)
         ok = record(f"candidate {idx} ({kind}) residual", rec.max_scaled, tol)
         if ok:
             verified[kind].append(cand)
         if kind == "beta" and cand.eta_expr is not None:
             record(f"candidate {idx} closed-form potential",
-                   _closed_eta_check(spec, cand, points), 1e-9)
+                   _closed_eta_check(conn, cand), 1e-9)
         if kind == "lambda" and cand.f_exprs is not None:
             record(f"candidate {idx} closed-form flux",
                    _closed_f_check(spec, cand, points), 1e-9)
@@ -309,7 +306,7 @@ def run_example(
     for lcand in verified["lambda"]:
         for bcand in verified["beta"]:
             try:
-                res = sevennec_identity(spec, bcand, lcand, points)
+                res = sevennec_identity(conn, bcand, lcand)
             except CoincidentEigenvaluesError:
                 continue
             record("eigenvalue-gap identity", res, 1e-9)

@@ -77,10 +77,6 @@ class NotRankZeroError(EigenframeError):
     pass
 
 
-class RankMismatchError(EigenframeError):
-    pass
-
-
 class NormalizationFailedError(EigenframeError):
     """No index permutation satisfies the classifier's normalization."""
 
@@ -104,10 +100,6 @@ class CurlViolationError(EigenframeError):
         self.residual = residual
         self.tol = tol
         super().__init__(f"field is not closed: curl residual {residual:.3e} > {tol:.1e}")
-
-
-class SymmetryViolationError(EigenframeError):
-    pass
 
 
 class QuadratureFailureError(EigenframeError):

@@ -455,7 +455,9 @@ _MATH_TABLE = {
 
 def _const_value(e: Expr):
     """Value of a Var/Param-free subtree, or None.  Used to recognize
-    integer-constant exponents that are not bare literals."""
+    integer-constant exponents that are not bare literals.  A subtree that
+    cannot be folded in floats (0^-1, 10.0^400) gives None, so the evaluator
+    reaches it and reports the domain violation itself."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, (Var, Param)):
@@ -478,9 +480,12 @@ def _const_value(e: Expr):
         a, b = _const_value(e.base), _const_value(e.expo)
         if a is None or b is None:
             return None
-        if float(b).is_integer():
-            return a ** int(b)
-        return a ** b if a > 0 else None
+        try:
+            if float(b).is_integer():
+                return a ** int(b)
+            return a ** b if a > 0 else None
+        except ArithmeticError:
+            return None
     if isinstance(e, Call):
         v = _const_value(e.args[0])
         if v is None:
@@ -489,7 +494,7 @@ def _const_value(e: Expr):
             return None
         try:
             return _MATH_TABLE[e.fn](v)
-        except ValueError:
+        except (ValueError, ArithmeticError):
             return None
     return None
 
@@ -512,7 +517,11 @@ def _check_nonzero(node, values: np.ndarray, points: np.ndarray):
 
 def _eval(e: Expr, points: np.ndarray, params: Mapping[str, float], jets: bool):
     """Shared recursion for scalar and jet evaluation.  The scalar value of
-    every node is computed by the same numpy operations in both modes."""
+    every node is computed by the same numpy operations in both modes.
+
+    Floating-point warnings are silenced during the recursion; instead any
+    non-finite value, gradient or Hessian entry of the result raises
+    DomainError at the first offending point."""
     n = points.shape[-1]
     batch = points.shape[:-1]
 
@@ -587,7 +596,13 @@ def _eval(e: Expr, points: np.ndarray, params: Mapping[str, float], jets: bool):
             return f0
         return inner.chain(f0, f0, f0)
 
-    return rec(e)
+    with np.errstate(all="ignore"):
+        out = rec(e)
+    for part in (out.value, out.grad, out.hess) if jets else (out,):
+        if not np.isfinite(part).all():
+            idx = tuple(np.argwhere(~np.isfinite(part))[0][: len(batch)])
+            raise DomainError(to_source(e), points[idx], "non-finite value")
+    return out
 
 
 def eval_scalar_many(e: Expr, points: np.ndarray, params: Mapping[str, float] = {}) -> np.ndarray:
@@ -706,20 +721,3 @@ def differentiate(e: Expr, var_index: int) -> Expr:
         return _mul(_DERIV_RULES[e.fn](u), du)
     raise TypeError(f"not an Expr: {e!r}")
 
-
-def expr_num(value: float) -> Expr:
-    return Num(float(value))
-
-
-def count_nodes(e: Expr) -> int:
-    if isinstance(e, (Num, Var, Param)):
-        return 1
-    if isinstance(e, Neg):
-        return 1 + count_nodes(e.a)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return 1 + count_nodes(e.a) + count_nodes(e.b)
-    if isinstance(e, Pow):
-        return 1 + count_nodes(e.base) + count_nodes(e.expo)
-    if isinstance(e, Call):
-        return 1 + sum(count_nodes(a) for a in e.args)
-    raise TypeError

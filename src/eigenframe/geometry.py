@@ -18,6 +18,7 @@ pipeline checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -154,8 +155,17 @@ def chart_from_sources(
 
 @dataclass
 class ConnectionEval:
-    """Connection data at a batch of points."""
+    """A frame evaluated on one sample set: the frame, its inverse and
+    first derivatives, the connection components with their first
+    derivatives, and the structure coefficients.
 
+    Built only by eval_connection; every check, residual and classifier
+    branch on the same sample set reads this one object instead of
+    evaluating the frame again.  The directional derivatives of Gamma
+    (dGamma) are computed on first use and kept.
+    """
+
+    spec: FrameSpec
     points: np.ndarray  # (m, n)
     R: np.ndarray  # (m, a, j)
     L: np.ndarray  # (m, k, a); L @ R = I
@@ -174,19 +184,10 @@ class ConnectionEval:
         m = self.Gamma.shape[0]
         return 1.0 + np.abs(self.Gamma.reshape(m, -1)).max(axis=1)
 
-    def torsion_residual(self) -> float:
-        """Max scaled violation of the torsion identity: the antisymmetrized
-        connection components against the direct bracket expansion."""
-        bracket = np.einsum("majb,mbi->maij", self.Rgrad, self.R, optimize=True)
-        bracket = bracket - bracket.transpose(0, 1, 3, 2)
-        c_br = np.einsum("mka,maij->mijk", self.L, bracket, optimize=True)
-        return float((np.abs(self.c - c_br).reshape(len(self.det), -1).max(axis=1)
-                      / self.gamma_scale()).max())
-
-    def curvature_residual(self) -> float:
-        """Max scaled violation of the flatness identity."""
-        res = flatness_residual(self.Gamma, self.c, directional_gamma(self))
-        return float((res / self.gamma_scale() ** 2).max())
+    @cached_property
+    def dGamma(self) -> np.ndarray:
+        """r_d(Gamma[i,j,k]), shape (m, d, i, j, k); see directional_gamma."""
+        return directional_gamma(self)
 
 
 def eval_frame_jets(spec: FrameSpec, points: np.ndarray):
@@ -243,19 +244,17 @@ def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
     )
     c = Gamma - Gamma.transpose(0, 2, 1, 3)
     return ConnectionEval(
-        points=points, R=R, L=L, det=det, Rgrad=Rgrad,
+        spec=spec, points=points, R=R, L=L, det=det, Rgrad=Rgrad,
         Gamma=Gamma, GammaGrad=GammaGrad, c=c,
     )
 
 
-def structure_coefficients_bracket(spec: FrameSpec, points: np.ndarray) -> np.ndarray:
+def structure_coefficients_bracket(conn: ConnectionEval) -> np.ndarray:
     """c via direct expansion of [r_i, r_j] = (DR_j)R_i - (DR_i)R_j in the
     frame basis; independent cross-check of the antisymmetrized-Gamma path."""
-    points, R, Rgrad, _ = eval_frame_jets(spec, points)
-    L, _ = _invert_frame(points, R)
-    bracket = np.einsum("majb,mbi->maij", Rgrad, R, optimize=True)
+    bracket = np.einsum("majb,mbi->maij", conn.Rgrad, conn.R, optimize=True)
     bracket = bracket - bracket.transpose(0, 1, 3, 2)
-    return np.einsum("mka,maij->mijk", L, bracket, optimize=True)
+    return np.einsum("mka,maij->mijk", conn.L, bracket, optimize=True)
 
 
 def directional_gamma(conn: ConnectionEval) -> np.ndarray:
@@ -263,17 +262,16 @@ def directional_gamma(conn: ConnectionEval) -> np.ndarray:
     return np.einsum("mijke,med->mdijk", conn.GammaGrad, conn.R, optimize=True)
 
 
-def check_symmetry_flatness(spec: FrameSpec, points: np.ndarray) -> tuple:
+def check_symmetry_flatness(conn: ConnectionEval) -> tuple:
     """Max scaled violation of the torsion and curvature identities.
 
     Both vanish identically for the flat coordinate connection, so nonzero
     values only measure numerical error of the whole Gamma pipeline.
     """
-    conn = eval_connection(spec, points)
-    c_br = structure_coefficients_bracket(spec, points)
+    c_br = structure_coefficients_bracket(conn)
     scale = conn.gamma_scale()
     torsion = np.abs(conn.c - c_br).reshape(len(scale), -1).max(axis=1) / scale
-    curvature = flatness_residual(conn.Gamma, conn.c, directional_gamma(conn)) / scale**2
+    curvature = flatness_residual(conn.Gamma, conn.c, conn.dGamma) / scale**2
     return float(torsion.max()), float(curvature.max())
 
 
@@ -307,14 +305,13 @@ def distinct_triple_mask(n: int) -> np.ndarray:
     return (i != j) & (j != k) & (i != k)
 
 
-def is_rich(spec: FrameSpec, sample_points: np.ndarray, tol: float = 1e-8) -> tuple:
+def is_rich(conn: ConnectionEval, tol: float = 1e-8) -> tuple:
     """A frame is rich when c[i,j,k] vanishes for pairwise-distinct (i,j,k).
 
     Returns (verdict, witness) where witness records the worst scaled
     violation and where it occurred.
     """
-    conn = eval_connection(spec, sample_points)
-    mask = distinct_triple_mask(spec.n)
+    mask = distinct_triple_mask(conn.n)
     scaled = np.abs(conn.c) / conn.gamma_scale()[:, None, None, None]
     scaled = np.where(mask[None, :, :, :], scaled, 0.0)
     worst = float(scaled.max())
@@ -375,28 +372,21 @@ def chart_inverse(chart: RiemannChart, w_points: np.ndarray, params: Mapping[str
     return np.stack(cols, axis=1)
 
 
-def verify_riemann_chart(
-    spec: FrameSpec,
-    chart: RiemannChart,
-    sample_points: np.ndarray,
-    tol: float = 1e-9,
-) -> dict:
-    """Check the chart normalization r_j(w^i) = delta_ij at u-samples and the
-    round trip u -> w -> u.  Returns the residual report."""
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    _, R, _, _ = eval_frame_jets(spec, pts)
+def verify_riemann_chart(conn: ConnectionEval, chart: RiemannChart, tol: float = 1e-9) -> dict:
+    """Check the chart normalization r_j(w^i) = delta_ij at the connection's
+    u-samples and the round trip u -> w -> u.  Returns the residual report."""
+    pts, params = conn.points, conn.spec.params
     grads = []
     for e in chart.w_exprs:
         try:
-            grads.append(ex.eval_jet2_many(e, pts, spec.params).grad)
+            grads.append(ex.eval_jet2_many(e, pts, params).grad)
         except DomainError as err:
             raise ChartDomainError(str(err)) from err
     dW = np.stack(grads, axis=1)  # (m, i, a) = d w^i / d u^a
-    norm = np.einsum("mia,maj->mij", dW, R, optimize=True)
-    eye = np.eye(spec.n)
-    normalization_residual = float(np.abs(norm - eye[None]).max())
-    w = chart_forward(chart, pts, spec.params)
-    back = chart_inverse(chart, w, spec.params)
+    norm = np.einsum("mia,maj->mij", dW, conn.R, optimize=True)
+    normalization_residual = float(np.abs(norm - np.eye(conn.n)[None]).max())
+    w = chart_forward(chart, pts, params)
+    back = chart_inverse(chart, w, params)
     roundtrip_residual = float(np.abs(back - pts).max())
     return {
         "normalization_residual": normalization_residual,
@@ -411,9 +401,13 @@ class PullbackEval:
     """Connection components in chart coordinates at a batch of w-points."""
 
     w_points: np.ndarray
-    u_points: np.ndarray
-    Z: np.ndarray      # (m, i, j, k) = Gamma[i,j,k] at u(w)
+    conn: ConnectionEval  # the frame's connection at u(w)
     ZGrad: np.ndarray  # (m, i, j, k, d) = d Z[i,j,k] / d w^d
+
+    @property
+    def Z(self) -> np.ndarray:
+        """(m, i, j, k) = Gamma[i,j,k] at u(w)."""
+        return self.conn.Gamma
 
     def symmetry_residual(self) -> float:
         scale = 1.0 + np.abs(self.Z).max()
@@ -447,4 +441,4 @@ def pullback_connection(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarr
         raise ChartDomainError(str(err)) from err
     conn = eval_connection(spec, u_points)
     ZGrad = np.einsum("mijke,med->mijkd", conn.GammaGrad, du, optimize=True)
-    return PullbackEval(w_points=w_points, u_points=u_points, Z=conn.Gamma, ZGrad=ZGrad)
+    return PullbackEval(w_points=w_points, conn=conn, ZGrad=ZGrad)

@@ -50,6 +50,7 @@ from .geometry import (
     RiemannChart,
     _invert_frame,
     distinct_triple_mask,
+    eval_connection,
     eval_frame_jets,
     eval_frame_values,
 )
@@ -637,7 +638,7 @@ def solve_rich_beta(
     n = spec.n
     base_w = np.asarray(base_w, dtype=float)
     axes = [base_w[d] + h * np.arange(counts[d]) for d in range(n)]
-    require_rich(spec, spec.sample_points(30), 1e-7)
+    require_rich(eval_connection(spec, spec.sample_points(30)), 1e-7)
     mesh = np.meshgrid(*axes, indexing="ij")
     w_pts = np.stack([m.ravel() for m in mesh], axis=-1)
     from .geometry import pullback_connection

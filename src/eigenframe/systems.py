@@ -31,7 +31,6 @@ from .geometry import (
     FrameSpec,
     RiemannChart,
     distinct_triple_mask,
-    eval_connection,
     is_rich,
     pullback_connection,
 )
@@ -206,15 +205,9 @@ def _ordered_pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def beta_residual(
-    spec: FrameSpec,
-    cand: BetaCandidate,
-    points: np.ndarray,
-    conn: Optional[ConnectionEval] = None,
-) -> ResidualRecord:
-    conn = conn or eval_connection(spec, points)
-    vals, grads = eval_candidate(cand.exprs, conn.points, {**spec.params, **cand.params})
-    n = spec.n
+def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
+    vals, grads = eval_candidate(cand.exprs, conn.points, {**conn.spec.params, **cand.params})
+    n = conn.n
     pairs = _ordered_pairs(n)
     pde_raw = np.zeros((conn.points.shape[0], len(pairs)))
     pde_scale = np.ones_like(pde_raw)
@@ -238,15 +231,9 @@ def beta_residual(
     )
 
 
-def lambda_residual(
-    spec: FrameSpec,
-    cand: LambdaCandidate,
-    points: np.ndarray,
-    conn: Optional[ConnectionEval] = None,
-) -> ResidualRecord:
-    conn = conn or eval_connection(spec, points)
-    vals, grads = eval_candidate(cand.exprs, conn.points, {**spec.params, **cand.params})
-    n = spec.n
+def lambda_residual(conn: ConnectionEval, cand: LambdaCandidate) -> ResidualRecord:
+    vals, grads = eval_candidate(cand.exprs, conn.points, {**conn.spec.params, **cand.params})
+    n = conn.n
     pairs = _ordered_pairs(n)
     pde_raw = np.zeros((conn.points.shape[0], len(pairs)))
     pde_scale = np.ones_like(pde_raw)
@@ -275,10 +262,9 @@ def lambda_residual(
 
 
 def sevennec_identity(
-    spec: FrameSpec,
+    conn: ConnectionEval,
     beta_cand: BetaCandidate,
     lambda_cand: LambdaCandidate,
-    points: np.ndarray,
     gap_rtol: float = 1e-8,
 ) -> float:
     """Scaled residual of the cyclic identity
@@ -288,10 +274,10 @@ def sevennec_identity(
 
     which couples verified candidates of the two systems under strict
     hyperbolicity.  Near-coincident eigenvalues are rejected."""
-    conn = eval_connection(spec, points)
-    bvals, _ = eval_candidate(beta_cand.exprs, conn.points, {**spec.params, **beta_cand.params})
-    lvals, _ = eval_candidate(lambda_cand.exprs, conn.points, {**spec.params, **lambda_cand.params})
-    n = spec.n
+    params = conn.spec.params
+    bvals, _ = eval_candidate(beta_cand.exprs, conn.points, {**params, **beta_cand.params})
+    lvals, _ = eval_candidate(lambda_cand.exprs, conn.points, {**params, **lambda_cand.params})
+    n = conn.n
     scale = np.abs(lvals).max()
     worst = 0.0
     for i in range(n):
@@ -369,16 +355,9 @@ def darboux_compatibility(
     for the identities to apply; their magnitude is folded into the returned
     residual, so a corrupted or rank-1 chart-space connection reports a
     large value rather than silently passing."""
-    u_points = chart_inverse_points(spec, chart, w_points)
-    require_rich(spec, u_points, rich_tol)
     pb = pullback_connection(spec, chart, w_points)
+    require_rich(pb.conn, rich_tol)
     return compat_coefficient_residual(pb.Z, pb.ZGrad)
-
-
-def chart_inverse_points(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarray):
-    from .geometry import chart_inverse
-
-    return chart_inverse(chart, np.atleast_2d(w_points), spec.params)
 
 
 def compat_coefficient_residual(Z: np.ndarray, dZ: np.ndarray) -> float:
@@ -412,7 +391,7 @@ def compat_coefficient_residual(Z: np.ndarray, dZ: np.ndarray) -> float:
     return worst
 
 
-def require_rich(spec: FrameSpec, points: np.ndarray, tol: float = 1e-8) -> None:
-    ok, witness = is_rich(spec, points, tol)
+def require_rich(conn: ConnectionEval, tol: float = 1e-8) -> None:
+    ok, witness = is_rich(conn, tol)
     if not ok:
         raise NotRichError(f"frame is not rich: worst witness {witness}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eigenframe import corpus as corpus_mod
-from eigenframe.geometry import frame_from_sources
+from eigenframe.geometry import eval_connection, frame_from_sources
 
 V3 = ["u1", "u2", "u3"]
 
@@ -23,6 +23,11 @@ def corpus_cases():
         case = corpus_mod.load_example(path)
         cases[case.id] = case
     return cases
+
+
+def connect(spec, count=50, seed=0):
+    """The frame's connection on count Halton samples."""
+    return eval_connection(spec, spec.sample_points(count, seed))
 
 
 def random_polynomial_frame(rng, scale=0.15):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import V3, random_orthonormal_frame, random_polynomial_frame
+from conftest import V3, connect, random_orthonormal_frame, random_polynomial_frame
 
 from eigenframe import classify as cl
 from eigenframe import corpus as corpus_mod
@@ -36,13 +36,12 @@ def test_criterion_1_corpus_residuals(corpus_cases):
     worst = 0.0
     count = 0
     for cid, case in sorted(corpus_cases.items()):
-        pts = case.spec.sample_points(50)
-        conn = g.eval_connection(case.spec, pts)
+        conn = connect(case.spec)
         for kind, cand in case.candidates:
             if kind == "beta":
-                rec = sy.beta_residual(case.spec, cand, pts, conn)
+                rec = sy.beta_residual(conn, cand)
             else:
-                rec = sy.lambda_residual(case.spec, cand, pts, conn)
+                rec = sy.lambda_residual(conn, cand)
             worst = max(worst, rec.max_scaled)
             count += 1
     elapsed = time.time() - start
@@ -95,10 +94,10 @@ EXPECTED_TABLE = {
 def test_criterion_3_classification(corpus_cases):
     mismatches = []
     for cid, expected in EXPECTED_TABLE.items():
-        report = cl.classify(corpus_cases[cid].spec)
+        report = cl.classify(connect(corpus_cases[cid].spec))
         if report.beta_case != expected:
             mismatches.append((cid, expected, report.beta_case))
-    report = cl.classify(corpus_cases["ex6.3"].spec)
+    report = cl.classify(connect(corpus_cases["ex6.3"].spec))
     if not (report.rank_beta == 2 and report.lambda_case == "III"):
         mismatches.append(("ex6.3", "rank2/III", f"{report.rank_beta}/{report.lambda_case}"))
     _line(3, "classification", not mismatches,
@@ -112,12 +111,11 @@ def test_criterion_4_geometric_identities(corpus_cases):
     specs = [case.spec for case in corpus_cases.values()]
     specs += [random_polynomial_frame(rng) for _ in range(100)]
     for spec in specs:
-        pts = spec.sample_points(10)
-        t, c = g.check_symmetry_flatness(spec, pts)
+        conn = connect(spec, 10)
+        t, c = g.check_symmetry_flatness(conn)
         worst_sym = max(worst_sym, t)
         worst_flat = max(worst_flat, c)
-        conn = g.eval_connection(spec, pts)
-        cb = g.structure_coefficients_bracket(spec, pts)
+        cb = g.structure_coefficients_bracket(conn)
         worst_bracket = max(
             worst_bracket,
             float(np.abs(conn.c - cb).max() / (1.0 + np.abs(conn.Gamma).max())),
@@ -148,7 +146,7 @@ def test_criterion_5_scaling_covariance(corpus_cases):
                   f"{1 + b:.4f}+{c:.4f}*{spec.vars[1]}",
                   f"{1 + c:.4f}+{a:.4f}*{spec.vars[2]}^2"]
         pts = spec.sample_points(25, seed=trials)
-        base_res = sy.beta_residual(spec, cand, pts).max_scaled
+        base_res = sy.beta_residual(g.eval_connection(spec, pts), cand).max_scaled
         if base_res > 1e-9:
             continue
         scaled_spec = g.scale_frame(spec, alphas)
@@ -156,7 +154,8 @@ def test_criterion_5_scaling_covariance(corpus_cases):
             f"(({al})^2)*({ex.to_source(e)})" for al, e in zip(alphas, cand.exprs)
         ]
         scaled_cand = sy.BetaCandidate.from_sources(scaled_sources, spec.vars, cand.params)
-        worst = max(worst, sy.beta_residual(scaled_spec, scaled_cand, pts).max_scaled)
+        scaled_conn = g.eval_connection(scaled_spec, pts)
+        worst = max(worst, sy.beta_residual(scaled_conn, scaled_cand).max_scaled)
         trials += 1
     _line(5, "scaling-covariance", worst < 1e-8, f"20 triples, max residual {worst:.3e}")
 
@@ -177,8 +176,9 @@ def test_criterion_6_orthonormal_coincidence():
         ]
         b = sy.BetaCandidate.from_sources(cand_sources, V3)
         l = sy.LambdaCandidate.from_sources(cand_sources, V3)
-        rb = sy.beta_residual(spec, b, pts)
-        rl = sy.lambda_residual(spec, l, pts)
+        conn = g.eval_connection(spec, pts)
+        rb = sy.beta_residual(conn, b)
+        rl = sy.lambda_residual(conn, l)
         worst = max(
             worst,
             float(np.abs(rb.pde_raw - rl.pde_raw).max()),
@@ -225,17 +225,17 @@ def test_criterion_8_eigenvalue_gap_identity(corpus_cases):
     worst = 0.0
     pairs = 0
     for cid, case in sorted(corpus_cases.items()):
-        pts = case.spec.sample_points(50)
+        conn = connect(case.spec)
         lams = [c for k, c in case.candidates if k == "lambda"]
         bets = [c for k, c in case.candidates if k == "beta"]
         for lam in lams:
-            if sy.lambda_residual(case.spec, lam, pts).max_scaled > 1e-9:
+            if sy.lambda_residual(conn, lam).max_scaled > 1e-9:
                 continue
             for bet in bets:
-                if sy.beta_residual(case.spec, bet, pts).max_scaled > 1e-9:
+                if sy.beta_residual(conn, bet).max_scaled > 1e-9:
                     continue
                 try:
-                    res = sy.sevennec_identity(case.spec, bet, lam, pts)
+                    res = sy.sevennec_identity(conn, bet, lam)
                 except sy.CoincidentEigenvaluesError:
                     continue
                 worst = max(worst, res)
@@ -328,10 +328,10 @@ def test_criterion_11_property_suite(corpus_cases):
     spec = corpus_cases["ex6.8"].spec
     zero = sy.BetaCandidate.from_sources(["0", "0", "0"], V3)
     const = sy.LambdaCandidate.from_sources(["7", "7", "7"], V3)
-    pts3 = spec.sample_points(20)
+    conn3 = connect(spec, 20)
     trivial_ok = (
-        sy.beta_residual(spec, zero, pts3).max_scaled == 0.0
-        and sy.lambda_residual(spec, const, pts3).max_scaled < 1e-13
+        sy.beta_residual(conn3, zero).max_scaled == 0.0
+        and sy.lambda_residual(conn3, const).max_scaled < 1e-13
     )
     ok = worst_fd < 1e-5 and exact_ok and empty_ok and trivial_ok
     _line(11, "property-suite", ok,

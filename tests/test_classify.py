@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import V3
+from conftest import V3, connect
 
 from eigenframe import classify as cl
 from eigenframe import geometry as g
@@ -34,7 +34,7 @@ EXPECTED_CASES = {
 @pytest.mark.parametrize("cid", sorted(EXPECTED_CASES))
 def test_corpus_classification(corpus_cases, cid):
     case = corpus_cases[cid]
-    report = cl.classify(case.spec)
+    report = cl.classify(connect(case.spec))
     lam, beta = EXPECTED_CASES[cid]
     assert report.lambda_case == lam
     assert report.beta_case == beta
@@ -42,7 +42,7 @@ def test_corpus_classification(corpus_cases, cid):
 
 
 def test_n4_frame_reports_ranks_only(corpus_cases):
-    report = cl.classify(corpus_cases["ex6.12"].spec)
+    report = cl.classify(connect(corpus_cases["ex6.12"].spec))
     assert report.lambda_case == "not_n3"
     assert report.beta_case == "not_n3"
     assert (report.rank_lambda, report.rank_beta) == (3, 2)
@@ -51,7 +51,7 @@ def test_n4_frame_reports_ranks_only(corpus_cases):
 def test_rank_consistency_invariants(corpus_cases):
     """Case labels respect the rank bookkeeping of the taxonomy."""
     for cid, case in corpus_cases.items():
-        report = cl.classify(case.spec)
+        report = cl.classify(connect(case.spec))
         if report.lambda_case in ("IIa", "IIb"):
             assert report.rank_lambda == 1, cid
         if report.lambda_case == "III":
@@ -74,10 +74,9 @@ def test_rank_consistency_invariants(corpus_cases):
 def test_normalize_indices_on_nonrich_frames(corpus_cases):
     for cid in ("ex6.6", "ex6.11"):
         spec = corpus_cases[cid].spec
-        pts = spec.sample_points(30)
-        perms = cl.normalize_indices(spec, pts)
+        conn = connect(spec, 30)
+        perms = cl.normalize_indices(conn)
         assert perms, cid
-        conn = g.eval_connection(spec, pts)
         view = cl._PermView(conn, perms[0])
         assert np.abs(view.C(3, 2, 1)).min() > 0
 
@@ -85,7 +84,7 @@ def test_normalize_indices_on_nonrich_frames(corpus_cases):
 def test_normalize_indices_fails_on_rich_frame(corpus_cases):
     spec = corpus_cases["ex6.2"].spec
     with pytest.raises(NormalizationFailedError):
-        cl.normalize_indices(spec, spec.sample_points(20))
+        cl.normalize_indices(connect(spec, 20))
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +136,7 @@ def test_rich_rank1_dead_zone_raises():
 
 
 def test_rich_rank1_end_to_end(corpus_cases):
-    case, perm, trace = cl.classify_beta_rich_rank1(
-        corpus_cases["ex6.4"].spec,
-        corpus_cases["ex6.4"].spec.chart,
-        corpus_cases["ex6.4"].spec.sample_points(30),
-    )
+    case, perm, trace = cl.classify_beta_rich_rank1(connect(corpus_cases["ex6.4"].spec, 30))
     assert case == "rich-3"
 
 
@@ -153,7 +148,7 @@ def test_rich_rank1_end_to_end(corpus_cases):
 def test_classification_invariant_under_scaling(corpus_cases):
     spec = corpus_cases["ex6.6"].spec
     scaled = g.scale_frame(spec, ["1+u1^2/5", "2+u3/3", "1+u2/4"])
-    report = cl.classify(scaled)
+    report = cl.classify(connect(scaled))
     assert report.beta_case == "nr-2"
     assert report.lambda_case == "IIa"
 
@@ -165,7 +160,7 @@ def test_classification_invariant_under_field_permutation(corpus_cases):
         from dataclasses import replace
 
         permuted = replace(base, columns=cols)
-        report = cl.classify(permuted)
+        report = cl.classify(connect(permuted))
         assert report.beta_case == "nr-4c", order
         assert report.lambda_case == "IIb", order
 
@@ -173,12 +168,12 @@ def test_classification_invariant_under_field_permutation(corpus_cases):
 def test_scaled_variant_of_nr4b_keeps_case(corpus_cases):
     spec = corpus_cases["ex6.10"].spec
     scaled = g.scale_frame(spec, ["2", "1+u3/5", "3"])
-    report = cl.classify(scaled)
+    report = cl.classify(connect(scaled))
     assert report.beta_case == "nr-4b"
 
 
 def test_report_round_trips_to_dict(corpus_cases):
-    report = cl.classify(corpus_cases["ex6.5"].spec)
+    report = cl.classify(connect(corpus_cases["ex6.5"].spec))
     d = report.to_dict()
     assert d["beta_case"] == "nr-1"
     assert isinstance(d["trace"], list) and d["trace"]

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eigenframe import cli
 from eigenframe import corpus as corpus_mod
+from eigenframe import geometry
 
 
 def corpus_path(name: str) -> str:
@@ -135,3 +137,40 @@ def test_selftest_default_passes(capsys):
     rc = cli.main(["--output", "json", "--samples", "20", "selftest"])
     out = json.loads(capsys.readouterr().out)
     assert rc == cli.EXIT_PASS and out["passed"]
+
+
+@pytest.mark.parametrize("entry", ["u1^(0^-1)", "u1^(10.0^400)", "exp(800*u1)"])
+def test_unevaluable_frame_entry_exit_three(tmp_path, capsys, entry):
+    """A constant exponent that cannot be folded in floats, or an entry that
+    overflows, is a domain violation: one stderr line, no traceback, no
+    RuntimeWarning (pytest turns those into errors)."""
+    doc = json.loads(Path(corpus_path("ex6.5.json")).read_text())
+    doc["frame"][0][0] = entry
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    rc = cli.main(["analyze", str(frame)])
+    assert rc == cli.EXIT_DEGENERATE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: domain violation"), err
+
+
+def test_each_sample_set_evaluated_once(tmp_path, capsys, monkeypatch):
+    """verify and run_example build one connection per sample set and pass
+    it to every check, residual and classifier branch."""
+    seen = []
+    original = geometry.eval_frame_jets
+
+    def counting(spec, points):
+        seen.append((id(spec), np.ascontiguousarray(points, dtype=float).tobytes()))
+        return original(spec, points)
+
+    monkeypatch.setattr(geometry, "eval_frame_jets", counting)
+    doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps(doc["candidates"][0]))
+    assert cli.main(["verify", corpus_path("ex6.10.json"), str(cand)]) == cli.EXIT_PASS
+    assert seen and len(seen) == len(set(seen)), len(seen)
+    seen.clear()
+    verdict = corpus_mod.run_example(corpus_mod.load_example(corpus_path("ex6.4.json")))
+    assert verdict["passed"]
+    assert seen and len(seen) == len(set(seen)), len(seen)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import connect
+
 from eigenframe import corpus as corpus_mod
 from eigenframe.errors import CorpusParseError, SchemaError
 
@@ -117,7 +119,7 @@ def test_coverage_matrix(corpus_cases):
     from eigenframe.classify import classify
 
     for case in corpus_cases.values():
-        report = classify(case.spec)
+        report = classify(connect(case.spec))
         lambda_seen.add(report.lambda_case)
         beta_seen.add(report.beta_case)
     assert {"I", "IIa", "IIb", "III"} <= lambda_seen

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import V3, random_polynomial_frame
+from conftest import V3, connect, random_polynomial_frame
 
 from eigenframe import exprlang as ex
 from eigenframe import geometry as g
@@ -60,30 +60,31 @@ def test_bracket_agrees_with_antisymmetrized_gamma():
     rng = np.random.default_rng(7)
     for _ in range(3):
         spec = random_polynomial_frame(rng)
-        pts = spec.sample_points(20)
-        conn = g.eval_connection(spec, pts)
-        cb = g.structure_coefficients_bracket(spec, pts)
+        conn = connect(spec, 20)
+        cb = g.structure_coefficients_bracket(conn)
         assert np.abs(conn.c - cb).max() < 1e-10
 
 
 def test_commuting_frame_has_zero_bracket(corpus_cases):
     spec = corpus_cases["ex6.4"].spec
-    cb = g.structure_coefficients_bracket(spec, spec.sample_points(25))
+    cb = g.structure_coefficients_bracket(connect(spec, 25))
     assert np.abs(cb).max() < 1e-12
 
 
-def test_symmetry_flatness_identities_hold():
+def test_symmetry_flatness_identities_hold(corpus_cases):
     rng = np.random.default_rng(11)
     specs = [standard_frame()] + [random_polynomial_frame(rng) for _ in range(3)]
-    for spec in specs:
-        torsion, curvature = g.check_symmetry_flatness(spec, spec.sample_points(20))
-        assert torsion < 1e-8
+    inputs = [(connect(spec, 20), 1e-8) for spec in specs]
+    inputs.append((connect(corpus_cases["ex6.10"].spec, 15), 1e-10))
+    for conn, torsion_bound in inputs:
+        torsion, curvature = g.check_symmetry_flatness(conn)
+        assert torsion < torsion_bound
         assert curvature < 1e-8
 
 
 def test_standard_frame_flatness_exact():
     spec = standard_frame()
-    torsion, curvature = g.check_symmetry_flatness(spec, spec.sample_points(10))
+    torsion, curvature = g.check_symmetry_flatness(connect(spec, 10))
     assert torsion == 0.0
     assert curvature == 0.0
 
@@ -114,11 +115,9 @@ def test_singular_frame_detected():
 
 
 def test_is_rich_verdicts(corpus_cases):
-    assert g.is_rich(standard_frame(), standard_frame().sample_points(20))[0]
-    spec = corpus_cases["ex6.2"].spec
-    assert g.is_rich(spec, spec.sample_points(25))[0]
-    spec = corpus_cases["ex6.6"].spec
-    rich, witness = g.is_rich(spec, spec.sample_points(25))
+    assert g.is_rich(connect(standard_frame(), 20))[0]
+    assert g.is_rich(connect(corpus_cases["ex6.2"].spec, 25))[0]
+    rich, witness = g.is_rich(connect(corpus_cases["ex6.6"].spec, 25))
     assert not rich
     assert witness["value"] > 1e-3
 
@@ -156,8 +155,8 @@ def test_scaling_covariance_of_length_solutions(corpus_cases):
     ]
     scaled_cand = BetaCandidate.from_sources(scaled_sources, spec.vars, bcand.params)
     pts = spec.sample_points(30)
-    assert beta_residual(spec, bcand, pts).max_scaled < 1e-12
-    assert beta_residual(scaled_spec, scaled_cand, pts).max_scaled < 1e-9
+    assert beta_residual(g.eval_connection(spec, pts), bcand).max_scaled < 1e-12
+    assert beta_residual(g.eval_connection(scaled_spec, pts), scaled_cand).max_scaled < 1e-9
 
 
 def test_orthonormal_scaling_of_orthogonal_frame(corpus_cases):
@@ -175,8 +174,9 @@ def test_orthonormal_scaling_of_orthogonal_frame(corpus_cases):
     cand_sources = ["u1+u2", "sin(u2)", "u3^2"]
     b = BetaCandidate.from_sources(cand_sources, V3)
     l = LambdaCandidate.from_sources(cand_sources, V3)
-    rb = beta_residual(scaled, b, pts)
-    rl = lambda_residual(scaled, l, pts)
+    conn = g.eval_connection(scaled, pts)
+    rb = beta_residual(conn, b)
+    rl = lambda_residual(conn, l)
     assert np.abs(rb.pde_raw - rl.pde_raw).max() < 1e-12
     assert np.abs(rb.alg_raw - rl.alg_raw).max() < 1e-12
 
@@ -188,14 +188,14 @@ def test_orthonormal_scaling_of_orthogonal_frame(corpus_cases):
 
 def test_chart_verification_log_polar(corpus_cases):
     spec = corpus_cases["ex6.2"].spec
-    rep = g.verify_riemann_chart(spec, spec.chart, spec.sample_points(25))
+    rep = g.verify_riemann_chart(connect(spec, 25), spec.chart)
     assert rep["normalization_residual"] < 1e-9
     assert rep["roundtrip_residual"] < 1e-9
 
 
 def test_chart_verification_log_linear(corpus_cases):
     spec = corpus_cases["ex6.4"].spec
-    rep = g.verify_riemann_chart(spec, spec.chart, spec.sample_points(25))
+    rep = g.verify_riemann_chart(connect(spec, 25), spec.chart)
     assert rep["normalization_residual"] < 1e-9
     assert rep["roundtrip_residual"] < 1e-9
 
@@ -205,7 +205,7 @@ def test_identity_chart_on_standard_frame():
     chart = g.chart_from_sources(
         ["u1", "u2", "u3"], ["w1", "w2", "w3"], V3
     )
-    rep = g.verify_riemann_chart(spec, chart, spec.sample_points(10))
+    rep = g.verify_riemann_chart(connect(spec, 10), chart)
     assert rep["normalization_residual"] == 0.0
     assert rep["roundtrip_residual"] == 0.0
     pb = g.pullback_connection(spec, chart, spec.sample_points(10))
@@ -233,9 +233,3 @@ def test_halton_deterministic():
     assert not np.array_equal(a, c)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
-
-def test_connection_eval_residual_methods(corpus_cases):
-    spec = corpus_cases["ex6.10"].spec
-    conn = g.eval_connection(spec, spec.sample_points(15))
-    assert conn.torsion_residual() < 1e-10
-    assert conn.curvature_residual() < 1e-8

@@ -346,7 +346,7 @@ def test_solver_handles_cross_coupled_spherical_chart():
         V3,
         ["w1", "w2", "w3"],
     )
-    rep = g.verify_riemann_chart(spec, chart, spec.sample_points(20))
+    rep = g.verify_riemann_chart(g.eval_connection(spec, spec.sample_points(20)), chart)
     assert rep["passed"], rep
     phi = [lambda t: 1.0 + t, lambda t: np.cos(t), lambda t: t**2]
     base_w = [1.2, 0.7, 0.5]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import V3, random_polynomial_frame
+from conftest import V3, connect, random_polynomial_frame
 
 from eigenframe import geometry as g
 from eigenframe import systems as sy
@@ -104,29 +104,29 @@ def test_rank_duality_on_random_frames():
 def test_trivial_solutions_have_zero_residual():
     rng = np.random.default_rng(23)
     spec = random_polynomial_frame(rng)
-    pts = spec.sample_points(15)
+    conn = connect(spec, 15)
     zero = sy.BetaCandidate.from_sources(["0", "0", "0"], V3)
-    assert sy.beta_residual(spec, zero, pts).max_scaled == 0.0
+    assert sy.beta_residual(conn, zero).max_scaled == 0.0
     const = sy.LambdaCandidate.from_sources(["2.5", "2.5", "2.5"], V3)
-    assert sy.lambda_residual(spec, const, pts).max_scaled < 1e-14
+    assert sy.lambda_residual(conn, const).max_scaled < 1e-14
 
 
 def test_corpus_candidate_residuals(corpus_cases):
     for cid in ("ex6.11", "ex6.6", "ex6.1b"):
         case = corpus_cases[cid]
-        pts = case.spec.sample_points(50)
+        conn = connect(case.spec)
         for kind, cand in case.candidates:
             if kind == "beta":
-                rec = sy.beta_residual(case.spec, cand, pts)
+                rec = sy.beta_residual(conn, cand)
             else:
-                rec = sy.lambda_residual(case.spec, cand, pts)
+                rec = sy.lambda_residual(conn, cand)
             assert rec.max_scaled < 1e-10, (cid, kind)
 
 
 def test_broken_candidate_is_located(corpus_cases):
     case = corpus_cases["ex6.11"]
     bad = sy.BetaCandidate.from_sources(["-2*u2", "2*u2", "u1"], V3)
-    rec = sy.beta_residual(case.spec, bad, case.spec.sample_points(20))
+    rec = sy.beta_residual(connect(case.spec, 20), bad)
     assert rec.max_scaled > 1e-3
     worst = rec.worst()
     assert worst["label"] is not None and worst["value"] > 1e-3
@@ -141,7 +141,7 @@ def test_sevennec_identity_on_gas_frame(corpus_cases):
     case = corpus_cases["ex6.1b"]
     lam = next(c for k, c in case.candidates if k == "lambda")
     bet = next(c for k, c in case.candidates if k == "beta")
-    res = sy.sevennec_identity(case.spec, bet, lam, case.spec.sample_points(40))
+    res = sy.sevennec_identity(connect(case.spec, 40), bet, lam)
     assert res < 1e-9
 
 
@@ -149,7 +149,7 @@ def test_sevennec_trivial_for_rich_rank0(corpus_cases):
     case = corpus_cases["ex6.2"]
     lam = next(c for k, c in case.candidates if k == "lambda")
     bet = next(c for k, c in case.candidates if k == "beta")
-    res = sy.sevennec_identity(case.spec, bet, lam, case.spec.sample_points(30))
+    res = sy.sevennec_identity(connect(case.spec, 30), bet, lam)
     assert res < 1e-12
 
 
@@ -158,7 +158,7 @@ def test_sevennec_rejects_coincident_eigenvalues(corpus_cases):
     bet = next(c for k, c in case.candidates if k == "beta")
     trivial = sy.LambdaCandidate.from_sources(["1", "1", "1"], case.spec.vars)
     with pytest.raises(CoincidentEigenvaluesError):
-        sy.sevennec_identity(case.spec, bet, trivial, case.spec.sample_points(20))
+        sy.sevennec_identity(connect(case.spec, 20), bet, trivial)
 
 
 # ---------------------------------------------------------------------------
