@@ -71,14 +71,12 @@ def test_commuting_frame_has_zero_bracket(corpus_cases):
     assert np.abs(cb).max() < 1e-12
 
 
-def test_symmetry_flatness_identities_hold(corpus_cases):
+def test_symmetry_flatness_identities_hold():
     rng = np.random.default_rng(11)
     specs = [standard_frame()] + [random_polynomial_frame(rng) for _ in range(3)]
-    inputs = [(connect(spec, 20), 1e-8) for spec in specs]
-    inputs.append((connect(corpus_cases["ex6.10"].spec, 15), 1e-10))
-    for conn, torsion_bound in inputs:
-        torsion, curvature = g.check_symmetry_flatness(conn)
-        assert torsion < torsion_bound
+    for spec in specs:
+        torsion, curvature = g.check_symmetry_flatness(connect(spec, 20))
+        assert torsion < 1e-8
         assert curvature < 1e-8
 
 
@@ -233,3 +231,10 @@ def test_halton_deterministic():
     assert not np.array_equal(a, c)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
+
+def test_connection_eval_residual_methods(corpus_cases):
+    spec = corpus_cases["ex6.10"].spec
+    conn = g.eval_connection(spec, spec.sample_points(15))
+    torsion, curvature = g.check_symmetry_flatness(conn)
+    assert torsion < 1e-10
+    assert curvature < 1e-8
