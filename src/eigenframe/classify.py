@@ -37,7 +37,6 @@ from .geometry import (
     chart_forward,
     eval_connection,
     is_rich,
-    pullback_connection,
 )
 from .systems import beta_algebraic, generic_rank, lambda_algebraic
 
@@ -304,16 +303,19 @@ def _classify_rich_rank1_from_Z(Z: np.ndarray, tol: float, trace: _Trace) -> tup
 
 def classify_beta_rich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> tuple:
     """Rich frame with rank-1 algebraic part: classify via the chart-space
-    connection at the images of the u-samples under the frame's chart.
-    Richness is the caller's verdict (classify)."""
+    connection Z[i,j,k](w) = Gamma[i,j,k](u(w)) at the images w of the
+    u-samples under the frame's chart, which is conn.Gamma itself.  The
+    samples must lie in the chart's domain.  Richness is the caller's
+    verdict (classify)."""
     spec, chart = conn.spec, conn.spec.chart
     if chart is None:
         raise ChartDomainError("rich rank-1 classification requires a chart")
+    chart_forward(chart, conn.points, spec.params)  # ChartDomainError off its domain
     trace = _Trace()
-    w_points = chart_forward(chart, conn.points, spec.params)
-    pb = pullback_connection(spec, chart, w_points)
-    trace.note("chart symmetry residual", pb.symmetry_residual(), "info")
-    case, perm = _classify_rich_rank1_from_Z(pb.Z, tol, trace)
+    # Z - Z^T in its first two indices is conn.c
+    symmetry = np.abs(conn.c).max() / (1.0 + np.abs(conn.Gamma).max())
+    trace.note("chart symmetry residual", float(symmetry), "info")
+    case, perm = _classify_rich_rank1_from_Z(conn.Gamma, tol, trace)
     return case, perm, trace
 
 

@@ -14,7 +14,8 @@ Exit codes (an error prints one "error: ..." line to stderr):
      NotRichError, NotRankZeroError, ChartDomainError, ZeroScalingError,
      QuadratureFailureError, StepFailureError
   2  input error: SchemaError, CorpusParseError, ExprSyntaxError,
-     IllegalCharacterError, UnknownIdentifierError, a missing file,
+     IllegalCharacterError, UnknownIdentifierError, a file that cannot be
+     read or written (OSError: missing, a directory, no permission),
      ValueError (bad flag values, malformed JSON)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
      NormalizationFailedError, InconclusiveVanishingError, DomainError
@@ -73,7 +74,7 @@ _INPUT_ERRORS = (
     ExprSyntaxError,
     IllegalCharacterError,
     UnknownIdentifierError,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 _DEGENERATE_ERRORS = (

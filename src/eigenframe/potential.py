@@ -93,10 +93,11 @@ def _frame_with_inverse(spec: FrameSpec, pts: np.ndarray):
 
 
 def _frame_with_grads(spec: FrameSpec, pts: np.ndarray):
+    """Frame, inverse and frame derivatives dR, shape (m, d, a, j) =
+    d_d R^a_j."""
     pts, R, Rgrad, _ = eval_frame_jets(spec, pts)
     L, _ = _invert_frame(pts, R)
-    Lgrad = -np.einsum("mkp,mpqd,mqa->mkad", L, Rgrad, L, optimize=True)
-    return pts, R, Rgrad, L, Lgrad
+    return pts, R, L, Rgrad.transpose(0, 3, 1, 2)
 
 
 def length_hessian_field(spec: FrameSpec, cand: BetaCandidate) -> MatrixField:
@@ -106,20 +107,19 @@ def length_hessian_field(spec: FrameSpec, cand: BetaCandidate) -> MatrixField:
     def values(pts):
         _, L = _frame_with_inverse(spec, pts)
         b = np.stack([ex.eval_scalar_many(e, pts, params) for e in cand.exprs], axis=1)
-        return np.einsum("mka,mk,mkb->mab", L, b, L, optimize=True)
+        return (L.transpose(0, 2, 1) * b[:, None, :]) @ L
 
     def value_grad(pts):
-        pts, R, Rgrad, L, Lgrad = _frame_with_grads(spec, pts)
+        pts, _, L, dR = _frame_with_grads(spec, pts)
         jets = [ex.eval_jet2_many(e, pts, params) for e in cand.exprs]
         b = np.stack([j.value for j in jets], axis=1)
-        bg = np.stack([j.grad for j in jets], axis=1)
-        V = np.einsum("mka,mk,mkb->mab", L, b, L, optimize=True)
-        G = (
-            np.einsum("mkad,mk,mkb->mabd", Lgrad, b, L, optimize=True)
-            + np.einsum("mka,mkd,mkb->mabd", L, bg, L, optimize=True)
-            + np.einsum("mka,mk,mkbd->mabd", L, b, Lgrad, optimize=True)
-        )
-        return V, G
+        bg = np.stack([j.grad for j in jets], axis=2)  # (m, d, k) = d_d b_k
+        Lt = L.transpose(0, 2, 1)
+        V = (Lt * b[:, None, :]) @ L
+        # d_d L = -L (d_d R) L, so L^T diag[b] d_d L = -V (d_d R) L
+        W = V[:, None] @ dR @ L[:, None]
+        G = (Lt[:, None] * bg[:, :, None, :]) @ L[:, None] - W - W.transpose(0, 1, 3, 2)
+        return V, G.transpose(0, 2, 3, 1)
 
     return MatrixField(spec.n, values, value_grad)
 
@@ -131,20 +131,18 @@ def flux_jacobian_field(spec: FrameSpec, cand: LambdaCandidate) -> MatrixField:
     def values(pts):
         R, L = _frame_with_inverse(spec, pts)
         lam = np.stack([ex.eval_scalar_many(e, pts, params) for e in cand.exprs], axis=1)
-        return np.einsum("mak,mk,mkb->mab", R, lam, L, optimize=True)
+        return (R * lam[:, None, :]) @ L
 
     def value_grad(pts):
-        pts, R, Rgrad, L, Lgrad = _frame_with_grads(spec, pts)
+        pts, R, L, dR = _frame_with_grads(spec, pts)
         jets = [ex.eval_jet2_many(e, pts, params) for e in cand.exprs]
         lam = np.stack([j.value for j in jets], axis=1)
-        lg = np.stack([j.grad for j in jets], axis=1)
-        V = np.einsum("mak,mk,mkb->mab", R, lam, L, optimize=True)
-        G = (
-            np.einsum("makd,mk,mkb->mabd", Rgrad.transpose(0, 1, 2, 3), lam, L, optimize=True)
-            + np.einsum("mak,mkd,mkb->mabd", R, lg, L, optimize=True)
-            + np.einsum("mak,mk,mkbd->mabd", R, lam, Lgrad, optimize=True)
-        )
-        return V, G
+        lg = np.stack([j.grad for j in jets], axis=2)  # (m, d, k) = d_d l_k
+        V = (R * lam[:, None, :]) @ L
+        # d_d (R diag[l] L) = (d_d R diag[l] + R diag[d_d l] - V d_d R) L
+        G = dR * lam[:, None, None, :] + R[:, None] * lg[:, :, None, :] - V[:, None] @ dR
+        G = G @ L[:, None]
+        return V, G.transpose(0, 2, 3, 1)
 
     return MatrixField(spec.n, values, value_grad)
 
@@ -298,8 +296,6 @@ class PotentialGrid:
         return json.dumps(payload)
 
     def to_csv(self, var_names: Sequence[str]) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
         names = []
         columns = []
         for key, arr in self.values.items():
@@ -311,13 +307,10 @@ class PotentialGrid:
                 for c in range(arr.shape[-1]):
                     names.append(f"{key}{c + 1}")
                     columns.append(arr[..., c].ravel())
-        writer.writerow(list(var_names) + names)
-        pts = self.nodes()
-        for row_idx in range(pts.shape[0]):
-            writer.writerow(
-                [f"{v:.17g}" for v in pts[row_idx]]
-                + [f"{col[row_idx]:.17g}" for col in columns]
-        )
+        out = io.StringIO()
+        csv.writer(out).writerow(list(var_names) + names)
+        table = np.column_stack([self.nodes()] + columns)
+        np.savetxt(out, table, fmt="%.17g", delimiter=",", newline="\r\n")
         return out.getvalue()
 
 
@@ -362,10 +355,11 @@ def _panel_sums(rates, base, d, grad0, panels: int, q: int):
         Jd = np.stack([s[0] for s in steps])  # (q, m, n)
         V = np.stack([s[1] for s in steps])  # (q, k, m, n)
         del steps  # peak memory: a few (q, m, n) arrays
-        G_nodes = np.einsum("ij,jmn->imn", h * K, Jd)
+        Jd_flat = Jd.reshape(q, -1)
+        G_nodes = (h * K @ Jd_flat).reshape(Jd.shape)
         G_nodes += G
         S = S + h * np.einsum("j,jmn,jkmn->mk", w, G_nodes, V)
-        G = G + h * np.einsum("j,jmn->mn", w, Jd)
+        G = G + h * (w @ Jd_flat).reshape(G.shape)
     return G, S
 
 
@@ -562,8 +556,9 @@ def entropy_flux(
     MV = Mfield.values(take)
     AV, AG = Afield.value_grad(take)
     # d_e w_d = sum_k M[e,k] A[k,d] + grad_k dA[k,d]/dx_e
-    P = np.einsum("mek,mkd->mde", MV, AV, optimize=True)
-    Q = np.einsum("mk,mkde->mde", gflat, AG, optimize=True)
+    m, n = AG.shape[0], spec.n
+    P = (MV @ AV).transpose(0, 2, 1)
+    Q = (gflat[:, None, :] @ AG.reshape(m, n, n * n)).reshape(m, n, n)
     total = P + Q
     curl_w = total - total.transpose(0, 2, 1)
     wres = float(np.abs(curl_w).max() / (1.0 + np.abs(MV).max() + np.abs(AV).max()))

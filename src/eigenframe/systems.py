@@ -161,9 +161,9 @@ def check_rank_duality_n3(conn: ConnectionEval) -> float:
         raise ValueError("rank duality identity is specific to n=3")
     a_lam = lambda_algebraic(conn).matrix
     a_bet = beta_algebraic(conn).matrix
-    D = np.diag([1.0, -1.0, 1.0])
-    transformed = np.einsum("ab,mcb,cd->mad", D, a_bet, D, optimize=True)
-    # note: (D A^T D)[a, d] = D[a,a] A[d, a] D[d,d]; einsum above implements it
+    d = np.array([1.0, -1.0, 1.0])
+    # (D A^T D)[a, e] = d[a] A[e, a] d[e]
+    transformed = d[:, None] * a_bet.transpose(0, 2, 1) * d
     return float(np.abs(a_lam - transformed).max())
 
 
@@ -218,7 +218,7 @@ def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
         pde_raw[:, col] = deriv - (t1 - t2)
         pde_scale[:, col] = 1.0 + np.abs(deriv) + np.abs(t1) + np.abs(t2)
     sys = beta_algebraic(conn)
-    alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals, optimize=True)
+    alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals)
     alg_scale = 1.0 + np.abs(sys.matrix * vals[:, None, :]).sum(axis=2)
     return ResidualRecord(
         kind="beta",
@@ -243,7 +243,7 @@ def lambda_residual(conn: ConnectionEval, cand: LambdaCandidate) -> ResidualReco
         pde_raw[:, col] = deriv - rhs
         pde_scale[:, col] = 1.0 + np.abs(deriv) + np.abs(rhs)
     sys = lambda_algebraic(conn)
-    alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals, optimize=True)
+    alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals)
     alg_scale = 1.0 + np.abs(sys.matrix * vals[:, None, :]).sum(axis=2)
     return ResidualRecord(
         kind="lambda",

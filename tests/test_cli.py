@@ -174,3 +174,19 @@ def test_each_sample_set_evaluated_once(tmp_path, capsys, monkeypatch):
     verdict = corpus_mod.run_example(corpus_mod.load_example(corpus_path("ex6.4.json")))
     assert verdict["passed"]
     assert seen and len(seen) == len(set(seen)), len(seen)
+    # nor on a copy that differs only by rounding (a chart round trip)
+    sets = [np.frombuffer(raw) for _, raw in seen]
+    for i, a in enumerate(sets):
+        for b in sets[:i]:
+            assert a.shape != b.shape or np.abs(a - b).max() > 1e-12
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_directory_argument_is_input_error(tmp_path, capsys, command):
+    """A directory where a file is expected exits 2 with one error line."""
+    argv = [command, str(tmp_path)]
+    if command == "verify":
+        argv = [command, corpus_path("ex6.10.json"), str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

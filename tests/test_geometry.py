@@ -3,6 +3,8 @@ chart verification."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,106 @@ def test_singular_frame_detected():
     )
     with pytest.raises(SingularFrameError):
         g.eval_connection(spec, np.array([[0.5, 0.5, 0.5]]))
+
+
+def _frames_with_condition(rng, n, m, cond):
+    """m random n x n frames U diag(1, .., 1, 1/cond) V^T, U and V orthogonal."""
+    U = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
+    return (U * np.r_[np.ones(n - 1), 1.0 / cond]) @ V.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("cond", [None, 1e8])
+def test_invert_frame_matches_lapack(n, cond):
+    rng = np.random.default_rng(10 * n)
+    m = 200
+    R = rng.normal(size=(m, n, n)) if cond is None else _frames_with_condition(rng, n, m, cond)
+    L, det = g._invert_frame(np.zeros((m, n)), R)
+    inv = np.linalg.inv(R)
+    kappa = np.linalg.cond(R)
+    # both inverses carry errors of order kappa * eps relative to |R^-1|
+    err = np.abs(L - inv).max(axis=(1, 2)) / np.abs(inv).max(axis=(1, 2))
+    assert np.all(err < 4e-16 * n * kappa), (err / kappa).max()
+    # a determinant carries errors of order eps * |R|^n
+    scale = np.linalg.norm(R, axis=(1, 2)) ** n
+    assert np.all(np.abs(det - np.linalg.det(R)) < 4e-16 * n * scale)
+    if cond is None:
+        assert err.max() < 1e-13
+
+
+def _singular_batch(n, kind):
+    """Three n x n frames; the middle one is singular or nearly so."""
+    rng = np.random.default_rng(n)
+    Q = np.linalg.qr(rng.normal(size=(3, n, n)))[0]
+    if kind == "zero":
+        Q[1] = 0.0
+    elif kind == "equal columns":
+        Q[1, :, 1] = Q[1, :, 0]
+    else:
+        # |det| = s, |R|_F^2 = n - 1 + s^2, against DET_RTOL |R|_F^n
+        s = (0.9 if kind == "below" else 1.1) * g.DET_RTOL * (n - 1) ** (n / 2)
+        Q[1] = Q[1] * np.r_[np.ones(n - 1), s]
+    return Q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["zero", "equal columns", "below"])
+def test_singular_frame_gate_without_warnings(n, kind):
+    R = _singular_batch(n, kind)
+    points = np.arange(3.0 * n).reshape(3, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFrameError) as info:
+            g._invert_frame(points, R)
+    assert np.array_equal(info.value.point, points[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_just_above_singular_gate_inverts(n):
+    R = _singular_batch(n, "above")
+    L, det = g._invert_frame(np.zeros((3, n)), R)
+    assert np.abs(L @ R - np.eye(n)).max() < 1e-3
+
+
+def _polynomial_frame(rng, n, scale=0.15):
+    """Near-identity n x n frame with degree-2 entries on [0, 1]^n."""
+    vars_ = [f"u{a + 1}" for a in range(n)]
+    cols = []
+    for j in range(n):
+        col = []
+        for a in range(n):
+            c1, c2, c3 = rng.uniform(-scale, scale, size=3)
+            lead = "1" if a == j else "0"
+            col.append(f"{lead}+{c1:.6f}*u1+{c2:.6f}*u{n - 1}*u{n}+{c3:.6f}*u{a + 1}^2")
+        cols.append(col)
+    return g.frame_from_sources(cols, vars_, domain=((0.0,) * n, (1.0,) * n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_connection_matches_einsum_formulas(n):
+    """Gamma, its derivatives and c against the formulas of the geometry
+    module docstring, written as plain einsums."""
+    spec = _polynomial_frame(np.random.default_rng(n), n)
+    conn = g.eval_connection(spec, spec.sample_points(40))
+    _, R, Rgrad, Rhess = g.eval_frame_jets(spec, conn.points)
+    L = np.linalg.inv(R)
+    Gamma = np.einsum("mka,majb,mbi->mijk", L, Rgrad, R)
+    dL = -np.einsum("mkp,mpqd,mqa->mkad", L, Rgrad, L)
+    GammaGrad = (
+        np.einsum("mkad,majb,mbi->mijkd", dL, Rgrad, R)
+        + np.einsum("mka,majbd,mbi->mijkd", L, Rhess, R)
+        + np.einsum("mka,majb,mbid->mijkd", L, Rgrad, Rgrad)
+    )
+    c = Gamma - Gamma.transpose(0, 2, 1, 3)
+    scale = 1.0 + np.abs(Gamma).max()
+    assert np.abs(conn.L - L).max() < 1e-13
+    assert np.abs(conn.Gamma - Gamma).max() < 1e-13 * scale
+    assert np.abs(conn.GammaGrad - GammaGrad).max() < 1e-13 * scale**2
+    assert np.abs(conn.c - c).max() < 1e-13 * scale
+    dGamma = np.einsum("mijke,med->mdijk", GammaGrad, R)
+    assert np.abs(conn.dGamma - dGamma).max() < 1e-13 * scale**2
+    assert np.abs(g.structure_coefficients_bracket(conn) - c).max() < 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

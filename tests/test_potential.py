@@ -79,6 +79,40 @@ def test_non_solution_trips_curl_detector(corpus_cases):
         pot.integrate_jacobian(field, [1.2, 1.2, 1.2], [1.8, 1.8, 1.8])
 
 
+def test_matrix_fields_match_einsum_formulas(corpus_cases):
+    """Values and exact gradients of L^T diag[b] L and R diag[l] L against
+    the product rule with d L = -L (d R) L, written as plain einsums."""
+    case = corpus_cases["ex6.1b"]
+    spec = case.spec
+    pts = spec.sample_points(30, 2)
+    _, R, Rgrad, _ = g.eval_frame_jets(spec, pts)
+    L = np.linalg.inv(R)
+    Lgrad = -np.einsum("mkp,mpqd,mqa->mkad", L, Rgrad, L)
+    for kind, cand in case.candidates:
+        params = {**spec.params, **cand.params}
+        vals, grads = sy.eval_candidate(cand.exprs, pts, params)  # grads: (m, k, d)
+        if kind == "beta":
+            field = pot.length_hessian_field(spec, cand)
+            V = np.einsum("mka,mk,mkb->mab", L, vals, L)
+            G = (
+                np.einsum("mkad,mk,mkb->mabd", Lgrad, vals, L)
+                + np.einsum("mka,mkd,mkb->mabd", L, grads, L)
+                + np.einsum("mka,mk,mkbd->mabd", L, vals, Lgrad)
+            )
+        else:
+            field = pot.flux_jacobian_field(spec, cand)
+            V = np.einsum("mak,mk,mkb->mab", R, vals, L)
+            G = (
+                np.einsum("makd,mk,mkb->mabd", Rgrad, vals, L)
+                + np.einsum("mak,mkd,mkb->mabd", R, grads, L)
+                + np.einsum("mak,mk,mkbd->mabd", R, vals, Lgrad)
+            )
+        V_field, G_field = field.value_grad(pts)
+        assert np.abs(field.values(pts) - V).max() < 1e-13 * np.abs(V).max()
+        assert np.abs(V_field - V).max() < 1e-13 * np.abs(V).max()
+        assert np.abs(G_field - G).max() < 1e-13 * np.abs(G).max()
+
+
 # ---------------------------------------------------------------------------
 # line integrals along staircases
 # ---------------------------------------------------------------------------
@@ -388,3 +422,26 @@ def test_gauge_pinned_exactly_at_base_node(corpus_cases):
     center = (4, 4, 4)
     assert grid.values["eta"][center] == 0.0
     assert np.all(grid.values["grad_eta"][center] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# grid output
+# ---------------------------------------------------------------------------
+
+
+def test_csv_matches_row_by_row_formatting():
+    """to_csv is byte for byte the csv module writing f"{v:.17g}" per cell."""
+    import csv
+    import io
+
+    axes = [np.array([-0.0, 5e-324, 1.0]), np.array([0.1, 1e300])]
+    eta = np.array([[-0.0, 1e300], [5e-324, -2.5e-310], [1 / 3, -1e-300]])
+    grad = np.stack([eta, -eta], axis=-1)
+    grid = pot.PotentialGrid(axes, {"eta": eta, "grad_eta": grad}, (0.0, 0.0))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["w1", "w2", "eta", "grad_eta1", "grad_eta2"])
+    columns = [eta.ravel(), grad[..., 0].ravel(), grad[..., 1].ravel()]
+    for row, node in enumerate(grid.nodes()):
+        writer.writerow([f"{v:.17g}" for v in node] + [f"{col[row]:.17g}" for col in columns])
+    assert grid.to_csv(["w1", "w2"]) == out.getvalue()
