@@ -312,9 +312,7 @@ def classify_beta_rich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) ->
         raise ChartDomainError("rich rank-1 classification requires a chart")
     chart_forward(chart, conn.points, spec.params)  # ChartDomainError off its domain
     trace = _Trace()
-    # Z - Z^T in its first two indices is conn.c
-    symmetry = np.abs(conn.c).max() / (1.0 + np.abs(conn.Gamma).max())
-    trace.note("chart symmetry residual", float(symmetry), "info")
+    trace.note("chart symmetry residual", conn.symmetry_residual(), "info")
     case, perm = _classify_rich_rank1_from_Z(conn.Gamma, tol, trace)
     return case, perm, trace
 

@@ -217,7 +217,7 @@ def _closed_eta_check(conn: ConnectionEval, cand) -> float:
     frame must be orthogonal for its Hessian and reproduce the lengths."""
     params = {**conn.spec.params, **cand.params}
     H = ex.eval_jet2_many(cand.eta_expr, conn.points, params).hess
-    quad = conn.R.transpose(0, 2, 1) @ H @ conn.R
+    quad = np.einsum("mai,mab,mbj->mij", conn.R, H, conn.R)
     vals, _ = eval_candidate(cand.exprs, conn.points, params)
     scale = 1.0 + np.abs(quad).max()
     res_diag = np.abs(np.stack([quad[:, i, i] for i in range(conn.n)], axis=1) - vals)

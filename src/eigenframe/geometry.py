@@ -14,10 +14,12 @@ the frame entries, so the symmetry and flatness identities of the flat
 coordinate connection hold to machine precision and serve as end-to-end
 pipeline checks.
 
-For n = 2 and 3 the inverse frame L comes from the adjugate and determinant
-by cofactor expansion (LAPACK otherwise); a frame with |det R| below
+For n = 3 the inverse frame L comes from the adjugate and determinant by
+cofactor expansion (LAPACK otherwise); a frame with |det R| below
 DET_RTOL |R|_F^n raises SingularFrameError before anything is divided.
-Contractions are batched matrix products over reshaped views.  With
+eval_connection and directional_gamma (read by every residual and
+classifier branch through ConnectionEval.dGamma) contract by batched matrix
+products over reshaped views; the checks keep plain einsum.  With
 Gamma_j = L (DR_j R) and d_d L = -L (d_d R) L,
 
     d_d Gamma_j = L ( d_d(DR_j R) - (d_d R) Gamma_j ),
@@ -189,6 +191,10 @@ class ConnectionEval:
     def n(self) -> int:
         return self.R.shape[-1]
 
+    def symmetry_residual(self) -> float:
+        """max |Gamma[i,j,k] - Gamma[j,i,k]| = max |c| over 1 + max |Gamma|."""
+        return float(np.abs(self.c).max() / (1.0 + np.abs(self.Gamma).max()))
+
     def gamma_scale(self) -> np.ndarray:
         """Per-point magnitude used to make vanishing tests dimensionless."""
         m = self.Gamma.shape[0]
@@ -227,21 +233,17 @@ def eval_frame_values(spec: FrameSpec, points: np.ndarray):
     return points, R
 
 
-def _adjugate_det(R: np.ndarray) -> tuple:
-    """Adjugate and determinant of a batch of 2x2 or 3x3 matrices by
-    cofactor expansion; at these sizes a few array products cost less than
-    a LAPACK call per matrix."""
+def _adjugate_det3(R: np.ndarray) -> tuple:
+    """Adjugate and determinant of a batch of 3x3 matrices by cofactor
+    expansion; nine array products cost less than a LAPACK call per
+    matrix."""
     adj = np.empty_like(R)
-    if R.shape[-1] == 2:
-        adj[:, 0, 0], adj[:, 1, 1] = R[:, 1, 1], R[:, 0, 0]
-        adj[:, 0, 1], adj[:, 1, 0] = -R[:, 0, 1], -R[:, 1, 0]
-    else:
-        # cyclic cofactors: C[i, j] = R[i+1, j+1] R[i+2, j+2] - R[i+1, j+2] R[i+2, j+1]
-        for i in range(3):
-            i1, i2 = (i + 1) % 3, (i + 2) % 3
-            for j in range(3):
-                j1, j2 = (j + 1) % 3, (j + 2) % 3
-                adj[:, j, i] = R[:, i1, j1] * R[:, i2, j2] - R[:, i1, j2] * R[:, i2, j1]
+    # cyclic cofactors: C[i, j] = R[i+1, j+1] R[i+2, j+2] - R[i+1, j+2] R[i+2, j+1]
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[:, j, i] = R[:, i1, j1] * R[:, i2, j2] - R[:, i1, j2] * R[:, i2, j1]
     det = (R[:, 0, :] * adj[:, :, 0]).sum(axis=1)
     return adj, det
 
@@ -251,9 +253,9 @@ def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
     |det| falls below DET_RTOL * |R|_F^n raises SingularFrameError before
     anything is divided by it."""
     n = R.shape[-1]
-    closed_form = n in (2, 3)
+    closed_form = n == 3
     if closed_form:
-        adj, det = _adjugate_det(R)
+        adj, det = _adjugate_det3(R)
     else:
         det = np.linalg.det(R)
     norm = np.sqrt((R**2).sum(axis=(1, 2)))
@@ -297,12 +299,9 @@ def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
 def structure_coefficients_bracket(conn: ConnectionEval) -> np.ndarray:
     """c via direct expansion of [r_i, r_j] = (DR_j)R_i - (DR_i)R_j in the
     frame basis; independent cross-check of the antisymmetrized-Gamma path."""
-    m, n = conn.R.shape[0], conn.n
-    # (DR_j) R_i as (m, a, j, i), antisymmetrized in (j, i)
-    DRR = (conn.Rgrad.reshape(m, n * n, n) @ conn.R).reshape(m, n, n, n)
-    bracket = (DRR - DRR.transpose(0, 1, 3, 2)).reshape(m, n, n * n)
-    c_kji = (conn.L @ bracket).reshape(m, n, n, n)
-    return np.ascontiguousarray(c_kji.transpose(0, 3, 2, 1))
+    bracket = np.einsum("majb,mbi->maij", conn.Rgrad, conn.R)
+    bracket = bracket - bracket.transpose(0, 1, 3, 2)
+    return np.einsum("mka,maij->mijk", conn.L, bracket)
 
 
 def directional_gamma(conn: ConnectionEval) -> np.ndarray:
@@ -335,14 +334,12 @@ def flatness_residual(Gamma: np.ndarray, c: np.ndarray, dGamma: np.ndarray) -> n
 
     dGamma[p, d, a, b, c] = r_d(Gamma[a,b,c]) at sample p.
     """
-    m, n = Gamma.shape[0], Gamma.shape[-1]
     lhs = np.transpose(dGamma, (0, 3, 4, 2, 1)) - np.transpose(dGamma, (0, 3, 4, 1, 2))
-    # P[d, i, k, j] = sum_s Gamma[d,i,s] Gamma[k,s,j] gives both quadratic
-    # terms; Q[k, d, i, j] = sum_s c[k,d,s] Gamma[s,i,j]
-    P = Gamma.reshape(m, n * n, n) @ Gamma.transpose(0, 2, 1, 3).reshape(m, n, n * n)
-    P = P.reshape(m, n, n, n, n)
-    Q = (c.reshape(m, n * n, n) @ Gamma.reshape(m, n, n * n)).reshape(m, n, n, n, n)
-    rhs = P.transpose(0, 2, 4, 3, 1) - P.transpose(0, 2, 4, 1, 3) - Q.transpose(0, 3, 4, 1, 2)
+    rhs = (
+        np.einsum("pksj,pdis->pijkd", Gamma, Gamma)
+        - np.einsum("pdsj,pkis->pijkd", Gamma, Gamma)
+        - np.einsum("pkds,psij->pijkd", c, Gamma)
+    )
     res = lhs - rhs
     return np.abs(res).reshape(res.shape[0], -1).max(axis=1)
 
@@ -435,7 +432,7 @@ def verify_riemann_chart(conn: ConnectionEval, chart: RiemannChart, tol: float =
         except DomainError as err:
             raise ChartDomainError(str(err)) from err
     dW = np.stack(grads, axis=1)  # (m, i, a) = d w^i / d u^a
-    norm = dW @ conn.R
+    norm = np.einsum("mia,maj->mij", dW, conn.R)
     normalization_residual = float(np.abs(norm - np.eye(conn.n)[None]).max())
     w = chart_forward(chart, pts, params)
     back = chart_inverse(chart, w, params)
@@ -462,19 +459,18 @@ class PullbackEval:
         return self.conn.Gamma
 
     def symmetry_residual(self) -> float:
-        scale = 1.0 + np.abs(self.Z).max()
-        return float(np.abs(self.Z - self.Z.transpose(0, 2, 1, 3)).max() / scale)
+        return self.conn.symmetry_residual()
 
     def flatness_residual(self) -> float:
         """Residual of the pulled-back curvature identity: for all (i,j,k,d):
         d_d Z[i,k,j] - d_k Z[i,d,j] = sum_t Z[t,k,j] Z[i,d,t] - Z[t,d,j] Z[i,k,t]."""
         A, Z = self.ZGrad, self.Z
-        m, n = Z.shape[0], Z.shape[-1]
         t1 = np.transpose(A, (0, 1, 3, 2, 4))  # d_d Z[i,k,j] as [p,i,j,k,d]
         t2 = np.transpose(A, (0, 1, 3, 4, 2))  # d_k Z[i,d,j] as [p,i,j,k,d]
-        # P[i, d, k, j] = sum_t Z[i,d,t] Z[t,k,j] gives both terms
-        P = (Z.reshape(m, n * n, n) @ Z.reshape(m, n, n * n)).reshape(m, n, n, n, n)
-        term = P.transpose(0, 1, 4, 3, 2) - P.transpose(0, 1, 4, 2, 3)
+        term = (
+            np.einsum("ptkj,pidt->pijkd", Z, Z)
+            - np.einsum("ptdj,pikt->pijkd", Z, Z)
+        )
         res = t1 - t2 - term
         scale = (1.0 + np.abs(Z).max()) ** 2 + np.abs(A).max()
         return float(np.abs(res).max() / scale)
@@ -492,6 +488,5 @@ def pullback_connection(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarr
     except DomainError as err:
         raise ChartDomainError(str(err)) from err
     conn = eval_connection(spec, u_points)
-    m, n = conn.R.shape[0], spec.n
-    ZGrad = (conn.GammaGrad.reshape(m, n**3, n) @ du).reshape(m, n, n, n, n)
+    ZGrad = np.einsum("mijke,med->mijkd", conn.GammaGrad, du)
     return PullbackEval(w_points=w_points, conn=conn, ZGrad=ZGrad)

@@ -556,9 +556,8 @@ def entropy_flux(
     MV = Mfield.values(take)
     AV, AG = Afield.value_grad(take)
     # d_e w_d = sum_k M[e,k] A[k,d] + grad_k dA[k,d]/dx_e
-    m, n = AG.shape[0], spec.n
-    P = (MV @ AV).transpose(0, 2, 1)
-    Q = (gflat[:, None, :] @ AG.reshape(m, n, n * n)).reshape(m, n, n)
+    P = np.einsum("mek,mkd->mde", MV, AV)
+    Q = np.einsum("mk,mkde->mde", gflat, AG)
     total = P + Q
     curl_w = total - total.transpose(0, 2, 1)
     wres = float(np.abs(curl_w).max() / (1.0 + np.abs(MV).max() + np.abs(AV).max()))

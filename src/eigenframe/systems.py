@@ -161,9 +161,9 @@ def check_rank_duality_n3(conn: ConnectionEval) -> float:
         raise ValueError("rank duality identity is specific to n=3")
     a_lam = lambda_algebraic(conn).matrix
     a_bet = beta_algebraic(conn).matrix
-    d = np.array([1.0, -1.0, 1.0])
-    # (D A^T D)[a, e] = d[a] A[e, a] d[e]
-    transformed = d[:, None] * a_bet.transpose(0, 2, 1) * d
+    D = np.diag([1.0, -1.0, 1.0])
+    transformed = np.einsum("ab,mcb,cd->mad", D, a_bet, D)
+    # note: (D A^T D)[a, d] = D[a,a] A[d, a] D[d,d]; einsum above implements it
     return float(np.abs(a_lam - transformed).max())
 
 
