@@ -307,10 +307,10 @@ def classify_beta_rich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) ->
     u-samples under the frame's chart, which is conn.Gamma itself.  The
     samples must lie in the chart's domain.  Richness is the caller's
     verdict (classify)."""
-    spec, chart = conn.spec, conn.spec.chart
+    chart = conn.spec.chart
     if chart is None:
         raise ChartDomainError("rich rank-1 classification requires a chart")
-    chart_forward(chart, conn.points, spec.params)  # ChartDomainError off its domain
+    chart_forward(chart, conn.points)  # ChartDomainError off its domain
     trace = _Trace()
     trace.note("chart symmetry residual", conn.symmetry_residual(), "info")
     case, perm = _classify_rich_rank1_from_Z(conn.Gamma, tol, trace)

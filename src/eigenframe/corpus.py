@@ -44,7 +44,6 @@ from .systems import (
     LambdaCandidate,
     beta_residual,
     check_rank_duality_n3,
-    eval_candidate,
     lambda_residual,
     sevennec_identity,
 )
@@ -215,10 +214,9 @@ def list_examples(directory: Optional[Path] = None) -> list:
 def _closed_eta_check(conn: ConnectionEval, cand) -> float:
     """Residual of the closed-form potential against the candidate: the
     frame must be orthogonal for its Hessian and reproduce the lengths."""
-    params = {**conn.spec.params, **cand.params}
-    H = ex.eval_jet2_many(cand.eta_expr, conn.points, params).hess
+    H = ex.eval_jet2_many(cand.eta_tape, conn.points).hess[:, 0]
     quad = np.einsum("mai,mab,mbj->mij", conn.R, H, conn.R)
-    vals, _ = eval_candidate(cand.exprs, conn.points, params)
+    vals = ex.eval_scalar_many(cand.tape, conn.points)
     scale = 1.0 + np.abs(quad).max()
     res_diag = np.abs(np.stack([quad[:, i, i] for i in range(conn.n)], axis=1) - vals)
     off = quad.copy()
@@ -229,14 +227,10 @@ def _closed_eta_check(conn: ConnectionEval, cand) -> float:
 
 def _closed_f_check(spec, cand, points) -> float:
     """Jacobian of the closed-form flux vs the assembled matrix field."""
-    params = {**spec.params, **cand.params}
     from .potential import flux_jacobian_field
 
     A = flux_jacobian_field(spec, cand).values(points)
-    rows = []
-    for comp in cand.f_exprs:
-        rows.append(ex.eval_jet2_many(comp, points, params).grad)
-    Df = np.stack(rows, axis=1)
+    Df = ex.eval_jet2_many(cand.f_tape, points, order=1).grad
     return float(np.abs(Df - A).max() / (1.0 + np.abs(A).max()))
 
 
@@ -323,9 +317,7 @@ def run_example(
                 continue
             pg = reconstruct_eta(spec, bcand, spec.base_point, counts)
             nodes = pg.nodes()
-            ref = ex.eval_scalar_many(
-                bcand.eta_expr, nodes, {**spec.params, **bcand.params}
-            )
+            ref = ex.eval_scalar_many(bcand.eta_tape, nodes)[:, 0]
             err = affine_gauge_compare(nodes, pg.values["eta"].ravel(), ref)
             record(f"reconstruction {idx} gauge comparison", err, 1e-6)
             record(

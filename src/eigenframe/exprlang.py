@@ -11,19 +11,27 @@ Grammar (documented in docs/grammar.md)::
 '^' is right-associative and binds tighter than unary minus, so "-u1^2"
 parses as -(u1^2).  Builtins: sqrt, exp, ln, sin, cos, tan, arctan.
 
-Evaluation is generic over plain floats and second-order jets (value,
-gradient, Hessian), batched over many points with numpy.  Powers with an
-integer constant exponent use repeated multiplication and therefore work
-for negative bases; any other power is exp/ln-based and requires a
-positive base.
+Expressions are evaluated through tapes (Griewank & Walther, Evaluating
+Derivatives, ch. 13): compile_tape turns a tuple of expressions and their
+params into one flat program in SSA form, where every register is written
+by exactly one instruction.  Compilation binds the params, folds every
+subtree without variables to a constant with the same numpy ufuncs that
+evaluation uses, shares common subexpressions across all outputs, and
+turns the domain rules into check instructions.  A tape has two kernels
+over one instruction list: values only, and jets of order 1 (value,
+gradient) or 2 (plus Hessian), batched over many points with numpy.
+Constants stay plain floats in both.  Powers with an integer constant
+exponent become repeated multiplications and therefore work for negative
+bases; any other power is exp/ln-based and requires a positive base.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -309,12 +317,15 @@ class Jet2:
     """Second-order Taylor data (value, gradient, Hessian), batched.
 
     value has an arbitrary leading batch shape S, grad has shape S+(n,),
-    hess has shape S+(n,n) and is symmetric bit-for-bit by construction.
+    hess has shape S+(n,n) and is symmetric bit-for-bit by construction.  A
+    first-order jet has hess None, and every rule then skips the Hessian.
+    The other operand of a rule is a jet of the same order or a plain float:
+    a constant, whose zero derivatives are never stored.
     """
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value: np.ndarray, grad: np.ndarray, hess: Optional[np.ndarray] = None):
         self.value = value
         self.grad = grad
         self.hess = hess
@@ -324,52 +335,50 @@ class Jet2:
         return self.grad.shape[-1]
 
     @staticmethod
-    def constant(value, batch_shape: tuple, n: int) -> "Jet2":
-        v = np.broadcast_to(np.asarray(value, dtype=float), batch_shape).copy()
-        g = np.zeros(batch_shape + (n,))
-        h = np.zeros(batch_shape + (n, n))
-        return Jet2(v, g, h)
-
-    @staticmethod
-    def variable(values: np.ndarray, index: int, n: int) -> "Jet2":
+    def variable(values: np.ndarray, index: int, n: int, order: int = 2) -> "Jet2":
         values = np.asarray(values, dtype=float)
         g = np.zeros(values.shape + (n,))
         g[..., index] = 1.0
-        h = np.zeros(values.shape + (n, n))
+        h = np.zeros(values.shape + (n, n)) if order == 2 else None
         return Jet2(values.copy(), g, h)
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(other, self.value.shape, self.n)
-
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value + other, self.grad, self.hess)
+        h = None if self.hess is None else self.hess + other.hess
+        return Jet2(self.value + other.value, self.grad + other.grad, h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.value, -self.grad, None if self.hess is None else -self.hess)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value - other, self.grad, self.hess)
+        h = None if self.hess is None else self.hess - other.hess
+        return Jet2(self.value - other.value, self.grad - other.grad, h)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        # a constant minus a jet: zero derivatives minus ours
+        h = None if self.hess is None else 0.0 - self.hess
+        return Jet2(other - self.value, 0.0 - self.grad, h)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        v = self.value * o.value
-        g = self.grad * o.value[..., None] + self.value[..., None] * o.grad
+        if not isinstance(other, Jet2):
+            h = None if self.hess is None else self.hess * other
+            return Jet2(self.value * other, self.grad * other, h)
+        v = self.value * other.value
+        g = self.grad * other.value[..., None] + self.value[..., None] * other.grad
+        if self.hess is None:
+            return Jet2(v, g)
         cross = (
-            self.grad[..., :, None] * o.grad[..., None, :]
-            + o.grad[..., :, None] * self.grad[..., None, :]
+            self.grad[..., :, None] * other.grad[..., None, :]
+            + other.grad[..., :, None] * self.grad[..., None, :]
         )
         h = (
-            self.hess * o.value[..., None, None]
-            + self.value[..., None, None] * o.hess
+            self.hess * other.value[..., None, None]
+            + self.value[..., None, None] * other.hess
             + cross
         )
         return Jet2(v, g, h)
@@ -377,45 +386,37 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        v = self.value / o.value
-        g = (self.grad - v[..., None] * o.grad) / o.value[..., None]
-        cross = (
-            g[..., :, None] * o.grad[..., None, :]
-            + o.grad[..., :, None] * g[..., None, :]
-        )
-        h = (self.hess - v[..., None, None] * o.hess - cross) / o.value[..., None, None]
-        return Jet2(v, g, h)
+        if not isinstance(other, Jet2):
+            h = None if self.hess is None else self.hess / other
+            return Jet2(self.value / other, self.grad / other, h)
+        return other._divide(self.value, self.grad, self.hess)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self._divide(other, 0.0, 0.0)
 
-    def chain(self, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> "Jet2":
-        """Compose with a scalar function given f(v), f'(v), f''(v)."""
+    def _divide(self, value, grad, hess) -> "Jet2":
+        """The quotient of the jet (value, grad, hess) by this one; a constant
+        numerator has grad and hess 0.0."""
+        v = value / self.value
+        g = (grad - v[..., None] * self.grad) / self.value[..., None]
+        if self.hess is None:
+            return Jet2(v, g)
+        cross = (
+            g[..., :, None] * self.grad[..., None, :]
+            + self.grad[..., :, None] * g[..., None, :]
+        )
+        h = (hess - v[..., None, None] * self.hess - cross) / self.value[..., None, None]
+        return Jet2(v, g, h)
+
+    def chain(self, f0: np.ndarray, f1: np.ndarray, f2: Optional[np.ndarray] = None) -> "Jet2":
+        """Compose with a scalar function given f(v), f'(v), f''(v); f'' is
+        only read by a second-order jet."""
         g = f1[..., None] * self.grad
+        if self.hess is None:
+            return Jet2(f0, g)
         outer = self.grad[..., :, None] * self.grad[..., None, :]
         h = f1[..., None, None] * self.hess + f2[..., None, None] * outer
         return Jet2(f0, g, h)
-
-
-def _int_pow(x, k: int):
-    """Exponentiation by squaring; shared by scalar and jet evaluation so
-    values agree bit-for-bit."""
-    if k == 0:
-        if isinstance(x, Jet2):
-            return Jet2.constant(1.0, x.value.shape, x.n)
-        return np.ones_like(x)
-    if k < 0:
-        return 1.0 / _int_pow(x, -k)
-    result = None
-    base = x
-    while k:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
 
 
 _FN_TABLE = {
@@ -499,124 +500,327 @@ def _const_value(e: Expr):
     return None
 
 
-def _check_positive(node, values: np.ndarray, points: np.ndarray, what: str):
-    bad = ~(values > 0.0)
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        pt = points[tuple(idx)] if points.ndim > 1 else points
-        raise DomainError(to_source(node) if not isinstance(node, str) else node, pt, what)
+# ---------------------------------------------------------------------------
+# Tapes
+# ---------------------------------------------------------------------------
 
 
-def _check_nonzero(node, values: np.ndarray, points: np.ndarray):
-    bad = values == 0.0
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        pt = points[tuple(idx)] if points.ndim > 1 else points
-        raise DomainError(to_source(node), pt, "division by zero")
+def _jet_call(name: str):
+    f, df, d2f = _FN_TABLE[name]
+
+    def call(x: Jet2) -> Jet2:
+        v = x.value
+        f0 = f(v)
+        return x.chain(f0, df(v, f0), None if x.hess is None else d2f(v, f0))
+
+    return call
 
 
-def _eval(e: Expr, points: np.ndarray, params: Mapping[str, float], jets: bool):
-    """Shared recursion for scalar and jet evaluation.  The scalar value of
-    every node is computed by the same numpy operations in both modes.
+def _jet_power(x: Jet2, c: float) -> Jet2:
+    """x^c for a literal non-integer exponent c (x > 0 is checked before)."""
+    bv = x.value
+    f0 = np.power(bv, c)
+    f1 = c * np.power(bv, c - 1.0)
+    if x.hess is None:
+        return x.chain(f0, f1)
+    return x.chain(f0, f1, c * (c - 1.0) * np.power(bv, c - 2.0))
 
-    Floating-point warnings are silenced during the recursion; instead any
-    non-finite value, gradient or Hessian entry of the result raises
-    DomainError at the first offending point."""
-    n = points.shape[-1]
-    batch = points.shape[:-1]
 
-    def rec(node: Expr):
-        if isinstance(node, Num):
-            if jets:
-                return Jet2.constant(node.value, batch, n)
-            return np.full(batch, node.value)
-        if isinstance(node, Var):
-            vals = points[..., node.index]
-            if jets:
-                return Jet2.variable(vals, node.index, n)
-            return vals.astype(float, copy=True)
-        if isinstance(node, Param):
-            if node.name not in params:
-                raise UnknownIdentifierError(node.name)
-            if jets:
-                return Jet2.constant(params[node.name], batch, n)
-            return np.full(batch, float(params[node.name]))
-        if isinstance(node, Neg):
-            return -rec(node.a)
-        if isinstance(node, Add):
-            return rec(node.a) + rec(node.b)
-        if isinstance(node, Sub):
-            return rec(node.a) - rec(node.b)
-        if isinstance(node, Mul):
-            return rec(node.a) * rec(node.b)
-        if isinstance(node, Div):
-            a, b = rec(node.a), rec(node.b)
-            bv = b.value if jets else b
-            _check_nonzero(node, np.asarray(bv), points)
-            return a / b
-        if isinstance(node, Pow):
-            return rec_pow(node)
-        if isinstance(node, Call):
-            arg = rec(node.args[0])
-            v = arg.value if jets else arg
-            if node.fn in _POSITIVE_DOMAIN:
-                _check_positive(node, np.asarray(v), points, f"{node.fn} of non-positive value")
-            f, df, d2f = _FN_TABLE[node.fn]
-            f0 = f(v)
-            if not jets:
-                return f0
-            return arg.chain(f0, df(v, f0), d2f(v, f0))
-        raise TypeError(f"not an Expr: {node!r}")
+# instruction name -> (values kernel, jets kernel); at run time at least one
+# operand is an array (or a jet), the other may be a float constant
+_INSTRUCTIONS = {
+    "add": (np.add, operator.add),
+    "sub": (np.subtract, operator.sub),
+    "mul": (np.multiply, operator.mul),
+    "div": (np.divide, operator.truediv),
+    "neg": (np.negative, operator.neg),
+    "pow": (np.power, _jet_power),
+    **{name: (f, _jet_call(name)) for name, (f, _, _) in _FN_TABLE.items()},
+}
 
-    def rec_pow(node: Pow):
-        const = _const_value(node.expo)
+_CHECKS = {
+    "positive": lambda v: v > 0.0,
+    "nonzero": lambda v: v != 0.0,
+}
+
+_POINTS, _SINK = 0, 1  # registers: the point batch, and the target of checks
+
+
+def _check(holds, node: Expr, what: str):
+    """Instruction raising DomainError at the first point where holds(value)
+    fails; the same function serves both kernels."""
+
+    def check(x, points):
+        ok = holds(x.value if isinstance(x, Jet2) else x)
+        if not ok.all():
+            raise DomainError(to_source(node), points[int(np.argmin(ok))], what)
+
+    return check
+
+
+def _fail(node: Expr, what: str):
+    """Instruction for a check whose operand is a constant that fails it: the
+    violation is reported at the first point of the batch."""
+
+    def fail(points):
+        if len(points):
+            raise DomainError(to_source(node), points[0], what)
+
+    return fail
+
+
+def _execute(code: tuple, regs: list):
+    with np.errstate(all="ignore"):
+        for fn, dst, a, b in code:
+            regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+
+
+class Tape:
+    """Expressions compiled into one straight-line program in SSA form.
+
+    Built by compile_tape; run by eval_scalar_many (values kernel) and
+    eval_jet2_many (jets kernel).  Every instruction is (values function,
+    jets function, destination register, operand a, operand b or None);
+    the register file starts with the point batch, the sink of the check
+    instructions and the folded constants.  The outputs are the compiled
+    expressions in order.
+    """
+
+    def __init__(self, exprs: tuple, registers: list, variables: tuple, code: tuple, outputs: tuple):
+        self.exprs = exprs
+        self.registers = registers
+        self.variables = variables  # (register, variable index)
+        self.code = code
+        self.outputs = outputs
+        self._values_code = tuple((f, dst, a, b) for f, _, dst, a, b in code)
+        self._jets_code = tuple((j, dst, a, b) for _, j, dst, a, b in code)
+
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        """Values of every output at points (m, n): shape (m, k)."""
+        regs = list(self.registers)
+        regs[_POINTS] = points
+        for reg, index in self.variables:
+            regs[reg] = points[:, index].copy()
+        _execute(self._values_code, regs)
+        out = np.empty((points.shape[0], len(self.outputs)))
+        for o, reg in enumerate(self.outputs):
+            out[:, o] = regs[reg]
+        self._gate(points, (out,))
+        return out
+
+    def _jets(self, points: np.ndarray, order: int) -> Jet2:
+        """Jets of every output at points (m, n): value (m, k), grad
+        (m, k, n), hess (m, k, n, n) or None for order 1."""
+        m, n = points.shape
+        regs = list(self.registers)
+        regs[_POINTS] = points
+        for reg, index in self.variables:
+            regs[reg] = Jet2.variable(points[:, index], index, n, order)
+        _execute(self._jets_code, regs)
+        k = len(self.outputs)
+        value, grad = np.empty((m, k)), np.empty((m, k, n))
+        hess = np.empty((m, k, n, n)) if order == 2 else None
+        for o, reg in enumerate(self.outputs):
+            r = regs[reg]
+            if isinstance(r, Jet2):
+                value[:, o], grad[:, o] = r.value, r.grad
+                if hess is not None:
+                    hess[:, o] = r.hess
+            else:
+                value[:, o], grad[:, o] = r, 0.0
+                if hess is not None:
+                    hess[:, o] = 0.0
+        self._gate(points, (value, grad) if hess is None else (value, grad, hess))
+        return Jet2(value, grad, hess)
+
+    def _gate(self, points: np.ndarray, blocks: tuple):
+        """One finiteness test per output block.  On failure, DomainError
+        names the first output with a non-finite value, gradient or Hessian
+        entry, and its first such point."""
+        if all(np.isfinite(block).all() for block in blocks):
+            return
+        m = points.shape[0]
+        for o, e in enumerate(self.exprs):
+            for block in blocks:
+                bad = ~np.isfinite(block[:, o].reshape(m, -1)).all(axis=1)
+                if bad.any():
+                    raise DomainError(to_source(e), points[int(np.argmax(bad))], "non-finite value")
+
+
+class _Compiler:
+    """Value numbering over the expression trees: every instruction is keyed
+    by its name and operand registers, so equal subexpressions anywhere in
+    the tape share one register, and an instruction whose operands are all
+    constants is folded on the spot."""
+
+    def __init__(self):
+        self.registers = [None, None]  # _POINTS, _SINK
+        self.code = []
+        self.numbers = {}  # instruction key -> register
+        self.consts = {}  # register -> float
+        self.variables = []
+
+    def _register(self, initial=None) -> int:
+        self.registers.append(initial)
+        return len(self.registers) - 1
+
+    def const(self, value) -> int:
+        value = float(value)
+        key = ("const", value.hex())  # keeps 0.0 and -0.0 apart
+        reg = self.numbers.get(key)
+        if reg is None:
+            reg = self.numbers[key] = self._register(value)
+            self.consts[reg] = value
+        return reg
+
+    def var(self, index: int) -> int:
+        key = ("var", index)
+        reg = self.numbers.get(key)
+        if reg is None:
+            reg = self.numbers[key] = self._register()
+            self.variables.append((reg, index))
+        return reg
+
+    def op(self, name: str, a: int, b: Optional[int] = None) -> int:
+        key = (name, a, b)
+        reg = self.numbers.get(key)
+        if reg is not None:
+            return reg
+        values_fn, jets_fn = _INSTRUCTIONS[name]
+        if a in self.consts and (b is None or b in self.consts):
+            # the values kernel on a one-point batch, so the folded constant
+            # has the bits evaluation would give
+            args = (np.array([self.consts[a]]),) if b is None else (
+                np.array([self.consts[a]]), self.consts[b])
+            reg = self.const(values_fn(*args)[0])
+        else:
+            reg = self._register()
+            self.code.append((values_fn, jets_fn, reg, a, b))
+        self.numbers[key] = reg
+        return reg
+
+    def check(self, kind: str, a: int, node: Expr, what: str):
+        """A domain check on register a.  Only the first check of a kind on a
+        register is kept: a later one reads the same values and passes."""
+        key = (kind, a)
+        if key in self.numbers:
+            return
+        self.numbers[key] = _SINK
+        holds = _CHECKS[kind]
+        if a not in self.consts:
+            fn = _check(holds, node, what)
+            self.code.append((fn, fn, _SINK, a, _POINTS))
+        elif not holds(np.array([self.consts[a]])).all():
+            fn = _fail(node, what)
+            self.code.append((fn, fn, _SINK, _POINTS, None))
+
+    def expr(self, e: Expr, params: Mapping[str, float]) -> int:
+        if isinstance(e, Num):
+            return self.const(e.value)
+        if isinstance(e, Var):
+            return self.var(e.index)
+        if isinstance(e, Param):
+            if e.name not in params:
+                raise UnknownIdentifierError(e.name)
+            return self.const(params[e.name])
+        if isinstance(e, Neg):
+            return self.op("neg", self.expr(e.a, params))
+        if isinstance(e, (Add, Sub, Mul)):
+            name = "add" if isinstance(e, Add) else "sub" if isinstance(e, Sub) else "mul"
+            return self.op(name, self.expr(e.a, params), self.expr(e.b, params))
+        if isinstance(e, Div):
+            a, b = self.expr(e.a, params), self.expr(e.b, params)
+            self.check("nonzero", b, e, "division by zero")
+            return self.op("div", a, b)
+        if isinstance(e, Pow):
+            return self.power(e, params)
+        if isinstance(e, Call):
+            arg = self.expr(e.args[0], params)
+            if e.fn in _POSITIVE_DOMAIN:
+                self.check("positive", arg, e, f"{e.fn} of non-positive value")
+            return self.op(e.fn, arg)
+        raise TypeError(f"not an Expr: {e!r}")
+
+    def power(self, e: Pow, params: Mapping[str, float]) -> int:
+        const = _const_value(e.expo)
+        base = self.expr(e.base, params)
         if const is not None and float(const).is_integer():
             k = int(const)
-            base = rec(node.base)
             if k < 0:
-                bv = base.value if jets else base
-                _check_nonzero(node, np.asarray(bv), points)
-            return _int_pow(base, k)
+                self.check("nonzero", base, e, "division by zero")
+            return self.int_power(base, k)
         # general power: exp(expo * ln(base)), base must be positive
-        base = rec(node.base)
-        bv = np.asarray(base.value if jets else base)
-        _check_positive(node, bv, points, "non-integer power of non-positive base")
-        if isinstance(node.expo, Num):
-            c = float(node.expo.value)
-            f0 = np.power(bv, c)
-            if not jets:
-                return f0
-            return base.chain(f0, c * np.power(bv, c - 1.0), c * (c - 1.0) * np.power(bv, c - 2.0))
-        ee = rec(node.expo)
-        ln_b = rec(Call("ln", (node.base,)))
-        inner = ee * ln_b
-        v = inner.value if jets else inner
-        f0 = np.exp(v)
-        if not jets:
-            return f0
-        return inner.chain(f0, f0, f0)
+        self.check("positive", base, e, "non-integer power of non-positive base")
+        if isinstance(e.expo, Num):
+            return self.op("pow", base, self.const(e.expo.value))
+        expo = self.expr(e.expo, params)
+        return self.op("exp", self.op("mul", expo, self.op("ln", base)))
 
+    def int_power(self, base: int, k: int) -> int:
+        """Exponentiation by squaring, for negative bases too."""
+        if k == 0:
+            return self.const(1.0)
+        if k < 0:
+            return self.op("div", self.const(1.0), self.int_power(base, -k))
+        result = None
+        while k:
+            if k & 1:
+                result = base if result is None else self.op("mul", result, base)
+            k >>= 1
+            if k:
+                base = self.op("mul", base, base)
+        return result
+
+
+def compile_tape(*blocks) -> Tape:
+    """Compile blocks of (expressions, params) into one tape whose outputs
+    are the expressions of every block, in order.  Each block's params are
+    bound when it is compiled."""
+    compiler = _Compiler()
+    exprs, outputs = [], []
     with np.errstate(all="ignore"):
-        out = rec(e)
-    for part in (out.value, out.grad, out.hess) if jets else (out,):
-        if not np.isfinite(part).all():
-            idx = tuple(np.argwhere(~np.isfinite(part))[0][: len(batch)])
-            raise DomainError(to_source(e), points[idx], "non-finite value")
-    return out
+        for block, params in blocks:
+            for e in block:
+                outputs.append(compiler.expr(e, params))
+                exprs.append(e)
+    return Tape(
+        tuple(exprs), compiler.registers, tuple(compiler.variables),
+        tuple(compiler.code), tuple(outputs),
+    )
 
 
-def eval_scalar_many(e: Expr, points: np.ndarray, params: Mapping[str, float] = {}) -> np.ndarray:
+def _point_batch(points) -> tuple:
+    """points (..., n) as a float (m, n) batch, and the leading shape."""
     points = np.asarray(points, dtype=float)
-    return _eval(e, points, params, jets=False)
+    return points.reshape(-1, points.shape[-1]), points.shape[:-1]
+
+
+def eval_scalar_many(e, points: np.ndarray, params: Mapping[str, float] = {}) -> np.ndarray:
+    """Values at points (..., n).  e is a Tape, giving shape (..., k) over its
+    k outputs, or a bare Expr, compiled with params into a one-output tape
+    and giving shape (...).  A Tape's params were bound when it was
+    compiled."""
+    pts, batch = _point_batch(points)
+    if isinstance(e, Tape):
+        return e._values(pts).reshape(batch + (len(e.outputs),))
+    return compile_tape(((e,), params))._values(pts).reshape(batch)
 
 
 def eval_scalar(e: Expr, point: Sequence[float], params: Mapping[str, float] = {}) -> float:
     return float(eval_scalar_many(e, np.asarray(point, dtype=float)[None, :], params)[0])
 
 
-def eval_jet2_many(e: Expr, points: np.ndarray, params: Mapping[str, float] = {}) -> Jet2:
-    points = np.asarray(points, dtype=float)
-    return _eval(e, points, params, jets=True)
+def eval_jet2_many(e, points: np.ndarray, params: Mapping[str, float] = {}, order: int = 2) -> Jet2:
+    """Jets of order 2 (value, gradient, Hessian) or 1 (hess None) at points
+    (..., n).  e is a Tape, whose outputs add an axis after the batch axes,
+    or a bare Expr, compiled with params into a one-output tape."""
+    pts, batch = _point_batch(points)
+    tape = e if isinstance(e, Tape) else compile_tape(((e,), params))
+    jet = tape._jets(pts, order)
+    shape = batch + ((len(tape.outputs),) if isinstance(e, Tape) else ())
+    n = pts.shape[1]
+    hess = None if jet.hess is None else jet.hess.reshape(shape + (n, n))
+    return Jet2(jet.value.reshape(shape), jet.grad.reshape(shape + (n,)), hess)
 
 
 def eval_jet2(e: Expr, point: Sequence[float], params: Mapping[str, float] = {}) -> Jet2:

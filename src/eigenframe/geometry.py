@@ -29,7 +29,7 @@ so Gamma is reused and d L is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -86,11 +86,21 @@ def halton_points(lo: np.ndarray, hi: np.ndarray, count: int, seed: int = 0) -> 
 @dataclass(frozen=True)
 class RiemannChart:
     """A coordinate chart u -> w with explicit inverse, both as expression
-    trees.  w_exprs are in the frame's u-variables; u_exprs in w_vars."""
+    trees.  w_exprs are in the frame's u-variables; u_exprs in w_vars;
+    params bind the parameters of both."""
 
     w_exprs: tuple
     u_exprs: tuple
     w_vars: tuple
+    params: Mapping[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def w_tape(self) -> ex.Tape:
+        return ex.compile_tape((self.w_exprs, self.params))
+
+    @cached_property
+    def u_tape(self) -> ex.Tape:
+        return ex.compile_tape((self.u_exprs, self.params))
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,26 @@ class FrameSpec:
         return halton_points(
             np.array(self.domain_lo), np.array(self.domain_hi), count, seed
         )
+
+    @cached_property
+    def tape(self) -> ex.Tape:
+        """Every frame entry in one tape, row by row: output a*n + j is
+        R^a_j, the a-th component of field j."""
+        return frame_tape(self)
+
+
+def frame_tape(spec: FrameSpec, *cands) -> ex.Tape:
+    """One tape over the frame entries (the first n*n outputs, row by row)
+    and then the components of each candidate, in order."""
+    n = spec.n
+    entries = tuple(spec.columns[j][a] for a in range(n) for j in range(n))
+    return ex.compile_tape((entries, spec.params), *((c.exprs, c.params) for c in cands))
+
+
+def frame_block(block: np.ndarray, n: int) -> np.ndarray:
+    """The frame outputs of a tape, block[:, :n*n, ...], as the array
+    (m, a, j, ...) of R^a_j (a view)."""
+    return block[:, : n * n].reshape((block.shape[0], n, n) + block.shape[2:])
 
 
 def frame_from_sources(
@@ -157,7 +187,7 @@ def chart_from_sources(
         w_vars = tuple(f"w{i + 1}" for i in range(len(u_vars)))
     w_exprs = tuple(ex.parse_expression(s, u_vars, params) for s in w_sources)
     u_exprs = tuple(ex.parse_expression(s, w_vars, params) for s in u_sources)
-    return RiemannChart(w_exprs=w_exprs, u_exprs=u_exprs, w_vars=tuple(w_vars))
+    return RiemannChart(w_exprs=w_exprs, u_exprs=u_exprs, w_vars=tuple(w_vars), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +239,15 @@ class ConnectionEval:
 def eval_frame_jets(spec: FrameSpec, points: np.ndarray):
     """Values, Jacobians and Hessians of all frame entries at points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m, n = points.shape[0], spec.n
-    R = np.empty((m, n, n))
-    Rgrad = np.empty((m, n, n, n))
-    Rhess = np.empty((m, n, n, n, n))
-    for j, col in enumerate(spec.columns):
-        for a, entry in enumerate(col):
-            jet = ex.eval_jet2_many(entry, points, spec.params)
-            R[:, a, j] = jet.value
-            Rgrad[:, a, j, :] = jet.grad
-            Rhess[:, a, j, :, :] = jet.hess
-    return points, R, Rgrad, Rhess
+    jet = ex.eval_jet2_many(spec.tape, points)
+    n = spec.n
+    return points, frame_block(jet.value, n), frame_block(jet.grad, n), frame_block(jet.hess, n)
 
 
 def eval_frame_values(spec: FrameSpec, points: np.ndarray):
     """Values of all frame entries at points, without derivatives."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m, n = points.shape[0], spec.n
-    R = np.empty((m, n, n))
-    for j, col in enumerate(spec.columns):
-        for a, entry in enumerate(col):
-            R[:, a, j] = ex.eval_scalar_many(entry, points, spec.params)
-    return points, R
+    return points, frame_block(ex.eval_scalar_many(spec.tape, points), spec.n)
 
 
 def _adjugate_det3(R: np.ndarray) -> tuple:
@@ -403,39 +420,32 @@ def scale_frame(spec: FrameSpec, alpha_exprs: Sequence, check_points: Optional[n
 # Riemann charts
 # ---------------------------------------------------------------------------
 
-def chart_forward(chart: RiemannChart, u_points: np.ndarray, params: Mapping[str, float] = {}) -> np.ndarray:
-    u_points = np.atleast_2d(np.asarray(u_points, dtype=float))
+def _chart_eval(evaluate, tape: ex.Tape, points: np.ndarray, **kwargs):
+    """A chart map evaluated at points; leaving its domain is a ChartDomainError."""
     try:
-        cols = [ex.eval_scalar_many(e, u_points, params) for e in chart.w_exprs]
+        return evaluate(tape, np.atleast_2d(np.asarray(points, dtype=float)), **kwargs)
     except DomainError as err:
         raise ChartDomainError(str(err)) from err
-    return np.stack(cols, axis=1)
 
 
-def chart_inverse(chart: RiemannChart, w_points: np.ndarray, params: Mapping[str, float] = {}) -> np.ndarray:
-    w_points = np.atleast_2d(np.asarray(w_points, dtype=float))
-    try:
-        cols = [ex.eval_scalar_many(e, w_points, params) for e in chart.u_exprs]
-    except DomainError as err:
-        raise ChartDomainError(str(err)) from err
-    return np.stack(cols, axis=1)
+def chart_forward(chart: RiemannChart, u_points: np.ndarray) -> np.ndarray:
+    return _chart_eval(ex.eval_scalar_many, chart.w_tape, u_points)
+
+
+def chart_inverse(chart: RiemannChart, w_points: np.ndarray) -> np.ndarray:
+    return _chart_eval(ex.eval_scalar_many, chart.u_tape, w_points)
 
 
 def verify_riemann_chart(conn: ConnectionEval, chart: RiemannChart, tol: float = 1e-9) -> dict:
     """Check the chart normalization r_j(w^i) = delta_ij at the connection's
     u-samples and the round trip u -> w -> u.  Returns the residual report."""
-    pts, params = conn.points, conn.spec.params
-    grads = []
-    for e in chart.w_exprs:
-        try:
-            grads.append(ex.eval_jet2_many(e, pts, params).grad)
-        except DomainError as err:
-            raise ChartDomainError(str(err)) from err
-    dW = np.stack(grads, axis=1)  # (m, i, a) = d w^i / d u^a
+    pts = conn.points
+    # (m, i, a) = d w^i / d u^a
+    dW = _chart_eval(ex.eval_jet2_many, chart.w_tape, pts, order=1).grad
     norm = np.einsum("mia,maj->mij", dW, conn.R)
     normalization_residual = float(np.abs(norm - np.eye(conn.n)[None]).max())
-    w = chart_forward(chart, pts, params)
-    back = chart_inverse(chart, w, params)
+    w = chart_forward(chart, pts)
+    back = chart_inverse(chart, w)
     roundtrip_residual = float(np.abs(back - pts).max())
     return {
         "normalization_residual": normalization_residual,
@@ -479,14 +489,9 @@ class PullbackEval:
 def pullback_connection(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarray) -> PullbackEval:
     """Z[i,j,k](w) = Gamma[i,j,k](u(w)) and its exact w-derivatives."""
     w_points = np.atleast_2d(np.asarray(w_points, dtype=float))
-    u_points = chart_inverse(chart, w_points, spec.params)
-    try:
-        du = np.stack(
-            [ex.eval_jet2_many(e, w_points, spec.params).grad for e in chart.u_exprs],
-            axis=1,
-        )  # (m, e_comp, d) = d u^e / d w^d
-    except DomainError as err:
-        raise ChartDomainError(str(err)) from err
+    u_points = chart_inverse(chart, w_points)
+    # (m, e_comp, d) = d u^e / d w^d
+    du = _chart_eval(ex.eval_jet2_many, chart.u_tape, w_points, order=1).grad
     conn = eval_connection(spec, u_points)
     ZGrad = np.einsum("mijke,med->mijkd", conn.GammaGrad, du)
     return PullbackEval(w_points=w_points, conn=conn, ZGrad=ZGrad)

@@ -14,7 +14,9 @@ lemma):
 
 with grad eta carried along the ray by a Legendre-basis cumulative-integration
 matrix at the Gauss nodes.  All nodes are integrated together, one
-values-only field evaluation over the grid per ray parameter.  A Gauss-
+values-only field evaluation over the grid per ray parameter: one tape run
+over the frame and the candidates, and one inversion of the frame, which
+the Hessian and flux fields of q share.  A Gauss-
 Legendre pair of Q and 2Q nodes estimates the error of every ray; rays over
 the tolerance are split into panels.  Curl tests gate every integration;
 path independence is checked by a second family of rays from another grid
@@ -51,8 +53,8 @@ from .geometry import (
     _invert_frame,
     distinct_triple_mask,
     eval_connection,
-    eval_frame_jets,
-    eval_frame_values,
+    frame_block,
+    frame_tape,
 )
 from .systems import BetaCandidate, LambdaCandidate, require_rich
 
@@ -86,63 +88,88 @@ class MatrixField:
         return self._value_grad(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
-def _frame_with_inverse(spec: FrameSpec, pts: np.ndarray):
-    pts, R = eval_frame_values(spec, pts)
-    L, _ = _invert_frame(pts, R)
-    return R, L
+class _FrameEval:
+    """The frame entries and the components of some candidates in one tape:
+    one evaluation and one inversion of the frame per point set."""
+
+    def __init__(self, spec: FrameSpec, *cands):
+        self.n = spec.n
+        self.count = len(cands)
+        self.tape = frame_tape(spec, *cands)
+
+    def _split(self, block: np.ndarray) -> list:
+        nn, n = self.n * self.n, self.n
+        return [block[:, nn + c * n : nn + (c + 1) * n] for c in range(self.count)]
+
+    def values(self, pts: np.ndarray):
+        """R, L = R^-1 and each candidate's values (m, k)."""
+        vals = ex.eval_scalar_many(self.tape, pts)
+        R = frame_block(vals, self.n)
+        L, _ = _invert_frame(pts, R)
+        return R, L, self._split(vals)
+
+    def grads(self, pts: np.ndarray):
+        """R, L, the frame derivatives dR, shape (m, d, a, j) = d_d R^a_j, and
+        each candidate's values (m, k) and gradients (m, d, k) = d_d s_k."""
+        jet = ex.eval_jet2_many(self.tape, pts, order=1)
+        R = frame_block(jet.value, self.n)
+        L, _ = _invert_frame(pts, R)
+        dR = frame_block(jet.grad, self.n).transpose(0, 3, 1, 2)
+        grads = [g.transpose(0, 2, 1) for g in self._split(jet.grad)]
+        return R, L, dR, self._split(jet.value), grads
 
 
-def _frame_with_grads(spec: FrameSpec, pts: np.ndarray):
-    """Frame, inverse and frame derivatives dR, shape (m, d, a, j) =
-    d_d R^a_j."""
-    pts, R, Rgrad, _ = eval_frame_jets(spec, pts)
-    L, _ = _invert_frame(pts, R)
-    return pts, R, L, Rgrad.transpose(0, 3, 1, 2)
+def _hessian_values(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (L.transpose(0, 2, 1) * b[:, None, :]) @ L
+
+
+def _hessian_value_grad(L, dR, b, bg):
+    Lt = L.transpose(0, 2, 1)
+    V = _hessian_values(L, b)
+    # d_d L = -L (d_d R) L, so L^T diag[b] d_d L = -V (d_d R) L
+    W = V[:, None] @ dR @ L[:, None]
+    G = (Lt[:, None] * bg[:, :, None, :]) @ L[:, None] - W - W.transpose(0, 1, 3, 2)
+    return V, G.transpose(0, 2, 3, 1)
+
+
+def _flux_values(R: np.ndarray, L: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    return (R * lam[:, None, :]) @ L
+
+
+def _flux_value_grad(R, L, dR, lam, lg):
+    V = _flux_values(R, L, lam)
+    # d_d (R diag[l] L) = (d_d R diag[l] + R diag[d_d l] - V d_d R) L
+    G = dR * lam[:, None, None, :] + R[:, None] * lg[:, :, None, :] - V[:, None] @ dR
+    G = G @ L[:, None]
+    return V, G.transpose(0, 2, 3, 1)
 
 
 def length_hessian_field(spec: FrameSpec, cand: BetaCandidate) -> MatrixField:
     """M = L^T diag[b] L, the Hessian field of the scalar potential."""
-    params = {**spec.params, **cand.params}
+    frame = _FrameEval(spec, cand)
 
     def values(pts):
-        _, L = _frame_with_inverse(spec, pts)
-        b = np.stack([ex.eval_scalar_many(e, pts, params) for e in cand.exprs], axis=1)
-        return (L.transpose(0, 2, 1) * b[:, None, :]) @ L
+        _, L, (b,) = frame.values(pts)
+        return _hessian_values(L, b)
 
     def value_grad(pts):
-        pts, _, L, dR = _frame_with_grads(spec, pts)
-        jets = [ex.eval_jet2_many(e, pts, params) for e in cand.exprs]
-        b = np.stack([j.value for j in jets], axis=1)
-        bg = np.stack([j.grad for j in jets], axis=2)  # (m, d, k) = d_d b_k
-        Lt = L.transpose(0, 2, 1)
-        V = (Lt * b[:, None, :]) @ L
-        # d_d L = -L (d_d R) L, so L^T diag[b] d_d L = -V (d_d R) L
-        W = V[:, None] @ dR @ L[:, None]
-        G = (Lt[:, None] * bg[:, :, None, :]) @ L[:, None] - W - W.transpose(0, 1, 3, 2)
-        return V, G.transpose(0, 2, 3, 1)
+        _, L, dR, (b,), (bg,) = frame.grads(pts)
+        return _hessian_value_grad(L, dR, b, bg)
 
     return MatrixField(spec.n, values, value_grad)
 
 
 def flux_jacobian_field(spec: FrameSpec, cand: LambdaCandidate) -> MatrixField:
     """M = R diag[l] L, the Jacobian field of the flux map."""
-    params = {**spec.params, **cand.params}
+    frame = _FrameEval(spec, cand)
 
     def values(pts):
-        R, L = _frame_with_inverse(spec, pts)
-        lam = np.stack([ex.eval_scalar_many(e, pts, params) for e in cand.exprs], axis=1)
-        return (R * lam[:, None, :]) @ L
+        R, L, (lam,) = frame.values(pts)
+        return _flux_values(R, L, lam)
 
     def value_grad(pts):
-        pts, R, L, dR = _frame_with_grads(spec, pts)
-        jets = [ex.eval_jet2_many(e, pts, params) for e in cand.exprs]
-        lam = np.stack([j.value for j in jets], axis=1)
-        lg = np.stack([j.grad for j in jets], axis=2)  # (m, d, k) = d_d l_k
-        V = (R * lam[:, None, :]) @ L
-        # d_d (R diag[l] L) = (d_d R diag[l] + R diag[d_d l] - V d_d R) L
-        G = dR * lam[:, None, None, :] + R[:, None] * lg[:, :, None, :] - V[:, None] @ dR
-        G = G @ L[:, None]
-        return V, G.transpose(0, 2, 3, 1)
+        R, L, dR, (lam,), (lg,) = frame.grads(pts)
+        return _flux_value_grad(R, L, dR, lam, lg)
 
     return MatrixField(spec.n, values, value_grad)
 
@@ -151,37 +178,30 @@ def hessian_field_from_expr(eta_expr, n: int, params: Mapping[str, float]) -> Ma
     """Hessian field of a closed-form scalar, via exact symbolic derivatives
     (third derivatives are needed for the curl test)."""
     first = [ex.differentiate(eta_expr, i) for i in range(n)]
-    second = [[ex.differentiate(first[i], j) for j in range(n)] for i in range(n)]
+    second = tuple(ex.differentiate(first[i], j) for i in range(n) for j in range(n))
+    tape = ex.compile_tape((second, params))
 
     def values(pts):
-        m = pts.shape[0]
-        V = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(n):
-                V[:, i, j] = ex.eval_scalar_many(second[i][j], pts, params)
-        return V
+        return ex.eval_scalar_many(tape, pts).reshape(pts.shape[0], n, n)
 
     def value_grad(pts):
+        jet = ex.eval_jet2_many(tape, pts, order=1)
         m = pts.shape[0]
-        V = np.empty((m, n, n))
-        G = np.empty((m, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                jet = ex.eval_jet2_many(second[i][j], pts, params)
-                V[:, i, j] = jet.value
-                G[:, i, j, :] = jet.grad
-        return V, G
+        return jet.value.reshape(m, n, n), jet.grad.reshape(m, n, n, n)
 
     return MatrixField(n, values, value_grad)
+
+
+def _curl(V: np.ndarray, G: np.ndarray) -> float:
+    curl = G - G.transpose(0, 1, 3, 2)  # [p,k,j,i] - [p,k,i,j]
+    scale = 1.0 + np.abs(V).max() + np.abs(G).max()
+    return float(np.abs(curl).max() / scale)
 
 
 def curl_residual(field: MatrixField, points: np.ndarray) -> float:
     """Max over rows k and pairs i<j of |d_i M[k,j] - d_j M[k,i]|,
     normalized by the field magnitude."""
-    V, G = field.value_grad(points)
-    curl = G - G.transpose(0, 1, 3, 2)  # [p,k,j,i] - [p,k,i,j]
-    scale = 1.0 + np.abs(V).max() + np.abs(G).max()
-    return float(np.abs(curl).max() / scale)
+    return _curl(*field.value_grad(points))
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +441,32 @@ def _jacobian_rates(field: MatrixField):
     return rates
 
 
-def _potential_rates(hess: MatrixField, flux: Optional[MatrixField] = None):
+def _potential_rates(fields: Callable):
     """grad eta changes by H d along a ray; eta integrates grad eta . d and,
-    with a flux Jacobian A, q integrates grad eta . A d."""
+    with a flux Jacobian A, q integrates grad eta . A d.  fields(points)
+    returns (H,) or (H, A)."""
 
     def rates(pts, d):
-        Hd = np.einsum("mab,mb->ma", hess.values(pts), d)
-        if flux is None:
+        H, *flux = fields(pts)
+        Hd = np.einsum("mab,mb->ma", H, d)
+        if not flux:
             return Hd, d[None]
-        return Hd, np.stack([d, np.einsum("mab,mb->ma", flux.values(pts), d)])
+        return Hd, np.stack([d, np.einsum("mab,mb->ma", flux[0], d)])
 
     return rates
 
 
-def _require_closed(spec: FrameSpec, base: np.ndarray, field: MatrixField, curl_tol: float):
-    probes = np.vstack([spec.sample_points(20), base[None, :]])
-    res = curl_residual(field, probes)
+def _closedness_probes(spec: FrameSpec, base: np.ndarray) -> np.ndarray:
+    return np.vstack([spec.sample_points(20), base[None, :]])
+
+
+def _require_closed(V: np.ndarray, G: np.ndarray, curl_tol: float) -> float:
+    """The curl residual of a field's values V and derivatives G, which must
+    not exceed curl_tol."""
+    res = _curl(V, G)
     if res > curl_tol:
         raise CurlViolationError(res, curl_tol)
-    return res, probes
+    return res
 
 
 def reconstruct_flux(
@@ -457,7 +484,7 @@ def reconstruct_flux(
     axes = _grid_axes(lo, hi, counts, base)
     shape = tuple(counts) + (spec.n,)
     field = flux_jacobian_field(spec, cand)
-    res, _ = _require_closed(spec, base, field, curl_tol)
+    res = _require_closed(*field.value_grad(_closedness_probes(spec, base)), curl_tol)
     F, _, F_b, _ = _ray_families(_jacobian_rates(field), base, axes, quad_tol)
     return PotentialGrid(
         axes=axes,
@@ -493,10 +520,11 @@ def reconstruct_eta(
     axes = _grid_axes(lo, hi, counts, base)
     shape = tuple(counts)
     field = length_hessian_field(spec, cand)
-    res, probes = _require_closed(spec, base, field, curl_tol)
-    V = field.values(probes)
+    V, G = field.value_grad(_closedness_probes(spec, base))
+    res = _require_closed(V, G, curl_tol)
     sym = float(np.abs(V - V.transpose(0, 2, 1)).max() / (1.0 + np.abs(V).max()))
-    grad, S, psi, S_b = _ray_families(_potential_rates(field), base, axes, quad_tol)
+    rates = _potential_rates(lambda pts: (field.values(pts),))
+    grad, S, psi, S_b = _ray_families(rates, base, axes, quad_tol)
     grad_res = float(np.abs(grad - psi).max())
     return PotentialGrid(
         axes=axes,
@@ -537,24 +565,29 @@ def entropy_flux(
     base = np.asarray(base, dtype=float)
     axes = _grid_axes(lo, hi, counts, base)
     shape = tuple(counts)
-    Mfield = length_hessian_field(spec, beta_cand)
-    Afield = flux_jacobian_field(spec, lambda_cand)
-    for f in (Mfield, Afield):
-        _require_closed(spec, base, f, curl_tol)
+    # M = L^T diag[b] L and A = R diag[l] L from one frame evaluation
+    frame = _FrameEval(spec, beta_cand, lambda_cand)
+    R, L, dR, (b, lam), (bg, lg) = frame.grads(_closedness_probes(spec, base))
+    _require_closed(*_hessian_value_grad(L, dR, b, bg), curl_tol)
+    _require_closed(*_flux_value_grad(R, L, dR, lam, lg), curl_tol)
     # with a closed-form potential attached, q corresponds to that potential
     # (its base gradient seeds the rays); otherwise to the gauge-fixed one
     grad0 = 0.0
     if beta_cand.eta_expr is not None:
-        grad0 = ex.eval_jet2(
-            beta_cand.eta_expr, base, {**spec.params, **beta_cand.params}
-        ).grad
-    grad, S, _, S_b = _ray_families(_potential_rates(Mfield, Afield), base, axes, quad_tol, grad0)
+        grad0 = ex.eval_jet2_many(beta_cand.eta_tape, base[None, :], order=1).grad[0, 0]
+
+    def fields(pts):
+        R, L, (b, lam) = frame.values(pts)
+        return _hessian_values(L, b), _flux_values(R, L, lam)
+
+    grad, S, _, S_b = _ray_families(_potential_rates(fields), base, axes, quad_tol, grad0)
     # curl of w = grad(eta) . A at grid probes, using d(grad eta) = M
     nodes = PotentialGrid(axes, {}, tuple(base)).nodes()
     take = nodes[:: max(1, nodes.shape[0] // 40)]
     gflat = grad[:: max(1, nodes.shape[0] // 40)]
-    MV = Mfield.values(take)
-    AV, AG = Afield.value_grad(take)
+    R, L, dR, (b, lam), (bg, lg) = frame.grads(take)
+    MV = _hessian_values(L, b)
+    AV, AG = _flux_value_grad(R, L, dR, lam, lg)
     # d_e w_d = sum_k M[e,k] A[k,d] + grad_k dA[k,d]/dx_e
     P = np.einsum("mek,mkd->mde", MV, AV)
     Q = np.einsum("mk,mkde->mde", gflat, AG)

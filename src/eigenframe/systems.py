@@ -20,7 +20,8 @@ system used by the rich rank-0 theory).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -54,6 +55,14 @@ class BetaCandidate:
     params: Mapping[str, float]
     eta_expr: Optional[object] = None  # closed-form scalar potential, if known
 
+    @cached_property
+    def tape(self) -> ex.Tape:
+        return ex.compile_tape((self.exprs, self.params))
+
+    @cached_property
+    def eta_tape(self) -> ex.Tape:
+        return ex.compile_tape(((self.eta_expr,), self.params))
+
     @staticmethod
     def from_sources(sources, vars, params=None, eta_source=None):
         params = dict(params or {})
@@ -71,6 +80,14 @@ class LambdaCandidate:
     params: Mapping[str, float]
     f_exprs: Optional[tuple] = None  # closed-form flux components, if known
 
+    @cached_property
+    def tape(self) -> ex.Tape:
+        return ex.compile_tape((self.exprs, self.params))
+
+    @cached_property
+    def f_tape(self) -> ex.Tape:
+        return ex.compile_tape((self.f_exprs, self.params))
+
     @staticmethod
     def from_sources(sources, vars, params=None, f_sources=None):
         params = dict(params or {})
@@ -78,15 +95,14 @@ class LambdaCandidate:
         return LambdaCandidate(_parse_all(sources, vars, params), params, f)
 
 
-def eval_candidate(exprs: Sequence, points: np.ndarray, params: Mapping[str, float]):
-    """Values (m, n_fields) and u-gradients (m, n_fields, n) of candidate fields."""
+def eval_candidate(exprs, points: np.ndarray, params: Mapping[str, float] = {}):
+    """Values (m, n_fields) and u-gradients (m, n_fields, n) of candidate
+    fields: a candidate's tape, or a sequence of expressions compiled with
+    params."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    vals, grads = [], []
-    for e in exprs:
-        jet = ex.eval_jet2_many(e, points, params)
-        vals.append(jet.value)
-        grads.append(jet.grad)
-    return np.stack(vals, axis=1), np.stack(grads, axis=1)
+    tape = exprs if isinstance(exprs, ex.Tape) else ex.compile_tape((tuple(exprs), params))
+    jet = ex.eval_jet2_many(tape, points, order=1)
+    return jet.value, jet.grad
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +222,7 @@ def _ordered_pairs(n: int) -> list:
 
 
 def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
-    vals, grads = eval_candidate(cand.exprs, conn.points, {**conn.spec.params, **cand.params})
+    vals, grads = eval_candidate(cand.tape, conn.points)
     n = conn.n
     pairs = _ordered_pairs(n)
     pde_raw = np.zeros((conn.points.shape[0], len(pairs)))
@@ -232,7 +248,7 @@ def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
 
 
 def lambda_residual(conn: ConnectionEval, cand: LambdaCandidate) -> ResidualRecord:
-    vals, grads = eval_candidate(cand.exprs, conn.points, {**conn.spec.params, **cand.params})
+    vals, grads = eval_candidate(cand.tape, conn.points)
     n = conn.n
     pairs = _ordered_pairs(n)
     pde_raw = np.zeros((conn.points.shape[0], len(pairs)))
@@ -274,9 +290,8 @@ def sevennec_identity(
 
     which couples verified candidates of the two systems under strict
     hyperbolicity.  Near-coincident eigenvalues are rejected."""
-    params = conn.spec.params
-    bvals, _ = eval_candidate(beta_cand.exprs, conn.points, {**params, **beta_cand.params})
-    lvals, _ = eval_candidate(lambda_cand.exprs, conn.points, {**params, **lambda_cand.params})
+    bvals = ex.eval_scalar_many(beta_cand.tape, conn.points)
+    lvals = ex.eval_scalar_many(lambda_cand.tape, conn.points)
     n = conn.n
     scale = np.abs(lvals).max()
     worst = 0.0
@@ -311,7 +326,7 @@ def convexity_classify(
     extension_only: definite sign pattern with a negative component;
     indefinite: some component changes sign across the sample set.
     """
-    vals, _ = eval_candidate(cand.exprs, np.atleast_2d(points), {**spec.params, **cand.params})
+    vals = ex.eval_scalar_many(cand.tape, np.atleast_2d(points))
     scale = max(1.0, float(np.abs(vals).max()))
     lo = vals.min(axis=0)
     hi = vals.max(axis=0)

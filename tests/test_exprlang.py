@@ -226,16 +226,21 @@ def test_hessian_stored_symmetric_exactly():
 # ---------------------------------------------------------------------------
 
 _leaf = st.sampled_from(
-    ["u1", "u2", "u3", "2", "0.5", "3"]
+    ["u1", "u2", "u3", "2", "0.5", "3", "K"]
 )
 _unop = st.sampled_from(["sin", "cos", "exp", "arctan"])
+# the param K of generated sources; as an exponent it keeps the exp/ln power
+K_PARAMS = {"K": 1.5}
+PROPERTY_POINTS = np.array([[0.7, 1.1, 0.4], [1.3, 0.6, 0.9], [0.45, 1.25, 1.05]])
 
 
 @st.composite
 def _expr_source(draw, depth=0):
+    """Sources over u1..u3 and K that stay in the smooth domain: divisors,
+    ln and sqrt arguments and non-integer power bases are kept positive."""
     if depth > 2 or draw(st.booleans()):
         return draw(_leaf)
-    kind = draw(st.integers(0, 3))
+    kind = draw(st.integers(0, 8))
     a = draw(_expr_source(depth=depth + 1))
     if kind == 0:
         b = draw(_expr_source(depth=depth + 1))
@@ -245,17 +250,32 @@ def _expr_source(draw, depth=0):
         return f"{draw(_unop)}({a})"
     if kind == 2:
         return f"(({a})/(4+u2^2))"
+    if kind == 3:
+        b = draw(_expr_source(depth=depth + 1))
+        return f"(({a})/(1+({b})^2))"
+    if kind == 4:
+        return f"sqrt(1+({a})^2)"
+    if kind == 5:
+        return f"ln(1+({a})^2)"
+    if kind == 6:
+        return f"(2+sin({a}))^K"
+    if kind == 7:
+        return draw(st.sampled_from([f"({a})^3", f"(2+cos({a}))^-2", f"(1+({a})^2)^0.5"]))
     return f"-({a})"
+
+
+def parse_k(src):
+    return parse(src, params=K_PARAMS)
 
 
 @given(_expr_source(), _expr_source())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_jet_multiplication_satisfies_product_rule(src_a, src_b):
-    ea, eb = parse(src_a), parse(src_b)
+    ea, eb = parse_k(src_a), parse_k(src_b)
     pts = np.array([[0.7, 1.1, 0.4], [1.3, 0.6, 0.9]])
-    ja = ex.eval_jet2_many(ea, pts)
-    jb = ex.eval_jet2_many(eb, pts)
-    jab = ex.eval_jet2_many(ex.Mul(ea, eb), pts)
+    ja = ex.eval_jet2_many(ea, pts, K_PARAMS)
+    jb = ex.eval_jet2_many(eb, pts, K_PARAMS)
+    jab = ex.eval_jet2_many(ex.Mul(ea, eb), pts, K_PARAMS)
     prod = ja * jb
     for got, want in [(prod.value, jab.value), (prod.grad, jab.grad), (prod.hess, jab.hess)]:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -264,9 +284,143 @@ def test_jet_multiplication_satisfies_product_rule(src_a, src_b):
 @given(_expr_source())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_pretty_print_round_trip(src):
-    e = parse(src)
-    again = parse(ex.to_source(e))
+    e = parse_k(src)
+    again = parse_k(ex.to_source(e))
     assert again == e
+
+
+# ---------------------------------------------------------------------------
+# tapes
+# ---------------------------------------------------------------------------
+
+
+def _all_equal(x, y):
+    return all(np.array_equal(a, b) for a, b in zip(x, y))
+
+
+@given(_expr_source())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_tape_kernels_agree_bit_for_bit(src):
+    """Values kernel, order-1 and order-2 jets kernels give the same values
+    (and the two jet orders the same gradients), and Hessians are exactly
+    symmetric."""
+    tape = ex.compile_tape(((parse_k(src),), K_PARAMS))
+    vals = ex.eval_scalar_many(tape, PROPERTY_POINTS)
+    jet1 = ex.eval_jet2_many(tape, PROPERTY_POINTS, order=1)
+    jet2 = ex.eval_jet2_many(tape, PROPERTY_POINTS)
+    assert jet1.hess is None
+    assert np.array_equal(vals, jet1.value) and np.array_equal(vals, jet2.value)
+    assert np.array_equal(jet1.grad, jet2.grad)
+    assert np.array_equal(jet2.hess, np.swapaxes(jet2.hess, -1, -2))
+
+
+@given(_expr_source(), _expr_source())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_tape_compiled_together_equals_compiled_alone(src_a, src_b):
+    """Sharing registers and constants between expressions changes no bit."""
+    ea, eb = parse_k(src_a), parse_k(src_b)
+    both = ex.compile_tape(((ea, eb), K_PARAMS))
+    alone = [ex.compile_tape(((e,), K_PARAMS)) for e in (ea, eb)]
+    vals = ex.eval_scalar_many(both, PROPERTY_POINTS)
+    jet = ex.eval_jet2_many(both, PROPERTY_POINTS)
+    for i, tape in enumerate(alone):
+        assert np.array_equal(vals[:, i], ex.eval_scalar_many(tape, PROPERTY_POINTS)[:, 0])
+        one = ex.eval_jet2_many(tape, PROPERTY_POINTS)
+        assert _all_equal(
+            (jet.value[:, i], jet.grad[:, i], jet.hess[:, i]),
+            (one.value[:, 0], one.grad[:, 0], one.hess[:, 0]),
+        )
+
+
+def test_bare_expression_matches_its_tape():
+    e = parse_k("(2+sin(u1*u2))^K/(1+u3^2)")
+    tape = ex.compile_tape(((e,), K_PARAMS))
+    assert np.array_equal(
+        ex.eval_scalar_many(e, PROPERTY_POINTS, K_PARAMS),
+        ex.eval_scalar_many(tape, PROPERTY_POINTS)[:, 0],
+    )
+    bare, taped = ex.eval_jet2_many(e, PROPERTY_POINTS, K_PARAMS), ex.eval_jet2_many(tape, PROPERTY_POINTS)
+    assert _all_equal((bare.value, bare.grad, bare.hess),
+                      (taped.value[:, 0], taped.grad[:, 0], taped.hess[:, 0]))
+
+
+def test_gas_frame_shares_the_sound_speed_product(corpus_cases):
+    """In ex6.1b, sqrt(gamma)*exp(S/2)*v^(-(gamma+1)/2) is the frame entry
+    R^2_1 and the third speed: one register, written by one instruction, and
+    the speed candidate adds no instruction to the frame's tape."""
+    from eigenframe.geometry import frame_tape
+
+    case = corpus_cases["ex6.1b"]
+    lam = next(c for k, c in case.candidates if k == "lambda")
+    product = ex.parse_expression(
+        "sqrt(gamma)*exp(S/2)*v^(-(gamma+1)/2)", case.spec.vars, case.spec.params)
+    assert case.spec.columns[0][1] == product == lam.exprs[2]
+    tape = frame_tape(case.spec, lam)
+    reg = tape.outputs[1 * 3 + 0]  # row a=1, column j=0
+    assert tape.outputs[9 + 2] == reg
+    assert sum(1 for *_, dst, a, b in tape.code if dst == reg) == 1
+    assert len(tape.code) == len(case.spec.tape.code)
+
+
+def test_spec_and_candidates_compile_once(corpus_cases, monkeypatch):
+    """A frame or candidate evaluated many times is compiled once."""
+    from eigenframe import corpus as corpus_mod
+    from eigenframe import systems as sy
+
+    calls = []
+    original = ex.compile_tape
+
+    def counting(*blocks):
+        calls.append(blocks)
+        return original(*blocks)
+
+    monkeypatch.setattr(ex, "compile_tape", counting)
+    case = corpus_mod.load_example(corpus_cases["ex6.1b"].path)
+    from eigenframe import geometry as g
+
+    for seed in range(4):
+        conn = g.eval_connection(case.spec, case.spec.sample_points(20, seed))
+        g.eval_frame_values(case.spec, conn.points)
+        for kind, cand in case.candidates:
+            (sy.beta_residual if kind == "beta" else sy.lambda_residual)(conn, cand)
+    assert len(calls) == 1 + len(case.candidates)
+
+
+# the reference messages are those of the recursive interpreter this tape
+# evaluator replaced; each violation sits at the second point
+DOMAIN_MESSAGES = [
+    ("ln(u1)", [-1.0, 2.0, 3.0], {},
+     "domain violation in 'ln(u1)' at point [-1.  2.  3.]: ln of non-positive value"),
+    ("sqrt(u1)", [0.0, 2.0, 3.0], {},
+     "domain violation in 'sqrt(u1)' at point [0. 2. 3.]: sqrt of non-positive value"),
+    ("u1/u2", [1.0, 0.0, 1.0], {},
+     "domain violation in 'u1/u2' at point [1. 0. 1.]: division by zero"),
+    ("u1^-2", [0.0, 1.0, 1.0], {},
+     "domain violation in 'u1^-2.0' at point [0. 1. 1.]: division by zero"),
+    ("u1^0.5", [-2.0, 1.0, 1.0], {},
+     "domain violation in 'u1^0.5' at point [-2.  1.  1.]: "
+     "non-integer power of non-positive base"),
+    ("u1^K", [-2.0, 1.0, 1.0], {"K": 2.0},
+     "domain violation in 'u1^K' at point [-2.  1.  1.]: "
+     "non-integer power of non-positive base"),
+    ("exp(800*u1)", [1.0, 1.0, 1.0], {},
+     "domain violation in 'exp(800.0*u1)' at point [1. 1. 1.]: non-finite value"),
+]
+
+
+@pytest.mark.parametrize("src, bad, params, message", DOMAIN_MESSAGES)
+def test_domain_error_messages_pinned(src, bad, params, message):
+    e = parse(src, params=tuple(params))
+    pts = np.array([[0.5, 1.5, 1.0], bad, [0.0, 0.0, 0.0]])
+    runs = [
+        lambda: ex.eval_scalar_many(e, pts, params),
+        lambda: ex.eval_jet2_many(e, pts, params),
+        lambda: ex.eval_jet2_many(e, pts, params, order=1),
+    ]
+    for run in runs:
+        with pytest.raises(DomainError) as err:
+            run()
+        assert str(err.value) == message
 
 
 def test_symbolic_derivative_matches_jet_gradient():

@@ -445,3 +445,26 @@ def test_csv_matches_row_by_row_formatting():
     for row, node in enumerate(grid.nodes()):
         writer.writerow([f"{v:.17g}" for v in node] + [f"{col[row]:.17g}" for col in columns])
     assert grid.to_csv(["w1", "w2"]) == out.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["eta", "q"])
+def test_frame_inverted_once_per_point_set(corpus_cases, monkeypatch, kind):
+    """The frame and its candidates are evaluated and inverted once per ray
+    parameter (q's Hessian and flux fields share it) and once on the
+    closedness probes."""
+    seen = []
+    original = pot._invert_frame
+
+    def recording(points, R):
+        seen.append(np.ascontiguousarray(points).tobytes())
+        return original(points, R)
+
+    monkeypatch.setattr(pot, "_invert_frame", recording)
+    case = corpus_cases["ex6.1b"]
+    lam = next(c for k, c in case.candidates if k == "lambda")
+    bet = [c for k, c in case.candidates if k == "beta"][1]
+    if kind == "eta":
+        pot.reconstruct_eta(case.spec, bet, case.spec.base_point, (4, 4, 4))
+    else:
+        pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (4, 4, 4))
+    assert seen and len(seen) == len(set(seen)), (len(seen), len(set(seen)))
