@@ -114,16 +114,13 @@ def _row_activity(matrices: np.ndarray, tol: float, trace: _Trace, tag: str) -> 
 
     Activity is judged per sample (the constraint direction may rotate with
     the base point) and aggregated by the maximum over samples."""
-    m = matrices.shape[0]
     activity = np.zeros(matrices.shape[2])
-    for p in range(m):
-        mat = matrices[p]
-        norms = np.linalg.norm(mat, axis=1)
-        if norms.max() <= 0:
-            continue
-        _, svals, vt = np.linalg.svd(mat)
-        v = np.abs(vt[0])
-        activity = np.maximum(activity, v / v.max())
+    # an all-zero matrix has no row space; its singular vectors are arbitrary
+    zero = np.linalg.norm(matrices, axis=2).max(axis=1) <= 0
+    if not zero.all():
+        _, _, vt = np.linalg.svd(matrices[~zero])
+        v = np.abs(vt[:, 0])
+        activity = (v / v.max(axis=1, keepdims=True)).max(axis=0)
     active = []
     for i, a in enumerate(activity):
         active.append(not _vanishes(f"{tag} coefficient of unknown {i + 1}", float(a), tol, trace))
@@ -409,7 +406,7 @@ def _row_rank_and_nulls(rows, tol, trace, tag):
     stack = _stack_rows(rows)
     scale = 1.0 + np.abs(stack).max()
     stack = stack / scale
-    svals = np.linalg.svd(stack, compute_uv=False)  # (m, 2)
+    _, svals, vt = np.linalg.svd(stack)  # svals (m, 2)
     s1 = float(svals[:, 0].max())
     s2 = float(svals[:, 1].max())
     trace.note(f"{tag} leading singular value", s1, "info")
@@ -417,7 +414,6 @@ def _row_rank_and_nulls(rows, tol, trace, tag):
     if _vanishes(f"{tag} rank>=1 indicator", s1, tol, trace):
         return 0, None
     if _vanishes(f"{tag} rank=2 indicator", s2, tol, trace):
-        _, _, vt = np.linalg.svd(stack)
         nulls = vt[:, -1, :]
         nulls = nulls / np.linalg.norm(nulls, axis=1)[:, None]
         return 1, nulls

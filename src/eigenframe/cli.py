@@ -55,7 +55,6 @@ from .errors import (
 from .geometry import eval_connection, scale_frame
 from .systems import (
     BetaCandidate,
-    LambdaCandidate,
     beta_residual,
     convexity_classify,
     lambda_residual,
@@ -108,12 +107,10 @@ class RunConfig:
 def _load_case(path: str):
     """A frame file is an example document; candidate entries are optional."""
     doc = json.loads(Path(path).read_text())
-    if "candidates" not in doc:
-        doc = {**doc, "candidates": []}
-    if "expected" not in doc:
-        doc = {**doc, "expected": {
+    if isinstance(doc, dict):  # anything else is left to the schema to reject
+        doc = {"candidates": [], "expected": {
             "rich": False, "rank_beta": 0, "rank_lambda": 0,
-            "lambda_case": "not_n3", "beta_case": "not_n3"}}
+            "lambda_case": "not_n3", "beta_case": "not_n3"}, **doc}
     return corpus_mod.load_example_from_doc(doc, source=str(path))
 
 
@@ -123,16 +120,7 @@ def _load_frame(path: str):
 
 def _load_candidate(path: str, vars, params):
     doc = json.loads(Path(path).read_text())
-    if "kind" not in doc or "exprs" not in doc:
-        raise SchemaError(f"{path}: candidate file needs 'kind' and 'exprs'")
-    cparams = {**params, **doc.get("params", {})}
-    if doc["kind"] == "beta":
-        return "beta", BetaCandidate.from_sources(
-            doc["exprs"], vars, cparams, doc.get("closed_eta"))
-    if doc["kind"] == "lambda":
-        return "lambda", LambdaCandidate.from_sources(
-            doc["exprs"], vars, cparams, doc.get("closed_f"))
-    raise SchemaError(f"{path}: unknown candidate kind {doc['kind']!r}")
+    return corpus_mod.load_candidate(doc, vars, params, source=str(path))
 
 
 def _emit(report: dict, config: RunConfig):

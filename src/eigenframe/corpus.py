@@ -136,21 +136,54 @@ def load_example(path) -> ExampleCase:
     return load_example_from_doc(doc, source=str(path))
 
 
+_SCHEMAS = {"example": SCHEMA, "candidate": SCHEMA["properties"]["candidates"]["items"]}
+
+
 @lru_cache(maxsize=None)
-def _schema_validator():
-    """SCHEMA's validator, checked against its metaschema once, on first use
-    (jsonschema.validate repeats that check on every call)."""
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
+def _schema_validator(name: str):
+    """The validator of an example or a candidate document, checked against
+    its metaschema once, on first use (jsonschema.validate repeats that
+    check on every call)."""
+    schema = _SCHEMAS[name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(name: str, doc, source: str):
+    # the error jsonschema.validate would raise
+    err = jsonschema.exceptions.best_match(_schema_validator(name).iter_errors(doc))
+    if err is not None:
+        raise SchemaError(f"{source}: {err.message}") from err
+
+
+def _candidate(doc: dict, vars, params, source: str) -> tuple:
+    """(kind, candidate) from a schema-valid candidate document with one
+    expression per variable; its params override the frame's."""
+    if len(doc["exprs"]) != len(vars):
+        raise SchemaError(
+            f"{source}: a {doc['kind']} candidate needs n={len(vars)} expressions, "
+            f"got {len(doc['exprs'])}"
+        )
+    cparams = {**params, **doc.get("params", {})}
+    if doc["kind"] == "beta":
+        return "beta", BetaCandidate.from_sources(
+            doc["exprs"], vars, cparams, doc.get("closed_eta"))
+    return "lambda", LambdaCandidate.from_sources(
+        doc["exprs"], vars, cparams, doc.get("closed_f"))
+
+
+def load_candidate(doc, vars, params, source: str = "<memory>") -> tuple:
+    """(kind, candidate) from a candidate document for a frame with the
+    given variables and params; a document that is not one raises
+    SchemaError."""
+    _validate("candidate", doc, source)
+    return _candidate(doc, vars, params, source)
 
 
 def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     path = source
-    # the error jsonschema.validate would raise
-    err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(doc))
-    if err is not None:
-        raise SchemaError(f"{path}: {err.message}") from err
+    _validate("example", doc, path)
     n = doc["n"]
     vars = doc["vars"]
     if len(vars) != n or len(doc["frame"]) != n or any(len(c) != n for c in doc["frame"]):
@@ -169,19 +202,11 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
             base_point=doc["base"],
             chart=chart,
         )
-        candidates = []
-        for cand in doc["candidates"]:
-            cparams = {**params, **cand.get("params", {})}
-            if cand["kind"] == "beta":
-                candidates.append(
-                    ("beta", BetaCandidate.from_sources(
-                        cand["exprs"], vars, cparams, cand.get("closed_eta")))
-                )
-            else:
-                candidates.append(
-                    ("lambda", LambdaCandidate.from_sources(
-                        cand["exprs"], vars, cparams, cand.get("closed_f")))
-                )
+        # the example schema has validated every candidate document
+        candidates = [
+            _candidate(cand, vars, params, f"candidate {idx}")
+            for idx, cand in enumerate(doc["candidates"])
+        ]
     except EigenframeError as err:
         raise CorpusParseError(path, str(err)) from err
     base = np.asarray(doc["base"], dtype=float)

@@ -244,12 +244,6 @@ def eval_frame_jets(spec: FrameSpec, points: np.ndarray):
     return points, frame_block(jet.value, n), frame_block(jet.grad, n), frame_block(jet.hess, n)
 
 
-def eval_frame_values(spec: FrameSpec, points: np.ndarray):
-    """Values of all frame entries at points, without derivatives."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return points, frame_block(ex.eval_scalar_many(spec.tape, points), spec.n)
-
-
 def _adjugate_det3(R: np.ndarray) -> tuple:
     """Adjugate and determinant of a batch of 3x3 matrices by cofactor
     expansion; nine array products cost less than a LAPACK call per

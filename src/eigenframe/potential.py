@@ -1,4 +1,5 @@
-"""Curl tests and reconstruction of potentials by ray integration.
+"""Curl tests and reconstruction of potentials by ray integration, the one
+integration scheme of every potential, flux map and entropy flux.
 
 Given a frame and a verified length candidate b, the matrix field
 L^T diag[b] L is the Hessian of the scalar potential being reconstructed;
@@ -16,12 +17,11 @@ with grad eta carried along the ray by a Legendre-basis cumulative-integration
 matrix at the Gauss nodes.  All nodes are integrated together, one
 values-only field evaluation over the grid per ray parameter: one tape run
 over the frame and the candidates, and one inversion of the frame, which
-the Hessian and flux fields of q share.  A Gauss-
-Legendre pair of Q and 2Q nodes estimates the error of every ray; rays over
-the tolerance are split into panels.  Curl tests gate every integration;
-path independence is checked by a second family of rays from another grid
-node.  Single line integrals (integrate_jacobian) run along axis-ordered
-staircase paths with an adaptive Gauss-Legendre 7/15 pair.
+the Hessian and flux fields of q share.  A Gauss-Legendre pair of Q and 2Q
+nodes estimates the error of every ray; rays over the tolerance are split
+into panels, and a ray that does not converge raises
+QuadratureFailureError.  Curl tests gate every integration; path
+independence is checked by a second family of rays from another grid node.
 
 The chart-space boundary-value solver (solve_rich_beta) fills a grid with
 the unique solution determined by one single-variable function per axis,
@@ -55,6 +55,7 @@ from .geometry import (
     eval_connection,
     frame_block,
     frame_tape,
+    pullback_connection,
 )
 from .systems import BetaCandidate, LambdaCandidate, require_rich
 
@@ -202,92 +203,6 @@ def curl_residual(field: MatrixField, points: np.ndarray) -> float:
     """Max over rows k and pairs i<j of |d_i M[k,j] - d_j M[k,i]|,
     normalized by the field magnitude."""
     return _curl(*field.value_grad(points))
-
-
-# ---------------------------------------------------------------------------
-# Adaptive Gauss-Legendre quadrature (7/15 pair)
-# ---------------------------------------------------------------------------
-
-_G7 = np.polynomial.legendre.leggauss(7)
-_G15 = np.polynomial.legendre.leggauss(15)
-
-
-def _fixed_gauss(fvec, a: float, b: float, rule) -> np.ndarray:
-    nodes, weights = rule
-    x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-    vals = fvec(x)
-    return 0.5 * (b - a) * np.einsum("q,q...->...", weights, vals)
-
-def adaptive_gauss_segment(
-    fvec: Callable, a: float, b: float, tol: float = DEFAULT_QUAD_TOL, depth: int = 0
-) -> np.ndarray:
-    """Adaptive integral of a (vector-valued) function over [a, b]; the
-    error estimate is the difference of 7- and 15-point Gauss rules."""
-    coarse = _fixed_gauss(fvec, a, b, _G7)
-    fine = _fixed_gauss(fvec, a, b, _G15)
-    err = float(np.abs(fine - coarse).max())
-    if err < tol or (b - a) < 1e-14:
-        return fine
-    if depth > 48:
-        raise QuadratureFailureError(
-            f"segment [{a}, {b}] did not converge (error {err:.3e} > {tol:.1e})"
-        )
-    mid = 0.5 * (a + b)
-    return adaptive_gauss_segment(fvec, a, mid, tol / 2, depth + 1) + adaptive_gauss_segment(
-        fvec, mid, b, tol / 2, depth + 1
-    )
-
-
-# ---------------------------------------------------------------------------
-# Staircase integration
-# ---------------------------------------------------------------------------
-
-
-def _staircase_legs(base: np.ndarray, target: np.ndarray, order: Sequence[int]):
-    """Axis-ordered legs from base to target: list of (axis, start_point,
-    t0, t1) with the path holding earlier axes at target values."""
-    legs = []
-    current = np.array(base, dtype=float)
-    for axis in order:
-        start = current.copy()
-        t0, t1 = current[axis], target[axis]
-        if t0 != t1:
-            legs.append((axis, start, t0, t1))
-        current[axis] = t1
-    return legs
-
-
-def integrate_jacobian(
-    field: MatrixField,
-    base: Sequence[float],
-    target: Sequence[float],
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    curl_tol: float = DEFAULT_CURL_TOL,
-    order: Optional[Sequence[int]] = None,
-    check_curl: bool = True,
-) -> np.ndarray:
-    """The map F with DF = M and F(base) = 0, evaluated at target by line
-    integrals along the axis-ordered staircase."""
-    base = np.asarray(base, dtype=float)
-    target = np.asarray(target, dtype=float)
-    order = list(order) if order is not None else list(range(field.n))
-    legs = _staircase_legs(base, target, order)
-    if check_curl:
-        probes = [0.5 * (base + target), base, target] + [
-            leg[1] for leg in legs
-        ]
-        res = curl_residual(field, np.array(probes))
-        if res > curl_tol:
-            raise CurlViolationError(res, curl_tol)
-    F = np.zeros(field.n)
-    for axis, start, t0, t1 in legs:
-        def column(ts, axis=axis, start=start):
-            pts = np.tile(start, (len(ts), 1))
-            pts[:, axis] = ts
-            return field.values(pts)[:, :, axis]
-
-        F = F + adaptive_gauss_segment(column, t0, t1, quad_tol)
-    return F
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +583,6 @@ def solve_rich_beta(
     require_rich(eval_connection(spec, spec.sample_points(30)), 1e-7)
     mesh = np.meshgrid(*axes, indexing="ij")
     w_pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    from .geometry import pullback_connection
-
     pb = pullback_connection(spec, chart, w_pts)
     shape = tuple(counts)
     Z = pb.Z.reshape(shape + (n, n, n))
@@ -679,25 +592,21 @@ def solve_rich_beta(
         raise NotRankZeroError(
             f"chart-space cross components do not vanish (max scaled {cross:.3e})"
         )
-    gamma = [
+    boundary = [
         np.broadcast_to(
             boundary_fns[j](axes[j]).reshape(
                 tuple(len(axes[j]) if d == j else 1 for d in range(n))
             ),
             shape,
-        ).copy()
+        )
         for j in range(n)
     ]
+    gamma = [b.copy() for b in boundary]
     prev_delta = np.inf
     for sweep in range(max_sweeps):
         new = []
         for j in range(n):
-            acc = np.broadcast_to(
-                boundary_fns[j](axes[j]).reshape(
-                    tuple(len(axes[j]) if d == j else 1 for d in range(n))
-                ),
-                shape,
-            ).copy()
+            acc = boundary[j].copy()
             for i in range(n):
                 if i == j:
                     continue

@@ -95,12 +95,10 @@ class LambdaCandidate:
         return LambdaCandidate(_parse_all(sources, vars, params), params, f)
 
 
-def eval_candidate(exprs, points: np.ndarray, params: Mapping[str, float] = {}):
-    """Values (m, n_fields) and u-gradients (m, n_fields, n) of candidate
-    fields: a candidate's tape, or a sequence of expressions compiled with
-    params."""
+def eval_candidate(tape: ex.Tape, points: np.ndarray):
+    """Values (m, n_fields) and u-gradients (m, n_fields, n) of a candidate's
+    fields from its tape."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    tape = exprs if isinstance(exprs, ex.Tape) else ex.compile_tape((tuple(exprs), params))
     jet = ex.eval_jet2_many(tape, points, order=1)
     return jet.value, jet.grad
 

@@ -140,6 +140,24 @@ def test_rich_rank1_end_to_end(corpus_cases):
     assert case == "rich-3"
 
 
+def test_row_activity_matches_per_sample_loop():
+    """One batched SVD gives the activity of the per-sample loop bit for
+    bit; an all-zero sample is skipped, not read as active."""
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((40, 1, 1)) * np.array([1e-12, -0.5, 1.0])
+    matrices = np.concatenate([rows, 2 * rows, np.zeros((40, 1, 3))], axis=1)
+    matrices[7] = 0.0
+    expected = np.zeros(3)
+    for mat in matrices:
+        if np.linalg.norm(mat, axis=1).max() <= 0:
+            continue
+        v = np.abs(np.linalg.svd(mat)[2][0])
+        expected = np.maximum(expected, v / v.max())
+    trace = cl._Trace()
+    assert cl._row_activity(matrices, 1e-6, trace, "rows") == [False, True, True]
+    assert [value for _, value, _ in trace] == expected.tolist()
+
+
 # ---------------------------------------------------------------------------
 # invariance properties
 # ---------------------------------------------------------------------------

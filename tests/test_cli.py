@@ -190,3 +190,25 @@ def test_directory_argument_is_input_error(tmp_path, capsys, command):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("role, payload", [
+    ("frame", [1, 2]),
+    ("frame", 5),
+    ("candidate", 7),
+    ("candidate", {"kind": "beta", "exprs": [1, 2, 3]}),
+    ("candidate", {"kind": "beta", "exprs": ["1", "1"]}),
+    ("candidate", {"kind": "beta", "exprs": ["1", "1", "1", "1"]}),
+], ids=["frame-list", "frame-number", "candidate-number", "exprs-not-strings",
+        "two-components", "four-components"])
+def test_malformed_document_is_input_error(tmp_path, capsys, role, payload):
+    """A frame or candidate document of the wrong shape exits 2 with one
+    error line that names the file, and no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = ["analyze", str(bad)]
+    if role == "candidate":
+        argv = ["verify", corpus_path("ex6.10.json"), str(bad)]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err

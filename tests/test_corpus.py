@@ -76,6 +76,15 @@ def test_load_rejects_missing_field(tmp_path):
         corpus_mod.load_example(bad)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_load_rejects_candidate_of_wrong_length(count):
+    doc = _valid_doc()
+    cand = doc["candidates"][0]
+    cand["exprs"] = (cand["exprs"] * 2)[:count]
+    with pytest.raises(CorpusParseError, match=f"doc.json: candidate 0: .* got {count}"):
+        corpus_mod.load_example_from_doc(doc, source="doc.json")
+
+
 def test_load_rejects_base_outside_domain(tmp_path):
     doc = _valid_doc()
     doc["base"] = [5.0, 5.0, 5.0]

@@ -380,7 +380,6 @@ def test_spec_and_candidates_compile_once(corpus_cases, monkeypatch):
 
     for seed in range(4):
         conn = g.eval_connection(case.spec, case.spec.sample_points(20, seed))
-        g.eval_frame_values(case.spec, conn.points)
         for kind, cand in case.candidates:
             (sy.beta_residual if kind == "beta" else sy.lambda_residual)(conn, cand)
     assert len(calls) == 1 + len(case.candidates)

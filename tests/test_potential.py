@@ -1,4 +1,4 @@
-"""Curl tests, line integrals, reconstruction by ray integration, gauge
+"""Curl tests, the ray quadrature, reconstruction by ray integration, gauge
 comparison, and the chart-space boundary-value solver."""
 
 from __future__ import annotations
@@ -27,20 +27,33 @@ def standard_frame():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# ray quadrature
 # ---------------------------------------------------------------------------
 
 
+def _no_scalars(d):
+    return np.empty((0,) + d.shape)
+
+
 def test_adaptive_quadrature_known_integral():
-    val = pot.adaptive_gauss_segment(lambda t: np.exp(t), 0.0, 2.0, 1e-12)
-    assert abs(val - (np.exp(2.0) - 1.0)) < 1e-12
+    """The ray from 0 to 2 carries G(1) = int_0^2 e^t dt."""
+
+    def rates(pts, d):
+        return np.exp(pts) * d, _no_scalars(d)
+
+    G, _ = pot._ray_family(rates, np.zeros(1), np.array([[2.0]]), 1e-12, 0.0)
+    assert abs(G[0, 0] - (np.exp(2.0) - 1.0)) < 1e-12
 
 
 def test_adaptive_quadrature_vector_integrand():
-    val = pot.adaptive_gauss_segment(
-        lambda t: np.stack([np.sin(t), np.cos(t)], axis=1), 0.0, np.pi / 2, 1e-12
-    )
-    assert np.abs(val - np.array([1.0, 1.0])).max() < 1e-12
+    """The diagonal ray to (pi/2, pi/2) carries (int sin, int cos) over
+    [0, pi/2]."""
+
+    def rates(pts, d):
+        return np.stack([np.sin(pts[:, 0]), np.cos(pts[:, 1])], axis=1) * d, _no_scalars(d)
+
+    G, _ = pot._ray_family(rates, np.zeros(2), np.full((1, 2), np.pi / 2), 1e-12, 0.0)
+    assert np.abs(G[0] - np.array([1.0, 1.0])).max() < 1e-12
 
 
 def test_cumulative_simpson_fourth_order():
@@ -76,7 +89,7 @@ def test_non_solution_trips_curl_detector(corpus_cases):
     field = pot.length_hessian_field(spec, bad)
     assert pot.curl_residual(field, spec.sample_points(20)) > 1e-3
     with pytest.raises(CurlViolationError):
-        pot.integrate_jacobian(field, [1.2, 1.2, 1.2], [1.8, 1.8, 1.8])
+        pot.reconstruct_eta(spec, bad, spec.base_point, (5, 5, 5))
 
 
 def test_matrix_fields_match_einsum_formulas(corpus_cases):
@@ -89,8 +102,7 @@ def test_matrix_fields_match_einsum_formulas(corpus_cases):
     L = np.linalg.inv(R)
     Lgrad = -np.einsum("mkp,mpqd,mqa->mkad", L, Rgrad, L)
     for kind, cand in case.candidates:
-        params = {**spec.params, **cand.params}
-        vals, grads = sy.eval_candidate(cand.exprs, pts, params)  # grads: (m, k, d)
+        vals, grads = sy.eval_candidate(cand.tape, pts)  # grads: (m, k, d)
         if kind == "beta":
             field = pot.length_hessian_field(spec, cand)
             V = np.einsum("mka,mk,mkb->mab", L, vals, L)
@@ -114,31 +126,25 @@ def test_matrix_fields_match_einsum_formulas(corpus_cases):
 
 
 # ---------------------------------------------------------------------------
-# line integrals along staircases
+# reconstruction by ray integration
 # ---------------------------------------------------------------------------
 
 
 def test_identity_field_integrates_to_displacement():
     spec = standard_frame()
     lam = sy.LambdaCandidate.from_sources(["1", "1", "1"], V3)
-    field = pot.flux_jacobian_field(spec, lam)
-    F = pot.integrate_jacobian(field, [0, 0, 0], [0.3, 0.7, 0.2])
-    assert np.abs(F - np.array([0.3, 0.7, 0.2])).max() < 1e-12
+    grid = pot.reconstruct_flux(spec, lam, (0.0, 0.0, 0.0), (5, 5, 5))
+    assert np.abs(grid.values["f"].reshape(-1, 3) - grid.nodes()).max() < 1e-12
 
 
-def test_staircase_order_independence(corpus_cases):
+def test_ray_families_agree_on_subbox(corpus_cases):
+    """Rays from the base corner and from the opposite corner of a sub-box
+    give the same flux map."""
     case = corpus_cases["ex6.6"]
     lam = next(c for k, c in case.candidates if k == "lambda")
-    field = pot.flux_jacobian_field(case.spec, lam)
-    base, target = [1.2, 1.7, 1.2], [1.9, 2.4, 1.9]
-    f_fwd = pot.integrate_jacobian(field, base, target, order=(0, 1, 2))
-    f_rev = pot.integrate_jacobian(field, base, target, order=(2, 1, 0))
-    assert np.abs(f_fwd - f_rev).max() < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# reconstruction by ray integration
-# ---------------------------------------------------------------------------
+    box = ((1.2, 1.7, 1.2), (1.9, 2.4, 1.9))
+    grid = pot.reconstruct_flux(case.spec, lam, box[0], (5, 5, 5), box=box)
+    assert grid.meta["path_independence_residual"] < 1e-8
 
 
 def test_flux_reconstruction_matches_closed_form(corpus_cases):
@@ -407,7 +413,7 @@ def test_flux_jacobian_eigendecomposes_to_candidate(corpus_cases):
     pts = case.spec.sample_points(20)
     A = field.values(pts)
     _, R, _, _ = g.eval_frame_jets(case.spec, pts)
-    vals, _ = sy.eval_candidate(lam.exprs, pts, {**case.spec.params, **lam.params})
+    vals, _ = sy.eval_candidate(lam.tape, pts)
     worst = 0.0
     for i in range(3):
         res = np.einsum("mab,mb->ma", A, R[:, :, i]) - vals[:, i][:, None] * R[:, :, i]
