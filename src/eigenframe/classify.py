@@ -17,7 +17,10 @@ its algebraic part.  Case labels:
 
 Vanishing verdicts use a two-threshold scheme: a scaled magnitude below
 tol counts as zero, above 10*tol as nonzero, and anything in between
-raises InconclusiveVanishingError rather than silently guessing.
+raises InconclusiveVanishingError rather than silently guessing.  The
+non-rich branches read the connection as Taylor fields (ConnectionEval.
+taylor), so every coefficient, frame derivative and integrability row
+they test is exact, on the one sample set.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .errors import (
 )
 from .geometry import (
     ConnectionEval,
+    Taylor,
     chart_forward,
-    eval_connection,
     is_rich,
 )
 from .systems import beta_algebraic, generic_rank, lambda_algebraic
@@ -57,7 +60,6 @@ FREEDOM = {
 }
 
 CLASSIFY_TOL = 1e-6  # vanishing tolerance for classifier coefficients
-_FD_STEP = 1e-4
 
 
 @dataclass
@@ -158,66 +160,33 @@ class _PermView:
     """Connection components relabeled by a permutation, with 1-based index
     accessors so the classifier code reads like the underlying formulas.
 
-    Derivatives of the Christoffel symbols (and hence of the constraint
-    coefficients alpha) are exact; only derivatives of already
-    alpha-derivative-bearing coefficients need finite differencing.
+    G and C are Taylor fields of the view's order, and r(d, f) is the exact
+    derivative of a field along frame direction d, one order lower; so every
+    coefficient and each of its frame derivatives is exact.
     """
 
-    def __init__(self, conn: ConnectionEval, perm: tuple):
+    def __init__(self, conn: ConnectionEval, perm: tuple, order: int = 2):
         self.conn = conn
         self.perm = perm
+        self.gamma = conn.taylor(order)
 
-    def G(self, i: int, j: int, k: int) -> np.ndarray:
+    def G(self, i: int, j: int, k: int) -> Taylor:
         p = self.perm
-        return self.conn.Gamma[:, p[i - 1], p[j - 1], p[k - 1]]
+        return self.gamma[:, p[i - 1], p[j - 1], p[k - 1]]
 
-    def C(self, i: int, j: int, k: int) -> np.ndarray:
-        p = self.perm
-        return self.conn.c[:, p[i - 1], p[j - 1], p[k - 1]]
+    def C(self, i: int, j: int, k: int) -> Taylor:
+        return self.G(i, j, k) - self.G(j, i, k)
 
-    def dG(self, d: int, i: int, j: int, k: int) -> np.ndarray:
-        """r_d(Gamma[i,j,k]) in permuted labels (exact)."""
-        p = self.perm
-        return self.conn.dGamma[:, p[d - 1], p[i - 1], p[j - 1], p[k - 1]]
-
-    def dC(self, d: int, i: int, j: int, k: int) -> np.ndarray:
-        return self.dG(d, i, j, k) - self.dG(d, j, i, k)
+    def r(self, d: int, f: Taylor) -> Taylor:
+        """r_d(f) in permuted labels."""
+        return self.conn.r(self.perm[d - 1], f)
 
     # constraint coefficients beta^1 = alpha2 beta^2 + alpha3 beta^3
-    def alpha2(self) -> np.ndarray:
+    def alpha2(self) -> Taylor:
         return -self.G(3, 1, 2) / self.C(3, 2, 1)
 
-    def alpha3(self) -> np.ndarray:
+    def alpha3(self) -> Taylor:
         return self.G(2, 1, 3) / self.C(3, 2, 1)
-
-    def dalpha2(self, d: int) -> np.ndarray:
-        c = self.C(3, 2, 1)
-        return -(self.dG(d, 3, 1, 2) * c - self.G(3, 1, 2) * self.dC(d, 3, 2, 1)) / c**2
-
-    def dalpha3(self, d: int) -> np.ndarray:
-        c = self.C(3, 2, 1)
-        return (self.dG(d, 2, 1, 3) * c - self.G(2, 1, 3) * self.dC(d, 3, 2, 1)) / c**2
-
-
-def _displaced_views(conn: ConnectionEval, perm: tuple, h: float):
-    """Views at points displaced along each (unit) frame direction, plus the
-    field norms, for central finite differences r_d(f)."""
-    spec = conn.spec
-    out = []
-    for d in range(3):
-        col = conn.R[:, :, perm[d]]
-        norm = np.linalg.norm(col, axis=1)
-        unit = col / norm[:, None]
-        plus = _PermView(eval_connection(spec, conn.points + h * unit), perm)
-        minus = _PermView(eval_connection(spec, conn.points - h * unit), perm)
-        out.append((plus, minus, norm))
-    return out
-
-
-def _fd(build, views, d: int, h: float) -> np.ndarray:
-    plus, minus, norm = views[d - 1]
-    diff = (build(plus) - build(minus)) / (2 * h)
-    return diff * norm.reshape((-1,) + (1,) * (diff.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +203,9 @@ def normalize_indices(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> list:
     scale = conn.gamma_scale()
     preferred, fallback = [], []
     for perm in itertools.permutations(range(3)):
-        view = _PermView(conn, perm)
-        cmin = float((np.abs(view.C(3, 2, 1)) / scale).min())
-        gmin = float((np.abs(view.G(3, 2, 1)) / scale).min())
+        view = _PermView(conn, perm, 0)
+        cmin = float((np.abs(view.C(3, 2, 1).value) / scale).min())
+        gmin = float((np.abs(view.G(3, 2, 1).value) / scale).min())
         if cmin > 10 * tol:
             (preferred if gmin > 10 * tol else fallback).append(perm)
     found = preferred + fallback
@@ -319,91 +288,43 @@ def classify_beta_rich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) ->
 # ---------------------------------------------------------------------------
 
 
-def _phi_psi(view: _PermView) -> tuple:
-    """Coefficient arrays phi[i,s], psi[i,s] of r_i(b^s) = phi b^2 + psi b^3
-    for the all-three-appear case; i in 1..3, s in {2,3}.  Shapes (m, 3, 2)."""
+def _system_all_three(view: _PermView) -> Taylor:
+    """The fully-prescribed system r_i(b) = M_i b, b = (b^2, b^3), of the
+    all-three-appear case: M (m, i, s, t) with M[i, s] = (phi[i,s],
+    psi[i,s]) the coefficients of r_i(b^s) = phi b^2 + psi b^3."""
     a2, a3 = view.alpha2(), view.alpha3()
-    da2 = {d: view.dalpha2(d) for d in (2, 3)}
-    da3 = {d: view.dalpha3(d) for d in (2, 3)}
-    G, C = view.G, view.C
-    m = a2.shape[0]
-    phi = np.zeros((m, 3, 2))
-    psi = np.zeros((m, 3, 2))
-    # s = 2 column 0; s = 3 column 1
-    phi[:, 0, 0] = G(1, 2, 2) + C(1, 2, 2) - a2 * G(2, 2, 1)
-    psi[:, 0, 0] = -a3 * G(2, 2, 1)
-    phi[:, 1, 0] = (a2 * (G(2, 1, 1) + C(2, 1, 1)) - da2[2] + a3 * G(3, 3, 2) - G(1, 1, 2)) / a2
-    psi[:, 1, 0] = (a3 * (G(2, 1, 1) + C(2, 1, 1) - G(2, 3, 3) - C(2, 3, 3)) - da3[2]) / a2
-    phi[:, 2, 0] = G(3, 2, 2) + C(3, 2, 2)
-    psi[:, 2, 0] = -G(2, 2, 3)
-    phi[:, 0, 1] = -a2 * G(3, 3, 1)
-    psi[:, 0, 1] = G(1, 3, 3) + C(1, 3, 3) - a3 * G(3, 3, 1)
-    phi[:, 1, 1] = -G(3, 3, 2)
-    psi[:, 1, 1] = G(2, 3, 3) + C(2, 3, 3)
-    phi[:, 2, 1] = (a2 * (G(3, 1, 1) + C(3, 1, 1) - G(3, 2, 2) - C(3, 2, 2)) - da2[3]) / a3
-    psi[:, 2, 1] = (a3 * (G(3, 1, 1) + C(3, 1, 1)) - da3[3] + a2 * G(2, 2, 3) - G(1, 1, 3)) / a3
-    return phi, psi
+    G, C, r = view.G, view.C, view.r
+    return Taylor.stack([
+        [[G(1, 2, 2) + C(1, 2, 2) - a2 * G(2, 2, 1), -a3 * G(2, 2, 1)],
+         [-a2 * G(3, 3, 1), G(1, 3, 3) + C(1, 3, 3) - a3 * G(3, 3, 1)]],
+        [[(a2 * (G(2, 1, 1) + C(2, 1, 1)) - r(2, a2) + a3 * G(3, 3, 2) - G(1, 1, 2)) / a2,
+          (a3 * (G(2, 1, 1) + C(2, 1, 1) - G(2, 3, 3) - C(2, 3, 3)) - r(2, a3)) / a2],
+         [-G(3, 3, 2), G(2, 3, 3) + C(2, 3, 3)]],
+        [[G(3, 2, 2) + C(3, 2, 2), -G(2, 2, 3)],
+         [(a2 * (G(3, 1, 1) + C(3, 1, 1) - G(3, 2, 2) - C(3, 2, 2)) - r(3, a2)) / a3,
+          (a3 * (G(3, 1, 1) + C(3, 1, 1)) - r(3, a3) + a2 * G(2, 2, 3) - G(1, 1, 3)) / a3]],
+    ])
 
 
-def _case_all_three_rows(conn, perm):
-    """Six integrability rows A b^2 + B b^3 = 0 of the fully-prescribed
-    system, via commutators evaluated with exact first-level coefficients
-    and single-level finite differences of those coefficients."""
-    view = _PermView(conn, perm)
-    phi, psi = _phi_psi(view)
-    views = _displaced_views(conn, perm, _FD_STEP)
-
-    def phi_of(v):
-        return _phi_psi(v)[0]
-
-    def psi_of(v):
-        return _phi_psi(v)[1]
-
-    dphi = {d: _fd(phi_of, views, d, _FD_STEP) for d in (1, 2, 3)}
-    dpsi = {d: _fd(psi_of, views, d, _FD_STEP) for d in (1, 2, 3)}
-    m = phi.shape[0]
+def _case_all_three_rows(view: _PermView) -> tuple:
+    """M and the six integrability rows [A, B] of A b^2 + B b^3 = 0, shape
+    (m, 6, 2): the commutator identities
+    r_i(M_j) - r_j(M_i) + M_j M_i - M_i M_j - sum_k c[i,j,k] M_k = 0
+    for each pair i < j, row s of each."""
+    M = _system_all_three(view)
     rows = []
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        csum_phi = np.zeros((m, 2))
-        csum_psi = np.zeros((m, 2))
-        for k in (1, 2, 3):
-            cc = view.C(i, j, k)[:, None]
-            csum_phi += cc * phi[:, k - 1, :]
-            csum_psi += cc * psi[:, k - 1, :]
-        for s_col in (0, 1):
-            a_row = (
-                dphi[i][:, j - 1, s_col]
-                - dphi[j][:, i - 1, s_col]
-                + phi[:, j - 1, s_col] * phi[:, i - 1, 0]
-                + psi[:, j - 1, s_col] * phi[:, i - 1, 1]
-                - phi[:, i - 1, s_col] * phi[:, j - 1, 0]
-                - psi[:, i - 1, s_col] * phi[:, j - 1, 1]
-                - csum_phi[:, s_col]
-            )
-            b_row = (
-                dpsi[i][:, j - 1, s_col]
-                - dpsi[j][:, i - 1, s_col]
-                + phi[:, j - 1, s_col] * psi[:, i - 1, 0]
-                + psi[:, j - 1, s_col] * psi[:, i - 1, 1]
-                - phi[:, i - 1, s_col] * psi[:, j - 1, 0]
-                - psi[:, i - 1, s_col] * psi[:, j - 1, 1]
-                - csum_psi[:, s_col]
-            )
-            rows.append((a_row, b_row, f"pair ({i},{j}) unknown b{s_col + 2}"))
-    return view, phi, psi, rows
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        Mi, Mj = M[:, i - 1], M[:, j - 1]
+        row = view.r(i, Mj) - view.r(j, Mi) + Mj @ Mi - Mi @ Mj - sum(
+            view.C(i, j, k)[:, None, None] * M[:, k - 1] for k in (1, 2, 3))
+        rows += [row[:, 0], row[:, 1]]
+    return M, Taylor.stack(rows)
 
 
-def _stack_rows(rows) -> np.ndarray:
-    A = np.stack([r[0] for r in rows], axis=1)
-    B = np.stack([r[1] for r in rows], axis=1)
-    return np.stack([A, B], axis=2)  # (m, nrows, 2)
-
-
-def _row_rank_and_nulls(rows, tol, trace, tag):
-    """Generic rank (0/1/2) of the per-sample 2-column row stacks, plus the
-    per-sample unit null directions when the rank is 1 (the null direction
-    may rotate with the base point)."""
-    stack = _stack_rows(rows)
+def _row_rank_and_nulls(stack, tol, trace, tag):
+    """Generic rank (0/1/2) of the per-sample 2-column row stacks (m, rows,
+    2), plus the per-sample unit null directions when the rank is 1 (the
+    null direction may rotate with the base point)."""
     scale = 1.0 + np.abs(stack).max()
     stack = stack / scale
     _, svals, vt = np.linalg.svd(stack)  # svals (m, 2)
@@ -418,10 +339,6 @@ def _row_rank_and_nulls(rows, tol, trace, tag):
         nulls = nulls / np.linalg.norm(nulls, axis=1)[:, None]
         return 1, nulls
     return 2, None
-
-
-_RATIO_STEP = 1e-3
-_RATIO_TOL = 3e-4
 
 
 def _null_branch(nulls: np.ndarray, tol: float, trace: _Trace) -> str:
@@ -443,43 +360,15 @@ def _null_branch(nulls: np.ndarray, tol: float, trace: _Trace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _phi_ratio_field(spec, perm):
-    """Callable giving the per-point solution-direction ratio Phi = b^2/b^3
-    from the null space of the integrability rows."""
-
-    def ratio(points: np.ndarray) -> np.ndarray:
-        _, _, _, rows = _case_all_three_rows(eval_connection(spec, points), perm)
-        stack = _stack_rows(rows)
-        stack = stack / (1.0 + np.abs(stack).max())
-        _, _, vt = np.linalg.svd(stack)
-        nulls = vt[:, -1, :]
-        return nulls[:, 0] / nulls[:, 1]
-
-    return ratio
-
-
-def _directional_fd_of_field(field, conn: ConnectionEval, perm, h: float):
-    """r_d(field) for d = 1..3 by central differences along unit frame
-    directions; field maps point batches to per-point arrays."""
-    out = {}
-    for d in (1, 2, 3):
-        col = conn.R[:, :, perm[d - 1]]
-        norm = np.linalg.norm(col, axis=1)
-        unit = col / norm[:, None]
-        fp = field(conn.points + h * unit)
-        fm = field(conn.points - h * unit)
-        out[d] = (fp - fm) / (2 * h) * norm
-    return out
-
-
 def _case_all_three(conn, perm, tol, trace):
-    view, phi, psi, rows = _case_all_three_rows(conn, perm)
-    rank, nulls = _row_rank_and_nulls(rows, tol, trace, "integrability rows")
+    M, rows = _case_all_three_rows(_PermView(conn, perm))
+    rank, nulls = _row_rank_and_nulls(rows.value, tol, trace, "integrability rows")
     if rank == 0:
         return "nr-4b"
     if rank == 2:
         return "nr-1"
     branch = _null_branch(nulls, tol, trace)
+    phi, psi = M.value[..., 0], M.value[..., 1]  # (m, i, s)
     coef_scale = 1.0 + np.abs(phi).max() + np.abs(psi).max()
     if branch == "first":
         # b^2 == 0 family: its source coefficients psi[i,2] must vanish
@@ -494,28 +383,25 @@ def _case_all_three(conn, perm, tol, trace):
             mag = float(np.abs(phi[:, i - 1, 1]).max()) / coef_scale
             ok = _vanishes(f"phi[{i},3]", mag, tol, trace) and ok
         return "nr-3b" if ok else "nr-1"
-    # mixed: b^2 = Phi b^3 with Phi the per-point null ratio
-    ratio = _phi_ratio_field(conn.spec, perm)
-    Phi = nulls[:, 0] / nulls[:, 1]
-    dPhi = _directional_fd_of_field(ratio, conn, perm, _RATIO_STEP)
+    # mixed: b^2 = Phi b^3, Phi the least-squares ratio of the rows
+    # A Phi + B = 0, which order-3 rows differentiate once
+    view = _PermView(conn, perm, 3)
+    _, rows = _case_all_three_rows(view)
+    A, B = rows[:, :, 0], rows[:, :, 1]
+    Phi = -(A * B).sum(1) / (A * A).sum(1)
+    P = Phi.value
     worst = 0.0
     for i in (1, 2, 3):
-        implied = (
-            phi[:, i - 1, 0] * Phi
-            + psi[:, i - 1, 0]
-            - Phi * (phi[:, i - 1, 1] * Phi + psi[:, i - 1, 1])
-        )
-        theta = dPhi[i] - implied
-        s = 1.0 + np.abs(dPhi[i]) + np.abs(implied)
-        worst = max(worst, float((np.abs(theta) / s).max()))
-    compatible = _vanishes("Phi-branch consistency", worst, _RATIO_TOL, trace)
-    if not compatible:
+        dPhi = view.r(i, Phi).value
+        implied = (phi[:, i - 1, 0] * P + psi[:, i - 1, 0]
+                   - P * (phi[:, i - 1, 1] * P + psi[:, i - 1, 1]))
+        s = 1.0 + np.abs(dPhi) + np.abs(implied)
+        worst = max(worst, float((np.abs(dPhi - implied) / s).max()))
+    if not _vanishes("Phi-branch consistency", worst, tol, trace):
         return "nr-1"
-    a2, a3 = view.alpha2(), view.alpha3()
-    deg = float(
-        (np.abs(a2 * Phi + a3) / (1.0 + np.abs(a2 * Phi) + np.abs(a3))).max()
-    )
-    if _vanishes("b1 = (alpha2 Phi + alpha3) b3 degeneracy", deg, _RATIO_TOL, trace):
+    a2, a3 = view.alpha2().value, view.alpha3().value
+    deg = float((np.abs(a2 * P + a3) / (1.0 + np.abs(a2 * P) + np.abs(a3))).max())
+    if _vanishes("b1 = (alpha2 Phi + alpha3) b3 degeneracy", deg, tol, trace):
         return "nr-3b"
     return "nr-4c"
 
@@ -525,7 +411,7 @@ def _case_all_three(conn, perm, tol, trace):
 # ---------------------------------------------------------------------------
 
 
-def _coef_bundle_case2(view: _PermView) -> np.ndarray:
+def _coef_bundle_case2(view: _PermView) -> Taylor:
     """Stacked coefficient fields (m, 10): a1, a3, b1, b3, q1, q2, q3, p2,
     A0, B0 of the reduced system
 
@@ -536,18 +422,17 @@ def _coef_bundle_case2(view: _PermView) -> np.ndarray:
     """
     G, C = view.G, view.C
     a3v = view.alpha3()
-    da3 = {d: view.dalpha3(d) for d in (2, 3)}
     a1 = G(1, 2, 2) + C(1, 2, 2)
     a3 = G(3, 2, 2) + C(3, 2, 2)
     b1 = -a3v * G(2, 2, 1)
     b3 = -G(2, 2, 3)
     q1 = G(1, 3, 3) + C(1, 3, 3) - a3v * G(3, 3, 1)
     q2 = G(2, 3, 3) + C(2, 3, 3)
-    q3 = (a3v * (G(3, 1, 1) + C(3, 1, 1)) - da3[3] - G(1, 1, 3)) / a3v
+    q3 = (a3v * (G(3, 1, 1) + C(3, 1, 1)) - view.r(3, a3v) - G(1, 1, 3)) / a3v
     p2 = -G(3, 3, 2)
     A0 = a3v * G(3, 3, 2) - G(1, 1, 2)
-    B0 = a3v * (G(2, 1, 1) + C(2, 1, 1) - G(2, 3, 3) - C(2, 3, 3)) - da3[2]
-    return np.stack([a1, a3, b1, b3, q1, q2, q3, p2, A0, B0], axis=1)
+    B0 = a3v * (G(2, 1, 1) + C(2, 1, 1) - G(2, 3, 3) - C(2, 3, 3)) - view.r(2, a3v)
+    return Taylor.stack([a1, a3, b1, b3, q1, q2, q3, p2, A0, B0])
 
 
 _C2 = {name: idx for idx, name in enumerate(
@@ -555,11 +440,11 @@ _C2 = {name: idx for idx, name in enumerate(
 )}
 
 
-def _case_two_rows(conn, perm, trace):
-    view = _PermView(conn, perm)
+def _case_two_rows(view: _PermView) -> tuple:
+    """The coefficient bundle and the compatibility rows [A, B] of
+    A b2 + B b3 = 0, shape (m, 7, 2)."""
     coef = _coef_bundle_case2(view)
-    views = _displaced_views(conn, perm, _FD_STEP)
-    dcoef = {d: _fd(_coef_bundle_case2, views, d, _FD_STEP) for d in (1, 2, 3)}
+    dcoef = {d: view.r(d, coef) for d in (1, 2, 3)}
 
     def v(name):
         return coef[:, _C2[name]]
@@ -568,70 +453,35 @@ def _case_two_rows(conn, perm, trace):
         return dcoef[d][:, _C2[name]]
 
     C = view.C
-    c132 = float(np.abs(C(1, 3, 2)).max() / (1.0 + np.abs(conn.Gamma).max()))
-    trace.note("c[1,3,2] (should vanish in this case)", c132, "info")
-    rows = [(v("A0"), v("B0"), "constraint row")]
-    rows.append((
-        dv(1, "A0") + v("A0") * v("a1"),
-        dv(1, "B0") + v("A0") * v("b1") + v("B0") * v("q1"),
-        "r1 of constraint",
-    ))
-    rows.append((
-        dv(3, "A0") + v("A0") * v("a3"),
-        dv(3, "B0") + v("A0") * v("b3") + v("B0") * v("q3"),
-        "r3 of constraint",
-    ))
-    rows.append((
-        dv(1, "a3") - dv(3, "a1") - C(1, 3, 1) * v("a1") - C(1, 3, 3) * v("a3"),
-        dv(1, "b3") + v("a3") * v("b1") + v("b3") * v("q1")
-        - dv(3, "b1") - v("a1") * v("b3") - v("b1") * v("q3")
-        - C(1, 3, 1) * v("b1") - C(1, 3, 3) * v("b3"),
-        "[r1,r3] on b2",
-    ))
-    rows.append((
-        dv(1, "p2") + v("p2") * v("a1") - v("q1") * v("p2") - C(1, 2, 2) * v("p2"),
-        dv(1, "q2") - dv(2, "q1") + v("p2") * v("b1")
-        - C(1, 2, 1) * v("q1") - C(1, 2, 2) * v("q2") - C(1, 2, 3) * v("q3"),
-        "[r1,r2] on b3",
-    ))
-    rows.append((
-        -C(1, 3, 2) * v("p2"),
-        dv(1, "q3") - dv(3, "q1")
-        - C(1, 3, 1) * v("q1") - C(1, 3, 2) * v("q2") - C(1, 3, 3) * v("q3"),
-        "[r1,r3] on b3",
-    ))
-    rows.append((
-        v("q3") * v("p2") - dv(3, "p2") - v("p2") * v("a3") - C(2, 3, 2) * v("p2"),
-        dv(2, "q3") - dv(3, "q2") - v("p2") * v("b3")
-        - C(2, 3, 1) * v("q1") - C(2, 3, 2) * v("q2") - C(2, 3, 3) * v("q3"),
-        "[r2,r3] on b3",
-    ))
-    return coef, views, rows
-
-
-def _constraint_ratio(coef: np.ndarray) -> np.ndarray:
-    """A = b^3/b^2 from the constraint row A0 b^2 + B0 b^3 = 0."""
-    return -coef[:, _C2["A0"]] / coef[:, _C2["B0"]]
-
-
-def _acal_ratio_field(spec, perm):
-    """Callable giving the per-point ratio A = b^3/b^2 from the null of the
-    full compatibility rows (used when the constraint row vanishes)."""
-
-    def from_rows(points):
-        _, _, rows = _case_two_rows(eval_connection(spec, points), perm, _Trace())
-        stack = _stack_rows(rows)
-        stack = stack / (1.0 + np.abs(stack).max())
-        _, _, vt = np.linalg.svd(stack)
-        nulls = vt[:, -1, :]
-        return nulls[:, 1] / nulls[:, 0]
-
-    return from_rows
+    rows = [
+        [v("A0"), v("B0")],  # constraint row
+        [dv(1, "A0") + v("A0") * v("a1"),  # r1 of constraint
+         dv(1, "B0") + v("A0") * v("b1") + v("B0") * v("q1")],
+        [dv(3, "A0") + v("A0") * v("a3"),  # r3 of constraint
+         dv(3, "B0") + v("A0") * v("b3") + v("B0") * v("q3")],
+        [dv(1, "a3") - dv(3, "a1") - C(1, 3, 1) * v("a1") - C(1, 3, 3) * v("a3"),  # [r1,r3] on b2
+         dv(1, "b3") + v("a3") * v("b1") + v("b3") * v("q1")
+         - dv(3, "b1") - v("a1") * v("b3") - v("b1") * v("q3")
+         - C(1, 3, 1) * v("b1") - C(1, 3, 3) * v("b3")],
+        [dv(1, "p2") + v("p2") * v("a1") - v("q1") * v("p2") - C(1, 2, 2) * v("p2"),  # [r1,r2] on b3
+         dv(1, "q2") - dv(2, "q1") + v("p2") * v("b1")
+         - C(1, 2, 1) * v("q1") - C(1, 2, 2) * v("q2") - C(1, 2, 3) * v("q3")],
+        [-C(1, 3, 2) * v("p2"),  # [r1,r3] on b3
+         dv(1, "q3") - dv(3, "q1")
+         - C(1, 3, 1) * v("q1") - C(1, 3, 2) * v("q2") - C(1, 3, 3) * v("q3")],
+        [v("q3") * v("p2") - dv(3, "p2") - v("p2") * v("a3") - C(2, 3, 2) * v("p2"),  # [r2,r3] on b3
+         dv(2, "q3") - dv(3, "q2") - v("p2") * v("b3")
+         - C(2, 3, 1) * v("q1") - C(2, 3, 2) * v("q2") - C(2, 3, 3) * v("q3")],
+    ]
+    return coef, Taylor.stack(rows)
 
 
 def _case_two(conn, perm, tol, trace):
-    coef, views, rows = _case_two_rows(conn, perm, trace)
-    rank, nulls = _row_rank_and_nulls(rows, tol, trace, "L system")
+    view = _PermView(conn, perm)
+    c132 = float(np.abs(view.C(1, 3, 2).value).max() / (1.0 + np.abs(conn.Gamma).max()))
+    trace.note("c[1,3,2] (should vanish in this case)", c132, "info")
+    coef, rows = _case_two_rows(view)
+    rank, nulls = _row_rank_and_nulls(rows.value, tol, trace, "L system")
     if rank == 0:
         return "nr-4a"
     if rank == 2:
@@ -639,9 +489,9 @@ def _case_two(conn, perm, tol, trace):
     branch = _null_branch(nulls, tol, trace)
 
     def v(name):
-        return coef[:, _C2[name]]
+        return coef.value[:, _C2[name]]
 
-    cscale = 1.0 + float(np.abs(coef).max())
+    cscale = 1.0 + float(np.abs(coef.value).max())
     if branch == "first":
         # b^2 == 0 family: source coefficients b1, b3 must vanish
         ok = True
@@ -653,35 +503,26 @@ def _case_two(conn, perm, tol, trace):
         # b^3 == 0 family: source coefficient p2 = -Gamma[3,3,2] must vanish
         mag = float(np.abs(v("p2")).max()) / cscale
         return "nr-2" if _vanishes("Gamma[3,3,2] source coefficient", mag, tol, trace) else "nr-1"
-    # mixed: b^3 = A b^2
-    con_mag = float(
-        np.abs(np.stack([v("A0"), v("B0")], axis=1)).max()
-    ) / cscale
+    # mixed: b^3 = A b^2, with A from the constraint row A0 b2 + B0 b3 = 0
+    # when it is nonzero, else the least-squares ratio of the order-3 rows
+    con_mag = float(np.abs(np.stack([v("A0"), v("B0")], axis=1)).max()) / cscale
     exact = con_mag > 10 * tol
     trace.note("constraint row magnitude", con_mag, "exact ratio" if exact else "null ratio")
     if exact:
-        # differentiated on the displaced views the rows already used
-        def acal_of(view):
-            return _constraint_ratio(_coef_bundle_case2(view))
-
-        Acal = _constraint_ratio(coef)
-        dA = {d: _fd(acal_of, views, d, _FD_STEP) for d in (1, 3)}
+        Acal = -coef[:, _C2["A0"]] / coef[:, _C2["B0"]]
     else:
-        Acal = nulls[:, 1] / nulls[:, 0]
-        dA = _directional_fd_of_field(_acal_ratio_field(conn.spec, perm), conn, perm, _RATIO_STEP)
+        view = _PermView(conn, perm, 3)
+        _, rows = _case_two_rows(view)
+        A, B = rows[:, :, 0], rows[:, :, 1]
+        Acal = -(A * B).sum(1) / (B * B).sum(1)
+    a = Acal.value
     worst = 0.0
-    for i, (a_name, b_name, q_name) in (
-        (1, ("a1", "b1", "q1")),
-        (3, ("a3", "b3", "q3")),
-    ):
-        implied = v(q_name) * Acal - Acal * (v(a_name) + v(b_name) * Acal)
-        theta = dA[i] - implied
-        s = 1.0 + np.abs(dA[i]) + np.abs(implied)
-        worst = max(worst, float((np.abs(theta) / s).max()))
-    tol_branch = tol if exact else _RATIO_TOL
-    if not _vanishes("A-branch consistency", worst, tol_branch, trace):
-        return "nr-1"
-    return "nr-4c"
+    for i, (p_name, b_name, q_name) in ((1, ("a1", "b1", "q1")), (3, ("a3", "b3", "q3"))):
+        dA = view.r(i, Acal).value
+        implied = v(q_name) * a - a * (v(p_name) + v(b_name) * a)
+        s = 1.0 + np.abs(dA) + np.abs(implied)
+        worst = max(worst, float((np.abs(dA - implied) / s).max()))
+    return "nr-4c" if _vanishes("A-branch consistency", worst, tol, trace) else "nr-1"
 
 
 # ---------------------------------------------------------------------------
@@ -690,39 +531,33 @@ def _case_two(conn, perm, tol, trace):
 
 
 def _case_one(conn, perm, tol, trace):
-    view = _PermView(conn, perm)
-    G, C, dG, dC = view.G, view.C, view.dG, view.dC
+    view = _PermView(conn, perm, 1)
+    G, C, r = view.G, view.C, view.r
     scale = conn.gamma_scale()
-    g112 = float((np.abs(G(1, 1, 2)) / scale).max())
-    g113 = float((np.abs(G(1, 1, 3)) / scale).max())
-    z112 = _vanishes("Gamma[1,1,2]", g112, tol, trace)
-    z113 = _vanishes("Gamma[1,1,3]", g113, tol, trace)
+
+    def mag(f):
+        return float((np.abs(f.value) / scale).max())
+
+    z112 = _vanishes("Gamma[1,1,2]", mag(G(1, 1, 2)), tol, trace)
+    z113 = _vanishes("Gamma[1,1,3]", mag(G(1, 1, 3)), tol, trace)
     if not z112 and not z113:
         return "nr-1"
     if z112 and not z113:
         # b^3 == 0 forced; b^2 survives iff Gamma[3,3,2] == 0
-        mag = float((np.abs(G(3, 3, 2)) / scale).max())
-        return "nr-2" if _vanishes("Gamma[3,3,2]", mag, tol, trace) else "nr-1"
+        return "nr-2" if _vanishes("Gamma[3,3,2]", mag(G(3, 3, 2)), tol, trace) else "nr-1"
     if z113 and not z112:
-        mag = float((np.abs(G(2, 2, 3)) / scale).max())
-        return "nr-2" if _vanishes("Gamma[2,2,3]", mag, tol, trace) else "nr-1"
+        return "nr-2" if _vanishes("Gamma[2,2,3]", mag(G(2, 2, 3)), tol, trace) else "nr-1"
     # both vanish: two free functions; record the four compatibility
     # residuals (identities given flatness/symmetry and the case assumptions)
-    r88 = (
-        dG(3, 1, 2, 2) + dC(3, 1, 2, 2) - dG(1, 3, 2, 2) - dC(1, 3, 2, 2)
-        + C(1, 3, 1) * (G(1, 2, 2) + C(1, 2, 2))
-        + C(1, 3, 3) * (G(3, 2, 2) + C(3, 2, 2))
-    )
-    r89 = dG(1, 2, 2, 3) - G(2, 2, 3) * (G(1, 2, 2) + C(1, 2, 2) - G(1, 3, 3))
-    r90 = (
-        dG(2, 1, 3, 3) + dC(2, 1, 3, 3) - dG(1, 2, 3, 3) - dC(1, 2, 3, 3)
-        + C(1, 2, 1) * (G(1, 3, 3) + C(1, 3, 3))
-        + C(1, 2, 2) * (G(2, 3, 3) + C(2, 3, 3))
-    )
-    r91 = dG(1, 3, 3, 2) - G(3, 3, 2) * (G(1, 3, 3) + C(1, 3, 3) - G(1, 2, 2))
+    a1, a3 = G(1, 2, 2) + C(1, 2, 2), G(3, 2, 2) + C(3, 2, 2)
+    q1, q2 = G(1, 3, 3) + C(1, 3, 3), G(2, 3, 3) + C(2, 3, 3)
+    r88 = r(3, a1) - r(1, a3) + C(1, 3, 1) * a1 + C(1, 3, 3) * a3
+    r89 = r(1, G(2, 2, 3)) - G(2, 2, 3) * (a1 - G(1, 3, 3))
+    r90 = r(2, q1) - r(1, q2) + C(1, 2, 1) * q1 + C(1, 2, 2) * q2
+    r91 = r(1, G(3, 3, 2)) - G(3, 3, 2) * (q1 - G(1, 2, 2))
     s2 = 1.0 + float((scale**2).max())
     for name, val in (("compat-88", r88), ("compat-89", r89), ("compat-90", r90), ("compat-91", r91)):
-        trace.note(name, float(np.abs(val).max()) / s2, "identity check")
+        trace.note(name, float(np.abs(val.value).max()) / s2, "identity check")
     return "nr-3a"
 
 
@@ -738,9 +573,9 @@ def classify_beta_nonrich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL)
     scale = conn.gamma_scale()
     last_error = None
     for perm in perms:
-        view = _PermView(conn, perm)
-        num2 = float((np.abs(view.G(3, 1, 2)) / scale).max())
-        num3 = float((np.abs(view.G(2, 1, 3)) / scale).max())
+        view = _PermView(conn, perm, 0)
+        num2 = float((np.abs(view.G(3, 1, 2).value) / scale).max())
+        num3 = float((np.abs(view.G(2, 1, 3).value) / scale).max())
         trace = _Trace()
         trace.note(f"permutation {perm}", 0.0, "normalization accepted")
         try:

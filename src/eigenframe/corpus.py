@@ -159,12 +159,14 @@ def _validate(name: str, doc, source: str):
 
 def _candidate(doc: dict, vars, params, source: str) -> tuple:
     """(kind, candidate) from a schema-valid candidate document with one
-    expression per variable; its params override the frame's."""
-    if len(doc["exprs"]) != len(vars):
-        raise SchemaError(
-            f"{source}: a {doc['kind']} candidate needs n={len(vars)} expressions, "
-            f"got {len(doc['exprs'])}"
-        )
+    expression (and one closed_f entry, if any) per variable; its params
+    override the frame's."""
+    for key, what in (("exprs", "expressions"), ("closed_f", "closed_f entries")):
+        if len(doc.get(key, vars)) != len(vars):
+            raise SchemaError(
+                f"{source}: a {doc['kind']} candidate needs n={len(vars)} {what}, "
+                f"got {len(doc[key])}"
+            )
     cparams = {**params, **doc.get("params", {})}
     if doc["kind"] == "beta":
         return "beta", BetaCandidate.from_sources(

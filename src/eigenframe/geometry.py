@@ -24,13 +24,17 @@ Gamma_j = L (DR_j R) and d_d L = -L (d_d R) L,
 
     d_d Gamma_j = L ( d_d(DR_j R) - (d_d R) Gamma_j ),
 
-so Gamma is reused and d L is never formed.
+so Gamma is reused and d L is never formed.  Higher derivatives of Gamma
+come as Taylor fields (ConnectionEval.taylor), from the jets of the frame's
+symbolic second derivatives; no derivative is taken by finite differences.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -125,6 +129,16 @@ class FrameSpec:
         R^a_j, the a-th component of field j."""
         return frame_tape(self)
 
+    @cached_property
+    def hessian_tape(self) -> ex.Tape:
+        """Second derivatives of every frame entry in one tape, by symbolic
+        differentiation: output (p*n + a)*n + j is d_b d_c R^a_j for the
+        p-th pair b <= c."""
+        first = [[ex.differentiate(e, b) for e in self.tape.exprs] for b in range(self.n)]
+        pairs = itertools.combinations_with_replacement(range(self.n), 2)
+        exprs = tuple(ex.differentiate(e, c) for b, c in pairs for e in first[b])
+        return ex.compile_tape((exprs, self.params))
+
 
 def frame_tape(spec: FrameSpec, *cands) -> ex.Tape:
     """One tape over the frame entries (the first n*n outputs, row by row)
@@ -191,6 +205,154 @@ def chart_from_sources(
 
 
 # ---------------------------------------------------------------------------
+# Truncated Taylor fields (Griewank & Walther, Evaluating Derivatives, ch. 13)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _monomials(n: int, order: int) -> tuple:
+    """Multi-indices of degree <= order in graded order, each as the sorted
+    tuple of its variables (u1^2 u3 is (0, 0, 2))."""
+    return tuple(
+        t for q in range(order + 1) for t in itertools.combinations_with_replacement(range(n), q)
+    )
+
+
+def _size(n: int, order: int) -> int:
+    return len(_monomials(n, order))
+
+
+@lru_cache(maxsize=None)
+def _product_table(n: int, order: int) -> tuple:
+    """Operands I, J and summation matrix S of the truncated product:
+    (f g)[k] = sum_p f[I[p]] g[J[p]] S[p, k]."""
+    mono = _monomials(n, order)
+    index = {t: i for i, t in enumerate(mono)}
+    terms = [
+        (i, j, index[tuple(sorted(a + b))])
+        for i, a in enumerate(mono)
+        for j, b in enumerate(mono[: _size(n, order - len(a))])
+    ]
+    I, J, K = (np.array(col) for col in zip(*terms))
+    S = np.zeros((len(terms), len(mono)))
+    S[np.arange(len(terms)), K] = 1.0
+    return I, J, S
+
+
+@lru_cache(maxsize=None)
+def _derivative_table(n: int, order: int) -> np.ndarray:
+    """D[b, k, l]: (d_b f)[k] = sum_l D[b, k, l] f[l], from a series of the
+    given order to one of order - 1."""
+    mono = _monomials(n, order)
+    index = {t: i for i, t in enumerate(mono)}
+    D = np.zeros((n, _size(n, order - 1), len(mono)))
+    for k, t in enumerate(mono[: D.shape[1]]):
+        for b in range(n):
+            D[b, k, index[tuple(sorted(t + (b,)))]] = t.count(b) + 1
+    return D
+
+
+@lru_cache(maxsize=None)
+def _frame_derivative_table(n: int, order: int) -> np.ndarray:
+    """T[b, i, k, l]: (g d_b f)[k] = sum_{i,l} g[i] T[b, i, k, l] f[l] for a
+    series f of the given order and g of order - 1."""
+    I, J, S = _product_table(n, order - 1)
+    T = np.zeros((n, S.shape[1], S.shape[1], _size(n, order)))
+    np.add.at(T, (slice(None), I), np.einsum("pk,bpl->bpkl", S, _derivative_table(n, order)[:, J]))
+    return T
+
+
+class Taylor:
+    """Fields as truncated Taylor series in the point coordinates, batched:
+    coef[..., l] = d^a f / a! for the l-th multi-index a of _monomials(n,
+    order), so a lower order is a leading slice.  It acts as an array of
+    shape coef.shape[:-1]: indexing (without Ellipsis), broadcasting, +, -,
+    *, / and @ (over the last two axes) act on whole series, truncated to
+    the lower order; a float or array operand of +, -, * or @ is a constant."""
+
+    __array_ufunc__ = None  # numpy defers to the reflected operators
+
+    def __init__(self, coef: np.ndarray, n: int, order: int):
+        self.coef, self.n, self.order = coef, n, order
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.coef[..., 0]
+
+    def __getitem__(self, index) -> "Taylor":
+        return Taylor(self.coef[index], self.n, self.order)
+
+    def sum(self, axis: int) -> "Taylor":
+        return Taylor(self.coef.sum(axis=axis), self.n, self.order)
+
+    @staticmethod
+    def stack(fields: list) -> "Taylor":
+        """np.stack(..., axis=1) of fields; nested lists stack innermost
+        first, so [[f, g], [h, k]] has field axes (2, 2)."""
+        fields = [Taylor.stack(f) if isinstance(f, list) else f for f in fields]
+        order = min(f.order for f in fields)
+        size = _size(fields[0].n, order)
+        return Taylor(np.stack([f.coef[..., :size] for f in fields], axis=1), fields[0].n, order)
+
+    def _common(self, other: "Taylor") -> tuple:
+        order = min(self.order, other.order)
+        size = _size(self.n, order)
+        return self.coef[..., :size], other.coef[..., :size], order
+
+    def __add__(self, other) -> "Taylor":
+        if isinstance(other, Taylor):
+            a, b, order = self._common(other)
+            return Taylor(a + b, self.n, order)
+        coef = self.coef.copy()
+        coef[..., 0] += other
+        return Taylor(coef, self.n, self.order)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Taylor":
+        return Taylor(-self.coef, self.n, self.order)
+
+    def __sub__(self, other) -> "Taylor":
+        if isinstance(other, Taylor):
+            a, b, order = self._common(other)
+            return Taylor(a - b, self.n, order)
+        return self + (-other)
+
+    def __rsub__(self, other) -> "Taylor":
+        return -self + other
+
+    def __mul__(self, other) -> "Taylor":
+        if not isinstance(other, Taylor):
+            return Taylor(self.coef * np.asarray(other)[..., None], self.n, self.order)
+        a, b, order = self._common(other)
+        I, J, S = _product_table(self.n, order)
+        return Taylor((a[..., I] * b[..., J]) @ S, self.n, order)
+
+    def __matmul__(self, other) -> "Taylor":
+        if not isinstance(other, Taylor):
+            return Taylor(np.einsum("...abl,...bc->...acl", self.coef, other), self.n, self.order)
+        a, b, order = self._common(other)
+        I, J, S = _product_table(self.n, order)
+        # take, not a[..., I]: einsum is slow on the axis order fancy indexing gives
+        terms = np.einsum("...abp,...bcp->...acp", np.take(a, I, axis=-1), np.take(b, J, axis=-1))
+        return Taylor(terms @ S, self.n, order)
+
+    def __rmatmul__(self, other) -> "Taylor":
+        return Taylor(np.einsum("...ab,...bcl->...acl", other, self.coef), self.n, self.order)
+
+    def __truediv__(self, other: "Taylor") -> "Taylor":
+        # 1/g = (1/g0) sum_k (-t)^k with t = g/g0 - 1, which has no constant
+        # term, so the sum stops at k = order
+        inv0 = 1.0 / other.value
+        t = other * inv0
+        t.coef[..., 0] = 0.0
+        s = 1.0 - t
+        for _ in range(other.order - 1):
+            s = 1.0 - t * s
+        return self * (s * inv0)
+
+
+# ---------------------------------------------------------------------------
 # Connection evaluation
 # ---------------------------------------------------------------------------
 
@@ -204,7 +366,8 @@ class ConnectionEval:
     Built only by eval_connection; every check, residual and classifier
     branch on the same sample set reads this one object instead of
     evaluating the frame again.  The directional derivatives of Gamma
-    (dGamma) are computed on first use and kept.
+    (dGamma) and the Taylor fields of taylor and r are computed on first
+    use and kept.
     """
 
     spec: FrameSpec
@@ -216,6 +379,7 @@ class ConnectionEval:
     Gamma: np.ndarray  # (m, i, j, k)
     GammaGrad: np.ndarray  # (m, i, j, k, d) = d_d Gamma[i,j,k]
     c: np.ndarray  # (m, i, j, k) antisymmetrized Gamma
+    _series: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -234,6 +398,61 @@ class ConnectionEval:
     def dGamma(self) -> np.ndarray:
         """r_d(Gamma[i,j,k]), shape (m, d, i, j, k); see directional_gamma."""
         return directional_gamma(self)
+
+    def taylor(self, order: int) -> Taylor:
+        """Gamma as a Taylor field of the given order, shape (m, i, j, k).
+        Order 1 is read from Gamma and GammaGrad.  Higher orders compose the
+        series of R: with R = R0 + H, L = sum_k (-L0 H)^k L0 and
+        Gamma_j = L (DR_j R) as in eval_connection."""
+        key = ("gamma", order)
+        if key not in self._series:
+            n = self.n
+            if order <= 1:
+                coef = np.concatenate([self.Gamma[..., None], self.GammaGrad], axis=-1)
+                gamma = Taylor(coef[..., : _size(n, order)], n, order)
+            else:
+                R = self._frame_series(order + 1)
+                m, size, D = R.coef.shape[0], _size(n, order), _derivative_table(n, order + 1)
+                DR = R.coef.reshape(m * n * n, -1) @ D.reshape(n * size, -1).T  # (m, a, j, b, l)
+                R = Taylor(R.coef[..., :size], n, order)
+                L, X = self.L, -(self.L @ (R - R.value))
+                for _ in range(order):
+                    L = self.L + X @ L
+                LDR = L @ Taylor(DR.reshape(m, n, n * n, size), n, order)
+                G = Taylor(LDR.coef.reshape(m, n * n, n, size), n, order) @ R
+                gamma = Taylor(G.coef.reshape(m, n, n, n, size).transpose(0, 3, 2, 1, 4), n, order)
+            self._series[key] = gamma
+        return self._series[key]
+
+    def r(self, d: int, f: Taylor) -> Taylor:
+        """r_d(f) = R^a_d d_a f along frame field d, a Taylor field one order
+        lower than f: one batched product with the field's per-point
+        operator, which is built once per order."""
+        key = ("operator", f.order)
+        if key not in self._series:
+            R = self._frame_series(f.order - 1).coef.transpose(0, 2, 1, 3)  # (m, d, a, i)
+            T = _frame_derivative_table(self.n, f.order)
+            M = R.reshape(R.shape[:2] + (-1,)) @ T.reshape(-1, T.shape[2] * T.shape[3])
+            self._series[key] = M.reshape(R.shape[:2] + T.shape[2:]).transpose(0, 1, 3, 2)
+        m, size = f.coef.shape[0], f.coef.shape[-1]
+        out = f.coef.reshape(m, -1, size) @ self._series[key][:, d]
+        return Taylor(out.reshape(f.coef.shape[:-1] + (-1,)), self.n, f.order - 1)
+
+    def _frame_series(self, order: int) -> Taylor:
+        """R as a Taylor field of the given order (at most 4): R and Rgrad,
+        then the jets of the frame's hessian_tape."""
+        n, m = self.n, self.points.shape[0]
+        coef = [self.R[..., None], self.Rgrad][: order + 1]
+        if order >= 2:
+            jet = ex.eval_jet2_many(self.spec.hessian_tape, self.points, order=order // 2)
+            pairs = list(itertools.combinations_with_replacement(range(n), 2))
+            # (m, pair, a, j, derivative axes): the derivatives d^t R, t = pair + axes
+            parts = [jet.value, jet.grad, jet.hess][: order - 1]
+            parts = [x.reshape((m, len(pairs), n, n) + (n,) * q) for q, x in enumerate(parts)]
+            for t in _monomials(n, order)[1 + n:]:
+                x = parts[len(t) - 2][(slice(None), pairs.index(t[:2]), Ellipsis) + t[2:]]
+                coef.append(x[..., None] / math.prod(math.factorial(t.count(b)) for b in set(t)))
+        return Taylor(np.concatenate(coef, axis=-1), n, order)
 
 
 def eval_frame_jets(spec: FrameSpec, points: np.ndarray):

@@ -179,6 +179,13 @@ def test_each_sample_set_evaluated_once(tmp_path, capsys, monkeypatch):
     for i, a in enumerate(sets):
         for b in sets[:i]:
             assert a.shape != b.shape or np.abs(a - b).max() > 1e-12
+    # the non-rich rank-1 classifier differentiates exactly, on no displaced
+    # sample sets
+    for name in ("ex6.9.json", "ex6.11.json"):
+        seen.clear()
+        verdict = corpus_mod.run_example(corpus_mod.load_example(corpus_path(name)))
+        assert verdict["passed"]
+        assert len(seen) == 1, (name, len(seen))
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -76,12 +76,19 @@ def test_load_rejects_missing_field(tmp_path):
         corpus_mod.load_example(bad)
 
 
-@pytest.mark.parametrize("count", [2, 4])
-def test_load_rejects_candidate_of_wrong_length(count):
-    doc = _valid_doc()
-    cand = doc["candidates"][0]
-    cand["exprs"] = (cand["exprs"] * 2)[:count]
-    with pytest.raises(CorpusParseError, match=f"doc.json: candidate 0: .* got {count}"):
+@pytest.mark.parametrize("count, key", [
+    pytest.param(2, "exprs", id="2"),
+    pytest.param(4, "exprs", id="4"),
+    pytest.param(2, "closed_f", id="closed_f-2"),
+    pytest.param(4, "closed_f", id="closed_f-4"),
+])
+def test_load_rejects_candidate_of_wrong_length(count, key):
+    """A candidate needs n expressions, and n closed_f entries if it has
+    them; a short closed_f used to load and then fail to broadcast."""
+    doc = json.loads((Path(corpus_mod.corpus_dir()) / "ex6.6.json").read_text())
+    idx, cand = next((i, c) for i, c in enumerate(doc["candidates"]) if key in c)
+    cand[key] = (cand[key] * 2)[:count]
+    with pytest.raises(CorpusParseError, match=f"doc.json: candidate {idx}: .* got {count}"):
         corpus_mod.load_example_from_doc(doc, source="doc.json")
 
 

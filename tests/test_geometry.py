@@ -3,6 +3,7 @@ chart verification."""
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -207,6 +208,39 @@ def test_connection_matches_einsum_formulas(n):
     dGamma = np.einsum("mijke,med->mdijk", GammaGrad, R)
     assert np.abs(conn.dGamma - dGamma).max() < 1e-13 * scale**2
     assert np.abs(g.structure_coefficients_bracket(conn) - c).max() < 1e-13 * scale
+
+
+def test_taylor_fields_are_exact(corpus_cases):
+    """The order-3 Gamma field of every n = 3 corpus frame, without a finite
+    difference: its value and r_d match Gamma and dGamma; the commutator
+    identity r_i(r_j f) - r_j(r_i f) = c[i,j,k] r_k f holds for every
+    component f, which checks the frame operators r; and the curvature
+    identity of flatness_residual holds for every Taylor coefficient up to
+    order 2, which checks the series of Gamma through its third
+    derivatives."""
+    for cid, case in corpus_cases.items():
+        if case.spec.n != 3:
+            continue
+        conn = connect(case.spec)
+        G = conn.taylor(3)
+        scale = 1.0 + np.abs(conn.Gamma).max()
+        assert np.abs(G.value - conn.Gamma).max() < 1e-14 * scale, cid
+        rG = [conn.r(d, G) for d in range(3)]
+        dG = np.stack([f.value for f in rG], axis=1)
+        assert np.abs(dG - conn.dGamma).max() < 1e-14 * scale**2, cid
+        for i in range(3):
+            for j in range(3):
+                lhs = (conn.r(i, rG[j]) - conn.r(j, rG[i])).value
+                rhs = sum(conn.c[:, i, j, k, None, None, None] * rG[k].value for k in range(3))
+                assert np.abs(lhs - rhs).max() < 1e-12 * scale**3, (cid, i, j)
+        c = G - g.Taylor(G.coef.transpose(0, 2, 1, 3, 4), 3, 3)
+        worst = 0.0
+        for i, j, k, d in itertools.product(range(3), repeat=4):
+            lhs = rG[d][:, k, i, j] - rG[k][:, d, i, j]
+            rhs = (G[:, k, :, j] * G[:, d, i, :] - G[:, d, :, j] * G[:, k, i, :]
+                   - c[:, k, d, :] * G[:, :, i, j]).sum(1)
+            worst = max(worst, float(np.abs((lhs - rhs).coef).max()))
+        assert worst < 1e-12 * np.abs(G.coef).max() ** 2, cid
 
 
 # ---------------------------------------------------------------------------
