@@ -16,7 +16,8 @@ Exit codes (an error prints one "error: ..." line to stderr):
   2  input error: SchemaError, CorpusParseError, ExprSyntaxError,
      IllegalCharacterError, UnknownIdentifierError, a file that cannot be
      read or written (OSError: missing, a directory, no permission),
-     ValueError (bad flag values, malformed JSON)
+     ValueError (bad flag values, malformed JSON), MemoryError (an input
+     too large for memory, such as a --grid past the address space)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
      NormalizationFailedError, InconclusiveVanishingError, DomainError
 
@@ -378,6 +379,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EigenframeError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -14,12 +14,13 @@ lemma):
     q(x)        = int_0^1 grad eta(x0 + t d) . A(x0 + t d) d dt,
 
 with grad eta carried along the ray by a Legendre-basis cumulative-integration
-matrix at the Gauss nodes.  All nodes are integrated together, one
+matrix at the quadrature nodes.  All nodes are integrated together, one
 values-only field evaluation over the grid per ray parameter: one tape run
 over the frame and the candidates, and one inversion of the frame, which
-the Hessian and flux fields of q share.  A Gauss-Legendre pair of Q and 2Q
-nodes estimates the error of every ray; rays over the tolerance are split
-into panels, and a ray that does not converge raises
+the Hessian and flux fields of q share.  A nested Gauss-Kronrod pair of Q
+and 2Q+1 nodes estimates the error of every ray from one set of field
+values (the Q Gauss nodes are among the 2Q+1); rays over the tolerance are
+split into panels, and a ray that does not converge raises
 QuadratureFailureError.  Curl tests gate every integration; path
 independence is checked by a second family of rays from another grid node.
 
@@ -36,7 +37,7 @@ import io
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .systems import BetaCandidate, LambdaCandidate, require_rich
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_CURL_TOL = 1e-7
-_RAY_Q = 16  # nodes of the coarse Gauss-Legendre rule per ray panel; the fine rule has 2Q
+_RAY_Q = 16  # Gauss nodes per ray panel; the Kronrod rule nested in it has 2Q+1
 _RAY_MAX_PANELS = 64  # a ray still over the tolerance at this many panels fails
 
 
@@ -263,39 +264,81 @@ def _grid_axes(lo, hi, counts, base: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
+class _RayRule(NamedTuple):
+    """A nested Gauss-Kronrod pair on [0, 1]: the 2q+1 Kronrod nodes t with
+    their weights w and cumulative-integration matrix K, and the q embedded
+    Gauss nodes t[gauss] with their own weights and matrix.  (K f)_i is the
+    integral from 0 to t_i of the polynomial interpolating the values f."""
+
+    t: np.ndarray
+    w: np.ndarray
+    K: np.ndarray
+    gauss: np.ndarray
+    w_gauss: np.ndarray
+    K_gauss: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _ray_rule(q: int):
-    """Gauss-Legendre nodes t and weights w on [0, 1], and the cumulative-
-    integration matrix K: (K f)_i is the integral from 0 to t_i of the
-    degree q-1 interpolant of the values f at the nodes, built in the
-    Legendre basis (a monomial basis is unstable at these orders)."""
+def _ray_rule(q: int) -> _RayRule:
+    """The Gauss-Kronrod pair of q and 2q+1 nodes, built in the Legendre
+    basis (a monomial basis is unstable at these orders).  The q+1 Kronrod
+    nodes are the roots of the Stieltjes polynomial E_{q+1}, which is
+    orthogonal to P_q P_k for every k <= q; the Kronrod weights solve the
+    Legendre moment equations at all 2q+1 nodes."""
     leg = np.polynomial.legendre
-    x, w = leg.leggauss(q)
-    # Legendre coefficients of the interpolant, exact by Gauss orthogonality
-    to_coef = (np.arange(q) + 0.5)[:, None] * (leg.legvander(x, q - 1) * w[:, None]).T
-    # antiderivative of every P_k from -1, at the nodes
-    anti = leg.legval(x, leg.legint(np.eye(q), lbnd=-1)).T
-    return 0.5 * (x + 1.0), 0.5 * w, 0.5 * anti @ to_coef
+    x, w_gauss = leg.leggauss(q)
+    # E = P_{q+1} + sum_{j<=q} c_j P_j; the integrals of P_q P_k P_j have
+    # degree <= 3q+1, exact with 2q Gauss nodes
+    y, wy = leg.leggauss(2 * q)
+    P = leg.legvander(y, q + 1)
+    A = np.einsum("y,yk,yj->kj", wy * P[:, q], P[:, : q + 1], P)
+    c = np.linalg.solve(A[:, : q + 1], -A[:, q + 1])
+    z = np.concatenate([x, leg.legroots(np.append(c, 1.0))])
+    order = np.argsort(z)
+    z, gauss = z[order], np.flatnonzero(order < q)
+    V = leg.legvander(z, 2 * q)
+    moments = np.zeros(2 * q + 1)
+    moments[0] = 2.0
+    w = np.linalg.solve(V.T, moments)
+    # Kronrod: Legendre coefficients of the interpolant by a Vandermonde
+    # solve; Gauss: exact by Gauss orthogonality
+    anti = leg.legval(z, leg.legint(np.eye(2 * q + 1), lbnd=-1)).T
+    K = np.linalg.solve(V.T, anti.T).T
+    to_coef = (np.arange(q) + 0.5)[:, None] * (leg.legvander(x, q - 1) * w_gauss[:, None]).T
+    K_gauss = leg.legval(x, leg.legint(np.eye(q), lbnd=-1)).T @ to_coef
+    return _RayRule(
+        0.5 * (z + 1.0), 0.5 * w, 0.5 * K, gauss, 0.5 * w_gauss, 0.5 * K_gauss
+    )
 
 
-def _panel_sums(rates, base, d, grad0, panels: int, q: int):
-    """One Gauss rule of q nodes on each of `panels` equal panels of [0, 1]:
-    the carried vector G(1) and the scalar integrals S(1) of every ray."""
-    t, w, K = _ray_rule(q)
+def _advance(G, S, h: float, w, K, Jd, V):
+    """One panel of width h of one rule: G(t) = G + h K Jd at the nodes, and
+    the carried vector and scalar integrals at the panel's end."""
+    Jd_flat = Jd.reshape(w.size, -1)
+    G_nodes = (h * K @ Jd_flat).reshape(Jd.shape)
+    G_nodes += G
+    S = S + h * np.einsum("j,jmn,jkmn->mk", w, G_nodes, V)
+    return G + h * (w @ Jd_flat).reshape(G.shape), S
+
+
+def _panel_sums(rates, base, d, grad0, panels: int):
+    """The Kronrod and the embedded Gauss rule of _ray_rule(_RAY_Q) on each
+    of `panels` equal panels of [0, 1], from one rates call per Kronrod node:
+    the carried vector G(1) and the scalar integrals S(1) of every ray, as
+    (Kronrod, Gauss) pairs."""
+    rule = _ray_rule(_RAY_Q)
+    g = rule.gauss
     h = 1.0 / panels
     G = np.array(grad0, dtype=float)
-    S = 0.0
+    (Gk, Sk), (Gg, Sg) = (G, 0.0), (G, 0.0)
     for p in range(panels):
-        steps = [rates(base + (p + tj) * h * d, d) for tj in t]
-        Jd = np.stack([s[0] for s in steps])  # (q, m, n)
-        V = np.stack([s[1] for s in steps])  # (q, k, m, n)
-        del steps  # peak memory: a few (q, m, n) arrays
-        Jd_flat = Jd.reshape(q, -1)
-        G_nodes = (h * K @ Jd_flat).reshape(Jd.shape)
-        G_nodes += G
-        S = S + h * np.einsum("j,jmn,jkmn->mk", w, G_nodes, V)
-        G = G + h * (w @ Jd_flat).reshape(G.shape)
-    return G, S
+        steps = [rates(base + (p + tj) * h * d, d) for tj in rule.t]
+        Jd = np.stack([s[0] for s in steps])  # (2Q+1, m, n)
+        V = np.stack([s[1] for s in steps])  # (2Q+1, k, m, n)
+        del steps  # peak memory: a few (2Q+1, m, n) arrays
+        Gk, Sk = _advance(Gk, Sk, h, rule.w, rule.K, Jd, V)
+        Gg, Sg = _advance(Gg, Sg, h, rule.w_gauss, rule.K_gauss, Jd[g], V[g])
+    return (Gk, Sk), (Gg, Sg)
 
 
 def _ray_family(rates, base: np.ndarray, nodes: np.ndarray, quad_tol: float, grad0):
@@ -306,25 +349,27 @@ def _ray_family(rates, base: np.ndarray, nodes: np.ndarray, quad_tol: float, gra
 
     where rates(points, d) returns J d and the stacked v_k.  Each ray
     parameter costs one rates call over all unfinished nodes.  A node is
-    done when the Q- and 2Q-node rules agree to quad_tol (relative once the
-    result exceeds 1); the rest are split into twice as many panels."""
+    done when the Kronrod and the Gauss sums agree to quad_tol (relative
+    once the result exceeds 1), and keeps the Kronrod result; the rest are
+    split into twice as many panels.  Also returns the largest panel count
+    reached and the number of rates calls made."""
     d = nodes - base
     grad0 = np.broadcast_to(grad0, d.shape)
     G, S = np.empty(d.shape), None
     todo = np.arange(d.shape[0])
-    panels = 1
+    panels, calls = 1, 0
     while True:
-        Gc, Sc = _panel_sums(rates, base, d[todo], grad0[todo], panels, _RAY_Q)
-        Gf, Sf = _panel_sums(rates, base, d[todo], grad0[todo], panels, 2 * _RAY_Q)
-        fine = np.hstack([Gf, Sf])
-        err = np.abs(fine - np.hstack([Gc, Sc])).max(axis=1)
-        ok = err <= quad_tol * (1.0 + np.abs(fine).max(axis=1))
+        (Gk, Sk), (Gg, Sg) = _panel_sums(rates, base, d[todo], grad0[todo], panels)
+        calls += panels * _ray_rule(_RAY_Q).t.size
+        kronrod = np.hstack([Gk, Sk])
+        err = np.abs(kronrod - np.hstack([Gg, Sg])).max(axis=1)
+        ok = err <= quad_tol * (1.0 + np.abs(kronrod).max(axis=1))
         if S is None:
-            S = np.empty((d.shape[0], Sf.shape[1]))
-        G[todo[ok]], S[todo[ok]] = Gf[ok], Sf[ok]
+            S = np.empty((d.shape[0], Sk.shape[1]))
+        G[todo[ok]], S[todo[ok]] = Gk[ok], Sk[ok]
         todo, err = todo[~ok], err[~ok]
         if todo.size == 0:
-            return G, S
+            return G, S, (panels, calls)
         if panels >= _RAY_MAX_PANELS:
             worst = int(np.argmax(err))
             raise QuadratureFailureError(
@@ -338,13 +383,16 @@ def _ray_families(rates, base: np.ndarray, axes: list, quad_tol: float, grad0=0.
     """Family A of rays from the base point and family B from the grid corner
     farthest from it.  B starts from A's carried vector at that corner and
     its scalars are shifted by A's values there, so the two agree exactly at
-    the corner and elsewhere up to path dependence and quadrature error."""
+    the corner and elsewhere up to path dependence and quadrature error.
+    The work done goes into a grid's meta: the largest panel count either
+    family reached and the rates calls of both."""
     nodes = PotentialGrid(axes, {}, ()).nodes()
-    G, S = _ray_family(rates, base, nodes, quad_tol, grad0)
+    G, S, (panels, calls) = _ray_family(rates, base, nodes, quad_tol, grad0)
     far = tuple(0 if abs(a[0] - b) >= abs(a[-1] - b) else len(a) - 1 for a, b in zip(axes, base))
     c = int(np.ravel_multi_index(far, [len(a) for a in axes]))
-    G_b, S_b = _ray_family(rates, nodes[c], nodes, quad_tol, G[c])
-    return G, S, G_b, S_b + S[c]
+    G_b, S_b, (panels_b, calls_b) = _ray_family(rates, nodes[c], nodes, quad_tol, G[c])
+    work = {"ray_panels": max(panels, panels_b), "field_evaluations": calls + calls_b}
+    return G, S, G_b, S_b + S[c], work
 
 
 def _jacobian_rates(field: MatrixField):
@@ -400,7 +448,7 @@ def reconstruct_flux(
     shape = tuple(counts) + (spec.n,)
     field = flux_jacobian_field(spec, cand)
     res = _require_closed(*field.value_grad(_closedness_probes(spec, base)), curl_tol)
-    F, _, F_b, _ = _ray_families(_jacobian_rates(field), base, axes, quad_tol)
+    F, _, F_b, _, work = _ray_families(_jacobian_rates(field), base, axes, quad_tol)
     return PotentialGrid(
         axes=axes,
         values={"f": F.reshape(shape)},
@@ -409,6 +457,7 @@ def reconstruct_flux(
             "curl_residual": res,
             "path_independence_residual": float(np.abs(F - F_b).max()),
             "quad_tol": quad_tol,
+            **work,
             "kind": "flux",
         },
     )
@@ -439,7 +488,7 @@ def reconstruct_eta(
     res = _require_closed(V, G, curl_tol)
     sym = float(np.abs(V - V.transpose(0, 2, 1)).max() / (1.0 + np.abs(V).max()))
     rates = _potential_rates(lambda pts: (field.values(pts),))
-    grad, S, psi, S_b = _ray_families(rates, base, axes, quad_tol)
+    grad, S, psi, S_b, work = _ray_families(rates, base, axes, quad_tol)
     grad_res = float(np.abs(grad - psi).max())
     return PotentialGrid(
         axes=axes,
@@ -455,6 +504,7 @@ def reconstruct_eta(
             "path_independence_residual": max(float(np.abs(S - S_b).max()), grad_res),
             "grad_consistency_residual": grad_res,
             "quad_tol": quad_tol,
+            **work,
             "kind": "eta",
         },
     )
@@ -495,7 +545,7 @@ def entropy_flux(
         R, L, (b, lam) = frame.values(pts)
         return _hessian_values(L, b), _flux_values(R, L, lam)
 
-    grad, S, _, S_b = _ray_families(_potential_rates(fields), base, axes, quad_tol, grad0)
+    grad, S, _, S_b, work = _ray_families(_potential_rates(fields), base, axes, quad_tol, grad0)
     # curl of w = grad(eta) . A at grid probes, using d(grad eta) = M
     nodes = PotentialGrid(axes, {}, tuple(base)).nodes()
     take = nodes[:: max(1, nodes.shape[0] // 40)]
@@ -522,6 +572,7 @@ def entropy_flux(
         meta={
             "q_curl_residual": wres,
             "path_independence_residual": float(np.abs(S[:, 1] - S_b[:, 1]).max()),
+            **work,
             "kind": "entropy-flux",
         },
     )

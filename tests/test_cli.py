@@ -125,6 +125,23 @@ def test_bad_grid_rejected(capsys):
     assert rc == cli.EXIT_INPUT_ERROR
 
 
+def test_grid_too_large_for_memory_is_input_error(tmp_path, capsys):
+    """A 10^18-node grid is past the address space: numpy refuses the
+    allocation at once (nothing is allocated), and the CLI exits 2 with one
+    line instead of a MemoryError traceback."""
+    cand = tmp_path / "beta.json"
+    cand.write_text(json.dumps({
+        "kind": "beta", "exprs": ["(K1-K2)*(u1+u2)", "K2*(u1+u2)", "K1*(u1+u2)/(u1*u2)"],
+        "params": {"K1": 1.0, "K2": 0.0},
+    }))
+    rc = cli.main(["--grid", "1000000,1000000,1000000", "reconstruct",
+                   corpus_path("ex6.10.json"), str(cand)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INPUT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_selftest_tighter_than_roundoff_reports_failures(capsys):
     rc = cli.main(["--output", "json", "--samples", "12", "--tol", "1e-16", "selftest"])
     out = json.loads(capsys.readouterr().out)

@@ -422,6 +422,26 @@ def test_domain_error_messages_pinned(src, bad, params, message):
         assert str(err.value) == message
 
 
+# exp(709*u1) is finite at [1, 1, 1] (8.2e307), but its derivative tape and
+# its order-1 jets are not; each violation sits at the second point
+DERIVATIVE_DOMAIN_MESSAGES = [
+    (lambda e, pts: ex.eval_scalar_many(ex.differentiate(e, 0), pts),
+     "domain violation in 'exp(709.0*u1)*709.0' at point [1. 1. 1.]: non-finite value"),
+    (lambda e, pts: ex.eval_jet2_many(e, pts, order=1),
+     "domain violation in 'exp(709.0*u1)' at point [1. 1. 1.]: non-finite value"),
+]
+
+
+@pytest.mark.parametrize("run, message", DERIVATIVE_DOMAIN_MESSAGES, ids=["tape", "jets"])
+def test_derivative_domain_error_messages_pinned(run, message):
+    e = parse("exp(709*u1)")
+    pts = np.array([[0.5, 1.5, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    assert np.isfinite(ex.eval_scalar_many(e, pts)).all()
+    with pytest.raises(DomainError) as err:
+        run(e, pts)
+    assert str(err.value) == message
+
+
 def test_symbolic_derivative_matches_jet_gradient():
     pts = np.random.default_rng(11).uniform(0.4, 1.5, size=(30, 3))
     for src in RANDOM_SOURCES:

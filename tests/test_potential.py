@@ -35,25 +35,50 @@ def _no_scalars(d):
     return np.empty((0,) + d.shape)
 
 
-def test_adaptive_quadrature_known_integral():
+def test_gauss_kronrod_ray_known_integral():
     """The ray from 0 to 2 carries G(1) = int_0^2 e^t dt."""
 
     def rates(pts, d):
         return np.exp(pts) * d, _no_scalars(d)
 
-    G, _ = pot._ray_family(rates, np.zeros(1), np.array([[2.0]]), 1e-12, 0.0)
+    G, *_ = pot._ray_family(rates, np.zeros(1), np.array([[2.0]]), 1e-12, 0.0)
     assert abs(G[0, 0] - (np.exp(2.0) - 1.0)) < 1e-12
 
 
-def test_adaptive_quadrature_vector_integrand():
+def test_gauss_kronrod_ray_vector_integrand():
     """The diagonal ray to (pi/2, pi/2) carries (int sin, int cos) over
     [0, pi/2]."""
 
     def rates(pts, d):
         return np.stack([np.sin(pts[:, 0]), np.cos(pts[:, 1])], axis=1) * d, _no_scalars(d)
 
-    G, _ = pot._ray_family(rates, np.zeros(2), np.full((1, 2), np.pi / 2), 1e-12, 0.0)
+    G, *_ = pot._ray_family(rates, np.zeros(2), np.full((1, 2), np.pi / 2), 1e-12, 0.0)
     assert np.abs(G[0] - np.array([1.0, 1.0])).max() < 1e-12
+
+
+def test_gauss_kronrod_rule():
+    """The 33 Kronrod nodes contain the 16 Gauss nodes bit for bit and
+    interlace with them; the sums and cumulative matrices are exact to the
+    degrees of each rule."""
+    rule = pot._ray_rule(16)
+    t, g = rule.t, rule.gauss
+    x, _ = np.polynomial.legendre.leggauss(16)
+    assert t.shape == (33,) and np.all((t > 0.0) & (t < 1.0))
+    assert np.all(np.diff(t) > 0.0) and np.array_equal(g, np.arange(1, 33, 2))
+    assert np.array_equal(t[g], 0.5 * (x + 1.0))
+    assert np.all(rule.w > 0.0) and np.all(rule.w_gauss > 0.0)
+    for n in range(50):
+        assert abs(rule.w @ t**n - 1.0 / (n + 1)) < 1e-15, n
+    for n in range(32):
+        assert abs(rule.w_gauss @ t[g] ** n - 1.0 / (n + 1)) < 1e-15, n
+    # random polynomials in the shifted Legendre basis, integrated from 0
+    leg = np.polynomial.legendre
+    rng = np.random.default_rng(5)
+    for K, nodes, degree in ((rule.K, t, 32), (rule.K_gauss, t[g], 15)):
+        for _ in range(5):
+            c = rng.standard_normal(degree + 1)
+            exact = 0.5 * leg.legval(2.0 * nodes - 1.0, leg.legint(c, lbnd=-1))
+            assert np.abs(K @ leg.legval(2.0 * nodes - 1.0, c) - exact).max() < 1e-14
 
 
 def test_cumulative_simpson_fourth_order():
@@ -474,3 +499,42 @@ def test_frame_inverted_once_per_point_set(corpus_cases, monkeypatch, kind):
     else:
         pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (4, 4, 4))
     assert seen and len(seen) == len(set(seen)), (len(seen), len(set(seen)))
+
+
+@pytest.mark.parametrize("kind", ["eta", "flux", "q"])
+def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch, kind):
+    """The grid meta counts the rates calls of both ray families and the
+    largest panel count; ex6.10 eta on a 4^3 grid converges on one panel,
+    so 2 x 33 calls."""
+    calls = []
+
+    def counting(make):
+        def wrapped(arg):
+            rates = make(arg)
+
+            def counted(pts, d):
+                calls.append(pts.shape)
+                return rates(pts, d)
+
+            return counted
+
+        return wrapped
+
+    monkeypatch.setattr(pot, "_potential_rates", counting(pot._potential_rates))
+    monkeypatch.setattr(pot, "_jacobian_rates", counting(pot._jacobian_rates))
+    if kind == "eta":
+        case = corpus_cases["ex6.10"]
+        bet = next(c for k, c in case.candidates if k == "beta")
+        grid = pot.reconstruct_eta(case.spec, bet, case.spec.base_point, (4, 4, 4))
+        assert grid.meta["ray_panels"] == 1 and len(calls) == 2 * 33
+    elif kind == "flux":
+        case = corpus_cases["ex6.6"]
+        lam = next(c for k, c in case.candidates if k == "lambda")
+        grid = pot.reconstruct_flux(case.spec, lam, case.spec.base_point, (4, 4, 4))
+    else:
+        case = corpus_cases["ex6.1b"]
+        lam = next(c for k, c in case.candidates if k == "lambda")
+        bet = [c for k, c in case.candidates if k == "beta"][1]
+        grid = pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (4, 4, 4))
+    assert grid.meta["ray_panels"] >= 1
+    assert grid.meta["field_evaluations"] == len(calls)
