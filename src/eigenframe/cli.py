@@ -177,7 +177,7 @@ def cmd_verify(args, config: RunConfig) -> int:
         },
     }
     if kind == "beta":
-        out["convexity"] = convexity_classify(spec, cand, conn.points)
+        out["convexity"] = convexity_classify(cand, conn.points)
     passed = rec.max_scaled < config.tol
     # cross-system identity, paired with a verified partner from the frame
     # file when one is recorded there
@@ -208,27 +208,20 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     counts = config.grid[: spec.n]
     if len(counts) < spec.n:
         counts = tuple(counts) + (counts[-1],) * (spec.n - len(counts))
-    base = spec.base_point
-    if config.flux or kind == "lambda":
-        if kind != "lambda":
-            raise SchemaError("--flux reconstruction needs a lambda candidate")
-        rec = lambda_residual(conn, cand)
-        if rec.max_scaled > config.tol:
-            print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
-            return EXIT_MATH_FAILURE
-        grid = reconstruct_flux(spec, cand, base, counts, config.quadrature_tol)
-        stem = Path(args.candidate_file).with_suffix("")
-        out_csv = Path(f"{stem}_flux.csv")
-        out_json = Path(f"{stem}_flux.json")
+    if config.flux and kind != "lambda":
+        raise SchemaError("--flux reconstruction needs a lambda candidate")
+    if kind == "lambda":
+        name, residual, reconstruct = "flux", lambda_residual, reconstruct_flux
     else:
-        rec = beta_residual(conn, cand)
-        if rec.max_scaled > config.tol:
-            print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
-            return EXIT_MATH_FAILURE
-        grid = reconstruct_eta(spec, cand, base, counts, config.quadrature_tol)
-        stem = Path(args.candidate_file).with_suffix("")
-        out_csv = Path(f"{stem}_eta.csv")
-        out_json = Path(f"{stem}_eta.json")
+        name, residual, reconstruct = "eta", beta_residual, reconstruct_eta
+    rec = residual(conn, cand)
+    if rec.max_scaled > config.tol:
+        print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
+        return EXIT_MATH_FAILURE
+    grid = reconstruct(spec, cand, spec.base_point, counts, config.quadrature_tol)
+    stem = Path(args.candidate_file).with_suffix("")
+    out_csv = Path(f"{stem}_{name}.csv")
+    out_json = Path(f"{stem}_{name}.json")
     out_csv.write_text(grid.to_csv(spec.vars))
     out_json.write_text(grid.to_json())
     summary = {"written": [str(out_csv), str(out_json)], **grid.meta}

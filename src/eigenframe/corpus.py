@@ -252,12 +252,13 @@ def _closed_eta_check(conn: ConnectionEval, cand) -> float:
     return float(max(res_diag.max(), np.abs(off).max()) / scale)
 
 
-def _closed_f_check(spec, cand, points) -> float:
-    """Jacobian of the closed-form flux vs the assembled matrix field."""
-    from .potential import flux_jacobian_field
+def _closed_f_check(conn: ConnectionEval, cand) -> float:
+    """Jacobian of the closed-form flux vs R diag[l] L, assembled from the
+    connection's frame and inverse."""
+    from .potential import _flux_values
 
-    A = flux_jacobian_field(spec, cand).values(points)
-    Df = ex.eval_jet2_many(cand.f_tape, points, order=1).grad
+    A = _flux_values(conn.R, conn.L, ex.eval_scalar_many(cand.tape, conn.points))
+    Df = ex.eval_jet2_many(cand.f_tape, conn.points, order=1).grad
     return float(np.abs(Df - A).max() / (1.0 + np.abs(A).max()))
 
 
@@ -282,8 +283,7 @@ def run_example(
         return ok
 
     spec = case.spec
-    points = spec.sample_points(samples, seed)
-    conn = eval_connection(spec, points)
+    conn = eval_connection(spec, spec.sample_points(samples, seed))
     torsion, curvature = check_symmetry_flatness(conn)
     record("torsion identity", torsion, 1e-8)
     record("curvature identity", curvature, 1e-8)
@@ -322,7 +322,7 @@ def run_example(
                    _closed_eta_check(conn, cand), 1e-9)
         if kind == "lambda" and cand.f_exprs is not None:
             record(f"candidate {idx} closed-form flux",
-                   _closed_f_check(spec, cand, points), 1e-9)
+                   _closed_f_check(conn, cand), 1e-9)
     sevennec_run = False
     for lcand in verified["lambda"]:
         for bcand in verified["beta"]:

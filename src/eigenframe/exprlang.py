@@ -1,4 +1,4 @@
-"""A small smooth-expression language with exact second-order jets.
+"""A small smooth-expression language with exact derivatives of any order.
 
 Grammar (documented in docs/grammar.md)::
 
@@ -18,22 +18,32 @@ by exactly one instruction.  Compilation binds the params, folds every
 subtree without variables to a constant with the same numpy ufuncs that
 evaluation uses, shares common subexpressions across all outputs, and
 turns the domain rules into check instructions.  A tape has two kernels
-over one instruction list: values only, and jets of order 1 (value,
-gradient) or 2 (plus Hessian), batched over many points with numpy.
-Constants stay plain floats in both.  Powers with an integer constant
-exponent become repeated multiplications and therefore work for negative
-bases; any other power is exp/ln-based and requires a positive base.
+over one instruction list, batched over many points with numpy: values
+only, and truncated Taylor series (Taylor) of any order, whose
+coefficients d^a f / a! are every partial derivative up to that order.
+The series kernel seeds variable u_i as u_i + e_i, runs +, -, * and / on
+whole series and composes a builtin as f(g) = sum_k f^(k)(g0)/k! (g - g0)^k
+from one rule per builtin for its terms; every value slot is written by
+the values kernel's own ufunc, so the two kernels agree bit for bit on
+values.  eval_series returns the coefficients, and eval_jet2_many reads
+value, gradient and Hessian from them.  Constants stay plain floats in
+both kernels.  Powers with an integer constant exponent become repeated
+multiplications and therefore work for negative bases; any other power is
+exp/ln-based and requires a positive base.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from .errors import (
     DomainError,
@@ -309,136 +319,285 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Second-order jets
+# Truncated Taylor series (Griewank & Walther, Evaluating Derivatives, ch. 13)
 # ---------------------------------------------------------------------------
 
 
-class Jet2:
-    """Second-order Taylor data (value, gradient, Hessian), batched.
+@lru_cache(maxsize=None)
+def _monomials(n: int, order: int) -> tuple:
+    """Multi-indices of degree <= order in graded order, each as the sorted
+    tuple of its variables (u1^2 u3 is (0, 0, 2))."""
+    return tuple(
+        t for q in range(order + 1) for t in itertools.combinations_with_replacement(range(n), q)
+    )
 
-    value has an arbitrary leading batch shape S, grad has shape S+(n,),
-    hess has shape S+(n,n) and is symmetric bit-for-bit by construction.  A
-    first-order jet has hess None, and every rule then skips the Hessian.
-    The other operand of a rule is a jet of the same order or a plain float:
-    a constant, whose zero derivatives are never stored.
-    """
 
-    __slots__ = ("value", "grad", "hess")
+def _size(n: int, order: int) -> int:
+    return len(_monomials(n, order))
 
-    def __init__(self, value: np.ndarray, grad: np.ndarray, hess: Optional[np.ndarray] = None):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
+
+@lru_cache(maxsize=None)
+def _product_table(n: int, order: int) -> tuple:
+    """Operands I, J and summation matrix S of the truncated product:
+    (f g)[k] = sum_p f[I[p]] g[J[p]] S[p, k]."""
+    mono = _monomials(n, order)
+    index = {t: i for i, t in enumerate(mono)}
+    terms = [
+        (i, j, index[tuple(sorted(a + b))])
+        for i, a in enumerate(mono)
+        for j, b in enumerate(mono[: _size(n, order - len(a))])
+    ]
+    I, J, K = (np.array(col) for col in zip(*terms))
+    S = np.zeros((len(terms), len(mono)))
+    S[np.arange(len(terms)), K] = 1.0
+    return I, J, S
+
+
+@lru_cache(maxsize=None)
+def _derivative_table(n: int, order: int) -> np.ndarray:
+    """D[b, k, l]: (d_b f)[k] = sum_l D[b, k, l] f[l], from a series of the
+    given order to one of order - 1."""
+    mono = _monomials(n, order)
+    index = {t: i for i, t in enumerate(mono)}
+    D = np.zeros((n, _size(n, order - 1), len(mono)))
+    for k, t in enumerate(mono[: D.shape[1]]):
+        for b in range(n):
+            D[b, k, index[tuple(sorted(t + (b,)))]] = t.count(b) + 1
+    return D
+
+
+@lru_cache(maxsize=None)
+def _frame_derivative_table(n: int, order: int) -> np.ndarray:
+    """T[b, i, k, l]: (g d_b f)[k] = sum_{i,l} g[i] T[b, i, k, l] f[l] for a
+    series f of the given order and g of order - 1."""
+    I, J, S = _product_table(n, order - 1)
+    T = np.zeros((n, S.shape[1], S.shape[1], _size(n, order)))
+    np.add.at(T, (slice(None), I), np.einsum("pk,bpl->bpkl", S, _derivative_table(n, order)[:, J]))
+    return T
+
+
+@lru_cache(maxsize=None)
+def _hessian_index(n: int) -> tuple:
+    """H, F: the Hessian of a series coef of order 2 is coef[..., H] * F,
+    with H[i, j] the position of the multi-index {i, j} in _monomials(n, 2)
+    and F[i, j] = 2 on the diagonal, 1 elsewhere."""
+    index = {t: i for i, t in enumerate(_monomials(n, 2))}
+    H = np.array([[index[(min(i, j), max(i, j))] for j in range(n)] for i in range(n)])
+    return H, 1.0 + np.eye(n)
+
+
+def _constant(c):
+    """A constant operand of a series: an array gains the coefficient axis."""
+    return c[..., None] if isinstance(c, np.ndarray) else c
+
+
+class Taylor:
+    """Fields as truncated Taylor series in the point coordinates, batched:
+    coef[..., l] = d^a f / a! for the l-th multi-index a of _monomials(n,
+    order), so a lower order is a leading slice.  It acts as an array of
+    shape coef.shape[:-1]: indexing (without Ellipsis), broadcasting, +, -,
+    *, / and @ (over the last two axes) act on whole series, truncated to
+    the lower order; a float or array operand is a constant.  The value
+    slot of +, -, * and / is the numpy ufunc of the operand values, bit for
+    bit, whatever the higher coefficients hold."""
+
+    __array_ufunc__ = None  # numpy defers to the reflected operators
+
+    def __init__(self, coef: np.ndarray, n: int, order: int):
+        self.coef, self.n, self.order = coef, n, order
 
     @property
-    def n(self) -> int:
-        return self.grad.shape[-1]
+    def value(self) -> np.ndarray:
+        return self.coef[..., 0]
+
+    def __getitem__(self, index) -> "Taylor":
+        return Taylor(self.coef[index], self.n, self.order)
+
+    def sum(self, axis: int) -> "Taylor":
+        return Taylor(self.coef.sum(axis=axis), self.n, self.order)
 
     @staticmethod
-    def variable(values: np.ndarray, index: int, n: int, order: int = 2) -> "Jet2":
-        values = np.asarray(values, dtype=float)
-        g = np.zeros(values.shape + (n,))
-        g[..., index] = 1.0
-        h = np.zeros(values.shape + (n, n)) if order == 2 else None
-        return Jet2(values.copy(), g, h)
+    def stack(fields: list) -> "Taylor":
+        """np.stack(..., axis=1) of fields; nested lists stack innermost
+        first, so [[f, g], [h, k]] has field axes (2, 2)."""
+        fields = [Taylor.stack(f) if isinstance(f, list) else f for f in fields]
+        order = min(f.order for f in fields)
+        size = _size(fields[0].n, order)
+        return Taylor(np.stack([f.coef[..., :size] for f in fields], axis=1), fields[0].n, order)
 
-    def __add__(self, other):
-        if not isinstance(other, Jet2):
-            return Jet2(self.value + other, self.grad, self.hess)
-        h = None if self.hess is None else self.hess + other.hess
-        return Jet2(self.value + other.value, self.grad + other.grad, h)
+    def _common(self, other: "Taylor") -> tuple:
+        if self.order == other.order:
+            return self.coef, other.coef, self.order
+        order = min(self.order, other.order)
+        size = _size(self.n, order)
+        return self.coef[..., :size], other.coef[..., :size], order
+
+    def _increment(self) -> "Taylor":
+        """self - self.value: the series without its constant term."""
+        coef = self.coef.copy()
+        coef[..., 0] = 0.0
+        return Taylor(coef, self.n, self.order)
+
+    def __add__(self, other) -> "Taylor":
+        if isinstance(other, Taylor):
+            a, b, order = self._common(other)
+            return Taylor(a + b, self.n, order)
+        coef = self.coef.copy()
+        coef[..., 0] += other
+        return Taylor(coef, self.n, self.order)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet2(-self.value, -self.grad, None if self.hess is None else -self.hess)
+    def __neg__(self) -> "Taylor":
+        return Taylor(-self.coef, self.n, self.order)
 
-    def __sub__(self, other):
-        if not isinstance(other, Jet2):
-            return Jet2(self.value - other, self.grad, self.hess)
-        h = None if self.hess is None else self.hess - other.hess
-        return Jet2(self.value - other.value, self.grad - other.grad, h)
+    def __sub__(self, other) -> "Taylor":
+        if isinstance(other, Taylor):
+            a, b, order = self._common(other)
+            return Taylor(a - b, self.n, order)
+        return self + (-other)
 
-    def __rsub__(self, other):
-        # a constant minus a jet: zero derivatives minus ours
-        h = None if self.hess is None else 0.0 - self.hess
-        return Jet2(other - self.value, 0.0 - self.grad, h)
+    def __rsub__(self, other) -> "Taylor":
+        coef = -self.coef
+        coef[..., 0] += other
+        return Taylor(coef, self.n, self.order)
 
-    def __mul__(self, other):
-        if not isinstance(other, Jet2):
-            h = None if self.hess is None else self.hess * other
-            return Jet2(self.value * other, self.grad * other, h)
-        v = self.value * other.value
-        g = self.grad * other.value[..., None] + self.value[..., None] * other.grad
-        if self.hess is None:
-            return Jet2(v, g)
-        cross = (
-            self.grad[..., :, None] * other.grad[..., None, :]
-            + other.grad[..., :, None] * self.grad[..., None, :]
-        )
-        h = (
-            self.hess * other.value[..., None, None]
-            + self.value[..., None, None] * other.hess
-            + cross
-        )
-        return Jet2(v, g, h)
+    def __mul__(self, other) -> "Taylor":
+        if not isinstance(other, Taylor):
+            return Taylor(self.coef * _constant(other), self.n, self.order)
+        a, b, order = self._common(other)
+        if order == 1:
+            coef = a * b[..., :1]
+            coef[..., 1:] += a[..., :1] * b[..., 1:]
+            return Taylor(coef, self.n, 1)
+        I, J, S = _product_table(self.n, order)
+        coef = (a[..., I] * b[..., J]) @ S
+        coef[..., 0] = a[..., 0] * b[..., 0]
+        return Taylor(coef, self.n, order)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet2):
-            h = None if self.hess is None else self.hess / other
-            return Jet2(self.value / other, self.grad / other, h)
-        return other._divide(self.value, self.grad, self.hess)
+    def __matmul__(self, other) -> "Taylor":
+        if not isinstance(other, Taylor):
+            return Taylor(np.einsum("...abl,...bc->...acl", self.coef, other), self.n, self.order)
+        a, b, order = self._common(other)
+        I, J, S = _product_table(self.n, order)
+        # take, not a[..., I]: einsum is slow on the axis order fancy indexing gives
+        terms = np.einsum("...abp,...bcp->...acp", np.take(a, I, axis=-1), np.take(b, J, axis=-1))
+        return Taylor(terms @ S, self.n, order)
 
-    def __rtruediv__(self, other):
-        return self._divide(other, 0.0, 0.0)
+    def __rmatmul__(self, other) -> "Taylor":
+        return Taylor(np.einsum("...ab,...bcl->...acl", other, self.coef), self.n, self.order)
 
-    def _divide(self, value, grad, hess) -> "Jet2":
-        """The quotient of the jet (value, grad, hess) by this one; a constant
-        numerator has grad and hess 0.0."""
-        v = value / self.value
-        g = (grad - v[..., None] * self.grad) / self.value[..., None]
-        if self.hess is None:
-            return Jet2(v, g)
-        cross = (
-            g[..., :, None] * self.grad[..., None, :]
-            + self.grad[..., :, None] * g[..., None, :]
-        )
-        h = (hess - v[..., None, None] * self.hess - cross) / self.value[..., None, None]
-        return Jet2(v, g, h)
+    def __truediv__(self, other) -> "Taylor":
+        if not isinstance(other, Taylor):
+            return Taylor(self.coef / _constant(other), self.n, self.order)
+        return other._divide(self)
 
-    def chain(self, f0: np.ndarray, f1: np.ndarray, f2: Optional[np.ndarray] = None) -> "Jet2":
-        """Compose with a scalar function given f(v), f'(v), f''(v); f'' is
-        only read by a second-order jet."""
-        g = f1[..., None] * self.grad
-        if self.hess is None:
-            return Jet2(f0, g)
-        outer = self.grad[..., :, None] * self.grad[..., None, :]
-        h = f1[..., None, None] * self.hess + f2[..., None, None] * outer
-        return Jet2(f0, g, h)
+    def __rtruediv__(self, other) -> "Taylor":
+        return self._divide(other)
+
+    def _divide(self, num) -> "Taylor":
+        """num / self for a series or constant num.  The quotient q solves
+        q = (num - (self - self0) q) / self0, and each pass of that
+        fixed point makes one more degree of q exact."""
+        g0 = self.value
+        v = (num.value if isinstance(num, Taylor) else num) / g0
+        # the first pass, from q = v, may use self v for dg q: they differ
+        # only in the value slot, which is overwritten
+        q = (num - self * v) / g0
+        q.coef[..., 0] = v
+        if self.order > 1:
+            dg = self._increment()
+            for _ in range(self.order - 1):
+                q = (num - dg * q) / g0
+                q.coef[..., 0] = v
+        return q
+
+    def compose(self, f0: np.ndarray, terms: list) -> "Taylor":
+        """f(self) from f0 = f(self.value) and terms[k-1] = f^(k)(self.value)/k!
+        for k = 1..order: sum_k terms[k-1] (self - self.value)^k by Horner's
+        rule."""
+        s = self * (terms[-1] if terms else 0.0)
+        if len(terms) > 1:
+            s.coef[..., 0] = 0.0  # s = (self - self.value) terms[-1]
+            h = self._increment()
+            for d in reversed(terms[:-1]):
+                s = h * (s + d)
+        s.coef[..., 0] = f0
+        return s
 
 
+class Jet2(NamedTuple):
+    """Value, gradient and Hessian of tape outputs, read from their series
+    (eval_jet2_many): grad has one more axis than value, and hess two more,
+    or is None for order 1.  Mixed partials share one series coefficient,
+    so hess is symmetric bit for bit."""
+
+    value: np.ndarray
+    grad: np.ndarray
+    hess: Optional[np.ndarray]
+
+
+# Series rules of the builtins: the terms f^(k)(v)/k!, k = 1..order, from
+# the argument value v and f0 = f(v).  Each first term is the derivative
+# formula of the first-order chain rule, so gradients keep those bits.
+
+
+def _oscillator_terms(d1, f0, order: int) -> list:
+    """terms of sin or cos (f'' = -f) from d1 = f'(v): the derivatives
+    run d1, -f0, -d1, f0, d1, ..."""
+    return [d1] + [
+        (f0, d1)[k % 2] * ((-1) ** (k // 2) / math.factorial(k)) for k in range(2, order + 1)
+    ]
+
+
+def _power_terms(v, d1, c: float, order: int) -> list:
+    """terms of v^c from the first, d1 = c v^(c-1): each next one is the
+    last times (c - k + 1) / (k v)."""
+    terms = [d1]
+    for k in range(2, order + 1):
+        terms.append(terms[-1] * ((c - k + 1) / k) / v)
+    return terms[:order]
+
+
+def _ln_terms(v, f0, order: int) -> list:
+    r = 1.0 / v
+    return [r] + [r**k * ((-1) ** (k + 1) / k) for k in range(2, order + 1)]
+
+
+@lru_cache(maxsize=None)
+def _tan_polynomials(order: int) -> tuple:
+    """P_k with tan^(k)(v) = P_k(tan v): P_0 = t, P_(k+1) = (1 + t^2) P_k'."""
+    P = [np.array([0.0, 1.0])]
+    for _ in range(order):
+        P.append(npoly.polymul([1.0, 0.0, 1.0], npoly.polyder(P[-1])))
+    return tuple(P)
+
+
+def _tan_terms(v, f0, order: int) -> list:
+    P = _tan_polynomials(order)
+    terms = [1.0 + f0 * f0]
+    terms += [npoly.polyval(f0, P[k]) / math.factorial(k) for k in range(2, order + 1)]
+    return terms[:order]
+
+
+def _arctan_terms(v, f0, order: int) -> list:
+    # arctan' = Im 1/(v - i) = Im ln'(v - i), so from the second on the
+    # terms are the imaginary parts of ln's at v - i
+    higher = [t.imag for t in _ln_terms(v - 1j, None, order)[1:]]
+    return ([1.0 / (1.0 + v * v)] + higher)[:order]
+
+
+# builtin -> (values kernel ufunc, series terms)
 _FN_TABLE = {
-    "sqrt": (
-        np.sqrt,
-        lambda v, f0: 0.5 / f0,
-        lambda v, f0: -0.25 / (f0 * v),
-    ),
-    "exp": (np.exp, lambda v, f0: f0, lambda v, f0: f0),
-    "ln": (np.log, lambda v, f0: 1.0 / v, lambda v, f0: -1.0 / (v * v)),
-    "sin": (np.sin, lambda v, f0: np.cos(v), lambda v, f0: -f0),
-    "cos": (np.cos, lambda v, f0: -np.sin(v), lambda v, f0: -f0),
-    "tan": (
-        np.tan,
-        lambda v, f0: 1.0 + f0 * f0,
-        lambda v, f0: 2.0 * f0 * (1.0 + f0 * f0),
-    ),
-    "arctan": (
-        np.arctan,
-        lambda v, f0: 1.0 / (1.0 + v * v),
-        lambda v, f0: -2.0 * v / (1.0 + v * v) ** 2,
-    ),
+    "sqrt": (np.sqrt, lambda v, f0, order: _power_terms(v, 0.5 / f0, 0.5, order)),
+    "exp": (np.exp, lambda v, f0, order: [f0] + [f0 / math.factorial(k) for k in range(2, order + 1)]),
+    "ln": (np.log, _ln_terms),
+    "sin": (np.sin, lambda v, f0, order: _oscillator_terms(np.cos(v), f0, order)),
+    "cos": (np.cos, lambda v, f0, order: _oscillator_terms(-np.sin(v), f0, order)),
+    "tan": (np.tan, _tan_terms),
+    "arctan": (np.arctan, _arctan_terms),
 }
 
 _POSITIVE_DOMAIN = {"sqrt", "ln"}
@@ -505,37 +664,36 @@ def _const_value(e: Expr):
 # ---------------------------------------------------------------------------
 
 
-def _jet_call(name: str):
-    f, df, d2f = _FN_TABLE[name]
+def _series_call(name: str):
+    f, terms = _FN_TABLE[name]
 
-    def call(x: Jet2) -> Jet2:
+    def call(x: Taylor) -> Taylor:
         v = x.value
         f0 = f(v)
-        return x.chain(f0, df(v, f0), None if x.hess is None else d2f(v, f0))
+        return x.compose(f0, terms(v, f0, x.order))
 
     return call
 
 
-def _jet_power(x: Jet2, c: float) -> Jet2:
+def _series_power(x: Taylor, c: float) -> Taylor:
     """x^c for a literal non-integer exponent c (x > 0 is checked before)."""
-    bv = x.value
-    f0 = np.power(bv, c)
-    f1 = c * np.power(bv, c - 1.0)
-    if x.hess is None:
-        return x.chain(f0, f1)
-    return x.chain(f0, f1, c * (c - 1.0) * np.power(bv, c - 2.0))
+    v = x.value
+    f0 = np.power(v, c)
+    return x.compose(f0, _power_terms(v, c * np.power(v, c - 1.0), c, x.order))
 
 
-# instruction name -> (values kernel, jets kernel); at run time at least one
-# operand is an array (or a jet), the other may be a float constant
+# instruction name -> (values kernel, series kernel); at run time at least
+# one operand is an array (or a series), the other may be a float constant.
+# A series result's value slot is the values kernel's ufunc of the operand
+# values (see Taylor), so both kernels agree bit for bit on values.
 _INSTRUCTIONS = {
     "add": (np.add, operator.add),
     "sub": (np.subtract, operator.sub),
     "mul": (np.multiply, operator.mul),
     "div": (np.divide, operator.truediv),
     "neg": (np.negative, operator.neg),
-    "pow": (np.power, _jet_power),
-    **{name: (f, _jet_call(name)) for name, (f, _, _) in _FN_TABLE.items()},
+    "pow": (np.power, _series_power),
+    **{name: (f, _series_call(name)) for name, (f, _) in _FN_TABLE.items()},
 }
 
 _CHECKS = {
@@ -551,7 +709,7 @@ def _check(holds, node: Expr, what: str):
     fails; the same function serves both kernels."""
 
     def check(x, points):
-        ok = holds(x.value if isinstance(x, Jet2) else x)
+        ok = holds(x.value if isinstance(x, Taylor) else x)
         if not ok.all():
             raise DomainError(to_source(node), points[int(np.argmin(ok))], what)
 
@@ -578,12 +736,12 @@ def _execute(code: tuple, regs: list):
 class Tape:
     """Expressions compiled into one straight-line program in SSA form.
 
-    Built by compile_tape; run by eval_scalar_many (values kernel) and
-    eval_jet2_many (jets kernel).  Every instruction is (values function,
-    jets function, destination register, operand a, operand b or None);
-    the register file starts with the point batch, the sink of the check
-    instructions and the folded constants.  The outputs are the compiled
-    expressions in order.
+    Built by compile_tape; run by eval_scalar_many (values kernel) and by
+    eval_series and eval_jet2_many (series kernel, truncated Taylor series
+    of any order).  Every instruction is (values function, series function,
+    destination register, operand a, operand b or None); the register file
+    starts with the point batch, the sink of the check instructions and the
+    folded constants.  The outputs are the compiled expressions in order.
     """
 
     def __init__(self, exprs: tuple, registers: list, variables: tuple, code: tuple, outputs: tuple):
@@ -593,7 +751,7 @@ class Tape:
         self.code = code
         self.outputs = outputs
         self._values_code = tuple((f, dst, a, b) for f, _, dst, a, b in code)
-        self._jets_code = tuple((j, dst, a, b) for _, j, dst, a, b in code)
+        self._series_code = tuple((s, dst, a, b) for _, s, dst, a, b in code)
 
     def _values(self, points: np.ndarray) -> np.ndarray:
         """Values of every output at points (m, n): shape (m, k)."""
@@ -608,35 +766,37 @@ class Tape:
         self._gate(points, (out,))
         return out
 
-    def _jets(self, points: np.ndarray, order: int) -> Jet2:
-        """Jets of every output at points (m, n): value (m, k), grad
-        (m, k, n), hess (m, k, n, n) or None for order 1."""
+    def _series(self, points: np.ndarray, order: int) -> np.ndarray:
+        """Taylor coefficients of every output at points (m, n) up to the
+        given order: shape (m, k, size), laid out as Taylor.coef.  Variable
+        u_i is seeded as the series u_i + e_i."""
         m, n = points.shape
+        size = _size(n, order)
         regs = list(self.registers)
         regs[_POINTS] = points
+        seeds = np.zeros((n, m, size))
+        seeds[:, :, 0] = points.T
         for reg, index in self.variables:
-            regs[reg] = Jet2.variable(points[:, index], index, n, order)
-        _execute(self._jets_code, regs)
-        k = len(self.outputs)
-        value, grad = np.empty((m, k)), np.empty((m, k, n))
-        hess = np.empty((m, k, n, n)) if order == 2 else None
+            if order:
+                seeds[index, :, 1 + index] = 1.0
+            regs[reg] = Taylor(seeds[index], n, order)
+        _execute(self._series_code, regs)
+        out = np.zeros((m, len(self.outputs), size))
         for o, reg in enumerate(self.outputs):
             r = regs[reg]
-            if isinstance(r, Jet2):
-                value[:, o], grad[:, o] = r.value, r.grad
-                if hess is not None:
-                    hess[:, o] = r.hess
+            if isinstance(r, Taylor):
+                out[:, o] = r.coef
             else:
-                value[:, o], grad[:, o] = r, 0.0
-                if hess is not None:
-                    hess[:, o] = 0.0
-        self._gate(points, (value, grad) if hess is None else (value, grad, hess))
-        return Jet2(value, grad, hess)
+                out[:, o, 0] = r
+        if not np.isfinite(out).all():
+            # one block per degree, values first, as the values kernel gates them
+            self._gate(points, tuple(out[..., _size(n, q - 1) : _size(n, q)] for q in range(order + 1)))
+        return out
 
     def _gate(self, points: np.ndarray, blocks: tuple):
         """One finiteness test per output block.  On failure, DomainError
-        names the first output with a non-finite value, gradient or Hessian
-        entry, and its first such point."""
+        names the first output with a non-finite value or derivative, block
+        by block, and its first such point."""
         if all(np.isfinite(block).all() for block in blocks):
             return
         m = points.shape[0]
@@ -686,7 +846,7 @@ class _Compiler:
         reg = self.numbers.get(key)
         if reg is not None:
             return reg
-        values_fn, jets_fn = _INSTRUCTIONS[name]
+        values_fn, series_fn = _INSTRUCTIONS[name]
         if a in self.consts and (b is None or b in self.consts):
             # the values kernel on a one-point batch, so the folded constant
             # has the bits evaluation would give
@@ -695,7 +855,7 @@ class _Compiler:
             reg = self.const(values_fn(*args)[0])
         else:
             reg = self._register()
-            self.code.append((values_fn, jets_fn, reg, a, b))
+            self.code.append((values_fn, series_fn, reg, a, b))
         self.numbers[key] = reg
         return reg
 
@@ -810,17 +970,37 @@ def eval_scalar(e: Expr, point: Sequence[float], params: Mapping[str, float] = {
     return float(eval_scalar_many(e, np.asarray(point, dtype=float)[None, :], params)[0])
 
 
-def eval_jet2_many(e, points: np.ndarray, params: Mapping[str, float] = {}, order: int = 2) -> Jet2:
-    """Jets of order 2 (value, gradient, Hessian) or 1 (hess None) at points
-    (..., n).  e is a Tape, whose outputs add an axis after the batch axes,
-    or a bare Expr, compiled with params into a one-output tape."""
+def _series_at(e, points, order: int, params: Mapping[str, float]) -> np.ndarray:
+    """eval_series, also behind eval_jet2_many: a jet stays one call of the
+    public API, which perfbench's tracer wraps function by function."""
     pts, batch = _point_batch(points)
     tape = e if isinstance(e, Tape) else compile_tape(((e,), params))
-    jet = tape._jets(pts, order)
+    coef = tape._series(pts, order)
     shape = batch + ((len(tape.outputs),) if isinstance(e, Tape) else ())
-    n = pts.shape[1]
-    hess = None if jet.hess is None else jet.hess.reshape(shape + (n, n))
-    return Jet2(jet.value.reshape(shape), jet.grad.reshape(shape + (n,)), hess)
+    return coef.reshape(shape + coef.shape[-1:])
+
+
+def eval_series(e, points: np.ndarray, order: int, params: Mapping[str, float] = {}) -> np.ndarray:
+    """Taylor coefficients up to the given order at points (..., n): the
+    last axis is Taylor.coef's, d^a f / a! for the multi-indices a of
+    _monomials(n, order).  e is a Tape, whose outputs add an axis after the
+    batch axes, or a bare Expr, compiled with params into a one-output
+    tape."""
+    return _series_at(e, points, order, params)
+
+
+def eval_jet2_many(e, points: np.ndarray, params: Mapping[str, float] = {}, order: int = 2) -> Jet2:
+    """Jets of order 2 (value, gradient, Hessian) or 1 (hess None) at points
+    (..., n), read from the series: hess[i, i] = 2 c_(ii), hess[i, j] = c_(ij).
+    e is a Tape, whose outputs add an axis after the batch axes, or a bare
+    Expr, compiled with params into a one-output tape."""
+    coef = _series_at(e, points, order, params)
+    n = np.shape(points)[-1]
+    hess = None
+    if order == 2:
+        index, factor = _hessian_index(n)
+        hess = coef[..., index] * factor
+    return Jet2(np.ascontiguousarray(coef[..., 0]), np.ascontiguousarray(coef[..., 1 : 1 + n]), hess)
 
 
 def eval_jet2(e: Expr, point: Sequence[float], params: Mapping[str, float] = {}) -> Jet2:

@@ -37,7 +37,7 @@ import io
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -174,24 +174,6 @@ def flux_jacobian_field(spec: FrameSpec, cand: LambdaCandidate) -> MatrixField:
         return _flux_value_grad(R, L, dR, lam, lg)
 
     return MatrixField(spec.n, values, value_grad)
-
-
-def hessian_field_from_expr(eta_expr, n: int, params: Mapping[str, float]) -> MatrixField:
-    """Hessian field of a closed-form scalar, via exact symbolic derivatives
-    (third derivatives are needed for the curl test)."""
-    first = [ex.differentiate(eta_expr, i) for i in range(n)]
-    second = tuple(ex.differentiate(first[i], j) for i in range(n) for j in range(n))
-    tape = ex.compile_tape((second, params))
-
-    def values(pts):
-        return ex.eval_scalar_many(tape, pts).reshape(pts.shape[0], n, n)
-
-    def value_grad(pts):
-        jet = ex.eval_jet2_many(tape, pts, order=1)
-        m = pts.shape[0]
-        return jet.value.reshape(m, n, n), jet.grad.reshape(m, n, n, n)
-
-    return MatrixField(n, values, value_grad)
 
 
 def _curl(V: np.ndarray, G: np.ndarray) -> float:

@@ -311,12 +311,7 @@ def sevennec_identity(
     return worst
 
 
-def convexity_classify(
-    spec: FrameSpec,
-    cand: BetaCandidate,
-    points: np.ndarray,
-    tol: float = 1e-9,
-) -> dict:
+def convexity_classify(cand: BetaCandidate, points: np.ndarray, tol: float = 1e-9) -> dict:
     """Sign classification of a verified length candidate.
 
     strict_entropy: every component positive at every sample;

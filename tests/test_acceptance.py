@@ -279,10 +279,10 @@ def test_criterion_10_entropy_classification(corpus_cases):
         and abs(ex.eval_scalar(c.exprs[0], case.spec.base_point, c.params)
                 - 1.4 * np.exp(case.spec.base_point[2]) * case.spec.base_point[0] ** -2.4) < 1e-10
     )
-    gas = sy.convexity_classify(case.spec, bet, case.spec.sample_points(50))
+    gas = sy.convexity_classify(bet, case.spec.sample_points(50))
     case11 = corpus_cases["ex6.11"]
     bet11 = next(c for k, c in case11.candidates if k == "beta")
-    mixed = sy.convexity_classify(case11.spec, bet11, case11.spec.sample_points(50))
+    mixed = sy.convexity_classify(bet11, case11.spec.sample_points(50))
     ok = gas["verdict"] == "strict_entropy" and mixed["verdict"] == "extension_only"
     _line(10, "entropy-classification", ok,
           f"gas {gas['verdict']}, mixed-sign {mixed['verdict']}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import connect
@@ -164,3 +165,25 @@ def test_run_example_with_reconstruction(corpus_cases):
     names = [c["name"] for c in verdict["checks"]]
     assert any("gauge comparison" in n for n in names)
     assert verdict["passed"]
+
+
+def test_run_example_inverts_each_sample_set_once(corpus_cases, monkeypatch):
+    """ex6.6 carries a closed-form flux; its check reads the connection's
+    frame and inverse instead of inverting the sample set again."""
+    from eigenframe import geometry, potential
+
+    inverted = []
+    original = geometry._invert_frame
+
+    def counting(points, R):
+        inverted.append(np.ascontiguousarray(points).tobytes())
+        return original(points, R)
+
+    monkeypatch.setattr(geometry, "_invert_frame", counting)
+    monkeypatch.setattr(potential, "_invert_frame", counting)
+    case = corpus_cases["ex6.6"]
+    assert any(kind == "lambda" and c.f_exprs is not None for kind, c in case.candidates)
+    verdict = corpus_mod.run_example(case)
+    assert verdict["passed"]
+    assert any("closed-form flux" in c["name"] for c in verdict["checks"])
+    assert len(inverted) == 1, f"{len(inverted)} inversions of {len(set(inverted))} point sets"

@@ -3,6 +3,8 @@ finite-difference oracle for gradients and Hessians."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,14 +273,12 @@ def parse_k(src):
 @given(_expr_source(), _expr_source())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_jet_multiplication_satisfies_product_rule(src_a, src_b):
+    """The Taylor product of two series is the series of the product."""
     ea, eb = parse_k(src_a), parse_k(src_b)
     pts = np.array([[0.7, 1.1, 0.4], [1.3, 0.6, 0.9]])
-    ja = ex.eval_jet2_many(ea, pts, K_PARAMS)
-    jb = ex.eval_jet2_many(eb, pts, K_PARAMS)
-    jab = ex.eval_jet2_many(ex.Mul(ea, eb), pts, K_PARAMS)
-    prod = ja * jb
-    for got, want in [(prod.value, jab.value), (prod.grad, jab.grad), (prod.hess, jab.hess)]:
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    sa, sb = (ex.Taylor(ex.eval_series(e, pts, 3, K_PARAMS), 3, 3) for e in (ea, eb))
+    sab = ex.eval_series(ex.Mul(ea, eb), pts, 3, K_PARAMS)
+    assert np.allclose((sa * sb).coef, sab, rtol=1e-12, atol=1e-12)
 
 
 @given(_expr_source())
@@ -440,6 +440,61 @@ def test_derivative_domain_error_messages_pinned(run, message):
     with pytest.raises(DomainError) as err:
         run(e, pts)
     assert str(err.value) == message
+
+
+def _reference_series(exprs, params, points, order):
+    """Taylor coefficients of exprs by nested symbolic differentiation,
+    shape (m, k, size): d^a e / a! for the multi-indices a of order."""
+    n = points.shape[1]
+    mono = ex._monomials(n, order)
+    derivs = []
+    for e in exprs:
+        d = {(): e}
+        for t in mono[1:]:
+            d[t] = ex.differentiate(d[t[:-1]], t[-1])
+        derivs.extend(d[t] for t in mono)
+    vals = ex.eval_scalar_many(ex.compile_tape((tuple(derivs), params)), points)
+    factorials = np.array([math.prod(math.factorial(t.count(b)) for b in set(t)) for t in mono])
+    return vals.reshape(len(points), len(exprs), len(mono)) / factorials
+
+
+def _series_gap(series, reference):
+    """Largest coefficient error of each output over 1 + its largest
+    reference coefficient."""
+    m, k = reference.shape[:2]
+    err = np.abs(series - reference).reshape(m, k, -1).max(axis=(0, 2))
+    return float((err / (1.0 + np.abs(reference).reshape(m, k, -1).max(axis=(0, 2)))).max())
+
+
+@given(_expr_source())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_series_matches_nested_symbolic_derivatives(src):
+    """The series kernel against nested differentiate through order 3."""
+    e = parse_k(src)
+    tape = ex.compile_tape(((e,), K_PARAMS))
+    series = ex.eval_series(tape, PROPERTY_POINTS, 3)
+    assert _series_gap(series, _reference_series((e,), K_PARAMS, PROPERTY_POINTS, 3)) < 1e-13
+
+
+@pytest.mark.parametrize("src", RANDOM_SOURCES + ["u1^1.5*sqrt(u2) + tan(u3*u1)", "arctan(u1 - u2*u3)"])
+def test_series_of_every_builtin_matches_to_order_4(src):
+    e = parse(src)
+    pts = PROPERTY_POINTS + 0.2
+    series = ex.eval_series(e, pts, 4)[:, None]
+    assert _series_gap(series, _reference_series((e,), {}, pts, 4)) < 1e-13
+
+
+def test_frame_series_matches_nested_symbolic_derivatives(corpus_cases):
+    """Order-4 series of every n = 3 corpus frame against nested
+    differentiate: the derivatives the classifier reads."""
+    for cid, case in corpus_cases.items():
+        spec = case.spec
+        if spec.n != 3:
+            continue
+        pts = spec.sample_points(12)
+        series = ex.eval_series(spec.tape, pts, 4)
+        reference = _reference_series(spec.tape.exprs, spec.params, pts, 4)
+        assert _series_gap(series, reference) < 1e-13, cid
 
 
 def test_symbolic_derivative_matches_jet_gradient():

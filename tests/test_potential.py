@@ -94,13 +94,6 @@ def test_cumulative_simpson_fourth_order():
 # ---------------------------------------------------------------------------
 
 
-def test_closed_form_hessian_is_curl_free(corpus_cases):
-    case = corpus_cases["ex6.11"]
-    bet = next(c for k, c in case.candidates if k == "beta" and c.eta_expr is not None)
-    field = pot.hessian_field_from_expr(bet.eta_expr, 3, {**case.spec.params, **bet.params})
-    assert pot.curl_residual(field, case.spec.sample_points(20)) < 1e-12
-
-
 def test_length_field_curl_free_for_solution(corpus_cases):
     case = corpus_cases["ex6.10"]
     bet = next(c for k, c in case.candidates if k == "beta")

@@ -169,28 +169,28 @@ def test_sevennec_rejects_coincident_eigenvalues(corpus_cases):
 def test_convexity_strict_entropy_for_gas(corpus_cases):
     case = corpus_cases["ex6.1b"]
     bet = next(c for k, c in case.candidates if k == "beta")
-    out = sy.convexity_classify(case.spec, bet, case.spec.sample_points(40))
+    out = sy.convexity_classify(bet, case.spec.sample_points(40))
     assert out["verdict"] == "strict_entropy"
 
 
 def test_convexity_degenerate_zero():
     spec = standard_frame()
     zero = sy.BetaCandidate.from_sources(["0", "0", "0"], V3)
-    out = sy.convexity_classify(spec, zero, spec.sample_points(10))
+    out = sy.convexity_classify(zero, spec.sample_points(10))
     assert out["verdict"] == "entropy"
 
 
 def test_convexity_extension_only(corpus_cases):
     case = corpus_cases["ex6.11"]
     bet = next(c for k, c in case.candidates if k == "beta")
-    out = sy.convexity_classify(case.spec, bet, case.spec.sample_points(40))
+    out = sy.convexity_classify(bet, case.spec.sample_points(40))
     assert out["verdict"] == "extension_only"
 
 
 def test_convexity_indefinite():
     spec = standard_frame()
     cand = sy.BetaCandidate.from_sources(["u1-0.5", "1", "1"], V3)
-    out = sy.convexity_classify(spec, cand, spec.sample_points(40))
+    out = sy.convexity_classify(cand, spec.sample_points(40))
     assert out["verdict"] == "indefinite"
 
 
