@@ -8,18 +8,25 @@ Commands:
   reconstruct  scalar-potential or flux grids from a verified candidate
   selftest     run the bundled example corpus plus quick property sweeps
 
-Exit codes (an error prints one "error: ..." line to stderr):
+Exit codes (an error prints one "error: ..." line to stderr, and a failed
+verify or reconstruct one line that names the residual):
   0  pass
   1  mathematical failure: a residual above --tol; CurlViolationError,
      NotRichError, NotRankZeroError, ChartDomainError, ZeroScalingError,
-     QuadratureFailureError, StepFailureError
-  2  input error: SchemaError, CorpusParseError, ExprSyntaxError,
-     IllegalCharacterError, UnknownIdentifierError, a file that cannot be
-     read or written (OSError: missing, a directory, no permission),
-     ValueError (bad flag values, malformed JSON), MemoryError (an input
-     too large for memory, such as a --grid past the address space)
+     QuadratureFailureError (a ray that does not converge, or whose integral
+     is not finite), StepFailureError
+  2  input error: SchemaError (also a domain box without lo < hi and a
+     finite width hi - lo, or a number outside the double range),
+     CorpusParseError, ExprSyntaxError, IllegalCharacterError,
+     UnknownIdentifierError, a file that cannot be read or written
+     (OSError: missing, a directory, no permission),
+     ValueError (usage errors and bad flag values: --tol and
+     --quadrature-tol must be finite and positive, --seed a non-negative
+     integer below 2^63/1009; malformed JSON), MemoryError (an input too
+     large for memory, such as a --grid past the address space)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
-     NormalizationFailedError, InconclusiveVanishingError, DomainError
+     NormalizationFailedError, InconclusiveVanishingError, DomainError (also
+     a frame whose determinant overflows)
 
 Each command evaluates the frame once on its sample set (one
 ConnectionEval) and hands that to every check.  Sampling is deterministic
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,8 +107,9 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 8:
             raise ValueError("--samples must be at least 8")
-        if self.tol <= 0 or self.quadrature_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for flag, tol in (("--tol", self.tol), ("--quadrature-tol", self.quadrature_tol)):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{flag} must be finite and positive, got {tol!r}")
         if self.output not in ("text", "json"):
             raise ValueError("--output must be text or json")
 
@@ -198,7 +207,13 @@ def cmd_verify(args, config: RunConfig) -> int:
         break
     out["passed"] = bool(passed)
     _emit(out, config)
-    return EXIT_PASS if passed else EXIT_MATH_FAILURE
+    if not passed:
+        cross = out.get("cross-identity")
+        detail = "" if cross is None else f", cross-system identity {cross:.3e}"
+        print(f"candidate fails verification: residual {rec.max_scaled:.3e}{detail}, "
+              f"tol {config.tol:.1e}", file=sys.stderr)
+        return EXIT_MATH_FAILURE
+    return EXIT_PASS
 
 
 def cmd_reconstruct(args, config: RunConfig) -> int:
@@ -317,8 +332,17 @@ def _parse_grid(text: str) -> tuple:
     return parts
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors (an unknown flag, a missing or malformed value) raise
+    ValueError, which exits 2 with one error line like every input error,
+    instead of printing the usage and calling sys.exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="eigenframe",
         description="Analyze, verify, and reconstruct extension/entropy and "
                     "flux systems for a prescribed eigen-frame.",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -50,6 +51,9 @@ from .systems import (
 
 ENV_CORPUS_DIR = "EIGENFRAME_CORPUS"
 
+# a number the code converts to float: a JSON integer past the double range
+# would raise OverflowError far from the input, and 1e400 parses as inf
+_DOUBLE = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.float_info.max}
 SCHEMA = {
     "type": "object",
     "required": ["id", "n", "vars", "frame", "domain", "base", "candidates", "expected"],
@@ -57,7 +61,7 @@ SCHEMA = {
         "id": {"type": "string", "minLength": 1},
         "n": {"type": "integer", "minimum": 2},
         "vars": {"type": "array", "items": {"type": "string"}, "minItems": 2},
-        "params": {"type": "object", "additionalProperties": {"type": "number"}},
+        "params": {"type": "object", "additionalProperties": _DOUBLE},
         "frame": {
             "type": "array",
             "items": {"type": "array", "items": {"type": "string"}},
@@ -66,11 +70,11 @@ SCHEMA = {
             "type": "object",
             "required": ["lo", "hi"],
             "properties": {
-                "lo": {"type": "array", "items": {"type": "number"}},
-                "hi": {"type": "array", "items": {"type": "number"}},
+                "lo": {"type": "array", "items": _DOUBLE},
+                "hi": {"type": "array", "items": _DOUBLE},
             },
         },
-        "base": {"type": "array", "items": {"type": "number"}},
+        "base": {"type": "array", "items": _DOUBLE},
         "chart": {
             "type": ["object", "null"],
             "required": ["w", "u_inv", "w_vars"],
@@ -88,7 +92,7 @@ SCHEMA = {
                 "properties": {
                     "kind": {"enum": ["beta", "lambda"]},
                     "exprs": {"type": "array", "items": {"type": "string"}},
-                    "params": {"type": "object", "additionalProperties": {"type": "number"}},
+                    "params": {"type": "object", "additionalProperties": _DOUBLE},
                     "closed_eta": {"type": "string"},
                     "closed_f": {"type": "array", "items": {"type": "string"}},
                 },
@@ -212,7 +216,13 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     except EigenframeError as err:
         raise CorpusParseError(path, str(err)) from err
     base = np.asarray(doc["base"], dtype=float)
-    lo, hi = np.asarray(doc["domain"]["lo"]), np.asarray(doc["domain"]["hi"])
+    lo, hi = np.asarray(doc["domain"]["lo"], dtype=float), np.asarray(doc["domain"]["hi"], dtype=float)
+    if not lo.shape == hi.shape == base.shape == (n,):
+        raise SchemaError(f"{path}: domain lo, hi and base need n={n} entries each")
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not (np.all(lo < hi) and np.all(np.isfinite(width))):
+        raise SchemaError(f"{path}: the domain box needs lo < hi with a finite width hi - lo")
     if np.any(base < lo) or np.any(base > hi):
         raise SchemaError(f"{path}: base point outside the domain box")
     return ExampleCase(

@@ -395,11 +395,14 @@ class Taylor:
     """Fields as truncated Taylor series in the point coordinates, batched:
     coef[..., l] = d^a f / a! for the l-th multi-index a of _monomials(n,
     order), so a lower order is a leading slice.  It acts as an array of
-    shape coef.shape[:-1]: indexing (without Ellipsis), broadcasting, +, -,
-    *, / and @ (over the last two axes) act on whole series, truncated to
-    the lower order; a float or array operand is a constant.  The value
-    slot of +, -, * and / is the numpy ufunc of the operand values, bit for
-    bit, whatever the higher coefficients hold."""
+    shape coef.shape[:-1]: indexing (without Ellipsis), transpose,
+    broadcasting, +, -, *, / and @ (over the last two axes) act on whole
+    series, truncated to the lower order; a float or array operand is a
+    constant.  So a formula written for arrays, run on order-1 fields, also
+    gives its exact first derivatives.  The value slot of +, -, * and / is
+    the numpy ufunc of the operand values, bit for bit, whatever the higher
+    coefficients hold; @ is batched matmul, with a product rule of its own
+    at order 1."""
 
     __array_ufunc__ = None  # numpy defers to the reflected operators
 
@@ -477,17 +480,31 @@ class Taylor:
 
     __rmul__ = __mul__
 
+    def transpose(self, *axes) -> "Taylor":
+        """The field axes permuted as ndarray.transpose(*axes) would, every
+        field axis named."""
+        return Taylor(self.coef.transpose(*axes, len(axes)), self.n, self.order)
+
     def __matmul__(self, other) -> "Taylor":
         if not isinstance(other, Taylor):
-            return Taylor(np.einsum("...abl,...bc->...acl", self.coef, other), self.n, self.order)
+            # row a of f B is B^T f[a]: one batched matmul for every degree
+            Bt = np.ascontiguousarray(np.swapaxes(other, -1, -2))
+            return Taylor(Bt[..., None, :, :] @ self.coef, self.n, self.order)
         a, b, order = self._common(other)
+        if order == 1:
+            # (AB)_0 = A_0 B_0 and (AB)_d = A_0 B_d + A_d B_0
+            AB, rest = a[..., 0] @ Taylor(b, self.n, 1), Taylor(a, self.n, 1) @ b[..., 0]
+            AB.coef += rest.coef
+            AB.coef[..., 0] = rest.value  # A_0 B_0 was added twice
+            return AB
         I, J, S = _product_table(self.n, order)
         # take, not a[..., I]: einsum is slow on the axis order fancy indexing gives
         terms = np.einsum("...abp,...bcp->...acp", np.take(a, I, axis=-1), np.take(b, J, axis=-1))
         return Taylor(terms @ S, self.n, order)
 
     def __rmatmul__(self, other) -> "Taylor":
-        return Taylor(np.einsum("...ab,...bcl->...acl", other, self.coef), self.n, self.order)
+        out = other @ self.coef.reshape(self.coef.shape[:-2] + (-1,))
+        return Taylor(out.reshape(out.shape[:-1] + self.coef.shape[-2:]), self.n, self.order)
 
     def __truediv__(self, other) -> "Taylor":
         if not isinstance(other, Taylor):

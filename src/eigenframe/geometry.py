@@ -9,26 +9,20 @@ components relative to a frame with columns R_j are
 
 with first index the direction and second the differentiated field, and the
 structure coefficients are c[i, j, k] = Gamma[i, j, k] - Gamma[j, i, k].
-First derivatives of Gamma are assembled exactly from second-order jets of
-the frame entries, so the symmetry and flatness identities of the flat
-coordinate connection hold to machine precision and serve as end-to-end
-pipeline checks.
 
 For n = 3 the inverse frame L comes from the adjugate and determinant by
 cofactor expansion (LAPACK otherwise); a frame with |det R| below
 DET_RTOL |R|_F^n raises SingularFrameError before anything is divided.
-eval_connection and directional_gamma (read by every residual and
-classifier branch through ConnectionEval.dGamma) contract by batched matrix
-products over reshaped views; the checks keep plain einsum.  With
-Gamma_j = L (DR_j R) and d_d L = -L (d_d R) L,
-
-    d_d Gamma_j = L ( d_d(DR_j R) - (d_d R) Gamma_j ),
-
-so Gamma is reused and d L is never formed.  Higher derivatives of Gamma
-come as Taylor fields (exprlang.Taylor, through ConnectionEval.taylor),
-composed from the truncated Taylor series of the frame's own tape
-(exprlang.eval_series); no derivative is taken by finite differences or by
-symbolic differentiation.
+Gamma is written once, as the formula Gamma_j = L (DR_j R) over Taylor
+fields (exprlang.Taylor): R is the truncated Taylor series of the frame's
+own tape (exprlang.eval_series), L = sum_k (-L0 H)^k L0 for R = R0 + H
+(inverse_series), and DR is read from R's coefficients.  eval_connection
+runs the tape once at order 2 and takes Gamma with its exact first
+derivatives from the order-1 series; ConnectionEval.taylor runs the same
+formula at higher orders.  No derivative is taken by finite differences, by
+symbolic differentiation or by a hand-written product rule, so the symmetry
+and flatness identities of the flat coordinate connection hold to machine
+precision and serve as end-to-end pipeline checks.
 """
 
 from __future__ import annotations
@@ -70,11 +64,15 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
 
 
 def halton_points(lo: np.ndarray, hi: np.ndarray, count: int, seed: int = 0) -> np.ndarray:
-    """Low-discrepancy points in the box [lo, hi], deterministic in seed."""
+    """Low-discrepancy points in the box [lo, hi], deterministic in seed.
+    A negative seed, or one whose Halton indices pass the int64 range,
+    raises ValueError."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n = lo.shape[0]
     start = 20 + 1009 * seed
+    if seed < 0 or start + count > np.iinfo(np.int64).max:
+        raise ValueError(f"seed must be a non-negative integer below 2^63/1009, got {seed}")
     idx = np.arange(start, start + count)
     cols = [_radical_inverse(idx, _PRIMES[d]) for d in range(n)]
     unit = np.stack(cols, axis=1)
@@ -243,28 +241,10 @@ class ConnectionEval:
         return directional_gamma(self)
 
     def taylor(self, order: int) -> Taylor:
-        """Gamma as a Taylor field of the given order, shape (m, i, j, k).
-        Order 1 is read from Gamma and GammaGrad.  Higher orders compose the
-        series of R: with R = R0 + H, L = sum_k (-L0 H)^k L0 and
-        Gamma_j = L (DR_j R) as in eval_connection."""
+        """Gamma as a Taylor field of the given order, shape (m, i, j, k)."""
         key = ("gamma", order)
         if key not in self._series:
-            n = self.n
-            if order <= 1:
-                coef = np.concatenate([self.Gamma[..., None], self.GammaGrad], axis=-1)
-                gamma = Taylor(coef[..., : _size(n, order)], n, order)
-            else:
-                R = self._frame_series(order + 1)
-                m, size, D = R.coef.shape[0], _size(n, order), _derivative_table(n, order + 1)
-                DR = R.coef.reshape(m * n * n, -1) @ D.reshape(n * size, -1).T  # (m, a, j, b, l)
-                R = Taylor(R.coef[..., :size], n, order)
-                L, X = self.L, -(self.L @ (R - R.value))
-                for _ in range(order):
-                    L = self.L + X @ L
-                LDR = L @ Taylor(DR.reshape(m, n, n * n, size), n, order)
-                G = Taylor(LDR.coef.reshape(m, n * n, n, size), n, order) @ R
-                gamma = Taylor(G.coef.reshape(m, n, n, n, size).transpose(0, 3, 2, 1, 4), n, order)
-            self._series[key] = gamma
+            self._series[key] = _gamma_series(self._frame_series(order + 1), self.L, order)
         return self._series[key]
 
     def r(self, d: int, f: Taylor) -> Taylor:
@@ -284,12 +264,16 @@ class ConnectionEval:
     def _frame_series(self, order: int) -> Taylor:
         """R as a Taylor field of the given order, shape (m, a, j): a leading
         slice of the highest-order series of the frame's tape evaluated on
-        this sample set so far."""
-        R = self._series.get("frame")
-        if R is None or R.order < order:
-            coef = ex.eval_series(self.spec.tape, self.points, order)
-            R = self._series["frame"] = Taylor(coef.reshape(coef.shape[:1] + (self.n, self.n, -1)), self.n, order)
+        this sample set so far (order 2 by eval_connection)."""
+        R = self._series["frame"]
+        if R.order < order:
+            R = self._series["frame"] = _frame_taylor(self.spec, self.points, order)
         return Taylor(R.coef[..., : _size(self.n, order)], self.n, order)
+
+
+def _frame_taylor(spec: FrameSpec, points: np.ndarray, order: int) -> Taylor:
+    """R as a Taylor field of the given order at points, shape (m, a, j)."""
+    return Taylor(frame_block(ex.eval_series(spec.tape, points, order), spec.n), spec.n, order)
 
 
 def eval_frame_jets(spec: FrameSpec, points: np.ndarray):
@@ -317,16 +301,21 @@ def _adjugate_det3(R: np.ndarray) -> tuple:
 
 def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
     """L = R^{-1} and det R for a batch of frames (m, n, n).  A frame whose
-    |det| falls below DET_RTOL * |R|_F^n raises SingularFrameError before
-    anything is divided by it."""
+    norm or determinant overflows raises DomainError, and one whose |det|
+    falls below DET_RTOL * |R|_F^n raises SingularFrameError, before
+    anything is divided by it (so L is finite)."""
     n = R.shape[-1]
     closed_form = n == 3
-    if closed_form:
-        adj, det = _adjugate_det3(R)
-    else:
-        det = np.linalg.det(R)
-    norm = np.sqrt((R**2).sum(axis=(1, 2)))
-    threshold = DET_RTOL * np.maximum(norm, 1e-30) ** n
+    with np.errstate(over="ignore", invalid="ignore"):
+        if closed_form:
+            adj, det = _adjugate_det3(R)
+        else:
+            det = np.linalg.det(R)
+        norm = np.sqrt((R**2).sum(axis=(1, 2)))
+        threshold = DET_RTOL * np.maximum(norm, 1e-30) ** n
+    finite = np.isfinite(det) & np.isfinite(threshold)
+    if not finite.all():
+        raise DomainError("frame determinant", points[int(np.argmin(finite))], "non-finite value")
     bad = np.abs(det) < threshold
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -336,31 +325,43 @@ def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
     return np.linalg.inv(R), det
 
 
+def inverse_series(R: Taylor, L0: np.ndarray) -> Taylor:
+    """L = R^{-1} as a Taylor field from L0 = R^{-1} at the points: with
+    R = R0 + H, L = sum_k (-L0 H)^k L0, truncated at R's order."""
+    X = L0 @ (R.value - R)
+    L = L0
+    for _ in range(R.order):
+        L = L0 + X @ L
+    return L
+
+
+def _gamma_series(R: Taylor, L0: np.ndarray, order: int) -> Taylor:
+    """Gamma_j = L (DR_j R) as a Taylor field of the given order, shape
+    (m, i, j, k), from the frame series R of order + 1 and L0 = R^{-1}."""
+    n, m, size = R.n, R.coef.shape[0], _size(R.n, order)
+    D = _derivative_table(n, order + 1)
+    DR = R.coef.reshape(m * n * n, -1) @ D.reshape(n * size, -1).T  # (m, a, j, b, l)
+    R = Taylor(R.coef[..., :size], n, order)
+    LDR = inverse_series(R, L0) @ Taylor(DR.reshape(m, n, n * n, size), n, order)
+    G = Taylor(LDR.coef.reshape(m, n * n, n, size), n, order) @ R
+    return Taylor(G.coef.reshape(m, n, n, n, size), n, order).transpose(0, 3, 2, 1)
+
+
 def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
     """Christoffel symbols, their first derivatives, and structure
-    coefficients of the flat coordinate connection relative to the frame."""
-    points, R, Rgrad, Rhess = eval_frame_jets(spec, points)
-    m, n = R.shape[0], spec.n
-    L, det = _invert_frame(points, R)
-    # (DR_j R_i)^a as (m, a, j*i); Gamma is L applied to it, laid out [k, j, i]
-    DRR = (Rgrad.reshape(m, n * n, n) @ R).reshape(m, n, n * n)
-    G_kji = L @ DRR
-    Gamma = np.ascontiguousarray(G_kji.reshape(m, n, n, n).transpose(0, 3, 2, 1))
-    # d_d Gamma_j = L d_d(DR_j R) + (d_d L) DR_j R, with d_d L = -L (d_d R) L,
-    # so the second term is -L (d_d R) Gamma_j; everything inside L is
-    # assembled as (m, a, d, j, i)
-    d_DRR = (Rhess.transpose(0, 1, 4, 2, 3).reshape(m, n**3, n) @ R).reshape(m, n, n, n, n)
-    d_DRR += (Rgrad.reshape(m, n * n, n) @ Rgrad.reshape(m, n, n * n)).reshape(
-        m, n, n, n, n
-    ).transpose(0, 1, 4, 2, 3)
-    dR_Gamma = (Rgrad.transpose(0, 1, 3, 2).reshape(m, n * n, n) @ G_kji).reshape(m, n, n, n, n)
-    GammaGrad = (L @ (d_DRR - dR_Gamma).reshape(m, n, n**3)).reshape(m, n, n, n, n)
-    GammaGrad = np.ascontiguousarray(GammaGrad.transpose(0, 4, 3, 1, 2))
-    c = Gamma - Gamma.transpose(0, 2, 1, 3)
-    return ConnectionEval(
-        spec=spec, points=points, R=R, L=L, det=det, Rgrad=Rgrad,
-        Gamma=Gamma, GammaGrad=GammaGrad, c=c,
+    coefficients of the flat coordinate connection relative to the frame,
+    from one run of the frame's tape at order 2."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    R, n = _frame_taylor(spec, points, 2), spec.n
+    L, det = _invert_frame(points, R.value)
+    gamma = _gamma_series(R, L, 1)
+    Gamma = gamma.value
+    conn = ConnectionEval(
+        spec=spec, points=points, R=R.value, L=L, det=det, Rgrad=R.coef[..., 1 : 1 + n],
+        Gamma=Gamma, GammaGrad=gamma.coef[..., 1:], c=Gamma - Gamma.transpose(0, 2, 1, 3),
     )
+    conn._series.update({"frame": R, ("gamma", 1): gamma})
+    return conn
 
 
 def structure_coefficients_bracket(conn: ConnectionEval) -> np.ndarray:

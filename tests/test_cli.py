@@ -10,7 +10,7 @@ import pytest
 
 from eigenframe import cli
 from eigenframe import corpus as corpus_mod
-from eigenframe import geometry
+from eigenframe import exprlang, geometry
 
 
 def corpus_path(name: str) -> str:
@@ -60,6 +60,8 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     }))
     rc = cli.main(["verify", corpus_path("ex6.11.json"), str(bad)])
     assert rc == cli.EXIT_MATH_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("candidate fails verification"), err
 
 
 def test_schema_error_exit_two(tmp_path, capsys):
@@ -171,25 +173,48 @@ def test_unevaluable_frame_entry_exit_three(tmp_path, capsys, entry):
     assert len(err) == 1 and err[0].startswith("error: domain violation"), err
 
 
+def _frame_series_runs(monkeypatch) -> list:
+    """Records (tape id, order, points) for every run of the series kernel
+    on a frame's own tape (FrameSpec.tape, built by frame_tape without
+    candidates) from here on."""
+    frame_tapes, runs = [], []
+    make_tape, series = geometry.frame_tape, exprlang.Tape._series
+
+    def tracking(spec, *cands):
+        tape = make_tape(spec, *cands)
+        if not cands:
+            frame_tapes.append(tape)
+        return tape
+
+    def counting(tape, points, order):
+        if any(tape is t for t in frame_tapes):
+            runs.append((id(tape), order, np.ascontiguousarray(points, dtype=float).tobytes()))
+        return series(tape, points, order)
+
+    monkeypatch.setattr(geometry, "frame_tape", tracking)
+    monkeypatch.setattr(exprlang.Tape, "_series", counting)
+    return runs
+
+
 def test_each_sample_set_evaluated_once(tmp_path, capsys, monkeypatch):
-    """verify and run_example build one connection per sample set and pass
-    it to every check, residual and classifier branch."""
-    seen = []
-    original = geometry.eval_frame_jets
+    """verify and run_example build one connection per sample set (one run
+    of the frame's tape at order <= 2) and pass it to every check, residual
+    and classifier branch."""
+    runs = _frame_series_runs(monkeypatch)
 
-    def counting(spec, points):
-        seen.append((id(spec), np.ascontiguousarray(points, dtype=float).tobytes()))
-        return original(spec, points)
+    def connections():
+        return [(tape, raw) for tape, order, raw in runs if order <= 2]
 
-    monkeypatch.setattr(geometry, "eval_frame_jets", counting)
     doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
     cand = tmp_path / "cand.json"
     cand.write_text(json.dumps(doc["candidates"][0]))
     assert cli.main(["verify", corpus_path("ex6.10.json"), str(cand)]) == cli.EXIT_PASS
+    seen = connections()
     assert seen and len(seen) == len(set(seen)), len(seen)
-    seen.clear()
+    runs.clear()
     verdict = corpus_mod.run_example(corpus_mod.load_example(corpus_path("ex6.4.json")))
     assert verdict["passed"]
+    seen = connections()
     assert seen and len(seen) == len(set(seen)), len(seen)
     # nor on a copy that differs only by rounding (a chart round trip)
     sets = [np.frombuffer(raw) for _, raw in seen]
@@ -199,10 +224,22 @@ def test_each_sample_set_evaluated_once(tmp_path, capsys, monkeypatch):
     # the non-rich rank-1 classifier differentiates exactly, on no displaced
     # sample sets
     for name in ("ex6.9.json", "ex6.11.json"):
-        seen.clear()
+        runs.clear()
         verdict = corpus_mod.run_example(corpus_mod.load_example(corpus_path(name)))
         assert verdict["passed"]
-        assert len(seen) == 1, (name, len(seen))
+        assert len(connections()) == 1, (name, len(connections()))
+
+
+@pytest.mark.parametrize("name", ["ex6.8.json", "extended/ex6.8b.json", "extended/ex6.9-g0.json"])
+def test_frame_tape_runs_once_per_sample_set_below_order_three(monkeypatch, name):
+    """run_example runs the frame's tape at most once at order <= 2 on each
+    sample set: the connection's order-2 series serves every lower order the
+    classifier asks for.  Orders 3 and 4 may run it again."""
+    runs = _frame_series_runs(monkeypatch)
+    verdict = corpus_mod.run_example(corpus_mod.load_example(corpus_path(name)))
+    assert verdict["passed"]
+    low = [(tape, raw) for tape, order, raw in runs if order <= 2]
+    assert low and len(low) == len(set(low)), sorted(order for _, order, _ in runs)
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
@@ -236,3 +273,110 @@ def test_malformed_document_is_input_error(tmp_path, capsys, role, payload):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("flag, value, command", [
+    ("--tol", "nan", "reconstruct"),
+    ("--tol", "nan", "verify"),
+    ("--tol", "inf", "verify"),
+    ("--quadrature-tol", "nan", "reconstruct"),
+    ("--quadrature-tol", "inf", "reconstruct"),
+])
+def test_nonfinite_tolerance_is_input_error(tmp_path, capsys, flag, value, command):
+    """A NaN tolerance passed `tol <= 0` and skipped the residual gate (and
+    --quadrature-tol nan ran 64 panels); an infinite --tol passed every
+    candidate.  Both exit 2 before anything is computed or written."""
+    doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps(doc["candidates"][1]))
+    rc = cli.main([flag, value, "--grid", "3,3,3", command, corpus_path("ex6.10.json"), str(cand)])
+    assert rc == cli.EXIT_INPUT_ERROR
+    assert _one_error_line(capsys).startswith(f"error: {flag} must be finite and positive")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cand.json"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(10**20)])
+def test_seed_outside_halton_range_is_input_error(capsys, seed):
+    """A negative seed collapsed every sample onto one corner; a huge one
+    overflowed the Halton indices with a traceback."""
+    assert cli.main(["--seed", seed, "analyze", corpus_path("ex6.10.json")]) == cli.EXIT_INPUT_ERROR
+    assert "seed must be a non-negative integer" in _one_error_line(capsys)
+
+
+def _box_frame(tmp_path, frame, lo, hi, base) -> str:
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({
+        "id": "box", "n": 3, "vars": ["u1", "u2", "u3"], "frame": frame,
+        "domain": {"lo": [lo] * 3, "hi": [hi] * 3}, "base": [base] * 3,
+    }))
+    return str(path)
+
+
+_EX610_FRAME = [["0", "u2", "u3"], ["u1", "0", "u3"], ["1", "1", "0"]]
+_IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize("lo, hi, base", [(1.0, 1.0, 1.0), (2.0, 1.0, 1.5), (-1e308, 1e308, 0.0)],
+                         ids=["degenerate", "inverted", "overflowing-width"])
+def test_empty_or_overflowing_box_is_schema_error(tmp_path, capsys, lo, hi, base):
+    """lo == hi gave 50 identical samples and exit 0; a width hi - lo that
+    overflows printed a RuntimeWarning and then a domain violation at inf."""
+    assert cli.main(["analyze", _box_frame(tmp_path, _EX610_FRAME, lo, hi, base)]) == cli.EXIT_INPUT_ERROR
+    assert "domain box needs lo < hi with a finite width" in _one_error_line(capsys)
+
+
+def test_overflowing_frame_inverse_is_domain_error(tmp_path, capsys):
+    """On [1, 1e308]^3 the adjugate of a frame with entries near 1e307
+    overflows: one domain-violation line, no RuntimeWarning, and no
+    singular-frame verdict against an infinite threshold."""
+    rc = cli.main(["analyze", _box_frame(tmp_path, _EX610_FRAME, 1.0, 1e308, 2.0)])
+    assert rc == cli.EXIT_DEGENERATE
+    assert _one_error_line(capsys).startswith("error: domain violation in 'frame determinant'")
+
+
+def test_nonfinite_ray_integral_is_quadrature_failure(tmp_path, capsys):
+    """On the finite box [1, 1e308]^3 the potential of H = I overflows: one
+    QuadratureFailureError line instead of a RuntimeWarning and 'error nan'."""
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "beta", "exprs": ["1", "1", "1"]}))
+    frame = _box_frame(tmp_path, _IDENTITY, 1.0, 1e308, 2.0)
+    assert cli.main(["--grid", "3,3,3", "reconstruct", frame, str(cand)]) == cli.EXIT_MATH_FAILURE
+    assert _one_error_line(capsys).endswith("the integral is not finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--quadrature-tol", "-inf", "analyze"],
+    ["--no-such-flag", "analyze"],
+    ["analyze"],
+], ids=["value-read-as-flag", "unknown-flag", "missing-argument"])
+def test_usage_error_is_one_line_input_error(capsys, argv):
+    """argparse printed its usage and an error line and raised SystemExit;
+    a usage error now exits 2 with one error line like every input error."""
+    if argv[-1] == "analyze" and len(argv) > 1:
+        argv = argv + [corpus_path("ex6.10.json")]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("where", ["domain", "params"])
+def test_integer_beyond_doubles_is_schema_error(tmp_path, capsys, where):
+    """A JSON integer past the double range raised OverflowError with a
+    traceback, from the domain check or from binding a param; the schema
+    bounds every number the code converts to float."""
+    doc = {"id": "big", "n": 3, "vars": ["u1", "u2", "u3"], "frame": _IDENTITY,
+           "domain": {"lo": [1, 1, 1], "hi": [2, 2, 2]}, "base": [1.5, 1.5, 1.5]}
+    if where == "domain":
+        doc["domain"]["hi"][0] = 10**400
+    else:
+        doc["params"] = {"K": 10**400}
+        doc["frame"] = [["K*u1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(frame)]) == cli.EXIT_INPUT_ERROR
+    assert "is greater than the maximum of 1.7976931348623157e+308" in _one_error_line(capsys)

@@ -368,6 +368,12 @@ def test_halton_deterministic():
     assert a.min() >= 0.0 and a.max() <= 1.0
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63 // 1009 + 1, 10**20])
+def test_halton_rejects_seeds_outside_the_index_range(seed):
+    with pytest.raises(ValueError, match="seed"):
+        g.halton_points(np.zeros(3), np.ones(3), 20, seed=seed)
+
+
 def test_connection_eval_residual_methods(corpus_cases):
     spec = corpus_cases["ex6.10"].spec
     conn = g.eval_connection(spec, spec.sample_points(15))
