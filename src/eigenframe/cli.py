@@ -8,8 +8,9 @@ Commands:
   reconstruct  scalar-potential or flux grids from a verified candidate
   selftest     run the bundled example corpus plus quick property sweeps
 
-Exit codes (an error prints one "error: ..." line to stderr, and a failed
-verify or reconstruct one line that names the residual):
+Exit codes (an error prints one "error: ..." line to stderr, a failed
+verify or reconstruct one line that names the residual, and a failed
+selftest one line that counts the failed examples):
   0  pass
   1  mathematical failure: a residual above --tol; CurlViolationError,
      NotRichError, NotRankZeroError, ChartDomainError, ZeroScalingError,
@@ -23,7 +24,8 @@ verify or reconstruct one line that names the residual):
      ValueError (usage errors and bad flag values: --tol and
      --quadrature-tol must be finite and positive, --seed a non-negative
      integer below 2^63/1009; malformed JSON), MemoryError (an input too
-     large for memory, such as a --grid past the address space)
+     large for memory: a --grid past the address space, or a --samples
+     whose estimated working set exceeds the physical memory)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
      NormalizationFailedError, InconclusiveVanishingError, DomainError (also
      a frame whose determinant overflows)
@@ -264,7 +266,13 @@ def cmd_selftest(args, config: RunConfig) -> int:
         "passed": bool(all_passed),
     }
     _emit(out, config)
-    return EXIT_PASS if all_passed else EXIT_MATH_FAILURE
+    if not all_passed:
+        failed = sum(not r["passed"] for r in results)
+        sweeps = "passed" if prop["passed"] else "failed"
+        print(f"selftest fails: {failed} of {len(results)} examples failed, "
+              f"property sweeps {sweeps}", file=sys.stderr)
+        return EXIT_MATH_FAILURE
+    return EXIT_PASS
 
 
 def _property_sweeps(config: RunConfig, bundled: dict) -> dict:

@@ -25,11 +25,11 @@ The series kernel seeds variable u_i as u_i + e_i, runs +, -, * and / on
 whole series and composes a builtin as f(g) = sum_k f^(k)(g0)/k! (g - g0)^k
 from one rule per builtin for its terms; every value slot is written by
 the values kernel's own ufunc, so the two kernels agree bit for bit on
-values.  eval_series returns the coefficients, and eval_jet2_many reads
-value, gradient and Hessian from them.  Constants stay plain floats in
-both kernels.  Powers with an integer constant exponent become repeated
-multiplications and therefore work for negative bases; any other power is
-exp/ln-based and requires a positive base.
+values.  eval_scalar_many returns the values and eval_series the
+coefficients; they are the only two ways into a tape.  Constants stay
+plain floats in both kernels.  Powers with an integer constant exponent
+become repeated multiplications and therefore work for negative bases;
+any other power is exp/ln-based and requires a positive base.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -545,17 +545,6 @@ class Taylor:
         return s
 
 
-class Jet2(NamedTuple):
-    """Value, gradient and Hessian of tape outputs, read from their series
-    (eval_jet2_many): grad has one more axis than value, and hess two more,
-    or is None for order 1.  Mixed partials share one series coefficient,
-    so hess is symmetric bit for bit."""
-
-    value: np.ndarray
-    grad: np.ndarray
-    hess: Optional[np.ndarray]
-
-
 # Series rules of the builtins: the terms f^(k)(v)/k!, k = 1..order, from
 # the argument value v and f0 = f(v).  Each first term is the derivative
 # formula of the first-order chain rule, so gradients keep those bits.
@@ -754,11 +743,11 @@ class Tape:
     """Expressions compiled into one straight-line program in SSA form.
 
     Built by compile_tape; run by eval_scalar_many (values kernel) and by
-    eval_series and eval_jet2_many (series kernel, truncated Taylor series
-    of any order).  Every instruction is (values function, series function,
-    destination register, operand a, operand b or None); the register file
-    starts with the point batch, the sink of the check instructions and the
-    folded constants.  The outputs are the compiled expressions in order.
+    eval_series (series kernel, truncated Taylor series of any order).
+    Every instruction is (values function, series function, destination
+    register, operand a, operand b or None); the register file starts with
+    the point batch, the sink of the check instructions and the folded
+    constants.  The outputs are the compiled expressions in order.
     """
 
     def __init__(self, exprs: tuple, registers: list, variables: tuple, code: tuple, outputs: tuple):
@@ -983,142 +972,14 @@ def eval_scalar_many(e, points: np.ndarray, params: Mapping[str, float] = {}) ->
     return compile_tape(((e,), params))._values(pts).reshape(batch)
 
 
-def eval_scalar(e: Expr, point: Sequence[float], params: Mapping[str, float] = {}) -> float:
-    return float(eval_scalar_many(e, np.asarray(point, dtype=float)[None, :], params)[0])
-
-
-def _series_at(e, points, order: int, params: Mapping[str, float]) -> np.ndarray:
-    """eval_series, also behind eval_jet2_many: a jet stays one call of the
-    public API, which perfbench's tracer wraps function by function."""
-    pts, batch = _point_batch(points)
-    tape = e if isinstance(e, Tape) else compile_tape(((e,), params))
-    coef = tape._series(pts, order)
-    shape = batch + ((len(tape.outputs),) if isinstance(e, Tape) else ())
-    return coef.reshape(shape + coef.shape[-1:])
-
-
 def eval_series(e, points: np.ndarray, order: int, params: Mapping[str, float] = {}) -> np.ndarray:
     """Taylor coefficients up to the given order at points (..., n): the
     last axis is Taylor.coef's, d^a f / a! for the multi-indices a of
     _monomials(n, order).  e is a Tape, whose outputs add an axis after the
     batch axes, or a bare Expr, compiled with params into a one-output
     tape."""
-    return _series_at(e, points, order, params)
-
-
-def eval_jet2_many(e, points: np.ndarray, params: Mapping[str, float] = {}, order: int = 2) -> Jet2:
-    """Jets of order 2 (value, gradient, Hessian) or 1 (hess None) at points
-    (..., n), read from the series: hess[i, i] = 2 c_(ii), hess[i, j] = c_(ij).
-    e is a Tape, whose outputs add an axis after the batch axes, or a bare
-    Expr, compiled with params into a one-output tape."""
-    coef = _series_at(e, points, order, params)
-    n = np.shape(points)[-1]
-    hess = None
-    if order == 2:
-        index, factor = _hessian_index(n)
-        hess = coef[..., index] * factor
-    return Jet2(np.ascontiguousarray(coef[..., 0]), np.ascontiguousarray(coef[..., 1 : 1 + n]), hess)
-
-
-def eval_jet2(e: Expr, point: Sequence[float], params: Mapping[str, float] = {}) -> Jet2:
-    """Jet at a single point: value is a 0-d array, grad (n,), hess (n,n)."""
-    j = eval_jet2_many(e, np.asarray(point, dtype=float)[None, :], params)
-    return Jet2(j.value[0], j.grad[0], j.hess[0])
-
-
-# ---------------------------------------------------------------------------
-# Symbolic differentiation (exact, with trivial zero/one folding only)
-# ---------------------------------------------------------------------------
-
-_ZERO = Num(0.0)
-_ONE = Num(1.0)
-
-
-def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Num) and e.value == v
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return Add(a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return Neg(b)
-    return Sub(a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return Mul(a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return _ZERO
-    if _is_const(b, 1.0):
-        return a
-    return Div(a, b)
-
-
-_DERIV_RULES = {
-    "sqrt": lambda u: _div(_ONE, _mul(Num(2.0), Call("sqrt", (u,)))),
-    "exp": lambda u: Call("exp", (u,)),
-    "ln": lambda u: _div(_ONE, u),
-    "sin": lambda u: Call("cos", (u,)),
-    "cos": lambda u: Neg(Call("sin", (u,))),
-    "tan": lambda u: _add(_ONE, _mul(Call("tan", (u,)), Call("tan", (u,)))),
-    "arctan": lambda u: _div(_ONE, _add(_ONE, _mul(u, u))),
-}
-
-
-def differentiate(e: Expr, var_index: int) -> Expr:
-    """Exact partial derivative with respect to the variable at var_index."""
-    d = lambda sub: differentiate(sub, var_index)
-    if isinstance(e, (Num, Param)):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e.index == var_index else _ZERO
-    if isinstance(e, Neg):
-        da = d(e.a)
-        return _ZERO if _is_const(da, 0.0) else Neg(da)
-    if isinstance(e, Add):
-        return _add(d(e.a), d(e.b))
-    if isinstance(e, Sub):
-        return _sub(d(e.a), d(e.b))
-    if isinstance(e, Mul):
-        return _add(_mul(d(e.a), e.b), _mul(e.a, d(e.b)))
-    if isinstance(e, Div):
-        num = _sub(_mul(d(e.a), e.b), _mul(e.a, d(e.b)))
-        return _div(num, _mul(e.b, e.b))
-    if isinstance(e, Pow):
-        if isinstance(e.expo, Num):
-            c = e.expo.value
-            db = d(e.base)
-            if _is_const(db, 0.0):
-                return _ZERO
-            return _mul(_mul(Num(c), Pow(e.base, Num(c - 1.0))), db)
-        # b^e = exp(e ln b)
-        db, de = d(e.base), d(e.expo)
-        t1 = _mul(de, Call("ln", (e.base,)))
-        t2 = _div(_mul(e.expo, db), e.base)
-        return _mul(e, _add(t1, t2))
-    if isinstance(e, Call):
-        u = e.args[0]
-        du = d(u)
-        if _is_const(du, 0.0):
-            return _ZERO
-        return _mul(_DERIV_RULES[e.fn](u), du)
-    raise TypeError(f"not an Expr: {e!r}")
-
+    pts, batch = _point_batch(points)
+    tape = e if isinstance(e, Tape) else compile_tape(((e,), params))
+    coef = tape._series(pts, order)
+    shape = batch + ((len(tape.outputs),) if isinstance(e, Tape) else ())
+    return coef.reshape(shape + coef.shape[-1:])

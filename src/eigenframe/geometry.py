@@ -27,6 +27,7 @@ precision and serve as end-to-end pipeline checks.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -43,6 +44,10 @@ from .errors import (
 )
 
 DET_RTOL = 1e-12
+# Peak memory per sample point and Gamma entry: the n = 3 classifier,
+# whose order-3 connection series has n^3 entries, peaks at about 64 kB a
+# sample (ex6.9 at 1000 and 4000 samples).
+_SAMPLE_BYTES_PER_ENTRY = 2400
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,19 @@ def halton_points(lo: np.ndarray, hi: np.ndarray, count: int, seed: int = 0) -> 
     # keep strictly interior so jets of boundary-singular entries stay finite
     unit = 0.02 + 0.96 * unit
     return lo + unit * (hi - lo)
+
+
+def _require_sample_memory(count: int, n: int) -> None:
+    """Raise MemoryError, before anything is allocated, when count samples
+    of an n-variable frame are estimated to need more than the physical
+    memory."""
+    need = count * _SAMPLE_BYTES_PER_ENTRY * n**3
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise MemoryError(
+            f"{count} samples of an n = {n} frame need about {need / 1e9:.3g} GB, "
+            f"more than the {physical / 1e9:.3g} GB of physical memory"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +136,7 @@ class FrameSpec:
     chart: Optional[RiemannChart] = None
 
     def sample_points(self, count: int = 50, seed: int = 0) -> np.ndarray:
+        _require_sample_memory(count, self.n)
         return halton_points(
             np.array(self.domain_lo), np.array(self.domain_hi), count, seed
         )
@@ -206,9 +225,8 @@ class ConnectionEval:
 
     Built only by eval_connection; every check, residual and classifier
     branch on the same sample set reads this one object instead of
-    evaluating the frame again.  The directional derivatives of Gamma
-    (dGamma) and the Taylor fields of taylor and r are computed on first
-    use and kept.
+    evaluating the frame again.  The Taylor fields of taylor and r are
+    computed on first use and kept.
     """
 
     spec: FrameSpec
@@ -234,11 +252,6 @@ class ConnectionEval:
         """Per-point magnitude used to make vanishing tests dimensionless."""
         m = self.Gamma.shape[0]
         return 1.0 + np.abs(self.Gamma.reshape(m, -1)).max(axis=1)
-
-    @cached_property
-    def dGamma(self) -> np.ndarray:
-        """r_d(Gamma[i,j,k]), shape (m, d, i, j, k); see directional_gamma."""
-        return directional_gamma(self)
 
     def taylor(self, order: int) -> Taylor:
         """Gamma as a Taylor field of the given order, shape (m, i, j, k)."""
@@ -274,14 +287,6 @@ class ConnectionEval:
 def _frame_taylor(spec: FrameSpec, points: np.ndarray, order: int) -> Taylor:
     """R as a Taylor field of the given order at points, shape (m, a, j)."""
     return Taylor(frame_block(ex.eval_series(spec.tape, points, order), spec.n), spec.n, order)
-
-
-def eval_frame_jets(spec: FrameSpec, points: np.ndarray):
-    """Values, Jacobians and Hessians of all frame entries at points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    jet = ex.eval_jet2_many(spec.tape, points)
-    n = spec.n
-    return points, frame_block(jet.value, n), frame_block(jet.grad, n), frame_block(jet.hess, n)
 
 
 def _adjugate_det3(R: np.ndarray) -> tuple:
@@ -388,7 +393,7 @@ def check_symmetry_flatness(conn: ConnectionEval) -> tuple:
     c_br = structure_coefficients_bracket(conn)
     scale = conn.gamma_scale()
     torsion = np.abs(conn.c - c_br).reshape(len(scale), -1).max(axis=1) / scale
-    curvature = flatness_residual(conn.Gamma, conn.c, conn.dGamma) / scale**2
+    curvature = flatness_residual(conn.Gamma, conn.c, directional_gamma(conn)) / scale**2
     return float(torsion.max()), float(curvature.max())
 
 
@@ -471,10 +476,10 @@ def scale_frame(spec: FrameSpec, alpha_exprs: Sequence, check_points: Optional[n
 # Riemann charts
 # ---------------------------------------------------------------------------
 
-def _chart_eval(evaluate, tape: ex.Tape, points: np.ndarray, **kwargs):
+def _chart_eval(evaluate, tape: ex.Tape, points: np.ndarray, *args):
     """A chart map evaluated at points; leaving its domain is a ChartDomainError."""
     try:
-        return evaluate(tape, np.atleast_2d(np.asarray(points, dtype=float)), **kwargs)
+        return evaluate(tape, np.atleast_2d(np.asarray(points, dtype=float)), *args)
     except DomainError as err:
         raise ChartDomainError(str(err)) from err
 
@@ -492,7 +497,7 @@ def verify_riemann_chart(conn: ConnectionEval, chart: RiemannChart, tol: float =
     u-samples and the round trip u -> w -> u.  Returns the residual report."""
     pts = conn.points
     # (m, i, a) = d w^i / d u^a
-    dW = _chart_eval(ex.eval_jet2_many, chart.w_tape, pts, order=1).grad
+    dW = _chart_eval(ex.eval_series, chart.w_tape, pts, 1)[..., 1:]
     norm = np.einsum("mia,maj->mij", dW, conn.R)
     normalization_residual = float(np.abs(norm - np.eye(conn.n)[None]).max())
     w = chart_forward(chart, pts)
@@ -542,7 +547,7 @@ def pullback_connection(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarr
     w_points = np.atleast_2d(np.asarray(w_points, dtype=float))
     u_points = chart_inverse(chart, w_points)
     # (m, e_comp, d) = d u^e / d w^d
-    du = _chart_eval(ex.eval_jet2_many, chart.u_tape, w_points, order=1).grad
+    du = _chart_eval(ex.eval_series, chart.u_tape, w_points, 1)[..., 1:]
     conn = eval_connection(spec, u_points)
     ZGrad = np.einsum("mijke,med->mijkd", conn.GammaGrad, du)
     return PullbackEval(w_points=w_points, conn=conn, ZGrad=ZGrad)

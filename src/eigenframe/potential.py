@@ -505,7 +505,7 @@ def entropy_flux(
     # (its base gradient seeds the rays); otherwise to the gauge-fixed one
     grad0 = 0.0
     if beta_cand.eta_expr is not None:
-        grad0 = ex.eval_jet2_many(beta_cand.eta_tape, base[None, :], order=1).grad[0, 0]
+        grad0 = ex.eval_series(beta_cand.eta_tape, base, 1)[0, 1:]
 
     def fields(pts):
         R, L, (b, lam) = frame.values(pts)

@@ -97,10 +97,10 @@ class LambdaCandidate:
 
 def eval_candidate(tape: ex.Tape, points: np.ndarray):
     """Values (m, n_fields) and u-gradients (m, n_fields, n) of a candidate's
-    fields from its tape."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    jet = ex.eval_jet2_many(tape, points, order=1)
-    return jet.value, jet.grad
+    fields from its tape, contiguous: einsum over a strided operand can sum
+    in another order."""
+    coef = ex.eval_series(tape, np.atleast_2d(np.asarray(points, dtype=float)), 1)
+    return np.ascontiguousarray(coef[..., 0]), np.ascontiguousarray(coef[..., 1:])
 
 
 # ---------------------------------------------------------------------------

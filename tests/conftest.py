@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eigenframe import corpus as corpus_mod
-from eigenframe.geometry import eval_connection, frame_from_sources
+from eigenframe import exprlang as ex
+from eigenframe.geometry import eval_connection, frame_block, frame_from_sources
 
 V3 = ["u1", "u2", "u3"]
 
@@ -23,6 +24,24 @@ def corpus_cases():
         case = corpus_mod.load_example(path)
         cases[case.id] = case
     return cases
+
+
+def jets(e, points, order=2, params={}):
+    """Value, gradient and, at order 2, Hessian of a Tape or Expr at points
+    (..., n), read from its series (exprlang.eval_series): grad[..., i] =
+    c_i, hess[..., i, i] = 2 c_ii and hess[..., i, j] = c_ij."""
+    coef = ex.eval_series(e, points, order, params)
+    n = np.shape(points)[-1]
+    if order == 1:
+        return coef[..., 0], coef[..., 1:]
+    index, factor = ex._hessian_index(n)
+    return coef[..., 0], coef[..., 1 : 1 + n], coef[..., index] * factor
+
+
+def frame_jets(spec, points):
+    """R^a_j, d_b R^a_j and d_b d_c R^a_j at points (m, n): shapes (m, a, j),
+    (m, a, j, b) and (m, a, j, b, c)."""
+    return tuple(frame_block(block, spec.n) for block in jets(spec.tape, points))
 
 
 def connect(spec, count=50, seed=0):
@@ -44,9 +63,7 @@ def random_polynomial_frame(rng, scale=0.15):
                 )
             cols.append(col)
         spec = frame_from_sources(cols, V3, domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
-        from eigenframe.geometry import eval_frame_jets
-
-        _, R, _, _ = eval_frame_jets(spec, spec.sample_points(30))
+        R, _, _ = frame_jets(spec, spec.sample_points(30))
         if np.abs(np.linalg.det(R)).min() > 0.3:
             return spec
 

@@ -146,10 +146,31 @@ def test_grid_too_large_for_memory_is_input_error(tmp_path, capsys):
 
 def test_selftest_tighter_than_roundoff_reports_failures(capsys):
     rc = cli.main(["--output", "json", "--samples", "12", "--tol", "1e-16", "selftest"])
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert rc == cli.EXIT_MATH_FAILURE
     failing = [e for e in out["examples"] if e["failed_checks"]]
     assert failing, "tolerance below roundoff must surface distinct failures"
+    # the one nonzero exit that printed nothing to stderr
+    err = captured.err.splitlines()
+    assert err == [f"selftest fails: {len(failing)} of {len(out['examples'])} examples failed, "
+                   f"property sweeps {'passed' if out['property_sweeps']['passed'] else 'failed'}"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [["analyze", corpus_path("ex6.2.json")], ["selftest"]])
+def test_samples_beyond_physical_memory_is_input_error(capsys, monkeypatch, command):
+    """--samples 1000000000 was killed by the OOM killer (exit 137, empty
+    stderr): the Halton construction alone asks for more than 16 GB.  It is
+    refused before any sample array is allocated."""
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("a sample array was allocated")
+
+    monkeypatch.setattr(geometry, "halton_points", allocate)
+    assert cli.main(["--samples", "1000000000"] + command) == cli.EXIT_INPUT_ERROR
+    line = _one_error_line(capsys)
+    assert line.startswith("error: out of memory: 1000000000 samples of an n = 3 frame"), line
 
 
 def test_selftest_default_passes(capsys):

@@ -121,6 +121,24 @@ def test_run_example_flags_wrong_expectation(corpus_cases):
     assert failed == ["beta case expectation"]
 
 
+@pytest.mark.parametrize("cid, key, wrong, check", [
+    ("ex6.11", "closed_eta", lambda eta: eta + "+u1*u2", "closed-form potential"),
+    ("ex6.6", "closed_f", lambda f: [f[0] + "+u1*u2"] + f[1:], "closed-form flux"),
+])
+def test_wrong_closed_form_fails_its_check(cid, key, wrong, check):
+    """A closed form off by u1*u2 fails the check that reads its Hessian
+    (closed_eta: an off-diagonal term) or its Jacobian (closed_f) from the
+    series kernel, and only that check."""
+    doc = json.loads((Path(corpus_mod.corpus_dir()) / f"{cid}.json").read_text())
+    for cand in doc["candidates"]:
+        if key in cand:
+            cand[key] = wrong(cand[key])
+    verdict = corpus_mod.run_example(corpus_mod.load_example_from_doc(doc))
+    failed = {c["name"]: c["value"] for c in verdict["checks"] if not c["passed"]}
+    assert failed and all(name.endswith(check) for name in failed), failed
+    assert min(failed.values()) > 1e-9
+
+
 def test_degenerate_family_instances(corpus_cases):
     """The scaling-family example and its degenerate-member variant land in
     different branches of the taxonomy."""

@@ -1,5 +1,6 @@
-"""Tokenizer, parser, and jet-evaluation tests, including the
-finite-difference oracle for gradients and Hessians."""
+"""Tokenizer, parser, and tape-evaluation tests, including the
+finite-difference oracle for gradients and Hessians and the symbolic
+reference for Taylor series."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import jets
+from symbolic_reference import differentiate
 
 from eigenframe import exprlang as ex
 from eigenframe.errors import (
@@ -79,7 +83,7 @@ def test_eigenvalue_style_expression_parses():
     e = ex.parse_expression(
         "sqrt(gamma)*exp(S/2)*v^(-(gamma+1)/2)", ["v", "u", "S"], {"gamma"}
     )
-    val = ex.eval_scalar(e, [2.0, 0.0, 1.0], {"gamma": 1.4})
+    val = ex.eval_scalar_many(e, [2.0, 0.0, 1.0], {"gamma": 1.4})
     expected = np.sqrt(1.4) * np.exp(0.5) * 2.0 ** (-1.2)
     assert val == pytest.approx(expected, rel=1e-14)
 
@@ -88,12 +92,12 @@ def test_unary_minus_binds_looser_than_power():
     e = parse("-u1^2")
     assert isinstance(e, ex.Neg)
     assert isinstance(e.a, ex.Pow)
-    assert ex.eval_scalar(e, [3.0, 0.0, 0.0]) == -9.0
+    assert ex.eval_scalar_many(e, [3.0, 0.0, 0.0]) == -9.0
 
 
 def test_power_right_associative():
     e = parse("u1^2^3")
-    assert ex.eval_scalar(e, [2.0, 0.0, 0.0]) == 2.0 ** 8
+    assert ex.eval_scalar_many(e, [2.0, 0.0, 0.0]) == 2.0 ** 8
 
 
 def test_syntax_error_position():
@@ -109,43 +113,43 @@ def test_syntax_error_position():
 
 
 def test_eval_scalar_basics():
-    assert ex.eval_scalar(parse("ln(u3)"), [1.0, 1.0, 1.0]) == 0.0
-    assert ex.eval_scalar(parse("u1*u2"), [2.0, 3.0, 0.0]) == 6.0
+    assert ex.eval_scalar_many(parse("ln(u3)"), [1.0, 1.0, 1.0]) == 0.0
+    assert ex.eval_scalar_many(parse("u1*u2"), [2.0, 3.0, 0.0]) == 6.0
 
 
 def test_eval_scalar_division_by_zero():
     with pytest.raises(DomainError):
-        ex.eval_scalar(parse("u1/u2"), [1.0, 0.0, 0.0])
+        ex.eval_scalar_many(parse("u1/u2"), [1.0, 0.0, 0.0])
 
 
 def test_eval_scalar_log_domain():
     with pytest.raises(DomainError):
-        ex.eval_scalar(parse("ln(u1)"), [-1.0, 0.0, 0.0])
+        ex.eval_scalar_many(parse("ln(u1)"), [-1.0, 0.0, 0.0])
     with pytest.raises(DomainError):
-        ex.eval_scalar(parse("sqrt(u1)"), [0.0, 0.0, 0.0])
+        ex.eval_scalar_many(parse("sqrt(u1)"), [0.0, 0.0, 0.0])
 
 
 def test_integer_power_of_negative_base():
-    assert ex.eval_scalar(parse("u1^3"), [-2.0, 0.0, 0.0]) == -8.0
-    assert ex.eval_scalar(parse("u1^-2"), [-2.0, 0.0, 0.0]) == 0.25
+    assert ex.eval_scalar_many(parse("u1^3"), [-2.0, 0.0, 0.0]) == -8.0
+    assert ex.eval_scalar_many(parse("u1^-2"), [-2.0, 0.0, 0.0]) == 0.25
     with pytest.raises(DomainError):
-        ex.eval_scalar(parse("u1^0.5"), [-2.0, 0.0, 0.0])
+        ex.eval_scalar_many(parse("u1^0.5"), [-2.0, 0.0, 0.0])
 
 
 def test_jet_product_example():
-    j = ex.eval_jet2(parse("u1*u2"), [2.0, 3.0, 5.0])
-    assert j.value == 6.0
-    assert np.allclose(j.grad, [3.0, 2.0, 0.0])
+    value, grad, hess = jets(parse("u1*u2"), np.array([2.0, 3.0, 5.0]))
+    assert value == 6.0
+    assert np.allclose(grad, [3.0, 2.0, 0.0])
     expected = np.zeros((3, 3))
     expected[0, 1] = expected[1, 0] = 1.0
-    assert np.array_equal(j.hess, expected)
+    assert np.array_equal(hess, expected)
 
 
 def test_jet_log_example():
-    j = ex.eval_jet2(parse("ln(u3)"), [1.0, 1.0, 2.0])
-    assert j.value == pytest.approx(np.log(2.0))
-    assert j.grad[2] == pytest.approx(0.5)
-    assert j.hess[2, 2] == pytest.approx(-0.25)
+    value, grad, hess = jets(parse("ln(u3)"), np.array([1.0, 1.0, 2.0]))
+    assert value == pytest.approx(np.log(2.0))
+    assert grad[2] == pytest.approx(0.5)
+    assert hess[2, 2] == pytest.approx(-0.25)
 
 
 RANDOM_SOURCES = [
@@ -163,12 +167,12 @@ def _fd_grad_hess(e, p, h=1e-5):
     n = len(p)
     grad = np.zeros(n)
     hess = np.zeros((n, n))
-    f0 = ex.eval_scalar(e, p)
+    f0 = ex.eval_scalar_many(e, p)
     for i in range(n):
         pp, pm = p.copy(), p.copy()
         pp[i] += h
         pm[i] -= h
-        fp, fm = ex.eval_scalar(e, pp), ex.eval_scalar(e, pm)
+        fp, fm = ex.eval_scalar_many(e, pp), ex.eval_scalar_many(e, pm)
         grad[i] = (fp - fm) / (2 * h)
         hess[i, i] = (fp - 2 * f0 + fm) / h**2
     for i in range(n):
@@ -176,13 +180,13 @@ def _fd_grad_hess(e, p, h=1e-5):
             q = p.copy()
             q[i] += h
             q[j] += h
-            fpp = ex.eval_scalar(e, q)
+            fpp = ex.eval_scalar_many(e, q)
             q[j] -= 2 * h
-            fpm = ex.eval_scalar(e, q)
+            fpm = ex.eval_scalar_many(e, q)
             q[i] -= 2 * h
-            fmm = ex.eval_scalar(e, q)
+            fmm = ex.eval_scalar_many(e, q)
             q[j] += 2 * h
-            fmp = ex.eval_scalar(e, q)
+            fmp = ex.eval_scalar_many(e, q)
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h**2)
     return grad, hess
 
@@ -195,13 +199,13 @@ def test_jets_match_finite_differences_on_100_random_cases():
         src = RANDOM_SOURCES[cases % len(RANDOM_SOURCES)]
         e = parse(src)
         p = rng.uniform(0.3, 1.7, size=3)
-        j = ex.eval_jet2(e, p)
+        _, grad, hess = jets(e, p)
         g_fd, h_fd = _fd_grad_hess(e, p)
-        scale = 1.0 + np.abs(j.grad).max() + np.abs(j.hess).max()
+        scale = 1.0 + np.abs(grad).max() + np.abs(hess).max()
         worst = max(
             worst,
-            np.abs(j.grad - g_fd).max() / scale,
-            np.abs(j.hess - h_fd).max() / scale,
+            np.abs(grad - g_fd).max() / scale,
+            np.abs(hess - h_fd).max() / scale,
         )
         cases += 1
     assert worst < 1e-5
@@ -212,15 +216,15 @@ def test_jet_value_matches_scalar_bit_for_bit():
     for src in RANDOM_SOURCES:
         e = parse(src)
         sv = ex.eval_scalar_many(e, pts)
-        jv = ex.eval_jet2_many(e, pts).value
+        jv = ex.eval_series(e, pts, 2)[..., 0]
         assert np.array_equal(sv, jv)
 
 
 def test_hessian_stored_symmetric_exactly():
     pts = np.random.default_rng(3).uniform(0.4, 1.6, size=(25, 3))
     for src in RANDOM_SOURCES:
-        j = ex.eval_jet2_many(parse(src), pts)
-        assert np.array_equal(j.hess, np.swapaxes(j.hess, -1, -2))
+        _, _, hess = jets(parse(src), pts)
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +310,11 @@ def test_tape_kernels_agree_bit_for_bit(src):
     symmetric."""
     tape = ex.compile_tape(((parse_k(src),), K_PARAMS))
     vals = ex.eval_scalar_many(tape, PROPERTY_POINTS)
-    jet1 = ex.eval_jet2_many(tape, PROPERTY_POINTS, order=1)
-    jet2 = ex.eval_jet2_many(tape, PROPERTY_POINTS)
-    assert jet1.hess is None
-    assert np.array_equal(vals, jet1.value) and np.array_equal(vals, jet2.value)
-    assert np.array_equal(jet1.grad, jet2.grad)
-    assert np.array_equal(jet2.hess, np.swapaxes(jet2.hess, -1, -2))
+    value1, grad1 = jets(tape, PROPERTY_POINTS, order=1)
+    value2, grad2, hess = jets(tape, PROPERTY_POINTS)
+    assert np.array_equal(vals, value1) and np.array_equal(vals, value2)
+    assert np.array_equal(grad1, grad2)
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
 
 
 @given(_expr_source(), _expr_source())
@@ -322,14 +325,11 @@ def test_tape_compiled_together_equals_compiled_alone(src_a, src_b):
     both = ex.compile_tape(((ea, eb), K_PARAMS))
     alone = [ex.compile_tape(((e,), K_PARAMS)) for e in (ea, eb)]
     vals = ex.eval_scalar_many(both, PROPERTY_POINTS)
-    jet = ex.eval_jet2_many(both, PROPERTY_POINTS)
+    jet = jets(both, PROPERTY_POINTS)
     for i, tape in enumerate(alone):
         assert np.array_equal(vals[:, i], ex.eval_scalar_many(tape, PROPERTY_POINTS)[:, 0])
-        one = ex.eval_jet2_many(tape, PROPERTY_POINTS)
-        assert _all_equal(
-            (jet.value[:, i], jet.grad[:, i], jet.hess[:, i]),
-            (one.value[:, 0], one.grad[:, 0], one.hess[:, 0]),
-        )
+        one = jets(tape, PROPERTY_POINTS)
+        assert _all_equal([a[:, i] for a in jet], [a[:, 0] for a in one])
 
 
 def test_bare_expression_matches_its_tape():
@@ -339,9 +339,8 @@ def test_bare_expression_matches_its_tape():
         ex.eval_scalar_many(e, PROPERTY_POINTS, K_PARAMS),
         ex.eval_scalar_many(tape, PROPERTY_POINTS)[:, 0],
     )
-    bare, taped = ex.eval_jet2_many(e, PROPERTY_POINTS, K_PARAMS), ex.eval_jet2_many(tape, PROPERTY_POINTS)
-    assert _all_equal((bare.value, bare.grad, bare.hess),
-                      (taped.value[:, 0], taped.grad[:, 0], taped.hess[:, 0]))
+    bare, taped = jets(e, PROPERTY_POINTS, params=K_PARAMS), jets(tape, PROPERTY_POINTS)
+    assert _all_equal(bare, [a[:, 0] for a in taped])
 
 
 def test_gas_frame_shares_the_sound_speed_product(corpus_cases):
@@ -413,8 +412,8 @@ def test_domain_error_messages_pinned(src, bad, params, message):
     pts = np.array([[0.5, 1.5, 1.0], bad, [0.0, 0.0, 0.0]])
     runs = [
         lambda: ex.eval_scalar_many(e, pts, params),
-        lambda: ex.eval_jet2_many(e, pts, params),
-        lambda: ex.eval_jet2_many(e, pts, params, order=1),
+        lambda: ex.eval_series(e, pts, 2, params),
+        lambda: ex.eval_series(e, pts, 1, params),
     ]
     for run in runs:
         with pytest.raises(DomainError) as err:
@@ -422,12 +421,12 @@ def test_domain_error_messages_pinned(src, bad, params, message):
         assert str(err.value) == message
 
 
-# exp(709*u1) is finite at [1, 1, 1] (8.2e307), but its derivative tape and
-# its order-1 jets are not; each violation sits at the second point
+# exp(709*u1) is finite at [1, 1, 1] (8.2e307), but its symbolic derivative and
+# its order-1 series are not; each violation sits at the second point
 DERIVATIVE_DOMAIN_MESSAGES = [
-    (lambda e, pts: ex.eval_scalar_many(ex.differentiate(e, 0), pts),
+    (lambda e, pts: ex.eval_scalar_many(differentiate(e, 0), pts),
      "domain violation in 'exp(709.0*u1)*709.0' at point [1. 1. 1.]: non-finite value"),
-    (lambda e, pts: ex.eval_jet2_many(e, pts, order=1),
+    (lambda e, pts: ex.eval_series(e, pts, 1),
      "domain violation in 'exp(709.0*u1)' at point [1. 1. 1.]: non-finite value"),
 ]
 
@@ -451,7 +450,7 @@ def _reference_series(exprs, params, points, order):
     for e in exprs:
         d = {(): e}
         for t in mono[1:]:
-            d[t] = ex.differentiate(d[t[:-1]], t[-1])
+            d[t] = differentiate(d[t[:-1]], t[-1])
         derivs.extend(d[t] for t in mono)
     vals = ex.eval_scalar_many(ex.compile_tape((tuple(derivs), params)), points)
     factorials = np.array([math.prod(math.factorial(t.count(b)) for b in set(t)) for t in mono])
@@ -501,20 +500,20 @@ def test_symbolic_derivative_matches_jet_gradient():
     pts = np.random.default_rng(11).uniform(0.4, 1.5, size=(30, 3))
     for src in RANDOM_SOURCES:
         e = parse(src)
-        jets = ex.eval_jet2_many(e, pts)
+        _, grad, _ = jets(e, pts)
         for i in range(3):
-            de = ex.differentiate(e, i)
+            de = differentiate(e, i)
             vals = ex.eval_scalar_many(de, pts)
-            assert np.allclose(vals, jets.grad[:, i], rtol=1e-12, atol=1e-12)
+            assert np.allclose(vals, grad[:, i], rtol=1e-12, atol=1e-12)
 
 
 def test_second_symbolic_derivative_matches_jet_hessian():
     pts = np.random.default_rng(13).uniform(0.5, 1.4, size=(20, 3))
     e = parse("exp(u1*u2)/(u3+2) + sin(u2)^2")
-    jets = ex.eval_jet2_many(e, pts)
+    _, _, hess = jets(e, pts)
     for i in range(3):
         for j in range(3):
-            dij = ex.differentiate(ex.differentiate(e, i), j)
+            dij = differentiate(differentiate(e, i), j)
             assert np.allclose(
-                ex.eval_scalar_many(dij, pts), jets.hess[:, i, j], rtol=1e-10, atol=1e-11
+                ex.eval_scalar_many(dij, pts), hess[:, i, j], rtol=1e-10, atol=1e-11
             )
