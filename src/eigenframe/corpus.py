@@ -163,8 +163,11 @@ def _validate(name: str, doc, source: str):
 
 def _candidate(doc: dict, vars, params, source: str) -> tuple:
     """(kind, candidate) from a schema-valid candidate document with one
-    expression (and one closed_f entry, if any) per variable; its params
-    override the frame's."""
+    expression (and one closed_f entry, if any) per variable and no closed
+    form of the other kind; its params override the frame's."""
+    other = {"beta": "closed_f", "lambda": "closed_eta"}[doc["kind"]]
+    if other in doc:
+        raise SchemaError(f"{source}: a {doc['kind']} candidate cannot have {other}")
     for key, what in (("exprs", "expressions"), ("closed_f", "closed_f entries")):
         if len(doc.get(key, vars)) != len(vars):
             raise SchemaError(
@@ -194,11 +197,13 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     vars = doc["vars"]
     if len(vars) != n or len(doc["frame"]) != n or any(len(c) != n for c in doc["frame"]):
         raise SchemaError(f"{path}: frame/vars shapes disagree with n={n}")
+    ch = doc.get("chart")
+    if ch and any(len(ch[key]) != n for key in ("w", "u_inv", "w_vars")):
+        raise SchemaError(f"{path}: chart w, u_inv and w_vars need n={n} entries each")
     params = doc.get("params", {})
     try:
         chart = None
-        if doc.get("chart"):
-            ch = doc["chart"]
+        if ch:
             chart = chart_from_sources(ch["w"], ch["u_inv"], vars, ch["w_vars"], params)
         spec = frame_from_sources(
             doc["frame"],

@@ -401,3 +401,51 @@ def test_integer_beyond_doubles_is_schema_error(tmp_path, capsys, where):
     frame.write_text(json.dumps(doc))
     assert cli.main(["analyze", str(frame)]) == cli.EXIT_INPUT_ERROR
     assert "is greater than the maximum of 1.7976931348623157e+308" in _one_error_line(capsys)
+
+
+def _run_on_document(tmp_path, monkeypatch, command, doc, cand_idx=0) -> int:
+    """command on the example document doc: analyze and verify (on its
+    candidate cand_idx) read it as a frame file, selftest as the only file
+    of the corpus."""
+    frame = tmp_path / "doc.json"
+    frame.write_text(json.dumps(doc))
+    if command == "selftest":
+        monkeypatch.setenv(corpus_mod.ENV_CORPUS_DIR, str(tmp_path))
+        return cli.main(["selftest"])
+    if command == "analyze":
+        return cli.main(["analyze", str(frame)])
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps(doc["candidates"][cand_idx]))
+    return cli.main(["verify", str(frame), str(cand)])
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "selftest"])
+@pytest.mark.parametrize("key", ["w", "u_inv", "w_vars"])
+@pytest.mark.parametrize("count", [1, 4])
+def test_chart_of_wrong_length_is_schema_error(
+    tmp_path, capsys, monkeypatch, command, key, count
+):
+    """A chart needs n entries in each of w, u_inv and w_vars.  A short one
+    used to load: analyze passed, and selftest on ex6.4 with one w entry
+    ended in an IndexError traceback."""
+    doc = json.loads(Path(corpus_path("ex6.4.json")).read_text())
+    doc["chart"][key] = (doc["chart"][key] * 2)[:count]
+    assert _run_on_document(tmp_path, monkeypatch, command, doc) == cli.EXIT_INPUT_ERROR
+    assert "chart w, u_inv and w_vars need n=3 entries each" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "selftest"])
+@pytest.mark.parametrize("idx, key, value", [
+    (0, "closed_eta", "u1+"),
+    (1, "closed_f", ["u1", "u2", "u3"]),
+], ids=["closed_eta-on-lambda", "closed_f-on-beta"])
+def test_closed_form_on_wrong_kind_is_schema_error(
+    tmp_path, capsys, monkeypatch, command, idx, key, value
+):
+    """A closed_eta on a lambda candidate or a closed_f on a beta candidate
+    was never parsed, so verify on ex6.10 with the malformed closed_eta
+    "u1+" on its lambda candidate passed."""
+    doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
+    doc["candidates"][idx][key] = value
+    assert _run_on_document(tmp_path, monkeypatch, command, doc, idx) == cli.EXIT_INPUT_ERROR
+    assert f"candidate cannot have {key}" in _one_error_line(capsys)

@@ -137,8 +137,9 @@ def test_matrix_fields_match_einsum_formulas(corpus_cases):
                 + np.einsum("mak,mkd,mkb->mabd", R, grads, L)
                 + np.einsum("mak,mk,mkbd->mabd", R, vals, Lgrad)
             )
-        V_field, G_field = field.value_grad(pts)
-        assert np.abs(field.values(pts) - V).max() < 1e-13 * np.abs(V).max()
+        [(V_field, G_field)] = field.value_grad(pts)
+        [M] = field.values(pts)
+        assert np.abs(M - V).max() < 1e-13 * np.abs(V).max()
         assert np.abs(V_field - V).max() < 1e-13 * np.abs(V).max()
         assert np.abs(G_field - G).max() < 1e-13 * np.abs(G).max()
 
@@ -429,7 +430,7 @@ def test_flux_jacobian_eigendecomposes_to_candidate(corpus_cases):
     lam = next(c for k, c in case.candidates if k == "lambda")
     field = pot.flux_jacobian_field(case.spec, lam)
     pts = case.spec.sample_points(20)
-    A = field.values(pts)
+    [A] = field.values(pts)
     R, _, _ = frame_jets(case.spec, pts)
     vals, _ = sy.eval_candidate(lam.tape, pts)
     worst = 0.0
@@ -496,25 +497,18 @@ def test_frame_inverted_once_per_point_set(corpus_cases, monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["eta", "flux", "q"])
 def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch, kind):
-    """The grid meta counts the rates calls of both ray families and the
-    largest panel count; ex6.10 eta on a 4^3 grid converges on one panel,
-    so 2 x 33 calls."""
+    """The grid meta counts the field evaluations of both ray families, each
+    one MatrixField.values call (q's Hessian and flux fields included), and
+    the largest panel count; ex6.10 eta on a 4^3 grid converges on one
+    panel, so 2 x 33 calls."""
     calls = []
+    values = pot.MatrixField.values
 
-    def counting(make):
-        def wrapped(arg):
-            rates = make(arg)
+    def counted(self, points):
+        calls.append(np.shape(points))
+        return values(self, points)
 
-            def counted(pts, d):
-                calls.append(pts.shape)
-                return rates(pts, d)
-
-            return counted
-
-        return wrapped
-
-    monkeypatch.setattr(pot, "_potential_rates", counting(pot._potential_rates))
-    monkeypatch.setattr(pot, "_jacobian_rates", counting(pot._jacobian_rates))
+    monkeypatch.setattr(pot.MatrixField, "values", counted)
     if kind == "eta":
         case = corpus_cases["ex6.10"]
         bet = next(c for k, c in case.candidates if k == "beta")
