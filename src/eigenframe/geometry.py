@@ -289,19 +289,36 @@ def _frame_taylor(spec: FrameSpec, points: np.ndarray, order: int) -> Taylor:
     return Taylor(frame_block(ex.eval_series(spec.tape, points, order), spec.n), spec.n, order)
 
 
+# cyclic cofactors: adj[j, i] = R[i+1, j+1] R[i+2, j+2] - R[i+1, j+2] R[i+2, j+1]
+# (indices mod 3), as four index arrays a, b, c, d into the flattened frame
+# (entry 3a + j is R[a, j]), each with one entry per flattened adj position
+# 3j + i
+_COFACTORS = tuple(
+    np.array([3 * ((i + r) % 3) + (j + c) % 3 for j in range(3) for i in range(3)])
+    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1))
+)
+
+
 def _adjugate_det3(R: np.ndarray) -> tuple:
     """Adjugate and determinant of a batch of 3x3 matrices by cofactor
-    expansion; nine array products cost less than a LAPACK call per
-    matrix."""
-    adj = np.empty_like(R)
-    # cyclic cofactors: C[i, j] = R[i+1, j+1] R[i+2, j+2] - R[i+1, j+2] R[i+2, j+1]
-    for i in range(3):
-        i1, i2 = (i + 1) % 3, (i + 2) % 3
-        for j in range(3):
-            j1, j2 = (j + 1) % 3, (j + 2) % 3
-            adj[:, j, i] = R[:, i1, j1] * R[:, i2, j2] - R[:, i1, j2] * R[:, i2, j1]
-    det = (R[:, 0, :] * adj[:, :, 0]).sum(axis=1)
-    return adj, det
+    expansion, adj = a b - c d from four gathers; this costs less than a
+    LAPACK call per matrix.  The gathers take contiguous rows of the
+    transposed frames (9, m) and the products are formed in place: one
+    gather of all 36 rows, or gathers of columns of the (m, 9) frames, made
+    a reconstruct pass slower through their larger temporaries.  adj is
+    returned C-contiguous, the layout the matrix products downstream read
+    fastest."""
+    rows = np.ascontiguousarray(R.reshape(-1, 9).T)
+    a, b, c, d = _COFACTORS
+    adj = rows[a]
+    adj *= rows[b]
+    cd = rows[c]
+    cd *= rows[d]
+    adj -= cd
+    # summed from +0.0 in this order, as numpy's sum over the row of R did:
+    # the same bits, signed zeros included
+    det = 0.0 + rows[0] * adj[0] + rows[1] * adj[3] + rows[2] * adj[6]
+    return np.ascontiguousarray(adj.T).reshape(-1, 3, 3), det
 
 
 def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:

@@ -10,7 +10,7 @@ import pytest
 
 from eigenframe import cli
 from eigenframe import corpus as corpus_mod
-from eigenframe import exprlang, geometry
+from eigenframe import exprlang, geometry, potential
 
 
 def corpus_path(name: str) -> str:
@@ -369,6 +369,29 @@ def test_nonfinite_ray_integral_is_quadrature_failure(tmp_path, capsys):
     frame = _box_frame(tmp_path, _IDENTITY, 1.0, 1e308, 2.0)
     assert cli.main(["--grid", "3,3,3", "reconstruct", frame, str(cand)]) == cli.EXIT_MATH_FAILURE
     assert _one_error_line(capsys).endswith("the integral is not finite")
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "one-node"])
+def test_singular_frame_on_a_ray_is_one_line_exit_three(tmp_path, capsys, monkeypatch, budget):
+    """(u1 - 0.6)^2 vanishes on the plane u1 = 0.6, which the ray from the
+    far corner (1, 0, 0) to the node (0.2, 0, 0) crosses at its middle
+    Kronrod node: one singular-frame line at that point, whether a rates
+    call covers a block of ray parameters or one."""
+    if budget is not None:
+        monkeypatch.setattr(potential, "_RAY_BATCH_POINTS", budget)
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({
+        "id": "box", "n": 3, "vars": ["u1", "u2", "u3"],
+        "frame": [["(u1-0.6)^2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "domain": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "base": [0.25, 0.5, 0.5],
+    }))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps({"kind": "lambda", "exprs": ["1", "1", "1"]}))
+    assert cli.main(["--grid", "6,6,6", "reconstruct", str(path), str(cand)]) == cli.EXIT_DEGENERATE
+    assert _one_error_line(capsys) == (
+        "error: frame is numerically singular at [0.6 0.  0. ]: "
+        "|det R| = 0.000e+00 below threshold 2.828e-12"
+    )
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ from conftest import V3, connect, frame_jets, random_polynomial_frame
 
 from eigenframe import exprlang as ex
 from eigenframe import geometry as g
-from eigenframe.errors import SingularFrameError, ZeroScalingError
+from eigenframe.errors import DomainError, SingularFrameError, ZeroScalingError
 from eigenframe.systems import beta_residual, BetaCandidate
 
 
@@ -108,6 +108,68 @@ def test_singular_frame_detected():
     )
     with pytest.raises(SingularFrameError):
         g.eval_connection(spec, np.array([[0.5, 0.5, 0.5]]))
+
+
+def _adjugate_det3_loop(R):
+    """The cyclic cofactor loop, the reference of geometry._adjugate_det3."""
+    adj = np.empty_like(R)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[:, j, i] = R[:, i1, j1] * R[:, i2, j2] - R[:, i1, j2] * R[:, i2, j1]
+    det = (R[:, 0, :] * adj[:, :, 0]).sum(axis=1)
+    return adj, det
+
+
+def _frames_with_special_rows(rng, m):
+    """m random 3x3 frames; about a third of their rows are replaced by rows
+    drawn from 0, +-inf, nan, +-1e200 and 1."""
+    R = rng.normal(size=(m, 3, 3))
+    pool = np.array([0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1.0])
+    rows = rng.random((m, 3)) < 0.35
+    R[rows] = rng.choice(pool, size=(int(rows.sum()), 3))
+    return R
+
+
+@pytest.mark.parametrize("m", [1, 50, 4096])
+@pytest.mark.parametrize("special", [False, True])
+def test_adjugate_matches_cofactor_loop(m, special):
+    rng = np.random.default_rng(m + special)
+    if special:
+        R = _frames_with_special_rows(rng, m)
+    else:
+        R = rng.normal(size=(m, 3, 3)) * 10.0 ** rng.integers(-8, 9, size=(m, 3, 3))
+    with np.errstate(all="ignore"):
+        adj, det = g._adjugate_det3(R)
+        ref_adj, ref_det = _adjugate_det3_loop(R)
+    assert adj.tobytes() == ref_adj.tobytes()
+    assert det.tobytes() == ref_det.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind, error", [("special rows", DomainError), ("zero rows", SingularFrameError)])
+def test_invert_frame_errors_match_cofactor_loop(monkeypatch, seed, kind, error):
+    """_invert_frame raises the same DomainError or SingularFrameError at the
+    same point with either adjugate."""
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(40, 3, 3))
+    bad = rng.integers(5, 40, size=3)
+    if kind == "special rows":
+        R[bad] = _frames_with_special_rows(rng, 3)
+        R[bad[0], 0] = [np.inf, 1.0, 1.0]
+    else:
+        R[bad, rng.integers(0, 3, size=3)] = 0.0
+    points = np.arange(120.0).reshape(40, 3)
+
+    def raised():
+        with pytest.raises(error) as info:
+            g._invert_frame(points, R)
+        return str(info.value), info.value.point.tobytes()
+
+    new = raised()
+    monkeypatch.setattr(g, "_adjugate_det3", _adjugate_det3_loop)
+    assert new == raised()
 
 
 def _frames_with_condition(rng, n, m, cond):

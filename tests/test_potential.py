@@ -13,6 +13,7 @@ from eigenframe import potential as pot
 from eigenframe import systems as sy
 from eigenframe.errors import (
     CurlViolationError,
+    DomainError,
     NotRankZeroError,
     QuadratureFailureError,
     SingularFrameError,
@@ -474,9 +475,9 @@ def test_csv_matches_row_by_row_formatting():
 
 @pytest.mark.parametrize("kind", ["eta", "q"])
 def test_frame_inverted_once_per_point_set(corpus_cases, monkeypatch, kind):
-    """The frame and its candidates are evaluated and inverted once per ray
-    parameter (q's Hessian and flux fields share it) and once on the
-    closedness probes."""
+    """The frame and its candidates are evaluated and inverted once per block
+    of ray parameters (q's Hessian and flux fields share it) and once on
+    the closedness probes: no point set is evaluated twice."""
     seen = []
     original = pot._invert_frame
 
@@ -497,15 +498,16 @@ def test_frame_inverted_once_per_point_set(corpus_cases, monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["eta", "flux", "q"])
 def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch, kind):
-    """The grid meta counts the field evaluations of both ray families, each
-    one MatrixField.values call (q's Hessian and flux fields included), and
-    the largest panel count; ex6.10 eta on a 4^3 grid converges on one
-    panel, so 2 x 33 calls."""
+    """The grid meta counts the ray parameters of both ray families, summed
+    over panels, and the largest panel count.  One MatrixField.values call
+    (q's Hessian and flux fields included) covers a block of ray parameters:
+    on these one-panel 4^3 grids the points passed sum to 33 x 64 per
+    family, and no call exceeds max(_RAY_BATCH_POINTS, nodes) points."""
     calls = []
     values = pot.MatrixField.values
 
     def counted(self, points):
-        calls.append(np.shape(points))
+        calls.append(len(points))
         return values(self, points)
 
     monkeypatch.setattr(pot.MatrixField, "values", counted)
@@ -513,7 +515,6 @@ def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch,
         case = corpus_cases["ex6.10"]
         bet = next(c for k, c in case.candidates if k == "beta")
         grid = pot.reconstruct_eta(case.spec, bet, case.spec.base_point, (4, 4, 4))
-        assert grid.meta["ray_panels"] == 1 and len(calls) == 2 * 33
     elif kind == "flux":
         case = corpus_cases["ex6.6"]
         lam = next(c for k, c in case.candidates if k == "lambda")
@@ -523,5 +524,97 @@ def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch,
         lam = next(c for k, c in case.candidates if k == "lambda")
         bet = [c for k, c in case.candidates if k == "beta"][1]
         grid = pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (4, 4, 4))
-    assert grid.meta["ray_panels"] >= 1
-    assert grid.meta["field_evaluations"] == len(calls)
+    assert grid.meta["ray_panels"] == 1
+    assert grid.meta["field_evaluations"] == 2 * 33
+    assert sum(calls) == 2 * 33 * 64
+    assert max(calls) <= max(pot._RAY_BATCH_POINTS, 64)
+
+
+def _diagonal_frame_2d():
+    """R = diag(1, u1) on [1, 2]^2: L = diag(1, 1/u1) comes from LAPACK."""
+    spec = g.frame_from_sources([["1", "0"], ["0", "u1"]], ["u1", "u2"],
+                                domain=((1.0, 1.0), (2.0, 2.0)))
+    lam = sy.LambdaCandidate.from_sources(["u1", "u2^2"], ["u1", "u2"])
+    bet = sy.BetaCandidate.from_sources(["u1", "u1^2*u2"], ["u1", "u2"])
+    return spec, lam, bet
+
+
+def _grids_at_budgets(monkeypatch, nodes: int, build) -> list:
+    """build() at the one-node schedule, at uneven blocks of 5 nodes (and
+    more once the todo set shrinks) and at the default budget."""
+    grids = []
+    for budget in (1, 5 * nodes + 1, pot._RAY_BATCH_POINTS):
+        with monkeypatch.context() as patch:
+            patch.setattr(pot, "_RAY_BATCH_POINTS", budget)
+            grids.append(build())
+    return grids
+
+
+def _assert_bit_identical(grids):
+    first, *rest = grids
+    for grid in rest:
+        assert grid.meta == first.meta
+        assert grid.values.keys() == first.values.keys()
+        for key, value in first.values.items():
+            assert grid.values[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("name, counts", [
+    *(pytest.param(name, (c,) * 3, id=f"{name}-{c}^3")
+      for name in ("ex6.10", "ex6.6", "ex6.1b") for c in (4, 5, 6)),
+    pytest.param("ex6.12", (4,) * 4, id="ex6.12-4^4"),
+    pytest.param("diagonal-2d", (5, 5), id="diagonal-2d-5^2"),
+])
+def test_grids_independent_of_ray_batch_budget(corpus_cases, monkeypatch, name, counts):
+    """Eta, flux and q grids and metas are bit-identical whether a rates call
+    covers one Kronrod node, uneven blocks of them or the default budget;
+    ex6.12 (n = 4) and the 2-D frame invert through LAPACK."""
+    if name == "diagonal-2d":
+        spec, lam, bet = _diagonal_frame_2d()
+    else:
+        spec = corpus_cases[name].spec
+        lam = next(c for k, c in corpus_cases[name].candidates if k == "lambda")
+        bet = next(c for k, c in corpus_cases[name].candidates if k == "beta")
+    builds = (
+        lambda: pot.reconstruct_eta(spec, bet, spec.base_point, counts),
+        lambda: pot.reconstruct_flux(spec, lam, spec.base_point, counts),
+        lambda: pot.entropy_flux(spec, lam, bet, spec.base_point, counts),
+    )
+    for build in builds:
+        _assert_bit_identical(_grids_at_budgets(monkeypatch, int(np.prod(counts)), build))
+
+
+def test_two_panel_rays_independent_of_ray_batch_budget(monkeypatch):
+    """With speed sin(40 u1) the rays need two panels, and the second pass
+    runs only the unfinished nodes, in blocks of its own size."""
+    spec = g.frame_from_sources([["1", "0"], ["0", "1"]], ["u1", "u2"],
+                                domain=((0, 0), (1, 1)))
+    lam = sy.LambdaCandidate.from_sources(["sin(40*u1)", "0"], ["u1", "u2"])
+    grids = _grids_at_budgets(
+        monkeypatch, 25, lambda: pot.reconstruct_flux(spec, lam, spec.base_point, (5, 5))
+    )
+    assert grids[0].meta["ray_panels"] == 2
+    _assert_bit_identical(grids)
+
+
+@pytest.mark.parametrize("budget", [1, None])
+def test_failing_block_raises_the_first_failing_node_error(monkeypatch, budget):
+    """A tape runs its checks in order over all the points of a call, so in a
+    block a check that comes first can fail at a later node than another
+    check.  A failing block is run again node by node, and the error is the
+    one the first failing node raises, as with one call per node."""
+    rule = pot._ray_rule(pot._RAY_Q)
+
+    def rates(pts, d):
+        # check "late" runs first and fails at node 5; "early" fails at node 3
+        for name, t in (("late", rule.t[5]), ("early", rule.t[3])):
+            hit = pts[:, 0] == t
+            if hit.any():
+                raise DomainError(name, pts[int(np.argmax(hit))], "test")
+        return d.copy(), np.empty((0,) + d.shape)
+
+    if budget is not None:
+        monkeypatch.setattr(pot, "_RAY_BATCH_POINTS", budget)
+    with pytest.raises(DomainError) as info:
+        pot._panel_sums(rates, np.zeros(1), np.ones((1, 1)), np.zeros((1, 1)), 1)
+    assert info.value.node == "early" and info.value.point[0] == rule.t[3]
