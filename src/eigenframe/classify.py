@@ -41,7 +41,7 @@ from .geometry import (
     chart_forward,
     is_rich,
 )
-from .systems import beta_algebraic, generic_rank, lambda_algebraic
+from .systems import AlgebraicSystem, beta_algebraic, generic_rank, lambda_algebraic
 
 FREEDOM = {
     "unconstrained": "3 arbitrary functions of 1 variable",
@@ -129,26 +129,24 @@ def _row_activity(matrices: np.ndarray, tol: float, trace: _Trace, tag: str) -> 
     return active
 
 
-def classify_lambda_n3(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> tuple:
-    """Case label for the speed system: rank 0 -> I; rank 1 -> IIa when all
-    three unknowns enter the constraint, IIb when exactly two; rank 2 -> III."""
+def classify_lambda_n3(lsys: AlgebraicSystem, rank: int, tol: float = CLASSIFY_TOL) -> tuple:
+    """Case label for the speed system from its algebraic part lsys and that
+    part's generic rank: rank 0 -> I; rank 1 -> IIa when all three unknowns
+    enter the constraint, IIb when exactly two; rank 2 -> III."""
     trace = _Trace()
-    sys = lambda_algebraic(conn)
-    scale = 1.0 + np.abs(sys.matrix).max()
-    rank = generic_rank(sys.matrix / scale)
     trace.note("lambda algebraic rank", rank, "info")
     if rank == 0:
-        return "I", rank, trace
+        return "I", trace
     if rank == 2:
-        return "III", rank, trace
-    active = _row_activity(sys.matrix, tol, trace, "lambda constraint")
+        return "III", trace
+    active = _row_activity(lsys.matrix, tol, trace, "lambda constraint")
     count = sum(active)
     if count == 3:
-        return "IIa", rank, trace
+        return "IIa", trace
     if count == 2:
-        return "IIb", rank, trace
+        return "IIb", trace
     trace.note("lambda constraint active count", count, "degenerate sampling")
-    return "IIb", rank, trace
+    return "IIb", trace
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +624,7 @@ def classify(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> ClassificationR
             lambda_case="not_n3", beta_case="not_n3", freedom=FREEDOM["not_n3"],
             trace=list(trace), permutation=tuple(range(spec.n)),
         )
-    lambda_case, lrank, ltrace = classify_lambda_n3(conn, tol)
+    lambda_case, ltrace = classify_lambda_n3(lsys, rank_lambda, tol)
     trace.extend(ltrace)
     perm = (0, 1, 2)
     if rank_beta == 0:

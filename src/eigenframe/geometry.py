@@ -54,18 +54,30 @@ _SAMPLE_BYTES_PER_ENTRY = 2400
 # Halton samples
 # ---------------------------------------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+def _primes(count: int) -> list:
+    """The first count primes, by trial division."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    result = np.zeros(indices.shape, dtype=float)
-    f = 1.0 / base
-    i = indices.copy()
-    while np.any(i > 0):
-        result += f * (i % base)
-        i //= base
-        f /= base
-    return result
+    """Each index's base-b digits reflected about the radix point.  The
+    digits come from one floor-divide and mod over the powers of b up to the
+    largest index, and the terms d_k / b^(k+1) are summed lowest digit first
+    with scales formed by repeated division, so every point has the bits of
+    a loop that peels off one digit at a time."""
+    top = int(indices.max(initial=0))
+    powers = [1]
+    while powers[-1] * base <= top:
+        powers.append(powers[-1] * base)
+    digits = indices // np.array(powers)[:, None] % base  # (k, m)
+    scales = np.divide.accumulate(np.array([1.0 / base] + [base] * (len(powers) - 1)))
+    return np.add.accumulate(scales[:, None] * digits)[-1]
 
 
 def halton_points(lo: np.ndarray, hi: np.ndarray, count: int, seed: int = 0) -> np.ndarray:
@@ -79,8 +91,7 @@ def halton_points(lo: np.ndarray, hi: np.ndarray, count: int, seed: int = 0) -> 
     if seed < 0 or start + count > np.iinfo(np.int64).max:
         raise ValueError(f"seed must be a non-negative integer below 2^63/1009, got {seed}")
     idx = np.arange(start, start + count)
-    cols = [_radical_inverse(idx, _PRIMES[d]) for d in range(n)]
-    unit = np.stack(cols, axis=1)
+    unit = np.stack([_radical_inverse(idx, b) for b in _primes(n)], axis=1)
     # keep strictly interior so jets of boundary-singular entries stay finite
     unit = 0.02 + 0.96 * unit
     return lo + unit * (hi - lo)
@@ -254,11 +265,16 @@ class ConnectionEval:
         return 1.0 + np.abs(self.Gamma.reshape(m, -1)).max(axis=1)
 
     def taylor(self, order: int) -> Taylor:
-        """Gamma as a Taylor field of the given order, shape (m, i, j, k)."""
-        key = ("gamma", order)
-        if key not in self._series:
-            self._series[key] = _gamma_series(self._frame_series(order + 1), self.L, order)
-        return self._series[key]
+        """Gamma as a Taylor field of the given order, shape (m, i, j, k): a
+        leading slice of the lowest-order series computed so far that
+        reaches it (order 1 by eval_connection), else computed and kept."""
+        kept = [key[1] for key in self._series if key[0] == "gamma" and key[1] >= order]
+        if not kept:
+            kept = [order]
+            self._series[("gamma", order)] = _gamma_series(
+                self._frame_series(order + 1), self.L, order)
+        G = self._series[("gamma", min(kept))]
+        return G if G.order == order else Taylor(G.coef[..., : _size(self.n, order)], self.n, order)
 
     def r(self, d: int, f: Taylor) -> Taylor:
         """r_d(f) = R^a_d d_a f along frame field d, a Taylor field one order
@@ -333,7 +349,7 @@ def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
             adj, det = _adjugate_det3(R)
         else:
             det = np.linalg.det(R)
-        norm = np.sqrt((R**2).sum(axis=(1, 2)))
+        norm = np.sqrt(np.einsum("mij,mij->m", R, R))
         threshold = DET_RTOL * np.maximum(norm, 1e-30) ** n
     finite = np.isfinite(det) & np.isfinite(threshold)
     if not finite.all():

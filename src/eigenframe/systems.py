@@ -20,7 +20,7 @@ system used by the rich rank-0 theory).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
@@ -120,6 +120,16 @@ def algebraic_triples(n: int) -> list:
     return triples
 
 
+@lru_cache(maxsize=None)
+def _index_arrays(n: int) -> tuple:
+    """Index arrays (row, i, j, k) of algebraic_triples(n), and (i, j) of
+    _ordered_pairs(n), so that each system is assembled in one expression
+    per term rather than one per pair or triple."""
+    triples = np.array(algebraic_triples(n), dtype=np.intp).reshape(-1, 3)
+    pairs = np.array(_ordered_pairs(n), dtype=np.intp).reshape(-1, 2)
+    return (np.arange(len(triples)),) + tuple(triples.T), tuple(pairs.T)
+
+
 @dataclass
 class AlgebraicSystem:
     kind: str  # 'beta' | 'lambda'
@@ -128,27 +138,25 @@ class AlgebraicSystem:
 
 
 def beta_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
-    n = conn.n
-    triples = algebraic_triples(n)
-    m = conn.Gamma.shape[0]
-    rows = np.zeros((m, len(triples), n))
-    for r, (i, j, k) in enumerate(triples):
-        rows[:, r, k] += conn.c[:, i, j, k]
-        rows[:, r, j] += conn.Gamma[:, i, k, j]
-        rows[:, r, i] -= conn.Gamma[:, j, k, i]
-    return AlgebraicSystem("beta", triples, rows)
+    n, G, c = conn.n, conn.Gamma, conn.c
+    (r, i, j, k), _ = _index_arrays(n)
+    # i, j and k differ, so every term lands on a 0.0 of its own, as in a
+    # loop over the triples
+    rows = np.zeros((G.shape[0], len(r), n))
+    rows[:, r, k] += c[:, i, j, k]
+    rows[:, r, j] += G[:, i, k, j]
+    rows[:, r, i] -= G[:, j, k, i]
+    return AlgebraicSystem("beta", algebraic_triples(n), rows)
 
 
 def lambda_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
-    n = conn.n
-    triples = algebraic_triples(n)
-    m = conn.Gamma.shape[0]
-    rows = np.zeros((m, len(triples), n))
-    for r, (i, j, k) in enumerate(triples):
-        rows[:, r, i] += conn.Gamma[:, j, i, k]
-        rows[:, r, j] -= conn.Gamma[:, i, j, k]
-        rows[:, r, k] += conn.c[:, i, j, k]
-    return AlgebraicSystem("lambda", triples, rows)
+    n, G, c = conn.n, conn.Gamma, conn.c
+    (r, i, j, k), _ = _index_arrays(n)
+    rows = np.zeros((G.shape[0], len(r), n))
+    rows[:, r, i] += G[:, j, i, k]
+    rows[:, r, j] -= G[:, i, j, k]
+    rows[:, r, k] += c[:, i, j, k]
+    return AlgebraicSystem("lambda", algebraic_triples(n), rows)
 
 
 def generic_rank(
@@ -221,23 +229,20 @@ def _ordered_pairs(n: int) -> list:
 
 def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
     vals, grads = eval_candidate(cand.tape, conn.points)
-    n = conn.n
-    pairs = _ordered_pairs(n)
-    pde_raw = np.zeros((conn.points.shape[0], len(pairs)))
-    pde_scale = np.ones_like(pde_raw)
-    for col, (i, j) in enumerate(pairs):
-        deriv = np.einsum("ma,ma->m", grads[:, j, :], conn.R[:, :, i])
-        t1 = vals[:, j] * (conn.Gamma[:, i, j, j] + conn.c[:, i, j, j])
-        t2 = vals[:, i] * conn.Gamma[:, j, j, i]
-        pde_raw[:, col] = deriv - (t1 - t2)
-        pde_scale[:, col] = 1.0 + np.abs(deriv) + np.abs(t1) + np.abs(t2)
+    G, c = conn.Gamma, conn.c
+    _, (i, j) = _index_arrays(conn.n)
+    deriv = np.einsum("mja,mai->mji", grads, conn.R)[:, j, i]  # r_i(b^j)
+    t1 = vals[:, j] * (G[:, i, j, j] + c[:, i, j, j])
+    t2 = vals[:, i] * G[:, j, j, i]
+    pde_raw = deriv - (t1 - t2)
+    pde_scale = 1.0 + np.abs(deriv) + np.abs(t1) + np.abs(t2)
     sys = beta_algebraic(conn)
     alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals)
     alg_scale = 1.0 + np.abs(sys.matrix * vals[:, None, :]).sum(axis=2)
     return ResidualRecord(
         kind="beta",
-        pde_labels=[f"beta-pde r{i+1}(b{j+1})" for i, j in pairs],
-        alg_labels=[f"beta-alg ({i+1},{j+1},{k+1})" for i, j, k in sys.triples],
+        pde_labels=[f"beta-pde r{a+1}(b{b+1})" for a, b in _ordered_pairs(conn.n)],
+        alg_labels=[f"beta-alg ({a+1},{b+1},{d+1})" for a, b, d in sys.triples],
         pde_raw=pde_raw,
         alg_raw=alg_raw,
         pde_scaled=np.abs(pde_raw) / pde_scale,
@@ -247,22 +252,18 @@ def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
 
 def lambda_residual(conn: ConnectionEval, cand: LambdaCandidate) -> ResidualRecord:
     vals, grads = eval_candidate(cand.tape, conn.points)
-    n = conn.n
-    pairs = _ordered_pairs(n)
-    pde_raw = np.zeros((conn.points.shape[0], len(pairs)))
-    pde_scale = np.ones_like(pde_raw)
-    for col, (i, j) in enumerate(pairs):
-        deriv = np.einsum("ma,ma->m", grads[:, j, :], conn.R[:, :, i])
-        rhs = conn.Gamma[:, j, i, j] * (vals[:, i] - vals[:, j])
-        pde_raw[:, col] = deriv - rhs
-        pde_scale[:, col] = 1.0 + np.abs(deriv) + np.abs(rhs)
+    _, (i, j) = _index_arrays(conn.n)
+    deriv = np.einsum("mja,mai->mji", grads, conn.R)[:, j, i]  # r_i(l^j)
+    rhs = conn.Gamma[:, j, i, j] * (vals[:, i] - vals[:, j])
+    pde_raw = deriv - rhs
+    pde_scale = 1.0 + np.abs(deriv) + np.abs(rhs)
     sys = lambda_algebraic(conn)
     alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals)
     alg_scale = 1.0 + np.abs(sys.matrix * vals[:, None, :]).sum(axis=2)
     return ResidualRecord(
         kind="lambda",
-        pde_labels=[f"lambda-pde r{i+1}(l{j+1})" for i, j in pairs],
-        alg_labels=[f"lambda-alg ({i+1},{j+1},{k+1})" for i, j, k in sys.triples],
+        pde_labels=[f"lambda-pde r{a+1}(l{b+1})" for a, b in _ordered_pairs(conn.n)],
+        alg_labels=[f"lambda-alg ({a+1},{b+1},{d+1})" for a, b, d in sys.triples],
         pde_raw=pde_raw,
         alg_raw=alg_raw,
         pde_scaled=np.abs(pde_raw) / pde_scale,

@@ -213,3 +213,39 @@ def test_report_round_trips_to_dict(corpus_cases):
     import json
 
     assert json.loads(json.dumps(d)) == d
+
+
+def _same_report(got, want):
+    assert (got.lambda_case, got.beta_case, got.permutation) == (
+        want.lambda_case, want.beta_case, want.permutation)
+    assert (got.rank_beta, got.rank_lambda, got.richness) == (
+        want.rank_beta, want.rank_lambda, want.richness)
+    assert [(c, s) for c, _, s in got.trace] == [(c, s) for c, _, s in want.trace]
+    for (c, a, _), (_, b, _) in zip(got.trace, want.trace):
+        assert abs(a - b) <= 1e-13, (c, a, b)
+
+
+def test_classify_on_reused_or_sliced_series(corpus_cases, monkeypatch):
+    """A connection hands out lower orders of Gamma as leading slices of a
+    series it already holds.  Classifying a connection twice, or one whose
+    order-3 series was computed first, gives the report of a connection
+    that computes every order it is asked for afresh."""
+    sets = {(cid, seed): case.spec.sample_points(50, seed)
+            for cid, case in corpus_cases.items() if case.spec.n == 3 for seed in (0, 3)}
+    reused, sliced = {}, {}
+    for (cid, seed), points in sets.items():
+        spec = corpus_cases[cid].spec
+        conn = g.eval_connection(spec, points)
+        cl.classify(conn)
+        reused[cid, seed] = cl.classify(conn)
+        conn = g.eval_connection(spec, points)
+        conn._series.pop(("gamma", 1))
+        G3 = conn.taylor(3)
+        assert all(np.shares_memory(conn.taylor(k).coef, G3.coef) for k in (0, 1, 2))
+        sliced[cid, seed] = cl.classify(conn)
+    monkeypatch.setattr(g.ConnectionEval, "taylor", lambda self, order: g._gamma_series(
+        self._frame_series(order + 1), self.L, order))
+    for key, points in sets.items():
+        fresh = cl.classify(g.eval_connection(corpus_cases[key[0]].spec, points))
+        _same_report(reused[key], fresh)
+        _same_report(sliced[key], fresh)

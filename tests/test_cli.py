@@ -89,6 +89,27 @@ def test_singular_frame_exit_three(tmp_path, capsys):
     assert rc == cli.EXIT_DEGENERATE
 
 
+def test_nine_variable_frame_runs_every_command(tmp_path, capsys):
+    """Halton sampling takes one prime per variable, however many there are:
+    an identity frame in 9 variables analyzes, verifies and reconstructs."""
+    n = 9
+    frame = tmp_path / "frame9.json"
+    frame.write_text(json.dumps({
+        "id": "identity9", "n": n, "vars": [f"u{a + 1}" for a in range(n)],
+        "frame": [["1" if a == j else "0" for a in range(n)] for j in range(n)],
+        "domain": {"lo": [1] * n, "hi": [2] * n}, "base": [1.5] * n,
+    }))
+    cand = tmp_path / "beta.json"
+    cand.write_text(json.dumps({"kind": "beta", "exprs": [str(a + 1) for a in range(n)]}))
+    assert cli.main(["--output", "json", "analyze", str(frame)]) == cli.EXIT_PASS
+    out = json.loads(capsys.readouterr().out)
+    assert (out["n"], out["rank_beta"], out["rank_lambda"]) == (n, 0, 0)
+    assert cli.main(["--output", "json", "verify", str(frame), str(cand)]) == cli.EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["max_scaled_residual"] == 0.0
+    assert cli.main(["--grid", "2", "reconstruct", str(frame), str(cand)]) == cli.EXIT_PASS
+    assert (tmp_path / "beta_eta.csv").exists()
+
+
 def test_samples_floor_enforced(capsys):
     rc = cli.main(["--samples", "4", "analyze", corpus_path("ex6.2.json")])
     assert rc == cli.EXIT_INPUT_ERROR

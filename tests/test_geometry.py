@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import V3, connect, frame_jets, random_polynomial_frame
+import halton_reference
 
 from eigenframe import exprlang as ex
 from eigenframe import geometry as g
@@ -428,6 +429,27 @@ def test_halton_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+@pytest.mark.parametrize("count", [1, 8, 50, 8000])
+def test_halton_matches_digit_loop(count):
+    """The digit table gives the digit loop's points bit for bit, in 2 to 10
+    variables, for seeds 0-40 and the largest seed the count admits.  At
+    8000 points only the 10-variable draw is compared: coordinate d uses the
+    d-th prime whatever n is, so it covers the bases of every smaller n."""
+    top = (np.iinfo(np.int64).max - 20 - count) // 1009
+    for seed in [*range(41), top]:
+        for n in range(2, 11) if count <= 50 else [10]:
+            lo, hi = np.linspace(-1.0, 0.5, n), np.linspace(0.5, 3.0, n)
+            want = halton_reference.halton_points(lo, hi, count, seed)
+            assert g.halton_points(lo, hi, count, seed).tobytes() == want.tobytes(), (n, seed)
+
+
+def test_radical_inverse_golden_value():
+    # 20 = 10100 in base 2, reflected 0.00101
+    assert g._radical_inverse(np.array([20]), 2)[0] == 0.15625
+    assert g._radical_inverse(np.array([0, 1, 2, 3]), 3).tolist() == [0.0, 1 / 3, 2 / 3, 1 / 9]
+    assert g._primes(11) == list(halton_reference.PRIMES)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63 // 1009 + 1, 10**20])

@@ -123,6 +123,54 @@ def test_corpus_candidate_residuals(corpus_cases):
             assert rec.max_scaled < 1e-10, (cid, kind)
 
 
+def _residual_loop(conn, kind, cand):
+    """The residual families by a loop over the ordered pairs and triples:
+    the reference for the vectorized residuals."""
+    vals, grads = sy.eval_candidate(cand.tape, conn.points)
+    G, c, n = conn.Gamma, conn.c, conn.n
+    pde_raw, pde_scale = [], []
+    for i, j in sy._ordered_pairs(n):
+        deriv = np.einsum("ma,ma->m", grads[:, j, :], conn.R[:, :, i])
+        if kind == "beta":
+            terms = [vals[:, j] * (G[:, i, j, j] + c[:, i, j, j]), vals[:, i] * G[:, j, j, i]]
+            pde_raw.append(deriv - (terms[0] - terms[1]))
+        else:
+            terms = [G[:, j, i, j] * (vals[:, i] - vals[:, j])]
+            pde_raw.append(deriv - terms[0])
+        pde_scale.append(1.0 + np.abs(deriv) + sum(np.abs(t) for t in terms))
+    triples = sy.algebraic_triples(n)
+    rows = np.zeros((len(vals), len(triples), n))
+    for r, (i, j, k) in enumerate(triples):
+        if kind == "beta":
+            rows[:, r, k] += c[:, i, j, k]
+            rows[:, r, j] += G[:, i, k, j]
+            rows[:, r, i] -= G[:, j, k, i]
+        else:
+            rows[:, r, i] += G[:, j, i, k]
+            rows[:, r, j] -= G[:, i, j, k]
+            rows[:, r, k] += c[:, i, j, k]
+    return np.stack(pde_raw, axis=1), np.stack(pde_scale, axis=1), rows
+
+
+def test_residuals_match_pair_loop(corpus_cases):
+    """On every corpus candidate, the pair- and triple-indexed residuals
+    agree with the per-pair loop to 1e-15 of each term's scale, and the
+    algebraic rows are the loop's bit for bit."""
+    for cid, case in corpus_cases.items():
+        for seed in (0, 3):
+            conn = connect(case.spec, seed=seed)
+            for kind, cand in case.candidates:
+                residual, algebraic = (
+                    (sy.beta_residual, sy.beta_algebraic) if kind == "beta"
+                    else (sy.lambda_residual, sy.lambda_algebraic))
+                pde_raw, pde_scale, rows = _residual_loop(conn, kind, cand)
+                rec = residual(conn, cand)
+                assert (np.abs(rec.pde_raw - pde_raw) <= 1e-15 * pde_scale).all(), (cid, kind)
+                assert algebraic(conn).matrix.tobytes() == rows.tobytes(), (cid, kind)
+                assert len(rec.pde_labels) == pde_raw.shape[1]
+                assert len(rec.alg_labels) == rows.shape[1]
+
+
 def test_broken_candidate_is_located(corpus_cases):
     case = corpus_cases["ex6.11"]
     bad = sy.BetaCandidate.from_sources(["-2*u2", "2*u2", "u1"], V3)
