@@ -271,9 +271,10 @@ def _closed_eta_check(conn: ConnectionEval, cand) -> float:
 def _closed_f_check(conn: ConnectionEval, cand) -> float:
     """Jacobian of the closed-form flux vs R diag[l] L, assembled from the
     connection's frame and inverse."""
-    from .potential import _flux_values
+    from .potential import _flux_formula, _matrices
 
-    A = _flux_values(conn.R, conn.L, ex.eval_scalar_many(cand.tape, conn.points))
+    lam = ex.eval_scalar_many(cand.tape, conn.points)
+    [A] = _matrices(_flux_formula, lam.shape[0], conn.n, conn.R, conn.L, lam)
     Df = ex.eval_series(cand.f_tape, conn.points, 1)[..., 1:]
     return float(np.abs(Df - A).max() / (1.0 + np.abs(A).max()))
 

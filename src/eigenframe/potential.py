@@ -28,9 +28,12 @@ from one set of field values (the Q Gauss nodes are among the 2Q+1); rays
 over the tolerance are split into panels, and a ray that does not converge,
 or whose integral is not finite, raises QuadratureFailureError.  Curl tests
 gate every integration; path independence is checked by a second family of
-rays from another grid node.  Each field is written once, as a formula over
-R, L and the candidate values; its exact first derivatives, which the curl
-tests read, come from the same formula run on order-1 Taylor fields.
+rays from another grid node.  Each field is written once, as a formula of a
+direction d over R, L and the candidate values that returns M d: the rays
+apply H = L^T diag[b] L as L^T (b * (L d)) and A = R diag[l] L as
+R (l * (L d)), and never form H or A.  The matrices and their exact first
+derivatives, which the curl tests read, come from the same formula run on
+order-1 Taylor fields at the n unit directions.
 
 The chart-space boundary-value solver (solve_rich_beta) fills a grid with
 the unique solution determined by one single-variable function per axis,
@@ -79,9 +82,9 @@ _RAY_MAX_PANELS = 64  # a ray still over the tolerance at this many panels fails
 # of up to this many points, never less than one node.  Small calls pay the
 # per-call overhead and large ones a working set past the L2 cache: the
 # reconstruct-grids op set (eta and flux at 6^3 and 11^3, q at 6^3) took a
-# median CPU time per pass of 157-213 ms at one node per call, 128-143 ms at
-# 4096 points, 167-174 ms at 8192 and 179-201 ms at 16384 (whole 11^3
-# panels), three interleaved runs on a 2-core Xeon with 4 MiB of L2 a core
+# median pass_ref_s of 0.264 s at 2048 points, 0.244 s at 4096 and 0.252 s
+# at 8192 (perfbench/run.py --seconds 10, five interleaved runs each), on a
+# 2-core Xeon with 4 MiB of L2 a core
 _RAY_BATCH_POINTS = 4096
 
 
@@ -91,15 +94,17 @@ _RAY_BATCH_POINTS = 4096
 
 
 class MatrixField:
-    """The n x n matrix fields formula(R, L, *s) of the frame R, its inverse
-    L and the values s of some candidates, all from one tape: one tape run
-    and one frame inversion per point set serve every field the formula
-    returns, so the Hessian and flux fields of q share one MatrixField.  The
-    formula returns a list of fields and acts on arrays and on Taylor fields
-    alike: run on order-1 series it gives the exact first derivatives.
+    """The n x n matrix fields M of the frame R, its inverse L and the values
+    s of some candidates, applied to a direction: formula(R, L, *s, d)
+    returns [M d, ...], all from one tape.  One tape run and one frame
+    inversion per point set serve every field the formula returns, so the
+    Hessian and flux fields of q share one MatrixField.  The formula acts on
+    arrays and on Taylor fields alike: run on order-1 series at the n unit
+    directions it gives the matrices and their exact first derivatives.
 
-    values(points) -> [(m, N, N), ...]; value_grad(points) -> [(V, G), ...]
-    with G[p, a, b, d] = dM[a,b]/dx_d.
+    values(points, d) -> [(m, N), ...], M d at each point with its own
+    direction; value_grad(points) -> [(V, G), ...] with V the matrices and
+    G[p, a, b, d] = dM[a,b]/dx_d.
     """
 
     def __init__(self, spec: FrameSpec, cands: tuple, formula: Callable):
@@ -113,39 +118,74 @@ class MatrixField:
         cands = [rest[:, c : c + self.n] for c in range(0, rest.shape[1], self.n)]
         return frame_block(block, self.n), cands
 
-    def values(self, points: np.ndarray) -> list:
+    def values(self, points: np.ndarray, d: np.ndarray) -> list:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         R, cands = self._split(ex.eval_scalar_many(self.tape, pts))
         L, _ = _invert_frame(pts, R)
-        return self._formula(R, L, *cands)
+        return self._formula(R, L, *cands, d)
 
     def value_grad(self, points: np.ndarray) -> list:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         R, cands = self._split(ex.eval_series(self.tape, pts, 1))
         R = Taylor(R, self.n, 1)
-        L, _ = _invert_frame(pts, R.value)
-        fields = self._formula(R, inverse_series(R, L), *(Taylor(c, self.n, 1) for c in cands))
+        L = inverse_series(R, _invert_frame(pts, R.value)[0])
+        cands = [Taylor(c, self.n, 1) for c in cands]
+        fields = _matrices(self._formula, pts.shape[0], self.n, R, L, *cands)
         return [(M.value, M.coef[..., 1:]) for M in fields]
 
 
-def _hessian_values(L, b):
-    """L^T diag[b] L, of arrays or of Taylor fields."""
-    return (L.transpose(0, 2, 1) * b[:, None, :]) @ L
+def _matrices(formula, m: int, n: int, *fields) -> list:
+    """The matrices M of the direction formula [M d, ...] = formula(*fields,
+    d) at m points, from one run with every point repeated n times at the n
+    unit directions: row p n + j is M e_j at point p.  The fields are arrays
+    or Taylor fields, indexed along their first axis."""
+    rows, E = np.arange(m).repeat(n), np.tile(np.eye(n), (m, 1))
+    p, a, j = np.ix_(np.arange(m), np.arange(n), np.arange(n))
+    return [Md[p * n + j, a] for Md in formula(*(f[rows] for f in fields), E)]
 
 
-def _flux_values(R, L, lam):
-    """R diag[l] L, of arrays or of Taylor fields."""
-    return (R * lam[:, None, :]) @ L
+def _matvec(A, x):
+    """A x for stacks (m, a, b) of matrices and (m, b) of vectors, of arrays
+    or of Taylor fields (einsum is about twice as fast as a stacked @)."""
+    if isinstance(A, Taylor):
+        return (A @ x[:, :, None])[:, :, 0]
+    return np.einsum("mab,mb->ma", A, x)
+
+
+def _hessian_times(L, b, Ld):
+    """L^T diag[b] L d from L d."""
+    return _matvec(L.transpose(0, 2, 1), b * Ld)
+
+
+def _flux_times(R, lam, Ld):
+    """R diag[l] L d from L d."""
+    return _matvec(R, lam * Ld)
+
+
+def _hessian_formula(R, L, b, d) -> list:
+    """[L^T diag[b] L d]."""
+    return [_hessian_times(L, b, _matvec(L, d))]
+
+
+def _flux_formula(R, L, lam, d) -> list:
+    """[R diag[l] L d]."""
+    return [_flux_times(R, lam, _matvec(L, d))]
+
+
+def _entropy_formula(R, L, b, lam, d) -> list:
+    """The Hessian and the flux Jacobian applied to d, from one L d."""
+    Ld = _matvec(L, d)
+    return [_hessian_times(L, b, Ld), _flux_times(R, lam, Ld)]
 
 
 def length_hessian_field(spec: FrameSpec, cand: BetaCandidate) -> MatrixField:
     """M = L^T diag[b] L, the Hessian field of the scalar potential."""
-    return MatrixField(spec, (cand,), lambda R, L, b: [_hessian_values(L, b)])
+    return MatrixField(spec, (cand,), _hessian_formula)
 
 
 def flux_jacobian_field(spec: FrameSpec, cand: LambdaCandidate) -> MatrixField:
     """M = R diag[l] L, the Jacobian field of the flux map."""
-    return MatrixField(spec, (cand,), lambda R, L, lam: [_flux_values(R, L, lam)])
+    return MatrixField(spec, (cand,), _flux_formula)
 
 
 def _curl(V: np.ndarray, G: np.ndarray) -> float:
@@ -163,6 +203,11 @@ def curl_residual(field: MatrixField, points: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Potential grids
 # ---------------------------------------------------------------------------
+
+
+# rows per % in PotentialGrid.to_csv: one % over a whole 11^3 table holds
+# every cell's string at once and raised the benchmark's peak RSS
+_CSV_CHUNK = 256
 
 
 @dataclass
@@ -186,6 +231,9 @@ class PotentialGrid:
         return json.dumps(payload)
 
     def to_csv(self, var_names: Sequence[str]) -> str:
+        """The header, then one row per node: its coordinates and every
+        value, each cell "%.17g" % float as np.savetxt writes it, one %
+        per chunk of _CSV_CHUNK rows."""
         names = []
         columns = []
         for key, arr in self.values.items():
@@ -200,7 +248,10 @@ class PotentialGrid:
         out = io.StringIO()
         csv.writer(out).writerow(list(var_names) + names)
         table = np.column_stack([self.nodes()] + columns)
-        np.savetxt(out, table, fmt="%.17g", delimiter=",", newline="\r\n")
+        row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+        for start in range(0, table.shape[0], _CSV_CHUNK):
+            chunk = table[start : start + _CSV_CHUNK]
+            out.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
         return out.getvalue()
 
 
@@ -381,11 +432,10 @@ def _rates(field: MatrixField, scalars: bool):
     for every further field A (q, with A the flux Jacobian)."""
 
     def rates(pts, d):
-        J, *rest = field.values(pts)
-        Jd = np.einsum("mab,mb->ma", J, d)
+        Jd, *rest = field.values(pts, d)
         if not scalars:
             return Jd, np.empty((0,) + d.shape)
-        return Jd, np.stack([d] + [np.einsum("mab,mb->ma", A, d) for A in rest])
+        return Jd, np.stack([d] + rest)
 
     return rates
 
@@ -499,10 +549,7 @@ def entropy_flux(
     attached to the candidate, from that potential's gradient at the base.
     """
     # M = L^T diag[b] L and A = R diag[l] L from one frame evaluation
-    field = MatrixField(
-        spec, (beta_cand, lambda_cand),
-        lambda R, L, b, lam: [_hessian_values(L, b), _flux_values(R, L, lam)],
-    )
+    field = MatrixField(spec, (beta_cand, lambda_cand), _entropy_formula)
     base, axes, _ = _grid_setup(spec, field, base, counts, box, curl_tol)
     shape = tuple(counts)
     # with a closed-form potential attached, q corresponds to that potential

@@ -3,9 +3,12 @@ comparison, and the chart-space boundary-value solver."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+import rates_reference
 from conftest import V3, frame_jets
 
 from eigenframe import geometry as g
@@ -113,10 +116,12 @@ def test_non_solution_trips_curl_detector(corpus_cases):
 
 def test_matrix_fields_match_einsum_formulas(corpus_cases):
     """Values and exact gradients of L^T diag[b] L and R diag[l] L against
-    the product rule with d L = -L (d R) L, written as plain einsums."""
+    the product rule with d L = -L (d R) L, written as plain einsums; the
+    values path applies them to random directions."""
     case = corpus_cases["ex6.1b"]
     spec = case.spec
     pts = spec.sample_points(30, 2)
+    d = np.random.default_rng(3).standard_normal(pts.shape)
     R, Rgrad, _ = frame_jets(spec, pts)
     L = np.linalg.inv(R)
     Lgrad = -np.einsum("mkp,mpqd,mqa->mkad", L, Rgrad, L)
@@ -139,8 +144,9 @@ def test_matrix_fields_match_einsum_formulas(corpus_cases):
                 + np.einsum("mak,mk,mkbd->mabd", R, vals, Lgrad)
             )
         [(V_field, G_field)] = field.value_grad(pts)
-        [M] = field.values(pts)
-        assert np.abs(M - V).max() < 1e-13 * np.abs(V).max()
+        [Md] = field.values(pts, d)
+        Vd = np.einsum("mab,mb->ma", V, d)
+        assert np.abs(Md - Vd).max() < 1e-13 * np.abs(Vd).max()
         assert np.abs(V_field - V).max() < 1e-13 * np.abs(V).max()
         assert np.abs(G_field - G).max() < 1e-13 * np.abs(G).max()
 
@@ -262,7 +268,7 @@ def test_singular_frame_raises_singular_frame_error():
     singular = np.array([[0.0, 0.5, 0.5]])
     for field in (pot.flux_jacobian_field(spec, lam), pot.length_hessian_field(spec, bet)):
         with pytest.raises(SingularFrameError):
-            field.values(singular)
+            field.values(singular, np.ones_like(singular))
         with pytest.raises(SingularFrameError):
             field.value_grad(singular)
     with pytest.raises(SingularFrameError):
@@ -426,17 +432,17 @@ def test_solver_handles_cross_coupled_spherical_chart():
 
 
 def test_flux_jacobian_eigendecomposes_to_candidate(corpus_cases):
-    """Rows of R diag[l] L applied to the frame columns return the speeds."""
+    """R diag[l] L applied to the frame columns returns the speeds."""
     case = corpus_cases["ex6.1b"]
     lam = next(c for k, c in case.candidates if k == "lambda")
     field = pot.flux_jacobian_field(case.spec, lam)
     pts = case.spec.sample_points(20)
-    [A] = field.values(pts)
     R, _, _ = frame_jets(case.spec, pts)
     vals, _ = sy.eval_candidate(lam.tape, pts)
     worst = 0.0
     for i in range(3):
-        res = np.einsum("mab,mb->ma", A, R[:, :, i]) - vals[:, i][:, None] * R[:, :, i]
+        [AR] = field.values(pts, R[:, :, i])
+        res = AR - vals[:, i][:, None] * R[:, :, i]
         worst = max(worst, float(np.abs(res).max()))
     assert worst < 1e-7
 
@@ -455,22 +461,66 @@ def test_gauge_pinned_exactly_at_base_node(corpus_cases):
 # ---------------------------------------------------------------------------
 
 
+_SPECIALS = np.array([-0.0, 5e-324, 1e300, -2.5e-310, 1 / 3, -1e-300])
+
+
+def _random_grid_values(shape, seed):
+    """Values of every magnitude, the specials among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values.flat[: _SPECIALS.size] = _SPECIALS
+    return values
+
+
+CSV_GRIDS = {
+    "specials": (
+        [np.array([-0.0, 5e-324, 1.0]), np.array([0.1, 1e300])],
+        np.array([[-0.0, 1e300], [5e-324, -2.5e-310], [1 / 3, -1e-300]]),
+    ),
+    # 323 rows: past one 256-row chunk of the writer
+    "17x19": ([np.linspace(-1.0, 1.0, 17), np.linspace(0.1, 1e300, 19)],
+              _random_grid_values((17, 19), 11)),
+}
+
+
 def test_csv_matches_row_by_row_formatting():
     """to_csv is byte for byte the csv module writing f"{v:.17g}" per cell."""
     import csv
     import io
 
-    axes = [np.array([-0.0, 5e-324, 1.0]), np.array([0.1, 1e300])]
-    eta = np.array([[-0.0, 1e300], [5e-324, -2.5e-310], [1 / 3, -1e-300]])
-    grad = np.stack([eta, -eta], axis=-1)
-    grid = pot.PotentialGrid(axes, {"eta": eta, "grad_eta": grad}, (0.0, 0.0))
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["w1", "w2", "eta", "grad_eta1", "grad_eta2"])
-    columns = [eta.ravel(), grad[..., 0].ravel(), grad[..., 1].ravel()]
-    for row, node in enumerate(grid.nodes()):
-        writer.writerow([f"{v:.17g}" for v in node] + [f"{col[row]:.17g}" for col in columns])
-    assert grid.to_csv(["w1", "w2"]) == out.getvalue()
+    for case, (axes, eta) in CSV_GRIDS.items():
+        grad = np.stack([eta, -eta], axis=-1)
+        grid = pot.PotentialGrid(axes, {"eta": eta, "grad_eta": grad}, (0.0, 0.0))
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["w1", "w2", "eta", "grad_eta1", "grad_eta2"])
+        columns = [eta.ravel(), grad[..., 0].ravel(), grad[..., 1].ravel()]
+        for row, node in enumerate(grid.nodes()):
+            writer.writerow([f"{v:.17g}" for v in node] + [f"{col[row]:.17g}" for col in columns])
+        assert grid.to_csv(["w1", "w2"]) == out.getvalue(), case
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2)], ids=["2-variables", "3-variables"])
+def test_json_matches_json_dumps_of_lists(shape):
+    """to_json is byte for byte json.dumps of the nested lists, for finite
+    value arrays and for arrays holding NaN and inf."""
+    import json
+
+    axes = [np.linspace(0.0, 1.0, k) for k in shape]
+    eta = _random_grid_values(shape, 5)
+    grad = np.stack([eta * (k + 1) for k in range(len(shape))], axis=-1)
+    psi = grad.copy()
+    psi.flat[1:4] = [np.nan, np.inf, -np.inf]
+    values = {"eta": eta, "grad_eta": grad, "psi": psi}
+    meta = {"curl_residual": 5e-324, "ray_panels": 1, "kind": "eta"}
+    grid = pot.PotentialGrid(axes, values, (0.5,) * len(shape), meta)
+    expected = json.dumps({
+        "axes": [a.tolist() for a in axes],
+        "base_point": [0.5] * len(shape),
+        "meta": meta,
+        "values": {k: v.tolist() for k, v in values.items()},
+    })
+    assert grid.to_json() == expected
 
 
 @pytest.mark.parametrize("kind", ["eta", "q"])
@@ -506,9 +556,9 @@ def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch,
     calls = []
     values = pot.MatrixField.values
 
-    def counted(self, points):
+    def counted(self, points, d):
         calls.append(len(points))
-        return values(self, points)
+        return values(self, points, d)
 
     monkeypatch.setattr(pot.MatrixField, "values", counted)
     if kind == "eta":
@@ -528,6 +578,38 @@ def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch,
     assert grid.meta["field_evaluations"] == 2 * 33
     assert sum(calls) == 2 * 33 * 64
     assert max(calls) <= max(pot._RAY_BATCH_POINTS, 64)
+
+
+def _reconstruct(kind, spec, lam, bet, counts):
+    if kind == "eta":
+        return pot.reconstruct_eta(spec, bet, spec.base_point, counts)
+    if kind == "flux":
+        return pot.reconstruct_flux(spec, lam, spec.base_point, counts)
+    return pot.entropy_flux(spec, lam, bet, spec.base_point, counts)
+
+
+@pytest.mark.parametrize("name, kind, counts", [
+    pytest.param("ex6.10", "eta", (6,) * 3, id="ex6.10-eta"),
+    pytest.param("ex6.11", "eta", (6,) * 3, id="ex6.11-eta"),
+    pytest.param("ex6.6", "flux", (6,) * 3, id="ex6.6-flux"),
+    pytest.param("ex6.1b", "q", (6,) * 3, id="ex6.1b-q"),
+    *(pytest.param("ex6.12", kind, (4,) * 4, id=f"ex6.12-{kind}") for kind in ("eta", "flux", "q")),
+])
+def test_grids_match_rates_of_formed_matrices(corpus_cases, monkeypatch, name, kind, counts):
+    """Rays whose rates apply each field to the direction give the grids of
+    rates that form the Hessian and flux matrices first (rates_reference),
+    to 1e-14 relative, with the same ray panels and field evaluations."""
+    spec = corpus_cases[name].spec
+    lam = next(c for k, c in corpus_cases[name].candidates if k == "lambda")
+    bet = [c for k, c in corpus_cases[name].candidates if k == "beta"][-1]
+    grid = _reconstruct(kind, spec, lam, bet, counts)
+    monkeypatch.setattr(pot, "_rates", rates_reference.rates)
+    ref = _reconstruct(kind, spec, lam, bet, counts)
+    for key in ("ray_panels", "field_evaluations"):
+        assert grid.meta[key] == ref.meta[key], key
+    assert grid.values.keys() == ref.values.keys()
+    for key, value in ref.values.items():
+        assert np.abs(grid.values[key] - value).max() <= 1e-14 * np.abs(value).max(), key
 
 
 def _diagonal_frame_2d():
@@ -575,12 +657,8 @@ def test_grids_independent_of_ray_batch_budget(corpus_cases, monkeypatch, name, 
         spec = corpus_cases[name].spec
         lam = next(c for k, c in corpus_cases[name].candidates if k == "lambda")
         bet = next(c for k, c in corpus_cases[name].candidates if k == "beta")
-    builds = (
-        lambda: pot.reconstruct_eta(spec, bet, spec.base_point, counts),
-        lambda: pot.reconstruct_flux(spec, lam, spec.base_point, counts),
-        lambda: pot.entropy_flux(spec, lam, bet, spec.base_point, counts),
-    )
-    for build in builds:
+    for kind in ("eta", "flux", "q"):
+        build = functools.partial(_reconstruct, kind, spec, lam, bet, counts)
         _assert_bit_identical(_grids_at_budgets(monkeypatch, int(np.prod(counts)), build))
 
 
