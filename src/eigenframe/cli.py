@@ -67,8 +67,8 @@ from .geometry import eval_connection, scale_frame
 from .systems import (
     BetaCandidate,
     beta_residual,
+    candidate_residual,
     convexity_classify,
-    lambda_residual,
     sevennec_identity,
 )
 from .potential import reconstruct_eta, reconstruct_flux
@@ -175,8 +175,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     spec = case.spec
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
     conn = eval_connection(spec, spec.sample_points(config.samples, config.seed))
-    residual = beta_residual if kind == "beta" else lambda_residual
-    rec = residual(conn, cand)
+    rec = candidate_residual(conn, kind, cand)
     out = {
         "kind": kind,
         "max_scaled_residual": rec.max_scaled,
@@ -196,8 +195,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     for k, partner in case.candidates:
         if k != partner_kind:
             continue
-        check = beta_residual if k == "beta" else lambda_residual
-        if check(conn, partner).max_scaled > config.tol:
+        if candidate_residual(conn, k, partner).max_scaled > config.tol:
             continue
         bcand, lcand = (cand, partner) if kind == "beta" else (partner, cand)
         try:
@@ -227,11 +225,8 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         counts = tuple(counts) + (counts[-1],) * (spec.n - len(counts))
     if config.flux and kind != "lambda":
         raise SchemaError("--flux reconstruction needs a lambda candidate")
-    if kind == "lambda":
-        name, residual, reconstruct = "flux", lambda_residual, reconstruct_flux
-    else:
-        name, residual, reconstruct = "eta", beta_residual, reconstruct_eta
-    rec = residual(conn, cand)
+    name, reconstruct = ("flux", reconstruct_flux) if kind == "lambda" else ("eta", reconstruct_eta)
+    rec = candidate_residual(conn, kind, cand)
     if rec.max_scaled > config.tol:
         print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
         return EXIT_MATH_FAILURE

@@ -43,9 +43,8 @@ from .geometry import (
 from .systems import (
     BetaCandidate,
     LambdaCandidate,
-    beta_residual,
+    candidate_residual,
     check_rank_duality_n3,
-    lambda_residual,
     sevennec_identity,
 )
 
@@ -327,10 +326,7 @@ def run_example(
            passed=report.beta_case == case.expected["beta_case"])
     verified = {"beta": [], "lambda": []}
     for idx, (kind, cand) in enumerate(case.candidates):
-        if kind == "beta":
-            rec = beta_residual(conn, cand)
-        else:
-            rec = lambda_residual(conn, cand)
+        rec = candidate_residual(conn, kind, cand)
         ok = record(f"candidate {idx} ({kind}) residual", rec.max_scaled, tol)
         if ok:
             verified[kind].append(cand)

@@ -27,9 +27,11 @@ from one rule per builtin for its terms; every value slot is written by
 the values kernel's own ufunc, so the two kernels agree bit for bit on
 values.  eval_scalar_many returns the values and eval_series the
 coefficients; they are the only two ways into a tape.  Constants stay
-plain floats in both kernels.  Powers with an integer constant exponent
-become repeated multiplications and therefore work for negative bases;
-any other power is exp/ln-based and requires a positive base.
+plain floats in both kernels.  A power whose exponent the compiler's own
+folding turns into an integer, without emitting a check and without
+reading a param, becomes repeated multiplications and therefore works for
+negative bases; any other power is exp/ln-based and requires a positive
+base.
 """
 
 from __future__ import annotations
@@ -608,63 +610,6 @@ _FN_TABLE = {
 
 _POSITIVE_DOMAIN = {"sqrt", "ln"}
 
-_MATH_TABLE = {
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "arctan": math.atan,
-}
-
-
-def _const_value(e: Expr):
-    """Value of a Var/Param-free subtree, or None.  Used to recognize
-    integer-constant exponents that are not bare literals.  A subtree that
-    cannot be folded in floats (0^-1, 10.0^400) gives None, so the evaluator
-    reaches it and reports the domain violation itself."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, (Var, Param)):
-        return None
-    if isinstance(e, Neg):
-        v = _const_value(e.a)
-        return None if v is None else -v
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a, b = _const_value(e.a), _const_value(e.b)
-        if a is None or b is None:
-            return None
-        if isinstance(e, Add):
-            return a + b
-        if isinstance(e, Sub):
-            return a - b
-        if isinstance(e, Mul):
-            return a * b
-        return a / b if b != 0 else None
-    if isinstance(e, Pow):
-        a, b = _const_value(e.base), _const_value(e.expo)
-        if a is None or b is None:
-            return None
-        try:
-            if float(b).is_integer():
-                return a ** int(b)
-            return a ** b if a > 0 else None
-        except ArithmeticError:
-            return None
-    if isinstance(e, Call):
-        v = _const_value(e.args[0])
-        if v is None:
-            return None
-        if e.fn in _POSITIVE_DOMAIN and v <= 0:
-            return None
-        try:
-            return _MATH_TABLE[e.fn](v)
-        except (ValueError, ArithmeticError):
-            return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Tapes
 # ---------------------------------------------------------------------------
@@ -819,12 +764,15 @@ class _Compiler:
     the tape share one register, and an instruction whose operands are all
     constants is folded on the spot."""
 
-    def __init__(self):
+    def __init__(self, folds: Optional[dict] = None):
         self.registers = [None, None]  # _POINTS, _SINK
         self.code = []
         self.numbers = {}  # instruction key -> register
         self.consts = {}  # register -> float
         self.variables = []
+        # id(subtree) -> fold(subtree), shared with the scratch compilers;
+        # ids are stable because the trees outlive compile_tape
+        self.folds = {} if folds is None else folds
 
     def _register(self, initial=None) -> int:
         self.registers.append(initial)
@@ -907,8 +855,39 @@ class _Compiler:
             return self.op(e.fn, arg)
         raise TypeError(f"not an Expr: {e!r}")
 
+    def fold(self, e: Expr) -> Optional[float]:
+        """The constant this compiler folds e to, or None when e reads a
+        param or compiling it emits an instruction: a variable, or a
+        constant that fails a check (0^-1).  Memoized per node; e is compiled
+        on a scratch compiler without params, after the exponents inside it,
+        innermost first, so that no fold runs inside another."""
+        if isinstance(e, Num):
+            return e.value
+        if id(e) not in self.folds:
+            # a param, a variable or a subtree known to give None makes e None
+            stack, inner, const = [e], [], True
+            while stack and const:
+                node = stack.pop()
+                if id(node) in self.folds:
+                    const = self.folds[id(node)] is not None
+                elif isinstance(node, (Var, Param)):
+                    const = False
+                elif not isinstance(node, Num):
+                    if isinstance(node, Pow):
+                        inner.append(node.expo)
+                    stack.extend(node.args if isinstance(node, Call) else vars(node).values())
+            value = None
+            if const:
+                for x in reversed(inner):
+                    self.fold(x)
+                scratch = _Compiler(self.folds)
+                reg = scratch.expr(e, {})
+                value = None if scratch.code else scratch.consts[reg]
+            self.folds[id(e)] = value
+        return self.folds[id(e)]
+
     def power(self, e: Pow, params: Mapping[str, float]) -> int:
-        const = _const_value(e.expo)
+        const = self.fold(e.expo)
         base = self.expr(e.base, params)
         if const is not None and float(const).is_integer():
             k = int(const)

@@ -1,6 +1,6 @@
 """Frames on a coordinate box: connection components, structure
 coefficients, symmetry/flatness residuals, richness, scalings, and
-verification/pullback of supplied coordinate charts.
+verification of supplied coordinate charts.
 
 All evaluations are batched over sample points with numpy.  The connection
 components relative to a frame with columns R_j are
@@ -244,7 +244,6 @@ class ConnectionEval:
     points: np.ndarray  # (m, n)
     R: np.ndarray  # (m, a, j)
     L: np.ndarray  # (m, k, a); L @ R = I
-    det: np.ndarray  # (m,)
     Rgrad: np.ndarray  # (m, a, j, b) = d_b R^a_j
     Gamma: np.ndarray  # (m, i, j, k)
     GammaGrad: np.ndarray  # (m, i, j, k, d) = d_d Gamma[i,j,k]
@@ -391,11 +390,11 @@ def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
     from one run of the frame's tape at order 2."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     R, n = _frame_taylor(spec, points, 2), spec.n
-    L, det = _invert_frame(points, R.value)
+    L, _ = _invert_frame(points, R.value)
     gamma = _gamma_series(R, L, 1)
     Gamma = gamma.value
     conn = ConnectionEval(
-        spec=spec, points=points, R=R.value, L=L, det=det, Rgrad=R.coef[..., 1 : 1 + n],
+        spec=spec, points=points, R=R.value, L=L, Rgrad=R.coef[..., 1 : 1 + n],
         Gamma=Gamma, GammaGrad=gamma.coef[..., 1:], c=Gamma - Gamma.transpose(0, 2, 1, 3),
     )
     conn._series.update({"frame": R, ("gamma", 1): gamma})
@@ -542,45 +541,3 @@ def verify_riemann_chart(conn: ConnectionEval, chart: RiemannChart, tol: float =
         "passed": normalization_residual < tol and roundtrip_residual < tol,
         "tol": tol,
     }
-
-
-@dataclass
-class PullbackEval:
-    """Connection components in chart coordinates at a batch of w-points."""
-
-    w_points: np.ndarray
-    conn: ConnectionEval  # the frame's connection at u(w)
-    ZGrad: np.ndarray  # (m, i, j, k, d) = d Z[i,j,k] / d w^d
-
-    @property
-    def Z(self) -> np.ndarray:
-        """(m, i, j, k) = Gamma[i,j,k] at u(w)."""
-        return self.conn.Gamma
-
-    def symmetry_residual(self) -> float:
-        return self.conn.symmetry_residual()
-
-    def flatness_residual(self) -> float:
-        """Residual of the pulled-back curvature identity: for all (i,j,k,d):
-        d_d Z[i,k,j] - d_k Z[i,d,j] = sum_t Z[t,k,j] Z[i,d,t] - Z[t,d,j] Z[i,k,t]."""
-        A, Z = self.ZGrad, self.Z
-        t1 = np.transpose(A, (0, 1, 3, 2, 4))  # d_d Z[i,k,j] as [p,i,j,k,d]
-        t2 = np.transpose(A, (0, 1, 3, 4, 2))  # d_k Z[i,d,j] as [p,i,j,k,d]
-        term = (
-            np.einsum("ptkj,pidt->pijkd", Z, Z)
-            - np.einsum("ptdj,pikt->pijkd", Z, Z)
-        )
-        res = t1 - t2 - term
-        scale = (1.0 + np.abs(Z).max()) ** 2 + np.abs(A).max()
-        return float(np.abs(res).max() / scale)
-
-
-def pullback_connection(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarray) -> PullbackEval:
-    """Z[i,j,k](w) = Gamma[i,j,k](u(w)) and its exact w-derivatives."""
-    w_points = np.atleast_2d(np.asarray(w_points, dtype=float))
-    u_points = chart_inverse(chart, w_points)
-    # (m, e_comp, d) = d u^e / d w^d
-    du = _chart_eval(ex.eval_series, chart.u_tape, w_points, 1)[..., 1:]
-    conn = eval_connection(spec, u_points)
-    ZGrad = np.einsum("mijke,med->mijkd", conn.GammaGrad, du)
-    return PullbackEval(w_points=w_points, conn=conn, ZGrad=ZGrad)

@@ -65,12 +65,12 @@ from .geometry import (
     FrameSpec,
     RiemannChart,
     _invert_frame,
+    chart_inverse,
     distinct_triple_mask,
     eval_connection,
     frame_block,
     frame_tape,
     inverse_series,
-    pullback_connection,
 )
 from .systems import BetaCandidate, LambdaCandidate, require_rich
 
@@ -638,15 +638,16 @@ def solve_rich_beta(
     require_rich(eval_connection(spec, spec.sample_points(30)), 1e-7)
     mesh = np.meshgrid(*axes, indexing="ij")
     w_pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pb = pullback_connection(spec, chart, w_pts)
-    shape = tuple(counts)
-    Z = pb.Z.reshape(shape + (n, n, n))
+    # the chart-space connection is the frame's connection at u(w)
+    Z = eval_connection(spec, chart_inverse(chart, w_pts)).Gamma
     zscale = 1.0 + np.abs(Z).max()
-    cross = float(np.abs(np.where(distinct_triple_mask(n)[None], pb.Z, 0.0)).max() / zscale)
+    cross = float(np.abs(np.where(distinct_triple_mask(n)[None], Z, 0.0)).max() / zscale)
     if cross > rank0_tol:
         raise NotRankZeroError(
             f"chart-space cross components do not vanish (max scaled {cross:.3e})"
         )
+    shape = tuple(counts)
+    Z = Z.reshape(shape + (n, n, n))
     boundary = [
         np.broadcast_to(
             boundary_fns[j](axes[j]).reshape(

@@ -31,9 +31,11 @@ from .geometry import (
     ConnectionEval,
     FrameSpec,
     RiemannChart,
+    chart_inverse,
+    directional_gamma,
     distinct_triple_mask,
+    eval_connection,
     is_rich,
-    pullback_connection,
 )
 
 
@@ -185,7 +187,6 @@ def check_rank_duality_n3(conn: ConnectionEval) -> float:
     a_bet = beta_algebraic(conn).matrix
     D = np.diag([1.0, -1.0, 1.0])
     transformed = np.einsum("ab,mcb,cd->mad", D, a_bet, D)
-    # note: (D A^T D)[a, d] = D[a,a] A[d, a] D[d,d]; einsum above implements it
     return float(np.abs(a_lam - transformed).max())
 
 
@@ -269,6 +270,13 @@ def lambda_residual(conn: ConnectionEval, cand: LambdaCandidate) -> ResidualReco
         pde_scaled=np.abs(pde_raw) / pde_scale,
         alg_scaled=np.abs(alg_raw) / alg_scale,
     )
+
+
+def candidate_residual(conn: ConnectionEval, kind: str, cand) -> ResidualRecord:
+    """The residual record of a 'beta' or 'lambda' candidate.  The table is
+    built per call, so a wrapper installed on beta_residual or
+    lambda_residual after import still sees the call."""
+    return {"beta": beta_residual, "lambda": lambda_residual}[kind](conn, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +371,13 @@ def darboux_compatibility(
     The cross components Z[i,j,k] (pairwise-distinct indices) must vanish
     for the identities to apply; their magnitude is folded into the returned
     residual, so a corrupted or rank-1 chart-space connection reports a
-    large value rather than silently passing."""
-    pb = pullback_connection(spec, chart, w_points)
-    require_rich(pb.conn, rich_tol)
-    return compat_coefficient_residual(pb.Z, pb.ZGrad)
+    large value rather than silently passing.
+
+    Z is the frame's connection at u(w), and the chart is normalized
+    (r_j(w^i) = delta_ij), so d/dw^d is the frame field r_d."""
+    conn = eval_connection(spec, chart_inverse(chart, w_points))
+    require_rich(conn, rich_tol)
+    return compat_coefficient_residual(conn.Gamma, np.moveaxis(directional_gamma(conn), 1, -1))
 
 
 def compat_coefficient_residual(Z: np.ndarray, dZ: np.ndarray) -> float:

@@ -7,7 +7,12 @@ import pytest
 
 from eigenframe import corpus as corpus_mod
 from eigenframe import exprlang as ex
-from eigenframe.geometry import eval_connection, frame_block, frame_from_sources
+from eigenframe.geometry import (
+    chart_from_sources,
+    eval_connection,
+    frame_block,
+    frame_from_sources,
+)
 
 V3 = ["u1", "u2", "u3"]
 
@@ -47,6 +52,26 @@ def frame_jets(spec, points):
 def connect(spec, count=50, seed=0):
     """The frame's connection on count Halton samples."""
     return eval_connection(spec, spec.sample_points(count, seed))
+
+
+def spherical_frame_and_chart():
+    """The radial/polar/azimuthal coordinate frame and its chart, whose
+    chart-space connection is fully coupled but has no cross components."""
+    r = "sqrt(u1^2+u2^2+u3^2)"
+    rho = "sqrt(u1^2+u2^2)"
+    cols = [
+        [f"u1/{r}", f"u2/{r}", f"u3/{r}"],
+        [f"u1*u3/{rho}", f"u2*u3/{rho}", f"-{rho}"],
+        ["-u2", "u1", "0"],
+    ]
+    spec = frame_from_sources(cols, V3, domain=((0.3, 0.3, 0.3), (1.5, 1.5, 1.5)))
+    chart = chart_from_sources(
+        [r, f"arctan({rho}/u3)", "arctan(u2/u1)"],
+        ["w1*sin(w2)*cos(w3)", "w1*sin(w2)*sin(w3)", "w1*cos(w2)"],
+        V3,
+        ["w1", "w2", "w3"],
+    )
+    return spec, chart
 
 
 def random_polynomial_frame(rng, scale=0.15):

@@ -5,6 +5,7 @@ reference for Taylor series."""
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +135,39 @@ def test_integer_power_of_negative_base():
     assert ex.eval_scalar_many(parse("u1^-2"), [-2.0, 0.0, 0.0]) == 0.25
     with pytest.raises(DomainError):
         ex.eval_scalar_many(parse("u1^0.5"), [-2.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("src, u1, expected", [
+    ("u1^(2^3)", -2.0, 256.0),
+    ("u1^-(1+1)", -2.0, 0.25),
+    # the tape folds (1/-27)^-2 to 729.0 exactly (Python's ** gives 729.0000000000001)
+    ("u1^((1/-(27))^-2)", -1.0, -1.0),
+])
+def test_folded_integer_exponent_accepts_negative_base(src, u1, expected):
+    e = parse(src)
+    point = np.array([[u1, 0.0, 0.0]])
+    assert ex.eval_scalar_many(e, point)[0] == expected
+    assert ex.eval_series(e, point, 2)[0, 0] == expected
+
+
+def test_deep_constant_exponent_chain_compiles_fast():
+    """Each nested exponent is folded once: re-folding it at every level
+    above is exponential in the depth, seconds at 18 levels, so that depth
+    runs first and fails before 200 levels would hang."""
+    for depth in (18, 200):
+        e = parse("u1^" + "0.5^" * depth + "(1+1)")
+        start = time.perf_counter()
+        ex.compile_tape(((e,), {}))
+        assert time.perf_counter() - start < 1.0, depth
+
+
+def test_deep_constant_exponent_chain_fits_the_stack():
+    """Nested exponents are folded one after another, innermost first, not
+    inside each other, so the compiler needs no deeper stack than the
+    parser does."""
+    e = parse("u1^" + "0.5^" * 350 + "(1+1)")
+    tape = ex.compile_tape(((e,), {}))
+    assert ex.eval_scalar_many(tape, [[2.0, 0.0, 0.0]])[0, 0] > 0.0
 
 
 def test_jet_product_example():
@@ -403,6 +437,12 @@ DOMAIN_MESSAGES = [
      "non-integer power of non-positive base"),
     ("exp(800*u1)", [1.0, 1.0, 1.0], {},
      "domain violation in 'exp(800.0*u1)' at point [1. 1. 1.]: non-finite value"),
+    # constant exponents whose folding fails a check are general powers, and
+    # the check reports at the first point (the base is positive everywhere)
+    ("exp(u1)^(1/(1/0))", [1.0, 1.0, 1.0], {},
+     "domain violation in '1.0/0.0' at point [0.5 1.5 1. ]: division by zero"),
+    ("exp(u1)^(0^-1)", [1.0, 1.0, 1.0], {},
+     "domain violation in '0.0^-1.0' at point [0.5 1.5 1. ]: division by zero"),
 ]
 
 

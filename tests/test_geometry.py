@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import V3, connect, frame_jets, random_polynomial_frame
+from conftest import V3, connect, frame_jets, random_polynomial_frame, spherical_frame_and_chart
 import halton_reference
 
 from eigenframe import exprlang as ex
@@ -405,8 +405,8 @@ def test_identity_chart_on_standard_frame():
     rep = g.verify_riemann_chart(connect(spec, 10), chart)
     assert rep["normalization_residual"] == 0.0
     assert rep["roundtrip_residual"] == 0.0
-    pb = g.pullback_connection(spec, chart, spec.sample_points(10))
-    assert np.abs(pb.Z).max() == 0.0
+    conn = g.eval_connection(spec, g.chart_inverse(chart, spec.sample_points(10)))
+    assert np.abs(conn.Gamma).max() == 0.0
 
 
 def test_pullback_symmetry_and_flatness(corpus_cases):
@@ -416,9 +416,30 @@ def test_pullback_symmetry_and_flatness(corpus_cases):
         [rng.uniform(0.1, 0.4, 10), rng.uniform(-0.2, 0.2, 10), rng.uniform(-0.2, 0.2, 10)],
         axis=1,
     )
-    pb = g.pullback_connection(spec, spec.chart, w)
-    assert pb.symmetry_residual() < 1e-9
-    assert pb.flatness_residual() < 1e-8
+    conn = g.eval_connection(spec, g.chart_inverse(spec.chart, w))
+    assert conn.symmetry_residual() < 1e-9
+    torsion, curvature = g.check_symmetry_flatness(conn)
+    assert torsion < 1e-9
+    assert curvature < 1e-8
+
+
+def test_frame_derivative_is_chart_derivative(corpus_cases):
+    """On a normalized chart d/dw^d is the frame field r_d, so r_d Gamma at
+    u(w) is the chain rule d Gamma/du^e du^e/dw^d through the inverse
+    chart's series."""
+    rng = np.random.default_rng(37)
+    rotational = corpus_cases["ex6.2"].spec
+    cases = [
+        ((rotational, rotational.chart), ((0.0, 0.4), (0.2, 0.6), (1.0, 1.4))),
+        (spherical_frame_and_chart(), ((1.0, 1.5), (0.5, 1.0), (0.3, 0.8))),
+    ]
+    for (spec, chart), box in cases:
+        w = np.stack([rng.uniform(lo, hi, 10) for lo, hi in box], axis=1)
+        conn = g.eval_connection(spec, g.chart_inverse(chart, w))
+        du = ex.eval_series(chart.u_tape, w, 1)[..., 1:]  # (m, e, d) = du^e/dw^d
+        chain = np.einsum("mijke,med->mijkd", conn.GammaGrad, du)
+        along_frame = np.moveaxis(g.directional_gamma(conn), 1, -1)
+        assert np.abs(along_frame - chain).max() <= 1e-15 * (1.0 + np.abs(chain).max())
 
 
 def test_halton_deterministic():

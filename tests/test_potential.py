@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rates_reference
-from conftest import V3, frame_jets
+from conftest import V3, frame_jets, spherical_frame_and_chart
 
 from eigenframe import geometry as g
 from eigenframe import potential as pot
@@ -398,20 +398,7 @@ def test_solver_handles_cross_coupled_spherical_chart():
     cross-free chart-space connection; the solver must converge there too.
     Checked by grid self-consistency (coarse vs fine restriction) and the
     2nd-order decay of the central-difference residual."""
-    r = "sqrt(u1^2+u2^2+u3^2)"
-    rho = "sqrt(u1^2+u2^2)"
-    cols = [
-        [f"u1/{r}", f"u2/{r}", f"u3/{r}"],
-        [f"u1*u3/{rho}", f"u2*u3/{rho}", f"-{rho}"],
-        ["-u2", "u1", "0"],
-    ]
-    spec = g.frame_from_sources(cols, V3, domain=((0.3, 0.3, 0.3), (1.5, 1.5, 1.5)))
-    chart = g.chart_from_sources(
-        [r, f"arctan({rho}/u3)", "arctan(u2/u1)"],
-        ["w1*sin(w2)*cos(w3)", "w1*sin(w2)*sin(w3)", "w1*cos(w2)"],
-        V3,
-        ["w1", "w2", "w3"],
-    )
+    spec, chart = spherical_frame_and_chart()
     rep = g.verify_riemann_chart(g.eval_connection(spec, spec.sample_points(20)), chart)
     assert rep["passed"], rep
     phi = [lambda t: 1.0 + t, lambda t: np.cos(t), lambda t: t**2]

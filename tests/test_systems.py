@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import V3, connect, random_polynomial_frame
+from conftest import V3, connect, random_polynomial_frame, spherical_frame_and_chart
 
 from eigenframe import geometry as g
 from eigenframe import systems as sy
@@ -257,6 +257,18 @@ def test_darboux_compatibility_rotational(corpus_cases):
     assert sy.darboux_compatibility(spec, spec.chart, w) < 1e-8
 
 
+def test_darboux_compatibility_spherical_chart():
+    """A chart-space connection with nonzero derivatives, so the derivative
+    index of the coefficients must be the chart direction."""
+    spec, chart = spherical_frame_and_chart()
+    rng = np.random.default_rng(37)
+    w = np.stack(
+        [rng.uniform(1.0, 1.5, 10), rng.uniform(0.5, 1.0, 10), rng.uniform(0.3, 0.8, 10)],
+        axis=1,
+    )
+    assert sy.darboux_compatibility(spec, chart, w) < 1e-8
+
+
 def test_darboux_compatibility_identity_chart():
     spec = standard_frame()
     chart = g.chart_from_sources(["u1", "u2", "u3"], ["w1", "w2", "w3"], V3)
@@ -270,10 +282,11 @@ def test_darboux_compatibility_detector(corpus_cases):
         [rng.uniform(0.0, 0.4, 10), rng.uniform(0.2, 0.6, 10), rng.uniform(1.0, 1.4, 10)],
         axis=1,
     )
-    pb = g.pullback_connection(spec, spec.chart, w)
-    Z = pb.Z.copy()
+    conn = g.eval_connection(spec, g.chart_inverse(spec.chart, w))
+    Z = conn.Gamma.copy()
     Z[:, 1, 2, 0] += 0.1  # corrupt one cross component
-    assert sy.compat_coefficient_residual(Z, pb.ZGrad) > 0.01
+    dZ = np.moveaxis(g.directional_gamma(conn), 1, -1)
+    assert sy.compat_coefficient_residual(Z, dZ) > 0.01
 
 
 def test_rank1_chart_reports_large_compat_residual(corpus_cases):

@@ -20,6 +20,7 @@ STALE_TARGETS = {
     ("exprlang", "eval_scalar"),
     ("exprlang", "differentiate"),
     ("geometry", "eval_frame_jets"),
+    ("geometry", "pullback_connection"),
 }
 
 
