@@ -15,12 +15,12 @@ its algebraic part.  Case labels:
   nr-4c, keyed by how many components enter the unique algebraic
   constraint and by the rank of the associated compatibility system.
 
-Vanishing verdicts use a two-threshold scheme: a scaled magnitude below
-tol counts as zero, above 10*tol as nonzero, and anything in between
-raises InconclusiveVanishingError rather than silently guessing.  The
-non-rich branches read the connection as Taylor fields (ConnectionEval.
-taylor), so every coefficient, frame derivative and integrability row
-they test is exact, on the one sample set.
+Vanishing verdicts use a two-threshold scheme at the one module tolerance
+CLASSIFY_TOL: a scaled magnitude below it counts as zero, above 10 times it
+as nonzero, and anything in between raises InconclusiveVanishingError
+rather than silently guessing.  The non-rich branches read the connection
+as Taylor fields (ConnectionEval.taylor), so every coefficient, frame
+derivative and integrability row they test is exact, on the one sample set.
 """
 
 from __future__ import annotations
@@ -95,15 +95,15 @@ class _Trace(list):
         self.append((condition, float(value), verdict))
 
 
-def _vanishes(name: str, value: float, tol: float, trace: _Trace) -> bool:
+def _vanishes(name: str, value: float, trace: _Trace) -> bool:
     """Two-threshold vanishing verdict on a scaled magnitude."""
-    if value < tol:
+    if value < CLASSIFY_TOL:
         trace.note(name, value, "zero")
         return True
-    if value > 10 * tol:
+    if value > 10 * CLASSIFY_TOL:
         trace.note(name, value, "nonzero")
         return False
-    raise InconclusiveVanishingError(name, value, tol)
+    raise InconclusiveVanishingError(name, value, CLASSIFY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def _vanishes(name: str, value: float, tol: float, trace: _Trace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _row_activity(matrices: np.ndarray, tol: float, trace: _Trace, tag: str) -> list:
+def _row_activity(matrices: np.ndarray, trace: _Trace, tag: str) -> list:
     """Which unknowns carry nonzero coefficients in the (rank-1) row space.
 
     Activity is judged per sample (the constraint direction may rotate with
@@ -125,11 +125,11 @@ def _row_activity(matrices: np.ndarray, tol: float, trace: _Trace, tag: str) -> 
         activity = (v / v.max(axis=1, keepdims=True)).max(axis=0)
     active = []
     for i, a in enumerate(activity):
-        active.append(not _vanishes(f"{tag} coefficient of unknown {i + 1}", float(a), tol, trace))
+        active.append(not _vanishes(f"{tag} coefficient of unknown {i + 1}", float(a), trace))
     return active
 
 
-def classify_lambda_n3(lsys: AlgebraicSystem, rank: int, tol: float = CLASSIFY_TOL) -> tuple:
+def classify_lambda_n3(lsys: AlgebraicSystem, rank: int) -> tuple:
     """Case label for the speed system from its algebraic part lsys and that
     part's generic rank: rank 0 -> I; rank 1 -> IIa when all three unknowns
     enter the constraint, IIb when exactly two; rank 2 -> III."""
@@ -139,7 +139,7 @@ def classify_lambda_n3(lsys: AlgebraicSystem, rank: int, tol: float = CLASSIFY_T
         return "I", trace
     if rank == 2:
         return "III", trace
-    active = _row_activity(lsys.matrix, tol, trace, "lambda constraint")
+    active = _row_activity(lsys.matrix, trace, "lambda constraint")
     count = sum(active)
     if count == 3:
         return "IIa", trace
@@ -192,7 +192,7 @@ class _PermView:
 # ---------------------------------------------------------------------------
 
 
-def normalize_indices(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> list:
+def normalize_indices(conn: ConnectionEval) -> list:
     """Permutations (new -> old) under which c[3,2,1] is bounded away from
     zero at every sample.  Permutations that additionally keep Gamma[3,2,1]
     nonvanishing (the preferred normalization) are ranked first; within each
@@ -204,8 +204,8 @@ def normalize_indices(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> list:
         view = _PermView(conn, perm, 0)
         cmin = float((np.abs(view.C(3, 2, 1).value) / scale).min())
         gmin = float((np.abs(view.G(3, 2, 1).value) / scale).min())
-        if cmin > 10 * tol:
-            (preferred if gmin > 10 * tol else fallback).append(perm)
+        if cmin > 10 * CLASSIFY_TOL:
+            (preferred if gmin > 10 * CLASSIFY_TOL else fallback).append(perm)
     found = preferred + fallback
     if not found:
         raise NormalizationFailedError(
@@ -219,7 +219,7 @@ def normalize_indices(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _classify_rich_rank1_from_Z(Z: np.ndarray, tol: float, trace: _Trace) -> tuple:
+def _classify_rich_rank1_from_Z(Z: np.ndarray, trace: _Trace) -> tuple:
     """Decision tree on chart-space connection samples Z (m,3,3,3).
 
     Precondition: rank-1 pattern, i.e. exactly one of the cross families
@@ -237,12 +237,12 @@ def _classify_rich_rank1_from_Z(Z: np.ndarray, tol: float, trace: _Trace) -> tup
             for q in itertools.permutations(range(3))
             if q[0] != perm[0]
         ]
-        if cross[perm] > 10 * tol and all(cross[q] < tol for q in others):
+        if cross[perm] > 10 * CLASSIFY_TOL and all(cross[q] < CLASSIFY_TOL for q in others):
             chosen = perm
             break
     if chosen is None:
         raise InconclusiveVanishingError(
-            "rank-1 cross pattern of the chart-space connection", max(cross.values()), tol
+            "rank-1 cross pattern of the chart-space connection", max(cross.values()), CLASSIFY_TOL
         )
     p = chosen
     trace.note(f"chart cross component Z[{p[1]+1},{p[2]+1},{p[0]+1}]", cross[p], "nonzero")
@@ -250,22 +250,22 @@ def _classify_rich_rank1_from_Z(Z: np.ndarray, tol: float, trace: _Trace) -> tup
     def zmag(a, b, c):
         return float(np.abs(Z[:, p[a - 1], p[b - 1], p[c - 1]]).max() / scale)
 
-    z112 = _vanishes("Z[1,1,2]", zmag(1, 1, 2), tol, trace)
-    z113 = _vanishes("Z[1,1,3]", zmag(1, 1, 3), tol, trace)
+    z112 = _vanishes("Z[1,1,2]", zmag(1, 1, 2), trace)
+    z113 = _vanishes("Z[1,1,3]", zmag(1, 1, 3), trace)
     if not z112 and not z113:
         return "rich-1", p
     if not z112 and z113:
-        if _vanishes("Z[2,2,3]", zmag(2, 2, 3), tol, trace):
+        if _vanishes("Z[2,2,3]", zmag(2, 2, 3), trace):
             return "rich-2", p
         return "rich-1", p
     if z112 and not z113:
-        if _vanishes("Z[3,3,2]", zmag(3, 3, 2), tol, trace):
+        if _vanishes("Z[3,3,2]", zmag(3, 3, 2), trace):
             return "rich-2", p
         return "rich-1", p
     return "rich-3", p
 
 
-def classify_beta_rich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> tuple:
+def classify_beta_rich_rank1(conn: ConnectionEval) -> tuple:
     """Rich frame with rank-1 algebraic part: classify via the chart-space
     connection Z[i,j,k](w) = Gamma[i,j,k](u(w)) at the images w of the
     u-samples under the frame's chart, which is conn.Gamma itself.  The
@@ -277,7 +277,7 @@ def classify_beta_rich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) ->
     chart_forward(chart, conn.points)  # ChartDomainError off its domain
     trace = _Trace()
     trace.note("chart symmetry residual", conn.symmetry_residual(), "info")
-    case, perm = _classify_rich_rank1_from_Z(conn.Gamma, tol, trace)
+    case, perm = _classify_rich_rank1_from_Z(conn.Gamma, trace)
     return case, perm, trace
 
 
@@ -319,7 +319,7 @@ def _case_all_three_rows(view: _PermView) -> tuple:
     return M, Taylor.stack(rows)
 
 
-def _row_rank_and_nulls(stack, tol, trace, tag):
+def _row_rank_and_nulls(stack, trace, tag):
     """Generic rank (0/1/2) of the per-sample 2-column row stacks (m, rows,
     2), plus the per-sample unit null directions when the rank is 1 (the
     null direction may rotate with the base point)."""
@@ -330,25 +330,25 @@ def _row_rank_and_nulls(stack, tol, trace, tag):
     s2 = float(svals[:, 1].max())
     trace.note(f"{tag} leading singular value", s1, "info")
     trace.note(f"{tag} second singular value", s2, "info")
-    if _vanishes(f"{tag} rank>=1 indicator", s1, tol, trace):
+    if _vanishes(f"{tag} rank>=1 indicator", s1, trace):
         return 0, None
-    if _vanishes(f"{tag} rank=2 indicator", s2, tol, trace):
+    if _vanishes(f"{tag} rank=2 indicator", s2, trace):
         nulls = vt[:, -1, :]
         nulls = nulls / np.linalg.norm(nulls, axis=1)[:, None]
         return 1, nulls
     return 2, None
 
 
-def _null_branch(nulls: np.ndarray, tol: float, trace: _Trace) -> str:
+def _null_branch(nulls: np.ndarray, trace: _Trace) -> str:
     """Which component of the rank-1 null direction vanishes: 'first'
     (b^2 = 0 family), 'second' (b^3 = 0 family), or 'mixed'."""
     p_rel = float(np.abs(nulls[:, 0]).max())
     q_rel = float(np.abs(nulls[:, 1]).max())
     trace.note("null direction |b2-component|", p_rel, "info")
     trace.note("null direction |b3-component|", q_rel, "info")
-    if p_rel < 100 * tol:
+    if p_rel < 100 * CLASSIFY_TOL:
         return "first"
-    if q_rel < 100 * tol:
+    if q_rel < 100 * CLASSIFY_TOL:
         return "second"
     return "mixed"
 
@@ -358,14 +358,14 @@ def _null_branch(nulls: np.ndarray, tol: float, trace: _Trace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _case_all_three(conn, perm, tol, trace):
+def _case_all_three(conn, perm, trace):
     M, rows = _case_all_three_rows(_PermView(conn, perm))
-    rank, nulls = _row_rank_and_nulls(rows.value, tol, trace, "integrability rows")
+    rank, nulls = _row_rank_and_nulls(rows.value, trace, "integrability rows")
     if rank == 0:
         return "nr-4b"
     if rank == 2:
         return "nr-1"
-    branch = _null_branch(nulls, tol, trace)
+    branch = _null_branch(nulls, trace)
     phi, psi = M.value[..., 0], M.value[..., 1]  # (m, i, s)
     coef_scale = 1.0 + np.abs(phi).max() + np.abs(psi).max()
     if branch == "first":
@@ -373,13 +373,13 @@ def _case_all_three(conn, perm, tol, trace):
         ok = True
         for i in (1, 2, 3):
             mag = float(np.abs(psi[:, i - 1, 0]).max()) / coef_scale
-            ok = _vanishes(f"psi[{i},2]", mag, tol, trace) and ok
+            ok = _vanishes(f"psi[{i},2]", mag, trace) and ok
         return "nr-3b" if ok else "nr-1"
     if branch == "second":
         ok = True
         for i in (1, 2, 3):
             mag = float(np.abs(phi[:, i - 1, 1]).max()) / coef_scale
-            ok = _vanishes(f"phi[{i},3]", mag, tol, trace) and ok
+            ok = _vanishes(f"phi[{i},3]", mag, trace) and ok
         return "nr-3b" if ok else "nr-1"
     # mixed: b^2 = Phi b^3, Phi the least-squares ratio of the rows
     # A Phi + B = 0, which order-3 rows differentiate once
@@ -395,11 +395,11 @@ def _case_all_three(conn, perm, tol, trace):
                    - P * (phi[:, i - 1, 1] * P + psi[:, i - 1, 1]))
         s = 1.0 + np.abs(dPhi) + np.abs(implied)
         worst = max(worst, float((np.abs(dPhi - implied) / s).max()))
-    if not _vanishes("Phi-branch consistency", worst, tol, trace):
+    if not _vanishes("Phi-branch consistency", worst, trace):
         return "nr-1"
     a2, a3 = view.alpha2().value, view.alpha3().value
     deg = float((np.abs(a2 * P + a3) / (1.0 + np.abs(a2 * P) + np.abs(a3))).max())
-    if _vanishes("b1 = (alpha2 Phi + alpha3) b3 degeneracy", deg, tol, trace):
+    if _vanishes("b1 = (alpha2 Phi + alpha3) b3 degeneracy", deg, trace):
         return "nr-3b"
     return "nr-4c"
 
@@ -474,17 +474,17 @@ def _case_two_rows(view: _PermView) -> tuple:
     return coef, Taylor.stack(rows)
 
 
-def _case_two(conn, perm, tol, trace):
+def _case_two(conn, perm, trace):
     view = _PermView(conn, perm)
     c132 = float(np.abs(view.C(1, 3, 2).value).max() / (1.0 + np.abs(conn.Gamma).max()))
     trace.note("c[1,3,2] (should vanish in this case)", c132, "info")
     coef, rows = _case_two_rows(view)
-    rank, nulls = _row_rank_and_nulls(rows.value, tol, trace, "L system")
+    rank, nulls = _row_rank_and_nulls(rows.value, trace, "L system")
     if rank == 0:
         return "nr-4a"
     if rank == 2:
         return "nr-1"
-    branch = _null_branch(nulls, tol, trace)
+    branch = _null_branch(nulls, trace)
 
     def v(name):
         return coef.value[:, _C2[name]]
@@ -495,16 +495,16 @@ def _case_two(conn, perm, tol, trace):
         ok = True
         for name, cond in (("b1", "Gamma[2,2,1]"), ("b3", "Gamma[2,2,3]")):
             mag = float(np.abs(v(name)).max()) / cscale
-            ok = _vanishes(f"{cond} source coefficient", mag, tol, trace) and ok
+            ok = _vanishes(f"{cond} source coefficient", mag, trace) and ok
         return "nr-3b" if ok else "nr-1"
     if branch == "second":
         # b^3 == 0 family: source coefficient p2 = -Gamma[3,3,2] must vanish
         mag = float(np.abs(v("p2")).max()) / cscale
-        return "nr-2" if _vanishes("Gamma[3,3,2] source coefficient", mag, tol, trace) else "nr-1"
+        return "nr-2" if _vanishes("Gamma[3,3,2] source coefficient", mag, trace) else "nr-1"
     # mixed: b^3 = A b^2, with A from the constraint row A0 b2 + B0 b3 = 0
     # when it is nonzero, else the least-squares ratio of the order-3 rows
     con_mag = float(np.abs(np.stack([v("A0"), v("B0")], axis=1)).max()) / cscale
-    exact = con_mag > 10 * tol
+    exact = con_mag > 10 * CLASSIFY_TOL
     trace.note("constraint row magnitude", con_mag, "exact ratio" if exact else "null ratio")
     if exact:
         Acal = -coef[:, _C2["A0"]] / coef[:, _C2["B0"]]
@@ -520,7 +520,7 @@ def _case_two(conn, perm, tol, trace):
         implied = v(q_name) * a - a * (v(p_name) + v(b_name) * a)
         s = 1.0 + np.abs(dA) + np.abs(implied)
         worst = max(worst, float((np.abs(dA - implied) / s).max()))
-    return "nr-4c" if _vanishes("A-branch consistency", worst, tol, trace) else "nr-1"
+    return "nr-4c" if _vanishes("A-branch consistency", worst, trace) else "nr-1"
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +528,7 @@ def _case_two(conn, perm, tol, trace):
 # ---------------------------------------------------------------------------
 
 
-def _case_one(conn, perm, tol, trace):
+def _case_one(conn, perm, trace):
     view = _PermView(conn, perm, 1)
     G, C, r = view.G, view.C, view.r
     scale = conn.gamma_scale()
@@ -536,15 +536,15 @@ def _case_one(conn, perm, tol, trace):
     def mag(f):
         return float((np.abs(f.value) / scale).max())
 
-    z112 = _vanishes("Gamma[1,1,2]", mag(G(1, 1, 2)), tol, trace)
-    z113 = _vanishes("Gamma[1,1,3]", mag(G(1, 1, 3)), tol, trace)
+    z112 = _vanishes("Gamma[1,1,2]", mag(G(1, 1, 2)), trace)
+    z113 = _vanishes("Gamma[1,1,3]", mag(G(1, 1, 3)), trace)
     if not z112 and not z113:
         return "nr-1"
     if z112 and not z113:
         # b^3 == 0 forced; b^2 survives iff Gamma[3,3,2] == 0
-        return "nr-2" if _vanishes("Gamma[3,3,2]", mag(G(3, 3, 2)), tol, trace) else "nr-1"
+        return "nr-2" if _vanishes("Gamma[3,3,2]", mag(G(3, 3, 2)), trace) else "nr-1"
     if z113 and not z112:
-        return "nr-2" if _vanishes("Gamma[2,2,3]", mag(G(2, 2, 3)), tol, trace) else "nr-1"
+        return "nr-2" if _vanishes("Gamma[2,2,3]", mag(G(2, 2, 3)), trace) else "nr-1"
     # both vanish: two free functions; record the four compatibility
     # residuals (identities given flatness/symmetry and the case assumptions)
     a1, a3 = G(1, 2, 2) + C(1, 2, 2), G(3, 2, 2) + C(3, 2, 2)
@@ -564,10 +564,10 @@ def _case_one(conn, perm, tol, trace):
 # ---------------------------------------------------------------------------
 
 
-def classify_beta_nonrich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> tuple:
+def classify_beta_nonrich_rank1(conn: ConnectionEval) -> tuple:
     """Non-rich frame with rank-1 algebraic part.  Returns (case, permutation,
     trace)."""
-    perms = normalize_indices(conn, tol)
+    perms = normalize_indices(conn)
     scale = conn.gamma_scale()
     last_error = None
     for perm in perms:
@@ -577,14 +577,14 @@ def classify_beta_nonrich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL)
         trace = _Trace()
         trace.note(f"permutation {perm}", 0.0, "normalization accepted")
         try:
-            a2_zero = _vanishes("alpha2 numerator Gamma[3,1,2]", num2, tol, trace)
-            a3_zero = _vanishes("alpha3 numerator Gamma[2,1,3]", num3, tol, trace)
+            a2_zero = _vanishes("alpha2 numerator Gamma[3,1,2]", num2, trace)
+            a3_zero = _vanishes("alpha3 numerator Gamma[2,1,3]", num3, trace)
             if not a2_zero and not a3_zero:
-                case = _case_all_three(conn, perm, tol, trace)
+                case = _case_all_three(conn, perm, trace)
             elif a2_zero and not a3_zero:
-                case = _case_two(conn, perm, tol, trace)
+                case = _case_two(conn, perm, trace)
             elif a2_zero and a3_zero:
-                case = _case_one(conn, perm, tol, trace)
+                case = _case_one(conn, perm, trace)
             else:
                 # orientation (alpha2 != 0, alpha3 == 0): the swapped
                 # permutation realizes the canonical orientation
@@ -605,8 +605,9 @@ def classify_beta_nonrich_rank1(conn: ConnectionEval, tol: float = CLASSIFY_TOL)
 # ---------------------------------------------------------------------------
 
 
-def classify(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> ClassificationReport:
-    """Full classification over the connection's sample set."""
+def classify(conn: ConnectionEval) -> ClassificationReport:
+    """Full classification over the connection's sample set: richness at
+    RICH_TOL, every vanishing verdict at the one module tolerance CLASSIFY_TOL."""
     spec = conn.spec
     bsys = beta_algebraic(conn)
     lsys = lambda_algebraic(conn)
@@ -615,7 +616,7 @@ def classify(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> ClassificationR
     lscale = 1.0 + np.abs(lsys.matrix).max(initial=0.0)
     rank_beta = generic_rank(bsys.matrix / bscale)
     rank_lambda = generic_rank(lsys.matrix / lscale)
-    rich, witness = is_rich(conn, 1e-7)
+    rich, witness = is_rich(conn)
     trace = _Trace()
     trace.note("richness worst witness", witness["value"], "rich" if rich else "not rich")
     if spec.n != 3:
@@ -624,7 +625,7 @@ def classify(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> ClassificationR
             lambda_case="not_n3", beta_case="not_n3", freedom=FREEDOM["not_n3"],
             trace=list(trace), permutation=tuple(range(spec.n)),
         )
-    lambda_case, ltrace = classify_lambda_n3(lsys, rank_lambda, tol)
+    lambda_case, ltrace = classify_lambda_n3(lsys, rank_lambda)
     trace.extend(ltrace)
     perm = (0, 1, 2)
     if rank_beta == 0:
@@ -632,10 +633,10 @@ def classify(conn: ConnectionEval, tol: float = CLASSIFY_TOL) -> ClassificationR
     elif rank_beta >= 2:
         beta_case = "rank2-unclassified"
     elif rich:
-        beta_case, perm, btrace = classify_beta_rich_rank1(conn, tol)
+        beta_case, perm, btrace = classify_beta_rich_rank1(conn)
         trace.extend(btrace)
     else:
-        beta_case, perm, btrace = classify_beta_nonrich_rank1(conn, tol)
+        beta_case, perm, btrace = classify_beta_nonrich_rank1(conn)
         trace.extend(btrace)
     return ClassificationReport(
         n=3, richness=rich, rank_beta=rank_beta, rank_lambda=rank_lambda,

@@ -18,12 +18,12 @@ selftest one line that counts the failed examples):
      is not finite), StepFailureError
   2  input error: SchemaError (also a domain box without lo < hi and a
      finite width hi - lo, or a number outside the double range),
-     CorpusParseError, ExprSyntaxError, IllegalCharacterError,
-     UnknownIdentifierError, a file that cannot be read or written
-     (OSError: missing, a directory, no permission),
-     ValueError (usage errors and bad flag values: --tol and
-     --quadrature-tol must be finite and positive, --seed a non-negative
-     integer below 2^63/1009; malformed JSON), MemoryError (an input too
+     CorpusParseError (also an input file that cannot be read or is not
+     JSON), ExprSyntaxError (also an expression deeper than
+     exprlang.MAX_DEPTH), IllegalCharacterError, UnknownIdentifierError, a
+     grid file that cannot be written (OSError), ValueError (usage errors
+     and bad flag values: --tol and --quadrature-tol must be finite and
+     positive, --seed a non-negative integer below 2^63/1009), MemoryError (an input too
      large for memory: a --grid past the address space, or a --samples
      whose estimated working set exceeds the physical memory)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
@@ -41,7 +41,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,29 +95,9 @@ _DEGENERATE_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    samples: int = 50
-    tol: float = 1e-8
-    seed: int = 0
-    grid: tuple = (11, 11, 11)
-    output: str = "text"
-    quadrature_tol: float = 1e-10
-    flux: bool = False
-
-    def __post_init__(self):
-        if self.samples < 8:
-            raise ValueError("--samples must be at least 8")
-        for flag, tol in (("--tol", self.tol), ("--quadrature-tol", self.quadrature_tol)):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"{flag} must be finite and positive, got {tol!r}")
-        if self.output not in ("text", "json"):
-            raise ValueError("--output must be text or json")
-
-
 def _load_case(path: str):
     """A frame file is an example document; candidate entries are optional."""
-    doc = json.loads(Path(path).read_text())
+    doc = corpus_mod.read_json(path)
     if isinstance(doc, dict):  # anything else is left to the schema to reject
         doc = {"candidates": [], "expected": {
             "rich": False, "rank_beta": 0, "rank_lambda": 0,
@@ -131,12 +110,11 @@ def _load_frame(path: str):
 
 
 def _load_candidate(path: str, vars, params):
-    doc = json.loads(Path(path).read_text())
-    return corpus_mod.load_candidate(doc, vars, params, source=str(path))
+    return corpus_mod.load_candidate(corpus_mod.read_json(path), vars, params, source=str(path))
 
 
-def _emit(report: dict, config: RunConfig):
-    if config.output == "json":
+def _emit(report: dict, args):
+    if args.output == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
         return
     def walk(obj, indent=0):
@@ -158,28 +136,28 @@ def _emit(report: dict, config: RunConfig):
     walk(report)
 
 
-def cmd_analyze(args, config: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     spec = _load_frame(args.frame_file)
-    report = classify(eval_connection(spec, spec.sample_points(config.samples, config.seed)))
+    report = classify(eval_connection(spec, spec.sample_points(args.samples, args.seed)))
     base = eval_connection(spec, np.asarray(spec.base_point)[None, :])
     out = report.to_dict()
     out["base_point"] = list(spec.base_point)
     out["gamma_at_base"] = np.round(base.Gamma[0], 12).tolist()
     out["c_at_base"] = np.round(base.c[0], 12).tolist()
-    _emit(out, config)
+    _emit(out, args)
     return EXIT_PASS
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     case = _load_case(args.frame_file)
     spec = case.spec
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
-    conn = eval_connection(spec, spec.sample_points(config.samples, config.seed))
+    conn = eval_connection(spec, spec.sample_points(args.samples, args.seed))
     rec = candidate_residual(conn, kind, cand)
     out = {
         "kind": kind,
         "max_scaled_residual": rec.max_scaled,
-        "tol": config.tol,
+        "tol": args.tol,
         "worst": rec.worst(),
         "families": {
             f"{kind}-pde": float(rec.pde_scaled.max()) if rec.pde_scaled.size else 0.0,
@@ -188,14 +166,14 @@ def cmd_verify(args, config: RunConfig) -> int:
     }
     if kind == "beta":
         out["convexity"] = convexity_classify(cand, conn.points)
-    passed = rec.max_scaled < config.tol
+    passed = rec.max_scaled < args.tol
     # cross-system identity, paired with a verified partner from the frame
     # file when one is recorded there
     partner_kind = "beta" if kind == "lambda" else "lambda"
     for k, partner in case.candidates:
         if k != partner_kind:
             continue
-        if candidate_residual(conn, k, partner).max_scaled > config.tol:
+        if candidate_residual(conn, k, partner).max_scaled > args.tol:
             continue
         bcand, lcand = (cand, partner) if kind == "beta" else (partner, cand)
         try:
@@ -203,53 +181,53 @@ def cmd_verify(args, config: RunConfig) -> int:
         except CoincidentEigenvaluesError:
             continue
         out["cross-identity"] = res
-        passed = passed and res < max(config.tol, 1e-9)
+        passed = passed and res < max(args.tol, 1e-9)
         break
     out["passed"] = bool(passed)
-    _emit(out, config)
+    _emit(out, args)
     if not passed:
         cross = out.get("cross-identity")
         detail = "" if cross is None else f", cross-system identity {cross:.3e}"
         print(f"candidate fails verification: residual {rec.max_scaled:.3e}{detail}, "
-              f"tol {config.tol:.1e}", file=sys.stderr)
+              f"tol {args.tol:.1e}", file=sys.stderr)
         return EXIT_MATH_FAILURE
     return EXIT_PASS
 
 
-def cmd_reconstruct(args, config: RunConfig) -> int:
+def cmd_reconstruct(args) -> int:
     spec = _load_frame(args.frame_file)
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
-    conn = eval_connection(spec, spec.sample_points(config.samples, config.seed))
-    counts = config.grid[: spec.n]
+    conn = eval_connection(spec, spec.sample_points(args.samples, args.seed))
+    counts = args.grid[: spec.n]
     if len(counts) < spec.n:
         counts = tuple(counts) + (counts[-1],) * (spec.n - len(counts))
-    if config.flux and kind != "lambda":
+    if args.flux and kind != "lambda":
         raise SchemaError("--flux reconstruction needs a lambda candidate")
     name, reconstruct = ("flux", reconstruct_flux) if kind == "lambda" else ("eta", reconstruct_eta)
     rec = candidate_residual(conn, kind, cand)
-    if rec.max_scaled > config.tol:
+    if rec.max_scaled > args.tol:
         print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
         return EXIT_MATH_FAILURE
-    grid = reconstruct(spec, cand, spec.base_point, counts, config.quadrature_tol)
+    grid = reconstruct(spec, cand, spec.base_point, counts, args.quadrature_tol)
     stem = Path(args.candidate_file).with_suffix("")
     out_csv = Path(f"{stem}_{name}.csv")
     out_json = Path(f"{stem}_{name}.json")
     out_csv.write_text(grid.to_csv(spec.vars))
     out_json.write_text(grid.to_json())
     summary = {"written": [str(out_csv), str(out_json)], **grid.meta}
-    _emit(summary, config)
+    _emit(summary, args)
     return EXIT_PASS
 
 
-def cmd_selftest(args, config: RunConfig) -> int:
+def cmd_selftest(args) -> int:
     root = Path(corpus_mod.corpus_dir())
     bundled = [corpus_mod.load_example(p) for p in sorted(root.glob("*.json"))]
     extended = [corpus_mod.load_example(p) for p in sorted(root.glob("extended/*.json"))]
     results = [
-        corpus_mod.run_example(case, samples=config.samples, tol=config.tol, seed=config.seed)
+        corpus_mod.run_example(case, samples=args.samples, tol=args.tol, seed=args.seed)
         for case in bundled + extended
     ]
-    prop = _property_sweeps(config, {case.id: case for case in bundled})
+    prop = _property_sweeps(args, {case.id: case for case in bundled})
     all_passed = all(r["passed"] for r in results) and prop["passed"]
     out = {
         "examples": [
@@ -260,7 +238,7 @@ def cmd_selftest(args, config: RunConfig) -> int:
         "property_sweeps": prop,
         "passed": bool(all_passed),
     }
-    _emit(out, config)
+    _emit(out, args)
     if not all_passed:
         failed = sum(not r["passed"] for r in results)
         sweeps = "passed" if prop["passed"] else "failed"
@@ -270,7 +248,7 @@ def cmd_selftest(args, config: RunConfig) -> int:
     return EXIT_PASS
 
 
-def _property_sweeps(config: RunConfig, bundled: dict) -> dict:
+def _property_sweeps(args, bundled: dict) -> dict:
     """Quick cross-cutting invariants (the full versions live in the test
     suite): geometric identities on random frames, the rank-duality
     identity, and scaling covariance on a bundled corpus example (bundled
@@ -278,7 +256,7 @@ def _property_sweeps(config: RunConfig, bundled: dict) -> dict:
     from .geometry import frame_from_sources, check_symmetry_flatness
     from .systems import beta_algebraic, check_rank_duality_n3, generic_rank, lambda_algebraic
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     sweeps = {}
     worst_geom = 0.0
     worst_dual = 0.0
@@ -293,7 +271,7 @@ def _property_sweeps(config: RunConfig, bundled: dict) -> dict:
             for j in range(3)
         ]
         spec = frame_from_sources(cols, ["u1", "u2", "u3"], domain=((0, 0, 0), (1, 1, 1)))
-        conn = eval_connection(spec, spec.sample_points(20, config.seed))
+        conn = eval_connection(spec, spec.sample_points(20, args.seed))
         t, c = check_symmetry_flatness(conn)
         worst_geom = max(worst_geom, t, c)
         worst_dual = max(worst_dual, check_rank_duality_n3(conn))
@@ -309,14 +287,14 @@ def _property_sweeps(config: RunConfig, bundled: dict) -> dict:
         case = bundled["ex6.10"]
         spec = case.spec
         bcand = next(c for k, c in case.candidates if k == "beta")
-        alphas = ["1+u2^2/4", "2+u1/2", "1+u3/3"]
+        alphas = [exprlang.parse_expression(a, spec.vars, spec.params)
+                  for a in ("1+u2^2/4", "2+u1/2", "1+u3/3")]
         scaled = scale_frame(spec, alphas)
-        sq = [f"({a})^2" for a in alphas]
-        new_sources = [
-            f"({sq[j]})*({exprlang.to_source(e)})" for j, e in enumerate(bcand.exprs)
-        ]
-        scaled_cand = BetaCandidate.from_sources(new_sources, spec.vars, bcand.params)
-        conn = eval_connection(scaled, spec.sample_points(20, config.seed))
+        # the length candidate of the scaled frame is alpha_j^2 b^j
+        scaled_cand = BetaCandidate(tuple(
+            exprlang.Mul(exprlang.Pow(a, exprlang.Num(2.0)), e) for a, e in zip(alphas, bcand.exprs)
+        ), bcand.params)
+        conn = eval_connection(scaled, spec.sample_points(20, args.seed))
         worst_scaled = beta_residual(conn, scaled_cand).max_scaled
     sweeps["scaling_covariance"] = worst_scaled
     passed = (
@@ -375,22 +353,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(
-            samples=args.samples,
-            tol=args.tol,
-            seed=args.seed,
-            grid=_parse_grid(args.grid),
-            output=args.output,
-            quadrature_tol=args.quadrature_tol,
-            flux=args.flux,
-        )
+        args.grid = _parse_grid(args.grid)
+        if args.samples < 8:
+            raise ValueError("--samples must be at least 8")
+        for flag, tol in (("--tol", args.tol), ("--quadrature-tol", args.quadrature_tol)):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{flag} must be finite and positive, got {tol!r}")
         handler = {
             "analyze": cmd_analyze,
             "verify": cmd_verify,
             "reconstruct": cmd_reconstruct,
             "selftest": cmd_selftest,
         }[args.command]
-        return handler(args, config)
+        return handler(args)
     except CurlViolationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MATH_FAILURE

@@ -130,13 +130,18 @@ def corpus_dir() -> Path:
     return Path(__file__).parent / "corpus_data"
 
 
-def load_example(path) -> ExampleCase:
+def read_json(path):
+    """The JSON document in a file; a file that cannot be read or parsed
+    raises CorpusParseError naming it."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise CorpusParseError(path, f"unreadable JSON: {err}") from err
-    return load_example_from_doc(doc, source=str(path))
+
+
+def load_example(path) -> ExampleCase:
+    return load_example_from_doc(read_json(path), source=str(Path(path)))
 
 
 _SCHEMAS = {"example": SCHEMA, "candidate": SCHEMA["properties"]["candidates"]["items"]}
@@ -278,19 +283,8 @@ def _closed_f_check(conn: ConnectionEval, cand) -> float:
     return float(np.abs(Df - A).max() / (1.0 + np.abs(A).max()))
 
 
-def run_example(
-    case: ExampleCase,
-    samples: int = 50,
-    tol: float = 1e-9,
-    seed: int = 0,
-    reconstruct: bool = False,
-    grid: tuple = (7, 7, 7),
-) -> dict:
-    """Execute the pipeline on one example; failures become verdict entries.
-
-    With reconstruct=True, every verified length candidate carrying a
-    closed-form potential is also reconstructed on a small grid and compared
-    to it up to the affine gauge."""
+def run_example(case: ExampleCase, samples: int = 50, tol: float = 1e-9, seed: int = 0) -> dict:
+    """Execute the pipeline on one example; failures become verdict entries."""
     checks = []
 
     def record(name, value, bound, passed=None):
@@ -348,22 +342,6 @@ def run_example(
             break
         if sevennec_run:
             break
-    if reconstruct:
-        from .potential import affine_gauge_compare, reconstruct_eta
-
-        counts = tuple(grid[: spec.n]) + (grid[-1],) * max(0, spec.n - len(grid))
-        for idx, bcand in enumerate(verified["beta"]):
-            if bcand.eta_expr is None:
-                continue
-            pg = reconstruct_eta(spec, bcand, spec.base_point, counts)
-            nodes = pg.nodes()
-            ref = ex.eval_scalar_many(bcand.eta_tape, nodes)[:, 0]
-            err = affine_gauge_compare(nodes, pg.values["eta"].ravel(), ref)
-            record(f"reconstruction {idx} gauge comparison", err, 1e-6)
-            record(
-                f"reconstruction {idx} path independence",
-                pg.meta["path_independence_residual"], 1e-7,
-            )
     return {
         "id": case.id,
         "classification": report.to_dict(),

@@ -172,7 +172,27 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
+# The deepest expression the parser accepts, in tree levels: each leaf,
+# operator and call is a level, and so is each parenthesised group.  The
+# parser, the tape compiler and to_source take at most two Python frames a
+# level, which keeps them under Python's default recursion limit of 1000.
+MAX_DEPTH = 400
+
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+
+
+def _limit(depth: int, height: int, t: Token) -> int:
+    """height, the height of a subtree depth levels down; ExprSyntaxError at
+    token t when the two together pass MAX_DEPTH."""
+    if depth + height > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", t.pos)
+    return height
+
+
 class _Parser:
+    """Each parsing method takes the number of levels above the subtree it
+    parses and returns (Expr, height of the subtree in levels)."""
+
     def __init__(self, tokens: list[Token], vars: Sequence[str], params: Iterable[str]):
         self.tokens = tokens
         self.k = 0
@@ -194,72 +214,69 @@ class _Parser:
         return t
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr(0)
         t = self.peek()
         if t.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {t.text!r}", t.pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+    def expr(self, depth: int) -> tuple:
+        """expr and term: unary operands joined by left-associative '+' and
+        '-', and '*' and '/' binding tighter, reduced on an operator stack
+        so that a long sum or product takes no recursion."""
+        operands, ops = [self.unary(depth)], []
+        while True:
+            t = self.peek()
+            prec = _BINARY[t.text][0] if t.kind == "op" and t.text in _BINARY else 0
+            while ops and _BINARY[ops[-1].text][0] >= prec:
+                op = ops.pop()
+                (b, hb), (a, ha) = operands.pop(), operands.pop()
+                node = _BINARY[op.text][1](a, b)
+                operands.append((node, _limit(depth, max(ha, hb) + 1, op)))
+            if not prec:
+                return operands[0]
+            ops.append(self.next())
+            operands.append(self.unary(depth))
 
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
-
-    def unary(self) -> Expr:
-        t = self.peek()
+    def unary(self, depth: int) -> tuple:
+        """unary, power and atom in one method, so that a parenthesised
+        group costs two frames (expr, unary) of the parser's stack."""
+        t = self.next()
+        _limit(depth, 1, t)
         if t.kind == "op" and t.text == "-":
+            e, h = self.unary(depth + 1)
+            return Neg(e), h + 1
+        if t.kind == "num":
+            base, h = Num(float(t.text)), 1
+        elif t.kind == "ident" and self.peek().kind == "op" and self.peek().text == "(":
+            if t.text not in BUILTINS:
+                raise UnknownIdentifierError(t.text, t.pos)
             self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
+            args = [self.expr(depth + 1)]
+            while self.peek().kind == "op" and self.peek().text == ",":
+                self.next()
+                args.append(self.expr(depth + 1))
+            self.expect(")")
+            if len(args) != 1:
+                raise ExprSyntaxError(f"{t.text} takes exactly one argument", t.pos)
+            base, h = Call(t.text, (args[0][0],)), args[0][1] + 1
+        elif t.kind == "ident":
+            if t.text not in self.var_index and t.text not in self.params:
+                raise UnknownIdentifierError(t.text, t.pos)
+            index = self.var_index.get(t.text)
+            base, h = (Param(t.text) if index is None else Var(index, t.text)), 1
+        elif t.kind == "op" and t.text == "(":
+            base, h = self.expr(depth + 1)
+            self.expect(")")
+            h += 1
+        else:
+            raise ExprSyntaxError(f"unexpected token {t.text!r}", t.pos)
         t = self.peek()
         if t.kind == "op" and t.text == "^":
             self.next()
-            return Pow(base, self.unary())
-        return base
-
-    def atom(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            return Num(float(t.text))
-        if t.kind == "ident":
-            if self.peek().kind == "op" and self.peek().text == "(":
-                if t.text not in BUILTINS:
-                    raise UnknownIdentifierError(t.text, t.pos)
-                self.next()
-                args = [self.expr()]
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) != 1:
-                    raise ExprSyntaxError(
-                        f"{t.text} takes exactly one argument", t.pos
-                    )
-                return Call(t.text, tuple(args))
-            if t.text in self.var_index:
-                return Var(self.var_index[t.text], t.text)
-            if t.text in self.params:
-                return Param(t.text)
-            raise UnknownIdentifierError(t.text, t.pos)
-        if t.kind == "op" and t.text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ExprSyntaxError(f"unexpected token {t.text!r}", t.pos)
+            expo, he = self.unary(depth + 1)
+            return Pow(base, expo), _limit(depth, max(h, he) + 1, t)
+        return base, h
 
 
 def parse_expression(

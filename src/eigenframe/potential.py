@@ -620,8 +620,6 @@ def solve_rich_beta(
     base_w: Sequence[float],
     counts: Sequence[int],
     h: float,
-    rank0_tol: float = 1e-7,
-    max_sweeps: int = 400,
 ) -> PotentialGrid:
     """Solve the chart-space system d_i g^j = Z[j,i,j] g^j - Z[j,j,i] g^i
     (i != j) on a grid with data g^j = phi_j on the j-th axis through the
@@ -635,14 +633,14 @@ def solve_rich_beta(
     n = spec.n
     base_w = np.asarray(base_w, dtype=float)
     axes = [base_w[d] + h * np.arange(counts[d]) for d in range(n)]
-    require_rich(eval_connection(spec, spec.sample_points(30)), 1e-7)
+    require_rich(eval_connection(spec, spec.sample_points(30)))
     mesh = np.meshgrid(*axes, indexing="ij")
     w_pts = np.stack([m.ravel() for m in mesh], axis=-1)
     # the chart-space connection is the frame's connection at u(w)
     Z = eval_connection(spec, chart_inverse(chart, w_pts)).Gamma
     zscale = 1.0 + np.abs(Z).max()
     cross = float(np.abs(np.where(distinct_triple_mask(n)[None], Z, 0.0)).max() / zscale)
-    if cross > rank0_tol:
+    if cross > 1e-7:
         raise NotRankZeroError(
             f"chart-space cross components do not vanish (max scaled {cross:.3e})"
         )
@@ -659,7 +657,7 @@ def solve_rich_beta(
     ]
     gamma = [b.copy() for b in boundary]
     prev_delta = np.inf
-    for sweep in range(max_sweeps):
+    for sweep in range(400):
         new = []
         for j in range(n):
             acc = boundary[j].copy()
@@ -685,7 +683,7 @@ def solve_rich_beta(
             )
         prev_delta = min(prev_delta, delta)
     else:
-        raise StepFailureError(f"no convergence within {max_sweeps} sweeps")
+        raise StepFailureError("no convergence within 400 sweeps")
     # a-posteriori residual of the PDE by central differences
     residual = 0.0
     for j in range(n):

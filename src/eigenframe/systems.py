@@ -161,21 +161,19 @@ def lambda_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
     return AlgebraicSystem("lambda", algebraic_triples(n), rows)
 
 
-def generic_rank(
-    matrices: np.ndarray, rel_tol: float = 1e-8, abs_floor: float = 1e-10
-) -> int:
+def generic_rank(matrices: np.ndarray) -> int:
     """Max numerical rank over a batch of matrices (m, rows, cols).
 
-    A singular value counts when sigma > rel_tol * sigma_max; a matrix whose
-    largest singular value is below abs_floor (relative to its own entries'
+    A singular value counts when sigma > 1e-8 * sigma_max; a matrix whose
+    largest singular value is below 1e-10 (relative to its own entries'
     natural scale of 1) has rank 0.
     """
     if matrices.shape[1] == 0:
         return 0
     svals = np.linalg.svd(matrices, compute_uv=False)
     smax = svals[:, 0]
-    counts = (svals > rel_tol * np.maximum(smax, 1e-300)[:, None]).sum(axis=1)
-    counts = np.where(smax < abs_floor, 0, counts)
+    counts = (svals > 1e-8 * np.maximum(smax, 1e-300)[:, None]).sum(axis=1)
+    counts = np.where(smax < 1e-10, 0, counts)
     return int(counts.max())
 
 
@@ -285,10 +283,7 @@ def candidate_residual(conn: ConnectionEval, kind: str, cand) -> ResidualRecord:
 
 
 def sevennec_identity(
-    conn: ConnectionEval,
-    beta_cand: BetaCandidate,
-    lambda_cand: LambdaCandidate,
-    gap_rtol: float = 1e-8,
+    conn: ConnectionEval, beta_cand: BetaCandidate, lambda_cand: LambdaCandidate
 ) -> float:
     """Scaled residual of the cyclic identity
 
@@ -309,7 +304,7 @@ def sevennec_identity(
                     [lvals[:, j] - lvals[:, k], lvals[:, k] - lvals[:, i], lvals[:, i] - lvals[:, j]]
                 )
                 min_gap = float(np.abs(gaps).min())
-                if min_gap < gap_rtol * max(scale, 1.0):
+                if min_gap < 1e-8 * max(scale, 1.0):
                     p = int(np.argmin(np.abs(gaps).min(axis=0)))
                     raise CoincidentEigenvaluesError(conn.points[p], min_gap)
                 t1 = conn.c[:, j, k, i] * bvals[:, i] / gaps[0]
@@ -320,8 +315,8 @@ def sevennec_identity(
     return worst
 
 
-def convexity_classify(cand: BetaCandidate, points: np.ndarray, tol: float = 1e-9) -> dict:
-    """Sign classification of a verified length candidate.
+def convexity_classify(cand: BetaCandidate, points: np.ndarray) -> dict:
+    """Sign classification of a verified length candidate at tol = 1e-9 max(1, |b|).
 
     strict_entropy: every component positive at every sample;
     entropy: components nonnegative up to tol (degenerate directions allowed);
@@ -332,7 +327,7 @@ def convexity_classify(cand: BetaCandidate, points: np.ndarray, tol: float = 1e-
     scale = max(1.0, float(np.abs(vals).max()))
     lo = vals.min(axis=0)
     hi = vals.max(axis=0)
-    cut = tol * scale
+    cut = 1e-9 * scale
     if np.all(lo > cut):
         verdict = "strict_entropy"
     elif np.all(lo > -cut):
@@ -354,12 +349,7 @@ def convexity_classify(cand: BetaCandidate, points: np.ndarray, tol: float = 1e-
 # ---------------------------------------------------------------------------
 
 
-def darboux_compatibility(
-    spec: FrameSpec,
-    chart: RiemannChart,
-    w_points: np.ndarray,
-    rich_tol: float = 1e-8,
-) -> float:
+def darboux_compatibility(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarray) -> float:
     """Max-abs of the coefficient families whose identical vanishing makes
     the chart-space system solvable from axis data.  For all triples
     (j, k, m) of pairwise-distinct indices:
@@ -376,7 +366,7 @@ def darboux_compatibility(
     Z is the frame's connection at u(w), and the chart is normalized
     (r_j(w^i) = delta_ij), so d/dw^d is the frame field r_d."""
     conn = eval_connection(spec, chart_inverse(chart, w_points))
-    require_rich(conn, rich_tol)
+    require_rich(conn)
     return compat_coefficient_residual(conn.Gamma, np.moveaxis(directional_gamma(conn), 1, -1))
 
 
@@ -411,7 +401,7 @@ def compat_coefficient_residual(Z: np.ndarray, dZ: np.ndarray) -> float:
     return worst
 
 
-def require_rich(conn: ConnectionEval, tol: float = 1e-8) -> None:
-    ok, witness = is_rich(conn, tol)
+def require_rich(conn: ConnectionEval) -> None:
+    ok, witness = is_rich(conn)
     if not ok:
         raise NotRichError(f"frame is not rich: worst witness {witness}")

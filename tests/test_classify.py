@@ -138,7 +138,7 @@ def _synthetic_Z(z112, z113, z223, z332, m=12, seed=0):
 def test_rich_rank1_branches(z112, z113, z223, z332, expected):
     trace = cl._Trace()
     case, perm = cl._classify_rich_rank1_from_Z(
-        _synthetic_Z(z112, z113, z223, z332), cl.CLASSIFY_TOL, trace
+        _synthetic_Z(z112, z113, z223, z332), trace
     )
     assert case == expected
 
@@ -147,7 +147,7 @@ def test_rich_rank1_dead_zone_raises():
     trace = cl._Trace()
     Z = _synthetic_Z(3 * cl.CLASSIFY_TOL, 0.0, 0.0, 0.0)
     with pytest.raises(InconclusiveVanishingError):
-        cl._classify_rich_rank1_from_Z(Z, cl.CLASSIFY_TOL, trace)
+        cl._classify_rich_rank1_from_Z(Z, trace)
 
 
 def test_rich_rank1_end_to_end(corpus_cases):
@@ -169,7 +169,7 @@ def test_row_activity_matches_per_sample_loop():
         v = np.abs(np.linalg.svd(mat)[2][0])
         expected = np.maximum(expected, v / v.max())
     trace = cl._Trace()
-    assert cl._row_activity(matrices, 1e-6, trace, "rows") == [False, True, True]
+    assert cl._row_activity(matrices, trace, "rows") == [False, True, True]
     assert [value for _, value, _ in trace] == expected.tolist()
 
 

@@ -215,6 +215,38 @@ def test_unevaluable_frame_entry_exit_three(tmp_path, capsys, entry):
     assert len(err) == 1 and err[0].startswith("error: domain violation"), err
 
 
+@pytest.mark.parametrize("wrap, rc", [
+    (lambda e: "(" * 600 + e + ")" * 600, cli.EXIT_INPUT_ERROR),
+    (lambda e: "+".join([e] + ["u1"] * 1999), cli.EXIT_INPUT_ERROR),
+    (lambda e: "(" * 50 + e + ")" * 50, cli.EXIT_PASS),
+    (lambda e: "+".join([e] + ["0"] * 99), cli.EXIT_PASS),
+], ids=["600-parentheses", "2000-term-sum", "50-parentheses", "100-term-sum"])
+def test_frame_entry_depth_limit(tmp_path, capsys, wrap, rc):
+    """An entry deeper than exprlang.MAX_DEPTH ended in a RecursionError
+    traceback, in the parser (nested parentheses) or in the tape compiler
+    (a long sum); it is now a syntax error, and shallower ones still load."""
+    doc = json.loads(Path(corpus_path("ex6.5.json")).read_text())
+    doc["frame"][0][0] = wrap(doc["frame"][0][0])
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(frame)]) == rc
+    if rc == cli.EXIT_INPUT_ERROR:
+        assert "nested deeper than 400 levels" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_truncated_json_error_names_the_file(tmp_path, capsys, command):
+    """A truncated frame or candidate file printed json's message alone,
+    which does not say which of the files failed."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "beta", ')
+    argv = [command, str(bad)]
+    if command == "verify":
+        argv = [command, corpus_path("ex6.2.json"), str(bad)]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert _one_error_line(capsys).startswith(f"error: {bad}: unreadable JSON: ")
+
+
 def _frame_series_runs(monkeypatch) -> list:
     """Records (tape id, order, points) for every run of the series kernel
     on a frame's own tape (FrameSpec.tape, built by frame_tape without

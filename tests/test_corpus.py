@@ -178,13 +178,6 @@ def test_every_example_passes_its_full_verdict(corpus_cases):
     assert not failures, failures
 
 
-def test_run_example_with_reconstruction(corpus_cases):
-    verdict = corpus_mod.run_example(corpus_cases["ex6.11"], reconstruct=True)
-    names = [c["name"] for c in verdict["checks"]]
-    assert any("gauge comparison" in n for n in names)
-    assert verdict["passed"]
-
-
 def test_run_example_inverts_each_sample_set_once(corpus_cases, monkeypatch):
     """ex6.6 carries a closed-form flux; its check reads the connection's
     frame and inverse instead of inverting the sample set again."""

@@ -108,6 +108,22 @@ def test_syntax_error_position():
         parse("sin(u1, u2)")
 
 
+@pytest.mark.parametrize("src, position", [
+    ("(" * 600 + "u1" + ")" * 600, 400),
+    ("+".join(["u1"] * 2000), 1199),
+    ("u1" + "^2" * 600, 801),
+    ("(" * ex.MAX_DEPTH + "u1" + ")" * ex.MAX_DEPTH, ex.MAX_DEPTH),
+], ids=["parentheses", "sum", "powers", "one-level-too-deep"])
+def test_depth_limit_raises_at_offending_token(src, position):
+    """Parentheses are levels the parser recurses through, a long sum is
+    built in a loop but compiled recursively; either is cut at the token
+    that passes MAX_DEPTH, and MAX_DEPTH levels still parse."""
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(src)
+    assert err.value.position == position
+    parse("(" * (ex.MAX_DEPTH - 1) + "u1" + ")" * (ex.MAX_DEPTH - 1))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
