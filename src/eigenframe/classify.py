@@ -219,6 +219,20 @@ def normalize_indices(conn: ConnectionEval) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_case(prefix: str, mag, labels: tuple, trace: _Trace) -> str:
+    """The diagonal decision shared by the rich (Z) and non-rich (Gamma)
+    trees, on magnitudes mag(a, b, c) of prefix[a,b,c]: [1,1,2] and [1,1,3]
+    both nonzero give labels[0] and both zero labels[2]; when only one
+    vanishes, labels[1] if [3,3,2] (for [1,1,2]) or [2,2,3] (for [1,1,3])
+    vanishes too, else labels[0]."""
+    z112 = _vanishes(f"{prefix}[1,1,2]", mag(1, 1, 2), trace)
+    z113 = _vanishes(f"{prefix}[1,1,3]", mag(1, 1, 3), trace)
+    if z112 == z113:
+        return labels[2] if z112 else labels[0]
+    a, b, c = (3, 3, 2) if z112 else (2, 2, 3)
+    return labels[1] if _vanishes(f"{prefix}[{a},{b},{c}]", mag(a, b, c), trace) else labels[0]
+
+
 def _classify_rich_rank1_from_Z(Z: np.ndarray, trace: _Trace) -> tuple:
     """Decision tree on chart-space connection samples Z (m,3,3,3).
 
@@ -250,19 +264,7 @@ def _classify_rich_rank1_from_Z(Z: np.ndarray, trace: _Trace) -> tuple:
     def zmag(a, b, c):
         return float(np.abs(Z[:, p[a - 1], p[b - 1], p[c - 1]]).max() / scale)
 
-    z112 = _vanishes("Z[1,1,2]", zmag(1, 1, 2), trace)
-    z113 = _vanishes("Z[1,1,3]", zmag(1, 1, 3), trace)
-    if not z112 and not z113:
-        return "rich-1", p
-    if not z112 and z113:
-        if _vanishes("Z[2,2,3]", zmag(2, 2, 3), trace):
-            return "rich-2", p
-        return "rich-1", p
-    if z112 and not z113:
-        if _vanishes("Z[3,3,2]", zmag(3, 3, 2), trace):
-            return "rich-2", p
-        return "rich-1", p
-    return "rich-3", p
+    return _diagonal_case("Z", zmag, ("rich-1", "rich-2", "rich-3"), trace), p
 
 
 def classify_beta_rich_rank1(conn: ConnectionEval) -> tuple:
@@ -533,18 +535,14 @@ def _case_one(conn, perm, trace):
     G, C, r = view.G, view.C, view.r
     scale = conn.gamma_scale()
 
-    def mag(f):
-        return float((np.abs(f.value) / scale).max())
+    def mag(a, b, c):
+        return float((np.abs(G(a, b, c).value) / scale).max())
 
-    z112 = _vanishes("Gamma[1,1,2]", mag(G(1, 1, 2)), trace)
-    z113 = _vanishes("Gamma[1,1,3]", mag(G(1, 1, 3)), trace)
-    if not z112 and not z113:
-        return "nr-1"
-    if z112 and not z113:
-        # b^3 == 0 forced; b^2 survives iff Gamma[3,3,2] == 0
-        return "nr-2" if _vanishes("Gamma[3,3,2]", mag(G(3, 3, 2)), trace) else "nr-1"
-    if z113 and not z112:
-        return "nr-2" if _vanishes("Gamma[2,2,3]", mag(G(2, 2, 3)), trace) else "nr-1"
+    # Gamma[1,1,2] == 0 alone forces b^3 == 0, and b^2 survives iff
+    # Gamma[3,3,2] == 0; symmetrically for Gamma[1,1,3]
+    case = _diagonal_case("Gamma", mag, ("nr-1", "nr-2", "nr-3a"), trace)
+    if case != "nr-3a":
+        return case
     # both vanish: two free functions; record the four compatibility
     # residuals (identities given flatness/symmetry and the case assumptions)
     a1, a3 = G(1, 2, 2) + C(1, 2, 2), G(3, 2, 2) + C(3, 2, 2)

@@ -51,7 +51,6 @@ from .classify import classify
 from .errors import (
     CoincidentEigenvaluesError,
     CorpusParseError,
-    CurlViolationError,
     DomainError,
     EigenframeError,
     ExprSyntaxError,
@@ -70,7 +69,7 @@ from .systems import (
     convexity_classify,
     sevennec_identity,
 )
-from .potential import reconstruct_eta, reconstruct_flux
+from .potential import DEFAULT_QUAD_TOL, reconstruct_eta, reconstruct_flux
 
 EXIT_PASS = 0
 EXIT_MATH_FAILURE = 1
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--grid", type=str, default="11,11,11")
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--quadrature-tol", type=float, default=1e-10)
+    parser.add_argument("--quadrature-tol", type=float, default=DEFAULT_QUAD_TOL)
     parser.add_argument("--flux", action="store_true",
                         help="reconstruct a flux map from a lambda candidate")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -366,9 +365,6 @@ def main(argv=None) -> int:
             "selftest": cmd_selftest,
         }[args.command]
         return handler(args)
-    except CurlViolationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MATH_FAILURE
     except _DEGENERATE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -27,11 +27,10 @@ from one rule per builtin for its terms; every value slot is written by
 the values kernel's own ufunc, so the two kernels agree bit for bit on
 values.  eval_scalar_many returns the values and eval_series the
 coefficients; they are the only two ways into a tape.  Constants stay
-plain floats in both kernels.  A power whose exponent the compiler's own
-folding turns into an integer, without emitting a check and without
-reading a param, becomes repeated multiplications and therefore works for
-negative bases; any other power is exp/ln-based and requires a positive
-base.
+plain floats in both kernels.  A power whose exponent folds to an integer
+without reading a variable or a param and without a failing check becomes
+repeated multiplications and therefore works for negative bases; any other
+power is exp/ln-based and checks its base positive before its exponent.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -62,59 +61,67 @@ BUILTINS = ("sqrt", "exp", "ln", "sin", "cos", "tan", "arctan")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    def __repr__(self) -> str:  # to_source fits the stack at any accepted depth
+        return f"{type(self).__name__}({to_source(self)!r})"
+
+
+_node = dataclass(frozen=True, repr=False)
+
+
+@_node
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     index: int
     name: str
 
 
-@dataclass(frozen=True)
-class Param:
+@_node
+class Param(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@_node
+class Neg(_Node):
     a: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
-    a: "Expr"
-    b: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
+@_node
+class Add(_Node):
     a: "Expr"
     b: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@_node
+class Sub(_Node):
     a: "Expr"
     b: "Expr"
 
 
-@dataclass(frozen=True)
-class Div:
+@_node
+class Mul(_Node):
     a: "Expr"
     b: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+@_node
+class Div(_Node):
+    a: "Expr"
+    b: "Expr"
+
+
+@_node
+class Pow(_Node):
     base: "Expr"
     expo: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@_node
+class Call(_Node):
     fn: str
     args: tuple
 
@@ -126,13 +133,14 @@ Expr = Union[Num, Var, Param, Neg, Add, Sub, Mul, Div, Pow, Call]
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPS = set("+-*/^(),")
+# a number, an identifier or an operator, after optional whitespace
+_TOKEN = re.compile(
+    r"\s*(?:((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),]))"
+)
+_KINDS = (None, "num", "ident", "op")  # by group
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num' | 'ident' | 'op' | 'end'
     text: str
     pos: int
@@ -140,30 +148,15 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     """Split source into number/identifier/operator tokens; whitespace skipped."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        m = _NUMBER.match(source, i)
-        if m and (ch.isdigit() or ch == "."):
-            tokens.append(Token("num", m.group(0), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(source, i)
-        if m:
-            tokens.append(Token("ident", m.group(0), i))
-            i = m.end()
-            continue
-        raise IllegalCharacterError(ch, i)
-    tokens.append(Token("end", "", n))
+    tokens, i = [], 0
+    while m := _TOKEN.match(source, i):
+        k = m.lastindex
+        tokens.append(Token(_KINDS[k], m[k], m.start(k)))
+        i = m.end()
+    rest = source[i:].lstrip()
+    if rest:
+        raise IllegalCharacterError(rest[0], len(source) - len(rest))
+    tokens.append(Token("end", "", len(source)))
     return tokens
 
 
@@ -674,25 +667,15 @@ _POINTS, _SINK = 0, 1  # registers: the point batch, and the target of checks
 
 def _check(holds, node: Expr, what: str):
     """Instruction raising DomainError at the first point where holds(value)
-    fails; the same function serves both kernels."""
+    fails, the first point of a non-empty batch for a constant that fails;
+    the same function serves both kernels."""
 
     def check(x, points):
         ok = holds(x.value if isinstance(x, Taylor) else x)
-        if not ok.all():
+        if not np.all(ok) and len(points):
             raise DomainError(to_source(node), points[int(np.argmin(ok))], what)
 
     return check
-
-
-def _fail(node: Expr, what: str):
-    """Instruction for a check whose operand is a constant that fails it: the
-    violation is reported at the first point of the batch."""
-
-    def fail(points):
-        if len(points):
-            raise DomainError(to_source(node), points[0], what)
-
-    return fail
 
 
 def _execute(code: tuple, regs: list):
@@ -779,17 +762,17 @@ class _Compiler:
     """Value numbering over the expression trees: every instruction is keyed
     by its name and operand registers, so equal subexpressions anywhere in
     the tape share one register, and an instruction whose operands are all
-    constants is folded on the spot."""
+    constants is folded on the spot.  reads counts the variables and params
+    read and the constant checks that fail: a subtree that leaves it
+    unchanged has compiled to a constant without emitting an instruction."""
 
-    def __init__(self, folds: Optional[dict] = None):
+    def __init__(self):
         self.registers = [None, None]  # _POINTS, _SINK
         self.code = []
         self.numbers = {}  # instruction key -> register
         self.consts = {}  # register -> float
         self.variables = []
-        # id(subtree) -> fold(subtree), shared with the scratch compilers;
-        # ids are stable because the trees outlive compile_tape
-        self.folds = {} if folds is None else folds
+        self.reads = 0
 
     def _register(self, initial=None) -> int:
         self.registers.append(initial)
@@ -805,6 +788,7 @@ class _Compiler:
         return reg
 
     def var(self, index: int) -> int:
+        self.reads += 1
         key = ("var", index)
         reg = self.numbers.get(key)
         if reg is None:
@@ -831,19 +815,18 @@ class _Compiler:
         return reg
 
     def check(self, kind: str, a: int, node: Expr, what: str):
-        """A domain check on register a.  Only the first check of a kind on a
-        register is kept: a later one reads the same values and passes."""
+        """A domain check on register a: only the first of a kind on a register
+        is kept, and one on a constant only when the constant fails it."""
+        holds = _CHECKS[kind]
+        fails = a in self.consts and not holds(self.consts[a])
+        self.reads += fails
         key = (kind, a)
         if key in self.numbers:
             return
         self.numbers[key] = _SINK
-        holds = _CHECKS[kind]
-        if a not in self.consts:
+        if a not in self.consts or fails:
             fn = _check(holds, node, what)
             self.code.append((fn, fn, _SINK, a, _POINTS))
-        elif not holds(np.array([self.consts[a]])).all():
-            fn = _fail(node, what)
-            self.code.append((fn, fn, _SINK, _POINTS, None))
 
     def expr(self, e: Expr, params: Mapping[str, float]) -> int:
         if isinstance(e, Num):
@@ -851,18 +834,17 @@ class _Compiler:
         if isinstance(e, Var):
             return self.var(e.index)
         if isinstance(e, Param):
+            self.reads += 1
             if e.name not in params:
                 raise UnknownIdentifierError(e.name)
             return self.const(params[e.name])
         if isinstance(e, Neg):
             return self.op("neg", self.expr(e.a, params))
-        if isinstance(e, (Add, Sub, Mul)):
-            name = "add" if isinstance(e, Add) else "sub" if isinstance(e, Sub) else "mul"
-            return self.op(name, self.expr(e.a, params), self.expr(e.b, params))
-        if isinstance(e, Div):
+        if isinstance(e, (Add, Sub, Mul, Div)):
             a, b = self.expr(e.a, params), self.expr(e.b, params)
-            self.check("nonzero", b, e, "division by zero")
-            return self.op("div", a, b)
+            if isinstance(e, Div):
+                self.check("nonzero", b, e, "division by zero")
+            return self.op(type(e).__name__.lower(), a, b)
         if isinstance(e, Pow):
             return self.power(e, params)
         if isinstance(e, Call):
@@ -872,50 +854,27 @@ class _Compiler:
             return self.op(e.fn, arg)
         raise TypeError(f"not an Expr: {e!r}")
 
-    def fold(self, e: Expr) -> Optional[float]:
-        """The constant this compiler folds e to, or None when e reads a
-        param or compiling it emits an instruction: a variable, or a
-        constant that fails a check (0^-1).  Memoized per node; e is compiled
-        on a scratch compiler without params, after the exponents inside it,
-        innermost first, so that no fold runs inside another."""
-        if isinstance(e, Num):
-            return e.value
-        if id(e) not in self.folds:
-            # a param, a variable or a subtree known to give None makes e None
-            stack, inner, const = [e], [], True
-            while stack and const:
-                node = stack.pop()
-                if id(node) in self.folds:
-                    const = self.folds[id(node)] is not None
-                elif isinstance(node, (Var, Param)):
-                    const = False
-                elif not isinstance(node, Num):
-                    if isinstance(node, Pow):
-                        inner.append(node.expo)
-                    stack.extend(node.args if isinstance(node, Call) else vars(node).values())
-            value = None
-            if const:
-                for x in reversed(inner):
-                    self.fold(x)
-                scratch = _Compiler(self.folds)
-                reg = scratch.expr(e, {})
-                value = None if scratch.code else scratch.consts[reg]
-            self.folds[id(e)] = value
-        return self.folds[id(e)]
-
     def power(self, e: Pow, params: Mapping[str, float]) -> int:
-        const = self.fold(e.expo)
+        """Repeated multiplications when the exponent compiles to an integer
+        leaving reads unchanged (so it emitted no code), else exp(expo *
+        ln(base)); the base check comes first and is taken back if integer."""
         base = self.expr(e.base, params)
-        if const is not None and float(const).is_integer():
-            k = int(const)
+        key, code, reads = ("positive", base), len(self.code), self.reads
+        fresh = key not in self.numbers
+        self.check("positive", base, e, "non-integer power of non-positive base")
+        checked = self.reads
+        expo = self.expr(e.expo, params)
+        if self.reads == checked and expo in self.consts and self.consts[expo].is_integer():
+            del self.code[code:]
+            self.reads = reads
+            if fresh:
+                del self.numbers[key]
+            k = int(self.consts[expo])
             if k < 0:
                 self.check("nonzero", base, e, "division by zero")
             return self.int_power(base, k)
-        # general power: exp(expo * ln(base)), base must be positive
-        self.check("positive", base, e, "non-integer power of non-positive base")
         if isinstance(e.expo, Num):
-            return self.op("pow", base, self.const(e.expo.value))
-        expo = self.expr(e.expo, params)
+            return self.op("pow", base, expo)
         return self.op("exp", self.op("mul", expo, self.op("ln", base)))
 
     def int_power(self, base: int, k: int) -> int:

@@ -143,6 +143,33 @@ def test_curl_violation_exit_one(tmp_path, capsys):
     assert rc == cli.EXIT_MATH_FAILURE
 
 
+def test_reconstruct_candidate_above_tol_exit_one(tmp_path, capsys):
+    """A candidate whose residual exceeds --tol is refused before any grid
+    is built: one line, exit 1, no files."""
+    cand = tmp_path / "bad.json"
+    cand.write_text(json.dumps({
+        "kind": "beta", "exprs": ["-K*u2", "K*u2", "u1"], "params": {"K": 1.0},
+    }))
+    rc = cli.main(["--grid", "4,4,4", "reconstruct", corpus_path("ex6.11.json"), str(cand)])
+    assert rc == cli.EXIT_MATH_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("candidate residual ") and err[0].endswith(" exceeds tol"), err
+    assert not list(tmp_path.glob("bad_*"))
+
+
+def test_flux_reconstruct_of_beta_candidate_exit_two(tmp_path, capsys):
+    cand = tmp_path / "beta.json"
+    cand.write_text(json.dumps({
+        "kind": "beta", "exprs": ["-K*u2", "K*u2", "K"], "params": {"K": 1.0},
+    }))
+    rc = cli.main(["--flux", "--grid", "4,4,4", "reconstruct",
+                   corpus_path("ex6.11.json"), str(cand)])
+    assert rc == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --flux reconstruction needs a lambda candidate"], err
+
+
 def test_bad_grid_rejected(capsys):
     rc = cli.main(["--grid", "1,zz", "analyze", corpus_path("ex6.2.json")])
     assert rc == cli.EXIT_INPUT_ERROR

@@ -101,11 +101,19 @@ def test_power_right_associative():
     assert ex.eval_scalar_many(e, [2.0, 0.0, 0.0]) == 2.0 ** 8
 
 
-def test_syntax_error_position():
-    with pytest.raises(ExprSyntaxError):
-        parse("u1 + * u2")
-    with pytest.raises(ExprSyntaxError):
-        parse("sin(u1, u2)")
+@pytest.mark.parametrize("src, error, message, position", [
+    ("u1 + * u2", ExprSyntaxError, "unexpected token '*' (at position 5)", 5),
+    ("sin(u1, u2)", ExprSyntaxError, "sin takes exactly one argument (at position 0)", 0),
+    ("(u1", ExprSyntaxError, "expected ')', found '' (at position 3)", 3),
+    ("u1 u2", ExprSyntaxError, "unexpected trailing input 'u2' (at position 3)", 3),
+    ("foo(u1)", UnknownIdentifierError, "unknown identifier 'foo'", 0),
+], ids=["operator-for-operand", "two-arguments", "unclosed", "trailing", "unknown-function"])
+def test_syntax_error_position(src, error, message, position):
+    with pytest.raises(error) as err:
+        parse(src)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize("src, position", [
@@ -167,9 +175,10 @@ def test_folded_integer_exponent_accepts_negative_base(src, u1, expected):
 
 
 def test_deep_constant_exponent_chain_compiles_fast():
-    """Each nested exponent is folded once: re-folding it at every level
-    above is exponential in the depth, seconds at 18 levels, so that depth
-    runs first and fails before 200 levels would hang."""
+    """Each exponent is compiled once, in the one pass over the tree, and
+    decided an integer or not as it compiles.  18 levels run first, so that
+    a compile time exponential in the depth fails before 200 levels would
+    hang."""
     for depth in (18, 200):
         e = parse("u1^" + "0.5^" * depth + "(1+1)")
         start = time.perf_counter()
@@ -178,12 +187,23 @@ def test_deep_constant_exponent_chain_compiles_fast():
 
 
 def test_deep_constant_exponent_chain_fits_the_stack():
-    """Nested exponents are folded one after another, innermost first, not
-    inside each other, so the compiler needs no deeper stack than the
-    parser does."""
+    """The compiler folds each exponent in the same recursion that compiles
+    it, two frames a level, so it needs no deeper stack than the parser
+    does."""
     e = parse("u1^" + "0.5^" * 350 + "(1+1)")
     tape = ex.compile_tape(((e,), {}))
     assert ex.eval_scalar_many(tape, [[2.0, 0.0, 0.0]])[0, 0] > 0.0
+
+
+def test_repr_of_deepest_tree_is_its_source():
+    """repr() of a node is its source text, so it reaches the deepest tree
+    the parser accepts, as to_source does."""
+    src = "u1^" + "0.5^" * (ex.MAX_DEPTH - 2) + "2"
+    e = parse(src)
+    assert repr(e) == f"Pow({ex.to_source(e)!r})"
+    assert repr(ex.Num(2.0)) == "Num('2.0')"
+    with pytest.raises(ExprSyntaxError):
+        parse("u1^0.5^" + src[3:])
 
 
 def test_jet_product_example():
@@ -459,6 +479,14 @@ DOMAIN_MESSAGES = [
      "domain violation in '1.0/0.0' at point [0.5 1.5 1. ]: division by zero"),
     ("exp(u1)^(0^-1)", [1.0, 1.0, 1.0], {},
      "domain violation in '0.0^-1.0' at point [0.5 1.5 1. ]: division by zero"),
+    # a general power checks its base before its exponent: a point that
+    # fails both names the power, and so does a check the exponent repeats
+    ("(1-u1)^(1/(u2-1))", [2.0, 1.0, 1.0], {},
+     "domain violation in '(1.0 - u1)^(1.0/(u2 - 1.0))' at point [2. 1. 1.]: "
+     "non-integer power of non-positive base"),
+    ("u2^sqrt(sqrt(u2))", [1.0, -1.0, 1.0], {},
+     "domain violation in 'u2^sqrt(sqrt(u2))' at point [ 1. -1.  1.]: "
+     "non-integer power of non-positive base"),
 ]
 
 
