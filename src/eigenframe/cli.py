@@ -5,14 +5,16 @@ Commands:
                the base point, algebraic ranks, case label, decision trace)
   verify       residuals of a candidate against its system, the cross-system
                identity, and the convexity classification
-  reconstruct  scalar-potential or flux grids from a verified candidate
+  reconstruct  scalar-potential or flux grids from a verified candidate: the
+               candidate's kind picks eta (beta) or flux (lambda), and
+               --flux only asserts that it is a lambda candidate
   selftest     run the bundled example corpus plus quick property sweeps
 
 Exit codes (an error prints one "error: ..." line to stderr, a failed
 verify or reconstruct one line that names the residual, and a failed
 selftest one line that counts the failed examples):
   0  pass
-  1  mathematical failure: a residual above --tol; CurlViolationError,
+  1  mathematical failure: a residual not below --tol; CurlViolationError,
      NotRichError, NotRankZeroError, ChartDomainError, ZeroScalingError,
      QuadratureFailureError (a ray that does not converge, or whose integral
      is not finite), StepFailureError
@@ -31,8 +33,10 @@ selftest one line that counts the failed examples):
      a frame whose determinant overflows)
 
 Each command evaluates the frame once on its sample set (one
-ConnectionEval) and hands that to every check.  Sampling is deterministic
-in --seed.
+ConnectionEval) and hands that to every check, and each candidate once on
+it (its residual record, whose values feed the cross-system identity and
+the convexity classification).  A candidate is verified when its residual
+is below --tol.  Sampling is deterministic in --seed.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .systems import (
     beta_residual,
     candidate_residual,
     convexity_classify,
-    sevennec_identity,
+    first_pair_identity,
 )
 from .potential import DEFAULT_QUAD_TOL, reconstruct_eta, reconstruct_flux
 
@@ -158,34 +162,24 @@ def cmd_verify(args) -> int:
         "max_scaled_residual": rec.max_scaled,
         "tol": args.tol,
         "worst": rec.worst(),
-        "families": {
-            f"{kind}-pde": float(rec.pde_scaled.max()) if rec.pde_scaled.size else 0.0,
-            f"{kind}-alg": float(rec.alg_scaled.max()) if rec.alg_scaled.size else 0.0,
-        },
+        "families": rec.families,
     }
     if kind == "beta":
-        out["convexity"] = convexity_classify(cand, conn.points)
+        out["convexity"] = convexity_classify(rec.values)
     passed = rec.max_scaled < args.tol
     # cross-system identity, paired with a verified partner from the frame
-    # file when one is recorded there
-    partner_kind = "beta" if kind == "lambda" else "lambda"
-    for k, partner in case.candidates:
-        if k != partner_kind:
-            continue
-        if candidate_residual(conn, k, partner).max_scaled > args.tol:
-            continue
-        bcand, lcand = (cand, partner) if kind == "beta" else (partner, cand)
-        try:
-            res = sevennec_identity(conn, bcand, lcand)
-        except CoincidentEigenvaluesError:
-            continue
-        out["cross-identity"] = res
-        passed = passed and res < max(args.tol, 1e-9)
-        break
+    # file when one is recorded there; partners are evaluated only until one
+    # pairs
+    partners = (candidate_residual(conn, k, p) for k, p in case.candidates if k != kind)
+    cross = first_pair_identity(conn, (
+        (rec.values, p.values) if kind == "beta" else (p.values, rec.values)
+        for p in partners if p.max_scaled < args.tol))
+    if cross is not None:
+        out["cross-identity"] = cross
+        passed = passed and cross < max(args.tol, 1e-9)
     out["passed"] = bool(passed)
     _emit(out, args)
     if not passed:
-        cross = out.get("cross-identity")
         detail = "" if cross is None else f", cross-system identity {cross:.3e}"
         print(f"candidate fails verification: residual {rec.max_scaled:.3e}{detail}, "
               f"tol {args.tol:.1e}", file=sys.stderr)
@@ -204,7 +198,7 @@ def cmd_reconstruct(args) -> int:
         raise SchemaError("--flux reconstruction needs a lambda candidate")
     name, reconstruct = ("flux", reconstruct_flux) if kind == "lambda" else ("eta", reconstruct_eta)
     rec = candidate_residual(conn, kind, cand)
-    if rec.max_scaled > args.tol:
+    if not rec.max_scaled < args.tol:
         print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
         return EXIT_MATH_FAILURE
     grid = reconstruct(spec, cand, spec.base_point, counts, args.quadrature_tol)
@@ -334,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--quadrature-tol", type=float, default=DEFAULT_QUAD_TOL)
     parser.add_argument("--flux", action="store_true",
-                        help="reconstruct a flux map from a lambda candidate")
+                        help="require a lambda candidate for reconstruct (the "
+                             "candidate's kind picks flux or eta)")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("analyze", help="classify a frame file")
     p.add_argument("frame_file")

@@ -25,7 +25,6 @@ import numpy as np
 from . import exprlang as ex
 from .classify import classify
 from .errors import (
-    CoincidentEigenvaluesError,
     CorpusParseError,
     EigenframeError,
     SchemaError,
@@ -33,8 +32,8 @@ from .errors import (
 from .geometry import (
     ConnectionEval,
     FrameSpec,
+    _symmetry_flatness,
     chart_from_sources,
-    check_symmetry_flatness,
     eval_connection,
     frame_from_sources,
     structure_coefficients_bracket,
@@ -45,7 +44,7 @@ from .systems import (
     LambdaCandidate,
     candidate_residual,
     check_rank_duality_n3,
-    sevennec_identity,
+    first_pair_identity,
 )
 
 ENV_CORPUS_DIR = "EIGENFRAME_CORPUS"
@@ -240,13 +239,10 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     )
 
 
-def list_examples(directory: Optional[Path] = None) -> list:
-    """Catalog of bundled examples: id, n, and expected classification."""
-    directory = Path(directory) if directory else corpus_dir()
+def list_examples() -> list:
+    """Catalog of the corpus examples: id, n, and expected classification."""
     catalog = []
-    if not directory.is_dir():
-        return catalog
-    for path in sorted(directory.glob("*.json")):
+    for path in sorted(corpus_dir().glob("*.json")):
         case = load_example(path)
         catalog.append({
             "id": case.id,
@@ -257,13 +253,13 @@ def list_examples(directory: Optional[Path] = None) -> list:
     return catalog
 
 
-def _closed_eta_check(conn: ConnectionEval, cand) -> float:
-    """Residual of the closed-form potential against the candidate: the
-    frame must be orthogonal for its Hessian and reproduce the lengths."""
+def _closed_eta_check(conn: ConnectionEval, cand, vals: np.ndarray) -> float:
+    """Residual of the closed-form potential against the candidate's values
+    at conn.points: the frame must be orthogonal for its Hessian and
+    reproduce the lengths."""
     index, factor = ex._hessian_index(conn.n)
     H = ex.eval_series(cand.eta_tape, conn.points, 2)[:, 0, index] * factor
     quad = np.einsum("mai,mab,mbj->mij", conn.R, H, conn.R)
-    vals = ex.eval_scalar_many(cand.tape, conn.points)
     scale = 1.0 + np.abs(quad).max()
     res_diag = np.abs(np.stack([quad[:, i, i] for i in range(conn.n)], axis=1) - vals)
     off = quad.copy()
@@ -272,12 +268,12 @@ def _closed_eta_check(conn: ConnectionEval, cand) -> float:
     return float(max(res_diag.max(), np.abs(off).max()) / scale)
 
 
-def _closed_f_check(conn: ConnectionEval, cand) -> float:
+def _closed_f_check(conn: ConnectionEval, cand, lam: np.ndarray) -> float:
     """Jacobian of the closed-form flux vs R diag[l] L, assembled from the
-    connection's frame and inverse."""
+    connection's frame and inverse and the candidate's values lam at
+    conn.points."""
     from .potential import _flux_formula, _matrices
 
-    lam = ex.eval_scalar_many(cand.tape, conn.points)
     [A] = _matrices(_flux_formula, lam.shape[0], conn.n, conn.R, conn.L, lam)
     Df = ex.eval_series(cand.f_tape, conn.points, 1)[..., 1:]
     return float(np.abs(Df - A).max() / (1.0 + np.abs(A).max()))
@@ -294,10 +290,10 @@ def run_example(case: ExampleCase, samples: int = 50, tol: float = 1e-9, seed: i
 
     spec = case.spec
     conn = eval_connection(spec, spec.sample_points(samples, seed))
-    torsion, curvature = check_symmetry_flatness(conn)
+    c_br = structure_coefficients_bracket(conn)
+    torsion, curvature = _symmetry_flatness(conn, c_br)
     record("torsion identity", torsion, 1e-8)
     record("curvature identity", curvature, 1e-8)
-    c_br = structure_coefficients_bracket(conn)
     cross = float(np.abs(conn.c - c_br).max() / (1.0 + np.abs(conn.Gamma).max()))
     record("bracket cross-check", cross, 1e-10)
     if spec.n == 3:
@@ -321,27 +317,18 @@ def run_example(case: ExampleCase, samples: int = 50, tol: float = 1e-9, seed: i
     verified = {"beta": [], "lambda": []}
     for idx, (kind, cand) in enumerate(case.candidates):
         rec = candidate_residual(conn, kind, cand)
-        ok = record(f"candidate {idx} ({kind}) residual", rec.max_scaled, tol)
-        if ok:
-            verified[kind].append(cand)
+        if record(f"candidate {idx} ({kind}) residual", rec.max_scaled, tol):
+            verified[kind].append(rec.values)
         if kind == "beta" and cand.eta_expr is not None:
             record(f"candidate {idx} closed-form potential",
-                   _closed_eta_check(conn, cand), 1e-9)
+                   _closed_eta_check(conn, cand, rec.values), 1e-9)
         if kind == "lambda" and cand.f_exprs is not None:
             record(f"candidate {idx} closed-form flux",
-                   _closed_f_check(conn, cand), 1e-9)
-    sevennec_run = False
-    for lcand in verified["lambda"]:
-        for bcand in verified["beta"]:
-            try:
-                res = sevennec_identity(conn, bcand, lcand)
-            except CoincidentEigenvaluesError:
-                continue
-            record("eigenvalue-gap identity", res, 1e-9)
-            sevennec_run = True
-            break
-        if sevennec_run:
-            break
+                   _closed_f_check(conn, cand, rec.values), 1e-9)
+    gap = first_pair_identity(
+        conn, ((b, lam) for lam in verified["lambda"] for b in verified["beta"]))
+    if gap is not None:
+        record("eigenvalue-gap identity", gap, 1e-9)
     return {
         "id": case.id,
         "classification": report.to_dict(),

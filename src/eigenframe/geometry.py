@@ -424,7 +424,11 @@ def check_symmetry_flatness(conn: ConnectionEval) -> tuple:
     Both vanish identically for the flat coordinate connection, so nonzero
     values only measure numerical error of the whole Gamma pipeline.
     """
-    c_br = structure_coefficients_bracket(conn)
+    return _symmetry_flatness(conn, structure_coefficients_bracket(conn))
+
+
+def _symmetry_flatness(conn: ConnectionEval, c_br: np.ndarray) -> tuple:
+    """check_symmetry_flatness with the bracket c_br already computed."""
     scale = conn.gamma_scale()
     torsion = np.abs(conn.c - c_br).reshape(len(scale), -1).max(axis=1) / scale
     curvature = flatness_residual(conn.Gamma, conn.c, directional_gamma(conn)) / scale**2

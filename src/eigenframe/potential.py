@@ -48,7 +48,7 @@ import io
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,7 +75,9 @@ from .geometry import (
 from .systems import BetaCandidate, LambdaCandidate, require_rich
 
 DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_CURL_TOL = 1e-7
+# the curl residual a field may have at the probes before reconstruction
+# refuses it (q's field gets 100 * CURL_TOL); read at call time
+CURL_TOL = 1e-7
 _RAY_Q = 16  # Gauss nodes per ray panel; the Kronrod rule nested in it has 2Q+1
 _RAY_MAX_PANELS = 64  # a ray still over the tolerance at this many panels fails
 # points per rates call: the Kronrod nodes of a panel are evaluated in blocks
@@ -447,19 +449,17 @@ def _require_closed(res: float, tol: float) -> float:
     return res
 
 
-def _grid_setup(spec: FrameSpec, field: MatrixField, base, counts, box, curl_tol: float):
-    """The base point, the grid axes over the box (the frame's domain by
-    default), and each field's values and curl residual at 20 sample points
-    and the base, where the curl must not exceed curl_tol.  A node within
-    rounding of the base point is moved onto it, so the gauge holds exactly
-    at that node."""
-    lo, hi = box if box is not None else (spec.domain_lo, spec.domain_hi)
+def _grid_setup(spec: FrameSpec, field: MatrixField, base, counts):
+    """The base point, the grid axes over the frame's domain, and each
+    field's values and curl residual at 20 sample points and the base,
+    where the curl must not exceed CURL_TOL.  A node within rounding of the
+    base point is moved onto it, so the gauge holds exactly at that node."""
     base = np.asarray(base, dtype=float)
-    axes = [np.linspace(lo[d], hi[d], counts[d]) for d in range(len(counts))]
+    axes = [np.linspace(lo, hi, k) for lo, hi, k in zip(spec.domain_lo, spec.domain_hi, counts)]
     for axis, b in zip(axes, base):
         axis[np.abs(axis - b) <= 1e-12 * max(1.0, abs(b))] = b
     probes = np.vstack([spec.sample_points(20), base[None, :]])
-    gates = [(V, _require_closed(_curl(V, G), curl_tol)) for V, G in field.value_grad(probes)]
+    gates = [(V, _require_closed(_curl(V, G), CURL_TOL)) for V, G in field.value_grad(probes)]
     return base, axes, gates
 
 
@@ -469,12 +469,10 @@ def reconstruct_flux(
     base: Sequence[float],
     counts: Sequence[int],
     quad_tol: float = DEFAULT_QUAD_TOL,
-    curl_tol: float = DEFAULT_CURL_TOL,
-    box: Optional[tuple] = None,
 ) -> PotentialGrid:
     """Flux map f with Df = R diag[l] L and f(base) = 0 on a grid."""
     field = flux_jacobian_field(spec, cand)
-    base, axes, [(_, res)] = _grid_setup(spec, field, base, counts, box, curl_tol)
+    base, axes, [(_, res)] = _grid_setup(spec, field, base, counts)
     F, _, F_b, _, work = _ray_families(_rates(field, False), base, axes, quad_tol)
     return PotentialGrid(
         axes=axes,
@@ -496,8 +494,6 @@ def reconstruct_eta(
     base: Sequence[float],
     counts: Sequence[int],
     quad_tol: float = DEFAULT_QUAD_TOL,
-    curl_tol: float = DEFAULT_CURL_TOL,
-    box: Optional[tuple] = None,
 ) -> PotentialGrid:
     """Scalar potential with Hessian L^T diag[b] L, gauge-fixed so that the
     value and gradient vanish at the base point.
@@ -507,7 +503,7 @@ def reconstruct_eta(
     as consistency residuals.
     """
     field = length_hessian_field(spec, cand)
-    base, axes, [(V, res)] = _grid_setup(spec, field, base, counts, box, curl_tol)
+    base, axes, [(V, res)] = _grid_setup(spec, field, base, counts)
     shape = tuple(counts)
     sym = float(np.abs(V - V.transpose(0, 2, 1)).max() / (1.0 + np.abs(V).max()))
     grad, S, psi, S_b, work = _ray_families(_rates(field, True), base, axes, quad_tol)
@@ -539,8 +535,6 @@ def entropy_flux(
     base: Sequence[float],
     counts: Sequence[int],
     quad_tol: float = DEFAULT_QUAD_TOL,
-    curl_tol: float = DEFAULT_CURL_TOL,
-    box: Optional[tuple] = None,
 ) -> PotentialGrid:
     """Scalar q whose gradient is grad(eta) . (R diag[l] L), gauge q(base)=0.
 
@@ -550,7 +544,7 @@ def entropy_flux(
     """
     # M = L^T diag[b] L and A = R diag[l] L from one frame evaluation
     field = MatrixField(spec, (beta_cand, lambda_cand), _entropy_formula)
-    base, axes, _ = _grid_setup(spec, field, base, counts, box, curl_tol)
+    base, axes, _ = _grid_setup(spec, field, base, counts)
     shape = tuple(counts)
     # with a closed-form potential attached, q corresponds to that potential
     # (its base gradient seeds the rays); otherwise to the gauge-fixed one
@@ -564,7 +558,7 @@ def entropy_flux(
     (M, _), (A, dA) = field.value_grad(PotentialGrid(axes, {}, ()).nodes()[::step])
     dw = np.einsum("mae,mad->mde", M, A) + np.einsum("ma,made->mde", grad[::step], dA)
     scale = 1.0 + np.abs(M).max() + np.abs(A).max()
-    wres = _require_closed(float(np.abs(dw - dw.transpose(0, 2, 1)).max() / scale), 100 * curl_tol)
+    wres = _require_closed(float(np.abs(dw - dw.transpose(0, 2, 1)).max() / scale), 100 * CURL_TOL)
     return PotentialGrid(
         axes=axes,
         values={

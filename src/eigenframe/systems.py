@@ -134,7 +134,6 @@ def _index_arrays(n: int) -> tuple:
 
 @dataclass
 class AlgebraicSystem:
-    kind: str  # 'beta' | 'lambda'
     triples: list
     matrix: np.ndarray  # (m, n_rows, n)
 
@@ -148,7 +147,7 @@ def beta_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
     rows[:, r, k] += c[:, i, j, k]
     rows[:, r, j] += G[:, i, k, j]
     rows[:, r, i] -= G[:, j, k, i]
-    return AlgebraicSystem("beta", algebraic_triples(n), rows)
+    return AlgebraicSystem(algebraic_triples(n), rows)
 
 
 def lambda_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
@@ -158,7 +157,7 @@ def lambda_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
     rows[:, r, i] += G[:, j, i, k]
     rows[:, r, j] -= G[:, i, j, k]
     rows[:, r, k] += c[:, i, j, k]
-    return AlgebraicSystem("lambda", algebraic_triples(n), rows)
+    return AlgebraicSystem(algebraic_triples(n), rows)
 
 
 def generic_rank(matrices: np.ndarray) -> int:
@@ -196,6 +195,7 @@ def check_rank_duality_n3(conn: ConnectionEval) -> float:
 @dataclass
 class ResidualRecord:
     kind: str
+    values: np.ndarray  # (m, n) the candidate's fields at conn.points
     pde_labels: list
     alg_labels: list
     pde_raw: np.ndarray  # (m, n(n-1))
@@ -204,11 +204,16 @@ class ResidualRecord:
     alg_scaled: np.ndarray
 
     @property
+    def families(self) -> dict:
+        """The largest scaled residual of each family; 0.0 for an empty one."""
+        return {
+            f"{self.kind}-{name}": float(arr.max()) if arr.size else 0.0
+            for name, arr in (("pde", self.pde_scaled), ("alg", self.alg_scaled))
+        }
+
+    @property
     def max_scaled(self) -> float:
-        parts = [self.pde_scaled.max() if self.pde_scaled.size else 0.0]
-        if self.alg_scaled.size:
-            parts.append(self.alg_scaled.max())
-        return float(max(parts))
+        return max(self.families.values())
 
     def worst(self) -> dict:
         """Location and value of the worst scaled residual, for reports."""
@@ -226,48 +231,44 @@ def _ordered_pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
+def _residual(kind: str, conn: ConnectionEval, cand) -> ResidualRecord:
+    """The residual record of a candidate of either system, from one run of
+    its tape; the systems differ only in the PDE right-hand side of
+    r_i(s^j) and in the algebraic part."""
     vals, grads = eval_candidate(cand.tape, conn.points)
     G, c = conn.Gamma, conn.c
     _, (i, j) = _index_arrays(conn.n)
-    deriv = np.einsum("mja,mai->mji", grads, conn.R)[:, j, i]  # r_i(b^j)
-    t1 = vals[:, j] * (G[:, i, j, j] + c[:, i, j, j])
-    t2 = vals[:, i] * G[:, j, j, i]
-    pde_raw = deriv - (t1 - t2)
-    pde_scale = 1.0 + np.abs(deriv) + np.abs(t1) + np.abs(t2)
-    sys = beta_algebraic(conn)
+    deriv = np.einsum("mja,mai->mji", grads, conn.R)[:, j, i]  # r_i(s^j)
+    if kind == "beta":
+        t1 = vals[:, j] * (G[:, i, j, j] + c[:, i, j, j])
+        t2 = vals[:, i] * G[:, j, j, i]
+        rhs, pde_scale = t1 - t2, 1.0 + np.abs(deriv) + np.abs(t1) + np.abs(t2)
+        sys = beta_algebraic(conn)
+    else:
+        rhs = G[:, j, i, j] * (vals[:, i] - vals[:, j])
+        pde_scale = 1.0 + np.abs(deriv) + np.abs(rhs)
+        sys = lambda_algebraic(conn)
+    pde_raw = deriv - rhs
     alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals)
     alg_scale = 1.0 + np.abs(sys.matrix * vals[:, None, :]).sum(axis=2)
     return ResidualRecord(
-        kind="beta",
-        pde_labels=[f"beta-pde r{a+1}(b{b+1})" for a, b in _ordered_pairs(conn.n)],
-        alg_labels=[f"beta-alg ({a+1},{b+1},{d+1})" for a, b, d in sys.triples],
+        kind=kind,
+        values=vals,
+        pde_labels=[f"{kind}-pde r{a+1}({kind[0]}{b+1})" for a, b in _ordered_pairs(conn.n)],
+        alg_labels=[f"{kind}-alg ({a+1},{b+1},{d+1})" for a, b, d in sys.triples],
         pde_raw=pde_raw,
         alg_raw=alg_raw,
         pde_scaled=np.abs(pde_raw) / pde_scale,
         alg_scaled=np.abs(alg_raw) / alg_scale,
     )
+
+
+def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
+    return _residual("beta", conn, cand)
 
 
 def lambda_residual(conn: ConnectionEval, cand: LambdaCandidate) -> ResidualRecord:
-    vals, grads = eval_candidate(cand.tape, conn.points)
-    _, (i, j) = _index_arrays(conn.n)
-    deriv = np.einsum("mja,mai->mji", grads, conn.R)[:, j, i]  # r_i(l^j)
-    rhs = conn.Gamma[:, j, i, j] * (vals[:, i] - vals[:, j])
-    pde_raw = deriv - rhs
-    pde_scale = 1.0 + np.abs(deriv) + np.abs(rhs)
-    sys = lambda_algebraic(conn)
-    alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals)
-    alg_scale = 1.0 + np.abs(sys.matrix * vals[:, None, :]).sum(axis=2)
-    return ResidualRecord(
-        kind="lambda",
-        pde_labels=[f"lambda-pde r{a+1}(l{b+1})" for a, b in _ordered_pairs(conn.n)],
-        alg_labels=[f"lambda-alg ({a+1},{b+1},{d+1})" for a, b, d in sys.triples],
-        pde_raw=pde_raw,
-        alg_raw=alg_raw,
-        pde_scaled=np.abs(pde_raw) / pde_scale,
-        alg_scaled=np.abs(alg_raw) / alg_scale,
-    )
+    return _residual("lambda", conn, cand)
 
 
 def candidate_residual(conn: ConnectionEval, kind: str, cand) -> ResidualRecord:
@@ -282,18 +283,15 @@ def candidate_residual(conn: ConnectionEval, kind: str, cand) -> ResidualRecord:
 # ---------------------------------------------------------------------------
 
 
-def sevennec_identity(
-    conn: ConnectionEval, beta_cand: BetaCandidate, lambda_cand: LambdaCandidate
-) -> float:
+def sevennec_identity(conn: ConnectionEval, bvals: np.ndarray, lvals: np.ndarray) -> float:
     """Scaled residual of the cyclic identity
 
         c[j,k,i] b^i / (l^j - l^k) + c[k,i,j] b^j / (l^k - l^i)
             + c[i,j,k] b^k / (l^i - l^j) = 0     for i < j < k,
 
     which couples verified candidates of the two systems under strict
-    hyperbolicity.  Near-coincident eigenvalues are rejected."""
-    bvals = ex.eval_scalar_many(beta_cand.tape, conn.points)
-    lvals = ex.eval_scalar_many(lambda_cand.tape, conn.points)
+    hyperbolicity, from their values (m, n) at conn.points.  Near-coincident
+    eigenvalues are rejected."""
     n = conn.n
     scale = np.abs(lvals).max()
     worst = 0.0
@@ -315,15 +313,27 @@ def sevennec_identity(
     return worst
 
 
-def convexity_classify(cand: BetaCandidate, points: np.ndarray) -> dict:
-    """Sign classification of a verified length candidate at tol = 1e-9 max(1, |b|).
+def first_pair_identity(conn: ConnectionEval, pairs) -> Optional[float]:
+    """The eigenvalue-gap identity of the first (beta values, lambda values)
+    pair whose eigenvalues are apart at every sample, or None.  pairs is
+    consumed only up to that pair."""
+    for bvals, lvals in pairs:
+        try:
+            return sevennec_identity(conn, bvals, lvals)
+        except CoincidentEigenvaluesError:
+            continue
+    return None
+
+
+def convexity_classify(vals: np.ndarray) -> dict:
+    """Sign classification of a verified length candidate from its values
+    (m, n) at the samples, at tol = 1e-9 max(1, |b|).
 
     strict_entropy: every component positive at every sample;
     entropy: components nonnegative up to tol (degenerate directions allowed);
     extension_only: definite sign pattern with a negative component;
     indefinite: some component changes sign across the sample set.
     """
-    vals = ex.eval_scalar_many(cand.tape, np.atleast_2d(points))
     scale = max(1.0, float(np.abs(vals).max()))
     lo = vals.min(axis=0)
     hi = vals.max(axis=0)

@@ -229,13 +229,15 @@ def test_criterion_8_eigenvalue_gap_identity(corpus_cases):
         lams = [c for k, c in case.candidates if k == "lambda"]
         bets = [c for k, c in case.candidates if k == "beta"]
         for lam in lams:
-            if sy.lambda_residual(conn, lam).max_scaled > 1e-9:
+            lrec = sy.lambda_residual(conn, lam)
+            if lrec.max_scaled > 1e-9:
                 continue
             for bet in bets:
-                if sy.beta_residual(conn, bet).max_scaled > 1e-9:
+                brec = sy.beta_residual(conn, bet)
+                if brec.max_scaled > 1e-9:
                     continue
                 try:
-                    res = sy.sevennec_identity(conn, bet, lam)
+                    res = sy.sevennec_identity(conn, brec.values, lrec.values)
                 except sy.CoincidentEigenvaluesError:
                     continue
                 worst = max(worst, res)
@@ -279,10 +281,10 @@ def test_criterion_10_entropy_classification(corpus_cases):
         and abs(ex.eval_scalar_many(c.exprs[0], case.spec.base_point, c.params)
                 - 1.4 * np.exp(case.spec.base_point[2]) * case.spec.base_point[0] ** -2.4) < 1e-10
     )
-    gas = sy.convexity_classify(bet, case.spec.sample_points(50))
+    gas = sy.convexity_classify(ex.eval_scalar_many(bet.tape, case.spec.sample_points(50)))
     case11 = corpus_cases["ex6.11"]
     bet11 = next(c for k, c in case11.candidates if k == "beta")
-    mixed = sy.convexity_classify(bet11, case11.spec.sample_points(50))
+    mixed = sy.convexity_classify(ex.eval_scalar_many(bet11.tape, case11.spec.sample_points(50)))
     ok = gas["verdict"] == "strict_entropy" and mixed["verdict"] == "extension_only"
     _line(10, "entropy-classification", ok,
           f"gas {gas['verdict']}, mixed-sign {mixed['verdict']}")

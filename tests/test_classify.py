@@ -3,6 +3,8 @@ invariance under scalings and field permutations."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from conftest import V3, connect
 
 from eigenframe import classify as cl
 from eigenframe import geometry as g
-from eigenframe.errors import InconclusiveVanishingError, NormalizationFailedError
+from eigenframe import systems as sy
+from eigenframe.errors import ChartDomainError, InconclusiveVanishingError, NormalizationFailedError
 
 EXPECTED_CASES = {
     "ex6.1a": ("I", "unconstrained"),
@@ -150,6 +153,20 @@ def test_rich_rank1_dead_zone_raises():
         cl._classify_rich_rank1_from_Z(Z, trace)
 
 
+def test_rich_rank1_two_cross_families_raise():
+    """Two nonvanishing cross families are no rank-1 pattern."""
+    Z = _synthetic_Z(0.0, 0.0, 0.0, 0.0)
+    Z[:, 0, 2, 1] = Z[:, 2, 0, 1] = 0.5
+    with pytest.raises(InconclusiveVanishingError, match="rank-1 cross pattern"):
+        cl._classify_rich_rank1_from_Z(Z, cl._Trace())
+
+
+def test_rich_rank1_needs_a_chart(corpus_cases):
+    spec = dataclasses.replace(corpus_cases["ex6.4"].spec, chart=None)
+    with pytest.raises(ChartDomainError):
+        cl.classify_beta_rich_rank1(connect(spec, 20))
+
+
 def test_rich_rank1_end_to_end(corpus_cases):
     case, perm, trace = cl.classify_beta_rich_rank1(connect(corpus_cases["ex6.4"].spec, 30))
     assert case == "rich-3"
@@ -171,6 +188,25 @@ def test_row_activity_matches_per_sample_loop():
     trace = cl._Trace()
     assert cl._row_activity(matrices, trace, "rows") == [False, True, True]
     assert [value for _, value, _ in trace] == expected.tolist()
+
+
+def test_lambda_constraint_with_one_active_unknown_is_degenerate_sampling():
+    """A rank-1 constraint on a single unknown is not a case of the taxonomy;
+    it is labelled IIb with a "degenerate sampling" trace entry."""
+    rng = np.random.default_rng(3)
+    matrix = np.zeros((10, 3, 3))
+    matrix[:, :, 0] = rng.standard_normal((10, 3))
+    lsys = sy.AlgebraicSystem(sy.algebraic_triples(3), matrix)
+    case, trace = cl.classify_lambda_n3(lsys, 1)
+    assert case == "IIb"
+    assert trace[-1] == ("lambda constraint active count", 1.0, "degenerate sampling")
+
+
+def test_null_branch_names_the_vanishing_component():
+    nulls = np.array([[0.0, 1.0], [1e-9, -1.0], [-2e-8, 1.0]])
+    assert cl._null_branch(nulls, cl._Trace()) == "first"
+    assert cl._null_branch(nulls[:, ::-1], cl._Trace()) == "second"
+    assert cl._null_branch(np.full((3, 2), 0.6), cl._Trace()) == "mixed"
 
 
 # ---------------------------------------------------------------------------

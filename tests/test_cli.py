@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from eigenframe import cli
 from eigenframe import corpus as corpus_mod
-from eigenframe import exprlang, geometry, potential
+from eigenframe import exprlang, geometry, potential, systems
 
 
 def corpus_path(name: str) -> str:
@@ -158,6 +159,38 @@ def test_reconstruct_candidate_above_tol_exit_one(tmp_path, capsys):
     assert not list(tmp_path.glob("bad_*"))
 
 
+def test_tol_equal_to_residual_fails_verify_and_reconstruct(tmp_path, capsys):
+    """A candidate is verified when its residual is below --tol: at a --tol
+    equal to its own printed max_scaled_residual (a JSON float round-trips
+    exactly) verify and reconstruct both exit 1, and no grid is written."""
+    frame = corpus_path("ex6.10.json")
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps(json.loads(Path(frame).read_text())["candidates"][1]))
+    assert cli.main(["--output", "json", "verify", frame, str(cand)]) == cli.EXIT_PASS
+    residual = json.loads(capsys.readouterr().out)["max_scaled_residual"]
+    assert residual > 0
+    tol = ["--tol", repr(residual)]
+    assert cli.main(tol + ["verify", frame, str(cand)]) == cli.EXIT_MATH_FAILURE
+    assert cli.main(tol + ["--grid", "3", "reconstruct", frame, str(cand)]) == cli.EXIT_MATH_FAILURE
+    assert not list(tmp_path.glob("cand_*"))
+
+
+def test_flux_flag_only_checks_the_candidate_kind(tmp_path, capsys):
+    """The candidate's kind picks eta or flux; --flux only asserts a lambda
+    candidate, so a lambda candidate writes the same flux files without it."""
+    frame = corpus_path("ex6.6.json")
+    lam = next(c for c in json.loads(Path(frame).read_text())["candidates"]
+               if c["kind"] == "lambda")
+    written = []
+    for flags in ([], ["--flux"]):
+        cand = tmp_path / f"lam{len(flags)}.json"
+        cand.write_text(json.dumps(lam))
+        assert cli.main(flags + ["--grid", "4", "reconstruct", frame, str(cand)]) == cli.EXIT_PASS
+        written.append([(tmp_path / f"lam{len(flags)}_flux{ext}").read_bytes()
+                        for ext in (".csv", ".json")])
+    assert written[0] == written[1]
+
+
 def test_flux_reconstruct_of_beta_candidate_exit_two(tmp_path, capsys):
     cand = tmp_path / "beta.json"
     cand.write_text(json.dumps({
@@ -297,26 +330,67 @@ def _frame_series_runs(monkeypatch) -> list:
     return runs
 
 
+def _candidate_tape_runs(monkeypatch) -> list:
+    """Every run, by either kernel, of the tape of a candidate built from
+    here on, as (tape id, points bytes)."""
+    tapes, runs = [], []
+    for cls in (systems.BetaCandidate, systems.LambdaCandidate):
+        def tape(self, compile_=cls.tape.func):
+            tapes.append(compile_(self))
+            return tapes[-1]
+
+        prop = functools.cached_property(tape)
+        prop.__set_name__(cls, "tape")
+        monkeypatch.setattr(cls, "tape", prop)
+
+    def counting(kernel):
+        def run(tape, points, *order):
+            if any(tape is t for t in tapes):
+                runs.append((id(tape), np.ascontiguousarray(points, dtype=float).tobytes()))
+            return kernel(tape, points, *order)
+        return run
+
+    monkeypatch.setattr(exprlang.Tape, "_values", counting(exprlang.Tape._values))
+    monkeypatch.setattr(exprlang.Tape, "_series", counting(exprlang.Tape._series))
+    return runs
+
+
 def test_each_sample_set_evaluated_once(tmp_path, capsys, monkeypatch):
     """verify and run_example build one connection per sample set (one run
     of the frame's tape at order <= 2) and pass it to every check, residual
-    and classifier branch."""
+    and classifier branch; each candidate's tape runs once per sample set,
+    and its residual record's values serve the cross-system identity,
+    convexity and the closed-form checks."""
     runs = _frame_series_runs(monkeypatch)
+    cand_runs = _candidate_tape_runs(monkeypatch)
 
     def connections():
         return [(tape, raw) for tape, order, raw in runs if order <= 2]
 
-    doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
+    doc = json.loads(Path(corpus_path("ex6.1b.json")).read_text())
     cand = tmp_path / "cand.json"
-    cand.write_text(json.dumps(doc["candidates"][0]))
-    assert cli.main(["verify", corpus_path("ex6.10.json"), str(cand)]) == cli.EXIT_PASS
-    seen = connections()
-    assert seen and len(seen) == len(set(seen)), len(seen)
-    runs.clear()
-    verdict = corpus_mod.run_example(corpus_mod.load_example(corpus_path("ex6.4.json")))
-    assert verdict["passed"]
-    seen = connections()
-    assert seen and len(seen) == len(set(seen)), len(seen)
+    for doc_cand in doc["candidates"][:2]:  # a lambda and a beta
+        cand.write_text(json.dumps(doc_cand))
+        runs.clear()
+        cand_runs.clear()
+        assert cli.main(["verify", corpus_path("ex6.1b.json"), str(cand)]) == cli.EXIT_PASS
+        seen = connections()
+        assert seen and len(seen) == len(set(seen)), len(seen)
+        assert "cross-identity" in capsys.readouterr().out
+        # the candidate and its first verified partner, once each
+        assert len(cand_runs) == len(set(cand_runs)) == 2, cand_runs
+    # ex6.1b and ex6.6 have closed forms and a gap identity, ex6.4 a chart
+    for name in ("ex6.1b.json", "ex6.6.json", "ex6.4.json"):
+        runs.clear()
+        cand_runs.clear()
+        case = corpus_mod.load_example(corpus_path(name))
+        verdict = corpus_mod.run_example(case)
+        assert verdict["passed"]
+        names = [c["name"] for c in verdict["checks"]]
+        assert ("eigenvalue-gap identity" in names) == (name != "ex6.4.json"), names
+        seen = connections()
+        assert seen and len(seen) == len(set(seen)), len(seen)
+        assert len(cand_runs) == len(set(cand_runs)) == len(case.candidates), cand_runs
     # nor on a copy that differs only by rounding (a chart round trip)
     sets = [np.frombuffer(raw) for _, raw in seen]
     for i, a in enumerate(sets):

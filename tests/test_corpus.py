@@ -29,8 +29,11 @@ def test_catalog_contains_exactly_the_canonical_ids():
         }
 
 
-def test_empty_directory_gives_empty_catalog(tmp_path):
-    assert corpus_mod.list_examples(tmp_path) == []
+def test_empty_directory_gives_empty_catalog(tmp_path, monkeypatch):
+    monkeypatch.setenv(corpus_mod.ENV_CORPUS_DIR, str(tmp_path))
+    assert corpus_mod.list_examples() == []
+    monkeypatch.setenv(corpus_mod.ENV_CORPUS_DIR, str(tmp_path / "missing"))
+    assert corpus_mod.list_examples() == []
 
 
 def test_env_override_changes_corpus_dir(tmp_path, monkeypatch):

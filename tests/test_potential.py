@@ -3,6 +3,7 @@ comparison, and the chart-space boundary-value solver."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -168,8 +169,9 @@ def test_ray_families_agree_on_subbox(corpus_cases):
     give the same flux map."""
     case = corpus_cases["ex6.6"]
     lam = next(c for k, c in case.candidates if k == "lambda")
-    box = ((1.2, 1.7, 1.2), (1.9, 2.4, 1.9))
-    grid = pot.reconstruct_flux(case.spec, lam, box[0], (5, 5, 5), box=box)
+    lo, hi = (1.2, 1.7, 1.2), (1.9, 2.4, 1.9)
+    spec = dataclasses.replace(case.spec, domain_lo=lo, domain_hi=hi)
+    grid = pot.reconstruct_flux(spec, lam, lo, (5, 5, 5))
     assert grid.meta["path_independence_residual"] < 1e-8
 
 
@@ -225,12 +227,13 @@ def test_zero_candidate_reconstructs_affine(corpus_cases):
     assert np.abs(grid.values["eta"]).max() < 1e-12
 
 
-def test_path_independence_residual_detects_non_solution(corpus_cases):
+def test_path_independence_residual_detects_non_solution(corpus_cases, monkeypatch):
     """With the curl gate off, the second ray family must disagree with the
     first for a Hessian field that is not closed."""
     spec = corpus_cases["ex6.10"].spec
     bad = sy.BetaCandidate.from_sources(["1", "1", "1"], V3)
-    grid = pot.reconstruct_eta(spec, bad, spec.base_point, (5, 5, 5), curl_tol=np.inf)
+    monkeypatch.setattr(pot, "CURL_TOL", np.inf)
+    grid = pot.reconstruct_eta(spec, bad, spec.base_point, (5, 5, 5))
     assert grid.meta["path_independence_residual"] > 1e-6
 
 
@@ -252,7 +255,8 @@ def test_flux_vanishes_exactly_at_base_node(corpus_cases):
     base = (0.5 * (0.3 + 1.6),) * 3
     assert np.linspace(0.3, 1.6, 9)[4] != base[0]
     trivial = sy.LambdaCandidate.from_sources(["3", "3", "3"], V3)
-    grid = pot.reconstruct_flux(standard_frame(), trivial, base, (9, 9, 9), box=(lo, hi))
+    spec = dataclasses.replace(standard_frame(), domain_lo=lo, domain_hi=hi)
+    grid = pot.reconstruct_flux(spec, trivial, base, (9, 9, 9))
     assert grid.axes[0][4] == base[0]
     assert np.all(grid.values["f"][4, 4, 4] == 0.0)
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import V3, connect, random_polynomial_frame, spherical_frame_and_chart
 
+from eigenframe import exprlang as ex
 from eigenframe import geometry as g
 from eigenframe import systems as sy
 from eigenframe.errors import CoincidentEigenvaluesError
@@ -185,11 +186,19 @@ def test_broken_candidate_is_located(corpus_cases):
 # ---------------------------------------------------------------------------
 
 
+def _values(cand, points):
+    return ex.eval_scalar_many(cand.tape, points)
+
+
+def _gap_identity(conn, bet, lam):
+    return sy.sevennec_identity(conn, _values(bet, conn.points), _values(lam, conn.points))
+
+
 def test_sevennec_identity_on_gas_frame(corpus_cases):
     case = corpus_cases["ex6.1b"]
     lam = next(c for k, c in case.candidates if k == "lambda")
     bet = next(c for k, c in case.candidates if k == "beta")
-    res = sy.sevennec_identity(connect(case.spec, 40), bet, lam)
+    res = _gap_identity(connect(case.spec, 40), bet, lam)
     assert res < 1e-9
 
 
@@ -197,7 +206,7 @@ def test_sevennec_trivial_for_rich_rank0(corpus_cases):
     case = corpus_cases["ex6.2"]
     lam = next(c for k, c in case.candidates if k == "lambda")
     bet = next(c for k, c in case.candidates if k == "beta")
-    res = sy.sevennec_identity(connect(case.spec, 30), bet, lam)
+    res = _gap_identity(connect(case.spec, 30), bet, lam)
     assert res < 1e-12
 
 
@@ -206,7 +215,20 @@ def test_sevennec_rejects_coincident_eigenvalues(corpus_cases):
     bet = next(c for k, c in case.candidates if k == "beta")
     trivial = sy.LambdaCandidate.from_sources(["1", "1", "1"], case.spec.vars)
     with pytest.raises(CoincidentEigenvaluesError):
-        sy.sevennec_identity(connect(case.spec, 20), bet, trivial)
+        _gap_identity(connect(case.spec, 20), bet, trivial)
+
+
+def test_first_pair_identity_skips_coincident_eigenvalues(corpus_cases):
+    """The first pair whose eigenvalues are apart at every sample gives the
+    identity; with none, there is no identity."""
+    case = corpus_cases["ex6.1b"]
+    conn = connect(case.spec, 20)
+    bvals = _values(next(c for k, c in case.candidates if k == "beta"), conn.points)
+    lvals = _values(next(c for k, c in case.candidates if k == "lambda"), conn.points)
+    coincident = np.ones_like(lvals)
+    assert sy.first_pair_identity(conn, [(bvals, coincident)]) is None
+    pairs = [(bvals, coincident), (bvals, lvals), (bvals, coincident)]
+    assert sy.first_pair_identity(conn, pairs) == sy.sevennec_identity(conn, bvals, lvals)
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +239,28 @@ def test_sevennec_rejects_coincident_eigenvalues(corpus_cases):
 def test_convexity_strict_entropy_for_gas(corpus_cases):
     case = corpus_cases["ex6.1b"]
     bet = next(c for k, c in case.candidates if k == "beta")
-    out = sy.convexity_classify(bet, case.spec.sample_points(40))
+    out = sy.convexity_classify(_values(bet, case.spec.sample_points(40)))
     assert out["verdict"] == "strict_entropy"
 
 
 def test_convexity_degenerate_zero():
     spec = standard_frame()
     zero = sy.BetaCandidate.from_sources(["0", "0", "0"], V3)
-    out = sy.convexity_classify(zero, spec.sample_points(10))
+    out = sy.convexity_classify(_values(zero, spec.sample_points(10)))
     assert out["verdict"] == "entropy"
 
 
 def test_convexity_extension_only(corpus_cases):
     case = corpus_cases["ex6.11"]
     bet = next(c for k, c in case.candidates if k == "beta")
-    out = sy.convexity_classify(bet, case.spec.sample_points(40))
+    out = sy.convexity_classify(_values(bet, case.spec.sample_points(40)))
     assert out["verdict"] == "extension_only"
 
 
 def test_convexity_indefinite():
     spec = standard_frame()
     cand = sy.BetaCandidate.from_sources(["u1-0.5", "1", "1"], V3)
-    out = sy.convexity_classify(cand, spec.sample_points(40))
+    out = sy.convexity_classify(_values(cand, spec.sample_points(40)))
     assert out["verdict"] == "indefinite"
 
 
