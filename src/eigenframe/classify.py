@@ -255,8 +255,23 @@ def _classify_rich_rank1_from_Z(Z: np.ndarray, trace: _Trace) -> tuple:
             chosen = perm
             break
     if chosen is None:
-        raise InconclusiveVanishingError(
-            "rank-1 cross pattern of the chart-space connection", max(cross.values()), CLASSIFY_TOL
+        # each family by its larger ordering, named with i < j
+        family = {
+            f"Z[{q[1] + 1},{q[2] + 1},{q[0] + 1}]": max(cross[q], cross[(q[0], q[2], q[1])])
+            for q in cross
+            if q[1] < q[2]
+        }
+        nonzero = [v for v in family.values() if v > 10 * CLASSIFY_TOL]
+        dead = [k for k, v in family.items() if CLASSIFY_TOL <= v <= 10 * CLASSIFY_TOL]
+        if dead and len(nonzero) < 2:
+            raise InconclusiveVanishingError(
+                f"chart cross family {dead[0]}", family[dead[0]], CLASSIFY_TOL
+            )
+        listed = ", ".join(f"{k} = {v:.3e}" for k, v in family.items())
+        raise NormalizationFailedError(
+            f"no rank-1 cross pattern of the chart-space connection: cross families "
+            f"{listed} (one must exceed {10 * CLASSIFY_TOL:.1e}, the others stay "
+            f"below {CLASSIFY_TOL:.1e})"
         )
     p = chosen
     trace.note(f"chart cross component Z[{p[1]+1},{p[2]+1},{p[0]+1}]", cross[p], "nonzero")

@@ -199,7 +199,7 @@ def cmd_reconstruct(args) -> int:
     name, reconstruct = ("flux", reconstruct_flux) if kind == "lambda" else ("eta", reconstruct_eta)
     rec = candidate_residual(conn, kind, cand)
     if not rec.max_scaled < args.tol:
-        print(f"candidate residual {rec.max_scaled:.3e} exceeds tol", file=sys.stderr)
+        print(f"candidate residual {rec.max_scaled:.3e} is not below tol", file=sys.stderr)
         return EXIT_MATH_FAILURE
     grid = reconstruct(spec, cand, spec.base_point, counts, args.quadrature_tol)
     stem = Path(args.candidate_file).with_suffix("")

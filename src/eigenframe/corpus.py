@@ -272,9 +272,7 @@ def _closed_f_check(conn: ConnectionEval, cand, lam: np.ndarray) -> float:
     """Jacobian of the closed-form flux vs R diag[l] L, assembled from the
     connection's frame and inverse and the candidate's values lam at
     conn.points."""
-    from .potential import _flux_formula, _matrices
-
-    [A] = _matrices(_flux_formula, lam.shape[0], conn.n, conn.R, conn.L, lam)
+    A = np.einsum("mak,mkb->mab", conn.R, lam[:, :, None] * conn.L)
     Df = ex.eval_series(cand.f_tape, conn.points, 1)[..., 1:]
     return float(np.abs(Df - A).max() / (1.0 + np.abs(A).max()))
 

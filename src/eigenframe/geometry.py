@@ -169,10 +169,12 @@ def frame_tape(spec: FrameSpec, *cands) -> ex.Tape:
     return ex.compile_tape((entries, spec.params), *((c.exprs, c.params) for c in cands))
 
 
-def frame_block(block: np.ndarray, n: int) -> np.ndarray:
-    """The frame outputs of a tape, block[:, :n*n, ...], as the array
-    (m, a, j, ...) of R^a_j (a view)."""
-    return block[:, : n * n].reshape((block.shape[0], n, n) + block.shape[2:])
+def split_frame_tape(block: np.ndarray, n: int) -> tuple:
+    """The outputs block (m, outputs, ...) of a frame_tape, as views: R, the
+    array (m, a, j, ...) of R^a_j, and the list of each candidate's block
+    (m, n, ...)."""
+    R = block[:, : n * n].reshape((block.shape[0], n, n) + block.shape[2:])
+    return R, [block[:, c : c + n] for c in range(n * n, block.shape[1], n)]
 
 
 def frame_from_sources(
@@ -303,7 +305,8 @@ class ConnectionEval:
 
 def _frame_taylor(spec: FrameSpec, points: np.ndarray, order: int) -> Taylor:
     """R as a Taylor field of the given order at points, shape (m, a, j)."""
-    return Taylor(frame_block(ex.eval_series(spec.tape, points, order), spec.n), spec.n, order)
+    R, _ = split_frame_tape(ex.eval_series(spec.tape, points, order), spec.n)
+    return Taylor(R, spec.n, order)
 
 
 # cyclic cofactors: adj[j, i] = R[i+1, j+1] R[i+2, j+2] - R[i+1, j+2] R[i+2, j+1]

@@ -15,9 +15,12 @@ lemma):
 
 with grad eta carried along the ray by a Legendre-basis cumulative-integration
 matrix at the quadrature nodes.  Every field is evaluated through one class,
-MatrixField: one tape run over the frame and the candidates and one
-inversion of the frame per point set serve every field of its formula, so
-the Hessian and flux fields of q share one MatrixField.  All nodes are
+MatrixField, with one field per candidate: the Hessian for a length
+candidate, the flux Jacobian for a speed candidate.  One tape run over the
+frame and the candidates and one inversion of the frame per point set serve
+every field, so the Hessian and flux fields of q share one MatrixField, and
+the first field says what the rays carry: grad eta, with eta (and q)
+integrated alongside, or f.  All nodes are
 integrated together: one values-only field evaluation covers a block of ray
 parameters over the grid (at most _RAY_BATCH_POINTS points, never less than
 one parameter), and a grid's meta counts the ray parameters evaluated as
@@ -28,12 +31,12 @@ from one set of field values (the Q Gauss nodes are among the 2Q+1); rays
 over the tolerance are split into panels, and a ray that does not converge,
 or whose integral is not finite, raises QuadratureFailureError.  Curl tests
 gate every integration; path independence is checked by a second family of
-rays from another grid node.  Each field is written once, as a formula of a
-direction d over R, L and the candidate values that returns M d: the rays
-apply H = L^T diag[b] L as L^T (b * (L d)) and A = R diag[l] L as
-R (l * (L d)), and never form H or A.  The matrices and their exact first
-derivatives, which the curl tests read, come from the same formula run on
-order-1 Taylor fields at the n unit directions.
+rays from another grid node.  Each field is written once, applied to a
+direction d: the rays apply H = L^T diag[b] L as L^T (b * (L d)) and
+A = R diag[l] L as R (l * (L d)), all fields from one L d, and never form H
+or A.  The matrices and their exact first derivatives, which the curl tests
+read, come from the same products run on order-1 Taylor fields at the n
+unit directions.
 
 The chart-space boundary-value solver (solve_rich_beta) fills a grid with
 the unique solution determined by one single-variable function per axis,
@@ -68,9 +71,9 @@ from .geometry import (
     chart_inverse,
     distinct_triple_mask,
     eval_connection,
-    frame_block,
     frame_tape,
     inverse_series,
+    split_frame_tape,
 )
 from .systems import BetaCandidate, LambdaCandidate, require_rich
 
@@ -96,54 +99,55 @@ _RAY_BATCH_POINTS = 4096
 
 
 class MatrixField:
-    """The n x n matrix fields M of the frame R, its inverse L and the values
-    s of some candidates, applied to a direction: formula(R, L, *s, d)
-    returns [M d, ...], all from one tape.  One tape run and one frame
-    inversion per point set serve every field the formula returns, so the
-    Hessian and flux fields of q share one MatrixField.  The formula acts on
-    arrays and on Taylor fields alike: run on order-1 series at the n unit
-    directions it gives the matrices and their exact first derivatives.
+    """One n x n matrix field M per candidate, from the frame R, its inverse
+    L and the candidate's values: a length candidate b gives the Hessian
+    L^T diag[b] L, a speed candidate l the flux Jacobian R diag[l] L.  One
+    tape run over the frame and the candidates and one frame inversion per
+    point set serve every field, so the Hessian and flux fields of q share
+    one MatrixField.  The fields are applied to a direction d, as
+    L^T (b * (L d)) and R (l * (L d)) from one L d, and never formed; run on
+    order-1 Taylor fields at the n unit directions, the same products give
+    the matrices and their exact first derivatives.
 
     values(points, d) -> [(m, N), ...], M d at each point with its own
     direction; value_grad(points) -> [(V, G), ...] with V the matrices and
-    G[p, a, b, d] = dM[a,b]/dx_d.
+    G[p, a, b, d] = dM[a,b]/dx_d.  hessian[c] says whether candidate c's
+    field is a Hessian.
     """
 
-    def __init__(self, spec: FrameSpec, cands: tuple, formula: Callable):
+    def __init__(self, spec: FrameSpec, cands: tuple):
         self.n = spec.n
         self.tape = frame_tape(spec, *cands)
-        self._formula = formula
+        self.hessian = tuple(isinstance(c, BetaCandidate) for c in cands)
 
-    def _split(self, block: np.ndarray) -> tuple:
-        """R and each candidate's block (m, k, ...) of the tape outputs."""
-        rest = block[:, self.n * self.n :]
-        cands = [rest[:, c : c + self.n] for c in range(0, rest.shape[1], self.n)]
-        return frame_block(block, self.n), cands
+    def _times(self, R, L, cands, d) -> list:
+        """[M d, ...] over each candidate's field, on arrays or on Taylor
+        fields."""
+        Ld = _matvec(L, d)
+        return [
+            _matvec(L.transpose(0, 2, 1) if h else R, s * Ld)
+            for h, s in zip(self.hessian, cands)
+        ]
 
     def values(self, points: np.ndarray, d: np.ndarray) -> list:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        R, cands = self._split(ex.eval_scalar_many(self.tape, pts))
+        R, cands = split_frame_tape(ex.eval_scalar_many(self.tape, pts), self.n)
         L, _ = _invert_frame(pts, R)
-        return self._formula(R, L, *cands, d)
+        return self._times(R, L, cands, d)
 
     def value_grad(self, points: np.ndarray) -> list:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        R, cands = self._split(ex.eval_series(self.tape, pts, 1))
-        R = Taylor(R, self.n, 1)
+        m, n = pts.shape[0], self.n
+        R, cands = split_frame_tape(ex.eval_series(self.tape, pts, 1), n)
+        R = Taylor(R, n, 1)
         L = inverse_series(R, _invert_frame(pts, R.value)[0])
-        cands = [Taylor(c, self.n, 1) for c in cands]
-        fields = _matrices(self._formula, pts.shape[0], self.n, R, L, *cands)
+        # every point repeated at the n unit directions: row p n + j of the
+        # products is M e_j at point p
+        rows, E = np.arange(m).repeat(n), np.tile(np.eye(n), (m, 1))
+        cands = [Taylor(c, n, 1)[rows] for c in cands]
+        p, a, j = np.ix_(np.arange(m), np.arange(n), np.arange(n))
+        fields = [Md[p * n + j, a] for Md in self._times(R[rows], L[rows], cands, E)]
         return [(M.value, M.coef[..., 1:]) for M in fields]
-
-
-def _matrices(formula, m: int, n: int, *fields) -> list:
-    """The matrices M of the direction formula [M d, ...] = formula(*fields,
-    d) at m points, from one run with every point repeated n times at the n
-    unit directions: row p n + j is M e_j at point p.  The fields are arrays
-    or Taylor fields, indexed along their first axis."""
-    rows, E = np.arange(m).repeat(n), np.tile(np.eye(n), (m, 1))
-    p, a, j = np.ix_(np.arange(m), np.arange(n), np.arange(n))
-    return [Md[p * n + j, a] for Md in formula(*(f[rows] for f in fields), E)]
 
 
 def _matvec(A, x):
@@ -152,42 +156,6 @@ def _matvec(A, x):
     if isinstance(A, Taylor):
         return (A @ x[:, :, None])[:, :, 0]
     return np.einsum("mab,mb->ma", A, x)
-
-
-def _hessian_times(L, b, Ld):
-    """L^T diag[b] L d from L d."""
-    return _matvec(L.transpose(0, 2, 1), b * Ld)
-
-
-def _flux_times(R, lam, Ld):
-    """R diag[l] L d from L d."""
-    return _matvec(R, lam * Ld)
-
-
-def _hessian_formula(R, L, b, d) -> list:
-    """[L^T diag[b] L d]."""
-    return [_hessian_times(L, b, _matvec(L, d))]
-
-
-def _flux_formula(R, L, lam, d) -> list:
-    """[R diag[l] L d]."""
-    return [_flux_times(R, lam, _matvec(L, d))]
-
-
-def _entropy_formula(R, L, b, lam, d) -> list:
-    """The Hessian and the flux Jacobian applied to d, from one L d."""
-    Ld = _matvec(L, d)
-    return [_hessian_times(L, b, Ld), _flux_times(R, lam, Ld)]
-
-
-def length_hessian_field(spec: FrameSpec, cand: BetaCandidate) -> MatrixField:
-    """M = L^T diag[b] L, the Hessian field of the scalar potential."""
-    return MatrixField(spec, (cand,), _hessian_formula)
-
-
-def flux_jacobian_field(spec: FrameSpec, cand: LambdaCandidate) -> MatrixField:
-    """M = R diag[l] L, the Jacobian field of the flux map."""
-    return MatrixField(spec, (cand,), _flux_formula)
 
 
 def _curl(V: np.ndarray, G: np.ndarray) -> float:
@@ -212,6 +180,13 @@ def curl_residual(field: MatrixField, points: np.ndarray) -> float:
 _CSV_CHUNK = 256
 
 
+def grid_nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The nodes of the grid over the per-variable axes, one row each, the
+    last variable fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 @dataclass
 class PotentialGrid:
     axes: list  # per-variable node arrays
@@ -220,8 +195,7 @@ class PotentialGrid:
     meta: dict = dc_field(default_factory=dict)
 
     def nodes(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return grid_nodes(self.axes)
 
     def to_json(self) -> str:
         payload = {
@@ -418,7 +392,7 @@ def _ray_families(rates, base: np.ndarray, axes: list, quad_tol: float, grad0=0.
     the corner and elsewhere up to path dependence and quadrature error.
     The work done goes into a grid's meta: the largest panel count either
     family reached and the ray parameters both evaluated."""
-    nodes = PotentialGrid(axes, {}, ()).nodes()
+    nodes = grid_nodes(axes)
     G, S, (panels, evals) = _ray_family(rates, base, nodes, quad_tol, grad0)
     far = tuple(0 if abs(a[0] - b) >= abs(a[-1] - b) else len(a) - 1 for a, b in zip(axes, base))
     c = int(np.ravel_multi_index(far, [len(a) for a in axes]))
@@ -427,15 +401,15 @@ def _ray_families(rates, base: np.ndarray, axes: list, quad_tol: float, grad0=0.
     return G, S, G_b, S_b + S[c], work
 
 
-def _rates(field: MatrixField, scalars: bool):
+def _rates(field: MatrixField):
     """Along a ray with direction d the carried vector changes by J d, J the
-    first field: the flux Jacobian for f, the Hessian for grad eta.  With
-    scalars, grad eta is also integrated against d (eta) and against A d
-    for every further field A (q, with A the flux Jacobian)."""
+    first field: the flux Jacobian for f, the Hessian for grad eta.  When J
+    is a Hessian, grad eta is also integrated against d (eta) and against
+    A d for every further field A (q, with A the flux Jacobian)."""
 
     def rates(pts, d):
         Jd, *rest = field.values(pts, d)
-        if not scalars:
+        if not field.hessian[0]:
             return Jd, np.empty((0,) + d.shape)
         return Jd, np.stack([d] + rest)
 
@@ -471,9 +445,9 @@ def reconstruct_flux(
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> PotentialGrid:
     """Flux map f with Df = R diag[l] L and f(base) = 0 on a grid."""
-    field = flux_jacobian_field(spec, cand)
+    field = MatrixField(spec, (cand,))
     base, axes, [(_, res)] = _grid_setup(spec, field, base, counts)
-    F, _, F_b, _, work = _ray_families(_rates(field, False), base, axes, quad_tol)
+    F, _, F_b, _, work = _ray_families(_rates(field), base, axes, quad_tol)
     return PotentialGrid(
         axes=axes,
         values={"f": F.reshape(tuple(counts) + (spec.n,))},
@@ -502,11 +476,11 @@ def reconstruct_eta(
     with grad_eta, and that of the two families' potentials, are recorded
     as consistency residuals.
     """
-    field = length_hessian_field(spec, cand)
+    field = MatrixField(spec, (cand,))
     base, axes, [(V, res)] = _grid_setup(spec, field, base, counts)
     shape = tuple(counts)
     sym = float(np.abs(V - V.transpose(0, 2, 1)).max() / (1.0 + np.abs(V).max()))
-    grad, S, psi, S_b, work = _ray_families(_rates(field, True), base, axes, quad_tol)
+    grad, S, psi, S_b, work = _ray_families(_rates(field), base, axes, quad_tol)
     grad_res = float(np.abs(grad - psi).max())
     return PotentialGrid(
         axes=axes,
@@ -543,7 +517,7 @@ def entropy_flux(
     attached to the candidate, from that potential's gradient at the base.
     """
     # M = L^T diag[b] L and A = R diag[l] L from one frame evaluation
-    field = MatrixField(spec, (beta_cand, lambda_cand), _entropy_formula)
+    field = MatrixField(spec, (beta_cand, lambda_cand))
     base, axes, _ = _grid_setup(spec, field, base, counts)
     shape = tuple(counts)
     # with a closed-form potential attached, q corresponds to that potential
@@ -551,11 +525,11 @@ def entropy_flux(
     grad0 = 0.0
     if beta_cand.eta_expr is not None:
         grad0 = ex.eval_series(beta_cand.eta_tape, base, 1)[0, 1:]
-    grad, S, _, S_b, work = _ray_families(_rates(field, True), base, axes, quad_tol, grad0)
+    grad, S, _, S_b, work = _ray_families(_rates(field), base, axes, quad_tol, grad0)
     # curl of w = grad(eta) . A at grid probes: d_e w_d = M[a,e] A[a,d] +
     # grad(eta)_a d_e A[a,d]
     step = max(1, grad.shape[0] // 40)
-    (M, _), (A, dA) = field.value_grad(PotentialGrid(axes, {}, ()).nodes()[::step])
+    (M, _), (A, dA) = field.value_grad(grid_nodes(axes)[::step])
     dw = np.einsum("mae,mad->mde", M, A) + np.einsum("ma,made->mde", grad[::step], dA)
     scale = 1.0 + np.abs(M).max() + np.abs(A).max()
     wres = _require_closed(float(np.abs(dw - dw.transpose(0, 2, 1)).max() / scale), 100 * CURL_TOL)
@@ -628,10 +602,8 @@ def solve_rich_beta(
     base_w = np.asarray(base_w, dtype=float)
     axes = [base_w[d] + h * np.arange(counts[d]) for d in range(n)]
     require_rich(eval_connection(spec, spec.sample_points(30)))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    w_pts = np.stack([m.ravel() for m in mesh], axis=-1)
     # the chart-space connection is the frame's connection at u(w)
-    Z = eval_connection(spec, chart_inverse(chart, w_pts)).Gamma
+    Z = eval_connection(spec, chart_inverse(chart, grid_nodes(axes))).Gamma
     zscale = 1.0 + np.abs(Z).max()
     cross = float(np.abs(np.where(distinct_triple_mask(n)[None], Z, 0.0)).max() / zscale)
     if cross > 1e-7:

@@ -10,8 +10,8 @@ from eigenframe import exprlang as ex
 from eigenframe.geometry import (
     chart_from_sources,
     eval_connection,
-    frame_block,
     frame_from_sources,
+    split_frame_tape,
 )
 
 V3 = ["u1", "u2", "u3"]
@@ -46,7 +46,7 @@ def jets(e, points, order=2, params={}):
 def frame_jets(spec, points):
     """R^a_j, d_b R^a_j and d_b d_c R^a_j at points (m, n): shapes (m, a, j),
     (m, a, j, b) and (m, a, j, b, c)."""
-    return tuple(frame_block(block, spec.n) for block in jets(spec.tape, points))
+    return tuple(split_frame_tape(block, spec.n)[0] for block in jets(spec.tape, points))
 
 
 def connect(spec, count=50, seed=0):

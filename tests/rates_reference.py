@@ -1,8 +1,9 @@
 """Ray rates by forming the matrices: an independent reference for
-potential._rates, which applies each field's formula to the ray direction.
-Each ray parameter's frame is evaluated and inverted, the Hessian
-L^T diag[b] L and the flux Jacobian R diag[l] L are formed as whole
-matrices, and only then multiplied by the direction d."""
+potential._rates, which applies each candidate's field to the ray
+direction.  Each ray parameter's frame is evaluated and inverted, one field
+per candidate is formed as a whole matrix, the Hessian L^T diag[b] L for a
+length candidate and the flux Jacobian R diag[l] L for a speed candidate,
+and only then multiplied by the direction d."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from eigenframe import exprlang as ex
 from eigenframe import potential as pot
-from eigenframe.geometry import _invert_frame
+from eigenframe.geometry import _invert_frame, split_frame_tape
 
 
 def hessian_matrix(L, b):
@@ -23,24 +24,18 @@ def flux_matrix(R, L, lam):
     return (R * lam[:, None, :]) @ L
 
 
-# the matrices of each direction formula of potential
-MATRICES = {
-    pot._hessian_formula: lambda R, L, b: [hessian_matrix(L, b)],
-    pot._flux_formula: lambda R, L, lam: [flux_matrix(R, L, lam)],
-    pot._entropy_formula: lambda R, L, b, lam: [hessian_matrix(L, b), flux_matrix(R, L, lam)],
-}
-
-
-def rates(field: pot.MatrixField, scalars: bool):
+def rates(field: pot.MatrixField):
     """potential._rates with the matrices formed before they meet d."""
-    matrices = MATRICES[field._formula]
 
     def rates(pts, d):
-        R, cands = field._split(ex.eval_scalar_many(field.tape, pts))
+        R, cands = split_frame_tape(ex.eval_scalar_many(field.tape, pts), field.n)
         L, _ = _invert_frame(pts, R)
-        J, *rest = matrices(R, L, *cands)
+        J, *rest = [
+            hessian_matrix(L, s) if h else flux_matrix(R, L, s)
+            for h, s in zip(field.hessian, cands)
+        ]
         Jd = np.einsum("mab,mb->ma", J, d)
-        if not scalars:
+        if not field.hessian[0]:
             return Jd, np.empty((0,) + d.shape)
         return Jd, np.stack([d] + [np.einsum("mab,mb->ma", A, d) for A in rest])
 

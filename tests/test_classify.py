@@ -105,6 +105,29 @@ def test_normalize_indices_fails_on_rich_frame(corpus_cases):
         cl.normalize_indices(connect(spec, 20))
 
 
+def test_nonrich_rank1_without_a_permutation_fails_normalization(corpus_cases, monkeypatch):
+    """No normalized permutation at all leaves no case to try."""
+    monkeypatch.setattr(cl, "normalize_indices", lambda conn: [])
+    with pytest.raises(NormalizationFailedError, match="no normalized permutation matches"):
+        cl.classify_beta_nonrich_rank1(connect(corpus_cases["ex6.10"].spec, 20))
+
+
+def test_nonrich_rank1_reraises_the_last_inconclusive_permutation(corpus_cases, monkeypatch):
+    """When every permutation's case is inconclusive, the error of the last
+    permutation tried is raised."""
+    raised = []
+
+    def inconclusive(conn, perm, trace):
+        raised.append(InconclusiveVanishingError(f"case at {perm}", 5e-6, cl.CLASSIFY_TOL))
+        raise raised[-1]
+
+    for name in ("_case_all_three", "_case_two", "_case_one"):
+        monkeypatch.setattr(cl, name, inconclusive)
+    with pytest.raises(InconclusiveVanishingError) as info:
+        cl.classify_beta_nonrich_rank1(connect(corpus_cases["ex6.10"].spec, 20))
+    assert raised and info.value is raised[-1]
+
+
 # ---------------------------------------------------------------------------
 # rich rank-1 branch logic on synthetic chart-space samples
 # ---------------------------------------------------------------------------
@@ -154,11 +177,34 @@ def test_rich_rank1_dead_zone_raises():
 
 
 def test_rich_rank1_two_cross_families_raise():
-    """Two nonvanishing cross families are no rank-1 pattern."""
+    """Two nonvanishing cross families are no rank-1 pattern: the message
+    names every family's magnitude and claims no dead zone."""
     Z = _synthetic_Z(0.0, 0.0, 0.0, 0.0)
     Z[:, 0, 2, 1] = Z[:, 2, 0, 1] = 0.5
-    with pytest.raises(InconclusiveVanishingError, match="rank-1 cross pattern"):
+    scale = 1.0 + np.abs(Z).max()
+    message = (
+        "no rank-1 cross pattern of the chart-space connection: cross families "
+        f"Z[2,3,1] = {np.abs(Z[:, 1, 2, 0]).max() / scale:.3e}, "
+        f"Z[1,3,2] = {0.5 / scale:.3e}, Z[1,2,3] = 0.000e+00 "
+        "(one must exceed 1.0e-05, the others stay below 1.0e-06)"
+    )
+    with pytest.raises(NormalizationFailedError) as info:
         cl._classify_rich_rank1_from_Z(Z, cl._Trace())
+    assert str(info.value) == message
+
+
+def test_rich_rank1_cross_family_in_dead_zone_is_inconclusive():
+    """A second cross family between CLASSIFY_TOL and ten times it leaves
+    the pattern undecided, and the message names that family."""
+    Z = _synthetic_Z(0.0, 0.0, 0.0, 0.0)
+    scale = 1.0 + np.abs(Z).max()
+    Z[:, 0, 2, 1] = Z[:, 2, 0, 1] = 3e-6 * scale
+    with pytest.raises(InconclusiveVanishingError) as info:
+        cl._classify_rich_rank1_from_Z(Z, cl._Trace())
+    assert str(info.value) == (
+        "coefficient chart cross family Z[1,3,2] = 3.000e-06 is in the dead zone "
+        "[1.0e-06, 1.0e-05]"
+    )
 
 
 def test_rich_rank1_needs_a_chart(corpus_cases):

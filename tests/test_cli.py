@@ -155,7 +155,7 @@ def test_reconstruct_candidate_above_tol_exit_one(tmp_path, capsys):
     assert rc == cli.EXIT_MATH_FAILURE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
-    assert err[0].startswith("candidate residual ") and err[0].endswith(" exceeds tol"), err
+    assert err[0].startswith("candidate residual ") and err[0].endswith(" is not below tol"), err
     assert not list(tmp_path.glob("bad_*"))
 
 
@@ -172,6 +172,8 @@ def test_tol_equal_to_residual_fails_verify_and_reconstruct(tmp_path, capsys):
     tol = ["--tol", repr(residual)]
     assert cli.main(tol + ["verify", frame, str(cand)]) == cli.EXIT_MATH_FAILURE
     assert cli.main(tol + ["--grid", "3", "reconstruct", frame, str(cand)]) == cli.EXIT_MATH_FAILURE
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"candidate residual {residual:.3e} is not below tol"
     assert not list(tmp_path.glob("cand_*"))
 
 
@@ -204,8 +206,13 @@ def test_flux_reconstruct_of_beta_candidate_exit_two(tmp_path, capsys):
 
 
 def test_bad_grid_rejected(capsys):
-    rc = cli.main(["--grid", "1,zz", "analyze", corpus_path("ex6.2.json")])
-    assert rc == cli.EXIT_INPUT_ERROR
+    """A --grid that is not integers, or a count below 2, exits 2 with one
+    line."""
+    for grid, message in (("1,zz", "error: bad --grid value '1,zz'"),
+                          ("1", "error: --grid needs counts >= 2")):
+        rc = cli.main(["--grid", grid, "analyze", corpus_path("ex6.2.json")])
+        assert rc == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_grid_too_large_for_memory_is_input_error(tmp_path, capsys):
@@ -435,8 +442,12 @@ def test_directory_argument_is_input_error(tmp_path, capsys, command):
     ("candidate", {"kind": "beta", "exprs": [1, 2, 3]}),
     ("candidate", {"kind": "beta", "exprs": ["1", "1"]}),
     ("candidate", {"kind": "beta", "exprs": ["1", "1", "1", "1"]}),
+    ("frame", {"id": "x", "n": 3, "vars": ["u1", "u2"], "frame": [["1"] * 3] * 3,
+               "domain": {"lo": [1] * 3, "hi": [2] * 3}, "base": [1.5] * 3}),
+    ("frame", {"id": "x", "n": 3, "vars": ["u1", "u2", "u3"], "frame": [["1"] * 3] * 3,
+               "domain": {"lo": [1] * 2, "hi": [2] * 3}, "base": [1.5] * 3}),
 ], ids=["frame-list", "frame-number", "candidate-number", "exprs-not-strings",
-        "two-components", "four-components"])
+        "two-components", "four-components", "two-vars-for-n3", "two-lo-for-n3"])
 def test_malformed_document_is_input_error(tmp_path, capsys, role, payload):
     """A frame or candidate document of the wrong shape exits 2 with one
     error line that names the file, and no traceback."""
@@ -504,6 +515,17 @@ def test_empty_or_overflowing_box_is_schema_error(tmp_path, capsys, lo, hi, base
     overflows printed a RuntimeWarning and then a domain violation at inf."""
     assert cli.main(["analyze", _box_frame(tmp_path, _EX610_FRAME, lo, hi, base)]) == cli.EXIT_INPUT_ERROR
     assert "domain box needs lo < hi with a finite width" in _one_error_line(capsys)
+
+
+def test_box_outside_the_chart_domain_is_one_line_exit_one(tmp_path, capsys):
+    """ex6.4's chart takes ln(u1); on a box with u1 < 0 the chart leaves its
+    domain, a ChartDomainError."""
+    doc = json.loads(Path(corpus_path("ex6.4.json")).read_text())
+    doc["domain"]["lo"][0], doc["domain"]["hi"][0], doc["base"][0] = -2.0, -1.0, -1.5
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(frame)]) == cli.EXIT_MATH_FAILURE
+    assert _one_error_line(capsys).startswith("error: domain violation in 'ln(u1)' at point ")
 
 
 def test_overflowing_frame_inverse_is_domain_error(tmp_path, capsys):

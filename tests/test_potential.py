@@ -19,6 +19,7 @@ from eigenframe.errors import (
     CurlViolationError,
     DomainError,
     NotRankZeroError,
+    NotRichError,
     QuadratureFailureError,
     SingularFrameError,
 )
@@ -102,14 +103,14 @@ def test_cumulative_simpson_fourth_order():
 def test_length_field_curl_free_for_solution(corpus_cases):
     case = corpus_cases["ex6.10"]
     bet = next(c for k, c in case.candidates if k == "beta")
-    field = pot.length_hessian_field(case.spec, bet)
+    field = pot.MatrixField(case.spec, (bet,))
     assert pot.curl_residual(field, case.spec.sample_points(30)) < 1e-9
 
 
 def test_non_solution_trips_curl_detector(corpus_cases):
     spec = corpus_cases["ex6.10"].spec
     bad = sy.BetaCandidate.from_sources(["1", "1", "1"], V3)
-    field = pot.length_hessian_field(spec, bad)
+    field = pot.MatrixField(spec, (bad,))
     assert pot.curl_residual(field, spec.sample_points(20)) > 1e-3
     with pytest.raises(CurlViolationError):
         pot.reconstruct_eta(spec, bad, spec.base_point, (5, 5, 5))
@@ -128,8 +129,8 @@ def test_matrix_fields_match_einsum_formulas(corpus_cases):
     Lgrad = -np.einsum("mkp,mpqd,mqa->mkad", L, Rgrad, L)
     for kind, cand in case.candidates:
         vals, grads = sy.eval_candidate(cand.tape, pts)  # grads: (m, k, d)
+        field = pot.MatrixField(spec, (cand,))
         if kind == "beta":
-            field = pot.length_hessian_field(spec, cand)
             V = np.einsum("mka,mk,mkb->mab", L, vals, L)
             G = (
                 np.einsum("mkad,mk,mkb->mabd", Lgrad, vals, L)
@@ -137,7 +138,6 @@ def test_matrix_fields_match_einsum_formulas(corpus_cases):
                 + np.einsum("mka,mk,mkbd->mabd", L, vals, Lgrad)
             )
         else:
-            field = pot.flux_jacobian_field(spec, cand)
             V = np.einsum("mak,mk,mkb->mab", R, vals, L)
             G = (
                 np.einsum("makd,mk,mkb->mabd", Rgrad, vals, L)
@@ -270,7 +270,7 @@ def test_singular_frame_raises_singular_frame_error():
     lam = sy.LambdaCandidate.from_sources(["1", "1", "1"], V3)
     bet = sy.BetaCandidate.from_sources(["1", "1", "1"], V3)
     singular = np.array([[0.0, 0.5, 0.5]])
-    for field in (pot.flux_jacobian_field(spec, lam), pot.length_hessian_field(spec, bet)):
+    for field in (pot.MatrixField(spec, (lam,)), pot.MatrixField(spec, (bet,))):
         with pytest.raises(SingularFrameError):
             field.values(singular, np.ones_like(singular))
         with pytest.raises(SingularFrameError):
@@ -397,6 +397,14 @@ def test_solver_rejects_rank1_frame(corpus_cases):
         pot.solve_rich_beta(spec, spec.chart, phi, [0.2, 0.0, 0.0], [6, 6, 6], 1 / 32)
 
 
+def test_solver_refuses_nonrich_frame(corpus_cases):
+    spec = corpus_cases["ex6.10"].spec
+    chart = g.chart_from_sources(["u1", "u2", "u3"], ["w1", "w2", "w3"], V3)
+    phi = [lambda t: np.ones_like(t)] * 3
+    with pytest.raises(NotRichError, match="frame is not rich"):
+        pot.solve_rich_beta(spec, chart, phi, [1.0, 1.0, 1.0], [5, 5, 5], 1 / 8)
+
+
 def test_solver_handles_cross_coupled_spherical_chart():
     """The radial/polar/azimuthal coordinate frame has a fully coupled but
     cross-free chart-space connection; the solver must converge there too.
@@ -426,7 +434,7 @@ def test_flux_jacobian_eigendecomposes_to_candidate(corpus_cases):
     """R diag[l] L applied to the frame columns returns the speeds."""
     case = corpus_cases["ex6.1b"]
     lam = next(c for k, c in case.candidates if k == "lambda")
-    field = pot.flux_jacobian_field(case.spec, lam)
+    field = pot.MatrixField(case.spec, (lam,))
     pts = case.spec.sample_points(20)
     R, _, _ = frame_jets(case.spec, pts)
     vals, _ = sy.eval_candidate(lam.tape, pts)

@@ -11,7 +11,7 @@ from conftest import V3, connect, random_polynomial_frame, spherical_frame_and_c
 from eigenframe import exprlang as ex
 from eigenframe import geometry as g
 from eigenframe import systems as sy
-from eigenframe.errors import CoincidentEigenvaluesError
+from eigenframe.errors import CoincidentEigenvaluesError, NotRichError
 
 
 def standard_frame():
@@ -295,6 +295,13 @@ def test_darboux_compatibility_identity_chart():
     spec = standard_frame()
     chart = g.chart_from_sources(["u1", "u2", "u3"], ["w1", "w2", "w3"], V3)
     assert sy.darboux_compatibility(spec, chart, spec.sample_points(10)) == 0.0
+
+
+def test_darboux_compatibility_refuses_nonrich_frame(corpus_cases):
+    spec = corpus_cases["ex6.10"].spec
+    chart = g.chart_from_sources(["u1", "u2", "u3"], ["w1", "w2", "w3"], V3)
+    with pytest.raises(NotRichError, match="frame is not rich"):
+        sy.darboux_compatibility(spec, chart, spec.sample_points(10))
 
 
 def test_darboux_compatibility_detector(corpus_cases):
