@@ -37,11 +37,16 @@ ConnectionEval) and hands that to every check, and each candidate once on
 it (its residual record, whose values feed the cross-system identity and
 the convexity classification).  A candidate is verified when its residual
 is below --tol.  Sampling is deterministic in --seed.
+
+The argument parser is built once per process, on the first call of main,
+and every later call reuses it.  A document that fails the corpus schema
+exits 2 with jsonschema's message for it (corpus._validate).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -343,10 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args reads it
+    and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.grid = _parse_grid(args.grid)
         if args.samples < 8:
             raise ValueError("--samples must be at least 8")

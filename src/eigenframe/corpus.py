@@ -12,6 +12,7 @@ available.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -145,20 +146,68 @@ def load_example(path) -> ExampleCase:
 
 _SCHEMAS = {"example": SCHEMA, "candidate": SCHEMA["properties"]["candidates"]["items"]}
 
+# the keywords _surely_valid implements; it defers on a schema with any other
+_PRECHECKED = frozenset({
+    "type", "required", "properties", "additionalProperties", "items",
+    "minItems", "minLength", "minimum", "maximum", "enum"})
+_IS_TYPE = {
+    "object": lambda x: type(x) is dict,
+    "array": lambda x: type(x) is list,
+    "string": lambda x: type(x) is str,
+    "integer": lambda x: type(x) is int,
+    "number": lambda x: type(x) is int or type(x) is float,
+    "boolean": lambda x: type(x) is bool,
+    "null": lambda x: x is None,
+}
+
+
+def _surely_valid(schema, doc) -> bool:
+    """True only when doc certainly satisfies schema; False whenever it may
+    not, which includes documents jsonschema accepts by a looser reading
+    (3.0 for an integer, a NaN within a range, an enum value that is not a
+    string) and any schema with a keyword outside _PRECHECKED.  The
+    recursion follows the schema, so its depth is the schema's."""
+    if type(schema) is not dict or not _PRECHECKED.issuperset(schema):
+        return schema is True
+    if "type" in schema:
+        types = schema["type"]
+        if not any(name in _IS_TYPE and _IS_TYPE[name](doc)
+                   for name in ([types] if type(types) is str else types)):
+            return False
+    if "enum" in schema and not (type(doc) is str and doc in schema["enum"]):
+        return False
+    kind = type(doc)
+    if kind is dict:
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        return all(key in doc for key in schema.get("required", ())) and all(
+            _surely_valid(props[key] if key in props else extra, value)
+            for key, value in doc.items())
+    if kind is list:
+        items = schema.get("items", True)
+        return len(doc) >= schema.get("minItems", 0) and all(
+            _surely_valid(items, item) for item in doc)
+    if kind is str:
+        return len(doc) >= schema.get("minLength", 0)
+    if kind is int or kind is float:  # false for NaN, and for inf past a bound
+        return schema.get("minimum", -math.inf) <= doc <= schema.get("maximum", math.inf)
+    return True
+
 
 @lru_cache(maxsize=None)
 def _schema_validator(name: str):
-    """The validator of an example or a candidate document, checked against
-    its metaschema once, on first use (jsonschema.validate repeats that
-    check on every call)."""
+    """The validator of an example or a candidate document (the schemas'
+    agreement with their metaschema is a test)."""
     schema = _SCHEMAS[name]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _validate(name: str, doc, source: str):
-    # the error jsonschema.validate would raise
+    """Return when doc is valid; otherwise raise SchemaError with the error
+    jsonschema.validate would raise.  jsonschema walks only documents the
+    strict pre-check cannot pass, so it decides every rejection."""
+    if _surely_valid(_SCHEMAS[name], doc):
+        return
     err = jsonschema.exceptions.best_match(_schema_validator(name).iter_errors(doc))
     if err is not None:
         raise SchemaError(f"{source}: {err.message}") from err

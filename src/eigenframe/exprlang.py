@@ -62,11 +62,50 @@ BUILTINS = ("sqrt", "exp", "ln", "sin", "cos", "tan", "arctan")
 
 
 class _Node:
+    """Equality has the semantics of the dataclass version (a node equals
+    another of its class whose fields compare equal), and equal trees hash
+    equal (the hash is that of the tree's leaf values in a fixed order);
+    both walk the tree with an explicit stack, so they work at any accepted
+    depth, where the generated versions recurse."""
+
     def __repr__(self) -> str:  # to_source fits the stack at any accepted depth
         return f"{type(self).__name__}({to_source(self)!r})"
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and a.__class__ is b.__class__:
+                stack.extend(zip(_fields(a), _fields(b)))
+            elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
+                stack.extend(zip(a, b))
+            elif not a == b:
+                return False
+        return True
 
-_node = dataclass(frozen=True, repr=False)
+    def __hash__(self) -> int:
+        leaves, stack = [], [self]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, _Node):
+                stack.extend(_fields(v))
+            elif type(v) is tuple:
+                stack.extend(v)
+            else:
+                leaves.append(v)
+        return hash(tuple(leaves))
+
+
+def _fields(node: _Node) -> tuple:
+    return tuple(getattr(node, name) for name in node.__match_args__)
+
+
+# eq=False keeps _Node's __eq__ and __hash__
+_node = dataclass(frozen=True, repr=False, eq=False)
 
 
 @_node

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -648,3 +651,59 @@ def test_closed_form_on_wrong_kind_is_schema_error(
     doc["candidates"][idx][key] = value
     assert _run_on_document(tmp_path, monkeypatch, command, doc, idx) == cli.EXIT_INPUT_ERROR
     assert f"candidate cannot have {key}" in _one_error_line(capsys)
+
+
+def test_shared_parser_is_reentrant(tmp_path, capsys, monkeypatch):
+    """main reuses one parser per process; a sequence of calls with changing
+    commands and flags, a usage error among them, gives each call the
+    stdout, stderr and exit code of the same call on a fresh parser."""
+    doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
+    beta, lam = tmp_path / "beta.json", tmp_path / "lambda.json"
+    for path, kind in ((beta, "beta"), (lam, "lambda")):
+        path.write_text(json.dumps(next(c for c in doc["candidates"] if c["kind"] == kind)))
+    frame = corpus_path("ex6.10.json")
+    calls = [
+        ["--flux", "--grid", "3", "reconstruct", frame, str(beta)],
+        ["--grid", "3", "reconstruct", frame, str(beta)],
+        ["--flux", "--grid", "3", "--output", "json", "reconstruct", frame, str(lam)],
+        ["--output", "text", "analyze", frame],
+        ["--no-such-flag", "analyze", frame],
+        ["--output", "json", "--seed", "2", "analyze", frame],
+        ["analyze"],
+        ["--output", "json", "verify", frame, str(lam)],
+        ["verify", frame, str(beta)],
+    ]
+
+    def run_all() -> list:
+        results = []
+        for argv in calls:
+            rc = cli.main(argv)
+            out, err = capsys.readouterr()
+            results.append((rc, out, err))
+        return results
+
+    shared = run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == shared
+    assert [rc for rc, _, _ in shared] == [2, 0, 0, 0, 2, 0, 2, 0, 0]
+
+
+def test_module_entry_point_one_shot(capsys):
+    """python -m eigenframe.cli prints what main prints in-process, and a
+    usage error exits 2 with one error line."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = ["--output", "json", "analyze", corpus_path("ex6.10.json")]
+    proc = subprocess.run([sys.executable, "-m", "eigenframe.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_PASS, proc.stderr
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert proc.stdout == capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "eigenframe.cli", "--no-such-flag", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_INPUT_ERROR
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

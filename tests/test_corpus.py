@@ -3,11 +3,14 @@ coverage matrix over the case taxonomy."""
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import connect
 
@@ -46,6 +49,12 @@ def _valid_doc():
     return json.loads(src.read_text())
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 def test_load_rejects_undeclared_variable(tmp_path):
     doc = _valid_doc()
     doc["frame"][0][0] = "u9+1"
@@ -63,12 +72,181 @@ def test_schema_error_text_matches_jsonschema_validate():
     del missing["expected"]
     wrong_type = _valid_doc()
     wrong_type["n"] = "three"
-    for doc in (missing, wrong_type, missing):
+    element_level = []
+    for path, value in [
+        (("n",), True),
+        (("id",), ""),
+        (("base", 0), float("inf")),
+        (("domain", "lo", 1), -math.inf),
+        (("domain", "hi", 0), 10**400),
+        (("candidates", 0, "kind"), 3),
+        (("candidates", 0, "exprs", 1), 1.0),
+        (("frame", 2, 0), None),
+        (("expected", "rank_beta"), 1.5),
+        (("expected", "lambda_case"), "IV"),
+        (("vars",), ["u1"]),
+    ]:
+        doc = _valid_doc()
+        _set(doc, path, value)
+        element_level.append(doc)
+    for doc in (missing, wrong_type, missing, *element_level):
         with pytest.raises(jsonschema.ValidationError) as ref:
             jsonschema.validate(doc, corpus_mod.SCHEMA)
         with pytest.raises(SchemaError) as err:
             corpus_mod.load_example_from_doc(doc, source="doc.json")
         assert str(err.value) == f"doc.json: {ref.value.message}"
+
+
+def _corpus_documents() -> list:
+    """(schema name, document) for the 16 corpus files and their 36
+    candidates."""
+    root = Path(corpus_mod.corpus_dir())
+    docs = []
+    for path in sorted(root.glob("*.json")) + sorted(root.glob("extended/*.json")):
+        doc = json.loads(path.read_text())
+        docs.append(("example", doc))
+        docs.extend(("candidate", cand) for cand in doc["candidates"])
+    return docs
+
+
+CORPUS_DOCUMENTS = _corpus_documents()
+
+
+def _jsonschema_valid(name: str, doc) -> bool:
+    import jsonschema
+
+    schema = corpus_mod._SCHEMAS[name]
+    return jsonschema.validators.validator_for(schema)(schema).is_valid(doc)
+
+
+def test_corpus_documents_take_the_fast_path(monkeypatch):
+    """Every bundled document and candidate passes the pre-check, so a valid
+    file never builds the jsonschema validator."""
+    assert len(CORPUS_DOCUMENTS) == 16 + 36
+
+    def no_validator(name):
+        raise AssertionError(f"jsonschema validator built for a valid {name}")
+
+    monkeypatch.setattr(corpus_mod, "_schema_validator", no_validator)
+    for name, doc in CORPUS_DOCUMENTS:
+        if name == "example":
+            frame = doc
+            corpus_mod.load_example_from_doc(doc)
+        else:
+            corpus_mod.load_candidate(doc, frame["vars"], frame.get("params", {}))
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            yield from _paths(value, prefix + (idx,))
+
+
+_NASTY = [True, False, None, 0, 1, -1, 2, 3.0, 2.5, 10**400, -(10**400), math.inf,
+          -math.inf, math.nan, "", "x", "beta", "I", [], ["u1"], [1.0], {}, {"lo": []}]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A corpus document or candidate with one to three mutations: a value
+    replaced (type swaps, out-of-range numbers), a key or entry deleted, or
+    an unknown key added."""
+    name, doc = draw(st.sampled_from(CORPUS_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        op = draw(st.sampled_from(["replace", "delete", "extra"]))
+        value = copy.deepcopy(draw(st.sampled_from(_NASTY)))
+        if not path:
+            if op == "replace":
+                doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "replace":
+            parent[path[-1]] = value
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent[path[-1]], dict):
+            parent[path[-1]]["unknown_key"] = value
+    return name, doc
+
+
+@given(case=_mutated_documents())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_precheck_never_accepts_what_jsonschema_rejects(case):
+    name, doc = case
+    if corpus_mod._surely_valid(corpus_mod._SCHEMAS[name], doc):
+        assert _jsonschema_valid(name, doc)
+
+
+@pytest.mark.parametrize("path, value, fast, valid", [
+    (("n",), True, False, False),
+    (("n",), 3.0, False, True),
+    (("n",), 10**400, True, True),
+    (("base", 0), float("1e400"), False, False),
+    (("base", 0), -math.inf, False, False),
+    (("base", 0), math.nan, False, True),
+    (("domain", "hi", 0), 10**400, False, False),
+    (("chart",), None, True, True),
+    (("unknown_key",), 1, True, True),
+    (("candidates", 0, "kind"), 3, False, False),
+    (("candidates", 0, "kind"), None, False, False),
+    (("id",), "", False, False),
+], ids=["n-true", "n-3.0", "n-10^400", "base-1e400", "base-minus-inf", "base-nan",
+        "hi-10^400", "chart-null", "unknown-key", "kind-3", "kind-null", "empty-id"])
+def test_precheck_named_cases(path, value, fast, valid):
+    """The pre-check passes a document only when it is surely valid; on all
+    others jsonschema decides, with its own message."""
+    import jsonschema
+
+    doc = _valid_doc()
+    _set(doc, path, value)
+    assert corpus_mod._surely_valid(corpus_mod.SCHEMA, doc) is fast
+    assert _jsonschema_valid("example", doc) is valid
+    if valid:
+        corpus_mod._validate("example", doc, "doc.json")
+    else:
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(doc, corpus_mod.SCHEMA)
+        with pytest.raises(SchemaError) as err:
+            corpus_mod._validate("example", doc, "doc.json")
+        assert str(err.value) == f"doc.json: {ref.value.message}"
+
+
+def test_n_written_as_float_still_loads():
+    """jsonschema reads 3.0 as an integer, so a frame with n = 3.0 loads
+    although the pre-check defers on it."""
+    doc = _valid_doc()
+    doc["n"] = 3.0
+    assert corpus_mod.load_example_from_doc(doc).spec.n == 3
+
+
+def _keywords(schema) -> set:
+    """The keywords a schema uses, its subschemas' included."""
+    if not isinstance(schema, dict):
+        return set()
+    used = set(schema)
+    subschemas = [*schema.get("properties", {}).values(), schema.get("additionalProperties"),
+                  schema.get("items")]
+    return used.union(*map(_keywords, subschemas))
+
+
+def test_schemas_pass_their_metaschema():
+    """The schemas are checked against their metaschema here, not on first
+    use, and use only keywords the pre-check implements (the example schema
+    uses all of them)."""
+    import jsonschema
+
+    for schema in corpus_mod._SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+        assert _keywords(schema) <= corpus_mod._PRECHECKED
+    assert _keywords(corpus_mod.SCHEMA) == corpus_mod._PRECHECKED
 
 
 def test_load_rejects_missing_field(tmp_path):

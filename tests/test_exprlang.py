@@ -206,6 +206,21 @@ def test_repr_of_deepest_tree_is_its_source():
         parse("u1^0.5^" + src[3:])
 
 
+def test_equality_and_hash_of_deepest_tree():
+    """== on two parses of a MAX_DEPTH chain raised RecursionError (the
+    dataclass __eq__ recursed); equality and hashing walk the tree with a
+    stack and keep the dataclass semantics."""
+    src = "u1^" + "0.5^" * (ex.MAX_DEPTH - 2) + "2"
+    a, b = parse(src), parse(src)
+    other = parse(src[:-1] + "3")
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert {a: 1}[b] == 1
+    assert ex.Num(1.0) == ex.Num(1) and hash(ex.Num(1.0)) == hash(ex.Num(1))
+    assert ex.Add(ex.Num(1.0), ex.Num(2.0)) != ex.Sub(ex.Num(1.0), ex.Num(2.0))
+    assert parse("sin(u1)*u2") == parse("sin(u1)*u2") != parse("cos(u1)*u2")
+
+
 def test_jet_product_example():
     value, grad, hess = jets(parse("u1*u2"), np.array([2.0, 3.0, 5.0]))
     assert value == 6.0
