@@ -13,6 +13,9 @@ structure coefficients are c[i, j, k] = Gamma[i, j, k] - Gamma[j, i, k].
 For n = 3 the inverse frame L comes from the adjugate and determinant by
 cofactor expansion (LAPACK otherwise); a frame with |det R| below
 DET_RTOL |R|_F^n raises SingularFrameError before anything is divided.
+The same cofactors, taken over rows (m,) of frame entries (_cofactor_rows),
+let potential's rays apply L for n = 3 without forming it, past the same
+gate (_require_invertible).
 Gamma is written once, as the formula Gamma_j = L (DR_j R) over Taylor
 fields (exprlang.Taylor): R is the truncated Taylor series of the frame's
 own tape (exprlang.eval_series), L = sum_k (-L0 H)^k L0 for R = R0 + H
@@ -341,20 +344,25 @@ def _adjugate_det3(R: np.ndarray) -> tuple:
     return np.ascontiguousarray(adj.T).reshape(-1, 3, 3), det
 
 
-def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
-    """L = R^{-1} and det R for a batch of frames (m, n, n).  A frame whose
-    norm or determinant overflows raises DomainError, and one whose |det|
-    falls below DET_RTOL * |R|_F^n raises SingularFrameError, before
-    anything is divided by it (so L is finite)."""
-    n = R.shape[-1]
-    closed_form = n == 3
+def _cofactor_rows(rows) -> tuple:
+    """The cofactors and determinant of a batch of 3x3 frames held as the
+    nine rows (m,) of their entries (row 3a + j is R[a, j]): the list C of
+    rows with C[3k + a] = adj[k, a], and det, with the bits of
+    _adjugate_det3.  No gather, stack or transposing copy is made."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if closed_form:
-            adj, det = _adjugate_det3(R)
-        else:
-            det = np.linalg.det(R)
+        C = [rows[a] * rows[b] - rows[c] * rows[d] for a, b, c, d in zip(*_COFACTORS)]
+        det = 0.0 + rows[0] * C[0] + rows[1] * C[3] + rows[2] * C[6]
+    return C, det
+
+
+def _require_invertible(points: np.ndarray, R: np.ndarray, det: np.ndarray) -> None:
+    """The gate of every frame inversion, for a batch of frames (m, n, n)
+    and their determinants: a frame whose norm or determinant overflows
+    raises DomainError, and one whose |det| falls below DET_RTOL * |R|_F^n
+    raises SingularFrameError, each at the first such point."""
+    with np.errstate(over="ignore", invalid="ignore"):
         norm = np.sqrt(np.einsum("mij,mij->m", R, R))
-        threshold = DET_RTOL * np.maximum(norm, 1e-30) ** n
+        threshold = DET_RTOL * np.maximum(norm, 1e-30) ** R.shape[-1]
     finite = np.isfinite(det) & np.isfinite(threshold)
     if not finite.all():
         raise DomainError("frame determinant", points[int(np.argmin(finite))], "non-finite value")
@@ -362,6 +370,19 @@ def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SingularFrameError(points[i], float(det[i]), float(threshold[i]))
+
+
+def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
+    """L = R^{-1} and det R for a batch of frames (m, n, n), past
+    _require_invertible's gate before anything is divided by det (so L is
+    finite)."""
+    closed_form = R.shape[-1] == 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        if closed_form:
+            adj, det = _adjugate_det3(R)
+        else:
+            det = np.linalg.det(R)
+    _require_invertible(points, R, det)
     if closed_form:
         return adj / det[:, None, None], det
     return np.linalg.inv(R), det

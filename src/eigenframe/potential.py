@@ -17,14 +17,15 @@ with grad eta carried along the ray by a Legendre-basis cumulative-integration
 matrix at the quadrature nodes.  Every field is evaluated through one class,
 MatrixField, with one field per candidate: the Hessian for a length
 candidate, the flux Jacobian for a speed candidate.  One tape run over the
-frame and the candidates and one inversion of the frame per point set serve
-every field, so the Hessian and flux fields of q share one MatrixField, and
-the first field says what the rays carry: grad eta, with eta (and q)
-integrated alongside, or f.  All nodes are
-integrated together: one values-only field evaluation covers a block of ray
-parameters over the grid (at most _RAY_BATCH_POINTS points, never less than
-one parameter), and a grid's meta counts the ray parameters evaluated as
-field_evaluations.  The three reconstructions share one grid setup (box,
+frame and the candidates per point set serves every field, so the Hessian
+and flux fields of q share one MatrixField, and the first field says what
+the rays carry: grad eta, with eta (and q) integrated alongside, or f.  The
+direction d is the same at every node of a ray, so eta is integrated from
+the rule's weights and the rate of grad eta, not node by node; only q's
+integrand needs grad eta at the nodes.  All nodes are integrated together:
+one values-only field evaluation covers a block of ray parameters over the
+grid (at most _RAY_BATCH_POINTS points, never less than one parameter), and
+a grid's meta counts the ray parameters evaluated as field_evaluations.  The three reconstructions share one grid setup (box,
 base point, axes and curl probes) and one builder of ray rates.  A nested
 Gauss-Kronrod pair of Q and 2Q+1 nodes estimates the error of every ray
 from one set of field values (the Q Gauss nodes are among the 2Q+1); rays
@@ -34,9 +35,12 @@ gate every integration; path independence is checked by a second family of
 rays from another grid node.  Each field is written once, applied to a
 direction d: the rays apply H = L^T diag[b] L as L^T (b * (L d)) and
 A = R diag[l] L as R (l * (L d)), all fields from one L d, and never form H
-or A.  The matrices and their exact first derivatives, which the curl tests
-read, come from the same products run on order-1 Taylor fields at the n
-unit directions.
+or A.  For n = 3 they do not form L = R^{-1} either: L d = adj(R) d / det R
+and L^T z = adj(R)^T z / det R are applied from the cofactors of R, past the
+same singularity gate as a frame inversion; other n invert the frame once
+per point set.  The matrices and their exact first derivatives, which the
+curl tests read, come from the same products run on order-1 Taylor fields
+at the n unit directions, with L formed.
 
 The chart-space boundary-value solver (solve_rich_beta) fills a grid with
 the unique solution determined by one single-variable function per axis,
@@ -67,7 +71,9 @@ from .exprlang import Taylor
 from .geometry import (
     FrameSpec,
     RiemannChart,
+    _cofactor_rows,
     _invert_frame,
+    _require_invertible,
     chart_inverse,
     distinct_triple_mask,
     eval_connection,
@@ -87,9 +93,9 @@ _RAY_MAX_PANELS = 64  # a ray still over the tolerance at this many panels fails
 # of up to this many points, never less than one node.  Small calls pay the
 # per-call overhead and large ones a working set past the L2 cache: the
 # reconstruct-grids op set (eta and flux at 6^3 and 11^3, q at 6^3) took a
-# median pass_ref_s of 0.264 s at 2048 points, 0.244 s at 4096 and 0.252 s
-# at 8192 (perfbench/run.py --seconds 10, five interleaved runs each), on a
-# 2-core Xeon with 4 MiB of L2 a core
+# median pass_ref_s of 0.227 s at 2048 points, 0.207 s at 4096 and 0.212 s
+# at 8192 (perfbench/run.py --seconds 10, five interleaved runs each, with
+# the n = 3 cofactor kernel), on a 2-core Xeon with 4 MiB of L2 a core
 _RAY_BATCH_POINTS = 4096
 
 
@@ -102,12 +108,16 @@ class MatrixField:
     """One n x n matrix field M per candidate, from the frame R, its inverse
     L and the candidate's values: a length candidate b gives the Hessian
     L^T diag[b] L, a speed candidate l the flux Jacobian R diag[l] L.  One
-    tape run over the frame and the candidates and one frame inversion per
-    point set serve every field, so the Hessian and flux fields of q share
-    one MatrixField.  The fields are applied to a direction d, as
-    L^T (b * (L d)) and R (l * (L d)) from one L d, and never formed; run on
+    tape run over the frame and the candidates per point set serves every
+    field, so the Hessian and flux fields of q share one MatrixField.  The
+    fields are applied to a direction d, as L^T (b * (L d)) and
+    R (l * (L d)) from one L d, and never formed.  For n = 3, values works
+    on the frame entries and candidate components as rows (m,) and applies
+    L by cofactors, L d = adj(R) d / det and L^T z = adj(R)^T z / det,
+    without forming L; other n invert the frame once per point set.  Run on
     order-1 Taylor fields at the n unit directions, the same products give
-    the matrices and their exact first derivatives.
+    the matrices and their exact first derivatives (value_grad, with L
+    formed).
 
     values(points, d) -> [(m, N), ...], M d at each point with its own
     direction; value_grad(points) -> [(V, G), ...] with V the matrices and
@@ -131,9 +141,26 @@ class MatrixField:
 
     def values(self, points: np.ndarray, d: np.ndarray) -> list:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        R, cands = split_frame_tape(ex.eval_scalar_many(self.tape, pts), self.n)
-        L, _ = _invert_frame(pts, R)
-        return self._times(R, L, cands, d)
+        block = ex.eval_scalar_many(self.tape, pts)
+        R, cands = split_frame_tape(block, self.n)
+        if self.n != 3:
+            return self._times(R, _invert_frame(pts, R)[0], cands, d)
+        # every frame entry and candidate component as a row (m,), from one
+        # copy of the block; L d = adj(R) d / det
+        rows = np.ascontiguousarray(block.T)
+        C, det = _cofactor_rows(rows)
+        _require_invertible(pts, R, det)
+        d = np.ascontiguousarray(d.T)  # rows d[a]
+        Ld = [_dot3(C, 3 * k, 1, d) / det for k in range(3)]
+        fields = []
+        for c, h in enumerate(self.hessian):
+            z = [s * y for s, y in zip(rows[9 + 3 * c : 12 + 3 * c], Ld)]
+            if h:  # L^T z = adj(R)^T z / det
+                Md = [_dot3(C, a, 3, z) / det for a in range(3)]
+            else:  # R z
+                Md = [_dot3(rows, 3 * a, 1, z) for a in range(3)]
+            fields.append(np.stack(Md, axis=1))
+        return fields
 
     def value_grad(self, points: np.ndarray) -> list:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -148,6 +175,12 @@ class MatrixField:
         p, a, j = np.ix_(np.arange(m), np.arange(n), np.arange(n))
         fields = [Md[p * n + j, a] for Md in self._times(R[rows], L[rows], cands, E)]
         return [(M.value, M.coef[..., 1:]) for M in fields]
+
+
+def _dot3(X, start: int, step: int, z) -> np.ndarray:
+    """X[start] z[0] + X[start + step] z[1] + X[start + 2 step] z[2], over
+    rows (m,)."""
+    return X[start] * z[0] + X[start + step] * z[1] + X[start + 2 * step] * z[2]
 
 
 def _matvec(A, x):
@@ -283,24 +316,36 @@ def _ray_rule(q: int) -> _RayRule:
     )
 
 
-def _advance(G, S, h: float, w, K, Jd, V):
+def _advance(G, S, h: float, w, K, Jd, V, d):
     """One panel of width h of one rule: G(t) = G + h K Jd at the nodes, and
-    the carried vector and scalar integrals at the panel's end."""
+    the carried vector and scalar integrals at the panel's end.  Unless V
+    is None, the scalars are eta, the integral of G(t) . d, and then one
+    integral of G(t) . v_k per further field v_k of V.  d is the same at
+    every node of a ray, so eta is taken from the rule's weights,
+    h [(sum w) G + h (w K) Jd] . d, the sum over the nodes of w_j G(t_j) . d
+    rearranged; only the further fields need G at the nodes."""
     Jd_flat = Jd.reshape(w.size, -1)
-    G_nodes = (h * K @ Jd_flat).reshape(Jd.shape)
-    G_nodes += G
-    S = S + h * np.einsum("j,jmn,jkmn->mk", w, G_nodes, V)
-    return G + h * (w @ Jd_flat).reshape(G.shape), S
+    G_end = G + h * (w @ Jd_flat).reshape(G.shape)
+    if V is None:
+        return G_end, np.empty((d.shape[0], 0))
+    G_w = w.sum() * G + (h * (w @ K) @ Jd_flat).reshape(G.shape)
+    scalars = [np.einsum("mn,mn->m", G_w, d)[:, None]]
+    if V.shape[1]:
+        G_nodes = (h * K @ Jd_flat).reshape(Jd.shape)
+        G_nodes += G
+        scalars.append(np.einsum("j,jmn,jkmn->mk", w, G_nodes, V))
+    return G_end, S + h * np.hstack(scalars)
 
 
 def _node_block(rates, base, d, ts):
-    """J d and the stacked v_k at the points base + t d of every ray, for
-    each t in ts: shapes (b, m, n) and (b, k, m, n), from one rates call over
-    the points stacked node-major.  When that call raises, the nodes are run
-    again one by one, so the error is the one the first failing node raises,
-    as with one call per node: a tape runs each check over all the points
-    of a call before the next check, so in a block an earlier check can
-    fail at a later node."""
+    """J d and the stacked further fields v_k at the points base + t d of
+    every ray, for each t in ts: shapes (b, m, n) and (b, k, m, n) (None
+    when rates gives None), from one rates call over the points stacked
+    node-major.  When that call raises, the nodes are run again one by one,
+    so the error is the one the first failing node raises, as with one
+    call per node: a tape runs each check over all the points of a call
+    before the next check, so in a block an earlier check can fail at a
+    later node."""
     m, n = d.shape
     pts = (base + ts[:, None, None] * d).reshape(-1, n)
     try:
@@ -309,7 +354,9 @@ def _node_block(rates, base, d, ts):
         for t in ts:
             rates(base + t * d, d)
         raise
-    return Jd.reshape(ts.size, m, n), V.reshape(V.shape[0], ts.size, m, n).swapaxes(0, 1)
+    if V is not None:
+        V = V.reshape(V.shape[0], ts.size, m, n).swapaxes(0, 1)
+    return Jd.reshape(ts.size, m, n), V
 
 
 def _panel_sums(rates, base, d, grad0, panels: int):
@@ -330,10 +377,11 @@ def _panel_sums(rates, base, d, grad0, panels: int):
             for j in range(0, rule.t.size, block)
         ]
         Jd = np.concatenate([s[0] for s in steps])  # (2Q+1, m, n)
-        V = np.concatenate([s[1] for s in steps])  # (2Q+1, k, m, n)
+        V = None if steps[0][1] is None else np.concatenate([s[1] for s in steps])
         del steps  # peak memory: a few (2Q+1, m, n) arrays
-        Gk, Sk = _advance(Gk, Sk, h, rule.w, rule.K, Jd, V)
-        Gg, Sg = _advance(Gg, Sg, h, rule.w_gauss, rule.K_gauss, Jd[g], V[g])
+        Gk, Sk = _advance(Gk, Sk, h, rule.w, rule.K, Jd, V, d)
+        Vg = None if V is None else V[g]
+        Gg, Sg = _advance(Gg, Sg, h, rule.w_gauss, rule.K_gauss, Jd[g], Vg, d)
     return (Gk, Sk), (Gg, Sg)
 
 
@@ -343,7 +391,10 @@ def _ray_family(rates, base: np.ndarray, nodes: np.ndarray, quad_tol: float, gra
 
         G(t) = grad0 + int_0^t J(x(s)) d ds,   S_k = int_0^1 G(t) . v_k(t) dt,
 
-    where rates(points, d) returns J d and the stacked v_k.  Each ray
+    where rates(points, d) returns J d and the stacked further fields, or
+    None for them when J is not a Hessian: then there are no S_k, and
+    otherwise v_0 = d (eta, integrated from the rule's weights in _advance)
+    and the further fields follow.  Each ray
     parameter is evaluated over all unfinished nodes, a block of parameters
     per rates call (_panel_sums).  A node is done when the Kronrod and the
     Gauss sums agree to quad_tol (relative once the result exceeds 1), and
@@ -404,14 +455,14 @@ def _ray_families(rates, base: np.ndarray, axes: list, quad_tol: float, grad0=0.
 def _rates(field: MatrixField):
     """Along a ray with direction d the carried vector changes by J d, J the
     first field: the flux Jacobian for f, the Hessian for grad eta.  When J
-    is a Hessian, grad eta is also integrated against d (eta) and against
-    A d for every further field A (q, with A the flux Jacobian)."""
+    is a Hessian, grad eta is also integrated against d (eta, which
+    _advance takes from the rule's weights) and against A d for every
+    further field A (q, with A the flux Jacobian): rates returns J d and the
+    stacked A d, or J d and None when J is not a Hessian."""
 
     def rates(pts, d):
         Jd, *rest = field.values(pts, d)
-        if not field.hessian[0]:
-            return Jd, np.empty((0,) + d.shape)
-        return Jd, np.stack([d] + rest)
+        return Jd, np.array(rest).reshape((-1,) + d.shape) if field.hessian[0] else None
 
     return rates
 

@@ -8,6 +8,7 @@ import pytest
 from eigenframe import corpus as corpus_mod
 from eigenframe import exprlang as ex
 from eigenframe.geometry import (
+    DET_RTOL,
     chart_from_sources,
     eval_connection,
     frame_from_sources,
@@ -119,3 +120,35 @@ def random_orthonormal_frame(rng):
     # rows[i][j] is entry (i, j); columns of the matrix are the frame fields
     cols = [[rows[a][j] for a in range(3)] for j in range(3)]
     return frame_from_sources(cols, V3, domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+
+
+def frames_with_special_rows(rng, m):
+    """m random 3x3 frames; about a third of their rows are replaced by rows
+    drawn from 0, +-inf, nan, +-1e200 and 1."""
+    R = rng.normal(size=(m, 3, 3))
+    pool = np.array([0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1.0])
+    rows = rng.random((m, 3)) < 0.35
+    R[rows] = rng.choice(pool, size=(int(rows.sum()), 3))
+    return R
+
+
+def frames_with_condition(rng, n, m, cond):
+    """m random n x n frames U diag(1, .., 1, 1/cond) V^T, U and V orthogonal."""
+    U = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
+    return (U * np.r_[np.ones(n - 1), 1.0 / cond]) @ V.transpose(0, 2, 1)
+
+
+def singular_batch(n, kind):
+    """Three n x n frames; the middle one is singular or nearly so."""
+    rng = np.random.default_rng(n)
+    Q = np.linalg.qr(rng.normal(size=(3, n, n)))[0]
+    if kind == "zero":
+        Q[1] = 0.0
+    elif kind == "equal columns":
+        Q[1, :, 1] = Q[1, :, 0]
+    else:
+        # |det| = s, |R|_F^2 = n - 1 + s^2, against DET_RTOL |R|_F^n
+        s = (0.9 if kind == "below" else 1.1) * DET_RTOL * (n - 1) ** (n / 2)
+        Q[1] = Q[1] * np.r_[np.ones(n - 1), s]
+    return Q

@@ -3,7 +3,9 @@ potential._rates, which applies each candidate's field to the ray
 direction.  Each ray parameter's frame is evaluated and inverted, one field
 per candidate is formed as a whole matrix, the Hessian L^T diag[b] L for a
 length candidate and the flux Jacobian R diag[l] L for a speed candidate,
-and only then multiplied by the direction d."""
+and only then multiplied by the direction d.  The contract is _rates': J d,
+and the stacked A d of the fields after a Hessian J (None when J is a flux
+Jacobian)."""
 
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ def rates(field: pot.MatrixField):
         ]
         Jd = np.einsum("mab,mb->ma", J, d)
         if not field.hessian[0]:
-            return Jd, np.empty((0,) + d.shape)
-        return Jd, np.stack([d] + [np.einsum("mab,mb->ma", A, d) for A in rest])
+            return Jd, None
+        return Jd, np.array([np.einsum("mab,mb->ma", A, d) for A in rest]).reshape((-1,) + d.shape)
 
     return rates

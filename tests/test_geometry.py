@@ -9,7 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import V3, connect, frame_jets, random_polynomial_frame, spherical_frame_and_chart
+from conftest import (
+    V3,
+    connect,
+    frame_jets,
+    frames_with_condition,
+    frames_with_special_rows,
+    random_polynomial_frame,
+    singular_batch,
+    spherical_frame_and_chart,
+)
 import halton_reference
 
 from eigenframe import exprlang as ex
@@ -123,29 +132,24 @@ def _adjugate_det3_loop(R):
     return adj, det
 
 
-def _frames_with_special_rows(rng, m):
-    """m random 3x3 frames; about a third of their rows are replaced by rows
-    drawn from 0, +-inf, nan, +-1e200 and 1."""
-    R = rng.normal(size=(m, 3, 3))
-    pool = np.array([0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1.0])
-    rows = rng.random((m, 3)) < 0.35
-    R[rows] = rng.choice(pool, size=(int(rows.sum()), 3))
-    return R
-
-
 @pytest.mark.parametrize("m", [1, 50, 4096])
 @pytest.mark.parametrize("special", [False, True])
 def test_adjugate_matches_cofactor_loop(m, special):
+    """_adjugate_det3 and the row cofactors of the n = 3 ray kernel
+    (_cofactor_rows) have the bits of the cofactor loop."""
     rng = np.random.default_rng(m + special)
     if special:
-        R = _frames_with_special_rows(rng, m)
+        R = frames_with_special_rows(rng, m)
     else:
         R = rng.normal(size=(m, 3, 3)) * 10.0 ** rng.integers(-8, 9, size=(m, 3, 3))
     with np.errstate(all="ignore"):
         adj, det = g._adjugate_det3(R)
         ref_adj, ref_det = _adjugate_det3_loop(R)
+    C, det_rows = g._cofactor_rows(np.ascontiguousarray(R.reshape(-1, 9).T))
     assert adj.tobytes() == ref_adj.tobytes()
     assert det.tobytes() == ref_det.tobytes()
+    assert np.stack(C, axis=1).tobytes() == ref_adj.tobytes()
+    assert det_rows.tobytes() == ref_det.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -157,7 +161,7 @@ def test_invert_frame_errors_match_cofactor_loop(monkeypatch, seed, kind, error)
     R = rng.normal(size=(40, 3, 3))
     bad = rng.integers(5, 40, size=3)
     if kind == "special rows":
-        R[bad] = _frames_with_special_rows(rng, 3)
+        R[bad] = frames_with_special_rows(rng, 3)
         R[bad[0], 0] = [np.inf, 1.0, 1.0]
     else:
         R[bad, rng.integers(0, 3, size=3)] = 0.0
@@ -173,19 +177,12 @@ def test_invert_frame_errors_match_cofactor_loop(monkeypatch, seed, kind, error)
     assert new == raised()
 
 
-def _frames_with_condition(rng, n, m, cond):
-    """m random n x n frames U diag(1, .., 1, 1/cond) V^T, U and V orthogonal."""
-    U = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
-    V = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
-    return (U * np.r_[np.ones(n - 1), 1.0 / cond]) @ V.transpose(0, 2, 1)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("cond", [None, 1e8])
 def test_invert_frame_matches_lapack(n, cond):
     rng = np.random.default_rng(10 * n)
     m = 200
-    R = rng.normal(size=(m, n, n)) if cond is None else _frames_with_condition(rng, n, m, cond)
+    R = rng.normal(size=(m, n, n)) if cond is None else frames_with_condition(rng, n, m, cond)
     L, det = g._invert_frame(np.zeros((m, n)), R)
     inv = np.linalg.inv(R)
     kappa = np.linalg.cond(R)
@@ -199,25 +196,10 @@ def test_invert_frame_matches_lapack(n, cond):
         assert err.max() < 1e-13
 
 
-def _singular_batch(n, kind):
-    """Three n x n frames; the middle one is singular or nearly so."""
-    rng = np.random.default_rng(n)
-    Q = np.linalg.qr(rng.normal(size=(3, n, n)))[0]
-    if kind == "zero":
-        Q[1] = 0.0
-    elif kind == "equal columns":
-        Q[1, :, 1] = Q[1, :, 0]
-    else:
-        # |det| = s, |R|_F^2 = n - 1 + s^2, against DET_RTOL |R|_F^n
-        s = (0.9 if kind == "below" else 1.1) * g.DET_RTOL * (n - 1) ** (n / 2)
-        Q[1] = Q[1] * np.r_[np.ones(n - 1), s]
-    return Q
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["zero", "equal columns", "below"])
 def test_singular_frame_gate_without_warnings(n, kind):
-    R = _singular_batch(n, kind)
+    R = singular_batch(n, kind)
     points = np.arange(3.0 * n).reshape(3, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -228,7 +210,7 @@ def test_singular_frame_gate_without_warnings(n, kind):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_frame_just_above_singular_gate_inverts(n):
-    R = _singular_batch(n, "above")
+    R = singular_batch(n, "above")
     L, det = g._invert_frame(np.zeros((3, n)), R)
     assert np.abs(L @ R - np.eye(n)).max() < 1e-3
 

@@ -5,12 +5,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
 import rates_reference
-from conftest import V3, frame_jets, spherical_frame_and_chart
+from conftest import (
+    V3,
+    frame_jets,
+    frames_with_condition,
+    frames_with_special_rows,
+    singular_batch,
+    spherical_frame_and_chart,
+)
 
 from eigenframe import geometry as g
 from eigenframe import potential as pot
@@ -37,15 +45,11 @@ def standard_frame():
 # ---------------------------------------------------------------------------
 
 
-def _no_scalars(d):
-    return np.empty((0,) + d.shape)
-
-
 def test_gauss_kronrod_ray_known_integral():
     """The ray from 0 to 2 carries G(1) = int_0^2 e^t dt."""
 
     def rates(pts, d):
-        return np.exp(pts) * d, _no_scalars(d)
+        return np.exp(pts) * d, None
 
     G, *_ = pot._ray_family(rates, np.zeros(1), np.array([[2.0]]), 1e-12, 0.0)
     assert abs(G[0, 0] - (np.exp(2.0) - 1.0)) < 1e-12
@@ -56,10 +60,33 @@ def test_gauss_kronrod_ray_vector_integrand():
     [0, pi/2]."""
 
     def rates(pts, d):
-        return np.stack([np.sin(pts[:, 0]), np.cos(pts[:, 1])], axis=1) * d, _no_scalars(d)
+        return np.stack([np.sin(pts[:, 0]), np.cos(pts[:, 1])], axis=1) * d, None
 
     G, *_ = pot._ray_family(rates, np.zeros(2), np.full((1, 2), np.pi / 2), 1e-12, 0.0)
     assert np.abs(G[0] - np.array([1.0, 1.0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("rule_name", ["kronrod", "gauss"])
+@pytest.mark.parametrize("further", [0, 1])
+def test_advance_takes_eta_from_the_weights(rule_name, further):
+    """_advance integrates eta, G(t) . d, from the rule's weights; it equals
+    the per-node sum over G at the nodes with d stacked as one more field,
+    and the further fields' integrals and the carried vector are those of
+    the per-node sum too."""
+    rule = pot._ray_rule(pot._RAY_Q)
+    w, K = (rule.w, rule.K) if rule_name == "kronrod" else (rule.w_gauss, rule.K_gauss)
+    rng = np.random.default_rng(w.size + further)
+    m, n, h = 50, 3, 0.25
+    G, S, d = rng.normal(size=(m, n)), rng.normal(size=(m, 1 + further)), rng.normal(size=(m, n))
+    Jd, A = rng.normal(size=(w.size, m, n)), rng.normal(size=(w.size, further, m, n))
+    G_end, S_end = pot._advance(G, S, h, w, K, Jd, A, d)
+    G_nodes = G + h * np.einsum("ij,jmn->imn", K, Jd)
+    V = np.concatenate([np.broadcast_to(d, (w.size, 1, m, n)), A], axis=1)
+    ref = S + h * np.einsum("j,jmn,jkmn->mk", w, G_nodes, V)
+    assert np.abs(S_end - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(G_end - (G + h * np.einsum("j,jmn->mn", w, Jd))).max() <= 1e-14 * np.abs(G_end).max()
+    G_flux, S_flux = pot._advance(G, 0.0, h, w, K, Jd, None, d)
+    assert G_flux.tobytes() == G_end.tobytes() and S_flux.shape == (m, 0)
 
 
 def test_gauss_kronrod_rule():
@@ -524,17 +551,25 @@ def test_json_matches_json_dumps_of_lists(shape):
 
 @pytest.mark.parametrize("kind", ["eta", "q"])
 def test_frame_inverted_once_per_point_set(corpus_cases, monkeypatch, kind):
-    """The frame and its candidates are evaluated and inverted once per block
-    of ray parameters (q's Hessian and flux fields share it) and once on
-    the closedness probes: no point set is evaluated twice."""
-    seen = []
-    original = pot._invert_frame
+    """The frame and its candidates are evaluated once per block of ray
+    parameters (q's Hessian and flux fields share it) and once on the
+    closedness probes, and each evaluation passes the inversion gate once,
+    whether L is formed (_invert_frame) or applied by cofactors (the n = 3
+    ray blocks): every ray block reaches the gate, and no point set twice."""
+    seen, blocks = [], []
+    gate, values = g._require_invertible, pot.MatrixField.values
 
-    def recording(points, R):
+    def recording(points, R, det):
         seen.append(np.ascontiguousarray(points).tobytes())
-        return original(points, R)
+        return gate(points, R, det)
 
-    monkeypatch.setattr(pot, "_invert_frame", recording)
+    def block(self, points, d):
+        blocks.append(np.ascontiguousarray(points).tobytes())
+        return values(self, points, d)
+
+    monkeypatch.setattr(g, "_require_invertible", recording)
+    monkeypatch.setattr(pot, "_require_invertible", recording)
+    monkeypatch.setattr(pot.MatrixField, "values", block)
     case = corpus_cases["ex6.1b"]
     lam = next(c for k, c in case.candidates if k == "lambda")
     bet = [c for k, c in case.candidates if k == "beta"][1]
@@ -542,7 +577,8 @@ def test_frame_inverted_once_per_point_set(corpus_cases, monkeypatch, kind):
         pot.reconstruct_eta(case.spec, bet, case.spec.base_point, (4, 4, 4))
     else:
         pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (4, 4, 4))
-    assert seen and len(seen) == len(set(seen)), (len(seen), len(set(seen)))
+    assert blocks and set(blocks) <= set(seen), (len(blocks), len(set(blocks) & set(seen)))
+    assert len(seen) == len(set(seen)), (len(seen), len(set(seen)))
 
 
 @pytest.mark.parametrize("kind", ["eta", "flux", "q"])
@@ -609,6 +645,85 @@ def test_grids_match_rates_of_formed_matrices(corpus_cases, monkeypatch, name, k
     assert grid.values.keys() == ref.values.keys()
     for key, value in ref.values.items():
         assert np.abs(grid.values[key] - value).max() <= 1e-14 * np.abs(value).max(), key
+
+
+def _field_on_frames(monkeypatch, R):
+    """A MatrixField of one length and one speed candidate on a 3-variable
+    frame, whose tape is replaced by one that returns the frames R (m, 3, 3)
+    and random candidate values at the m points."""
+    spec = standard_frame()
+    bet = sy.BetaCandidate.from_sources(["1", "1", "1"], V3)
+    lam = sy.LambdaCandidate.from_sources(["1", "1", "1"], V3)
+    field = pot.MatrixField(spec, (bet, lam))
+    cands = np.random.default_rng(R.shape[0]).normal(size=(R.shape[0], 6))
+    block = np.hstack([R.reshape(-1, 9), cands])
+    monkeypatch.setattr(pot.ex, "eval_scalar_many", lambda tape, pts: block)
+    return field, block
+
+
+def _gate_frames(seed, kind):
+    """40 random frames, three of them replaced according to kind."""
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(40, 3, 3))
+    bad = rng.integers(5, 40, size=3)
+    if kind == "special rows":
+        R[bad] = frames_with_special_rows(rng, 3)
+        R[bad[0], 0] = [np.inf, 1.0, 1.0]
+    elif kind == "zero rows":
+        R[bad, rng.integers(0, 3, size=3)] = 0.0
+    else:
+        R[bad[0]] = singular_batch(3, kind)[1]
+    return R
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["special rows", "zero rows", "below", "above"])
+def test_cofactor_rates_gate_like_invert_frame(monkeypatch, seed, kind):
+    """MatrixField.values applies L by cofactors for n = 3 without calling
+    _invert_frame; on the same frames it raises the same exception, at the
+    same point and with the same message, or passes where _invert_frame
+    does, with no RuntimeWarning either way."""
+    R = _gate_frames(seed, kind)
+    field, _ = _field_on_frames(monkeypatch, R)
+    points = np.arange(120.0).reshape(40, 3)
+
+    def outcome(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call()
+            except (DomainError, SingularFrameError) as err:
+                return type(err), err.point.tobytes(), str(err)
+        return None
+
+    d = np.ones((40, 3))
+    kernel = outcome(lambda: field.values(points, d))
+    assert kernel == outcome(lambda: g._invert_frame(points, R))
+    assert (kernel is None) == (kind == "above")
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_cofactor_rates_match_formed_matrices(monkeypatch, cond):
+    """On random frames of condition number up to 1e8 the cofactor rates
+    match L^T diag[b] L d and R diag[l] L d formed from _invert_frame's L
+    (rates_reference) within a kappa * eps bound relative to the same
+    products on absolute values."""
+    rng = np.random.default_rng(int(np.log10(cond)))
+    m = 200
+    R = frames_with_condition(rng, 3, m, cond)
+    field, block = _field_on_frames(monkeypatch, R)
+    d = rng.normal(size=(m, 3))
+    Hd, Ad = field.values(np.zeros((m, 3)), d)
+    L, _ = g._invert_frame(np.zeros((m, 3)), R)
+    b, lam = block[:, 9:12], block[:, 12:]
+    kappa = np.linalg.cond(R)[:, None]
+    for got, M, scale in [
+        (Hd, rates_reference.hessian_matrix(L, b), rates_reference.hessian_matrix(np.abs(L), np.abs(b))),
+        (Ad, rates_reference.flux_matrix(R, L, lam), rates_reference.flux_matrix(np.abs(R), np.abs(L), np.abs(lam))),
+    ]:
+        ref = np.einsum("mab,mb->ma", M, d)
+        bound = np.einsum("mab,mb->ma", scale, np.abs(d))
+        assert np.all(np.abs(got - ref) <= 4e-16 * 3 * kappa * bound)
 
 
 def _diagonal_frame_2d():
@@ -688,7 +803,7 @@ def test_failing_block_raises_the_first_failing_node_error(monkeypatch, budget):
             hit = pts[:, 0] == t
             if hit.any():
                 raise DomainError(name, pts[int(np.argmax(hit))], "test")
-        return d.copy(), np.empty((0,) + d.shape)
+        return d.copy(), None
 
     if budget is not None:
         monkeypatch.setattr(pot, "_RAY_BATCH_POINTS", budget)
