@@ -11,11 +11,11 @@ with first index the direction and second the differentiated field, and the
 structure coefficients are c[i, j, k] = Gamma[i, j, k] - Gamma[j, i, k].
 
 For n = 3 the inverse frame L comes from the adjugate and determinant by
-cofactor expansion (LAPACK otherwise); a frame with |det R| below
-DET_RTOL |R|_F^n raises SingularFrameError before anything is divided.
-The same cofactors, taken over rows (m,) of frame entries (_cofactor_rows),
-let potential's rays apply L for n = 3 without forming it, past the same
-gate (_require_invertible).
+cofactor expansion over rows (m,) of frame entries (_cofactor_rows; LAPACK
+otherwise); a frame with |det R| below DET_RTOL |R|_F^n raises
+SingularFrameError before anything is divided (_require_invertible).  The
+same row cofactors and gate let potential's rays apply L for n = 3 without
+forming it.
 Gamma is written once, as the formula Gamma_j = L (DR_j R) over Taylor
 fields (exprlang.Taylor): R is the truncated Taylor series of the frame's
 own tape (exprlang.eval_series), L = sum_k (-L0 H)^k L0 for R = R0 + H
@@ -322,35 +322,15 @@ _COFACTORS = tuple(
 )
 
 
-def _adjugate_det3(R: np.ndarray) -> tuple:
-    """Adjugate and determinant of a batch of 3x3 matrices by cofactor
-    expansion, adj = a b - c d from four gathers; this costs less than a
-    LAPACK call per matrix.  The gathers take contiguous rows of the
-    transposed frames (9, m) and the products are formed in place: one
-    gather of all 36 rows, or gathers of columns of the (m, 9) frames, made
-    a reconstruct pass slower through their larger temporaries.  adj is
-    returned C-contiguous, the layout the matrix products downstream read
-    fastest."""
-    rows = np.ascontiguousarray(R.reshape(-1, 9).T)
-    a, b, c, d = _COFACTORS
-    adj = rows[a]
-    adj *= rows[b]
-    cd = rows[c]
-    cd *= rows[d]
-    adj -= cd
-    # summed from +0.0 in this order, as numpy's sum over the row of R did:
-    # the same bits, signed zeros included
-    det = 0.0 + rows[0] * adj[0] + rows[1] * adj[3] + rows[2] * adj[6]
-    return np.ascontiguousarray(adj.T).reshape(-1, 3, 3), det
-
-
 def _cofactor_rows(rows) -> tuple:
     """The cofactors and determinant of a batch of 3x3 frames held as the
     nine rows (m,) of their entries (row 3a + j is R[a, j]): the list C of
-    rows with C[3k + a] = adj[k, a], and det, with the bits of
-    _adjugate_det3.  No gather, stack or transposing copy is made."""
+    rows with C[3k + a] = adj[k, a], and det.  No gather, stack or
+    transposing copy is made."""
     with np.errstate(over="ignore", invalid="ignore"):
         C = [rows[a] * rows[b] - rows[c] * rows[d] for a, b, c, d in zip(*_COFACTORS)]
+        # summed from +0.0 in this order, as numpy's sum over a row of R
+        # would: the same bits, signed zeros included
         det = 0.0 + rows[0] * C[0] + rows[1] * C[3] + rows[2] * C[6]
     return C, det
 
@@ -375,17 +355,16 @@ def _require_invertible(points: np.ndarray, R: np.ndarray, det: np.ndarray) -> N
 def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
     """L = R^{-1} and det R for a batch of frames (m, n, n), past
     _require_invertible's gate before anything is divided by det (so L is
-    finite)."""
-    closed_form = R.shape[-1] == 3
-    with np.errstate(over="ignore", invalid="ignore"):
-        if closed_form:
-            adj, det = _adjugate_det3(R)
-        else:
+    finite).  For n = 3, L = adj(R) / det from the row cofactors, which cost
+    less than a LAPACK call per matrix."""
+    if R.shape[-1] != 3:
+        with np.errstate(over="ignore", invalid="ignore"):
             det = np.linalg.det(R)
+        _require_invertible(points, R, det)
+        return np.linalg.inv(R), det
+    C, det = _cofactor_rows(np.ascontiguousarray(R.reshape(-1, 9).T))
     _require_invertible(points, R, det)
-    if closed_form:
-        return adj / det[:, None, None], det
-    return np.linalg.inv(R), det
+    return np.stack(C, axis=1).reshape(-1, 3, 3) / det[:, None, None], det
 
 
 def inverse_series(R: Taylor, L0: np.ndarray) -> Taylor:

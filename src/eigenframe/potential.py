@@ -145,20 +145,21 @@ class MatrixField:
         R, cands = split_frame_tape(block, self.n)
         if self.n != 3:
             return self._times(R, _invert_frame(pts, R)[0], cands, d)
-        # every frame entry and candidate component as a row (m,), from one
-        # copy of the block; L d = adj(R) d / det
-        rows = np.ascontiguousarray(block.T)
-        C, det = _cofactor_rows(rows)
+        # every frame entry R[a, j] and candidate component as a row (m,),
+        # views of one copy of the block; L d = adj(R) d / det
+        Rr, cand_rows = split_frame_tape(np.ascontiguousarray(block.T)[None], 3)
+        Rr, cand_rows = Rr[0], [s[0] for s in cand_rows]
+        C, det = _cofactor_rows(Rr.reshape(9, -1))
         _require_invertible(pts, R, det)
         d = np.ascontiguousarray(d.T)  # rows d[a]
-        Ld = [_dot3(C, 3 * k, 1, d) / det for k in range(3)]
+        Ld = [_dot3(C[3 * k : 3 * k + 3], d) / det for k in range(3)]
         fields = []
-        for c, h in enumerate(self.hessian):
-            z = [s * y for s, y in zip(rows[9 + 3 * c : 12 + 3 * c], Ld)]
+        for h, s in zip(self.hessian, cand_rows):
+            z = [sa * y for sa, y in zip(s, Ld)]
             if h:  # L^T z = adj(R)^T z / det
-                Md = [_dot3(C, a, 3, z) / det for a in range(3)]
+                Md = [_dot3(C[a::3], z) / det for a in range(3)]
             else:  # R z
-                Md = [_dot3(rows, 3 * a, 1, z) for a in range(3)]
+                Md = [_dot3(Rr[a], z) for a in range(3)]
             fields.append(np.stack(Md, axis=1))
         return fields
 
@@ -177,10 +178,9 @@ class MatrixField:
         return [(M.value, M.coef[..., 1:]) for M in fields]
 
 
-def _dot3(X, start: int, step: int, z) -> np.ndarray:
-    """X[start] z[0] + X[start + step] z[1] + X[start + 2 step] z[2], over
-    rows (m,)."""
-    return X[start] * z[0] + X[start + step] * z[1] + X[start + 2 * step] * z[2]
+def _dot3(x, z) -> np.ndarray:
+    """x[0] z[0] + x[1] z[1] + x[2] z[2], over rows (m,)."""
+    return x[0] * z[0] + x[1] * z[1] + x[2] * z[2]
 
 
 def _matvec(A, x):

@@ -121,7 +121,7 @@ def test_singular_frame_detected():
 
 
 def _adjugate_det3_loop(R):
-    """The cyclic cofactor loop, the reference of geometry._adjugate_det3."""
+    """The cyclic cofactor loop, the reference of geometry._cofactor_rows."""
     adj = np.empty_like(R)
     for i in range(3):
         i1, i2 = (i + 1) % 3, (i + 2) % 3
@@ -132,31 +132,35 @@ def _adjugate_det3_loop(R):
     return adj, det
 
 
+def _cofactor_rows_loop(rows):
+    """_cofactor_rows' contract, from the cofactor loop."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj, det = _adjugate_det3_loop(rows.T.reshape(-1, 3, 3))
+    return list(adj.reshape(-1, 9).T), det
+
+
 @pytest.mark.parametrize("m", [1, 50, 4096])
 @pytest.mark.parametrize("special", [False, True])
 def test_adjugate_matches_cofactor_loop(m, special):
-    """_adjugate_det3 and the row cofactors of the n = 3 ray kernel
-    (_cofactor_rows) have the bits of the cofactor loop."""
+    """The row cofactors (_cofactor_rows), which serve _invert_frame and the
+    n = 3 ray kernel, have the bits of the cofactor loop."""
     rng = np.random.default_rng(m + special)
     if special:
         R = frames_with_special_rows(rng, m)
     else:
         R = rng.normal(size=(m, 3, 3)) * 10.0 ** rng.integers(-8, 9, size=(m, 3, 3))
     with np.errstate(all="ignore"):
-        adj, det = g._adjugate_det3(R)
         ref_adj, ref_det = _adjugate_det3_loop(R)
-    C, det_rows = g._cofactor_rows(np.ascontiguousarray(R.reshape(-1, 9).T))
-    assert adj.tobytes() == ref_adj.tobytes()
-    assert det.tobytes() == ref_det.tobytes()
+    C, det = g._cofactor_rows(np.ascontiguousarray(R.reshape(-1, 9).T))
     assert np.stack(C, axis=1).tobytes() == ref_adj.tobytes()
-    assert det_rows.tobytes() == ref_det.tobytes()
+    assert det.tobytes() == ref_det.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("kind, error", [("special rows", DomainError), ("zero rows", SingularFrameError)])
 def test_invert_frame_errors_match_cofactor_loop(monkeypatch, seed, kind, error):
     """_invert_frame raises the same DomainError or SingularFrameError at the
-    same point with either adjugate."""
+    same point with the row cofactors or the cofactor loop."""
     rng = np.random.default_rng(seed)
     R = rng.normal(size=(40, 3, 3))
     bad = rng.integers(5, 40, size=3)
@@ -173,7 +177,7 @@ def test_invert_frame_errors_match_cofactor_loop(monkeypatch, seed, kind, error)
         return str(info.value), info.value.point.tobytes()
 
     new = raised()
-    monkeypatch.setattr(g, "_adjugate_det3", _adjugate_det3_loop)
+    monkeypatch.setattr(g, "_cofactor_rows", _cofactor_rows_loop)
     assert new == raised()
 
 
