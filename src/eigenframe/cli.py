@@ -150,8 +150,9 @@ def cmd_analyze(args) -> int:
     base = eval_connection(spec, np.asarray(spec.base_point)[None, :])
     out = report.to_dict()
     out["base_point"] = list(spec.base_point)
-    out["gamma_at_base"] = np.round(base.Gamma[0], 12).tolist()
-    out["c_at_base"] = np.round(base.c[0], 12).tolist()
+    # + 0.0 turns the -0.0 that rounding leaves of tiny negative noise into 0.0
+    out["gamma_at_base"] = (np.round(base.Gamma[0], 12) + 0.0).tolist()
+    out["c_at_base"] = (np.round(base.c[0], 12) + 0.0).tolist()
     _emit(out, args)
     return EXIT_PASS
 

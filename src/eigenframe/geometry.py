@@ -16,13 +16,15 @@ otherwise); a frame with |det R| below DET_RTOL |R|_F^n raises
 SingularFrameError before anything is divided (_require_invertible).  The
 same row cofactors and gate let potential's rays apply L for n = 3 without
 forming it.
-Gamma is written once, as the formula Gamma_j = L (DR_j R) over Taylor
-fields (exprlang.Taylor): R is the truncated Taylor series of the frame's
-own tape (exprlang.eval_series), L = sum_k (-L0 H)^k L0 for R = R0 + H
-(inverse_series), and DR is read from R's coefficients.  eval_connection
-runs the tape once at order 2 and takes Gamma with its exact first
-derivatives from the order-1 series; ConnectionEval.taylor runs the same
-formula at higher orders.  No derivative is taken by finite differences, by
+Gamma is computed one way at every order, over truncated Taylor series
+(exprlang.Taylor) of the frame's own tape (exprlang.eval_series): with
+Y[a, j, i] = r_i(R^a_j), Gamma solves R Gamma[i, j, :] = Y[:, j, i].  Y is
+one product of R's series with the operator of r (_frame_operator), the
+same operator ConnectionEval.r applies, and the solve runs degree by degree
+from L0 = R^{-1} at the points (_graded_solve), so L's series is never
+formed.  eval_connection runs the tape once at order 2 and takes Gamma with
+its exact first derivatives from the order-1 series; ConnectionEval.taylor
+solves to higher orders.  No derivative is taken by finite differences, by
 symbolic differentiation or by a hand-written product rule, so the symmetry
 and flatness identities of the flat coordinate connection hold to machine
 precision and serve as end-to-end pipeline checks.
@@ -32,13 +34,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import exprlang as ex
-from .exprlang import Taylor, _derivative_table, _frame_derivative_table, _size
+from .exprlang import Taylor, _frame_derivative_table, _monomials, _size
 from .errors import (
     ChartDomainError,
     DomainError,
@@ -243,8 +245,9 @@ class ConnectionEval:
 
     Built only by eval_connection; every check, residual and classifier
     branch on the same sample set reads this one object instead of
-    evaluating the frame again.  The Taylor fields of taylor and r are
-    computed on first use and kept.
+    evaluating the frame again.  The Taylor fields of taylor and the
+    operators of r are computed on first use and kept in _series, and the
+    operator a Gamma series was solved with serves r as well.
     """
 
     spec: FrameSpec
@@ -273,28 +276,32 @@ class ConnectionEval:
     def taylor(self, order: int) -> Taylor:
         """Gamma as a Taylor field of the given order, shape (m, i, j, k): a
         leading slice of the lowest-order series computed so far that
-        reaches it (order 1 by eval_connection), else computed and kept."""
+        reaches it (order 1 by eval_connection), else solved with the
+        operator of order + 1 (kept for r) and kept."""
         kept = [key[1] for key in self._series if key[0] == "gamma" and key[1] >= order]
         if not kept:
             kept = [order]
             self._series[("gamma", order)] = _gamma_series(
-                self._frame_series(order + 1), self.L, order)
+                self._frame_series(order + 1), self.L, self._operator(order + 1))
         G = self._series[("gamma", min(kept))]
         return G if G.order == order else Taylor(G.coef[..., : _size(self.n, order)], self.n, order)
 
     def r(self, d: int, f: Taylor) -> Taylor:
         """r_d(f) = R^a_d d_a f along frame field d, a Taylor field one order
-        lower than f: one batched product with the field's per-point
-        operator, which is built once per order."""
-        key = ("operator", f.order)
-        if key not in self._series:
-            R = self._frame_series(f.order - 1).coef.transpose(0, 2, 1, 3)  # (m, d, a, i)
-            T = _frame_derivative_table(self.n, f.order)
-            M = R.reshape(R.shape[:2] + (-1,)) @ T.reshape(-1, T.shape[2] * T.shape[3])
-            self._series[key] = M.reshape(R.shape[:2] + T.shape[2:]).transpose(0, 1, 3, 2)
+        lower than f: one batched product with the operator of f's order."""
         m, size = f.coef.shape[0], f.coef.shape[-1]
-        out = f.coef.reshape(m, -1, size) @ self._series[key][:, d]
+        out = f.coef.reshape(m, -1, size) @ self._operator(f.order)[:, d]
         return Taylor(out.reshape(f.coef.shape[:-1] + (-1,)), self.n, f.order - 1)
+
+    def _operator(self, order: int) -> np.ndarray:
+        """The per-point operator of r on series of the given order
+        (_frame_operator), built once per order and kept: the Gamma series
+        of order o solves with the operator of order o + 1, which
+        eval_connection and taylor keep for r."""
+        key = ("operator", order)
+        if key not in self._series:
+            self._series[key] = _frame_operator(self._frame_series(order - 1), order)
+        return self._series[key]
 
     def _frame_series(self, order: int) -> Taylor:
         """R as a Taylor field of the given order, shape (m, a, j): a leading
@@ -367,26 +374,80 @@ def _invert_frame(points: np.ndarray, R: np.ndarray) -> tuple:
     return np.stack(C, axis=1).reshape(-1, 3, 3) / det[:, None, None], det
 
 
-def inverse_series(R: Taylor, L0: np.ndarray) -> Taylor:
-    """L = R^{-1} as a Taylor field from L0 = R^{-1} at the points: with
-    R = R0 + H, L = sum_k (-L0 H)^k L0, truncated at R's order."""
-    X = L0 @ (R.value - R)
-    L = L0
-    for _ in range(R.order):
-        L = L0 + X @ L
-    return L
+@lru_cache(maxsize=None)
+def _solve_gather(n: int, order: int) -> tuple:
+    """Index tables of _graded_solve: for each degree d = 1..order, the flat
+    indices into R's coefficients held as (n, n, s + 1), s = _size(n, order),
+    with slot s zero, of the block B_d[(a, g), (k, b)] = R^a_k[g - b] over
+    the multi-indices g of degree d and b of lower degree; g - b names the
+    zero slot when b does not divide g."""
+    mono = _monomials(n, order)
+    index = {t: i for i, t in enumerate(mono)}
+
+    def quotient(g, b):
+        rest = list(g)
+        for v in b:
+            if v not in rest:
+                return len(mono)
+            rest.remove(v)
+        return index[tuple(rest)]
+
+    entry = (np.arange(n)[:, None] * n + np.arange(n))[:, None, :, None] * (len(mono) + 1)
+    tables = []
+    for d in range(1, order + 1):
+        rows, cols = mono[_size(n, d - 1) : _size(n, d)], mono[: _size(n, d - 1)]
+        A = np.array([[quotient(g, b) for b in cols] for g in rows])
+        tables.append((entry + A[:, None, :]).reshape(n * len(rows), n * len(cols)))
+    return tuple(tables)
 
 
-def _gamma_series(R: Taylor, L0: np.ndarray, order: int) -> Taylor:
-    """Gamma_j = L (DR_j R) as a Taylor field of the given order, shape
-    (m, i, j, k), from the frame series R of order + 1 and L0 = R^{-1}."""
-    n, m, size = R.n, R.coef.shape[0], _size(R.n, order)
-    D = _derivative_table(n, order + 1)
-    DR = R.coef.reshape(m * n * n, -1) @ D.reshape(n * size, -1).T  # (m, a, j, b, l)
-    R = Taylor(R.coef[..., :size], n, order)
-    LDR = inverse_series(R, L0) @ Taylor(DR.reshape(m, n, n * n, size), n, order)
-    G = Taylor(LDR.coef.reshape(m, n * n, n, size), n, order) @ R
-    return Taylor(G.coef.reshape(m, n, n, n, size), n, order).transpose(0, 3, 2, 1)
+def _graded_solve(R: Taylor, L0: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X with R X = Y as Taylor fields of R's order, degree by degree (the
+    graded recurrence of Griewank & Walther, ch. 13): X_0 = L0 Y_0 and
+    X_g = L0 (Y_g - sum_h R_h X_{g-h}) over the multi-indices h != 0 that
+    divide g, from L0 = R^{-1} at the points.  Y and X are (m, n, l, p):
+    row, coefficient, p columns.  Each degree's sum is one batched product
+    with a block of R's coefficients gathered by _solve_gather; R's inverse
+    series is never formed."""
+    m, n, s, p = Y.shape
+    Rc = np.zeros((m, n, n, s + 1))
+    Rc[..., :s] = R.coef
+    Rc = Rc.reshape(m, -1)
+    X = np.empty_like(Y)
+    X[:, :, 0] = L0 @ Y[:, :, 0]
+    for d, B in enumerate(_solve_gather(n, R.order), 1):
+        lo, hi = _size(n, d - 1), _size(n, d)
+        S = np.take(Rc, B, axis=1) @ X[:, :, :lo].reshape(m, n * lo, p)
+        Z = Y[:, :, lo:hi] - S.reshape(m, n, hi - lo, p)
+        X[:, :, lo:hi] = (L0 @ Z.reshape(m, n, -1)).reshape(m, n, hi - lo, p)
+    return X
+
+
+def _frame_operator(R: Taylor, order: int) -> np.ndarray:
+    """D[m, d, l, k]: (r_d f)[k] = sum_l f[l] D[d, l, k], the derivative of
+    a series f of the given order along frame field d, one order lower, from
+    the frame series R of order >= order - 1 (_frame_derivative_table)."""
+    m, n = R.coef.shape[0], R.n
+    T = _frame_derivative_table(n, order)  # (b, i, k, l)
+    Rt = R.coef[..., : T.shape[1]].transpose(0, 2, 1, 3)  # (m, d, a, i)
+    D = Rt.reshape(m, n, -1) @ T.reshape(-1, T.shape[2] * T.shape[3])
+    return D.reshape((m, n) + T.shape[2:]).transpose(0, 1, 3, 2)
+
+
+def _gamma_series(R: Taylor, L0: np.ndarray, D: np.ndarray) -> Taylor:
+    """Gamma as a Taylor field of order o = R.order - 1, shape (m, i, j, k),
+    from the frame series R, L0 = R^{-1} at the points and D, the operator
+    of r on series of order o + 1 (_frame_operator): Y[a, j, i] = r_i(R^a_j)
+    is one product with D per point, and R Gamma[i, j, :] = Y[:, j, i] is
+    solved by _graded_solve."""
+    m, n, order = R.coef.shape[0], R.n, R.order - 1
+    s = D.shape[-1]
+    # rows (i, c) of D's contiguous base (m, i, c, l), c a coefficient of Y
+    DT = D.transpose(0, 1, 3, 2).reshape(m, n * s, -1)
+    Y = DT @ R.coef.reshape(m, n * n, -1).transpose(0, 2, 1)
+    Y = Y.reshape(m, n, s, n, n).transpose(0, 3, 2, 4, 1).reshape(m, n, s, n * n)  # (m, a, c, j i)
+    X = _graded_solve(Taylor(R.coef[..., :s], n, order), L0, Y)  # (m, k, c, j i)
+    return Taylor(X.reshape(m, n, s, n, n).transpose(0, 4, 3, 1, 2), n, order)
 
 
 def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
@@ -396,13 +457,14 @@ def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     R, n = _frame_taylor(spec, points, 2), spec.n
     L, _ = _invert_frame(points, R.value)
-    gamma = _gamma_series(R, L, 1)
+    D = _frame_operator(R, 2)
+    gamma = _gamma_series(R, L, D)
     Gamma = gamma.value
     conn = ConnectionEval(
         spec=spec, points=points, R=R.value, L=L, Rgrad=R.coef[..., 1 : 1 + n],
         Gamma=Gamma, GammaGrad=gamma.coef[..., 1:], c=Gamma - Gamma.transpose(0, 2, 1, 3),
     )
-    conn._series.update({"frame": R, ("gamma", 1): gamma})
+    conn._series.update({"frame": R, ("gamma", 1): gamma, ("operator", 2): D})
     return conn
 
 

@@ -72,13 +72,13 @@ from .geometry import (
     FrameSpec,
     RiemannChart,
     _cofactor_rows,
+    _graded_solve,
     _invert_frame,
     _require_invertible,
     chart_inverse,
     distinct_triple_mask,
     eval_connection,
     frame_tape,
-    inverse_series,
     split_frame_tape,
 )
 from .systems import BetaCandidate, LambdaCandidate, require_rich
@@ -116,8 +116,8 @@ class MatrixField:
     L by cofactors, L d = adj(R) d / det and L^T z = adj(R)^T z / det,
     without forming L; other n invert the frame once per point set.  Run on
     order-1 Taylor fields at the n unit directions, the same products give
-    the matrices and their exact first derivatives (value_grad, with L
-    formed).
+    the matrices and their exact first derivatives (value_grad, with L's
+    order-1 series solved from R L = I by geometry._graded_solve).
 
     values(points, d) -> [(m, N), ...], M d at each point with its own
     direction; value_grad(points) -> [(V, G), ...] with V the matrices and
@@ -168,7 +168,11 @@ class MatrixField:
         m, n = pts.shape[0], self.n
         R, cands = split_frame_tape(ex.eval_series(self.tape, pts, 1), n)
         R = Taylor(R, n, 1)
-        L = inverse_series(R, _invert_frame(pts, R.value)[0])
+        # L from R L = I, solved degree by degree
+        eye = np.zeros((m, n, n + 1, n))
+        eye[:, :, 0] = np.eye(n)
+        L = _graded_solve(R, _invert_frame(pts, R.value)[0], eye)
+        L = Taylor(L.transpose(0, 1, 3, 2), n, 1)
         # every point repeated at the n unit directions: row p n + j of the
         # products is M e_j at point p
         rows, E = np.arange(m).repeat(n), np.tile(np.eye(n), (m, 1))

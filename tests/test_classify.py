@@ -326,8 +326,30 @@ def test_classify_on_reused_or_sliced_series(corpus_cases, monkeypatch):
         assert all(np.shares_memory(conn.taylor(k).coef, G3.coef) for k in (0, 1, 2))
         sliced[cid, seed] = cl.classify(conn)
     monkeypatch.setattr(g.ConnectionEval, "taylor", lambda self, order: g._gamma_series(
-        self._frame_series(order + 1), self.L, order))
+        self._frame_series(order + 1), self.L,
+        g._frame_operator(self._frame_series(order), order + 1)))
     for key, points in sets.items():
         fresh = cl.classify(g.eval_connection(corpus_cases[key[0]].spec, points))
         _same_report(reused[key], fresh)
         _same_report(sliced[key], fresh)
+
+
+def test_frame_operator_built_once_per_order(corpus_cases, monkeypatch):
+    """eval_connection and taylor keep the operator their Gamma series
+    solved with, and r reuses it: classifying a connection builds each order
+    of the frame-derivative operator at most once per sample set.  ex6.9's
+    classifier reaches Gamma of order 3, whose series uses the operator of
+    order 4."""
+    built = []
+    operator = g._frame_operator
+    monkeypatch.setattr(
+        g, "_frame_operator", lambda R, order: built.append(order) or operator(R, order))
+    for cid, case in corpus_cases.items():
+        if case.spec.n != 3:
+            continue
+        for seed in (0, 3):
+            built.clear()
+            cl.classify(connect(case.spec, seed=seed))
+            assert built[0] == 2 and len(built) == len(set(built)), (cid, seed, built)
+            if cid == "ex6.9":
+                assert {3, 4} <= set(built), built

@@ -36,6 +36,22 @@ def test_analyze_json_round_trip(capsys):
     assert json.loads(json.dumps(parsed)) == parsed
 
 
+def test_analyze_prints_no_negative_zero_at_the_base(capsys):
+    """Rounding keeps the sign of +-1e-17 noise, so the base arrays would
+    print -0.0 where the value is zero; cmd_analyze prints 0.0."""
+    root = Path(corpus_mod.corpus_dir())
+    paths = sorted(root.glob("*.json")) + sorted((root / "extended").glob("*.json"))
+    assert len(paths) == 16
+    for path in paths:
+        for seed in range(4):
+            argv = ["--seed", str(seed), "--output", "json", "analyze", str(path)]
+            assert cli.main(argv) == cli.EXIT_PASS
+            out = json.loads(capsys.readouterr().out)
+            for key in ("gamma_at_base", "c_at_base"):
+                values = np.ravel(out[key])
+                assert not np.any(np.signbit(values) & (values == 0.0)), (path.name, seed, key)
+
+
 def test_analyze_two_dimensional_frame_reports_ranks_only(tmp_path, capsys):
     frame = tmp_path / "frame2.json"
     frame.write_text(json.dumps({

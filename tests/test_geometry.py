@@ -20,6 +20,7 @@ from conftest import (
     spherical_frame_and_chart,
 )
 import halton_reference
+import series_reference
 
 from eigenframe import exprlang as ex
 from eigenframe import geometry as g
@@ -257,6 +258,62 @@ def test_connection_matches_einsum_formulas(n):
     dGamma = np.einsum("mijke,med->mdijk", GammaGrad, R)
     assert np.abs(g.directional_gamma(conn) - dGamma).max() < 1e-13 * scale**2
     assert np.abs(g.structure_coefficients_bracket(conn) - c).max() < 1e-13 * scale
+
+
+def _series_frames(corpus_cases):
+    """The polynomial frames at n = 2, 3, 4 and every corpus frame, by name."""
+    frames = {f"polynomial n={n}": _polynomial_frame(np.random.default_rng(n), n)
+              for n in (2, 3, 4)}
+    frames.update((cid, case.spec) for cid, case in corpus_cases.items())
+    return frames
+
+
+def _truncated(R, order):
+    return ex.Taylor(R.coef[..., : ex._size(R.n, order)], R.n, order)
+
+
+def test_gamma_series_matches_inverse_series_formula(corpus_cases):
+    """The graded solve of _gamma_series against Gamma_j = L (DR_j R) with
+    L's inverse series formed (series_reference), at orders 0 to 3; and the
+    L series of the same solve with Y = I against the inverse series."""
+    for name, spec in _series_frames(corpus_cases).items():
+        points = spec.sample_points(30)
+        R = g._frame_taylor(spec, points, 4)
+        L0, _ = g._invert_frame(points, R.value)
+        for order in range(4):
+            Ro = _truncated(R, order + 1)
+            got = g._gamma_series(Ro, L0, g._frame_operator(Ro, order + 1))
+            want = series_reference.gamma_series(Ro, L0, order)
+            assert got.order == order and got.coef.shape == want.coef.shape, (name, order)
+            scale = 1.0 + np.abs(want.coef).max()
+            assert np.abs(got.coef - want.coef).max() < 1e-13 * scale, (name, order)
+            Ro = _truncated(R, order)
+            eye = np.zeros((len(points), spec.n, ex._size(spec.n, order), spec.n))
+            eye[:, :, 0] = np.eye(spec.n)
+            L = g._graded_solve(Ro, L0, eye).transpose(0, 1, 3, 2)
+            want = series_reference.inverse_series(Ro, L0)
+            want = want.coef if isinstance(want, ex.Taylor) else want[..., None]
+            scale = 1.0 + np.abs(want).max()
+            assert np.abs(L - want).max() < 1e-13 * scale, (name, order)
+
+
+def test_gamma_series_orders_are_leading_slices(corpus_cases):
+    """Gamma of order k is the first _size(n, k) coefficients of Gamma of
+    order k + 1: the graded solve never revisits a lower degree.  Only the
+    last bits may differ, since Y's sums over the frame series of the higher
+    order run over more (zero) terms."""
+    for name, spec in _series_frames(corpus_cases).items():
+        points = spec.sample_points(30)
+        R = g._frame_taylor(spec, points, 4)
+        L0, _ = g._invert_frame(points, R.value)
+        series = []
+        for order in range(4):
+            Ro = _truncated(R, order + 1)
+            series.append(g._gamma_series(Ro, L0, g._frame_operator(Ro, order + 1)))
+        for low, high in zip(series, series[1:]):
+            scale = 1.0 + np.abs(low.coef).max()
+            diff = np.abs(low.coef - high.coef[..., : low.coef.shape[-1]]).max()
+            assert diff < 4e-15 * scale, (name, low.order, diff)
 
 
 def test_taylor_fields_are_exact(corpus_cases):
