@@ -22,12 +22,14 @@ Y[a, j, i] = r_i(R^a_j), Gamma solves R Gamma[i, j, :] = Y[:, j, i].  Y is
 one product of R's series with the operator of r (_frame_operator), the
 same operator ConnectionEval.r applies, and the solve runs degree by degree
 from L0 = R^{-1} at the points (_graded_solve), so L's series is never
-formed.  eval_connection runs the tape once at order 2 and takes Gamma with
-its exact first derivatives from the order-1 series; ConnectionEval.taylor
-solves to higher orders.  No derivative is taken by finite differences, by
-symbolic differentiation or by a hand-written product rule, so the symmetry
-and flatness identities of the flat coordinate connection hold to machine
-precision and serve as end-to-end pipeline checks.
+formed.  eval_connection runs the tape once at order 2 and keeps the frame
+series, the operator and the order-1 Gamma series; ConnectionEval reads R
+and Gamma as views of their value slots, r_d(Gamma) as r over the order-1
+series, and taylor solves to higher orders.  No derivative is taken by
+finite differences, by symbolic differentiation or by a hand-written
+product rule, so the symmetry and flatness identities of the flat
+coordinate connection hold to machine precision and serve as end-to-end
+pipeline checks.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ DET_RTOL = 1e-12
 # largest scaled |c[i,j,k]| over pairwise-distinct (i,j,k) of a rich frame
 RICH_TOL = 1e-7
 # Peak memory per sample point and Gamma entry: the n = 3 classifier,
-# whose order-3 connection series has n^3 entries, peaks at about 64 kB a
-# sample (ex6.9 at 1000 and 4000 samples).
+# whose order-3 connection series has n^3 entries, grows by about 51 kB a
+# sample (ex6.9 `analyze` peaks: 134 MB at 2000 samples, 437 MB at 8000).
 _SAMPLE_BYTES_PER_ENTRY = 2400
 
 
@@ -239,30 +241,41 @@ def chart_from_sources(
 
 @dataclass
 class ConnectionEval:
-    """A frame evaluated on one sample set: the frame, its inverse and
-    first derivatives, the connection components with their first
-    derivatives, and the structure coefficients.
+    """A frame evaluated on one sample set: the inverse frame L at the
+    points and the Taylor series kept in _series, of which R and Gamma are
+    value-slot views; c is computed once from Gamma.
 
     Built only by eval_connection; every check, residual and classifier
     branch on the same sample set reads this one object instead of
-    evaluating the frame again.  The Taylor fields of taylor and the
-    operators of r are computed on first use and kept in _series, and the
-    operator a Gamma series was solved with serves r as well.
+    evaluating the frame again.  Higher orders are computed on first use.
+    The frame series and the operator of r keep their highest order, a
+    lower one being its leading slice; Gamma keeps one series per order.
     """
 
     spec: FrameSpec
     points: np.ndarray  # (m, n)
-    R: np.ndarray  # (m, a, j)
     L: np.ndarray  # (m, k, a); L @ R = I
-    Rgrad: np.ndarray  # (m, a, j, b) = d_b R^a_j
-    Gamma: np.ndarray  # (m, i, j, k)
-    GammaGrad: np.ndarray  # (m, i, j, k, d) = d_d Gamma[i,j,k]
-    c: np.ndarray  # (m, i, j, k) antisymmetrized Gamma
-    _series: dict = field(default_factory=dict, init=False, repr=False)
+    _series: dict = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.R.shape[-1]
+        return self.spec.n
+
+    @property
+    def R(self) -> np.ndarray:
+        """(m, a, j): the value slot of the held frame series."""
+        return self._series["frame"].value
+
+    @property
+    def Gamma(self) -> np.ndarray:
+        """(m, i, j, k): the value slot of the order-1 Gamma series."""
+        return self.taylor(1).value
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """(m, i, j, k): Gamma antisymmetrized in its first two indices."""
+        G = self.Gamma
+        return G - G.transpose(0, 2, 1, 3)
 
     def symmetry_residual(self) -> float:
         """max |Gamma[i,j,k] - Gamma[j,i,k]| = max |c| over 1 + max |Gamma|."""
@@ -270,14 +283,13 @@ class ConnectionEval:
 
     def gamma_scale(self) -> np.ndarray:
         """Per-point magnitude used to make vanishing tests dimensionless."""
-        m = self.Gamma.shape[0]
-        return 1.0 + np.abs(self.Gamma.reshape(m, -1)).max(axis=1)
+        return 1.0 + np.abs(self.Gamma.reshape(len(self.points), -1)).max(axis=1)
 
     def taylor(self, order: int) -> Taylor:
         """Gamma as a Taylor field of the given order, shape (m, i, j, k): a
         leading slice of the lowest-order series computed so far that
         reaches it (order 1 by eval_connection), else solved with the
-        operator of order + 1 (kept for r) and kept."""
+        operator of order + 1 and kept."""
         kept = [key[1] for key in self._series if key[0] == "gamma" and key[1] >= order]
         if not kept:
             kept = [order]
@@ -295,13 +307,13 @@ class ConnectionEval:
 
     def _operator(self, order: int) -> np.ndarray:
         """The per-point operator of r on series of the given order
-        (_frame_operator), built once per order and kept: the Gamma series
-        of order o solves with the operator of order o + 1, which
-        eval_connection and taylor keep for r."""
-        key = ("operator", order)
-        if key not in self._series:
-            self._series[key] = _frame_operator(self._frame_series(order - 1), order)
-        return self._series[key]
+        (_frame_operator): a leading slice of the highest-order operator
+        built on this sample set so far (order 2 by eval_connection), which
+        has the bits of a fresh build."""
+        D = self._series["operator"]
+        if D.shape[2] < _size(self.n, order):
+            D = self._series["operator"] = _frame_operator(self._frame_series(order - 1), order)
+        return D[..., : _size(self.n, order), : _size(self.n, order - 1)]
 
     def _frame_series(self, order: int) -> Taylor:
         """R as a Taylor field of the given order, shape (m, a, j): a leading
@@ -451,36 +463,23 @@ def _gamma_series(R: Taylor, L0: np.ndarray, D: np.ndarray) -> Taylor:
 
 
 def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
-    """Christoffel symbols, their first derivatives, and structure
-    coefficients of the flat coordinate connection relative to the frame,
-    from one run of the frame's tape at order 2."""
+    """Christoffel symbols with their first derivatives, as a Taylor field
+    of order 1, from one run of the frame's tape at order 2."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    R, n = _frame_taylor(spec, points, 2), spec.n
+    R = _frame_taylor(spec, points, 2)
     L, _ = _invert_frame(points, R.value)
     D = _frame_operator(R, 2)
-    gamma = _gamma_series(R, L, D)
-    Gamma = gamma.value
-    conn = ConnectionEval(
-        spec=spec, points=points, R=R.value, L=L, Rgrad=R.coef[..., 1 : 1 + n],
-        Gamma=Gamma, GammaGrad=gamma.coef[..., 1:], c=Gamma - Gamma.transpose(0, 2, 1, 3),
-    )
-    conn._series.update({"frame": R, ("gamma", 1): gamma, ("operator", 2): D})
-    return conn
+    series = {"frame": R, "operator": D, ("gamma", 1): _gamma_series(R, L, D)}
+    return ConnectionEval(spec, points, L, series)
 
 
 def structure_coefficients_bracket(conn: ConnectionEval) -> np.ndarray:
     """c via direct expansion of [r_i, r_j] = (DR_j)R_i - (DR_i)R_j in the
-    frame basis; independent cross-check of the antisymmetrized-Gamma path."""
-    bracket = np.einsum("majb,mbi->maij", conn.Rgrad, conn.R)
+    frame basis, DR read from the frame series; independent cross-check of
+    the antisymmetrized-Gamma path: it reads neither Gamma nor r."""
+    bracket = np.einsum("majb,mbi->maij", conn._frame_series(1).coef[..., 1:], conn.R)
     bracket = bracket - bracket.transpose(0, 1, 3, 2)
     return np.einsum("mka,maij->mijk", conn.L, bracket)
-
-
-def directional_gamma(conn: ConnectionEval) -> np.ndarray:
-    """r_d(Gamma[i,j,k]) for every frame direction d: shape (m, d, i, j, k)."""
-    m, n = conn.R.shape[0], conn.n
-    dG = conn.GammaGrad.reshape(m, n**3, n) @ conn.R  # (m, ijk, d)
-    return np.ascontiguousarray(dG.transpose(0, 2, 1)).reshape(m, n, n, n, n)
 
 
 def check_symmetry_flatness(conn: ConnectionEval) -> tuple:
@@ -496,7 +495,8 @@ def _symmetry_flatness(conn: ConnectionEval, c_br: np.ndarray) -> tuple:
     """check_symmetry_flatness with the bracket c_br already computed."""
     scale = conn.gamma_scale()
     torsion = np.abs(conn.c - c_br).reshape(len(scale), -1).max(axis=1) / scale
-    curvature = flatness_residual(conn.Gamma, conn.c, directional_gamma(conn)) / scale**2
+    dGamma = np.stack([conn.r(d, conn.taylor(1)).value for d in range(conn.n)], axis=1)
+    curvature = flatness_residual(conn.Gamma, conn.c, dGamma) / scale**2
     return float(torsion.max()), float(curvature.max())
 
 

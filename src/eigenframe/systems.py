@@ -32,7 +32,6 @@ from .geometry import (
     FrameSpec,
     RiemannChart,
     chart_inverse,
-    directional_gamma,
     distinct_triple_mask,
     eval_connection,
     is_rich,
@@ -377,7 +376,8 @@ def darboux_compatibility(spec: FrameSpec, chart: RiemannChart, w_points: np.nda
     (r_j(w^i) = delta_ij), so d/dw^d is the frame field r_d."""
     conn = eval_connection(spec, chart_inverse(chart, w_points))
     require_rich(conn)
-    return compat_coefficient_residual(conn.Gamma, np.moveaxis(directional_gamma(conn), 1, -1))
+    dZ = np.stack([conn.r(d, conn.taylor(1)).value for d in range(conn.n)], axis=-1)
+    return compat_coefficient_residual(conn.Gamma, dZ)
 
 
 def compat_coefficient_residual(Z: np.ndarray, dZ: np.ndarray) -> float:

@@ -55,6 +55,13 @@ def connect(spec, count=50, seed=0):
     return eval_connection(spec, spec.sample_points(count, seed))
 
 
+def directional_gamma(conn):
+    """r_d(Gamma[i,j,k]) for every frame direction d, shape (m, d, i, j, k):
+    conn.r over the order-1 Gamma series, stacked over d."""
+    G = conn.taylor(1)
+    return np.stack([conn.r(d, G).value for d in range(conn.n)], axis=1)
+
+
 def spherical_frame_and_chart():
     """The radial/polar/azimuthal coordinate frame and its chart, whose
     chart-space connection is fully coupled but has no cross components."""

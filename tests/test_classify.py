@@ -336,10 +336,11 @@ def test_classify_on_reused_or_sliced_series(corpus_cases, monkeypatch):
 
 def test_frame_operator_built_once_per_order(corpus_cases, monkeypatch):
     """eval_connection and taylor keep the operator their Gamma series
-    solved with, and r reuses it: classifying a connection builds each order
-    of the frame-derivative operator at most once per sample set.  ex6.9's
-    classifier reaches Gamma of order 3, whose series uses the operator of
-    order 4."""
+    solved with, and r slices it: classifying a connection builds each order
+    of the frame-derivative operator at most once per sample set, in
+    increasing order, since a lower order is a slice of the highest built.
+    ex6.9's classifier reaches Gamma of order 3, whose series uses the
+    operator of order 4."""
     built = []
     operator = g._frame_operator
     monkeypatch.setattr(
@@ -350,6 +351,25 @@ def test_frame_operator_built_once_per_order(corpus_cases, monkeypatch):
         for seed in (0, 3):
             built.clear()
             cl.classify(connect(case.spec, seed=seed))
-            assert built[0] == 2 and len(built) == len(set(built)), (cid, seed, built)
+            assert built[0] == 2 and built == sorted(set(built)), (cid, seed, built)
             if cid == "ex6.9":
                 assert {3, 4} <= set(built), built
+
+
+def test_operator_slices_match_fresh_builds(corpus_cases):
+    """A lower order of the frame-derivative operator is a leading slice of
+    the highest order built: after taylor(3) builds the order-4 operator, its
+    slices of orders 1 to 3 have the bits of fresh _frame_operator builds,
+    signs of zeros included."""
+    for cid, case in corpus_cases.items():
+        if case.spec.n != 3:
+            continue
+        for seed in (0, 3):
+            conn = connect(case.spec, seed=seed)
+            conn.taylor(3)
+            assert conn._series["operator"].shape[2] == g._size(3, 4), cid
+            for order in (1, 2, 3):
+                fresh = g._frame_operator(conn._frame_series(order - 1), order)
+                held = conn._operator(order)
+                assert held.shape == fresh.shape, (cid, seed, order)
+                assert np.ascontiguousarray(held).tobytes() == fresh.tobytes(), (cid, seed, order)

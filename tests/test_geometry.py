@@ -3,6 +3,7 @@ chart verification."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import warnings
 
@@ -12,6 +13,7 @@ import pytest
 from conftest import (
     V3,
     connect,
+    directional_gamma,
     frame_jets,
     frames_with_condition,
     frames_with_special_rows,
@@ -108,7 +110,7 @@ def test_corrupted_gamma_trips_curvature_detector():
     conn = g.eval_connection(spec, pts)
     bad = conn.Gamma.copy()
     bad[:, 0, 1, 2] += 1.0
-    res = g.flatness_residual(bad, bad - bad.transpose(0, 2, 1, 3), g.directional_gamma(conn))
+    res = g.flatness_residual(bad, bad - bad.transpose(0, 2, 1, 3), directional_gamma(conn))
     assert res.max() > 0.1
 
 
@@ -253,11 +255,30 @@ def test_connection_matches_einsum_formulas(n):
     scale = 1.0 + np.abs(Gamma).max()
     assert np.abs(conn.L - L).max() < 1e-13
     assert np.abs(conn.Gamma - Gamma).max() < 1e-13 * scale
-    assert np.abs(conn.GammaGrad - GammaGrad).max() < 1e-13 * scale**2
+    assert np.abs(conn.taylor(1).coef[..., 1:] - GammaGrad).max() < 1e-13 * scale**2
     assert np.abs(conn.c - c).max() < 1e-13 * scale
     dGamma = np.einsum("mijke,med->mdijk", GammaGrad, R)
-    assert np.abs(g.directional_gamma(conn) - dGamma).max() < 1e-13 * scale**2
+    assert np.abs(directional_gamma(conn) - dGamma).max() < 1e-13 * scale**2
     assert np.abs(g.structure_coefficients_bracket(conn) - c).max() < 1e-13 * scale
+
+
+def test_connection_arrays_are_views_of_its_series(corpus_cases):
+    """A connection holds spec, points, L and its series only: R and Gamma
+    are views of the value slots of the held frame series and of the order-1
+    Gamma series, and R, Gamma and c keep their bits when taylor(3) replaces
+    the frame series with one of order 4."""
+    assert [f.name for f in dataclasses.fields(g.ConnectionEval)] == [
+        "spec", "points", "L", "_series"]
+    conn = connect(corpus_cases["ex6.9"].spec)
+    before = [conn.R.copy(), conn.Gamma.copy(), conn.c.copy()]
+    assert np.shares_memory(conn.Gamma, conn._series[("gamma", 1)].coef)
+    assert np.shares_memory(conn.R, conn._series["frame"].coef)
+    conn.taylor(3)
+    assert conn._series["frame"].order == 4
+    assert np.shares_memory(conn.Gamma, conn._series[("gamma", 1)].coef)
+    assert np.shares_memory(conn.R, conn._series["frame"].coef)
+    for old, new in zip(before, [conn.R, conn.Gamma, conn.c]):
+        assert np.ascontiguousarray(new).tobytes() == old.tobytes()
 
 
 def _series_frames(corpus_cases):
@@ -333,7 +354,7 @@ def test_taylor_fields_are_exact(corpus_cases):
         assert np.abs(G.value - conn.Gamma).max() < 1e-14 * scale, cid
         rG = [conn.r(d, G) for d in range(3)]
         dG = np.stack([f.value for f in rG], axis=1)
-        assert np.abs(dG - g.directional_gamma(conn)).max() < 1e-14 * scale**2, cid
+        assert np.abs(dG - directional_gamma(conn)).max() < 1e-14 * scale**2, cid
         for i in range(3):
             for j in range(3):
                 lhs = (conn.r(i, rG[j]) - conn.r(j, rG[i])).value
@@ -480,8 +501,8 @@ def test_frame_derivative_is_chart_derivative(corpus_cases):
         w = np.stack([rng.uniform(lo, hi, 10) for lo, hi in box], axis=1)
         conn = g.eval_connection(spec, g.chart_inverse(chart, w))
         du = ex.eval_series(chart.u_tape, w, 1)[..., 1:]  # (m, e, d) = du^e/dw^d
-        chain = np.einsum("mijke,med->mijkd", conn.GammaGrad, du)
-        along_frame = np.moveaxis(g.directional_gamma(conn), 1, -1)
+        chain = np.einsum("mijke,med->mijkd", conn.taylor(1).coef[..., 1:], du)
+        along_frame = np.moveaxis(directional_gamma(conn), 1, -1)
         assert np.abs(along_frame - chain).max() <= 1e-15 * (1.0 + np.abs(chain).max())
 
 

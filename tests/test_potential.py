@@ -30,6 +30,7 @@ from eigenframe.errors import (
     NotRichError,
     QuadratureFailureError,
     SingularFrameError,
+    StepFailureError,
 )
 
 
@@ -430,6 +431,23 @@ def test_solver_refuses_nonrich_frame(corpus_cases):
     phi = [lambda t: np.ones_like(t)] * 3
     with pytest.raises(NotRichError, match="frame is not rich"):
         pot.solve_rich_beta(spec, chart, phi, [1.0, 1.0, 1.0], [5, 5, 5], 1 / 8)
+
+
+def test_solver_raises_when_picard_sweeps_stop_contracting():
+    """Log-polar coordinates with the radial field scaled by 100: the
+    chart-space coefficient Z[2,1,2] = 100 over a w1-interval of width 1
+    makes the Picard sweeps grow instead of contract (from sweep 62 on), and
+    the solver raises instead of returning a grid.  The "400 sweeps" raise
+    has no known input and stays untested."""
+    spec = g.frame_from_sources([["100*u1", "100*u2"], ["-u2", "u1"]], ["u1", "u2"])
+    chart = g.chart_from_sources(
+        ["ln(sqrt(u1^2+u2^2))/100", "arctan(u2/u1)"],
+        ["exp(100*w1)*cos(w2)", "exp(100*w1)*sin(w2)"],
+        ["u1", "u2"],
+    )
+    phi = [lambda t: np.ones_like(t)] * 2
+    with pytest.raises(StepFailureError, match="Picard sweeps stopped contracting"):
+        pot.solve_rich_beta(spec, chart, phi, [0.0, 0.3], [9, 9], 1 / 8)
 
 
 def test_solver_handles_cross_coupled_spherical_chart():

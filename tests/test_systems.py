@@ -6,7 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import V3, connect, random_polynomial_frame, spherical_frame_and_chart
+from conftest import (
+    V3,
+    connect,
+    directional_gamma,
+    random_polynomial_frame,
+    spherical_frame_and_chart,
+)
 
 from eigenframe import exprlang as ex
 from eigenframe import geometry as g
@@ -314,7 +320,7 @@ def test_darboux_compatibility_detector(corpus_cases):
     conn = g.eval_connection(spec, g.chart_inverse(spec.chart, w))
     Z = conn.Gamma.copy()
     Z[:, 1, 2, 0] += 0.1  # corrupt one cross component
-    dZ = np.moveaxis(g.directional_gamma(conn), 1, -1)
+    dZ = np.moveaxis(directional_gamma(conn), 1, -1)
     assert sy.compat_coefficient_residual(Z, dZ) > 0.01
 
 

@@ -21,6 +21,7 @@ STALE_TARGETS = {
     ("exprlang", "differentiate"),
     ("geometry", "eval_frame_jets"),
     ("geometry", "pullback_connection"),
+    ("geometry", "directional_gamma"),
 }
 
 
