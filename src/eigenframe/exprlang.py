@@ -389,7 +389,8 @@ def _size(n: int, order: int) -> int:
 
 @lru_cache(maxsize=None)
 def _product_table(n: int, order: int) -> tuple:
-    """Operands I, J and summation matrix S of the truncated product:
+    """Terms I, J, K of the truncated product, mono[I[p]] + mono[J[p]] =
+    mono[K[p]], and its summation matrix S (S[p, K[p]] = 1):
     (f g)[k] = sum_p f[I[p]] g[J[p]] S[p, k]."""
     mono = _monomials(n, order)
     index = {t: i for i, t in enumerate(mono)}
@@ -401,7 +402,7 @@ def _product_table(n: int, order: int) -> tuple:
     I, J, K = (np.array(col) for col in zip(*terms))
     S = np.zeros((len(terms), len(mono)))
     S[np.arange(len(terms)), K] = 1.0
-    return I, J, S
+    return I, J, K, S
 
 
 @lru_cache(maxsize=None)
@@ -420,10 +421,10 @@ def _derivative_table(n: int, order: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _frame_derivative_table(n: int, order: int) -> np.ndarray:
     """T[b, i, k, l]: (g d_b f)[k] = sum_{i,l} g[i] T[b, i, k, l] f[l] for a
-    series f of the given order and g of order - 1."""
-    I, J, S = _product_table(n, order - 1)
+    series f of the given order and g of order - 1: one block per product term."""
+    I, J, K, S = _product_table(n, order - 1)
     T = np.zeros((n, S.shape[1], S.shape[1], _size(n, order)))
-    np.add.at(T, (slice(None), I), np.einsum("pk,bpl->bpkl", S, _derivative_table(n, order)[:, J]))
+    T[:, I, K] = _derivative_table(n, order)[:, J]
     return T
 
 
@@ -524,7 +525,7 @@ class Taylor:
             coef = a * b[..., :1]
             coef[..., 1:] += a[..., :1] * b[..., 1:]
             return Taylor(coef, self.n, 1)
-        I, J, S = _product_table(self.n, order)
+        I, J, _, S = _product_table(self.n, order)
         coef = (a[..., I] * b[..., J]) @ S
         coef[..., 0] = a[..., 0] * b[..., 0]
         return Taylor(coef, self.n, order)
@@ -548,7 +549,7 @@ class Taylor:
             AB.coef += rest.coef
             AB.coef[..., 0] = rest.value  # A_0 B_0 was added twice
             return AB
-        I, J, S = _product_table(self.n, order)
+        I, J, _, S = _product_table(self.n, order)
         # take, not a[..., I]: einsum is slow on the axis order fancy indexing gives
         terms = np.einsum("...abp,...bcp->...acp", np.take(a, I, axis=-1), np.take(b, J, axis=-1))
         return Taylor(terms @ S, self.n, order)

@@ -19,17 +19,17 @@ forming it.
 Gamma is computed one way at every order, over truncated Taylor series
 (exprlang.Taylor) of the frame's own tape (exprlang.eval_series): with
 Y[a, j, i] = r_i(R^a_j), Gamma solves R Gamma[i, j, :] = Y[:, j, i].  Y is
-one product of R's series with the operator of r (_frame_operator), the
-same operator ConnectionEval.r applies, and the solve runs degree by degree
-from L0 = R^{-1} at the points (_graded_solve), so L's series is never
-formed.  eval_connection runs the tape once at order 2 and keeps the frame
-series, the operator and the order-1 Gamma series; ConnectionEval reads R
-and Gamma as views of their value slots, r_d(Gamma) as r over the order-1
-series, and taylor solves to higher orders.  No derivative is taken by
-finite differences, by symbolic differentiation or by a hand-written
-product rule, so the symmetry and flatness identities of the flat
-coordinate connection hold to machine precision and serve as end-to-end
-pipeline checks.
+one product per degree of R's series with the operator of r
+(_frame_operator) that ConnectionEval.r applies, and the solve runs degree
+by degree from L0 = R^{-1} at the points (_graded_solve), so L's series is
+never formed and each order of Gamma is a leading slice of the next.
+eval_connection runs the tape once at order 2 and keeps the frame series,
+the operator and the order-1 Gamma series; ConnectionEval reads R and Gamma
+as views of their value slots, and taylor replaces each by a higher order
+on demand.  No derivative is taken by finite differences, by symbolic
+differentiation or by a hand-written product rule, so the symmetry and
+flatness identities of the flat coordinate connection hold to machine
+precision and serve as end-to-end pipeline checks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import exprlang as ex
-from .exprlang import Taylor, _frame_derivative_table, _monomials, _size
+from .exprlang import Taylor, _frame_derivative_table, _product_table, _size
 from .errors import (
     ChartDomainError,
     DomainError,
@@ -54,8 +54,8 @@ DET_RTOL = 1e-12
 # largest scaled |c[i,j,k]| over pairwise-distinct (i,j,k) of a rich frame
 RICH_TOL = 1e-7
 # Peak memory per sample point and Gamma entry: the n = 3 classifier,
-# whose order-3 connection series has n^3 entries, grows by about 51 kB a
-# sample (ex6.9 `analyze` peaks: 134 MB at 2000 samples, 437 MB at 8000).
+# whose order-3 connection series has n^3 entries, grows by about 50 kB a
+# sample (ex6.9 `analyze` peaks: 138 MB at 2000 samples, 440 MB at 8000).
 _SAMPLE_BYTES_PER_ENTRY = 2400
 
 
@@ -248,8 +248,8 @@ class ConnectionEval:
     Built only by eval_connection; every check, residual and classifier
     branch on the same sample set reads this one object instead of
     evaluating the frame again.  Higher orders are computed on first use.
-    The frame series and the operator of r keep their highest order, a
-    lower one being its leading slice; Gamma keeps one series per order.
+    The frame series, the operator of r and Gamma follow one slice rule:
+    the highest order is held, a lower one being its leading slice.
     """
 
     spec: FrameSpec
@@ -268,8 +268,8 @@ class ConnectionEval:
 
     @property
     def Gamma(self) -> np.ndarray:
-        """(m, i, j, k): the value slot of the order-1 Gamma series."""
-        return self.taylor(1).value
+        """(m, i, j, k): the value slot of the held Gamma series."""
+        return self._series["gamma"].value
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -287,16 +287,14 @@ class ConnectionEval:
 
     def taylor(self, order: int) -> Taylor:
         """Gamma as a Taylor field of the given order, shape (m, i, j, k): a
-        leading slice of the lowest-order series computed so far that
-        reaches it (order 1 by eval_connection), else solved with the
-        operator of order + 1 and kept."""
-        kept = [key[1] for key in self._series if key[0] == "gamma" and key[1] >= order]
-        if not kept:
-            kept = [order]
-            self._series[("gamma", order)] = _gamma_series(
+        leading slice of the highest-order series solved so far (order 1 by
+        eval_connection), else solved with the operator of order + 1 to
+        replace it.  A slice has the bits of a fresh solve."""
+        G = self._series["gamma"]
+        if G.order < order:
+            G = self._series["gamma"] = _gamma_series(
                 self._frame_series(order + 1), self.L, self._operator(order + 1))
-        G = self._series[("gamma", min(kept))]
-        return G if G.order == order else Taylor(G.coef[..., : _size(self.n, order)], self.n, order)
+        return Taylor(G.coef[..., : _size(self.n, order)], self.n, order)
 
     def r(self, d: int, f: Taylor) -> Taylor:
         """r_d(f) = R^a_d d_a f along frame field d, a Taylor field one order
@@ -391,25 +389,18 @@ def _solve_gather(n: int, order: int) -> tuple:
     """Index tables of _graded_solve: for each degree d = 1..order, the flat
     indices into R's coefficients held as (n, n, s + 1), s = _size(n, order),
     with slot s zero, of the block B_d[(a, g), (k, b)] = R^a_k[g - b] over
-    the multi-indices g of degree d and b of lower degree; g - b names the
-    zero slot when b does not divide g."""
-    mono = _monomials(n, order)
-    index = {t: i for i, t in enumerate(mono)}
-
-    def quotient(g, b):
-        rest = list(g)
-        for v in b:
-            if v not in rest:
-                return len(mono)
-            rest.remove(v)
-        return index[tuple(rest)]
-
-    entry = (np.arange(n)[:, None] * n + np.arange(n))[:, None, :, None] * (len(mono) + 1)
+    the multi-indices g of degree d and b of lower degree; g - b is I of the
+    product term (I, b, g), and names the zero slot if b does not divide g."""
+    I, J, K, _ = _product_table(n, order)
+    s = _size(n, order)
+    quotient = np.full((s, s), s)
+    quotient[K, J] = I
+    entry = (np.arange(n)[:, None] * n + np.arange(n))[:, None, :, None] * (s + 1)
     tables = []
     for d in range(1, order + 1):
-        rows, cols = mono[_size(n, d - 1) : _size(n, d)], mono[: _size(n, d - 1)]
-        A = np.array([[quotient(g, b) for b in cols] for g in rows])
-        tables.append((entry + A[:, None, :]).reshape(n * len(rows), n * len(cols)))
+        lo, hi = _size(n, d - 1), _size(n, d)
+        A = quotient[lo:hi, :lo]
+        tables.append((entry + A[:, None, :]).reshape(n * (hi - lo), n * lo))
     return tuple(tables)
 
 
@@ -449,16 +440,21 @@ def _frame_operator(R: Taylor, order: int) -> np.ndarray:
 def _gamma_series(R: Taylor, L0: np.ndarray, D: np.ndarray) -> Taylor:
     """Gamma as a Taylor field of order o = R.order - 1, shape (m, i, j, k),
     from the frame series R, L0 = R^{-1} at the points and D, the operator
-    of r on series of order o + 1 (_frame_operator): Y[a, j, i] = r_i(R^a_j)
-    is one product with D per point, and R Gamma[i, j, :] = Y[:, j, i] is
-    solved by _graded_solve."""
+    of r on series of order o + 1 (_frame_operator).  Y[a, j, i] = r_i(R^a_j)
+    takes one product per degree q, over the _size(n, q + 1) coefficients
+    of R that D's rows of degree q reach, and _graded_solve solves
+    R Gamma[i, j, :] = Y[:, j, i] degree by degree, so a lower order of
+    Gamma is bit for bit a leading slice of a higher one."""
     m, n, order = R.coef.shape[0], R.n, R.order - 1
     s = D.shape[-1]
-    # rows (i, c) of D's contiguous base (m, i, c, l), c a coefficient of Y
-    DT = D.transpose(0, 1, 3, 2).reshape(m, n * s, -1)
-    Y = DT @ R.coef.reshape(m, n * n, -1).transpose(0, 2, 1)
-    Y = Y.reshape(m, n, s, n, n).transpose(0, 3, 2, 4, 1).reshape(m, n, s, n * n)  # (m, a, c, j i)
-    X = _graded_solve(Taylor(R.coef[..., :s], n, order), L0, Y)  # (m, k, c, j i)
+    Rt = R.coef.reshape(m, n * n, -1).transpose(0, 2, 1)  # (m, l, a j)
+    Y = np.empty((m, n, s, n, n))  # (m, a, c, j, i), c a coefficient of Y
+    for q in range(order + 1):
+        lo, hi, top = _size(n, q - 1), _size(n, q), _size(n, q + 1)
+        # (m, i, c, a, j), unnamed so that D's copied rows are freed before the solve
+        Y[:, :, lo:hi] = (D[:, :, :top, lo:hi].transpose(0, 1, 3, 2).reshape(m, -1, top)
+                          @ Rt[:, :top]).reshape(m, n, hi - lo, n, n).transpose(0, 3, 2, 4, 1)
+    X = _graded_solve(Taylor(R.coef[..., :s], n, order), L0, Y.reshape(m, n, s, -1))  # (m, k, c, j i)
     return Taylor(X.reshape(m, n, s, n, n).transpose(0, 4, 3, 1, 2), n, order)
 
 
@@ -469,7 +465,7 @@ def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
     R = _frame_taylor(spec, points, 2)
     L, _ = _invert_frame(points, R.value)
     D = _frame_operator(R, 2)
-    series = {"frame": R, "operator": D, ("gamma", 1): _gamma_series(R, L, D)}
+    series = {"frame": R, "operator": D, "gamma": _gamma_series(R, L, D)}
     return ConnectionEval(spec, points, L, series)
 
 

@@ -263,22 +263,31 @@ def test_connection_matches_einsum_formulas(n):
 
 
 def test_connection_arrays_are_views_of_its_series(corpus_cases):
-    """A connection holds spec, points, L and its series only: R and Gamma
-    are views of the value slots of the held frame series and of the order-1
-    Gamma series, and R, Gamma and c keep their bits when taylor(3) replaces
-    the frame series with one of order 4."""
+    """A connection holds spec, points, L and three series only, the frame
+    series, the operator of r and one Gamma series: R and Gamma are views
+    of the value slots of the held frame and Gamma series, and R, Gamma and
+    c keep their bits when taylor(3) replaces the frame series with one of
+    order 4 and the Gamma series with one of order 3, whose leading slices
+    are the lower orders of Gamma with the bits of a fresh connection's."""
     assert [f.name for f in dataclasses.fields(g.ConnectionEval)] == [
         "spec", "points", "L", "_series"]
-    conn = connect(corpus_cases["ex6.9"].spec)
+    spec = corpus_cases["ex6.9"].spec
+    conn = connect(spec)
+    assert set(conn._series) == {"frame", "operator", "gamma"}
     before = [conn.R.copy(), conn.Gamma.copy(), conn.c.copy()]
-    assert np.shares_memory(conn.Gamma, conn._series[("gamma", 1)].coef)
+    assert np.shares_memory(conn.Gamma, conn._series["gamma"].coef)
     assert np.shares_memory(conn.R, conn._series["frame"].coef)
-    conn.taylor(3)
-    assert conn._series["frame"].order == 4
-    assert np.shares_memory(conn.Gamma, conn._series[("gamma", 1)].coef)
+    G3 = conn.taylor(3)
+    assert set(conn._series) == {"frame", "operator", "gamma"}
+    assert conn._series["frame"].order == 4 and conn._series["gamma"].order == 3
+    assert np.shares_memory(conn.Gamma, conn._series["gamma"].coef)
     assert np.shares_memory(conn.R, conn._series["frame"].coef)
     for old, new in zip(before, [conn.R, conn.Gamma, conn.c]):
         assert np.ascontiguousarray(new).tobytes() == old.tobytes()
+    for k in range(3):
+        held, fresh = conn.taylor(k), connect(spec).taylor(k)
+        assert held.order == k and np.shares_memory(held.coef, G3.coef), k
+        assert np.ascontiguousarray(held.coef).tobytes() == fresh.coef.tobytes(), k
 
 
 def _series_frames(corpus_cases):
@@ -318,11 +327,28 @@ def test_gamma_series_matches_inverse_series_formula(corpus_cases):
             assert np.abs(L - want).max() < 1e-13 * scale, (name, order)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_index_tables_match_references(n):
+    """The graded solve's gather and the frame-derivative table, both read
+    from the product terms, equal the constructions of series_reference
+    (quotients of multi-indices one variable at a time; the summation matrix
+    added into the derivative table), dtype included, at orders 1 to 4."""
+    for order in range(1, 5):
+        got, want = g._solve_gather(n, order), series_reference.solve_gather(n, order)
+        assert len(got) == len(want) == order
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n, order)
+        got = ex._frame_derivative_table(n, order)
+        want = series_reference.frame_derivative_table(n, order)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), (n, order)
+        assert got.tobytes() == want.tobytes(), (n, order)
+
+
 def test_gamma_series_orders_are_leading_slices(corpus_cases):
-    """Gamma of order k is the first _size(n, k) coefficients of Gamma of
-    order k + 1: the graded solve never revisits a lower degree.  Only the
-    last bits may differ, since Y's sums over the frame series of the higher
-    order run over more (zero) terms."""
+    """Gamma of order k is bit for bit the first _size(n, k) coefficients
+    of Gamma of order k + 1: Y's rows of each degree and the graded solve
+    are computed degree by degree, over the same coefficients at every
+    order."""
     for name, spec in _series_frames(corpus_cases).items():
         points = spec.sample_points(30)
         R = g._frame_taylor(spec, points, 4)
@@ -332,9 +358,8 @@ def test_gamma_series_orders_are_leading_slices(corpus_cases):
             Ro = _truncated(R, order + 1)
             series.append(g._gamma_series(Ro, L0, g._frame_operator(Ro, order + 1)))
         for low, high in zip(series, series[1:]):
-            scale = 1.0 + np.abs(low.coef).max()
-            diff = np.abs(low.coef - high.coef[..., : low.coef.shape[-1]]).max()
-            assert diff < 4e-15 * scale, (name, low.order, diff)
+            lead = np.ascontiguousarray(high.coef[..., : low.coef.shape[-1]])
+            assert lead.tobytes() == np.ascontiguousarray(low.coef).tobytes(), (name, low.order)
 
 
 def test_taylor_fields_are_exact(corpus_cases):

@@ -1,0 +1,80 @@
+"""Time and peak memory of `analyze` at bulk sample counts, in two source
+checkouts of eigenframe.
+
+    python3 tools/bulk_rows.py OLD_CHECKOUT NEW_CHECKOUT [--samples 2000,8000] [--runs 2]
+
+For each sample count and run, each checkout calls
+``cli.main(["--samples", N, "analyze", ex6.9])`` in a fresh process that
+imports that checkout's ``src/`` (nothing is written inside either
+checkout); the checkouts take turns at going first.  ex6.9 is the n = 3
+corpus frame whose classifier reaches the order-3 connection series.  A row
+is the seconds of that call and the process's peak resident set from
+``getrusage`` (imports included), in MB of 2^20 bytes as perfbench reports
+it.  Uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+FRAME = Path("src/eigenframe/corpus_data/ex6.9.json")
+
+
+def measure(checkout: Path, samples: int) -> str:
+    """One analyze call against the checkout, in this process (the --measure
+    mode): "seconds peak_rss_mb"."""
+    sys.path.insert(0, str(checkout / "src"))
+    from eigenframe import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main(["--samples", str(samples), "analyze", str(checkout / FRAME)])
+        seconds = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"analyze exited {code} in {checkout}")
+    return f"{seconds:.3f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}"
+
+
+def run_checkout(checkout: Path, samples: int) -> tuple:
+    """(seconds, peak_rss_mb) of measure in a fresh process."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "EIGENFRAME_CORPUS")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    out = subprocess.run([sys.executable, __file__, "--measure", str(checkout), str(samples)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    seconds, rss = out.split()
+    return float(seconds), float(rss)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--samples", default="2000,8000", help="a comma list (default 2000,8000)")
+    parser.add_argument("--runs", type=int, default=2, help="runs per checkout (default 2)")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:  # old is the checkout, new the sample count
+        print(measure(args.old.resolve(), int(str(args.new))))
+        return 0
+    checkouts = {"old": args.old.resolve(), "new": args.new.resolve()}
+    print("samples  run  checkout  seconds  peak_rss_mb")
+    for samples in (int(s) for s in args.samples.split(",")):
+        for run in range(args.runs):
+            order = ("old", "new") if run % 2 == 0 else ("new", "old")
+            for name in order:
+                seconds, rss = run_checkout(checkouts[name], samples)
+                print(f"{samples:7d}  {run + 1:3d}  {name:8s}  {seconds:7.3f}  {rss:11.1f}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
