@@ -2,7 +2,9 @@
 
 Commands:
   analyze      frame classification report (richness, connection tables at
-               the base point, algebraic ranks, case label, decision trace)
+               the base point, algebraic ranks, case labels, decision
+               trace); a rank-1 length label is read from the count of the
+               length system's solution jets, with no chart
   verify       residuals of a candidate against its system, the cross-system
                identity, and the convexity classification
   reconstruct  scalar-potential or flux grids from a verified candidate: the
@@ -29,8 +31,8 @@ selftest one line that counts the failed examples):
      large for memory: a --grid past the address space, or a --samples
      whose estimated working set exceeds the physical memory)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
-     NormalizationFailedError, InconclusiveVanishingError, DomainError (also
-     a frame whose determinant overflows)
+     InconclusiveVanishingError (also a solution count that no label fits),
+     DomainError (also a frame whose determinant overflows)
 
 Each command evaluates the frame once on its sample set (one
 ConnectionEval) and hands that to every check, and each candidate once on
@@ -65,7 +67,6 @@ from .errors import (
     ExprSyntaxError,
     IllegalCharacterError,
     InconclusiveVanishingError,
-    NormalizationFailedError,
     SchemaError,
     SingularFrameError,
     UnknownIdentifierError,
@@ -97,7 +98,6 @@ _INPUT_ERRORS = (
 _DEGENERATE_ERRORS = (
     SingularFrameError,
     CoincidentEigenvaluesError,
-    NormalizationFailedError,
     InconclusiveVanishingError,
     DomainError,
 )

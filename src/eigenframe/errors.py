@@ -77,22 +77,18 @@ class NotRankZeroError(EigenframeError):
     pass
 
 
-class NormalizationFailedError(EigenframeError):
-    """No index permutation satisfies the classifier's normalization."""
-
-
 class InconclusiveVanishingError(EigenframeError):
-    """A coefficient magnitude fell in the dead zone [tol, 10*tol]; the
-    vanishing verdict would be unreliable."""
+    """A verdict the classifier cannot reach reliably: a magnitude in the
+    dead zone [tol, 10*tol], or, with no tol, a solution count that no case
+    label fits (condition says which)."""
 
-    def __init__(self, condition: str, value: float, tol: float):
+    def __init__(self, condition: str, value: float | None = None, tol: float | None = None):
         self.condition = condition
         self.value = value
         self.tol = tol
-        super().__init__(
-            f"coefficient {condition} = {value:.3e} is in the dead zone "
-            f"[{tol:.1e}, {10 * tol:.1e}]"
-        )
+        if tol is not None:
+            condition = f"{condition} = {value:.3e} is in the dead zone [{tol:.1e}, {10 * tol:.1e}]"
+        super().__init__(condition)
 
 
 class CurlViolationError(EigenframeError):

@@ -453,8 +453,8 @@ class Taylor:
     constant.  So a formula written for arrays, run on order-1 fields, also
     gives its exact first derivatives.  The value slot of +, -, * and / is
     the numpy ufunc of the operand values, bit for bit, whatever the higher
-    coefficients hold; @ is batched matmul, with a product rule of its own
-    at order 1."""
+    coefficients hold; @ is batched matmul, of two series through order 1
+    only, by the product rule."""
 
     __array_ufunc__ = None  # numpy defers to the reflected operators
 
@@ -467,18 +467,6 @@ class Taylor:
 
     def __getitem__(self, index) -> "Taylor":
         return Taylor(self.coef[index], self.n, self.order)
-
-    def sum(self, axis: int) -> "Taylor":
-        return Taylor(self.coef.sum(axis=axis), self.n, self.order)
-
-    @staticmethod
-    def stack(fields: list) -> "Taylor":
-        """np.stack(..., axis=1) of fields; nested lists stack innermost
-        first, so [[f, g], [h, k]] has field axes (2, 2)."""
-        fields = [Taylor.stack(f) if isinstance(f, list) else f for f in fields]
-        order = min(f.order for f in fields)
-        size = _size(fields[0].n, order)
-        return Taylor(np.stack([f.coef[..., :size] for f in fields], axis=1), fields[0].n, order)
 
     def _common(self, other: "Taylor") -> tuple:
         if self.order == other.order:
@@ -543,16 +531,13 @@ class Taylor:
             Bt = np.ascontiguousarray(np.swapaxes(other, -1, -2))
             return Taylor(Bt[..., None, :, :] @ self.coef, self.n, self.order)
         a, b, order = self._common(other)
-        if order == 1:
-            # (AB)_0 = A_0 B_0 and (AB)_d = A_0 B_d + A_d B_0
-            AB, rest = a[..., 0] @ Taylor(b, self.n, 1), Taylor(a, self.n, 1) @ b[..., 0]
-            AB.coef += rest.coef
-            AB.coef[..., 0] = rest.value  # A_0 B_0 was added twice
-            return AB
-        I, J, _, S = _product_table(self.n, order)
-        # take, not a[..., I]: einsum is slow on the axis order fancy indexing gives
-        terms = np.einsum("...abp,...bcp->...acp", np.take(a, I, axis=-1), np.take(b, J, axis=-1))
-        return Taylor(terms @ S, self.n, order)
+        if order > 1:
+            raise NotImplementedError("@ of two Taylor fields is defined through order 1")
+        # (AB)_0 = A_0 B_0 and (AB)_d = A_0 B_d + A_d B_0
+        AB, rest = a[..., 0] @ Taylor(b, self.n, order), Taylor(a, self.n, order) @ b[..., 0]
+        AB.coef += rest.coef
+        AB.coef[..., 0] = rest.value  # A_0 B_0 was added twice
+        return AB
 
     def __rmatmul__(self, other) -> "Taylor":
         out = other @ self.coef.reshape(self.coef.shape[:-2] + (-1,))

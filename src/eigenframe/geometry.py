@@ -53,9 +53,9 @@ from .errors import (
 DET_RTOL = 1e-12
 # largest scaled |c[i,j,k]| over pairwise-distinct (i,j,k) of a rich frame
 RICH_TOL = 1e-7
-# Peak memory per sample point and Gamma entry: the n = 3 classifier,
-# whose order-3 connection series has n^3 entries, grows by about 50 kB a
-# sample (ex6.9 `analyze` peaks: 138 MB at 2000 samples, 440 MB at 8000).
+# Peak memory per sample point and Gamma entry, an upper estimate: ex6.9
+# `analyze` peaks at 49 MB at 2000 samples and 86 MB at 8000, about 6 kB
+# (230 B per entry) a sample.
 _SAMPLE_BYTES_PER_ENTRY = 2400
 
 
@@ -277,9 +277,13 @@ class ConnectionEval:
         G = self.Gamma
         return G - G.transpose(0, 2, 1, 3)
 
-    def symmetry_residual(self) -> float:
-        """max |Gamma[i,j,k] - Gamma[j,i,k]| = max |c| over 1 + max |Gamma|."""
-        return float(np.abs(self.c).max() / (1.0 + np.abs(self.Gamma).max()))
+    def at(self, p: int) -> "ConnectionEval":
+        """The connection at sample p alone: its L and held series are
+        views of this one's, so a higher order computed there evaluates the
+        frame at that one point."""
+        rows = slice(p, p + 1)
+        return ConnectionEval(self.spec, self.points[rows], self.L[rows],
+                              {key: held[rows] for key, held in self._series.items()})
 
     def gamma_scale(self) -> np.ndarray:
         """Per-point magnitude used to make vanishing tests dimensionless."""

@@ -11,7 +11,9 @@ For scalar fields s = (s^1, ..., s^n) the two first-order systems are
       Gamma[j,i,k] l^i - Gamma[i,j,k] l^j + c[i,j,k] l^k = 0         (i<j, k distinct)
 
 This module evaluates candidates against both systems, estimates generic
-algebraic ranks, and checks the cross-system identities (rank duality for
+algebraic ranks, counts the length system's solution jets at one point
+(beta_jet_count, with the residuals' PDE coefficients and algebraic
+assembly run on Taylor fields), and checks the cross-system identities (rank duality for
 n=3, the eigenvalue-gap identity, convexity classification of verified
 length candidates, and the compatibility coefficients of the chart-space
 system used by the rich rank-0 theory).
@@ -26,7 +28,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import exprlang as ex
-from .errors import CoincidentEigenvaluesError, NotRichError
+from .errors import CoincidentEigenvaluesError, InconclusiveVanishingError, NotRichError
+from .exprlang import Taylor, _size
 from .geometry import (
     ConnectionEval,
     FrameSpec,
@@ -138,15 +141,22 @@ class AlgebraicSystem:
 
 
 def beta_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
-    n, G, c = conn.n, conn.Gamma, conn.c
+    return AlgebraicSystem(algebraic_triples(conn.n), _beta_matrix(conn.Gamma, conn.c))
+
+
+def _beta_matrix(G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The length system's algebraic part (m, rows, n, ...) from Gamma and c
+    (m, i, j, k, ...); trailing axes, such as Taylor coefficients, are
+    carried along."""
+    n = G.shape[1]
     (r, i, j, k), _ = _index_arrays(n)
     # i, j and k differ, so every term lands on a 0.0 of its own, as in a
     # loop over the triples
-    rows = np.zeros((G.shape[0], len(r), n))
+    rows = np.zeros((G.shape[0], len(r), n) + G.shape[4:])
     rows[:, r, k] += c[:, i, j, k]
     rows[:, r, j] += G[:, i, k, j]
     rows[:, r, i] -= G[:, j, k, i]
-    return AlgebraicSystem(algebraic_triples(n), rows)
+    return rows
 
 
 def lambda_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
@@ -173,6 +183,81 @@ def generic_rank(matrices: np.ndarray) -> int:
     counts = (svals > 1e-8 * np.maximum(smax, 1e-300)[:, None]).sum(axis=1)
     counts = np.where(smax < 1e-10, 0, counts)
     return int(counts.max())
+
+
+# ---------------------------------------------------------------------------
+# Solution jets of the length system
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class JetCount:
+    """The jets of order 3 at one point that solve the length system:
+    dims[k] is the dimension of their projection onto the coefficients of
+    degree <= k, for k < 3; support is the number of components not forced
+    to vanish; kept and dropped are the smallest relative singular value
+    counted in a rank and the largest one not counted."""
+
+    dims: tuple
+    support: int
+    kept: float
+    dropped: float
+
+
+def beta_jet_count(conn: ConnectionEval, tol: float) -> JetCount:
+    """Count the jets of order 3 that solve the length system at the first
+    sample point: the Hilbert function of the prolonged system
+    (W. M. Seiler, Involution, Springer 2010), a witness of the size of the
+    solution set, not a proof of involution.
+
+    The unknowns are the Taylor coefficients b^a[l] of b^1..b^n.  Their
+    rows are r_i(b^j) - b^j X + b^i Y through order 2
+    (_beta_pde_coefficients) and the algebraic part times b through order
+    3 (_beta_matrix), for the frame with unit columns at the point: a
+    constant column scaling maps b^j to alpha_j^2 b^j and changes no count.
+    Each coefficient enters through r and a product applied to the unit
+    series e_l, on a one-point connection whose series are views of conn's.
+    One SVD of the column-equilibrated rows gives the solution jets.  A
+    singular value relative to the largest (to 1 for the orthonormal null
+    basis) counts above 10 tol and not below tol; one in between raises
+    InconclusiveVanishingError."""
+    order = 3  # dims d_0..d_2: degrees below the highest, which no PDE row closes
+    one = conn.at(0)
+    n, size, low = conn.n, _size(conn.n, order), _size(conn.n, order - 1)
+    e = Taylor(np.eye(size), n, order)  # e_l on the batch axis
+    # the frame with columns r_j / rho_j, rho_j = |R_j| at the point:
+    # Gamma[i,j,k] scales by rho_k / (rho_i rho_j) and r_d by 1 / rho_d
+    w = 1.0 / np.linalg.norm(one.R[0], axis=0)
+    G = one.taylor(order) * (w[:, None, None] * w[:, None] / w)
+    c = G - G.transpose(0, 2, 1, 3)
+    # rows (row, coefficient k) by columns (component, coefficient l)
+    alg = (Taylor(_beta_matrix(G.coef, c.coef), n, order) * e[:, None, None]).coef
+    alg = alg.transpose(1, 3, 2, 0)
+    _, (i, j) = _index_arrays(n)
+    X, Y = (f * e[:, None] for f in _beta_pde_coefficients(G, c, i, j))
+    dr = np.stack([w[d] * one.r(d, e).coef for d in range(n)])  # (d, l, k)
+    pairs = np.arange(len(i))
+    pde = np.zeros((len(i), low, n, size))
+    pde[pairs, :, j] = dr[i].transpose(0, 2, 1) - X.coef[..., :low].transpose(1, 2, 0)
+    pde[pairs, :, i] = Y.coef[..., :low].transpose(1, 2, 0)
+    M = np.concatenate([pde.reshape(-1, n * size), alg.reshape(-1, n * size)])
+    norms = np.linalg.norm(M, axis=0)
+    _, s, vt = np.linalg.svd(M / np.where(norms > 0, norms, 1.0), full_matrices=False)
+    seen = [s / s[0]]
+    null = vt[int((seen[0] > 10 * tol).sum()):].reshape(-1, n, size)
+
+    def rank(block: np.ndarray) -> int:
+        seen.append(np.linalg.svd(block, compute_uv=False))
+        return int((seen[-1] > 10 * tol).sum())
+
+    dims = tuple(rank(null[..., : _size(n, k)].reshape(len(null), n * _size(n, k)))
+                 for k in range(order))
+    support = sum(rank(null[:, a, :low]) > 0 for a in range(n))
+    s = np.concatenate(seen)
+    dead = s[(s >= tol) & (s <= 10 * tol)]
+    if dead.size:
+        raise InconclusiveVanishingError("beta jet singular value", float(dead[0]), tol)
+    return JetCount(dims, support, float(s[s > 10 * tol].min()), float(s[s < tol].max(initial=0.0)))
 
 
 def check_rank_duality_n3(conn: ConnectionEval) -> float:
@@ -230,6 +315,13 @@ def _ordered_pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+def _beta_pde_coefficients(G, c, i, j) -> tuple:
+    """X = Gamma[i,j,j] + c[i,j,j] and Y = Gamma[j,j,i] over the ordered
+    pairs (i, j): r_i(s^j) = s^j X - s^i Y in the length system.  G and c
+    (m, i, j, k) are arrays or Taylor fields."""
+    return G[:, i, j, j] + c[:, i, j, j], G[:, j, j, i]
+
+
 def _residual(kind: str, conn: ConnectionEval, cand) -> ResidualRecord:
     """The residual record of a candidate of either system, from one run of
     its tape; the systems differ only in the PDE right-hand side of
@@ -239,8 +331,8 @@ def _residual(kind: str, conn: ConnectionEval, cand) -> ResidualRecord:
     _, (i, j) = _index_arrays(conn.n)
     deriv = np.einsum("mja,mai->mji", grads, conn.R)[:, j, i]  # r_i(s^j)
     if kind == "beta":
-        t1 = vals[:, j] * (G[:, i, j, j] + c[:, i, j, j])
-        t2 = vals[:, i] * G[:, j, j, i]
+        X, Y = _beta_pde_coefficients(G, c, i, j)
+        t1, t2 = vals[:, j] * X, vals[:, i] * Y
         rhs, pde_scale = t1 - t2, 1.0 + np.abs(deriv) + np.abs(t1) + np.abs(t2)
         sys = beta_algebraic(conn)
     else:

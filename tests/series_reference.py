@@ -3,7 +3,8 @@ reference for geometry._gamma_series and geometry._graded_solve, which
 solve R X = Y degree by degree without forming L's series.  Here
 L = sum_k (-L0 H)^k L0 for R = R0 + H is formed as a whole series, DR is
 read from R's coefficients through the derivative table, and
-Gamma_j = L (DR_j R) is two products of Taylor fields.
+Gamma_j = L (DR_j R) is two matrix products of Taylor fields, each summed
+from elementwise products.
 
 Also the index tables of the graded solve and of the frame operator, built
 without the product terms: solve_gather divides multi-indices one variable
@@ -17,13 +18,22 @@ import numpy as np
 from eigenframe.exprlang import Taylor, _derivative_table, _monomials, _product_table, _size
 
 
+def _matmul(A: Taylor, B) -> Taylor:
+    """A @ B over the last two field axes of two Taylor fields (m, a, b) and
+    (m, b, c), from their elementwise product, or of A and an array."""
+    if not isinstance(B, Taylor):
+        return A @ B
+    prod = A[:, :, :, None] * B[:, None, :, :]
+    return Taylor(prod.coef.sum(axis=2), prod.n, prod.order)
+
+
 def inverse_series(R: Taylor, L0):
     """L = R^{-1} as a Taylor field of R's order from L0 = R^{-1} at the
     points."""
     X = L0 @ (R.value - R)
     L = L0
     for _ in range(R.order):
-        L = L0 + X @ L
+        L = L0 + _matmul(X, L)
     return L
 
 
@@ -34,8 +44,8 @@ def gamma_series(R: Taylor, L0, order: int) -> Taylor:
     D = _derivative_table(n, order + 1)
     DR = R.coef.reshape(m * n * n, -1) @ D.reshape(n * size, -1).T  # (m, a, j, b, l)
     R = Taylor(R.coef[..., :size], n, order)
-    LDR = inverse_series(R, L0) @ Taylor(DR.reshape(m, n, n * n, size), n, order)
-    G = Taylor(LDR.coef.reshape(m, n * n, n, size), n, order) @ R
+    LDR = _matmul(inverse_series(R, L0), Taylor(DR.reshape(m, n, n * n, size), n, order))
+    G = _matmul(Taylor(LDR.coef.reshape(m, n * n, n, size), n, order), R)
     return Taylor(G.coef.reshape(m, n, n, n, size), n, order).transpose(0, 3, 2, 1)
 
 

@@ -1,9 +1,11 @@
-"""Decision-tree classification: corpus case labels, branch unit tests, and
-invariance under scalings and field permutations."""
+"""Classification: corpus case labels, the length labels read from the
+count of solution jets, and invariance under scalings and field
+permutations."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from conftest import V3, connect
 from eigenframe import classify as cl
 from eigenframe import geometry as g
 from eigenframe import systems as sy
-from eigenframe.errors import ChartDomainError, InconclusiveVanishingError, NormalizationFailedError
+from eigenframe.errors import InconclusiveVanishingError
 
 EXPECTED_CASES = {
     "ex6.1a": ("I", "unconstrained"),
@@ -85,137 +87,94 @@ def test_rank_consistency_invariants(corpus_cases):
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# length labels from the count of solution jets
 # ---------------------------------------------------------------------------
 
 
-def test_normalize_indices_on_nonrich_frames(corpus_cases):
-    for cid in ("ex6.6", "ex6.11"):
-        spec = corpus_cases[cid].spec
-        conn = connect(spec, 30)
-        perms = cl.normalize_indices(conn)
-        assert perms, cid
-        view = cl._PermView(conn, perms[0])
-        assert np.abs(view.C(3, 2, 1).value).min() > 0
+def _count(f, c, support):
+    return sy.JetCount((f + c, 2 * f + c, 3 * f + c), support, 1.0, 0.0)
 
 
-def test_normalize_indices_fails_on_rich_frame(corpus_cases):
-    spec = corpus_cases["ex6.2"].spec
-    with pytest.raises(NormalizationFailedError):
-        cl.normalize_indices(connect(spec, 20))
+# (richness, rank, functions, constants, support, label) of every n = 3 label
+FREEDOM_ROWS = [
+    (False, 0, 3, 0, 3, "unconstrained"),
+    (True, 0, 3, 0, 3, "unconstrained"),
+    (True, 1, 0, 0, 0, "rich-1"),
+    (True, 1, 1, 0, 1, "rich-2"),
+    (True, 1, 2, 0, 2, "rich-3"),
+    (False, 1, 0, 0, 0, "nr-1"),
+    (False, 1, 1, 0, 1, "nr-2"),
+    (False, 1, 2, 0, 2, "nr-3a"),
+    (False, 1, 0, 1, 2, "nr-3b"),
+    (False, 1, 1, 1, 3, "nr-4a"),
+    (False, 1, 0, 2, 3, "nr-4b"),
+    (False, 1, 0, 1, 3, "nr-4c"),
+    (False, 2, 1, 0, 1, "rank2-unclassified"),
+]
 
 
-def test_nonrich_rank1_without_a_permutation_fails_normalization(corpus_cases, monkeypatch):
-    """No normalized permutation at all leaves no case to try."""
-    monkeypatch.setattr(cl, "normalize_indices", lambda conn: [])
-    with pytest.raises(NormalizationFailedError, match="no normalized permutation matches"):
-        cl.classify_beta_nonrich_rank1(connect(corpus_cases["ex6.10"].spec, 20))
+@pytest.mark.parametrize("rich, rank, f, c, support, label", FREEDOM_ROWS)
+def test_every_freedom_row_from_its_count(rich, rank, f, c, support, label):
+    """Each n = 3 label of FREEDOM is read back from richness, rank and, at
+    rank 1, the count: f functions and c constants, which its FREEDOM text
+    names, and the support."""
+    assert cl.beta_label(rich, rank, _count(f, c, support) if rank == 1 else None) == label
+    if rank == 1:
+        assert cl._freedom_counts(cl.FREEDOM[label]) == (f, c)
 
 
-def test_nonrich_rank1_reraises_the_last_inconclusive_permutation(corpus_cases, monkeypatch):
-    """When every permutation's case is inconclusive, the error of the last
-    permutation tried is raised."""
-    raised = []
+def test_freedom_rows_cover_every_n3_label():
+    assert {row[-1] for row in FREEDOM_ROWS} == set(cl.FREEDOM) - {"not_n3"}
 
-    def inconclusive(conn, perm, trace):
-        raised.append(InconclusiveVanishingError(f"case at {perm}", 5e-6, cl.CLASSIFY_TOL))
-        raise raised[-1]
 
-    for name in ("_case_all_three", "_case_two", "_case_one"):
-        monkeypatch.setattr(cl, name, inconclusive)
+@pytest.mark.parametrize("rich, count, message", [
+    (False, sy.JetCount((1, 2, 4), 3, 1.0, 0.0),
+     "beta solution jet dimensions [1, 2, 4] are not f (k + 1) + c"),
+    (True, _count(1, 1, 3), "no rich-* label has 1 functions and 1 constants on support 3"),
+    (False, _count(3, 0, 3), "no nr-* label has 3 functions and 0 constants on support 3"),
+    (False, _count(0, 1, 1), "no nr-* label has 0 functions and 1 constants on support 1"),
+])
+def test_count_no_label_fits_is_inconclusive(rich, count, message):
     with pytest.raises(InconclusiveVanishingError) as info:
-        cl.classify_beta_nonrich_rank1(connect(corpus_cases["ex6.10"].spec, 20))
-    assert raised and info.value is raised[-1]
-
-
-# ---------------------------------------------------------------------------
-# rich rank-1 branch logic on synthetic chart-space samples
-# ---------------------------------------------------------------------------
-
-
-def _synthetic_Z(z112, z113, z223, z332, m=12, seed=0):
-    """Rank-1 pattern with Z[2,3,1] = 1 and prescribed secondary entries;
-    symmetric in the two subscripts."""
-    rng = np.random.default_rng(seed)
-    Z = np.zeros((m, 3, 3, 3))
-    val = 1.0 + 0.2 * rng.standard_normal(m)
-    Z[:, 1, 2, 0] = Z[:, 2, 1, 0] = val
-    Z[:, 0, 0, 1] = z112
-    Z[:, 0, 0, 2] = z113
-    Z[:, 1, 1, 2] = z223
-    Z[:, 2, 2, 1] = z332
-    # harmless diagonal entries
-    Z[:, 0, 0, 0] = 0.7
-    Z[:, 1, 1, 1] = -0.4
-    return Z
-
-
-@pytest.mark.parametrize(
-    "z112,z113,z223,z332,expected",
-    [
-        (0.8, -0.5, 0.0, 0.0, "rich-1"),   # both secondary entries nonzero
-        (0.8, 0.0, 0.3, 0.0, "rich-1"),    # one nonzero and its blocker set
-        (0.8, 0.0, 0.0, 0.0, "rich-2"),
-        (0.0, 0.6, 0.0, 0.4, "rich-1"),
-        (0.0, 0.6, 0.0, 0.0, "rich-2"),
-        (0.0, 0.0, 0.0, 0.0, "rich-3"),
-    ],
-)
-def test_rich_rank1_branches(z112, z113, z223, z332, expected):
-    trace = cl._Trace()
-    case, perm = cl._classify_rich_rank1_from_Z(
-        _synthetic_Z(z112, z113, z223, z332), trace
-    )
-    assert case == expected
-
-
-def test_rich_rank1_dead_zone_raises():
-    trace = cl._Trace()
-    Z = _synthetic_Z(3 * cl.CLASSIFY_TOL, 0.0, 0.0, 0.0)
-    with pytest.raises(InconclusiveVanishingError):
-        cl._classify_rich_rank1_from_Z(Z, trace)
-
-
-def test_rich_rank1_two_cross_families_raise():
-    """Two nonvanishing cross families are no rank-1 pattern: the message
-    names every family's magnitude and claims no dead zone."""
-    Z = _synthetic_Z(0.0, 0.0, 0.0, 0.0)
-    Z[:, 0, 2, 1] = Z[:, 2, 0, 1] = 0.5
-    scale = 1.0 + np.abs(Z).max()
-    message = (
-        "no rank-1 cross pattern of the chart-space connection: cross families "
-        f"Z[2,3,1] = {np.abs(Z[:, 1, 2, 0]).max() / scale:.3e}, "
-        f"Z[1,3,2] = {0.5 / scale:.3e}, Z[1,2,3] = 0.000e+00 "
-        "(one must exceed 1.0e-05, the others stay below 1.0e-06)"
-    )
-    with pytest.raises(NormalizationFailedError) as info:
-        cl._classify_rich_rank1_from_Z(Z, cl._Trace())
+        cl.beta_label(rich, 1, count)
     assert str(info.value) == message
 
 
-def test_rich_rank1_cross_family_in_dead_zone_is_inconclusive():
-    """A second cross family between CLASSIFY_TOL and ten times it leaves
-    the pattern undecided, and the message names that family."""
-    Z = _synthetic_Z(0.0, 0.0, 0.0, 0.0)
-    scale = 1.0 + np.abs(Z).max()
-    Z[:, 0, 2, 1] = Z[:, 2, 0, 1] = 3e-6 * scale
-    with pytest.raises(InconclusiveVanishingError) as info:
-        cl._classify_rich_rank1_from_Z(Z, cl._Trace())
-    assert str(info.value) == (
-        "coefficient chart cross family Z[1,3,2] = 3.000e-06 is in the dead zone "
-        "[1.0e-06, 1.0e-05]"
-    )
-
-
-def test_rich_rank1_needs_a_chart(corpus_cases):
-    spec = dataclasses.replace(corpus_cases["ex6.4"].spec, chart=None)
-    with pytest.raises(ChartDomainError):
-        cl.classify_beta_rich_rank1(connect(spec, 20))
+def test_rich_rank1_dead_zone_raises(corpus_cases):
+    """A singular value of the count between tol and ten times tol is
+    inconclusive, for the rich frame ex6.4 as for any."""
+    conn = connect(corpus_cases["ex6.4"].spec, 30)
+    count = sy.beta_jet_count(conn, cl.JET_RANK_TOL)
+    with pytest.raises(InconclusiveVanishingError, match="beta jet singular value"):
+        sy.beta_jet_count(conn, count.kept / 3)
 
 
 def test_rich_rank1_end_to_end(corpus_cases):
-    case, perm, trace = cl.classify_beta_rich_rank1(connect(corpus_cases["ex6.4"].spec, 30))
-    assert case == "rich-3"
+    report = cl.classify(connect(corpus_cases["ex6.4"].spec, 30))
+    assert (report.richness, report.rank_beta, report.beta_case) == (True, 1, "rich-3")
+    assert ("beta solution jets at sample 0, degree <= 2", 6.0, "count") in report.trace
+
+
+def test_rich_rank1_needs_no_chart(corpus_cases):
+    """The count reads no chart: ex6.4 without its chart is still rich-3."""
+    spec = dataclasses.replace(corpus_cases["ex6.4"].spec, chart=None)
+    assert cl.classify(connect(spec, 20)).beta_case == "rich-3"
+
+
+def test_count_matches_the_labels_of_the_corpus(corpus_cases):
+    """The count of every rank-1 n = 3 corpus file at seeds 0-3: its freedom
+    is the one of its label; the kept singular values stay 1000 times
+    above the dead zone and the dropped ones 1000 times below it."""
+    tol = cl.JET_RANK_TOL
+    for cid, case in corpus_cases.items():
+        label = case.expected["beta_case"]
+        if case.spec.n != 3 or case.expected["rank_beta"] != 1:
+            continue
+        for seed in range(4):
+            count = sy.beta_jet_count(connect(case.spec, 50, seed), tol)
+            d0, d1, _ = count.dims
+            assert (d1 - d0, 2 * d0 - d1) == cl._freedom_counts(cl.FREEDOM[label]), (cid, seed)
+            assert count.kept > 1e4 * tol and count.dropped < 1e-3 * tol, (cid, seed)
 
 
 def test_row_activity_matches_per_sample_loop():
@@ -248,13 +207,6 @@ def test_lambda_constraint_with_one_active_unknown_is_degenerate_sampling():
     assert trace[-1] == ("lambda constraint active count", 1.0, "degenerate sampling")
 
 
-def test_null_branch_names_the_vanishing_component():
-    nulls = np.array([[0.0, 1.0], [1e-9, -1.0], [-2e-8, 1.0]])
-    assert cl._null_branch(nulls, cl._Trace()) == "first"
-    assert cl._null_branch(nulls[:, ::-1], cl._Trace()) == "second"
-    assert cl._null_branch(np.full((3, 2), 0.6), cl._Trace()) == "mixed"
-
-
 # ---------------------------------------------------------------------------
 # invariance properties
 # ---------------------------------------------------------------------------
@@ -280,6 +232,33 @@ def test_classification_invariant_under_field_permutation(corpus_cases):
         assert report.lambda_case == "IIb", order
 
 
+def _metamorphic_copies(spec):
+    """The frame under the 6 column permutations and six column scalings,
+    constant and smooth (in the frame's own variable names)."""
+    x1, x2, x3 = spec.vars
+    for order in itertools.permutations(range(3)):
+        yield order, dataclasses.replace(spec, columns=tuple(spec.columns[j] for j in order))
+    for alphas in (("1", "1", "100"), ("1", "1", "1000"), ("0.1", "1", "10"),
+                   ("0.001", "1", "1000"), ("-1", "1", "1"),
+                   (f"1+{x1}^2/5", f"2+{x3}/3", f"1+{x2}/4")):
+        yield alphas, g.scale_frame(spec, alphas)
+
+
+def test_labels_invariant_under_permutations_and_scalings(corpus_cases):
+    """Rescaling r_j by a nonvanishing alpha_j keeps the directions and maps
+    b^j to alpha_j^2 b^j, and a permutation relabels the components, so
+    neither changes the solution sets: every n = 3 corpus file keeps its
+    labels at seeds 0-1."""
+    for cid, case in corpus_cases.items():
+        if case.spec.n != 3:
+            continue
+        want = (case.expected["lambda_case"], case.expected["beta_case"])
+        for how, spec in _metamorphic_copies(case.spec):
+            for seed in (0, 1):
+                report = cl.classify(connect(spec, 50, seed))
+                assert (report.lambda_case, report.beta_case) == want, (cid, how, seed)
+
+
 def test_scaled_variant_of_nr4b_keeps_case(corpus_cases):
     spec = corpus_cases["ex6.10"].spec
     scaled = g.scale_frame(spec, ["2", "1+u3/5", "3"])
@@ -298,8 +277,7 @@ def test_report_round_trips_to_dict(corpus_cases):
 
 
 def _same_report(got, want):
-    assert (got.lambda_case, got.beta_case, got.permutation) == (
-        want.lambda_case, want.beta_case, want.permutation)
+    assert (got.lambda_case, got.beta_case) == (want.lambda_case, want.beta_case)
     assert (got.rank_beta, got.rank_lambda, got.richness) == (
         want.rank_beta, want.rank_lambda, want.richness)
     assert [(c, s) for c, _, s in got.trace] == [(c, s) for c, _, s in want.trace]
@@ -338,21 +316,21 @@ def test_frame_operator_built_once_per_order(corpus_cases, monkeypatch):
     solved with, and r slices it: classifying a connection builds each order
     of the frame-derivative operator at most once per sample set, in
     increasing order, since a lower order is a slice of the highest built.
-    ex6.9's classifier reaches Gamma of order 3, whose series uses the
-    operator of order 4."""
+    The sample set needs only the operator of order 2; the count of a
+    rank-1 frame builds the order-4 operator at its one point, for Gamma of
+    order 3."""
     built = []
     operator = g._frame_operator
-    monkeypatch.setattr(
-        g, "_frame_operator", lambda R, order: built.append(order) or operator(R, order))
+    monkeypatch.setattr(g, "_frame_operator", lambda R, order: built.append(
+        (len(R.coef), order)) or operator(R, order))
     for cid, case in corpus_cases.items():
         if case.spec.n != 3:
             continue
         for seed in (0, 3):
             built.clear()
             cl.classify(connect(case.spec, seed=seed))
-            assert built[0] == 2 and built == sorted(set(built)), (cid, seed, built)
-            if cid == "ex6.9":
-                assert {3, 4} <= set(built), built
+            count = [(1, 4)] if case.expected["rank_beta"] == 1 else []
+            assert built == [(50, 2)] + count, (cid, seed, built)
 
 
 def test_operator_slices_match_fresh_builds(corpus_cases):

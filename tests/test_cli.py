@@ -14,7 +14,7 @@ import pytest
 
 from eigenframe import cli
 from eigenframe import corpus as corpus_mod
-from eigenframe import exprlang, geometry, potential, systems
+from eigenframe import classify, exprlang, geometry, potential, systems
 
 
 def corpus_path(name: str) -> str:
@@ -536,15 +536,42 @@ def test_empty_or_overflowing_box_is_schema_error(tmp_path, capsys, lo, hi, base
     assert "domain box needs lo < hi with a finite width" in _one_error_line(capsys)
 
 
-def test_box_outside_the_chart_domain_is_one_line_exit_one(tmp_path, capsys):
-    """ex6.4's chart takes ln(u1); on a box with u1 < 0 the chart leaves its
-    domain, a ChartDomainError."""
+def _ex64_left_of_the_chart(tmp_path) -> str:
+    """ex6.4 on a box with u1 < 0, where its chart's ln(u1) is undefined."""
     doc = json.loads(Path(corpus_path("ex6.4.json")).read_text())
     doc["domain"]["lo"][0], doc["domain"]["hi"][0], doc["base"][0] = -2.0, -1.0, -1.5
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps(doc))
-    assert cli.main(["analyze", str(frame)]) == cli.EXIT_MATH_FAILURE
-    assert _one_error_line(capsys).startswith("error: domain violation in 'ln(u1)' at point ")
+    return str(frame)
+
+
+def test_box_outside_the_chart_domain_is_one_line_chart_error(tmp_path):
+    """Off its domain the chart raises ChartDomainError, whose message is
+    one line."""
+    spec = cli._load_frame(_ex64_left_of_the_chart(tmp_path))
+    with pytest.raises(geometry.ChartDomainError) as info:
+        geometry.chart_forward(spec.chart, spec.sample_points(20))
+    assert str(info.value).startswith("domain violation in 'ln(u1)' at point ")
+    assert len(str(info.value).splitlines()) == 1
+
+
+def test_analyze_reads_no_chart(tmp_path, capsys):
+    """The length label is counted from the frame alone, so a box outside
+    the chart's domain classifies as on any other box."""
+    argv = ["--output", "json", "analyze", _ex64_left_of_the_chart(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["beta_case"] == "rich-3"
+
+
+def test_inconclusive_count_is_one_line_exit_three(capsys, monkeypatch):
+    """A singular value of the solution-jet count inside the rank
+    threshold's dead zone ends analyze with exit 3 and one error line."""
+    spec = cli._load_frame(corpus_path("ex6.9.json"))
+    conn = geometry.eval_connection(spec, spec.sample_points())
+    count = systems.beta_jet_count(conn, classify.JET_RANK_TOL)
+    monkeypatch.setattr(classify, "JET_RANK_TOL", count.kept / 3)
+    assert cli.main(["analyze", corpus_path("ex6.9.json")]) == cli.EXIT_DEGENERATE
+    assert _one_error_line(capsys).startswith("error: beta jet singular value = ")
 
 
 def test_overflowing_frame_inverse_is_domain_error(tmp_path, capsys):

@@ -328,8 +328,8 @@ def test_degenerate_family_instances(corpus_cases):
 
 
 def test_coverage_matrix(corpus_cases):
-    """Corpus plus the synthetic rich-branch fixtures exercise every case
-    label of the taxonomy at least once."""
+    """Corpus plus the count table exercise every case label of the
+    taxonomy at least once."""
     lambda_seen = set()
     beta_seen = set()
     from eigenframe.classify import classify
@@ -344,9 +344,11 @@ def test_coverage_matrix(corpus_cases):
         "nr-1", "nr-2", "nr-3a", "nr-3b", "nr-4a", "nr-4b", "nr-4c",
     }
     assert expected_beta <= beta_seen
-    # rich-1 / rich-2 are covered at the decision-procedure level
-    # (test_classify.test_rich_rank1_branches)
-    from test_classify import test_rich_rank1_branches  # noqa: F401
+    # rich-1 / rich-2 are covered by their counts
+    # (test_classify.test_every_freedom_row_from_its_count)
+    from test_classify import FREEDOM_ROWS
+
+    assert {"rich-1", "rich-2"} <= {row[-1] for row in FREEDOM_ROWS}
 
 
 def test_every_example_passes_its_full_verdict(corpus_cases):

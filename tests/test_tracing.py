@@ -22,6 +22,9 @@ STALE_TARGETS = {
     ("geometry", "eval_frame_jets"),
     ("geometry", "pullback_connection"),
     ("geometry", "directional_gamma"),
+    ("classify", "classify_beta_rich_rank1"),
+    ("classify", "classify_beta_nonrich_rank1"),
+    ("classify", "normalize_indices"),
 }
 
 

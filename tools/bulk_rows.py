@@ -6,8 +6,8 @@ checkouts of eigenframe.
 For each sample count and run, each checkout calls
 ``cli.main(["--samples", N, "analyze", ex6.9])`` in a fresh process that
 imports that checkout's ``src/`` (nothing is written inside either
-checkout); the checkouts take turns at going first.  ex6.9 is the n = 3
-corpus frame whose classifier reaches the order-3 connection series.  A row
+checkout); the checkouts take turns at going first.  ex6.9 is an n = 3
+corpus frame with a rank-1 length system, whose label is counted.  A row
 is the seconds of that call and the process's peak resident set from
 ``getrusage`` (imports included), in MB of 2^20 bytes as perfbench reports
 it.  Uses only the standard library.

@@ -17,7 +17,7 @@ Each output is counted as one of
 - numeric move: the same text outside the numbers, with some number
   changed;
 - an integer differs: as a numeric move, with a number printed as an
-  integer changed (an exit code, a permutation, a sample index); listed by
+  integer changed (an exit code, a sample index); listed by
   name;
 - differs outside its numbers (a label, a key, a message); listed by name.
 
