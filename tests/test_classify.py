@@ -140,6 +140,53 @@ def test_count_no_label_fits_is_inconclusive(rich, count, message):
     assert str(info.value) == message
 
 
+def _rich_rank1_frame(z112, z113):
+    """The coordinate frame du/dw of the chart
+
+        u = (w1 - z112 z113 w1^4 / 4 + w2 w3, w2 + z112 w1^2 / 2, w3 + z113 w1^2 / 2)
+
+    at u = w = 0, where its connection is Z[2,3,1] = 1, Z[1,1,2] = z112
+    and Z[1,1,3] = z113.  u is w1-terms plus (w2, w3)-terms, so Z[1,2,*]
+    and Z[1,3,*] vanish everywhere, and so do Z[2,2,*] and Z[3,3,*]; a
+    zero z112 or z113 vanishes everywhere too.  The quartic term makes w1
+    the root of a quadratic in u, so the frame is explicit."""
+    w1 = "(2*(u1-u2*u3)/(1+sqrt(1-2*(q*u2+p*u3)*(u1-u2*u3))))"
+    columns = [
+        [f"1-p*q*{w1}^3", f"p*{w1}", f"q*{w1}"],
+        [f"u3-q*{w1}^2/2", "1", "0"],
+        [f"u2-p*{w1}^2/2", "0", "1"],
+    ]
+    return g.frame_from_sources(columns, V3, {"p": z112, "q": z113},
+                                domain=((-0.2,) * 3, (0.2,) * 3))
+
+
+# Z[2,2,3] and Z[3,3,2] stay zero: where Z[1,1,3] and Z[1,2,3] vanish, the
+# flatness of a chart gives Z[1,1,2] Z[2,2,3] = 0, and by symmetry
+# Z[1,1,3] Z[3,3,2] = 0, so no frame has a nonzero pair of either kind.
+@pytest.mark.parametrize(
+    "z112,z113,z223,z332,expected",
+    [
+        (0.8, -0.5, 0.0, 0.0, "rich-1"),   # both secondary entries nonzero
+        (0.8, 0.0, 0.0, 0.0, "rich-2"),
+        (0.0, 0.6, 0.0, 0.0, "rich-2"),
+        (0.0, 0.0, 0.0, 0.0, "rich-3"),
+    ],
+)
+def test_rich_rank1_branches(z112, z113, z223, z332, expected):
+    """A rich rank-1 frame with the chart-space connection Z of the
+    parameters at its base point is labelled, from the count of its
+    solution jets, as its vanishing pattern says: rich-1 if Z[1,1,2] and
+    Z[1,1,3] are both nonzero, rich-2 if one is, rich-3 if none is."""
+    spec = _rich_rank1_frame(z112, z113)
+    Z = g.eval_connection(spec, np.zeros((1, 3))).Gamma[0]
+    assert Z[1, 2, 0] == pytest.approx(1.0)
+    assert [Z[0, 0, 1], Z[0, 0, 2], Z[1, 1, 2], Z[2, 2, 1]] == pytest.approx(
+        [z112, z113, z223, z332], abs=1e-12)
+    assert np.abs([Z[0, 1, 2], Z[0, 2, 1]]).max() < 1e-12
+    report = cl.classify(connect(spec, 20))
+    assert (report.richness, report.rank_beta, report.beta_case) == (True, 1, expected)
+
+
 def test_rich_rank1_dead_zone_raises(corpus_cases):
     """A singular value of the count between tol and ten times tol is
     inconclusive, for the rich frame ex6.4 as for any."""
