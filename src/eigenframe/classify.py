@@ -22,7 +22,7 @@ The lambda verdicts use a two-threshold scheme at the module tolerance
 CLASSIFY_TOL: a scaled magnitude below it counts as zero, above 10 times it
 as nonzero, and anything in between raises InconclusiveVanishingError
 rather than silently guessing.  The count reads its ranks the same way at
-JET_RANK_TOL, and also raises InconclusiveVanishingError when
+systems.JET_RANK_TOL, and also raises InconclusiveVanishingError when
 d_2 != 3f + c or no label has (f, c).
 """
 
@@ -62,10 +62,6 @@ FREEDOM = {
 }
 
 CLASSIFY_TOL = 1e-6  # vanishing tolerance for classifier coefficients
-# rank tolerance of the solution-jet count, about halfway in decades across
-# its gap: at 2400 points (12 rank-1 corpus files, seeds 0-199) the kept
-# relative singular values stay above 1.5e-5 and the dropped ones below 2e-13
-JET_RANK_TOL = 1e-9
 
 
 @dataclass
@@ -200,7 +196,8 @@ def beta_label(rich: bool, rank: int, count: Optional[JetCount]) -> str:
 
 def classify(conn: ConnectionEval) -> ClassificationReport:
     """Full classification over the connection's sample set: richness at
-    RICH_TOL, every vanishing verdict at the one module tolerance CLASSIFY_TOL."""
+    RICH_TOL, the speed verdicts at CLASSIFY_TOL and the ranks of the
+    solution-jet count at systems.JET_RANK_TOL."""
     spec = conn.spec
     bsys = beta_algebraic(conn)
     lsys = lambda_algebraic(conn)
@@ -222,7 +219,7 @@ def classify(conn: ConnectionEval) -> ClassificationReport:
     trace.extend(ltrace)
     count = None
     if rank_beta == 1:
-        count = beta_jet_count(conn, JET_RANK_TOL)
+        count = beta_jet_count(conn)
         for k, d in enumerate(count.dims):
             trace.note(f"beta solution jets at sample 0, degree <= {k}", d, "count")
         trace.note("beta components not forced to vanish", count.support, "count")

@@ -245,9 +245,9 @@ class ConnectionEval:
     points and the Taylor series kept in _series, of which R and Gamma are
     value-slot views; c is computed once from Gamma.
 
-    Built only by eval_connection; every check, residual and classifier
-    branch on the same sample set reads this one object instead of
-    evaluating the frame again.  Higher orders are computed on first use.
+    Built by eval_connection, or by at(p) as a one-point view of one;
+    every check, residual and classifier branch on the same sample set
+    reads this one object instead of evaluating the frame again.  Higher orders are computed on first use.
     The frame series, the operator of r and Gamma follow one slice rule:
     the highest order is held, a lower one being its leading slice.
     """

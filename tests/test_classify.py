@@ -187,13 +187,18 @@ def test_rich_rank1_branches(z112, z113, z223, z332, expected):
     assert (report.richness, report.rank_beta, report.beta_case) == (True, 1, expected)
 
 
-def test_rich_rank1_dead_zone_raises(corpus_cases):
+def test_rich_rank1_dead_zone_raises(corpus_cases, monkeypatch):
     """A singular value of the count between tol and ten times tol is
-    inconclusive, for the rich frame ex6.4 as for any."""
+    inconclusive, for the rich frame ex6.4 as for any: a dead zone
+    [kept / 9.99, 1.001 kept] holds the smallest kept value alone."""
     conn = connect(corpus_cases["ex6.4"].spec, 30)
-    count = sy.beta_jet_count(conn, cl.JET_RANK_TOL)
-    with pytest.raises(InconclusiveVanishingError, match="beta jet singular value"):
-        sy.beta_jet_count(conn, count.kept / 3)
+    count = sy.beta_jet_count(conn)
+    tol = count.kept / 9.99
+    monkeypatch.setattr(sy, "JET_RANK_TOL", tol)
+    with pytest.raises(InconclusiveVanishingError) as info:
+        sy.beta_jet_count(conn)
+    assert str(info.value) == (f"beta jet singular value = {count.kept:.3e} "
+                               f"is in the dead zone [{tol:.1e}, {10 * tol:.1e}]")
 
 
 def test_rich_rank1_end_to_end(corpus_cases):
@@ -212,13 +217,13 @@ def test_count_matches_the_labels_of_the_corpus(corpus_cases):
     """The count of every rank-1 n = 3 corpus file at seeds 0-3: its freedom
     is the one of its label; the kept singular values stay 1000 times
     above the dead zone and the dropped ones 1000 times below it."""
-    tol = cl.JET_RANK_TOL
+    tol = sy.JET_RANK_TOL
     for cid, case in corpus_cases.items():
         label = case.expected["beta_case"]
         if case.spec.n != 3 or case.expected["rank_beta"] != 1:
             continue
         for seed in range(4):
-            count = sy.beta_jet_count(connect(case.spec, 50, seed), tol)
+            count = sy.beta_jet_count(connect(case.spec, 50, seed))
             d0, d1, _ = count.dims
             assert (d1 - d0, 2 * d0 - d1) == cl._freedom_counts(cl.FREEDOM[label]), (cid, seed)
             assert count.kept > 1e4 * tol and count.dropped < 1e-3 * tol, (cid, seed)

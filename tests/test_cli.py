@@ -568,8 +568,8 @@ def test_inconclusive_count_is_one_line_exit_three(capsys, monkeypatch):
     threshold's dead zone ends analyze with exit 3 and one error line."""
     spec = cli._load_frame(corpus_path("ex6.9.json"))
     conn = geometry.eval_connection(spec, spec.sample_points())
-    count = systems.beta_jet_count(conn, classify.JET_RANK_TOL)
-    monkeypatch.setattr(classify, "JET_RANK_TOL", count.kept / 3)
+    count = systems.beta_jet_count(conn)
+    monkeypatch.setattr(systems, "JET_RANK_TOL", count.kept / 3)
     assert cli.main(["analyze", corpus_path("ex6.9.json")]) == cli.EXIT_DEGENERATE
     assert _one_error_line(capsys).startswith("error: beta jet singular value = ")
 
