@@ -90,29 +90,67 @@ def test_advance_takes_eta_from_the_weights(rule_name, further):
     assert G_flux.tobytes() == G_end.tobytes() and S_flux.shape == (m, 0)
 
 
-def test_gauss_kronrod_rule():
-    """The 33 Kronrod nodes contain the 16 Gauss nodes bit for bit and
+@pytest.mark.parametrize("q", [pot._RAY_FIRST_Q, pot._RAY_Q])
+def test_gauss_kronrod_rule(q):
+    """The 2q+1 Kronrod nodes contain the q Gauss nodes bit for bit and
     interlace with them; the sums and cumulative matrices are exact to the
-    degrees of each rule."""
-    rule = pot._ray_rule(16)
+    degrees of each rule: 3q+1 and 2q-1 for the sums (q even), 2q and q-1
+    for the matrices."""
+    rule = pot._ray_rule(q)
     t, g = rule.t, rule.gauss
-    x, _ = np.polynomial.legendre.leggauss(16)
-    assert t.shape == (33,) and np.all((t > 0.0) & (t < 1.0))
-    assert np.all(np.diff(t) > 0.0) and np.array_equal(g, np.arange(1, 33, 2))
+    x, _ = np.polynomial.legendre.leggauss(q)
+    assert t.shape == (2 * q + 1,) and np.all((t > 0.0) & (t < 1.0))
+    assert np.all(np.diff(t) > 0.0) and np.array_equal(g, np.arange(1, 2 * q + 1, 2))
     assert np.array_equal(t[g], 0.5 * (x + 1.0))
     assert np.all(rule.w > 0.0) and np.all(rule.w_gauss > 0.0)
-    for n in range(50):
+    for n in range(3 * q + 2):
         assert abs(rule.w @ t**n - 1.0 / (n + 1)) < 1e-15, n
-    for n in range(32):
+    for n in range(2 * q):
         assert abs(rule.w_gauss @ t[g] ** n - 1.0 / (n + 1)) < 1e-15, n
     # random polynomials in the shifted Legendre basis, integrated from 0
     leg = np.polynomial.legendre
     rng = np.random.default_rng(5)
-    for K, nodes, degree in ((rule.K, t, 32), (rule.K_gauss, t[g], 15)):
+    for K, nodes, degree in ((rule.K, t, 2 * q), (rule.K_gauss, t[g], q - 1)):
         for _ in range(5):
             c = rng.standard_normal(degree + 1)
             exact = 0.5 * leg.legval(2.0 * nodes - 1.0, leg.legint(c, lbnd=-1))
             assert np.abs(K @ leg.legval(2.0 * nodes - 1.0, c) - exact).max() < 1e-14
+
+
+# QUADPACK's dqk15 on [-1, 1]: the Kronrod nodes from the end point to the
+# centre, their weights, and the weights of the embedded 7-point Gauss rule
+DQK15_XGK = [
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+]
+DQK15_WGK = [
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+]
+DQK15_WG = [
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+]
+
+
+def test_ray_rule_matches_quadpack_dqk15():
+    """_ray_rule(7) mapped to [-1, 1] is QUADPACK's 7/15 Gauss-Kronrod pair
+    to 1e-15: an independent check of the one construction both ray pairs
+    come from."""
+    rule = pot._ray_rule(7)
+
+    def symmetric(half, sign):
+        half = np.array(half)
+        return np.concatenate([sign * half, half[-2::-1]])
+
+    assert np.array_equal(rule.gauss, np.arange(1, 15, 2))
+    assert np.abs((2.0 * rule.t - 1.0) - symmetric(DQK15_XGK, -1.0)).max() <= 1e-15
+    assert np.abs(2.0 * rule.w - symmetric(DQK15_WGK, 1.0)).max() <= 1e-15
+    assert np.abs(2.0 * rule.w_gauss - symmetric(DQK15_WG, 1.0)).max() <= 1e-15
 
 
 def test_cumulative_simpson_fourth_order():
@@ -547,12 +585,14 @@ def test_csv_matches_row_by_row_formatting():
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2)], ids=["2-variables", "3-variables"])
 def test_json_matches_json_dumps_of_lists(shape):
     """to_json is byte for byte json.dumps of the nested lists, for finite
-    value arrays and for arrays holding NaN and inf."""
+    value arrays (with -0.0, the least subnormal and values json writes in
+    exponent form) and for arrays holding NaN and inf."""
     import json
 
     axes = [np.linspace(0.0, 1.0, k) for k in shape]
     eta = _random_grid_values(shape, 5)
     grad = np.stack([eta * (k + 1) for k in range(len(shape))], axis=-1)
+    eta.flat[:4] = [-0.0, 5e-324, 1e16, 1e-5]
     psi = grad.copy()
     psi.flat[1:4] = [np.nan, np.inf, -np.inf]
     values = {"eta": eta, "grad_eta": grad, "psi": psi}
@@ -604,8 +644,9 @@ def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch,
     """The grid meta counts the ray parameters of both ray families, summed
     over panels, and the largest panel count.  One MatrixField.values call
     (q's Hessian and flux fields included) covers a block of ray parameters:
-    on these one-panel 4^3 grids the points passed sum to 33 x 64 per
-    family, and no call exceeds max(_RAY_BATCH_POINTS, nodes) points."""
+    on these 4^3 grids every ray is done after the one-panel first pass, so
+    the points passed sum to its Kronrod nodes x 64 per family, and no call
+    exceeds max(_RAY_BATCH_POINTS, nodes) points."""
     calls = []
     values = pot.MatrixField.values
 
@@ -627,9 +668,10 @@ def test_meta_counts_ray_panels_and_field_evaluations(corpus_cases, monkeypatch,
         lam = next(c for k, c in case.candidates if k == "lambda")
         bet = [c for k, c in case.candidates if k == "beta"][1]
         grid = pot.entropy_flux(case.spec, lam, bet, case.spec.base_point, (4, 4, 4))
+    nodes = pot._ray_rule(pot._RAY_FIRST_Q).t.size
     assert grid.meta["ray_panels"] == 1
-    assert grid.meta["field_evaluations"] == 2 * 33
-    assert sum(calls) == 2 * 33 * 64
+    assert grid.meta["field_evaluations"] == 2 * nodes
+    assert sum(calls) == 2 * nodes * 64
     assert max(calls) <= max(pot._RAY_BATCH_POINTS, 64)
 
 
@@ -807,6 +849,32 @@ def test_two_panel_rays_independent_of_ray_batch_budget(monkeypatch):
     _assert_bit_identical(grids)
 
 
+def _identity_flux_2d(speed: str):
+    """The flux of speed (speed, 0) on the 2-D identity frame at 5^2."""
+    spec = g.frame_from_sources([["1", "0"], ["0", "1"]], ["u1", "u2"],
+                                domain=((0, 0), (1, 1)))
+    lam = sy.LambdaCandidate.from_sources([speed, "0"], ["u1", "u2"])
+    return pot.reconstruct_flux(spec, lam, spec.base_point, (5, 5))
+
+
+def test_rays_the_first_pass_leaves_get_the_ladder_values(monkeypatch):
+    """With speed sin(200 u1) the one-panel first pass certifies no ray but
+    the base node's, and the grid is bit-identical to one whose first pass
+    is the _RAY_Q pair, which gives the ladder's values alone: only the
+    field evaluations of the first pass differ.  With sin(800 u1) the
+    ladder converges at 32 panels, where a lone first-pass pair would need
+    more than _RAY_MAX_PANELS."""
+    grid = _identity_flux_2d("sin(200*u1)")
+    with monkeypatch.context() as patch:
+        patch.setattr(pot, "_RAY_FIRST_Q", pot._RAY_Q)
+        ladder = _identity_flux_2d("sin(200*u1)")
+    assert grid.values["f"].tobytes() == ladder.values["f"].tobytes()
+    first, again = (pot._ray_rule(q).t.size for q in (pot._RAY_FIRST_Q, pot._RAY_Q))
+    assert ladder.meta["field_evaluations"] - grid.meta["field_evaluations"] == 2 * (again - first)
+    assert {**grid.meta, "field_evaluations": 0} == {**ladder.meta, "field_evaluations": 0}
+    assert _identity_flux_2d("sin(800*u1)").meta["ray_panels"] == 32
+
+
 @pytest.mark.parametrize("budget", [1, None])
 def test_failing_block_raises_the_first_failing_node_error(monkeypatch, budget):
     """A tape runs its checks in order over all the points of a call, so in a
@@ -826,5 +894,5 @@ def test_failing_block_raises_the_first_failing_node_error(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(pot, "_RAY_BATCH_POINTS", budget)
     with pytest.raises(DomainError) as info:
-        pot._panel_sums(rates, np.zeros(1), np.ones((1, 1)), np.zeros((1, 1)), 1)
+        pot._panel_sums(rates, np.zeros(1), np.ones((1, 1)), np.zeros((1, 1)), pot._RAY_Q, 1)
     assert info.value.node == "early" and info.value.point[0] == rule.t[3]
