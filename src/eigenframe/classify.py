@@ -160,6 +160,10 @@ def _freedom_counts(text: str) -> tuple:
     return tuple(int(m[1]) if m else 0 for m in found)
 
 
+# label -> (functions, constants) of its FREEDOM text
+_COUNTS = {label: _freedom_counts(text) for label, text in FREEDOM.items()}
+
+
 # the two rank-1 labels with one arbitrary constant differ in the support
 _SUPPORT = {"nr-3b": 2, "nr-4c": 3}
 
@@ -180,8 +184,8 @@ def beta_label(rich: bool, rank: int, count: Optional[JetCount]) -> str:
         raise InconclusiveVanishingError(
             f"beta solution jet dimensions {list(count.dims)} are not f (k + 1) + c")
     prefix = "rich-" if rich else "nr-"
-    labels = [label for label, text in FREEDOM.items()
-              if label.startswith(prefix) and _freedom_counts(text) == (f, c)
+    labels = [label for label, counts in _COUNTS.items()
+              if label.startswith(prefix) and counts == (f, c)
               and _SUPPORT.get(label, count.support) == count.support]
     if not labels:
         raise InconclusiveVanishingError(

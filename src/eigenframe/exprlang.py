@@ -15,22 +15,22 @@ Expressions are evaluated through tapes (Griewank & Walther, Evaluating
 Derivatives, ch. 13): compile_tape turns a tuple of expressions and their
 params into one flat program in SSA form, where every register is written
 by exactly one instruction.  Compilation binds the params, folds every
-subtree without variables to a constant with the same numpy ufuncs that
-evaluation uses, shares common subexpressions across all outputs, and
-turns the domain rules into check instructions.  A tape has two kernels
-over one instruction list, batched over many points with numpy: values
-only, and truncated Taylor series (Taylor) of any order, whose
-coefficients d^a f / a! are every partial derivative up to that order.
-The series kernel seeds variable u_i as u_i + e_i, runs +, -, * and / on
-whole series and composes a builtin as f(g) = sum_k f^(k)(g0)/k! (g - g0)^k
-from one rule per builtin for its terms; every value slot is written by
-the values kernel's own ufunc, so the two kernels agree bit for bit on
-values.  eval_scalar_many returns the values and eval_series the
+subtree without variables to a constant by running its instructions on a
+one-point series, shares common subexpressions across all outputs, and
+turns the domain rules into check instructions.  A tape has one kernel,
+batched over many points with numpy: it runs the instruction list on
+truncated Taylor series (Taylor) of any order, whose coefficients
+d^a f / a! are every partial derivative up to that order.  It seeds
+variable u_i as u_i + e_i, runs +, -, * and / on whole series and composes
+a builtin as f(g) = sum_k f^(k)(g0)/k! (g - g0)^k from one rule per builtin
+for its terms.  A value is the series of order 0, and every value slot is
+written by the ufunc of the operand values, so every order gives the
+values' bits.  eval_scalar_many returns the values and eval_series the
 coefficients; they are the only two ways into a tape.  Constants stay
-plain floats in both kernels.  A power whose exponent folds to an integer
-without reading a variable or a param and without a failing check becomes
-repeated multiplications and therefore works for negative bases; any other
-power is exp/ln-based and checks its base positive before its exponent.
+plain floats.  A power whose exponent folds to an integer without reading
+a variable or a param and without a failing check becomes repeated
+multiplications and therefore works for negative bases; any other power is
+exp/ln-based and checks its base positive before its exponent.
 """
 
 from __future__ import annotations
@@ -453,7 +453,8 @@ class Taylor:
     constant.  So a formula written for arrays, run on order-1 fields, also
     gives its exact first derivatives.  The value slot of +, -, * and / is
     the numpy ufunc of the operand values, bit for bit, whatever the higher
-    coefficients hold; @ is batched matmul, of two series through order 1
+    coefficients hold, and at order 0 no rule computes a higher
+    coefficient; @ is batched matmul, of two series through order 1
     only, by the product rule."""
 
     __array_ufunc__ = None  # numpy defers to the reflected operators
@@ -509,10 +510,11 @@ class Taylor:
         if not isinstance(other, Taylor):
             return Taylor(self.coef * _constant(other), self.n, self.order)
         a, b, order = self._common(other)
-        if order == 1:
+        if order <= 1:
             coef = a * b[..., :1]
-            coef[..., 1:] += a[..., :1] * b[..., 1:]
-            return Taylor(coef, self.n, 1)
+            if order:
+                coef[..., 1:] += a[..., :1] * b[..., 1:]
+            return Taylor(coef, self.n, order)
         I, J, _, S = _product_table(self.n, order)
         coef = (a[..., I] * b[..., J]) @ S
         coef[..., 0] = a[..., 0] * b[..., 0]
@@ -557,6 +559,8 @@ class Taylor:
         fixed point makes one more degree of q exact."""
         g0 = self.value
         v = (num.value if isinstance(num, Taylor) else num) / g0
+        if not self.order:
+            return Taylor(v[..., None], self.n, 0)
         # the first pass, from q = v, may use self v for dg q: they differ
         # only in the value slot, which is overwritten
         q = (num - self * v) / g0
@@ -632,7 +636,7 @@ def _arctan_terms(v, f0, order: int) -> list:
     return ([1.0 / (1.0 + v * v)] + higher)[:order]
 
 
-# builtin -> (values kernel ufunc, series terms)
+# builtin -> (ufunc of the value, series terms)
 _FN_TABLE = {
     "sqrt": (np.sqrt, lambda v, f0, order: _power_terms(v, 0.5 / f0, 0.5, order)),
     "exp": (np.exp, lambda v, f0, order: [f0] + [f0 / math.factorial(k) for k in range(2, order + 1)]),
@@ -656,6 +660,8 @@ def _series_call(name: str):
     def call(x: Taylor) -> Taylor:
         v = x.value
         f0 = f(v)
+        if not x.order:
+            return Taylor(f0[..., None], x.n, 0)
         return x.compose(f0, terms(v, f0, x.order))
 
     return call
@@ -665,21 +671,23 @@ def _series_power(x: Taylor, c: float) -> Taylor:
     """x^c for a literal non-integer exponent c (x > 0 is checked before)."""
     v = x.value
     f0 = np.power(v, c)
+    if not x.order:
+        return Taylor(f0[..., None], x.n, 0)
     return x.compose(f0, _power_terms(v, c * np.power(v, c - 1.0), c, x.order))
 
 
-# instruction name -> (values kernel, series kernel); at run time at least
-# one operand is an array (or a series), the other may be a float constant.
-# A series result's value slot is the values kernel's ufunc of the operand
-# values (see Taylor), so both kernels agree bit for bit on values.
+# instruction name -> its function on series; at run time at least one
+# operand is a series, the other may be a float constant.  A result's value
+# slot is the ufunc of the operand values (see Taylor), so every order gives
+# the bits of order 0, the values.
 _INSTRUCTIONS = {
-    "add": (np.add, operator.add),
-    "sub": (np.subtract, operator.sub),
-    "mul": (np.multiply, operator.mul),
-    "div": (np.divide, operator.truediv),
-    "neg": (np.negative, operator.neg),
-    "pow": (np.power, _series_power),
-    **{name: (f, _series_call(name)) for name, (f, _) in _FN_TABLE.items()},
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "neg": operator.neg,
+    "pow": _series_power,
+    **{name: _series_call(name) for name in _FN_TABLE},
 }
 
 _CHECKS = {
@@ -692,8 +700,7 @@ _POINTS, _SINK = 0, 1  # registers: the point batch, and the target of checks
 
 def _check(holds, node: Expr, what: str):
     """Instruction raising DomainError at the first point where holds(value)
-    fails, the first point of a non-empty batch for a constant that fails;
-    the same function serves both kernels."""
+    fails, the first point of a non-empty batch for a constant that fails."""
 
     def check(x, points):
         ok = holds(x.value if isinstance(x, Taylor) else x)
@@ -712,12 +719,12 @@ def _execute(code: tuple, regs: list):
 class Tape:
     """Expressions compiled into one straight-line program in SSA form.
 
-    Built by compile_tape; run by eval_scalar_many (values kernel) and by
-    eval_series (series kernel, truncated Taylor series of any order).
-    Every instruction is (values function, series function, destination
-    register, operand a, operand b or None); the register file starts with
-    the point batch, the sink of the check instructions and the folded
-    constants.  The outputs are the compiled expressions in order.
+    Built by compile_tape; run on truncated Taylor series of any order by
+    eval_series, and at order 0, whose series are the values, by
+    eval_scalar_many.  Every instruction is (function on series,
+    destination register, operand a, operand b or None); the register file
+    starts with the point batch, the sink of the check instructions and the
+    folded constants.  The outputs are the compiled expressions in order.
     """
 
     def __init__(self, exprs: tuple, registers: list, variables: tuple, code: tuple, outputs: tuple):
@@ -726,26 +733,12 @@ class Tape:
         self.variables = variables  # (register, variable index)
         self.code = code
         self.outputs = outputs
-        self._values_code = tuple((f, dst, a, b) for f, _, dst, a, b in code)
-        self._series_code = tuple((s, dst, a, b) for _, s, dst, a, b in code)
-
-    def _values(self, points: np.ndarray) -> np.ndarray:
-        """Values of every output at points (m, n): shape (m, k)."""
-        regs = list(self.registers)
-        regs[_POINTS] = points
-        for reg, index in self.variables:
-            regs[reg] = points[:, index].copy()
-        _execute(self._values_code, regs)
-        out = np.empty((points.shape[0], len(self.outputs)))
-        for o, reg in enumerate(self.outputs):
-            out[:, o] = regs[reg]
-        self._gate(points, (out,))
-        return out
 
     def _series(self, points: np.ndarray, order: int) -> np.ndarray:
         """Taylor coefficients of every output at points (m, n) up to the
-        given order: shape (m, k, size), laid out as Taylor.coef.  Variable
-        u_i is seeded as the series u_i + e_i."""
+        given order: shape (m, k, size), laid out as Taylor.coef, a view of
+        a (k, m, size) block written one output at a time.  Variable u_i is
+        seeded as the series u_i + e_i."""
         m, n = points.shape
         size = _size(n, order)
         regs = list(self.registers)
@@ -756,31 +749,23 @@ class Tape:
             if order:
                 seeds[index, :, 1 + index] = 1.0
             regs[reg] = Taylor(seeds[index], n, order)
-        _execute(self._series_code, regs)
-        out = np.zeros((m, len(self.outputs), size))
+        _execute(self.code, regs)
+        out = np.zeros((len(self.outputs), m, size))
         for o, reg in enumerate(self.outputs):
             r = regs[reg]
             if isinstance(r, Taylor):
-                out[:, o] = r.coef
+                out[o] = r.coef
             else:
-                out[:, o, 0] = r
+                out[o, :, 0] = r
         if not np.isfinite(out).all():
-            # one block per degree, values first, as the values kernel gates them
-            self._gate(points, tuple(out[..., _size(n, q - 1) : _size(n, q)] for q in range(order + 1)))
-        return out
-
-    def _gate(self, points: np.ndarray, blocks: tuple):
-        """One finiteness test per output block.  On failure, DomainError
-        names the first output with a non-finite value or derivative, block
-        by block, and its first such point."""
-        if all(np.isfinite(block).all() for block in blocks):
-            return
-        m = points.shape[0]
-        for o, e in enumerate(self.exprs):
-            for block in blocks:
-                bad = ~np.isfinite(block[:, o].reshape(m, -1)).all(axis=1)
-                if bad.any():
-                    raise DomainError(to_source(e), points[int(np.argmax(bad))], "non-finite value")
+            # DomainError names the first output with a non-finite
+            # coefficient, at its first such point of the lowest such degree
+            for o, e in enumerate(self.exprs):
+                for q in range(order + 1):
+                    bad = ~np.isfinite(out[o, :, _size(n, q - 1) : _size(n, q)]).all(axis=1)
+                    if bad.any():
+                        raise DomainError(to_source(e), points[int(np.argmax(bad))], "non-finite value")
+        return out.transpose(1, 0, 2)
 
 
 class _Compiler:
@@ -826,16 +811,15 @@ class _Compiler:
         reg = self.numbers.get(key)
         if reg is not None:
             return reg
-        values_fn, series_fn = _INSTRUCTIONS[name]
+        fn = _INSTRUCTIONS[name]
         if a in self.consts and (b is None or b in self.consts):
-            # the values kernel on a one-point batch, so the folded constant
-            # has the bits evaluation would give
-            args = (np.array([self.consts[a]]),) if b is None else (
-                np.array([self.consts[a]]), self.consts[b])
-            reg = self.const(values_fn(*args)[0])
+            # the instruction on a one-point series of order 0, so the folded
+            # constant has the bits evaluation would give
+            x = Taylor(np.array([[self.consts[a]]]), 1, 0)
+            reg = self.const((fn(x) if b is None else fn(x, self.consts[b])).value[0])
         else:
             reg = self._register()
-            self.code.append((values_fn, series_fn, reg, a, b))
+            self.code.append((fn, reg, a, b))
         self.numbers[key] = reg
         return reg
 
@@ -850,8 +834,7 @@ class _Compiler:
             return
         self.numbers[key] = _SINK
         if a not in self.consts or fails:
-            fn = _check(holds, node, what)
-            self.code.append((fn, fn, _SINK, a, _POINTS))
+            self.code.append((_check(holds, node, what), _SINK, a, _POINTS))
 
     def expr(self, e: Expr, params: Mapping[str, float]) -> int:
         if isinstance(e, Num):
@@ -935,21 +918,23 @@ def compile_tape(*blocks) -> Tape:
     )
 
 
-def _point_batch(points) -> tuple:
-    """points (..., n) as a float (m, n) batch, and the leading shape."""
+def _run(e, points: np.ndarray, order: int, params: Mapping[str, float]) -> np.ndarray:
+    """eval_series, private so that a tracer wrapping the public functions
+    (perfbench/tracing.py) books eval_scalar_many's order-0 run to
+    eval_scalar_many."""
     points = np.asarray(points, dtype=float)
-    return points.reshape(-1, points.shape[-1]), points.shape[:-1]
+    tape = e if isinstance(e, Tape) else compile_tape(((e,), params))
+    coef = tape._series(points.reshape(-1, points.shape[-1]), order)
+    shape = points.shape[:-1] + ((len(tape.outputs),) if isinstance(e, Tape) else ())
+    return coef.reshape(shape + coef.shape[-1:])
 
 
 def eval_scalar_many(e, points: np.ndarray, params: Mapping[str, float] = {}) -> np.ndarray:
-    """Values at points (..., n).  e is a Tape, giving shape (..., k) over its
-    k outputs, or a bare Expr, compiled with params into a one-output tape
-    and giving shape (...).  A Tape's params were bound when it was
-    compiled."""
-    pts, batch = _point_batch(points)
-    if isinstance(e, Tape):
-        return e._values(pts).reshape(batch + (len(e.outputs),))
-    return compile_tape(((e,), params))._values(pts).reshape(batch)
+    """Values at points (..., n), the series of order 0.  e is a Tape,
+    giving shape (..., k) over its k outputs, or a bare Expr, compiled with
+    params into a one-output tape and giving shape (...).  A Tape's params
+    were bound when it was compiled."""
+    return _run(e, points, 0, params)[..., 0]
 
 
 def eval_series(e, points: np.ndarray, order: int, params: Mapping[str, float] = {}) -> np.ndarray:
@@ -958,8 +943,4 @@ def eval_series(e, points: np.ndarray, order: int, params: Mapping[str, float] =
     _monomials(n, order).  e is a Tape, whose outputs add an axis after the
     batch axes, or a bare Expr, compiled with params into a one-output
     tape."""
-    pts, batch = _point_batch(points)
-    tape = e if isinstance(e, Tape) else compile_tape(((e,), params))
-    coef = tape._series(pts, order)
-    shape = batch + ((len(tape.outputs),) if isinstance(e, Tape) else ())
-    return coef.reshape(shape + coef.shape[-1:])
+    return _run(e, points, order, params)

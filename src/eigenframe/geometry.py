@@ -524,10 +524,14 @@ def flatness_residual(Gamma: np.ndarray, c: np.ndarray, dGamma: np.ndarray) -> n
 # Richness and scalings
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def distinct_triple_mask(n: int) -> np.ndarray:
-    """Boolean (n,n,n) mask of index triples with pairwise-distinct entries."""
+    """Boolean (n,n,n) mask of index triples with pairwise-distinct entries,
+    built once per n and read-only."""
     i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    return (i != j) & (j != k) & (i != k)
+    mask = (i != j) & (j != k) & (i != k)
+    mask.flags.writeable = False
+    return mask
 
 
 def is_rich(conn: ConnectionEval) -> tuple:
@@ -578,20 +582,21 @@ def scale_frame(spec: FrameSpec, alpha_exprs: Sequence) -> FrameSpec:
 # Riemann charts
 # ---------------------------------------------------------------------------
 
-def _chart_eval(evaluate, tape: ex.Tape, points: np.ndarray, *args):
-    """A chart map evaluated at points; leaving its domain is a ChartDomainError."""
+def _chart_eval(order: int, tape: ex.Tape, points: np.ndarray) -> np.ndarray:
+    """The Taylor series of a chart map up to order at points; leaving its
+    domain is a ChartDomainError."""
     try:
-        return evaluate(tape, np.atleast_2d(np.asarray(points, dtype=float)), *args)
+        return ex.eval_series(tape, np.atleast_2d(np.asarray(points, dtype=float)), order)
     except DomainError as err:
         raise ChartDomainError(str(err)) from err
 
 
 def chart_forward(chart: RiemannChart, u_points: np.ndarray) -> np.ndarray:
-    return _chart_eval(ex.eval_scalar_many, chart.w_tape, u_points)
+    return _chart_eval(0, chart.w_tape, u_points)[..., 0]
 
 
 def chart_inverse(chart: RiemannChart, w_points: np.ndarray) -> np.ndarray:
-    return _chart_eval(ex.eval_scalar_many, chart.u_tape, w_points)
+    return _chart_eval(0, chart.u_tape, w_points)[..., 0]
 
 
 def verify_riemann_chart(conn: ConnectionEval, chart: RiemannChart) -> dict:
@@ -600,7 +605,7 @@ def verify_riemann_chart(conn: ConnectionEval, chart: RiemannChart) -> dict:
     pts = conn.points
     # w^i with its derivatives (m, i, a) = d w^i / d u^a; the series' value
     # slot has the bits of chart_forward
-    series = _chart_eval(ex.eval_series, chart.w_tape, pts, 1)
+    series = _chart_eval(1, chart.w_tape, pts)
     norm = np.einsum("mia,maj->mij", series[..., 1:], conn.R)
     back = chart_inverse(chart, series[..., 0])
     return {

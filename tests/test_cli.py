@@ -357,8 +357,8 @@ def _frame_series_runs(monkeypatch) -> list:
 
 
 def _candidate_tape_runs(monkeypatch) -> list:
-    """Every run, by either kernel, of the tape of a candidate built from
-    here on, as (tape id, points bytes)."""
+    """Every run, at any order, of the tape of a candidate built from here
+    on, as (tape id, points bytes)."""
     tapes, runs = [], []
     for cls in (systems.BetaCandidate, systems.LambdaCandidate):
         def tape(self, compile_=cls.tape.func):
@@ -369,15 +369,14 @@ def _candidate_tape_runs(monkeypatch) -> list:
         prop.__set_name__(cls, "tape")
         monkeypatch.setattr(cls, "tape", prop)
 
-    def counting(kernel):
-        def run(tape, points, *order):
-            if any(tape is t for t in tapes):
-                runs.append((id(tape), np.ascontiguousarray(points, dtype=float).tobytes()))
-            return kernel(tape, points, *order)
-        return run
+    series = exprlang.Tape._series
 
-    monkeypatch.setattr(exprlang.Tape, "_values", counting(exprlang.Tape._values))
-    monkeypatch.setattr(exprlang.Tape, "_series", counting(exprlang.Tape._series))
+    def counting(tape, points, order):
+        if any(tape is t for t in tapes):
+            runs.append((id(tape), np.ascontiguousarray(points, dtype=float).tobytes()))
+        return series(tape, points, order)
+
+    monkeypatch.setattr(exprlang.Tape, "_series", counting)
     return runs
 
 
@@ -563,15 +562,23 @@ def test_analyze_reads_no_chart(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["beta_case"] == "rich-3"
 
 
-def test_inconclusive_count_is_one_line_exit_three(capsys, monkeypatch):
+@pytest.mark.parametrize("system", ["beta", "lambda"])
+def test_inconclusive_count_is_one_line_exit_three(capsys, monkeypatch, system):
     """A singular value of the solution-jet count inside the rank
-    threshold's dead zone ends analyze with exit 3 and one error line."""
-    spec = cli._load_frame(corpus_path("ex6.9.json"))
-    conn = geometry.eval_connection(spec, spec.sample_points())
-    count = systems.beta_jet_count(conn)
-    monkeypatch.setattr(systems, "JET_RANK_TOL", count.kept / 3)
+    threshold's dead zone, or a lambda constraint coefficient inside
+    CLASSIFY_TOL's, ends analyze with exit 3 and one error line."""
+    if system == "beta":
+        spec = cli._load_frame(corpus_path("ex6.9.json"))
+        conn = geometry.eval_connection(spec, spec.sample_points())
+        count = systems.beta_jet_count(conn)
+        monkeypatch.setattr(systems, "JET_RANK_TOL", count.kept / 3)
+        expected = "error: beta jet singular value = "
+    else:
+        monkeypatch.setattr(classify, "CLASSIFY_TOL", 0.5)
+        expected = ("error: lambda constraint coefficient of unknown 1 = 1.000e+00"
+                    " is in the dead zone [5.0e-01, 5.0e+00]")
     assert cli.main(["analyze", corpus_path("ex6.9.json")]) == cli.EXIT_DEGENERATE
-    assert _one_error_line(capsys).startswith("error: beta jet singular value = ")
+    assert _one_error_line(capsys).startswith(expected)
 
 
 def test_overflowing_frame_inverse_is_domain_error(tmp_path, capsys):

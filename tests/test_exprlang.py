@@ -80,6 +80,21 @@ def test_unknown_identifier():
     assert err.value.name == "g"
 
 
+def test_misuse_is_refused():
+    """Repeated variable names, a param without a value, a non-Expr and @ of
+    two series above order 1 raise."""
+    with pytest.raises(ValueError):
+        ex.parse_expression("u1", ["u1", "u1"])
+    with pytest.raises(UnknownIdentifierError):
+        ex.compile_tape(((parse("K*u1", params={"K"}),), {}))
+    for fn in (ex.to_source, lambda e: ex.compile_tape(((e,), {}))):
+        with pytest.raises(TypeError):
+            fn("u1")
+    s = ex.Taylor(np.zeros((2, 2, ex._size(3, 2))), 3, 2)
+    with pytest.raises(NotImplementedError):
+        s @ s
+
+
 def test_eigenvalue_style_expression_parses():
     e = ex.parse_expression(
         "sqrt(gamma)*exp(S/2)*v^(-(gamma+1)/2)", ["v", "u", "S"], {"gamma"}
@@ -219,6 +234,7 @@ def test_equality_and_hash_of_deepest_tree():
     assert ex.Num(1.0) == ex.Num(1) and hash(ex.Num(1.0)) == hash(ex.Num(1))
     assert ex.Add(ex.Num(1.0), ex.Num(2.0)) != ex.Sub(ex.Num(1.0), ex.Num(2.0))
     assert parse("sin(u1)*u2") == parse("sin(u1)*u2") != parse("cos(u1)*u2")
+    assert hash(parse("sin(u1)*u2")) == hash(parse("sin(u1)*u2"))
 
 
 def test_jet_product_example():
@@ -390,9 +406,9 @@ def _all_equal(x, y):
 @given(_expr_source())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_tape_kernels_agree_bit_for_bit(src):
-    """Values kernel, order-1 and order-2 jets kernels give the same values
-    (and the two jet orders the same gradients), and Hessians are exactly
-    symmetric."""
+    """The one series kernel gives the same values at orders 0 (the values),
+    1 and 2, the same gradients at orders 1 and 2, and exactly symmetric
+    Hessians."""
     tape = ex.compile_tape(((parse_k(src),), K_PARAMS))
     vals = ex.eval_scalar_many(tape, PROPERTY_POINTS)
     value1, grad1 = jets(tape, PROPERTY_POINTS, order=1)
@@ -426,6 +442,22 @@ def test_bare_expression_matches_its_tape():
     )
     bare, taped = jets(e, PROPERTY_POINTS, params=K_PARAMS), jets(tape, PROPERTY_POINTS)
     assert _all_equal(bare, [a[:, 0] for a in taped])
+
+
+@pytest.mark.parametrize("x", [0.7312, 1.9])
+@pytest.mark.parametrize("src", [
+    "X + 0.3", "X - 0.3", "0.3 - X", "X*0.3", "X/0.3", "0.3/X", "-X",
+    *(f"{fn}(X)" for fn in ex.BUILTINS), "X^0.3", "X^7", "X^-3",
+])
+def test_folded_constant_has_the_bits_of_evaluation(src, x):
+    """Every instruction folds a constant operand to the bits it gives on a
+    variable holding that value: each binary operation (the constant on
+    either side), negation, each builtin, a literal non-integer power and
+    integer powers by repeated multiplication."""
+    folded = ex.compile_tape(((parse(src.replace("X", repr(x))),), {}))
+    assert not folded.code
+    evaluated = ex.eval_scalar_many(parse(src.replace("X", "u1")), [x, 0.0, 0.0])
+    assert folded.registers[folded.outputs[0]].hex() == float(evaluated).hex()
 
 
 def test_gas_frame_shares_the_sound_speed_product(corpus_cases):
