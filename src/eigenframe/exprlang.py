@@ -406,6 +406,20 @@ def _product_table(n: int, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _quotient(n: int, order: int) -> np.ndarray:
+    """Q[k, l]: the position of mono[k] - mono[l] in _monomials(n, order),
+    or _size(n, order) where mono[l] does not divide mono[k].  With a zero
+    slot after a series' coefficients, f[..., Q] is the matrix of the
+    product by f, (f g)[k] = sum_l f[Q[k, l]] g[l], gathered."""
+    I, J, K, _ = _product_table(n, order)
+    s = _size(n, order)
+    Q = np.full((s, s), s)
+    Q[K, J] = I
+    Q.flags.writeable = False
+    return Q
+
+
+@lru_cache(maxsize=None)
 def _derivative_table(n: int, order: int) -> np.ndarray:
     """D[b, k, l]: (d_b f)[k] = sum_l D[b, k, l] f[l], from a series of the
     given order to one of order - 1."""

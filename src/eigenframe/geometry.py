@@ -24,12 +24,14 @@ one product per degree of R's series with the operator of r
 by degree from L0 = R^{-1} at the points (_graded_solve), so L's series is
 never formed and each order of Gamma is a leading slice of the next.
 eval_connection runs the tape once at order 2 and keeps the frame series,
-the operator and the order-1 Gamma series; ConnectionEval reads R and Gamma
-as views of their value slots, and taylor replaces each by a higher order
-on demand.  No derivative is taken by finite differences, by symbolic
-differentiation or by a hand-written product rule, so the symmetry and
-flatness identities of the flat coordinate connection hold to machine
-precision and serve as end-to-end pipeline checks.
+the operator and the order-1 Gamma series, which nothing replaces after;
+ConnectionEval reads R and Gamma as views of their value slots.  A higher
+order, as systems.beta_jet_count needs at one point, is built by
+_frame_taylor, _frame_operator and _gamma_series directly.  No derivative
+is taken by finite differences, by symbolic differentiation or by a
+hand-written product rule, so the symmetry and flatness identities of the
+flat coordinate connection hold to machine precision and serve as
+end-to-end pipeline checks.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import exprlang as ex
-from .exprlang import Taylor, _frame_derivative_table, _product_table, _size
+from .exprlang import Taylor, _frame_derivative_table, _quotient, _size
 from .errors import (
     ChartDomainError,
     DomainError,
@@ -239,23 +241,24 @@ def chart_from_sources(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectionEval:
-    """A frame evaluated on one sample set: the inverse frame L at the
-    points and the Taylor series kept in _series, of which R and Gamma are
-    value-slot views; c is computed once from Gamma.
+    """A frame evaluated on one sample set by eval_connection, and fixed
+    from then on: the inverse frame L at the points, the frame series of
+    order 2, the operator of r on series of order 2 and Gamma as a Taylor
+    field of order 1.  R and Gamma are value-slot views of the frame and
+    Gamma series; c is computed once from Gamma.
 
-    Built by eval_connection, or by at(p) as a one-point view of one;
-    every check, residual and classifier branch on the same sample set
-    reads this one object instead of evaluating the frame again.  Higher orders are computed on first use.
-    The frame series, the operator of r and Gamma follow one slice rule:
-    the highest order is held, a lower one being its leading slice.
+    Every check, residual and classifier branch on the same sample set
+    reads this one object instead of evaluating the frame again.
     """
 
     spec: FrameSpec
     points: np.ndarray  # (m, n)
     L: np.ndarray  # (m, k, a); L @ R = I
-    _series: dict = field(repr=False)
+    frame: Taylor = field(repr=False)  # R, (m, a, j)
+    operator: np.ndarray = field(repr=False)  # (m, d, l, k), _frame_operator
+    gamma: Taylor = field(repr=False)  # Gamma, (m, i, j, k)
 
     @property
     def n(self) -> int:
@@ -263,13 +266,13 @@ class ConnectionEval:
 
     @property
     def R(self) -> np.ndarray:
-        """(m, a, j): the value slot of the held frame series."""
-        return self._series["frame"].value
+        """(m, a, j): the value slot of the frame series."""
+        return self.frame.value
 
     @property
     def Gamma(self) -> np.ndarray:
-        """(m, i, j, k): the value slot of the held Gamma series."""
-        return self._series["gamma"].value
+        """(m, i, j, k): the value slot of the Gamma series."""
+        return self.gamma.value
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -277,54 +280,19 @@ class ConnectionEval:
         G = self.Gamma
         return G - G.transpose(0, 2, 1, 3)
 
-    def at(self, p: int) -> "ConnectionEval":
-        """The connection at sample p alone: its L and held series are
-        views of this one's, so a higher order computed there evaluates the
-        frame at that one point."""
-        rows = slice(p, p + 1)
-        return ConnectionEval(self.spec, self.points[rows], self.L[rows],
-                              {key: held[rows] for key, held in self._series.items()})
-
     def gamma_scale(self) -> np.ndarray:
         """Per-point magnitude used to make vanishing tests dimensionless."""
         return 1.0 + np.abs(self.Gamma.reshape(len(self.points), -1)).max(axis=1)
 
-    def taylor(self, order: int) -> Taylor:
-        """Gamma as a Taylor field of the given order, shape (m, i, j, k): a
-        leading slice of the highest-order series solved so far (order 1 by
-        eval_connection), else solved with the operator of order + 1 to
-        replace it.  A slice has the bits of a fresh solve."""
-        G = self._series["gamma"]
-        if G.order < order:
-            G = self._series["gamma"] = _gamma_series(
-                self._frame_series(order + 1), self.L, self._operator(order + 1))
-        return Taylor(G.coef[..., : _size(self.n, order)], self.n, order)
-
     def r(self, d: int, f: Taylor) -> Taylor:
         """r_d(f) = R^a_d d_a f along frame field d, a Taylor field one order
-        lower than f: one batched product with the operator of f's order."""
+        lower than f, for f of order at most the operator's: one batched
+        product with the operator's leading slice for f's order, which has
+        the bits of a fresh _frame_operator build of that order."""
         m, size = f.coef.shape[0], f.coef.shape[-1]
-        out = f.coef.reshape(m, -1, size) @ self._operator(f.order)[:, d]
+        D = self.operator[:, d, :size, : _size(self.n, f.order - 1)]
+        out = f.coef.reshape(m, -1, size) @ D
         return Taylor(out.reshape(f.coef.shape[:-1] + (-1,)), self.n, f.order - 1)
-
-    def _operator(self, order: int) -> np.ndarray:
-        """The per-point operator of r on series of the given order
-        (_frame_operator): a leading slice of the highest-order operator
-        built on this sample set so far (order 2 by eval_connection), which
-        has the bits of a fresh build."""
-        D = self._series["operator"]
-        if D.shape[2] < _size(self.n, order):
-            D = self._series["operator"] = _frame_operator(self._frame_series(order - 1), order)
-        return D[..., : _size(self.n, order), : _size(self.n, order - 1)]
-
-    def _frame_series(self, order: int) -> Taylor:
-        """R as a Taylor field of the given order, shape (m, a, j): a leading
-        slice of the highest-order series of the frame's tape evaluated on
-        this sample set so far (order 2 by eval_connection)."""
-        R = self._series["frame"]
-        if R.order < order:
-            R = self._series["frame"] = _frame_taylor(self.spec, self.points, order)
-        return Taylor(R.coef[..., : _size(self.n, order)], self.n, order)
 
 
 def _frame_taylor(spec: FrameSpec, points: np.ndarray, order: int) -> Taylor:
@@ -393,12 +361,10 @@ def _solve_gather(n: int, order: int) -> tuple:
     """Index tables of _graded_solve: for each degree d = 1..order, the flat
     indices into R's coefficients held as (n, n, s + 1), s = _size(n, order),
     with slot s zero, of the block B_d[(a, g), (k, b)] = R^a_k[g - b] over
-    the multi-indices g of degree d and b of lower degree; g - b is I of the
-    product term (I, b, g), and names the zero slot if b does not divide g."""
-    I, J, K, _ = _product_table(n, order)
+    the multi-indices g of degree d and b of lower degree; g - b is read
+    from _quotient, and names the zero slot if b does not divide g."""
     s = _size(n, order)
-    quotient = np.full((s, s), s)
-    quotient[K, J] = I
+    quotient = _quotient(n, order)
     entry = (np.arange(n)[:, None] * n + np.arange(n))[:, None, :, None] * (s + 1)
     tables = []
     for d in range(1, order + 1):
@@ -469,15 +435,14 @@ def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
     R = _frame_taylor(spec, points, 2)
     L, _ = _invert_frame(points, R.value)
     D = _frame_operator(R, 2)
-    series = {"frame": R, "operator": D, "gamma": _gamma_series(R, L, D)}
-    return ConnectionEval(spec, points, L, series)
+    return ConnectionEval(spec, points, L, R, D, _gamma_series(R, L, D))
 
 
 def structure_coefficients_bracket(conn: ConnectionEval) -> np.ndarray:
     """c via direct expansion of [r_i, r_j] = (DR_j)R_i - (DR_i)R_j in the
     frame basis, DR read from the frame series; independent cross-check of
     the antisymmetrized-Gamma path: it reads neither Gamma nor r."""
-    bracket = np.einsum("majb,mbi->maij", conn._frame_series(1).coef[..., 1:], conn.R)
+    bracket = np.einsum("majb,mbi->maij", conn.frame.coef[..., 1 : conn.n + 1], conn.R)
     bracket = bracket - bracket.transpose(0, 1, 3, 2)
     return np.einsum("mka,maij->mijk", conn.L, bracket)
 
@@ -495,7 +460,7 @@ def _symmetry_flatness(conn: ConnectionEval, c_br: np.ndarray) -> tuple:
     """check_symmetry_flatness with the bracket c_br already computed."""
     scale = conn.gamma_scale()
     torsion = np.abs(conn.c - c_br).reshape(len(scale), -1).max(axis=1) / scale
-    dGamma = np.stack([conn.r(d, conn.taylor(1)).value for d in range(conn.n)], axis=1)
+    dGamma = np.stack([conn.r(d, conn.gamma).value for d in range(conn.n)], axis=1)
     curvature = flatness_residual(conn.Gamma, conn.c, dGamma) / scale**2
     return float(torsion.max()), float(curvature.max())
 

@@ -29,11 +29,14 @@ import numpy as np
 
 from . import exprlang as ex
 from .errors import CoincidentEigenvaluesError, InconclusiveVanishingError, NotRichError
-from .exprlang import Taylor, _size
+from .exprlang import _quotient, _size
 from .geometry import (
     ConnectionEval,
     FrameSpec,
     RiemannChart,
+    _frame_operator,
+    _frame_taylor,
+    _gamma_series,
     chart_inverse,
     distinct_triple_mask,
     eval_connection,
@@ -221,32 +224,40 @@ def beta_jet_count(conn: ConnectionEval) -> JetCount:
     (_beta_pde_coefficients) and the algebraic part times b through order
     3 (_beta_matrix), for the frame with unit columns at the point: a
     constant column scaling maps b^j to alpha_j^2 b^j and changes no count.
-    Each coefficient enters through r and a product applied to the unit
-    series e_l, on a one-point connection whose series are views of conn's.
+    The series are built at the first point alone, with conn's L there:
+    the frame of order 4, the operator of r of order 4 and Gamma of order 3.
+    Coefficient l enters as the unit series e_l: r_d(e_l) is row l of the
+    operator, and a product f e_l is column l of f's multiplication matrix,
+    gathered through _quotient.
     One SVD of the column-equilibrated rows gives the solution jets.  A
     singular value relative to the largest (to 1 for the orthonormal null
     basis) counts above 10 tol and not below tol, tol = JET_RANK_TOL; one
     in between raises InconclusiveVanishingError."""
     tol = JET_RANK_TOL
     order = 3  # dims d_0..d_2: degrees below the highest, which no PDE row closes
-    one = conn.at(0)
     n, size, low = conn.n, _size(conn.n, order), _size(conn.n, order - 1)
-    e = Taylor(np.eye(size), n, order)  # e_l on the batch axis
+    R = _frame_taylor(conn.spec, conn.points[:1], order + 1)
+    D = _frame_operator(R, order + 1)
     # the frame with columns r_j / rho_j, rho_j = |R_j| at the point:
     # Gamma[i,j,k] scales by rho_k / (rho_i rho_j) and r_d by 1 / rho_d
-    w = 1.0 / np.linalg.norm(one.R[0], axis=0)
-    G = one.taylor(order) * (w[:, None, None] * w[:, None] / w)
+    w = 1.0 / np.linalg.norm(conn.R[0], axis=0)
+    G = _gamma_series(R, conn.L[:1], D) * (w[:, None, None] * w[:, None] / w)
     c = G - G.transpose(0, 2, 1, 3)
+    Q = _quotient(n, order)
+
+    def product(f: np.ndarray) -> np.ndarray:
+        """(..., k, l): coefficient k of the series f (..., size) times e_l."""
+        return np.concatenate([f, np.zeros(f.shape[:-1] + (1,))], axis=-1)[..., Q]
+
     # rows (row, coefficient k) by columns (component, coefficient l)
-    alg = (Taylor(_beta_matrix(G.coef, c.coef), n, order) * e[:, None, None]).coef
-    alg = alg.transpose(1, 3, 2, 0)
+    alg = product(_beta_matrix(G.coef, c.coef)[0]).transpose(0, 2, 1, 3)
     _, (i, j) = _index_arrays(n)
-    X, Y = (f * e[:, None] for f in _beta_pde_coefficients(G, c, i, j))
-    dr = np.stack([w[d] * one.r(d, e).coef for d in range(n)])  # (d, l, k)
+    X, Y = (product(f.coef[0])[:, :low] for f in _beta_pde_coefficients(G, c, i, j))
+    dr = w[:, None, None] * D[0, :, :size, :low]  # r_d(e_l)[k], (d, l, k)
     pairs = np.arange(len(i))
     pde = np.zeros((len(i), low, n, size))
-    pde[pairs, :, j] = dr[i].transpose(0, 2, 1) - X.coef[..., :low].transpose(1, 2, 0)
-    pde[pairs, :, i] = Y.coef[..., :low].transpose(1, 2, 0)
+    pde[pairs, :, j] = dr[i].transpose(0, 2, 1) - X
+    pde[pairs, :, i] = Y
     M = np.concatenate([pde.reshape(-1, n * size), alg.reshape(-1, n * size)])
     norms = np.linalg.norm(M, axis=0)
     _, s, vt = np.linalg.svd(M / np.where(norms > 0, norms, 1.0), full_matrices=False)
@@ -475,7 +486,7 @@ def darboux_compatibility(spec: FrameSpec, chart: RiemannChart, w_points: np.nda
     (r_j(w^i) = delta_ij), so d/dw^d is the frame field r_d."""
     conn = eval_connection(spec, chart_inverse(chart, w_points))
     require_rich(conn)
-    dZ = np.stack([conn.r(d, conn.taylor(1)).value for d in range(conn.n)], axis=-1)
+    dZ = np.stack([conn.r(d, conn.gamma).value for d in range(conn.n)], axis=-1)
     return compat_coefficient_residual(conn.Gamma, dZ)
 
 

@@ -337,44 +337,34 @@ def _same_report(got, want):
         assert abs(a - b) <= 1e-13, (c, a, b)
 
 
-def test_classify_on_reused_or_sliced_series(corpus_cases, monkeypatch):
-    """A connection hands out lower orders of Gamma as leading slices of a
-    series it already holds.  Classifying a connection twice, or one whose
-    order-3 series was computed first, gives the report of a connection
-    that computes every order it is asked for afresh."""
-    sets = {(cid, seed): case.spec.sample_points(50, seed)
-            for cid, case in corpus_cases.items() if case.spec.n == 3 for seed in (0, 3)}
-    reused, sliced = {}, {}
-    for (cid, seed), points in sets.items():
-        spec = corpus_cases[cid].spec
-        conn = g.eval_connection(spec, points)
-        cl.classify(conn)
-        reused[cid, seed] = cl.classify(conn)
-        conn = g.eval_connection(spec, points)
-        G3 = conn.taylor(3)
-        assert all(np.shares_memory(conn.taylor(k).coef, G3.coef) for k in (0, 1, 2))
-        sliced[cid, seed] = cl.classify(conn)
-    monkeypatch.setattr(g.ConnectionEval, "taylor", lambda self, order: g._gamma_series(
-        self._frame_series(order + 1), self.L,
-        g._frame_operator(self._frame_series(order), order + 1)))
-    for key, points in sets.items():
-        fresh = cl.classify(g.eval_connection(corpus_cases[key[0]].spec, points))
-        _same_report(reused[key], fresh)
-        _same_report(sliced[key], fresh)
+def test_classify_on_reused_connection(corpus_cases):
+    """Classifying a connection twice gives the report of a fresh
+    connection on the same sample set."""
+    for cid, case in corpus_cases.items():
+        if case.spec.n != 3:
+            continue
+        for seed in (0, 3):
+            points = case.spec.sample_points(50, seed)
+            conn = g.eval_connection(case.spec, points)
+            cl.classify(conn)
+            _same_report(cl.classify(conn), cl.classify(g.eval_connection(case.spec, points)))
 
 
 def test_frame_operator_built_once_per_order(corpus_cases, monkeypatch):
-    """eval_connection and taylor keep the operator their Gamma series
-    solved with, and r slices it: classifying a connection builds each order
-    of the frame-derivative operator at most once per sample set, in
-    increasing order, since a lower order is a slice of the highest built.
-    The sample set needs only the operator of order 2; the count of a
-    rank-1 frame builds the order-4 operator at its one point, for Gamma of
+    """eval_connection keeps the operator its Gamma series solved with, and
+    r slices it: classifying a connection builds the frame-derivative
+    operator of order 2 once on the sample set, and the count of a rank-1
+    frame builds the order-4 operator at its one point, for Gamma of
     order 3."""
     built = []
     operator = g._frame_operator
-    monkeypatch.setattr(g, "_frame_operator", lambda R, order: built.append(
-        (len(R.coef), order)) or operator(R, order))
+
+    def recording(R, order):
+        built.append((len(R.coef), order))
+        return operator(R, order)
+
+    monkeypatch.setattr(g, "_frame_operator", recording)
+    monkeypatch.setattr(sy, "_frame_operator", recording)
     for cid, case in corpus_cases.items():
         if case.spec.n != 3:
             continue
@@ -385,20 +375,33 @@ def test_frame_operator_built_once_per_order(corpus_cases, monkeypatch):
             assert built == [(50, 2)] + count, (cid, seed, built)
 
 
-def test_operator_slices_match_fresh_builds(corpus_cases):
+def test_operator_slices_match_fresh_builds(corpus_cases, monkeypatch):
     """A lower order of the frame-derivative operator is a leading slice of
-    the highest order built: after taylor(3) builds the order-4 operator, its
-    slices of orders 1 to 3 have the bits of fresh _frame_operator builds,
-    signs of zeros included."""
+    a higher one: the slices of orders 1 to 3 of the order-4 operator that
+    beta_jet_count builds at its one point, and the order-1 slice of a
+    connection's order-2 operator, have the bits of fresh _frame_operator
+    builds, signs of zeros included."""
+    built = []
+    operator = g._frame_operator
+
+    def recording(R, order):
+        built.append((R, operator(R, order)))
+        return built[-1][1]
+
+    monkeypatch.setattr(sy, "_frame_operator", recording)
     for cid, case in corpus_cases.items():
         if case.spec.n != 3:
             continue
         for seed in (0, 3):
             conn = connect(case.spec, seed=seed)
-            conn.taylor(3)
-            assert conn._series["operator"].shape[2] == g._size(3, 4), cid
-            for order in (1, 2, 3):
-                fresh = g._frame_operator(conn._frame_series(order - 1), order)
-                held = conn._operator(order)
+            built.clear()
+            sy.beta_jet_count(conn)
+            [(R, D)] = built
+            assert D.shape[2] == g._size(3, 4), cid
+            cases = [(R, D, order) for order in (1, 2, 3)] + [(conn.frame, conn.operator, 1)]
+            for frame, built_operator, order in cases:
+                low = g._size(3, order - 1)
+                fresh = operator(g.Taylor(frame.coef[..., :low], 3, order - 1), order)
+                held = built_operator[..., : g._size(3, order), :low]
                 assert held.shape == fresh.shape, (cid, seed, order)
                 assert np.ascontiguousarray(held).tobytes() == fresh.tobytes(), (cid, seed, order)

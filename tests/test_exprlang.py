@@ -386,6 +386,20 @@ def test_jet_multiplication_satisfies_product_rule(src_a, src_b):
     assert np.allclose((sa * sb).coef, sab, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quotient_gathers_the_multiplication_matrix(n):
+    """Column l of a series' coefficients, with a zero slot appended,
+    gathered through _quotient is the Taylor product with the unit series
+    e_l, at orders 1 to 3."""
+    rng = np.random.default_rng(n)
+    for order in range(1, 4):
+        size = ex._size(n, order)
+        a = rng.standard_normal((2, size))
+        matrix = np.concatenate([a, np.zeros((2, 1))], axis=1)[:, ex._quotient(n, order)]
+        for l, e in enumerate(np.eye(size)):
+            assert (matrix[..., l] == (ex.Taylor(a, n, order) * ex.Taylor(e, n, order)).coef).all()
+
+
 @given(_expr_source())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_pretty_print_round_trip(src):

@@ -17,6 +17,7 @@ from conftest import (
     frame_jets,
     frames_with_condition,
     frames_with_special_rows,
+    higher_order,
     random_polynomial_frame,
     singular_batch,
     spherical_frame_and_chart,
@@ -112,6 +113,11 @@ def test_corrupted_gamma_trips_curvature_detector():
     bad[:, 0, 1, 2] += 1.0
     res = g.flatness_residual(bad, bad - bad.transpose(0, 2, 1, 3), directional_gamma(conn))
     assert res.max() > 0.1
+
+
+def test_frame_with_a_short_column_is_refused():
+    with pytest.raises(ValueError, match="n fields with n components each"):
+        g.frame_from_sources([["1", "0"], ["u1"]], ["u1", "u2"])
 
 
 def test_singular_frame_detected():
@@ -255,7 +261,7 @@ def test_connection_matches_einsum_formulas(n):
     scale = 1.0 + np.abs(Gamma).max()
     assert np.abs(conn.L - L).max() < 1e-13
     assert np.abs(conn.Gamma - Gamma).max() < 1e-13 * scale
-    assert np.abs(conn.taylor(1).coef[..., 1:] - GammaGrad).max() < 1e-13 * scale**2
+    assert np.abs(conn.gamma.coef[..., 1:] - GammaGrad).max() < 1e-13 * scale**2
     assert np.abs(conn.c - c).max() < 1e-13 * scale
     dGamma = np.einsum("mijke,med->mdijk", GammaGrad, R)
     assert np.abs(directional_gamma(conn) - dGamma).max() < 1e-13 * scale**2
@@ -263,31 +269,20 @@ def test_connection_matches_einsum_formulas(n):
 
 
 def test_connection_arrays_are_views_of_its_series(corpus_cases):
-    """A connection holds spec, points, L and three series only, the frame
-    series, the operator of r and one Gamma series: R and Gamma are views
-    of the value slots of the held frame and Gamma series, and R, Gamma and
-    c keep their bits when taylor(3) replaces the frame series with one of
-    order 4 and the Gamma series with one of order 3, whose leading slices
-    are the lower orders of Gamma with the bits of a fresh connection's."""
+    """A connection holds spec, points, L and three series only, fixed by
+    eval_connection: the frame series of order 2, the operator of r on
+    series of order 2 and Gamma of order 1.  R and Gamma are views of the
+    value slots of the frame and Gamma series, and no field can be
+    replaced afterwards."""
     assert [f.name for f in dataclasses.fields(g.ConnectionEval)] == [
-        "spec", "points", "L", "_series"]
-    spec = corpus_cases["ex6.9"].spec
-    conn = connect(spec)
-    assert set(conn._series) == {"frame", "operator", "gamma"}
-    before = [conn.R.copy(), conn.Gamma.copy(), conn.c.copy()]
-    assert np.shares_memory(conn.Gamma, conn._series["gamma"].coef)
-    assert np.shares_memory(conn.R, conn._series["frame"].coef)
-    G3 = conn.taylor(3)
-    assert set(conn._series) == {"frame", "operator", "gamma"}
-    assert conn._series["frame"].order == 4 and conn._series["gamma"].order == 3
-    assert np.shares_memory(conn.Gamma, conn._series["gamma"].coef)
-    assert np.shares_memory(conn.R, conn._series["frame"].coef)
-    for old, new in zip(before, [conn.R, conn.Gamma, conn.c]):
-        assert np.ascontiguousarray(new).tobytes() == old.tobytes()
-    for k in range(3):
-        held, fresh = conn.taylor(k), connect(spec).taylor(k)
-        assert held.order == k and np.shares_memory(held.coef, G3.coef), k
-        assert np.ascontiguousarray(held.coef).tobytes() == fresh.coef.tobytes(), k
+        "spec", "points", "L", "frame", "operator", "gamma"]
+    conn = connect(corpus_cases["ex6.9"].spec)
+    assert (conn.frame.order, conn.gamma.order) == (2, 1)
+    assert conn.operator.shape == (50, 3, ex._size(3, 2), ex._size(3, 1))
+    assert np.shares_memory(conn.R, conn.frame.coef)
+    assert np.shares_memory(conn.Gamma, conn.gamma.coef)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        conn.gamma = conn.gamma
 
 
 def _series_frames(corpus_cases):
@@ -363,10 +358,11 @@ def test_gamma_series_orders_are_leading_slices(corpus_cases):
 
 
 def test_taylor_fields_are_exact(corpus_cases):
-    """The order-3 Gamma field of every n = 3 corpus frame, without a finite
-    difference: its value and r_d match Gamma and directional_gamma; the
-    commutator identity r_i(r_j f) - r_j(r_i f) = c[i,j,k] r_k f holds for
-    every component f, which checks the frame operators r; and the
+    """The order-3 Gamma field of every n = 3 corpus frame (higher_order),
+    without a finite difference: its value and r_d match the connection's
+    Gamma and directional_gamma; the commutator identity
+    r_i(r_j f) - r_j(r_i f) = c[i,j,k] r_k f holds for every component f,
+    which checks the frame operators r; and the
     curvature identity of flatness_residual holds for every Taylor
     coefficient up to order 2, which checks the series of Gamma through its
     third derivatives."""
@@ -374,15 +370,16 @@ def test_taylor_fields_are_exact(corpus_cases):
         if case.spec.n != 3:
             continue
         conn = connect(case.spec)
-        G = conn.taylor(3)
+        high = higher_order(conn, 3)
+        G = high.gamma
         scale = 1.0 + np.abs(conn.Gamma).max()
         assert np.abs(G.value - conn.Gamma).max() < 1e-14 * scale, cid
-        rG = [conn.r(d, G) for d in range(3)]
+        rG = [high.r(d, G) for d in range(3)]
         dG = np.stack([f.value for f in rG], axis=1)
         assert np.abs(dG - directional_gamma(conn)).max() < 1e-14 * scale**2, cid
         for i in range(3):
             for j in range(3):
-                lhs = (conn.r(i, rG[j]) - conn.r(j, rG[i])).value
+                lhs = (high.r(i, rG[j]) - high.r(j, rG[i])).value
                 rhs = sum(conn.c[:, i, j, k, None, None, None] * rG[k].value for k in range(3))
                 assert np.abs(lhs - rhs).max() < 1e-12 * scale**3, (cid, i, j)
         c = G - g.Taylor(G.coef.transpose(0, 2, 1, 3, 4), 3, 3)
@@ -527,7 +524,7 @@ def test_frame_derivative_is_chart_derivative(corpus_cases):
         w = np.stack([rng.uniform(lo, hi, 10) for lo, hi in box], axis=1)
         conn = g.eval_connection(spec, g.chart_inverse(chart, w))
         du = ex.eval_series(chart.u_tape, w, 1)[..., 1:]  # (m, e, d) = du^e/dw^d
-        chain = np.einsum("mijke,med->mijkd", conn.taylor(1).coef[..., 1:], du)
+        chain = np.einsum("mijke,med->mijkd", conn.gamma.coef[..., 1:], du)
         along_frame = np.moveaxis(directional_gamma(conn), 1, -1)
         assert np.abs(along_frame - chain).max() <= 1e-15 * (1.0 + np.abs(chain).max())
 

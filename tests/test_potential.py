@@ -161,6 +161,11 @@ def test_cumulative_simpson_fourth_order():
         assert np.abs(cum - (np.exp(x) - 1.0)).max() < bound
 
 
+def test_cumulative_simpson_needs_four_nodes():
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        pot.cumulative_simpson(np.ones(3), 0.5, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # curl tests
 # ---------------------------------------------------------------------------
@@ -896,3 +901,19 @@ def test_failing_block_raises_the_first_failing_node_error(monkeypatch, budget):
     with pytest.raises(DomainError) as info:
         pot._panel_sums(rates, np.zeros(1), np.ones((1, 1)), np.zeros((1, 1)), pot._RAY_Q, 1)
     assert info.value.node == "early" and info.value.point[0] == rule.t[3]
+
+
+def test_failing_block_with_no_failing_node_raises_the_block_error():
+    """When a block fails but no node fails alone, the block's own error is
+    raised again."""
+    block_error = DomainError("block", np.zeros(1), "test")
+
+    def rates(pts, d):
+        if len(pts) > 1:  # one ray: a node's call has one point
+            raise block_error
+        return d.copy(), None
+
+    ts = pot._ray_rule(pot._RAY_Q).t[:3]
+    with pytest.raises(DomainError) as info:
+        pot._node_block(rates, np.zeros((1, 1)), np.ones((1, 1)), ts)
+    assert info.value is block_error

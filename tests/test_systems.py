@@ -83,6 +83,12 @@ def test_n4_frame_rank_witness(corpus_cases):
     assert sy.generic_rank(sy.beta_algebraic(conn).matrix) == 2
 
 
+def test_rank_duality_is_refused_off_n3(corpus_cases):
+    conn = connect(corpus_cases["ex6.12"].spec, 5)
+    with pytest.raises(ValueError, match="specific to n=3"):
+        sy.check_rank_duality_n3(conn)
+
+
 def test_rank2_frame(corpus_cases):
     spec = corpus_cases["ex6.3"].spec
     conn = g.eval_connection(spec, spec.sample_points(25))
@@ -185,6 +191,16 @@ def test_broken_candidate_is_located(corpus_cases):
     assert rec.max_scaled > 1e-3
     worst = rec.worst()
     assert worst["label"] is not None and worst["value"] > 1e-3
+
+
+def test_worst_of_a_record_with_no_algebraic_rows_is_a_pde_row():
+    """An n = 2 frame has no algebraic rows: worst() skips the empty family
+    and reports the worst PDE residual."""
+    spec = g.frame_from_sources([["1", "0"], ["0", "u1"]], ["u1", "u2"])
+    rec = sy.beta_residual(connect(spec, 10), sy.BetaCandidate.from_sources(["u2", "u1"], ["u1", "u2"]))
+    assert rec.alg_scaled.size == 0
+    worst = rec.worst()
+    assert worst["label"].startswith("beta-pde") and worst["value"] == rec.pde_scaled.max()
 
 
 # ---------------------------------------------------------------------------
