@@ -42,7 +42,10 @@ is below --tol.  Sampling is deterministic in --seed.
 
 The argument parser is built once per process, on the first call of main,
 and every later call reuses it.  A document that fails the corpus schema
-exits 2 with jsonschema's message for it (corpus._validate).
+exits 2 with jsonschema's message for it (corpus._validate).  jsonschema
+is imported only at the first document the strict pre-check defers on
+(every failing one among them), so a run on documents the pre-check
+passes never loads it.
 """
 
 from __future__ import annotations
@@ -252,23 +255,31 @@ def _property_sweeps(args, bundled: dict) -> dict:
     suite): geometric identities on random frames, the rank-duality
     identity, and scaling covariance on a bundled corpus example (bundled
     maps example ids to loaded cases)."""
+    from .exprlang import Add, Mul, Num, Pow, Var
     from .geometry import frame_from_sources, check_symmetry_flatness
     from .systems import beta_algebraic, check_rank_duality_n3, generic_rank, lambda_algebraic
 
     rng = np.random.default_rng(args.seed)
+    u = [Var(i, f"u{i + 1}") for i in range(3)]
+
+    def coef():  # a coefficient rounded as "%.6f" writes it
+        return Num(float(f"{rng.uniform(-0.15, 0.15):.6f}"))
+
+    def entry(a, j):
+        """1 (on the diagonal) + c1*u1 + c2*u2*u3 + c3*u{a+1}^2, in the tree
+        the parser gives that text (a negative c is Num(c) where it gives
+        Neg(Num(-c)), which the tape compiler folds to the same constant)."""
+        terms = [Mul(coef(), u[0]), Mul(Mul(coef(), u[1]), u[2]), Mul(coef(), Pow(u[a], Num(2.0)))]
+        if a == j:
+            terms.insert(0, Num(1.0))
+        return functools.reduce(Add, terms)
+
     sweeps = {}
     worst_geom = 0.0
     worst_dual = 0.0
     rank_ok = True
     for _ in range(10):
-        cols = [
-            [
-                ("1+" if a == j else "") + f"{rng.uniform(-0.15, 0.15):.6f}*u1"
-                f"+{rng.uniform(-0.15, 0.15):.6f}*u2*u3+{rng.uniform(-0.15, 0.15):.6f}*u{a + 1}^2"
-                for a in range(3)
-            ]
-            for j in range(3)
-        ]
+        cols = [[entry(a, j) for a in range(3)] for j in range(3)]
         spec = frame_from_sources(cols, ["u1", "u2", "u3"], domain=((0, 0, 0), (1, 1, 1)))
         conn = eval_connection(spec, spec.sample_points(20, args.seed))
         t, c = check_symmetry_flatness(conn)
@@ -291,7 +302,7 @@ def _property_sweeps(args, bundled: dict) -> dict:
         scaled = scale_frame(spec, alphas)
         # the length candidate of the scaled frame is alpha_j^2 b^j
         scaled_cand = BetaCandidate(tuple(
-            exprlang.Mul(exprlang.Pow(a, exprlang.Num(2.0)), e) for a, e in zip(alphas, bcand.exprs)
+            Mul(Pow(a, Num(2.0)), e) for a, e in zip(alphas, bcand.exprs)
         ), bcand.params)
         conn = eval_connection(scaled, spec.sample_points(20, args.seed))
         worst_scaled = beta_residual(conn, scaled_cand).max_scaled

@@ -20,7 +20,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from . import exprlang as ex
@@ -197,17 +196,24 @@ def _surely_valid(schema, doc) -> bool:
 @lru_cache(maxsize=None)
 def _schema_validator(name: str):
     """The validator of an example or a candidate document (the schemas'
-    agreement with their metaschema is a test)."""
+    agreement with their metaschema is a test).  jsonschema is imported
+    here, at the first document the pre-check defers on, so a process that
+    loads only valid documents never imports it."""
+    import jsonschema
+
     schema = _SCHEMAS[name]
     return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _validate(name: str, doc, source: str):
     """Return when doc is valid; otherwise raise SchemaError with the error
-    jsonschema.validate would raise.  jsonschema walks only documents the
-    strict pre-check cannot pass, so it decides every rejection."""
+    jsonschema.validate would raise.  jsonschema is imported and walks only
+    the documents the strict pre-check cannot pass, so it decides every
+    rejection and writes every message."""
     if _surely_valid(_SCHEMAS[name], doc):
         return
+    import jsonschema
+
     err = jsonschema.exceptions.best_match(_schema_validator(name).iter_errors(doc))
     if err is not None:
         raise SchemaError(f"{source}: {err.message}") from err

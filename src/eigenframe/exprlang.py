@@ -44,7 +44,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import (
     DomainError,
@@ -318,6 +317,12 @@ def parse_expression(
     if len(set(vars)) != len(list(vars)):
         raise ValueError("variable names must be distinct")
     return _Parser(tokenize(source), vars, params).parse()
+
+
+def parse_all(sources, vars: Sequence[str], params: Iterable[str] = ()) -> tuple:
+    """Each source string parsed by parse_expression; an entry that is
+    already an Expr is kept as it is."""
+    return tuple(parse_expression(s, vars, params) if isinstance(s, str) else s for s in sources)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +634,10 @@ def _ln_terms(v, f0, order: int) -> list:
 
 @lru_cache(maxsize=None)
 def _tan_polynomials(order: int) -> tuple:
-    """P_k with tan^(k)(v) = P_k(tan v): P_0 = t, P_(k+1) = (1 + t^2) P_k'."""
+    """P_k with tan^(k)(v) = P_k(tan v): P_0 = t, P_(k+1) = (1 + t^2) P_k'.
+    numpy.polynomial is read here and in _tan_terms, not at module level,
+    so that only tan series import it."""
+    npoly = np.polynomial.polynomial
     P = [np.array([0.0, 1.0])]
     for _ in range(order):
         P.append(npoly.polymul([1.0, 0.0, 1.0], npoly.polyder(P[-1])))
@@ -637,9 +645,9 @@ def _tan_polynomials(order: int) -> tuple:
 
 
 def _tan_terms(v, f0, order: int) -> list:
-    P = _tan_polynomials(order)
+    P, polyval = _tan_polynomials(order), np.polynomial.polynomial.polyval
     terms = [1.0 + f0 * f0]
-    terms += [npoly.polyval(f0, P[k]) / math.factorial(k) for k in range(2, order + 1)]
+    terms += [polyval(f0, P[k]) / math.factorial(k) for k in range(2, order + 1)]
     return terms[:order]
 
 

@@ -194,15 +194,13 @@ def frame_from_sources(
     base_point: Optional[Sequence[float]] = None,
     chart: Optional[RiemannChart] = None,
 ) -> FrameSpec:
-    """Build a FrameSpec from source strings; columns[j] lists the n
-    components of the j-th frame field."""
+    """Build a FrameSpec from source strings or Expr trees (ex.parse_all);
+    columns[j] lists the n components of the j-th frame field."""
     params = dict(params or {})
     n = len(vars)
     if len(columns) != n or any(len(col) != n for col in columns):
         raise ValueError("frame must consist of n fields with n components each")
-    parsed = tuple(
-        tuple(ex.parse_expression(src, vars, params) for src in col) for col in columns
-    )
+    parsed = tuple(ex.parse_all(col, vars, params) for col in columns)
     if domain is None:
         lo, hi = (1.0,) * n, (2.0,) * n
     else:

@@ -270,7 +270,8 @@ class PotentialGrid:
     def to_csv(self, var_names: Sequence[str]) -> str:
         """The header, then one row per node: its coordinates and every
         value, each cell "%.17g" % float as np.savetxt writes it, one %
-        per chunk of _CSV_CHUNK rows."""
+        per chunk of _CSV_CHUNK rows.  Each axis's node values are
+        formatted once, and a row takes its coordinates as those strings."""
         names = []
         columns = []
         for key, arr in self.values.items():
@@ -284,11 +285,15 @@ class PotentialGrid:
                     columns.append(arr[..., c].ravel())
         out = io.StringIO()
         csv.writer(out).writerow(list(var_names) + names)
-        table = np.column_stack([self.nodes()] + columns)
-        row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+        labels = [np.array(["%.17g" % x for x in a.tolist()], dtype=object) for a in self.axes]
+        shape = tuple(len(a) for a in self.axes)
+        table = np.column_stack(columns)
+        row = ",".join(["%s"] * len(labels) + ["%.17g"] * table.shape[1]) + "\r\n"
         for start in range(0, table.shape[0], _CSV_CHUNK):
             chunk = table[start : start + _CSV_CHUNK]
-            out.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+            index = np.unravel_index(np.arange(start, start + chunk.shape[0]), shape)
+            cells = np.column_stack([lab[i] for lab, i in zip(labels, index)] + [chunk])
+            out.write((row * chunk.shape[0]) % tuple(cells.ravel().tolist()))
         return out.getvalue()
 
 

@@ -49,13 +49,6 @@ from .geometry import (
 # ---------------------------------------------------------------------------
 
 
-def _parse_all(sources, vars, params):
-    out = []
-    for s in sources:
-        out.append(ex.parse_expression(s, vars, params) if isinstance(s, str) else s)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BetaCandidate:
     exprs: tuple
@@ -78,7 +71,7 @@ class BetaCandidate:
             if isinstance(eta_source, str)
             else eta_source
         )
-        return BetaCandidate(_parse_all(sources, vars, params), params, eta)
+        return BetaCandidate(ex.parse_all(sources, vars, params), params, eta)
 
 
 @dataclass(frozen=True)
@@ -98,8 +91,8 @@ class LambdaCandidate:
     @staticmethod
     def from_sources(sources, vars, params=None, f_sources=None):
         params = dict(params or {})
-        f = _parse_all(f_sources, vars, params) if f_sources else None
-        return LambdaCandidate(_parse_all(sources, vars, params), params, f)
+        f = ex.parse_all(f_sources, vars, params) if f_sources else None
+        return LambdaCandidate(ex.parse_all(sources, vars, params), params, f)
 
 
 def eval_candidate(tape: ex.Tape, points: np.ndarray):

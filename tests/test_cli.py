@@ -757,3 +757,44 @@ def test_module_entry_point_one_shot(capsys):
     assert proc.stdout == ""
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+_IMPORT_SET_SCRIPT = """
+import contextlib, io, json, sys
+from eigenframe import cli, corpus
+
+frame, cand, float_n = sys.argv[1:]
+rows = {}
+for command, argv in (("analyze", [frame]), ("verify", [frame, cand]), ("selftest", []),
+                      ("reconstruct", [frame, cand])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--grid", "3", command, *argv]) == 0, command
+    rows[command] = [name for name in ("jsonschema", "numpy.polynomial") if name in sys.modules]
+rows["n"] = corpus.load_example(float_n).spec.n
+rows["n = 3.0"] = "jsonschema" in sys.modules
+print(json.dumps(rows))
+"""
+
+
+def test_valid_documents_import_neither_jsonschema_nor_numpy_polynomial(tmp_path):
+    """In a fresh interpreter, analyze, verify, reconstruct and selftest on
+    valid documents leave jsonschema unimported, and analyze, verify and
+    selftest numpy.polynomial too; a document with "n": 3.0, on which the
+    pre-check defers, imports jsonschema and still loads."""
+    frame = corpus_path("ex6.11.json")
+    doc = json.loads(Path(frame).read_text())
+    cand = tmp_path / "beta.json"
+    cand.write_text(json.dumps(next(c for c in doc["candidates"] if c["kind"] == "beta")))
+    float_n = tmp_path / "float_n.json"
+    float_n.write_text(json.dumps({**doc, "n": 3.0}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SET_SCRIPT, frame, str(cand), str(float_n)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert rows["analyze"] == rows["verify"] == rows["selftest"] == [], rows
+    assert "jsonschema" not in rows["reconstruct"], rows
+    assert rows["n"] == 3 and rows["n = 3.0"], rows

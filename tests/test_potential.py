@@ -559,6 +559,16 @@ def _random_grid_values(shape, seed):
     return values
 
 
+def _snapped_axes():
+    """Three axes, the middle one with a node moved onto the base point 0.7
+    the way the grid setup moves it (linspace gives 0.7000000000000001)."""
+    axes = [np.linspace(-1.0, 1.0, 7), np.linspace(0.1, 1.0, 10), np.linspace(0.0, 1e-300, 5)]
+    snapped = np.abs(axes[1] - 0.7) <= 1e-12
+    assert axes[1][snapped] != 0.7
+    axes[1][snapped] = 0.7
+    return axes
+
+
 CSV_GRIDS = {
     "specials": (
         [np.array([-0.0, 5e-324, 1.0]), np.array([0.1, 1e300])],
@@ -567,6 +577,7 @@ CSV_GRIDS = {
     # 323 rows: past one 256-row chunk of the writer
     "17x19": ([np.linspace(-1.0, 1.0, 17), np.linspace(0.1, 1e300, 19)],
               _random_grid_values((17, 19), 11)),
+    "3-variables-snapped": (_snapped_axes(), _random_grid_values((7, 10, 5), 12)),
 }
 
 
@@ -576,15 +587,17 @@ def test_csv_matches_row_by_row_formatting():
     import io
 
     for case, (axes, eta) in CSV_GRIDS.items():
-        grad = np.stack([eta, -eta], axis=-1)
-        grid = pot.PotentialGrid(axes, {"eta": eta, "grad_eta": grad}, (0.0, 0.0))
+        n = len(axes)
+        grad = np.stack([eta * (-1) ** k for k in range(n)], axis=-1)
+        grid = pot.PotentialGrid(axes, {"eta": eta, "grad_eta": grad}, (0.0,) * n)
+        names = [f"w{k + 1}" for k in range(n)]
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(["w1", "w2", "eta", "grad_eta1", "grad_eta2"])
-        columns = [eta.ravel(), grad[..., 0].ravel(), grad[..., 1].ravel()]
+        writer.writerow(names + ["eta"] + [f"grad_eta{k + 1}" for k in range(n)])
+        columns = [eta.ravel()] + [grad[..., k].ravel() for k in range(n)]
         for row, node in enumerate(grid.nodes()):
             writer.writerow([f"{v:.17g}" for v in node] + [f"{col[row]:.17g}" for col in columns])
-        assert grid.to_csv(["w1", "w2"]) == out.getvalue(), case
+        assert grid.to_csv(names) == out.getvalue(), case
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2)], ids=["2-variables", "3-variables"])

@@ -8,9 +8,13 @@ For each sample count and run, each checkout calls
 imports that checkout's ``src/`` (nothing is written inside either
 checkout); the checkouts take turns at going first.  ex6.9 is an n = 3
 corpus frame with a rank-1 length system, whose label is counted.  A row
-is the seconds of that call and the process's peak resident set from
-``getrusage`` (imports included), in MB of 2^20 bytes as perfbench reports
-it.  Uses only the standard library.
+is the process's start-up seconds, from starting it until it has run
+``from eigenframe import cli`` (read on the system-wide monotonic clock of
+``time.perf_counter``, as perfbench's ``setup_s``), the seconds of the
+call, and the process's peak resident set from ``getrusage`` (imports
+included), in MB of 2^20 bytes as perfbench reports it.  With
+``--samples 50`` the rows are the cold start of an ordinary ``analyze``.
+Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -30,27 +34,31 @@ FRAME = Path("src/eigenframe/corpus_data/ex6.9.json")
 
 def measure(checkout: Path, samples: int) -> str:
     """One analyze call against the checkout, in this process (the --measure
-    mode): "seconds peak_rss_mb"."""
+    mode): "imported seconds peak_rss_mb", imported the clock's reading
+    once eigenframe.cli is imported."""
     sys.path.insert(0, str(checkout / "src"))
     from eigenframe import cli
 
+    imported = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
         code = cli.main(["--samples", str(samples), "analyze", str(checkout / FRAME)])
         seconds = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"analyze exited {code} in {checkout}")
-    return f"{seconds:.3f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}"
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return f"{imported!r} {seconds:.3f} {rss:.1f}"
 
 
 def run_checkout(checkout: Path, samples: int) -> tuple:
-    """(seconds, peak_rss_mb) of measure in a fresh process."""
+    """(import seconds, seconds, peak_rss_mb) of measure in a fresh process."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "EIGENFRAME_CORPUS")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    start = time.perf_counter()
     out = subprocess.run([sys.executable, __file__, "--measure", str(checkout), str(samples)],
                          env=env, check=True, capture_output=True, text=True).stdout
-    seconds, rss = out.split()
-    return float(seconds), float(rss)
+    imported, seconds, rss = out.split()
+    return float(imported) - start, float(seconds), float(rss)
 
 
 def main(argv=None) -> int:
@@ -65,14 +73,14 @@ def main(argv=None) -> int:
         print(measure(args.old.resolve(), int(str(args.new))))
         return 0
     checkouts = {"old": args.old.resolve(), "new": args.new.resolve()}
-    print("samples  run  checkout  seconds  peak_rss_mb")
+    print("samples  run  checkout  import_s  seconds  peak_rss_mb")
     for samples in (int(s) for s in args.samples.split(",")):
         for run in range(args.runs):
             order = ("old", "new") if run % 2 == 0 else ("new", "old")
             for name in order:
-                seconds, rss = run_checkout(checkouts[name], samples)
-                print(f"{samples:7d}  {run + 1:3d}  {name:8s}  {seconds:7.3f}  {rss:11.1f}",
-                      flush=True)
+                imported, seconds, rss = run_checkout(checkouts[name], samples)
+                print(f"{samples:7d}  {run + 1:3d}  {name:8s}  {imported:8.3f}  {seconds:7.3f}"
+                      f"  {rss:11.1f}", flush=True)
     return 0
 
 
