@@ -40,6 +40,10 @@ it (its residual record, whose values feed the cross-system identity and
 the convexity classification).  A candidate is verified when its residual
 is below --tol.  Sampling is deterministic in --seed.
 
+A frame file's candidates are parsed only when read: analyze and
+reconstruct parse none, verify its partners up to the first that pairs.
+reconstruct's CSV and JSON grids spell each number as its repr.
+
 The argument parser is built once per process, on the first call of main,
 and every later call reuses it.  A document that fails the corpus schema
 exits 2 with jsonschema's message for it (corpus._validate).  jsonschema
@@ -177,9 +181,10 @@ def cmd_verify(args) -> int:
         out["convexity"] = convexity_classify(rec.values)
     passed = rec.max_scaled < args.tol
     # cross-system identity, paired with a verified partner from the frame
-    # file when one is recorded there; partners are evaluated only until one
-    # pairs
-    partners = (candidate_residual(conn, k, p) for k, p in case.candidates if k != kind)
+    # file when one is recorded there; partners are parsed and evaluated only
+    # until one pairs
+    other = "lambda" if kind == "beta" else "beta"
+    partners = (candidate_residual(conn, other, p) for p in case.candidates.of_kind(other))
     cross = first_pair_identity(conn, (
         (rec.values, p.values) if kind == "beta" else (p.values, rec.values)
         for p in partners if p.max_scaled < args.tol))

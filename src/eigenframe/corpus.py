@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -112,11 +113,42 @@ SCHEMA = {
 }
 
 
+class Candidates(Sequence):
+    """A frame file's checked candidate documents as a list of (kind,
+    candidate), each parsed at its first read; a parse error is then a
+    CorpusParseError naming the file."""
+
+    def __init__(self, docs: list, vars, params, path: str):
+        self._docs = docs
+        self._vars = vars
+        self._params = params
+        self._path = path
+        self._parsed = {}
+
+    def __len__(self) -> int:
+        return len(self._docs)
+
+    def __getitem__(self, idx):
+        idx = range(len(self))[idx]
+        if idx not in self._parsed:
+            try:
+                self._parsed[idx] = _parse_candidate(
+                    self._docs[idx], self._vars, self._params)
+            except EigenframeError as err:
+                raise CorpusParseError(self._path, str(err)) from err
+        return self._parsed[idx]
+
+    def of_kind(self, kind: str):
+        """The candidates of one kind, in file order, each parsed only when
+        the iteration reaches it."""
+        return (self[idx][1] for idx, doc in enumerate(self._docs) if doc["kind"] == kind)
+
+
 @dataclass
 class ExampleCase:
     id: str
     spec: FrameSpec
-    candidates: list  # (kind, BetaCandidate | LambdaCandidate)
+    candidates: Candidates  # (kind, BetaCandidate | LambdaCandidate) pairs
     expected: dict
     notes: dict = field(default_factory=dict)
     path: Optional[str] = None
@@ -219,10 +251,10 @@ def _validate(name: str, doc, source: str):
         raise SchemaError(f"{source}: {err.message}") from err
 
 
-def _candidate(doc: dict, vars, params, source: str) -> tuple:
-    """(kind, candidate) from a schema-valid candidate document with one
+def _check_candidate(doc: dict, vars, source: str) -> None:
+    """Raise SchemaError unless a schema-valid candidate document has one
     expression (and one closed_f entry, if any) per variable and no closed
-    form of the other kind; its params override the frame's."""
+    form of the other kind."""
     other = {"beta": "closed_f", "lambda": "closed_eta"}[doc["kind"]]
     if other in doc:
         raise SchemaError(f"{source}: a {doc['kind']} candidate cannot have {other}")
@@ -232,6 +264,11 @@ def _candidate(doc: dict, vars, params, source: str) -> tuple:
                 f"{source}: a {doc['kind']} candidate needs n={len(vars)} {what}, "
                 f"got {len(doc[key])}"
             )
+
+
+def _parse_candidate(doc: dict, vars, params) -> tuple:
+    """(kind, candidate) from a checked candidate document; its params
+    override the frame's."""
     cparams = {**params, **doc.get("params", {})}
     if doc["kind"] == "beta":
         return "beta", BetaCandidate.from_sources(
@@ -245,10 +282,14 @@ def load_candidate(doc, vars, params, source: str = "<memory>") -> tuple:
     given variables and params; a document that is not one raises
     SchemaError."""
     _validate("candidate", doc, source)
-    return _candidate(doc, vars, params, source)
+    _check_candidate(doc, vars, source)
+    return _parse_candidate(doc, vars, params)
 
 
 def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
+    """The case of an example document (source names it in errors), with
+    every candidate checked (_check_candidate) but parsed only when read,
+    from doc's candidate documents (Candidates)."""
     path = source
     _validate("example", doc, path)
     n = doc["n"]
@@ -272,10 +313,8 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
             chart=chart,
         )
         # the example schema has validated every candidate document
-        candidates = [
-            _candidate(cand, vars, params, f"candidate {idx}")
-            for idx, cand in enumerate(doc["candidates"])
-        ]
+        for idx, cand in enumerate(doc["candidates"]):
+            _check_candidate(cand, vars, f"candidate {idx}")
     except EigenframeError as err:
         raise CorpusParseError(path, str(err)) from err
     base = np.asarray(doc["base"], dtype=float)
@@ -289,7 +328,7 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     if np.any(base < lo) or np.any(base > hi):
         raise SchemaError(f"{path}: base point outside the domain box")
     return ExampleCase(
-        id=doc["id"], spec=spec, candidates=candidates,
+        id=doc["id"], spec=spec, candidates=Candidates(doc["candidates"], vars, params, path),
         expected=doc["expected"], notes=doc.get("notes", {}), path=str(path),
     )
 

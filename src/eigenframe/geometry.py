@@ -55,10 +55,14 @@ from .errors import (
 DET_RTOL = 1e-12
 # largest scaled |c[i,j,k]| over pairwise-distinct (i,j,k) of a rich frame
 RICH_TOL = 1e-7
-# Peak memory per sample point and Gamma entry, an upper estimate: ex6.9
-# `analyze` peaks at 49 MB at 2000 samples and 86 MB at 8000, about 6 kB
-# (230 B per entry) a sample.
-_SAMPLE_BYTES_PER_ENTRY = 2400
+# Peak memory per sample point and Gamma entry (n^3 a sample), an upper
+# estimate of what `analyze` adds per sample.  tools/bulk_rows.py on a 2-core
+# x86-64 host, peak RSS in MiB at 2000 / 8000 / 32000 samples: ex6.9 (n = 3)
+# 43.9 / 81.2 / 227.6, about 6.4 kB (237 B per entry) a sample; ex6.12
+# (n = 4) 65.3 / 163.0 / 555.1, about 17.1 kB (268 B per entry).  600 B
+# keeps a margin of 2.2x over the larger; the ~40 MB a process holds before
+# sampling is left out.
+_SAMPLE_BYTES_PER_ENTRY = 600
 
 
 # ---------------------------------------------------------------------------

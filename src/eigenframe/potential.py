@@ -58,7 +58,7 @@ import io
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -220,9 +220,18 @@ def curl_residual(field: MatrixField, points: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-# rows per % in PotentialGrid.to_csv: one % over a whole 11^3 table holds
-# every cell's string at once and raised the benchmark's peak RSS
+# nodes per step of PotentialGrid's formatting pass, which holds the cell
+# strings of one step at a time.  One step over a whole table holds every
+# cell's string at once: for ex6.10's eta at 11^3 (1331 nodes, 7 columns),
+# to_csv and to_json then peak at 1.45 MB of Python allocations
+# (tracemalloc), against 0.67 MB at 256 nodes a step; a prototype that held
+# them raised the benchmark's reconstruct-grids peak RSS by 0.7 MB.  In a
+# fresh process that reconstruct peaks at 35.5 MB RSS either way, during
+# the ray integration.
 _CSV_CHUNK = 256
+
+# json's spelling of the floats whose repr is not JSON
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def grid_nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -232,69 +241,107 @@ def grid_nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _json_array(a) -> str:
-    """json.dumps(a.tolist()): for finite floats one % with a format string
-    of the array's nested lists, "%r" per value (json writes a float as its
-    repr), which keeps no list of every value's string; NaN and inf, which
-    json writes as NaN and Infinity, go through json.dumps."""
-    a = np.asarray(a)
-    if a.dtype.kind != "f" or not np.isfinite(a).all():
-        return json.dumps(a.tolist())
-    fmt = "%r"
-    for k in reversed(a.shape):
-        fmt = "[" + ", ".join([fmt] * k) + "]"
-    return fmt % tuple(a.ravel().tolist())
+def _json_separators(shape: tuple) -> np.ndarray:
+    """The text json.dumps writes after each value of the nested lists of a
+    nonempty array of this shape, in C order: ", " inside the last axis,
+    k closing brackets, ", " and k opening ones where k axes end, and the
+    closing brackets of every axis after the last value.  An object array
+    over the few distinct strings."""
+    ends = np.zeros(int(np.prod(shape)), dtype=np.intp)
+    stride = 1
+    for k in reversed(shape[1:]):
+        stride *= k
+        ends[stride - 1 :: stride] += 1
+    ends[-1] = len(shape)
+    texts = [", "] + ["]" * k + ", " + "[" * k for k in range(1, len(shape))]
+    return np.array(texts + ["]" * len(shape)], dtype=object)[ends]
 
 
 @dataclass
 class PotentialGrid:
+    """A reconstructed grid and its two files.  to_csv and to_json share one
+    formatting pass: the first of the two calls runs it and leaves its other
+    half for the second, so the CLI's to_csv and then to_json format each
+    value once, and a grid's values are written as they stand at the first
+    of the two calls."""
+
     axes: list  # per-variable node arrays
     values: dict  # name -> ndarray over the grid (vector fields have a trailing axis)
     base_point: tuple
     meta: dict = dc_field(default_factory=dict)
+    _left: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def nodes(self) -> np.ndarray:
         return grid_nodes(self.axes)
 
     def to_json(self) -> str:
         """json.dumps of the grid with every array as nested lists, byte for
-        byte, the value arrays written by _json_array."""
+        byte; the value arrays come from the formatting pass."""
         head = json.dumps({
             "axes": [a.tolist() for a in self.axes],
             "base_point": list(self.base_point),
             "meta": self.meta,
         })
-        values = ", ".join(f"{json.dumps(k)}: {_json_array(v)}" for k, v in self.values.items())
-        return f'{head[:-1]}, "values": {{{values}}}}}'
+        parts = [head[:-1], ', "values": {']
+        for k, (key, chunks) in enumerate(zip(self.values, self._formatted(1))):
+            parts += [", " * (k > 0), json.dumps(key), ": ", *chunks]
+        return "".join(parts + ["}}"])
 
     def to_csv(self, var_names: Sequence[str]) -> str:
         """The header, then one row per node: its coordinates and every
-        value, each cell "%.17g" % float as np.savetxt writes it, one %
-        per chunk of _CSV_CHUNK rows.  Each axis's node values are
-        formatted once, and a row takes its coordinates as those strings."""
+        value (one column per component of a vector field), each cell the
+        repr of its float, which is the spelling of the same number in
+        to_json; the rows come from the formatting pass."""
         names = []
-        columns = []
         for key, arr in self.values.items():
-            arr = np.asarray(arr)
-            if arr.ndim == len(self.axes):
+            if np.ndim(arr) == len(self.axes):
                 names.append(key)
-                columns.append(arr.ravel())
             else:
-                for c in range(arr.shape[-1]):
-                    names.append(f"{key}{c + 1}")
-                    columns.append(arr[..., c].ravel())
+                names.extend(f"{key}{c + 1}" for c in range(np.shape(arr)[-1]))
         out = io.StringIO()
         csv.writer(out).writerow(list(var_names) + names)
-        labels = [np.array(["%.17g" % x for x in a.tolist()], dtype=object) for a in self.axes]
+        return "".join([out.getvalue(), *self._formatted(0)])
+
+    def _formatted(self, part: int) -> list:
+        """Part 0 (the CSV rows) or part 1 (each value array's JSON text)
+        of one formatting pass.  A call that finds the other call's leftover
+        takes it; otherwise it runs the pass and leaves the other part."""
+        if self._left is not None and self._left[0] == part:
+            text, self._left = self._left[1], None
+            return text
+        texts = self._format_pass()
+        self._left = (1 - part, texts[1 - part])
+        return texts[part]
+
+    def _format_pass(self) -> tuple:
+        """(CSV rows, JSON texts of the value arrays), as lists of one
+        string per chunk of _CSV_CHUNK nodes.  Every value is formatted
+        once, as its repr (json writes a float as its repr), and the axes
+        once each.  A row takes its cells from those strings; an array's
+        JSON text interleaves the same strings (NaN and inf in json's
+        spelling) with the array's fixed separators (_json_separators)."""
         shape = tuple(len(a) for a in self.axes)
-        table = np.column_stack(columns)
-        row = ",".join(["%s"] * len(labels) + ["%.17g"] * table.shape[1]) + "\r\n"
-        for start in range(0, table.shape[0], _CSV_CHUNK):
-            chunk = table[start : start + _CSV_CHUNK]
-            index = np.unravel_index(np.arange(start, start + chunk.shape[0]), shape)
-            cells = np.column_stack([lab[i] for lab, i in zip(labels, index)] + [chunk])
-            out.write((row * chunk.shape[0]) % tuple(cells.ravel().tolist()))
-        return out.getvalue()
+        count = int(np.prod(shape))
+        labels = [np.array([repr(x) for x in a.tolist()], dtype=object) for a in self.axes]
+        arrays = [np.asarray(v) for v in self.values.values()]
+        flat = [a.reshape(count, -1) for a in arrays]  # (node, component)
+        seps = [_json_separators(a.shape) for a in arrays]
+        texts = [["[" * a.ndim] for a in arrays]
+        rows = []
+        for start in range(0, count, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, count)
+            index = np.unravel_index(np.arange(start, stop), shape)
+            columns = [lab[i].tolist() for lab, i in zip(labels, index)]
+            for f, sep, text in zip(flat, seps, texts):
+                k = f.shape[1]
+                block = f[start:stop]
+                strings = list(map(repr, block.ravel().tolist()))
+                columns += [strings[c::k] for c in range(k)]
+                if not np.isfinite(block).all():
+                    strings = [_JSON_SPECIAL.get(x, x) for x in strings]
+                text.append("".join(map(str.__add__, strings, sep[start * k : stop * k].tolist())))
+            rows.append("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        return rows, texts
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,34 @@ def test_samples_beyond_physical_memory_is_input_error(capsys, monkeypatch, comm
     assert line.startswith("error: out of memory: 1000000000 samples of an n = 3 frame"), line
 
 
+class _Sampled(Exception):
+    """Raised in place of drawing the samples the memory gate let through."""
+
+
+@pytest.mark.parametrize("samples, refused", [(66280, False), (66281, True)])
+def test_sample_memory_gate_threshold(capsys, monkeypatch, samples, refused):
+    """With 1 GiB of physical memory, --samples starts to exit 2 at 66281
+    samples of an n = 3 frame (600 B per Gamma entry, 16.2 kB a sample),
+    with one line; one sample fewer passes the gate."""
+    sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+
+    def sampled(*args, **kwargs):
+        raise _Sampled
+
+    monkeypatch.setattr(geometry, "halton_points", sampled)
+    argv = ["--samples", str(samples), "analyze", corpus_path("ex6.10.json")]
+    if not refused:
+        with pytest.raises(_Sampled):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert _one_error_line(capsys) == (
+        "error: out of memory: 66281 samples of an n = 3 frame need about 1.07 GB, "
+        "more than the 1.07 GB of physical memory")
+
+
 def test_selftest_default_passes(capsys):
     rc = cli.main(["--output", "json", "--samples", "20", "selftest"])
     out = json.loads(capsys.readouterr().out)
@@ -701,6 +729,118 @@ def test_closed_form_on_wrong_kind_is_schema_error(
     doc["candidates"][idx][key] = value
     assert _run_on_document(tmp_path, monkeypatch, command, doc, idx) == cli.EXIT_INPUT_ERROR
     assert f"candidate cannot have {key}" in _one_error_line(capsys)
+
+
+def _frame_sources(doc: dict) -> list:
+    """The expressions of a frame file outside its candidates: the frame
+    entries and the chart's maps."""
+    chart = doc.get("chart") or {}
+    return [e for col in doc["frame"] for e in col] + chart.get("w", []) + chart.get("u_inv", [])
+
+
+def _candidate_sources(cand: dict) -> list:
+    return cand["exprs"] + ([cand["closed_eta"]] if "closed_eta" in cand else []) + cand.get(
+        "closed_f", [])
+
+
+def _recorded_parses(monkeypatch) -> list:
+    """The source of every exprlang.parse_expression call from here on."""
+    seen = []
+    parse = exprlang.parse_expression
+
+    def recording(source, *args, **kwargs):
+        seen.append(source)
+        return parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(exprlang, "parse_expression", recording)
+    return seen
+
+
+_CORPUS_FILES = sorted(Path(corpus_mod.corpus_dir()).glob("*.json")) + sorted(
+    Path(corpus_mod.corpus_dir()).glob("extended/*.json"))
+
+
+@pytest.mark.parametrize("path", _CORPUS_FILES, ids=lambda p: p.stem)
+def test_analyze_parses_no_candidate(capsys, monkeypatch, path):
+    """analyze reads no candidate, so it parses the frame entries and the
+    chart's maps and nothing else of the frame file."""
+    seen = _recorded_parses(monkeypatch)
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_PASS
+    assert sorted(seen) == sorted(_frame_sources(json.loads(path.read_text())))
+
+
+def test_reconstruct_parses_only_its_candidate_file(tmp_path, capsys, monkeypatch):
+    doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
+    cand = tmp_path / "beta.json"
+    cand.write_text(json.dumps(doc["candidates"][1]))
+    seen = _recorded_parses(monkeypatch)
+    assert cli.main(["--grid", "3", "reconstruct", corpus_path("ex6.10.json"), str(cand)]) == 0
+    assert sorted(seen) == sorted(_frame_sources(doc) + _candidate_sources(doc["candidates"][1]))
+
+
+def _verify_parses(tmp_path, monkeypatch, doc: dict, idx: int) -> tuple:
+    """(exit code, sources parsed, partners evaluated) of verify on doc's
+    candidate idx."""
+    frame, cand = tmp_path / "doc.json", tmp_path / "cand.json"
+    frame.write_text(json.dumps(doc))
+    cand.write_text(json.dumps(doc["candidates"][idx]))
+    evaluated = []
+    residual = cli.candidate_residual
+    monkeypatch.setattr(cli, "candidate_residual",
+                        lambda *args: evaluated.append(args[2]) or residual(*args))
+    seen = _recorded_parses(monkeypatch)
+    rc = cli.main(["verify", str(frame), str(cand)])
+    monkeypatch.undo()
+    return rc, seen, len(evaluated) - 1
+
+
+@pytest.mark.parametrize("name", ["ex6.10", "ex6.1b", "ex6.6"])
+def test_verify_parses_only_the_partners_it_evaluates(tmp_path, capsys, monkeypatch, name):
+    """verify parses the frame, its candidate file and the other-kind
+    candidates of the frame file in file order, each only when it is
+    evaluated as a partner, up to the first that pairs."""
+    doc = json.loads(Path(corpus_path(f"{name}.json")).read_text())
+    for idx, cand in enumerate(doc["candidates"]):
+        rc, seen, partners = _verify_parses(tmp_path, monkeypatch, doc, idx)
+        assert rc == cli.EXIT_PASS
+        others = [c for c in doc["candidates"] if c["kind"] != cand["kind"]][:partners]
+        expected = _frame_sources(doc) + _candidate_sources(cand)
+        assert sorted(seen) == sorted(expected + [e for c in others for e in _candidate_sources(c)])
+
+
+def test_verify_stops_parsing_at_the_first_pair(tmp_path, capsys, monkeypatch):
+    """Before the gas's speed candidate, which pairs, a speed field that is
+    no solution is evaluated and passed over; after it, an unparseable one
+    is never reached."""
+    doc = json.loads(Path(corpus_path("ex6.1b.json")).read_text())
+    u1, u2, u3 = doc["vars"]
+    wrong = {"kind": "lambda", "exprs": [u1, f"2*{u2}", f"3*{u3}"]}
+    unparseable = {"kind": "lambda", "exprs": [f"{u1}+", u2, u3]}
+    doc["candidates"] = [wrong] + doc["candidates"] + [unparseable]
+    rc, seen, partners = _verify_parses(tmp_path, monkeypatch, doc, 2)
+    assert (rc, partners) == (cli.EXIT_PASS, 2)
+    expected = _frame_sources(doc) + [
+        e for idx in (2, 0, 1) for e in _candidate_sources(doc["candidates"][idx])]
+    assert sorted(seen) == sorted(expected)
+
+
+def test_unparseable_frame_candidate_fails_only_where_read(tmp_path, capsys, monkeypatch):
+    """A frame file whose second candidate does not parse: analyze and
+    reconstruct read no frame-file candidate and exit 0 (eager loading
+    exited 2); verify reaches it as the first partner of the speed
+    candidate and exits 2 with the error eager loading gave."""
+    doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
+    doc["candidates"][1]["exprs"][0] = "u1+"
+    with pytest.raises(exprlang.ExprSyntaxError) as parse_error:
+        exprlang.parse_expression("u1+", doc["vars"])
+    frame, cand = tmp_path / "doc.json", tmp_path / "lambda.json"
+    frame.write_text(json.dumps(doc))
+    cand.write_text(json.dumps(doc["candidates"][0]))
+    assert cli.main(["analyze", str(frame)]) == cli.EXIT_PASS
+    assert cli.main(["--grid", "3", "reconstruct", str(frame), str(cand)]) == cli.EXIT_PASS
+    capsys.readouterr()
+    assert cli.main(["verify", str(frame), str(cand)]) == cli.EXIT_INPUT_ERROR
+    assert _one_error_line(capsys) == f"error: {frame}: {parse_error.value}"
 
 
 def test_shared_parser_is_reentrant(tmp_path, capsys, monkeypatch):

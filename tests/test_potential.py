@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import struct
 import warnings
 
 import numpy as np
@@ -582,7 +583,7 @@ CSV_GRIDS = {
 
 
 def test_csv_matches_row_by_row_formatting():
-    """to_csv is byte for byte the csv module writing f"{v:.17g}" per cell."""
+    """to_csv is byte for byte the csv module writing repr(v) per cell."""
     import csv
     import io
 
@@ -594,10 +595,65 @@ def test_csv_matches_row_by_row_formatting():
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(names + ["eta"] + [f"grad_eta{k + 1}" for k in range(n)])
-        columns = [eta.ravel()] + [grad[..., k].ravel() for k in range(n)]
-        for row, node in enumerate(grid.nodes()):
-            writer.writerow([f"{v:.17g}" for v in node] + [f"{col[row]:.17g}" for col in columns])
+        columns = [eta.ravel().tolist()] + [grad[..., k].ravel().tolist() for k in range(n)]
+        for row, node in enumerate(grid.nodes().tolist()):
+            writer.writerow([repr(v) for v in node] + [repr(col[row]) for col in columns])
         assert grid.to_csv(names) == out.getvalue(), case
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _csv_grids(corpus_cases):
+    """CSV_GRIDS with a vector field beside each, and ex6.10's eta at 6^3."""
+    for case, (axes, eta) in CSV_GRIDS.items():
+        grad = np.stack([eta * (-1) ** k for k in range(len(axes))], axis=-1)
+        yield case, pot.PotentialGrid(axes, {"eta": eta, "grad_eta": grad}, (0.0,) * len(axes))
+    ex610 = corpus_cases["ex6.10"]
+    bet = next(c for k, c in ex610.candidates if k == "beta")
+    yield "ex6.10", pot.reconstruct_eta(ex610.spec, bet, ex610.spec.base_point, (6, 6, 6))
+
+
+def test_csv_reads_back_to_json_values(corpus_cases):
+    """Every CSV cell, read with float, is bit for bit the JSON number at
+    the same node and component (signed zeros included): the two files
+    hold the same doubles, written in the order the CLI writes them."""
+    import csv
+    import io
+    import json
+
+    for case, grid in _csv_grids(corpus_cases):
+        n = len(grid.axes)
+        rows = list(csv.reader(io.StringIO(grid.to_csv([f"w{k + 1}" for k in range(n)]))))
+        doc = json.loads(grid.to_json())
+        columns = [np.asarray(v, dtype=float).reshape(len(rows) - 1, -1)
+                   for v in doc["values"].values()]
+        nodes = pot.grid_nodes([np.asarray(a, dtype=float) for a in doc["axes"]])
+        expected = np.column_stack([nodes] + columns)
+        assert len(rows) - 1 == expected.shape[0], case
+        for row, want in zip(rows[1:], expected.tolist()):
+            assert [_bits(float(cell)) for cell in row] == [_bits(x) for x in want], case
+
+
+def test_csv_and_json_share_one_formatting_pass(monkeypatch):
+    """to_csv and to_json, in either order, run one formatting pass between
+    them, and each writes what it writes on a grid of its own."""
+    axes, eta = CSV_GRIDS["17x19"]
+    values = {"eta": eta, "grad_eta": np.stack([eta, -eta], axis=-1)}
+
+    def fresh():
+        return pot.PotentialGrid(axes, values, (0.0, 0.0))
+
+    csv_text, json_text = fresh().to_csv(["a", "b"]), fresh().to_json()
+    passes = []
+    run = pot.PotentialGrid._format_pass
+    monkeypatch.setattr(pot.PotentialGrid, "_format_pass",
+                        lambda self: passes.append(1) or run(self))
+    grid = fresh()
+    assert (grid.to_csv(["a", "b"]), grid.to_json()) == (csv_text, json_text)
+    assert (grid.to_json(), grid.to_csv(["a", "b"])) == (json_text, csv_text)
+    assert len(passes) == 2
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2)], ids=["2-variables", "3-variables"])

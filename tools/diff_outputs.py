@@ -12,8 +12,11 @@ CSV and JSON of ``reconstruct``; the q grid as ``PotentialGrid.to_json``).
 Each output is counted as one of
 
 - identical: the same bytes;
+- same doubles, other spelling: the same text outside the numbers, and
+  every changed number reads to the same double, bit for bit (signed zero
+  included), such as 0.10000000000000001 and 0.1;
 - signed zero only: the same text once every number is read as a float,
-  where -0.0 equals 0.0;
+  where -0.0 equals 0.0, with some zero's sign flipped;
 - numeric move: the same text outside the numbers, with some number
   changed;
 - an integer differs: as a numeric move, with a number printed as an
@@ -22,8 +25,9 @@ Each output is counted as one of
 - differs outside its numbers (a label, a key, a message); listed by name.
 
 The largest absolute move of a number not printed as an integer is
-reported with its output.  Exit status 1 if any
-output differs other than in a signed zero.  Uses only the standard library and numpy.
+reported with its output.  Exit status 1 if any output differs other than
+in the spelling of a double or a signed zero.  Uses only the standard
+library and numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -93,6 +98,11 @@ def _float(x: str) -> float:
     return float(x.replace("Infinity", "inf"))
 
 
+def _same_double(x: str, y: str) -> bool:
+    """The same double, bit for bit, so -0.0 differs from 0.0."""
+    return struct.pack("<d", _float(x)) == struct.pack("<d", _float(y))
+
+
 def _same_value(x: str, y: str) -> bool:
     """Equal as floats, so -0.0 equals 0.0, or both NaN."""
     a, b = _float(x), _float(y)
@@ -100,10 +110,10 @@ def _same_value(x: str, y: str) -> bool:
 
 
 def compare(old: dict, new: dict) -> dict:
-    """The counts of identical, signed-zero-only and numerically moved
-    outputs, the largest non-integer move, and the outputs that differ
-    otherwise or in an integer."""
-    report = {"identical": 0, "signed_zero_only": 0, "numeric_move": 0,
+    """The counts of identical, respelled, signed-zero-only and
+    numerically moved outputs, the largest non-integer move, and the
+    outputs that differ otherwise or in an integer."""
+    report = {"identical": 0, "respelled": 0, "signed_zero_only": 0, "numeric_move": 0,
               "largest_move": None, "other": [], "integers": []}
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
@@ -128,6 +138,8 @@ def compare(old: dict, new: dict) -> dict:
             report["integers"].append(key)
         elif moves:
             report["numeric_move"] += 1
+        elif all(_same_double(x, y) for x, y in pairs):
+            report["respelled"] += 1
         else:
             report["signed_zero_only"] += 1
     return report
@@ -153,10 +165,11 @@ def main(argv=None) -> int:
         return 0
     report = compare(run_checkout(args.old.resolve(), args.seeds),
                      run_checkout(args.new.resolve(), args.seeds))
-    total = sum(report[k] for k in ("identical", "signed_zero_only", "numeric_move"))
+    total = sum(report[k] for k in ("identical", "respelled", "signed_zero_only", "numeric_move"))
     total += len(report["integers"]) + len(report["other"])
     print(f"seeds {args.seeds}, {total} outputs")
     print(f"identical: {report['identical']}")
+    print(f"same doubles, other spelling: {report['respelled']}")
     print(f"signed zero only: {report['signed_zero_only']}")
     print(f"numeric move: {report['numeric_move']}")
     if report["largest_move"]:
