@@ -1,10 +1,15 @@
 """Case labels of the n=3 solution-set taxonomy.
 
 The speed ("lambda") system is labelled by the rank and sparsity pattern of
-its algebraic part:
+its algebraic part, the (m, rows, 3) array systems.lambda_algebraic gives:
 
   lambda_case: I (rank 0), IIa / IIb (rank 1, three resp. two unknowns in
   the constraint), III (rank 2), not_n3.
+
+An unknown enters a rank-1 constraint when its weight does not vanish: its
+largest entry over a sample's largest, |v_a| / max |v| for a sample u v^T,
+maximized over the samples, since the constraint may rotate with the base
+point.  A constraint in fewer than two unknowns has no label.
 
 The length ("beta") system is labelled by the size of its solution set,
 "the number of free constants and functions present in the general
@@ -22,8 +27,9 @@ The lambda verdicts use a two-threshold scheme at the module tolerance
 CLASSIFY_TOL: a scaled magnitude below it counts as zero, above 10 times it
 as nonzero, and anything in between raises InconclusiveVanishingError
 rather than silently guessing.  The count reads its ranks the same way at
-systems.JET_RANK_TOL, and also raises InconclusiveVanishingError when
-d_2 != 3f + c or no label has (f, c).
+systems.JET_RANK_TOL.  InconclusiveVanishingError is also raised when no
+label fits: a lambda constraint in fewer than two unknowns, or a count with
+d_2 != 3f + c or with an (f, c) that no label has.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ import numpy as np
 from .errors import InconclusiveVanishingError
 from .geometry import ConnectionEval, is_rich
 from .systems import (
-    AlgebraicSystem,
     JetCount,
     beta_algebraic,
     beta_jet_count,
@@ -111,42 +116,28 @@ def _vanishes(name: str, value: float, trace: _Trace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _row_activity(matrices: np.ndarray, trace: _Trace, tag: str) -> list:
-    """Which unknowns carry nonzero coefficients in the (rank-1) row space.
-
-    Activity is judged per sample (the constraint direction may rotate with
-    the base point) and aggregated by the maximum over samples."""
-    activity = np.zeros(matrices.shape[2])
-    # an all-zero matrix has no row space; its singular vectors are arbitrary
-    zero = np.linalg.norm(matrices, axis=2).max(axis=1) <= 0
-    if not zero.all():
-        _, _, vt = np.linalg.svd(matrices[~zero])
-        v = np.abs(vt[:, 0])
-        activity = (v / v.max(axis=1, keepdims=True)).max(axis=0)
-    active = []
-    for i, a in enumerate(activity):
-        active.append(not _vanishes(f"{tag} coefficient of unknown {i + 1}", float(a), trace))
-    return active
-
-
-def classify_lambda_n3(lsys: AlgebraicSystem, rank: int) -> tuple:
-    """Case label for the speed system from its algebraic part lsys and that
-    part's generic rank: rank 0 -> I; rank 1 -> IIa when all three unknowns
-    enter the constraint, IIb when exactly two; rank 2 -> III."""
+def classify_lambda_n3(matrix: np.ndarray, rank: int) -> tuple:
+    """Case label for the speed system from its algebraic part (m, rows, 3)
+    and that part's generic rank: rank 0 -> I; rank 1 -> IIa when all three
+    unknowns enter the constraint, IIb when exactly two; rank 2 -> III."""
     trace = _Trace()
     trace.note("lambda algebraic rank", rank, "info")
     if rank == 0:
         return "I", trace
     if rank == 2:
         return "III", trace
-    active = _row_activity(lsys.matrix, trace, "lambda constraint")
-    count = sum(active)
+    top = np.abs(matrix).max(axis=1)
+    peak = top.max(axis=1, keepdims=True)
+    # an all-zero sample weighs 0 in every unknown
+    weights = np.divide(top, peak, out=np.zeros_like(top), where=peak > 0).max(axis=0)
+    count = sum(not _vanishes(f"lambda constraint coefficient of unknown {a + 1}", float(w), trace)
+                for a, w in enumerate(weights))
     if count == 3:
         return "IIa", trace
     if count == 2:
         return "IIb", trace
-    trace.note("lambda constraint active count", count, "degenerate sampling")
-    return "IIb", trace
+    raise InconclusiveVanishingError(
+        f"no lambda label has a rank-1 constraint in {count} of the 3 unknowns")
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +194,11 @@ def classify(conn: ConnectionEval) -> ClassificationReport:
     RICH_TOL, the speed verdicts at CLASSIFY_TOL and the ranks of the
     solution-jet count at systems.JET_RANK_TOL."""
     spec = conn.spec
-    bsys = beta_algebraic(conn)
-    lsys = lambda_algebraic(conn)
+    bmat = beta_algebraic(conn)
+    lmat = lambda_algebraic(conn)
     # for n=2 there are no distinct index triples, so both matrices are empty
-    bscale = 1.0 + np.abs(bsys.matrix).max(initial=0.0)
-    lscale = 1.0 + np.abs(lsys.matrix).max(initial=0.0)
-    rank_beta = generic_rank(bsys.matrix / bscale)
-    rank_lambda = generic_rank(lsys.matrix / lscale)
+    rank_beta = generic_rank(bmat / (1.0 + np.abs(bmat).max(initial=0.0)))
+    rank_lambda = generic_rank(lmat / (1.0 + np.abs(lmat).max(initial=0.0)))
     rich, witness = is_rich(conn)
     trace = _Trace()
     trace.note("richness worst witness", witness["value"], "rich" if rich else "not rich")
@@ -219,7 +208,7 @@ def classify(conn: ConnectionEval) -> ClassificationReport:
             lambda_case="not_n3", beta_case="not_n3", freedom=FREEDOM["not_n3"],
             trace=list(trace),
         )
-    lambda_case, ltrace = classify_lambda_n3(lsys, rank_lambda)
+    lambda_case, ltrace = classify_lambda_n3(lmat, rank_lambda)
     trace.extend(ltrace)
     count = None
     if rank_beta == 1:

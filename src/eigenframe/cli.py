@@ -31,7 +31,8 @@ selftest one line that counts the failed examples):
      large for memory: a --grid past the address space, or a --samples
      whose estimated working set exceeds the physical memory)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
-     InconclusiveVanishingError (also a solution count that no label fits),
+     InconclusiveVanishingError (also a lambda constraint in fewer than two
+     unknowns, or a solution count, that no label fits),
      DomainError (also a frame whose determinant overflows)
 
 Each command evaluates the frame once on its sample set (one
@@ -291,7 +292,7 @@ def _property_sweeps(args, bundled: dict) -> dict:
         worst_geom = max(worst_geom, t, c)
         worst_dual = max(worst_dual, check_rank_duality_n3(conn))
         rank_ok = rank_ok and (
-            generic_rank(beta_algebraic(conn).matrix) == generic_rank(lambda_algebraic(conn).matrix)
+            generic_rank(beta_algebraic(conn)) == generic_rank(lambda_algebraic(conn))
         )
     sweeps["geometric_identities"] = worst_geom
     sweeps["rank_duality"] = worst_dual

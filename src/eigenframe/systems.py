@@ -130,14 +130,9 @@ def _index_arrays(n: int) -> tuple:
     return (np.arange(len(triples)),) + tuple(triples.T), tuple(pairs.T)
 
 
-@dataclass
-class AlgebraicSystem:
-    triples: list
-    matrix: np.ndarray  # (m, n_rows, n)
-
-
-def beta_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
-    return AlgebraicSystem(algebraic_triples(conn.n), _beta_matrix(conn.Gamma, conn.c))
+def beta_algebraic(conn: ConnectionEval) -> np.ndarray:
+    """The length system's algebraic part (m, rows, n), rows by algebraic_triples."""
+    return _beta_matrix(conn.Gamma, conn.c)
 
 
 def _beta_matrix(G: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -155,14 +150,15 @@ def _beta_matrix(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     return rows
 
 
-def lambda_algebraic(conn: ConnectionEval) -> AlgebraicSystem:
+def lambda_algebraic(conn: ConnectionEval) -> np.ndarray:
+    """The speed system's algebraic part (m, rows, n), rows by algebraic_triples."""
     n, G, c = conn.n, conn.Gamma, conn.c
     (r, i, j, k), _ = _index_arrays(n)
     rows = np.zeros((G.shape[0], len(r), n))
     rows[:, r, i] += G[:, j, i, k]
     rows[:, r, j] -= G[:, i, j, k]
     rows[:, r, k] += c[:, i, j, k]
-    return AlgebraicSystem(algebraic_triples(n), rows)
+    return rows
 
 
 def generic_rank(matrices: np.ndarray) -> int:
@@ -275,8 +271,8 @@ def check_rank_duality_n3(conn: ConnectionEval) -> float:
     """Entrywise residual of A_lambda = D A_beta^T D with D = diag(1,-1,1)."""
     if conn.n != 3:
         raise ValueError("rank duality identity is specific to n=3")
-    a_lam = lambda_algebraic(conn).matrix
-    a_bet = beta_algebraic(conn).matrix
+    a_lam = lambda_algebraic(conn)
+    a_bet = beta_algebraic(conn)
     D = np.diag([1.0, -1.0, 1.0])
     transformed = np.einsum("ab,mcb,cd->mad", D, a_bet, D)
     return float(np.abs(a_lam - transformed).max())
@@ -345,19 +341,19 @@ def _residual(kind: str, conn: ConnectionEval, cand) -> ResidualRecord:
         X, Y = _beta_pde_coefficients(G, c, i, j)
         t1, t2 = vals[:, j] * X, vals[:, i] * Y
         rhs, pde_scale = t1 - t2, 1.0 + np.abs(deriv) + np.abs(t1) + np.abs(t2)
-        sys = beta_algebraic(conn)
+        alg = beta_algebraic(conn)
     else:
         rhs = G[:, j, i, j] * (vals[:, i] - vals[:, j])
         pde_scale = 1.0 + np.abs(deriv) + np.abs(rhs)
-        sys = lambda_algebraic(conn)
+        alg = lambda_algebraic(conn)
     pde_raw = deriv - rhs
-    alg_raw = np.einsum("mrk,mk->mr", sys.matrix, vals)
-    alg_scale = 1.0 + np.abs(sys.matrix * vals[:, None, :]).sum(axis=2)
+    alg_raw = np.einsum("mrk,mk->mr", alg, vals)
+    alg_scale = 1.0 + np.abs(alg * vals[:, None, :]).sum(axis=2)
     return ResidualRecord(
         kind=kind,
         values=vals,
         pde_labels=[f"{kind}-pde r{a+1}({kind[0]}{b+1})" for a, b in _ordered_pairs(conn.n)],
-        alg_labels=[f"{kind}-alg ({a+1},{b+1},{d+1})" for a, b, d in sys.triples],
+        alg_labels=[f"{kind}-alg ({a+1},{b+1},{d+1})" for a, b, d in algebraic_triples(conn.n)],
         pde_raw=pde_raw,
         alg_raw=alg_raw,
         pde_scaled=np.abs(pde_raw) / pde_scale,

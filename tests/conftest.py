@@ -172,3 +172,11 @@ def singular_batch(n, kind):
         s = (0.9 if kind == "below" else 1.1) * DET_RTOL * (n - 1) ** (n / 2)
         Q[1] = Q[1] * np.r_[np.ones(n - 1), s]
     return Q
+
+
+def one_unknown_constraint(m=10):
+    """A rank-1 speed algebraic part (m, 3, 3) whose constraint is in unknown
+    1 alone."""
+    matrix = np.zeros((m, 3, 3))
+    matrix[:, :, 0] = np.random.default_rng(3).standard_normal((m, 3))
+    return matrix

@@ -57,8 +57,8 @@ def test_criterion_2_rank_duality(corpus_cases):
         spec = random_polynomial_frame(rng)
         conn = g.eval_connection(spec, spec.sample_points(12))
         worst_identity = max(worst_identity, sy.check_rank_duality_n3(conn))
-        a = sy.beta_algebraic(conn).matrix
-        b = sy.lambda_algebraic(conn).matrix
+        a = sy.beta_algebraic(conn)
+        b = sy.lambda_algebraic(conn)
         sa = np.linalg.svd(a, compute_uv=False)
         sb = np.linalg.svd(b, compute_uv=False)
         per_sample_a = (sa > 1e-8 * np.maximum(sa[:, :1], 1e-300)).sum(axis=1)
@@ -66,8 +66,8 @@ def test_criterion_2_rank_duality(corpus_cases):
         ranks_equal = ranks_equal and bool(np.all(per_sample_a == per_sample_b))
     spec4 = corpus_cases["ex6.12"].spec
     conn4 = g.eval_connection(spec4, spec4.sample_points(30))
-    rank_l = sy.generic_rank(sy.lambda_algebraic(conn4).matrix)
-    rank_b = sy.generic_rank(sy.beta_algebraic(conn4).matrix)
+    rank_l = sy.generic_rank(sy.lambda_algebraic(conn4))
+    rank_b = sy.generic_rank(sy.beta_algebraic(conn4))
     ok = worst_identity < 1e-12 and ranks_equal and (rank_l, rank_b) == (3, 2)
     _line(2, "rank-duality", ok,
           f"identity {worst_identity:.2e}, ranks equal {ranks_equal}, "
@@ -326,7 +326,7 @@ def test_criterion_11_property_suite(corpus_cases):
         [["1", "u2"], ["0", "1+u1^2"]], ["u1", "u2"], domain=((0, 0), (1, 1))
     )
     conn2 = g.eval_connection(spec2, spec2.sample_points(10))
-    empty_ok = sy.beta_algebraic(conn2).matrix.shape[1] == 0
+    empty_ok = sy.beta_algebraic(conn2).shape[1] == 0
     spec = corpus_cases["ex6.8"].spec
     zero = sy.BetaCandidate.from_sources(["0", "0", "0"], V3)
     const = sy.LambdaCandidate.from_sources(["7", "7", "7"], V3)

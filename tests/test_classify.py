@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import V3, connect
+from conftest import V3, connect, one_unknown_constraint
 
 from eigenframe import classify as cl
 from eigenframe import geometry as g
@@ -229,34 +229,28 @@ def test_count_matches_the_labels_of_the_corpus(corpus_cases):
             assert count.kept > 1e4 * tol and count.dropped < 1e-3 * tol, (cid, seed)
 
 
-def test_row_activity_matches_per_sample_loop():
-    """One batched SVD gives the activity of the per-sample loop bit for
-    bit; an all-zero sample is skipped, not read as active."""
+def test_lambda_weights_of_rank1_batches():
+    """On rank-1 samples u v^T an unknown's weight is |v_a| / max |v|, the
+    largest over the samples is traced, and an all-zero sample is not read
+    as active."""
     rng = np.random.default_rng(5)
-    rows = rng.standard_normal((40, 1, 1)) * np.array([1e-12, -0.5, 1.0])
-    matrices = np.concatenate([rows, 2 * rows, np.zeros((40, 1, 3))], axis=1)
-    matrices[7] = 0.0
-    expected = np.zeros(3)
-    for mat in matrices:
-        if np.linalg.norm(mat, axis=1).max() <= 0:
-            continue
-        v = np.abs(np.linalg.svd(mat)[2][0])
-        expected = np.maximum(expected, v / v.max())
-    trace = cl._Trace()
-    assert cl._row_activity(matrices, trace, "rows") == [False, True, True]
-    assert [value for _, value, _ in trace] == expected.tolist()
+    for m in (1, 7, 40):
+        u = rng.standard_normal((m, 3))
+        v = rng.standard_normal((m, 3)) * np.array([1e-12, -0.5, 1.0])
+        matrices = np.concatenate([u[:, :, None] * v[:, None, :], np.zeros((1, 3, 3))])
+        expected = (np.abs(v) / np.abs(v).max(axis=1, keepdims=True)).max(axis=0)
+        case, trace = cl.classify_lambda_n3(matrices, 1)
+        assert case == "IIb"
+        weights = [value for _, value, _ in trace[1:]]
+        assert np.abs(np.array(weights) - expected).max() <= 1e-14, m
+        assert [verdict for _, _, verdict in trace[1:]] == ["zero", "nonzero", "nonzero"]
 
 
-def test_lambda_constraint_with_one_active_unknown_is_degenerate_sampling():
-    """A rank-1 constraint on a single unknown is not a case of the taxonomy;
-    it is labelled IIb with a "degenerate sampling" trace entry."""
-    rng = np.random.default_rng(3)
-    matrix = np.zeros((10, 3, 3))
-    matrix[:, :, 0] = rng.standard_normal((10, 3))
-    lsys = sy.AlgebraicSystem(sy.algebraic_triples(3), matrix)
-    case, trace = cl.classify_lambda_n3(lsys, 1)
-    assert case == "IIb"
-    assert trace[-1] == ("lambda constraint active count", 1.0, "degenerate sampling")
+def test_lambda_constraint_with_one_active_unknown_is_inconclusive():
+    """A rank-1 constraint on a single unknown fits no case of the taxonomy."""
+    with pytest.raises(InconclusiveVanishingError) as err:
+        cl.classify_lambda_n3(one_unknown_constraint(), 1)
+    assert str(err.value) == "no lambda label has a rank-1 constraint in 1 of the 3 unknowns"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import one_unknown_constraint
+
 from eigenframe import cli
 from eigenframe import corpus as corpus_mod
 from eigenframe import classify, exprlang, geometry, potential, systems
@@ -607,6 +609,15 @@ def test_inconclusive_count_is_one_line_exit_three(capsys, monkeypatch, system):
                     " is in the dead zone [5.0e-01, 5.0e+00]")
     assert cli.main(["analyze", corpus_path("ex6.9.json")]) == cli.EXIT_DEGENERATE
     assert _one_error_line(capsys).startswith(expected)
+
+
+def test_one_unknown_lambda_constraint_is_one_line_exit_three(capsys, monkeypatch):
+    """analyze on a frame whose rank-1 speed constraint is in one unknown
+    ends with exit 3 and one error line instead of a label."""
+    monkeypatch.setattr(classify, "lambda_algebraic", lambda conn: one_unknown_constraint())
+    assert cli.main(["analyze", corpus_path("ex6.9.json")]) == cli.EXIT_DEGENERATE
+    assert _one_error_line(capsys) == (
+        "error: no lambda label has a rank-1 constraint in 1 of the 3 unknowns")
 
 
 def test_overflowing_frame_inverse_is_domain_error(tmp_path, capsys):
