@@ -38,10 +38,21 @@ selftest one line that counts the failed examples):
 Each command evaluates the frame once on its sample set (one
 ConnectionEval) and hands that to every check, and each candidate once on
 it (its residual record, whose values feed the cross-system identity and
-the convexity classification).  A candidate is verified when its residual
-is below --tol.  Sampling is deterministic in --seed.
+the convexity classification).  analyze, verify and reconstruct read only
+values of the connection, so they build it at order 0 (the frame's tape at
+order 1, on the sample set and on analyze's base point); selftest's
+examples and its random frames build it at order 1 (the tape at order 2)
+for the torsion and curvature checks, and its scaling sweep at order 0.
+A candidate is verified when its residual is below --tol.  Sampling is
+deterministic in --seed.
 
-A frame file's candidates are parsed only when read: analyze and
+verify pairs its candidate with a partner of the other kind from the frame
+file for the eigenvalue-gap identity, which needs speeds apart at every
+sample (systems.coincident_speeds): the first partner, in file order, that
+is verified and gives such a pair.  A speed candidate whose own speeds
+coincide reads no partner; a length candidate runs each speed partner's
+tape once and forms that partner's residual only when its speeds are
+apart.  A frame file's candidates are parsed only when read: analyze and
 reconstruct parse none, verify its partners up to the first that pairs.
 reconstruct's CSV and JSON grids spell each number as its repr.
 
@@ -82,10 +93,13 @@ from .errors import (
 from .geometry import eval_connection, scale_frame
 from .systems import (
     BetaCandidate,
+    _residual_record,
     beta_residual,
     candidate_residual,
+    coincident_speeds,
     convexity_classify,
-    first_pair_identity,
+    eval_candidate,
+    sevennec_identity,
 )
 from .potential import DEFAULT_QUAD_TOL, reconstruct_eta, reconstruct_flux
 
@@ -154,8 +168,8 @@ def _emit(report: dict, args):
 
 def cmd_analyze(args) -> int:
     spec = _load_frame(args.frame_file)
-    report = classify(eval_connection(spec, spec.sample_points(args.samples, args.seed)))
-    base = eval_connection(spec, np.asarray(spec.base_point)[None, :])
+    report = classify(eval_connection(spec, spec.sample_points(args.samples, args.seed), 0))
+    base = eval_connection(spec, np.asarray(spec.base_point)[None, :], 0)
     out = report.to_dict()
     out["base_point"] = list(spec.base_point)
     # + 0.0 turns the -0.0 that rounding leaves of tiny negative noise into 0.0
@@ -169,7 +183,7 @@ def cmd_verify(args) -> int:
     case = _load_case(args.frame_file)
     spec = case.spec
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
-    conn = eval_connection(spec, spec.sample_points(args.samples, args.seed))
+    conn = eval_connection(spec, spec.sample_points(args.samples, args.seed), 0)
     rec = candidate_residual(conn, kind, cand)
     out = {
         "kind": kind,
@@ -181,14 +195,7 @@ def cmd_verify(args) -> int:
     if kind == "beta":
         out["convexity"] = convexity_classify(rec.values)
     passed = rec.max_scaled < args.tol
-    # cross-system identity, paired with a verified partner from the frame
-    # file when one is recorded there; partners are parsed and evaluated only
-    # until one pairs
-    other = "lambda" if kind == "beta" else "beta"
-    partners = (candidate_residual(conn, other, p) for p in case.candidates.of_kind(other))
-    cross = first_pair_identity(conn, (
-        (rec.values, p.values) if kind == "beta" else (p.values, rec.values)
-        for p in partners if p.max_scaled < args.tol))
+    cross = _cross_identity(conn, rec, case.candidates, args.tol)
     if cross is not None:
         out["cross-identity"] = cross
         passed = passed and cross < max(args.tol, 1e-9)
@@ -202,10 +209,27 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
+def _cross_identity(conn, rec, candidates, tol: float):
+    """The eigenvalue-gap identity of rec's candidate with its first partner
+    among the other-kind candidates of the frame file that is verified
+    (residual below tol) and whose pair has speeds apart at every sample, or
+    None.  Partners are parsed and run one at a time, up to that one."""
+    if rec.kind == "lambda" and coincident_speeds(rec.values) is not None:
+        return None
+    other = "lambda" if rec.kind == "beta" else "beta"
+    for partner in candidates.of_kind(other):
+        vals, grads = eval_candidate(partner.tape, conn.points)
+        bvals, lvals = (rec.values, vals) if other == "lambda" else (vals, rec.values)
+        if (coincident_speeds(lvals) is None
+                and _residual_record(conn, other, vals, grads).max_scaled < tol):
+            return sevennec_identity(conn, bvals, lvals)
+    return None
+
+
 def cmd_reconstruct(args) -> int:
     spec = _load_frame(args.frame_file)
     kind, cand = _load_candidate(args.candidate_file, spec.vars, spec.params)
-    conn = eval_connection(spec, spec.sample_points(args.samples, args.seed))
+    conn = eval_connection(spec, spec.sample_points(args.samples, args.seed), 0)
     counts = args.grid[: spec.n]
     if len(counts) < spec.n:
         counts = tuple(counts) + (counts[-1],) * (spec.n - len(counts))
@@ -310,7 +334,7 @@ def _property_sweeps(args, bundled: dict) -> dict:
         scaled_cand = BetaCandidate(tuple(
             Mul(Pow(a, Num(2.0)), e) for a, e in zip(alphas, bcand.exprs)
         ), bcand.params)
-        conn = eval_connection(scaled, spec.sample_points(20, args.seed))
+        conn = eval_connection(scaled, spec.sample_points(20, args.seed), 0)
         worst_scaled = beta_residual(conn, scaled_cand).max_scaled
     sweeps["scaling_covariance"] = worst_scaled
     passed = (

@@ -45,7 +45,8 @@ from .systems import (
     LambdaCandidate,
     candidate_residual,
     check_rank_duality_n3,
-    first_pair_identity,
+    coincident_speeds,
+    sevennec_identity,
 )
 
 ENV_CORPUS_DIR = "EIGENFRAME_CORPUS"
@@ -417,10 +418,10 @@ def run_example(case: ExampleCase, samples: int = 50, tol: float = 1e-9, seed: i
         if kind == "lambda" and cand.f_exprs is not None:
             record(f"candidate {idx} closed-form flux",
                    _closed_f_check(conn, cand, rec.values), 1e-9)
-    gap = first_pair_identity(
-        conn, ((b, lam) for lam in verified["lambda"] for b in verified["beta"]))
-    if gap is not None:
-        record("eigenvalue-gap identity", gap, 1e-9)
+    apart = [lam for lam in verified["lambda"] if coincident_speeds(lam) is None]
+    if apart and verified["beta"]:
+        record("eigenvalue-gap identity",
+               sevennec_identity(conn, verified["beta"][0], apart[0]), 1e-9)
     return {
         "id": case.id,
         "classification": report.to_dict(),

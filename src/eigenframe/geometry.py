@@ -23,10 +23,13 @@ one product per degree of R's series with the operator of r
 (_frame_operator) that ConnectionEval.r applies, and the solve runs degree
 by degree from L0 = R^{-1} at the points (_graded_solve), so L's series is
 never formed and each order of Gamma is a leading slice of the next.
-eval_connection runs the tape once at order 2 and keeps the frame series,
-the operator and the order-1 Gamma series, which nothing replaces after;
-ConnectionEval reads R and Gamma as views of their value slots.  A higher
-order, as systems.beta_jet_count needs at one point, is built by
+eval_connection runs the tape once at order o + 1 and keeps the frame
+series, the operator and the Gamma series of order o, which nothing
+replaces after; ConnectionEval reads R and Gamma as views of their value
+slots.  o is 1 (Gamma with its first derivatives, for the torsion,
+curvature and chart-space identities) by default and 0 for a caller that
+reads only values; R, L, Gamma and c have the same bits at either order.
+A higher order, as systems.beta_jet_count needs at one point, is built by
 _frame_taylor, _frame_operator and _gamma_series directly.  No derivative
 is taken by finite differences, by symbolic differentiation or by a
 hand-written product rule, so the symmetry and flatness identities of the
@@ -245,11 +248,12 @@ def chart_from_sources(
 
 @dataclass(frozen=True)
 class ConnectionEval:
-    """A frame evaluated on one sample set by eval_connection, and fixed
-    from then on: the inverse frame L at the points, the frame series of
-    order 2, the operator of r on series of order 2 and Gamma as a Taylor
-    field of order 1.  R and Gamma are value-slot views of the frame and
-    Gamma series; c is computed once from Gamma.
+    """A frame evaluated on one sample set by eval_connection at an order
+    o, and fixed from then on: the inverse frame L at the points, the frame
+    series of order o + 1, the operator of r on series of order o + 1 and
+    Gamma as a Taylor field of order o.  R and Gamma are value-slot views
+    of the frame and Gamma series; c is computed once from Gamma.  r takes
+    series of order 1 to o + 1, so derivatives of Gamma need o >= 1.
 
     Every check, residual and classifier branch on the same sample set
     reads this one object instead of evaluating the frame again.
@@ -288,9 +292,14 @@ class ConnectionEval:
 
     def r(self, d: int, f: Taylor) -> Taylor:
         """r_d(f) = R^a_d d_a f along frame field d, a Taylor field one order
-        lower than f, for f of order at most the operator's: one batched
+        lower than f, for f of order 1 up to the operator's: one batched
         product with the operator's leading slice for f's order, which has
-        the bits of a fresh _frame_operator build of that order."""
+        the bits of a fresh _frame_operator build of that order.  A series
+        of another order raises ValueError."""
+        if not 1 <= f.order <= self.frame.order:
+            raise ValueError(
+                f"r takes a series of order 1 to {self.frame.order} on this connection "
+                f"(built at order {self.gamma.order}), got order {f.order}")
         m, size = f.coef.shape[0], f.coef.shape[-1]
         D = self.operator[:, d, :size, : _size(self.n, f.order - 1)]
         out = f.coef.reshape(m, -1, size) @ D
@@ -430,13 +439,16 @@ def _gamma_series(R: Taylor, L0: np.ndarray, D: np.ndarray) -> Taylor:
     return Taylor(X.reshape(m, n, s, n, n).transpose(0, 4, 3, 1, 2), n, order)
 
 
-def eval_connection(spec: FrameSpec, points: np.ndarray) -> ConnectionEval:
-    """Christoffel symbols with their first derivatives, as a Taylor field
-    of order 1, from one run of the frame's tape at order 2."""
+def eval_connection(spec: FrameSpec, points: np.ndarray, order: int = 1) -> ConnectionEval:
+    """Christoffel symbols as a Taylor field of the given order, from one
+    run of the frame's tape at order + 1: order 1 (the default) carries
+    their first derivatives, and order 0, for a caller that reads only
+    values, gives R, L, Gamma and c with the bits of order 1 at less cost
+    (each order of Gamma is a leading slice of the next)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    R = _frame_taylor(spec, points, 2)
+    R = _frame_taylor(spec, points, order + 1)
     L, _ = _invert_frame(points, R.value)
-    D = _frame_operator(R, 2)
+    D = _frame_operator(R, order + 1)
     return ConnectionEval(spec, points, L, R, D, _gamma_series(R, L, D))
 
 

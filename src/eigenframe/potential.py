@@ -734,9 +734,9 @@ def solve_rich_beta(
     n = spec.n
     base_w = np.asarray(base_w, dtype=float)
     axes = [base_w[d] + h * np.arange(counts[d]) for d in range(n)]
-    require_rich(eval_connection(spec, spec.sample_points(30)))
+    require_rich(eval_connection(spec, spec.sample_points(30), 0))
     # the chart-space connection is the frame's connection at u(w)
-    Z = eval_connection(spec, chart_inverse(chart, grid_nodes(axes))).Gamma
+    Z = eval_connection(spec, chart_inverse(chart, grid_nodes(axes)), 0).Gamma
     zscale = 1.0 + np.abs(Z).max()
     cross = float(np.abs(np.where(distinct_triple_mask(n)[None], Z, 0.0)).max() / zscale)
     if cross > 1e-7:

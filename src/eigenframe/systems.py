@@ -21,6 +21,7 @@ system used by the rich rank-0 theory).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional
@@ -329,11 +330,13 @@ def _beta_pde_coefficients(G, c, i, j) -> tuple:
     return G[:, i, j, j] + c[:, i, j, j], G[:, j, j, i]
 
 
-def _residual(kind: str, conn: ConnectionEval, cand) -> ResidualRecord:
-    """The residual record of a candidate of either system, from one run of
-    its tape; the systems differ only in the PDE right-hand side of
-    r_i(s^j) and in the algebraic part."""
-    vals, grads = eval_candidate(cand.tape, conn.points)
+def _residual_record(conn: ConnectionEval, kind: str, vals: np.ndarray,
+                     grads: np.ndarray) -> ResidualRecord:
+    """The residual record of a candidate of either system from one run of
+    its tape at conn.points (eval_candidate's values and gradients); the
+    systems differ only in the PDE right-hand side of r_i(s^j) and in the
+    algebraic part.  Private, so that a tracer of the public functions
+    counts its time in beta_residual and lambda_residual."""
     G, c = conn.Gamma, conn.c
     _, (i, j) = _index_arrays(conn.n)
     deriv = np.einsum("mja,mai->mji", grads, conn.R)[:, j, i]  # r_i(s^j)
@@ -362,11 +365,11 @@ def _residual(kind: str, conn: ConnectionEval, cand) -> ResidualRecord:
 
 
 def beta_residual(conn: ConnectionEval, cand: BetaCandidate) -> ResidualRecord:
-    return _residual("beta", conn, cand)
+    return _residual_record(conn, "beta", *eval_candidate(cand.tape, conn.points))
 
 
 def lambda_residual(conn: ConnectionEval, cand: LambdaCandidate) -> ResidualRecord:
-    return _residual("lambda", conn, cand)
+    return _residual_record(conn, "lambda", *eval_candidate(cand.tape, conn.points))
 
 
 def candidate_residual(conn: ConnectionEval, kind: str, cand) -> ResidualRecord:
@@ -381,6 +384,27 @@ def candidate_residual(conn: ConnectionEval, kind: str, cand) -> ResidualRecord:
 # ---------------------------------------------------------------------------
 
 
+def _speed_gaps(lvals: np.ndarray, i: int, j: int, k: int) -> np.ndarray:
+    """(l^j - l^k, l^k - l^i, l^i - l^j), each (m,), from speeds (m, n)."""
+    return np.stack([lvals[:, j] - lvals[:, k], lvals[:, k] - lvals[:, i], lvals[:, i] - lvals[:, j]])
+
+
+def coincident_speeds(lvals: np.ndarray) -> Optional[tuple]:
+    """Where a speed candidate's values (m, n) fail strict hyperbolicity:
+    for the first triple i < j < k whose speeds come within
+    1e-8 max(1, max |l|) of each other at some sample, (sample, gap) with
+    gap the triple's smallest |l^a - l^b| and sample where it is; None when
+    every triple's speeds are apart at every sample (always for n < 3,
+    where the eigenvalue-gap identity has no term)."""
+    floor = 1e-8 * max(float(np.abs(lvals).max()), 1.0)
+    for i, j, k in itertools.combinations(range(lvals.shape[1]), 3):
+        gaps = np.abs(_speed_gaps(lvals, i, j, k))
+        min_gap = float(gaps.min())
+        if min_gap < floor:
+            return int(np.argmin(gaps.min(axis=0))), min_gap
+    return None
+
+
 def sevennec_identity(conn: ConnectionEval, bvals: np.ndarray, lvals: np.ndarray) -> float:
     """Scaled residual of the cyclic identity
 
@@ -388,39 +412,20 @@ def sevennec_identity(conn: ConnectionEval, bvals: np.ndarray, lvals: np.ndarray
             + c[i,j,k] b^k / (l^i - l^j) = 0     for i < j < k,
 
     which couples verified candidates of the two systems under strict
-    hyperbolicity, from their values (m, n) at conn.points.  Near-coincident
-    eigenvalues are rejected."""
-    n = conn.n
-    scale = np.abs(lvals).max()
+    hyperbolicity, from their values (m, n) at conn.points.  Speeds that
+    coincide (coincident_speeds) raise CoincidentEigenvaluesError."""
+    hit = coincident_speeds(lvals)
+    if hit is not None:
+        raise CoincidentEigenvaluesError(conn.points[hit[0]], hit[1])
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                gaps = np.stack(
-                    [lvals[:, j] - lvals[:, k], lvals[:, k] - lvals[:, i], lvals[:, i] - lvals[:, j]]
-                )
-                min_gap = float(np.abs(gaps).min())
-                if min_gap < 1e-8 * max(scale, 1.0):
-                    p = int(np.argmin(np.abs(gaps).min(axis=0)))
-                    raise CoincidentEigenvaluesError(conn.points[p], min_gap)
-                t1 = conn.c[:, j, k, i] * bvals[:, i] / gaps[0]
-                t2 = conn.c[:, k, i, j] * bvals[:, j] / gaps[1]
-                t3 = conn.c[:, i, j, k] * bvals[:, k] / gaps[2]
-                res = np.abs(t1 + t2 + t3) / (1.0 + np.abs(t1) + np.abs(t2) + np.abs(t3))
-                worst = max(worst, float(res.max()))
+    for i, j, k in itertools.combinations(range(conn.n), 3):
+        gaps = _speed_gaps(lvals, i, j, k)
+        t1 = conn.c[:, j, k, i] * bvals[:, i] / gaps[0]
+        t2 = conn.c[:, k, i, j] * bvals[:, j] / gaps[1]
+        t3 = conn.c[:, i, j, k] * bvals[:, k] / gaps[2]
+        res = np.abs(t1 + t2 + t3) / (1.0 + np.abs(t1) + np.abs(t2) + np.abs(t3))
+        worst = max(worst, float(res.max()))
     return worst
-
-
-def first_pair_identity(conn: ConnectionEval, pairs) -> Optional[float]:
-    """The eigenvalue-gap identity of the first (beta values, lambda values)
-    pair whose eigenvalues are apart at every sample, or None.  pairs is
-    consumed only up to that pair."""
-    for bvals, lvals in pairs:
-        try:
-            return sevennec_identity(conn, bvals, lvals)
-        except CoincidentEigenvaluesError:
-            continue
-    return None
 
 
 def convexity_classify(vals: np.ndarray) -> dict:

@@ -9,10 +9,6 @@ from eigenframe import corpus as corpus_mod
 from eigenframe import exprlang as ex
 from eigenframe.geometry import (
     DET_RTOL,
-    ConnectionEval,
-    _frame_operator,
-    _frame_taylor,
-    _gamma_series,
     chart_from_sources,
     eval_connection,
     frame_from_sources,
@@ -63,16 +59,6 @@ def directional_gamma(conn):
     """r_d(Gamma[i,j,k]) for every frame direction d, shape (m, d, i, j, k):
     conn.r over the connection's Gamma series, stacked over d."""
     return np.stack([conn.r(d, conn.gamma).value for d in range(conn.n)], axis=1)
-
-
-def higher_order(conn, order):
-    """conn's frame at its points with Gamma as a Taylor field of the given
-    order, built as systems.beta_jet_count builds its one-point series: the
-    frame series and the operator of r of order + 1 (_frame_taylor,
-    _frame_operator) and _gamma_series with conn's L."""
-    R = _frame_taylor(conn.spec, conn.points, order + 1)
-    D = _frame_operator(R, order + 1)
-    return ConnectionEval(conn.spec, conn.points, conn.L, R, D, _gamma_series(R, conn.L, D))
 
 
 def spherical_frame_and_chart():

@@ -460,6 +460,36 @@ def test_each_sample_set_evaluated_once(tmp_path, capsys, monkeypatch):
         assert len(connections()) == 1, (name, len(connections()))
 
 
+@pytest.mark.parametrize("name", ["ex6.10", "ex6.2"])
+def test_each_command_builds_at_the_order_it_reads(tmp_path, capsys, monkeypatch, name):
+    """analyze, verify and reconstruct read only values of the connection,
+    so they run the frame's tape at order 1 (Gamma of order 0) on their
+    sample set, and analyze also on its base point; run_example runs it at
+    order 2 (Gamma of order 1, for the torsion and curvature checks).  The
+    count of a rank-1 frame adds one run at order 4 on one point."""
+    runs = _frame_series_runs(monkeypatch)
+    path = corpus_path(f"{name}.json")
+    case = corpus_mod.load_example(path)
+    count = [(4, 1)] if case.expected["rank_beta"] == 1 else []
+    cand = tmp_path / "beta.json"
+    cand.write_text(json.dumps(next(
+        c for c in json.loads(Path(path).read_text())["candidates"] if c["kind"] == "beta")))
+    commands = [
+        (["analyze", path], sorted([(1, 1), (1, 50)] + count)),
+        (["verify", path, str(cand)], [(1, 50)]),
+        (["--grid", "3", "reconstruct", path, str(cand)], [(1, 50)]),
+    ]
+    for argv, built in commands:
+        runs.clear()
+        assert cli.main(argv) == cli.EXIT_PASS, argv
+        assert sorted((order, len(np.frombuffer(raw)) // case.spec.n)
+                      for _, order, raw in runs) == built, argv
+    runs.clear()
+    assert corpus_mod.run_example(case)["passed"]
+    assert sorted((order, len(np.frombuffer(raw)) // case.spec.n)
+                  for _, order, raw in runs) == sorted([(2, 50)] + count)
+
+
 @pytest.mark.parametrize("name", ["ex6.8.json", "extended/ex6.8b.json", "extended/ex6.9-g0.json"])
 def test_frame_tape_runs_once_per_sample_set_below_order_three(monkeypatch, name):
     """run_example runs the frame's tape at most once at order <= 2 on each
@@ -789,20 +819,31 @@ def test_reconstruct_parses_only_its_candidate_file(tmp_path, capsys, monkeypatc
     assert sorted(seen) == sorted(_frame_sources(doc) + _candidate_sources(doc["candidates"][1]))
 
 
+def _partner_runs(monkeypatch) -> tuple:
+    """(runs, records): the tape of every partner verify runs, one entry a
+    run, and the kind of every partner residual record it forms, from here
+    on.  verify's own candidate goes through candidate_residual, which
+    neither sees."""
+    runs, records = [], []
+    run, record = cli.eval_candidate, cli._residual_record
+    monkeypatch.setattr(cli, "eval_candidate",
+                        lambda tape, points: runs.append(tape) or run(tape, points))
+    monkeypatch.setattr(cli, "_residual_record",
+                        lambda conn, kind, *a: records.append(kind) or record(conn, kind, *a))
+    return runs, records
+
+
 def _verify_parses(tmp_path, monkeypatch, doc: dict, idx: int) -> tuple:
     """(exit code, sources parsed, partners evaluated) of verify on doc's
     candidate idx."""
     frame, cand = tmp_path / "doc.json", tmp_path / "cand.json"
     frame.write_text(json.dumps(doc))
     cand.write_text(json.dumps(doc["candidates"][idx]))
-    evaluated = []
-    residual = cli.candidate_residual
-    monkeypatch.setattr(cli, "candidate_residual",
-                        lambda *args: evaluated.append(args[2]) or residual(*args))
+    runs, _ = _partner_runs(monkeypatch)
     seen = _recorded_parses(monkeypatch)
     rc = cli.main(["verify", str(frame), str(cand)])
     monkeypatch.undo()
-    return rc, seen, len(evaluated) - 1
+    return rc, seen, len(runs)
 
 
 @pytest.mark.parametrize("name", ["ex6.10", "ex6.1b", "ex6.6"])
@@ -836,22 +877,49 @@ def test_verify_stops_parsing_at_the_first_pair(tmp_path, capsys, monkeypatch):
 
 
 def test_unparseable_frame_candidate_fails_only_where_read(tmp_path, capsys, monkeypatch):
-    """A frame file whose second candidate does not parse: analyze and
-    reconstruct read no frame-file candidate and exit 0 (eager loading
-    exited 2); verify reaches it as the first partner of the speed
-    candidate and exits 2 with the error eager loading gave."""
+    """A frame file whose second candidate, a length field, does not parse:
+    analyze and reconstruct read no frame-file candidate and exit 0 (eager
+    loading exited 2).  On the gas, whose speeds are apart, verify reaches
+    it as the first partner of the speed candidate and exits 2 with the
+    error eager loading gave; on ex6.10, whose speeds coincide, verify of
+    the speed candidate reads no partner and exits 0."""
+    for name, rc in (("ex6.1b", cli.EXIT_INPUT_ERROR), ("ex6.10", cli.EXIT_PASS)):
+        doc = json.loads(Path(corpus_path(f"{name}.json")).read_text())
+        assert [c["kind"] for c in doc["candidates"][:2]] == ["lambda", "beta"]
+        doc["candidates"][1]["exprs"][0] = f"{doc['vars'][0]}+"
+        with pytest.raises(exprlang.ExprSyntaxError) as parse_error:
+            exprlang.parse_expression(doc["candidates"][1]["exprs"][0], doc["vars"])
+        frame, cand = tmp_path / "doc.json", tmp_path / "lambda.json"
+        frame.write_text(json.dumps(doc))
+        cand.write_text(json.dumps(doc["candidates"][0]))
+        assert cli.main(["analyze", str(frame)]) == cli.EXIT_PASS
+        assert cli.main(["--grid", "3", "reconstruct", str(frame), str(cand)]) == cli.EXIT_PASS
+        capsys.readouterr()
+        assert cli.main(["verify", str(frame), str(cand)]) == rc, name
+        if rc == cli.EXIT_INPUT_ERROR:
+            assert _one_error_line(capsys) == f"error: {frame}: {parse_error.value}"
+        else:
+            assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("idx, runs, records", [(0, 0, []), (1, 1, [])])
+def test_verify_reads_no_partner_of_coincident_speeds(
+        tmp_path, capsys, monkeypatch, idx, runs, records):
+    """ex6.10's speed candidate has coincident speeds, so it pairs with no
+    partner: verify of it parses and runs none, and verify of a length
+    candidate runs the speed partner's tape once and forms no residual
+    record for it."""
     doc = json.loads(Path(corpus_path("ex6.10.json")).read_text())
-    doc["candidates"][1]["exprs"][0] = "u1+"
-    with pytest.raises(exprlang.ExprSyntaxError) as parse_error:
-        exprlang.parse_expression("u1+", doc["vars"])
-    frame, cand = tmp_path / "doc.json", tmp_path / "lambda.json"
-    frame.write_text(json.dumps(doc))
-    cand.write_text(json.dumps(doc["candidates"][0]))
-    assert cli.main(["analyze", str(frame)]) == cli.EXIT_PASS
-    assert cli.main(["--grid", "3", "reconstruct", str(frame), str(cand)]) == cli.EXIT_PASS
-    capsys.readouterr()
-    assert cli.main(["verify", str(frame), str(cand)]) == cli.EXIT_INPUT_ERROR
-    assert _one_error_line(capsys) == f"error: {frame}: {parse_error.value}"
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps(doc["candidates"][idx]))
+    seen = _recorded_parses(monkeypatch)
+    partner_runs, partner_records = _partner_runs(monkeypatch)
+    assert cli.main(["verify", corpus_path("ex6.10.json"), str(cand)]) == cli.EXIT_PASS
+    assert "cross-identity" not in capsys.readouterr().out
+    assert (len(partner_runs), partner_records) == (runs, records)
+    partners = [c for c in doc["candidates"] if c["kind"] != doc["candidates"][idx]["kind"]]
+    expected = _frame_sources(doc) + _candidate_sources(doc["candidates"][idx])
+    assert sorted(seen) == sorted(expected + [e for c in partners[:runs] for e in _candidate_sources(c)])
 
 
 def test_shared_parser_is_reentrant(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,6 @@ from conftest import (
     frame_jets,
     frames_with_condition,
     frames_with_special_rows,
-    higher_order,
     random_polynomial_frame,
     singular_batch,
     spherical_frame_and_chart,
@@ -285,6 +284,38 @@ def test_connection_arrays_are_views_of_its_series(corpus_cases):
         conn.gamma = conn.gamma
 
 
+def test_order_zero_connection_has_the_bits_of_order_one(corpus_cases):
+    """eval_connection at order 0 (the frame series of order 1 and Gamma of
+    order 0) gives R, L, Gamma and c with the bits of the default order-1
+    build, signs of zeros included, on every corpus file at seeds 0-3 and
+    at its base point."""
+    for cid, case in corpus_cases.items():
+        spec = case.spec
+        sets = [spec.sample_points(50, seed) for seed in range(4)]
+        for points in sets + [np.asarray(spec.base_point, dtype=float)[None]]:
+            low, high = g.eval_connection(spec, points, 0), g.eval_connection(spec, points)
+            assert (low.frame.order, low.gamma.order) == (1, 0), cid
+            for name in ("R", "L", "Gamma", "c"):
+                a, b = (np.ascontiguousarray(getattr(conn, name)) for conn in (low, high))
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (cid, name)
+
+
+def test_r_rejects_a_series_outside_the_operator_orders(corpus_cases):
+    """r takes series of order 1 up to the connection's frame order: on an
+    order-0 connection, Gamma has no derivative and the torsion and
+    curvature check raises ValueError naming both orders (it died in an
+    IndexError in Taylor.value), and a series above the operator's order
+    is refused too."""
+    spec = corpus_cases["ex6.6"].spec
+    low = g.eval_connection(spec, spec.sample_points(10), 0)
+    with pytest.raises(ValueError, match=r"order 1 to 1 on this connection "
+                                         r"\(built at order 0\), got order 0"):
+        g.check_symmetry_flatness(low)
+    conn = connect(spec, 10)
+    with pytest.raises(ValueError, match=r"order 1 to 2 .* got order 3"):
+        conn.r(0, g.eval_connection(spec, conn.points, 3).gamma)
+
+
 def _series_frames(corpus_cases):
     """The polynomial frames at n = 2, 3, 4 and every corpus frame, by name."""
     frames = {f"polynomial n={n}": _polynomial_frame(np.random.default_rng(n), n)
@@ -358,7 +389,8 @@ def test_gamma_series_orders_are_leading_slices(corpus_cases):
 
 
 def test_taylor_fields_are_exact(corpus_cases):
-    """The order-3 Gamma field of every n = 3 corpus frame (higher_order),
+    """The order-3 Gamma field of every n = 3 corpus frame (eval_connection
+    at order 3),
     without a finite difference: its value and r_d match the connection's
     Gamma and directional_gamma; the commutator identity
     r_i(r_j f) - r_j(r_i f) = c[i,j,k] r_k f holds for every component f,
@@ -370,7 +402,7 @@ def test_taylor_fields_are_exact(corpus_cases):
         if case.spec.n != 3:
             continue
         conn = connect(case.spec)
-        high = higher_order(conn, 3)
+        high = g.eval_connection(case.spec, conn.points, 3)
         G = high.gamma
         scale = 1.0 + np.abs(conn.Gamma).max()
         assert np.abs(G.value - conn.Gamma).max() < 1e-14 * scale, cid

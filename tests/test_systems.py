@@ -240,17 +240,25 @@ def test_sevennec_rejects_coincident_eigenvalues(corpus_cases):
         _gap_identity(connect(case.spec, 20), bet, trivial)
 
 
-def test_first_pair_identity_skips_coincident_eigenvalues(corpus_cases):
-    """The first pair whose eigenvalues are apart at every sample gives the
-    identity; with none, there is no identity."""
+def test_coincident_speeds_is_the_gap_check_of_the_identity(corpus_cases):
+    """coincident_speeds finds no coincidence in speeds apart at every
+    sample, where the identity is formed, and where two speeds meet names
+    the sample and gap that sevennec_identity's error reports; for n < 3 the
+    identity has no term and nothing coincides."""
     case = corpus_cases["ex6.1b"]
     conn = connect(case.spec, 20)
     bvals = _values(next(c for k, c in case.candidates if k == "beta"), conn.points)
     lvals = _values(next(c for k, c in case.candidates if k == "lambda"), conn.points)
-    coincident = np.ones_like(lvals)
-    assert sy.first_pair_identity(conn, [(bvals, coincident)]) is None
-    pairs = [(bvals, coincident), (bvals, lvals), (bvals, coincident)]
-    assert sy.first_pair_identity(conn, pairs) == sy.sevennec_identity(conn, bvals, lvals)
+    assert sy.coincident_speeds(lvals) is None
+    assert sy.sevennec_identity(conn, bvals, lvals) < 1e-9
+    close = lvals.copy()
+    close[7, 2] = close[7, 1] + 1e-12
+    gap = abs(close[7, 1] - close[7, 2])
+    assert sy.coincident_speeds(close) == (7, gap)
+    with pytest.raises(CoincidentEigenvaluesError) as err:
+        sy.sevennec_identity(conn, bvals, close)
+    assert str(err.value) == str(CoincidentEigenvaluesError(conn.points[7], gap))
+    assert sy.coincident_speeds(np.ones((5, 2))) is None
 
 
 # ---------------------------------------------------------------------------
