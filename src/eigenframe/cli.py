@@ -23,13 +23,14 @@ selftest one line that counts the failed examples):
   2  input error: SchemaError (also a domain box without lo < hi and a
      finite width hi - lo, or a number outside the double range),
      CorpusParseError (also an input file that cannot be read or is not
-     JSON), ExprSyntaxError (also an expression deeper than
-     exprlang.MAX_DEPTH), IllegalCharacterError, UnknownIdentifierError, a
-     grid file that cannot be written (OSError), ValueError (usage errors
-     and bad flag values: --tol and --quadrature-tol must be finite and
-     positive, --seed a non-negative integer below 2^63/1009), MemoryError (an input too
-     large for memory: a --grid past the address space, or a --samples
-     whose estimated working set exceeds the physical memory)
+     JSON; NaN and Infinity are not JSON numbers), ExprSyntaxError (also
+     an expression deeper than exprlang.MAX_DEPTH), IllegalCharacterError,
+     UnknownIdentifierError, a grid file that cannot be written (OSError),
+     ValueError (usage errors and bad flag values: --tol and
+     --quadrature-tol must be finite and positive, --seed a non-negative
+     integer below 2^63/1009), MemoryError (an input too large for memory:
+     a --grid past the address space, or a --samples whose estimated
+     working set exceeds the physical memory)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
      InconclusiveVanishingError (also a lambda constraint in fewer than two
      unknowns, or a solution count, that no label fits),

@@ -162,13 +162,18 @@ def corpus_dir() -> Path:
     return Path(__file__).parent / "corpus_data"
 
 
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(path):
     """The JSON document in a file; a file that cannot be read or parsed
-    raises CorpusParseError naming it."""
+    raises CorpusParseError naming it, and so does NaN, Infinity or
+    -Infinity, which json would read but are not JSON numbers (RFC 8259)."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        return json.loads(path.read_text(), parse_constant=_not_a_number)
+    except (OSError, ValueError) as err:
         raise CorpusParseError(path, f"unreadable JSON: {err}") from err
 
 
@@ -326,7 +331,7 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
         width = hi - lo
     if not (np.all(lo < hi) and np.all(np.isfinite(width))):
         raise SchemaError(f"{path}: the domain box needs lo < hi with a finite width hi - lo")
-    if np.any(base < lo) or np.any(base > hi):
+    if not np.all((lo <= base) & (base <= hi)):
         raise SchemaError(f"{path}: base point outside the domain box")
     return ExampleCase(
         id=doc["id"], spec=spec, candidates=Candidates(doc["candidates"], vars, params, path),

@@ -632,23 +632,13 @@ def _ln_terms(v, f0, order: int) -> list:
     return [r] + [r**k * ((-1) ** (k + 1) / k) for k in range(2, order + 1)]
 
 
-@lru_cache(maxsize=None)
-def _tan_polynomials(order: int) -> tuple:
-    """P_k with tan^(k)(v) = P_k(tan v): P_0 = t, P_(k+1) = (1 + t^2) P_k'.
-    numpy.polynomial is read here and in _tan_terms, not at module level,
-    so that only tan series import it."""
-    npoly = np.polynomial.polynomial
-    P = [np.array([0.0, 1.0])]
-    for _ in range(order):
-        P.append(npoly.polymul([1.0, 0.0, 1.0], npoly.polyder(P[-1])))
-    return tuple(P)
-
-
 def _tan_terms(v, f0, order: int) -> list:
-    P, polyval = _tan_polynomials(order), np.polynomial.polynomial.polyval
-    terms = [1.0 + f0 * f0]
-    terms += [polyval(f0, P[k]) / math.factorial(k) for k in range(2, order + 1)]
-    return terms[:order]
+    """tan' = 1 + tan^2 on the series a_k: a_0 = tan v, a_1 = 1 + a_0^2 and
+    (k + 1) a_(k+1) = sum_(i=0..k) a_i a_(k-i) for k >= 1."""
+    a = [f0, 1.0 + f0 * f0]
+    for k in range(1, order):
+        a.append(sum(a[i] * a[k - i] for i in range(k + 1)) / (k + 1))
+    return a[1 : order + 1]
 
 
 def _arctan_terms(v, f0, order: int) -> list:

@@ -363,6 +363,35 @@ def test_truncated_json_error_names_the_file(tmp_path, capsys, command):
     assert _one_error_line(capsys).startswith(f"error: {bad}: unreadable JSON: ")
 
 
+@pytest.mark.parametrize("case", ["base-analyze", "param-analyze", "candidate-verify",
+                                  "candidate-reconstruct"])
+def test_nan_in_a_file_is_one_line_exit_two(tmp_path, capsys, case):
+    """json reads NaN, the schema's minimum and maximum accept it and the
+    base check compared false, so a NaN base, frame param or candidate
+    param exited 3 with a misleading message (a domain violation at a NaN
+    point, or a sqrt of a non-positive value).  NaN is not a JSON number:
+    the file is unreadable JSON, exit 2, and nothing is written."""
+    ex610 = corpus_path("ex6.10.json")
+    bad = tmp_path / "bad.json"
+    if case == "base-analyze":
+        doc = json.loads(Path(ex610).read_text())
+        doc["base"][0] = float("nan")
+        argv = ["analyze", str(bad)]
+    elif case == "param-analyze":
+        doc = json.loads(Path(corpus_path("ex6.1b.json")).read_text())
+        doc["params"]["gamma"] = float("nan")
+        argv = ["analyze", str(bad)]
+    else:
+        doc = json.loads(Path(ex610).read_text())["candidates"][1]
+        doc["params"]["K1"] = float("nan")
+        argv = ["--grid", "3,3,3", case.split("-")[1], ex610, str(bad)]
+    bad.write_text(json.dumps(doc))
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    line = _one_error_line(capsys)
+    assert line == f"error: {bad}: unreadable JSON: NaN is not a JSON number", line
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 def _frame_series_runs(monkeypatch) -> list:
     """Records (tape id, order, points) for every run of the series kernel
     on a frame's own tape (FrameSpec.tape, built by frame_tape without

@@ -283,6 +283,24 @@ def test_load_rejects_base_outside_domain(tmp_path):
         corpus_mod.load_example(bad)
 
 
+def test_load_rejects_nan_base_in_memory():
+    """A NaN coordinate compares false both ways, so `base < lo or base > hi`
+    let it through; a document built in memory (not read from JSON, which
+    refuses NaN) is checked by the same gate."""
+    doc = _valid_doc()
+    doc["base"] = [math.nan, 1.5, 1.5]
+    with pytest.raises(SchemaError, match="base point outside the domain box"):
+        corpus_mod.load_example_from_doc(doc)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_non_json_numbers(tmp_path, constant):
+    path = tmp_path / "doc.json"
+    path.write_text('{"base": [%s, 1.5]}' % constant)
+    with pytest.raises(CorpusParseError, match=f"{constant} is not a JSON number"):
+        corpus_mod.read_json(path)
+
+
 def test_run_example_verdicts(corpus_cases):
     verdict = corpus_mod.run_example(corpus_cases["ex6.5"])
     assert verdict["passed"]

@@ -176,14 +176,14 @@ def test_length_field_curl_free_for_solution(corpus_cases):
     case = corpus_cases["ex6.10"]
     bet = next(c for k, c in case.candidates if k == "beta")
     field = pot.MatrixField(case.spec, (bet,))
-    assert pot.curl_residual(field, case.spec.sample_points(30)) < 1e-9
+    assert max(res for _, res in pot.curl_residual(field, case.spec.sample_points(30))) < 1e-9
 
 
 def test_non_solution_trips_curl_detector(corpus_cases):
     spec = corpus_cases["ex6.10"].spec
     bad = sy.BetaCandidate.from_sources(["1", "1", "1"], V3)
     field = pot.MatrixField(spec, (bad,))
-    assert pot.curl_residual(field, spec.sample_points(20)) > 1e-3
+    assert max(res for _, res in pot.curl_residual(field, spec.sample_points(20))) > 1e-3
     with pytest.raises(CurlViolationError):
         pot.reconstruct_eta(spec, bad, spec.base_point, (5, 5, 5))
 
@@ -481,8 +481,7 @@ def test_solver_raises_when_picard_sweeps_stop_contracting():
     """Log-polar coordinates with the radial field scaled by 100: the
     chart-space coefficient Z[2,1,2] = 100 over a w1-interval of width 1
     makes the Picard sweeps grow instead of contract (from sweep 62 on), and
-    the solver raises instead of returning a grid.  The "400 sweeps" raise
-    has no known input and stays untested."""
+    the solver raises instead of returning a grid."""
     spec = g.frame_from_sources([["100*u1", "100*u2"], ["-u2", "u1"]], ["u1", "u2"])
     chart = g.chart_from_sources(
         ["ln(sqrt(u1^2+u2^2))/100", "arctan(u2/u1)"],
@@ -492,6 +491,28 @@ def test_solver_raises_when_picard_sweeps_stop_contracting():
     phi = [lambda t: np.ones_like(t)] * 2
     with pytest.raises(StepFailureError, match="Picard sweeps stopped contracting"):
         pot.solve_rich_beta(spec, chart, phi, [0.0, 0.3], [9, 9], 1 / 8)
+
+
+def test_solver_raises_after_400_sweeps_without_convergence(monkeypatch):
+    """Sweeps whose update neither falls below the convergence floor
+    (1e-14 of the scale) nor grows past the stall floor (1e-10) run out at
+    400: every cumulative integral is moved by 1e-12, with the sign flipped
+    once per sweep (n (n - 1) integrals), so every update stays between the
+    two floors."""
+    spec, chart = spherical_frame_and_chart()
+    calls = []
+    simpson = pot.cumulative_simpson
+
+    def jittered(A, dx, axis):
+        calls.append(1)
+        sign = (-1.0) ** ((len(calls) - 1) // 6)
+        return simpson(A, dx, axis) + sign * 1e-12
+
+    monkeypatch.setattr(pot, "cumulative_simpson", jittered)
+    phi = [lambda t: 1.0 + t, lambda t: np.cos(t), lambda t: t**2]
+    with pytest.raises(StepFailureError, match="no convergence within 400 sweeps"):
+        pot.solve_rich_beta(spec, chart, phi, [1.2, 0.7, 0.5], [5, 5, 5], 1 / 8)
+    assert len(calls) == 400 * 6
 
 
 def test_solver_handles_cross_coupled_spherical_chart():
@@ -637,8 +658,9 @@ def test_csv_reads_back_to_json_values(corpus_cases):
 
 
 def test_csv_and_json_share_one_formatting_pass(monkeypatch):
-    """to_csv and to_json, in either order, run one formatting pass between
-    them, and each writes what it writes on a grid of its own."""
+    """A grid runs one formatting pass, however often and in whatever order
+    to_csv and to_json are called, and each writes what it writes on a grid
+    of its own."""
     axes, eta = CSV_GRIDS["17x19"]
     values = {"eta": eta, "grad_eta": np.stack([eta, -eta], axis=-1)}
 
@@ -647,11 +669,15 @@ def test_csv_and_json_share_one_formatting_pass(monkeypatch):
 
     csv_text, json_text = fresh().to_csv(["a", "b"]), fresh().to_json()
     passes = []
-    run = pot.PotentialGrid._format_pass
-    monkeypatch.setattr(pot.PotentialGrid, "_format_pass",
-                        lambda self: passes.append(1) or run(self))
+    run = pot.PotentialGrid._format_pass.func
+    counted = functools.cached_property(lambda self: passes.append(1) or run(self))
+    counted.__set_name__(pot.PotentialGrid, "_format_pass")
+    monkeypatch.setattr(pot.PotentialGrid, "_format_pass", counted)
     grid = fresh()
     assert (grid.to_csv(["a", "b"]), grid.to_json()) == (csv_text, json_text)
+    assert (grid.to_json(), grid.to_csv(["a", "b"])) == (json_text, csv_text)
+    assert len(passes) == 1
+    grid = fresh()
     assert (grid.to_json(), grid.to_csv(["a", "b"])) == (json_text, csv_text)
     assert len(passes) == 2
 

@@ -1,6 +1,8 @@
-"""List the lines of src/eigenframe that the Tier-1 tests never execute.
+"""List the lines of src/eigenframe that the Tier-1 tests, or the
+benchmark's ops, never execute.
 
     python3 tools/line_trace.py [PYTEST_ARGS ...]
+    python3 tools/line_trace.py --workloads
 
 Runs pytest in this process (by default on tests/, the Tier-1 suite) with
 a ``sys.settrace`` line tracer that records only frames whose code lies in
@@ -12,11 +14,19 @@ about twice as long as without the tracer.
 
 Tests that run the CLI in a subprocess are not traced: a line that only
 such a test reaches is listed as never run.  Exit status is pytest's.
+
+With ``--workloads`` it runs, under the same tracer, every op of the
+benchmark's corpus-verdicts and reconstruct-grids workloads once at each
+op seed of WORKLOAD_SEEDS, each followed by its check, importing
+``perfbench/workloads.py`` read only (input and output files go to a
+temporary directory).  The lines it lists are the ones no benchmark op
+runs.  Exit status 1 if a check fails.
 """
 
 from __future__ import annotations
 
 import sys
+import tempfile
 import threading
 import types
 from collections import defaultdict
@@ -24,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "eigenframe"
+WORKLOADS = ("corpus-verdicts", "reconstruct-grids")
+WORKLOAD_SEEDS = (0, 3)
 
 
 def executable_lines(path: Path) -> set:
@@ -36,10 +48,8 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
-def trace(pytest_args: list) -> tuple:
-    """(pytest's exit status, {file name: set of lines run}) of one run."""
-    import pytest
-
+def trace(run_once) -> tuple:
+    """(run_once(), {file name: set of lines run}) of one call."""
     prefix = str(PACKAGE) + "/"
     run = defaultdict(set)
 
@@ -58,11 +68,29 @@ def trace(pytest_args: list) -> tuple:
     threading.settrace(calls)
     sys.settrace(calls)
     try:
-        status = pytest.main(pytest_args)
+        status = run_once()
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return status, run
+
+
+def run_workloads() -> int:
+    """Every op of WORKLOADS once at each of WORKLOAD_SEEDS, then its
+    check; 1 if a check fails (printed), else 0."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in WORKLOADS:
+            for op in workloads.prepare(name, Path(tmp) / name):
+                for seed in WORKLOAD_SEEDS:
+                    failure = op.check(op.run(seed))
+                    if failure:
+                        print(f"{name} | {op.label} | seed {seed}: {failure}")
+                        status = 1
+    return status
 
 
 def _ranges(lines: list) -> str:
@@ -77,7 +105,13 @@ def _ranges(lines: list) -> str:
 
 
 def main(argv: list) -> int:
-    status, run = trace(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    if argv == ["--workloads"]:
+        status, run = trace(run_workloads)
+    else:
+        import pytest
+
+        args = argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]
+        status, run = trace(lambda: pytest.main(args))
     print(f"\n{'module':<14} {'lines':>6} {'not run':>8}  lines never run")
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
