@@ -17,7 +17,7 @@ verify or reconstruct one line that names the residual, and a failed
 selftest one line that counts the failed examples):
   0  pass
   1  mathematical failure: a residual not below --tol; CurlViolationError,
-     NotRichError, NotRankZeroError, ChartDomainError, ZeroScalingError,
+     NotRankZeroError, ChartDomainError, ZeroScalingError,
      QuadratureFailureError (a ray that does not converge, or whose integral
      is not finite), StepFailureError
   2  input error: SchemaError (also a domain box without lo < hi and a

@@ -243,18 +243,35 @@ def _schema_validator(name: str):
     return jsonschema.validators.validator_for(schema)(schema)
 
 
-def _validate(name: str, doc, source: str):
-    """Return when doc is valid; otherwise raise SchemaError with the error
+def _validate(name: str, doc, source: str) -> bool:
+    """Return when doc is valid, True if the strict pre-check deferred it to
+    jsonschema; otherwise raise SchemaError with the error
     jsonschema.validate would raise.  jsonschema is imported and walks only
     the documents the strict pre-check cannot pass, so it decides every
     rejection and writes every message."""
     if _surely_valid(_SCHEMAS[name], doc):
-        return
+        return False
     import jsonschema
 
     err = jsonschema.exceptions.best_match(_schema_validator(name).iter_errors(doc))
     if err is not None:
         raise SchemaError(f"{source}: {err.message}") from err
+    return True
+
+
+def _require_finite(doc, source: str, path: str = "") -> None:
+    """Raise SchemaError naming the first NaN or infinite number in doc by
+    its path (params.gamma, candidates[0].params.a).  The schema's number
+    admits NaN, which only read_json refuses; the pre-check never passes a
+    NaN, so only a document that _validate deferred needs the walk."""
+    if type(doc) is float and not math.isfinite(doc):
+        raise SchemaError(f"{source}: {path} is not a finite number")
+    if type(doc) is dict:
+        for key, value in doc.items():
+            _require_finite(value, source, f"{path}.{key}" if path else key)
+    elif type(doc) is list:
+        for idx, value in enumerate(doc):
+            _require_finite(value, source, f"{path}[{idx}]")
 
 
 def _check_candidate(doc: dict, vars, source: str) -> None:
@@ -287,7 +304,8 @@ def load_candidate(doc, vars, params, source: str = "<memory>") -> tuple:
     """(kind, candidate) from a candidate document for a frame with the
     given variables and params; a document that is not one raises
     SchemaError."""
-    _validate("candidate", doc, source)
+    if _validate("candidate", doc, source):
+        _require_finite(doc, source)
     _check_candidate(doc, vars, source)
     return _parse_candidate(doc, vars, params)
 
@@ -297,7 +315,7 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     every candidate checked (_check_candidate) but parsed only when read,
     from doc's candidate documents (Candidates)."""
     path = source
-    _validate("example", doc, path)
+    deferred = _validate("example", doc, path)
     n = doc["n"]
     vars = doc["vars"]
     if len(vars) != n or len(doc["frame"]) != n or any(len(c) != n for c in doc["frame"]):
@@ -333,6 +351,8 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
         raise SchemaError(f"{path}: the domain box needs lo < hi with a finite width hi - lo")
     if not np.all((lo <= base) & (base <= hi)):
         raise SchemaError(f"{path}: base point outside the domain box")
+    if deferred:
+        _require_finite(doc, path)
     return ExampleCase(
         id=doc["id"], spec=spec, candidates=Candidates(doc["candidates"], vars, params, path),
         expected=doc["expected"], notes=doc.get("notes", {}), path=str(path),

@@ -69,10 +69,6 @@ class CoincidentEigenvaluesError(EigenframeError):
         super().__init__(f"eigenvalue gap {gap:.3e} too small at {point}")
 
 
-class NotRichError(EigenframeError):
-    pass
-
-
 class NotRankZeroError(EigenframeError):
     pass
 

@@ -86,7 +86,7 @@ from .geometry import (
     frame_tape,
     split_frame_tape,
 )
-from .systems import BetaCandidate, LambdaCandidate, require_rich
+from .systems import BetaCandidate, LambdaCandidate
 
 DEFAULT_QUAD_TOL = 1e-10
 # the curl residual a field may have at the probes before reconstruction
@@ -716,22 +716,22 @@ def solve_rich_beta(
     (i != j) on a grid with data g^j = phi_j on the j-th axis through the
     base point.
 
-    Requires a rich frame whose chart-space cross components vanish (rank-0
-    condition).  The unique solution is computed by Picard iteration of the
-    axis-ordered integral form; quadrature is 4th-order cumulative Simpson,
-    so the grid error is O(h^4).
+    One gate, on the grid: the cross components Z[i,j,k] (pairwise-distinct
+    indices) must vanish at every node (rank 0), and so then does c[i,j,k] =
+    Z[i,j,k] - Z[j,i,k] (richness).  The unique solution is computed by
+    Picard iteration of the axis-ordered integral form; quadrature is
+    4th-order cumulative Simpson, so the grid error is O(h^4).
     """
     n = spec.n
     base_w = np.asarray(base_w, dtype=float)
     axes = [base_w[d] + h * np.arange(counts[d]) for d in range(n)]
-    require_rich(eval_connection(spec, spec.sample_points(30), 0))
     # the chart-space connection is the frame's connection at u(w)
     Z = eval_connection(spec, chart_inverse(chart, grid_nodes(axes)), 0).Gamma
     zscale = 1.0 + np.abs(Z).max()
     cross = float(np.abs(np.where(distinct_triple_mask(n)[None], Z, 0.0)).max() / zscale)
     if cross > 1e-7:
         raise NotRankZeroError(
-            f"chart-space cross components do not vanish (max scaled {cross:.3e})"
+            f"frame is not rich with rank 0 on this grid: scaled cross component {cross:.3e}"
         )
     shape = tuple(counts)
     Z = Z.reshape(shape + (n, n, n))

@@ -13,10 +13,9 @@ For scalar fields s = (s^1, ..., s^n) the two first-order systems are
 This module evaluates candidates against both systems, estimates generic
 algebraic ranks, counts the length system's solution jets at one point
 (beta_jet_count, with the residuals' PDE coefficients and algebraic
-assembly run on Taylor fields), and checks the cross-system identities (rank duality for
-n=3, the eigenvalue-gap identity, convexity classification of verified
-length candidates, and the compatibility coefficients of the chart-space
-system used by the rich rank-0 theory).
+assembly run on Taylor fields), and checks the cross-system identities
+(rank duality for n=3, the eigenvalue-gap identity, and convexity
+classification of verified length candidates).
 """
 
 from __future__ import annotations
@@ -29,20 +28,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import exprlang as ex
-from .errors import CoincidentEigenvaluesError, InconclusiveVanishingError, NotRichError
+from .errors import CoincidentEigenvaluesError, InconclusiveVanishingError
 from .exprlang import _quotient, _size
-from .geometry import (
-    ConnectionEval,
-    FrameSpec,
-    RiemannChart,
-    _frame_operator,
-    _frame_taylor,
-    _gamma_series,
-    chart_inverse,
-    distinct_triple_mask,
-    eval_connection,
-    is_rich,
-)
+from .geometry import ConnectionEval, _frame_operator, _frame_taylor, _gamma_series
 
 
 # ---------------------------------------------------------------------------
@@ -455,67 +443,3 @@ def convexity_classify(vals: np.ndarray) -> dict:
         "component_max": hi.tolist(),
         "tol": cut,
     }
-
-
-# ---------------------------------------------------------------------------
-# Chart-space compatibility coefficients (rich rank-0 theory)
-# ---------------------------------------------------------------------------
-
-
-def darboux_compatibility(spec: FrameSpec, chart: RiemannChart, w_points: np.ndarray) -> float:
-    """Max-abs of the coefficient families whose identical vanishing makes
-    the chart-space system solvable from axis data.  For all triples
-    (j, k, m) of pairwise-distinct indices:
-
-        dZ[k,j,j]/dw^m - dZ[m,j,j]/dw^k
-        dZ[j,j,k]/dw^m + Z[j,j,k] Z[m,k,k] + Z[j,j,m] Z[m,m,k] - Z[m,j,j] Z[j,j,k]
-        dZ[j,j,m]/dw^k + Z[j,j,m] Z[k,m,m] + Z[j,j,k] Z[k,k,m] - Z[k,j,j] Z[j,j,m]
-
-    The cross components Z[i,j,k] (pairwise-distinct indices) must vanish
-    for the identities to apply; their magnitude is folded into the returned
-    residual, so a corrupted or rank-1 chart-space connection reports a
-    large value rather than silently passing.
-
-    Z is the frame's connection at u(w), and the chart is normalized
-    (r_j(w^i) = delta_ij), so d/dw^d is the frame field r_d."""
-    conn = eval_connection(spec, chart_inverse(chart, w_points))
-    require_rich(conn)
-    dZ = np.stack([conn.r(d, conn.gamma).value for d in range(conn.n)], axis=-1)
-    return compat_coefficient_residual(conn.Gamma, dZ)
-
-
-def compat_coefficient_residual(Z: np.ndarray, dZ: np.ndarray) -> float:
-    """Scaled max-abs of the three compatibility coefficient families over
-    all pairwise-distinct triples (j, k, m), plus the cross-component
-    magnitudes the identities presuppose to vanish."""
-    n = Z.shape[1]
-    zscale = 1.0 + np.abs(Z).max()
-    mask = distinct_triple_mask(n)
-    worst = float(np.abs(np.where(mask[None], Z, 0.0)).max() / zscale)
-    scale = zscale**2 + np.abs(dZ).max()
-    for j in range(n):
-        for k in range(n):
-            for m in range(n):
-                if len({j, k, m}) != 3:
-                    continue
-                cj = dZ[:, k, j, j, m] - dZ[:, m, j, j, k]
-                ck = (
-                    dZ[:, j, j, k, m]
-                    + Z[:, j, j, k] * Z[:, m, k, k]
-                    + Z[:, j, j, m] * Z[:, m, m, k]
-                    - Z[:, m, j, j] * Z[:, j, j, k]
-                )
-                cm = (
-                    dZ[:, j, j, m, k]
-                    + Z[:, j, j, m] * Z[:, k, m, m]
-                    + Z[:, j, j, k] * Z[:, k, k, m]
-                    - Z[:, k, j, j] * Z[:, j, j, m]
-                )
-                worst = max(worst, float(np.abs(np.stack([cj, ck, cm])).max() / scale))
-    return worst
-
-
-def require_rich(conn: ConnectionEval) -> None:
-    ok, witness = is_rich(conn)
-    if not ok:
-        raise NotRichError(f"frame is not rich: worst witness {witness}")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 
 from conftest import one_unknown_constraint
 
-from eigenframe import cli
+from eigenframe import cli, errors
 from eigenframe import corpus as corpus_mod
 from eigenframe import classify, exprlang, geometry, potential, systems
 
@@ -109,6 +111,39 @@ def test_singular_frame_exit_three(tmp_path, capsys):
     frame.write_text(json.dumps(doc))
     rc = cli.main(["analyze", str(frame)])
     assert rc == cli.EXIT_DEGENERATE
+
+
+def _documented_exit_codes() -> tuple:
+    """{error name: code} from the exit-code list in cli's docstring and from
+    the exit-code table in README.md."""
+    listed, code = {}, None
+    doc = cli.__doc__
+    for line in doc[doc.index("Exit codes"):].split("\n\n")[0].splitlines()[1:]:
+        head = re.match(r"  (\d)  ", line)
+        code = int(head.group(1)) if head else code
+        listed.update(dict.fromkeys(re.findall(r"\b[A-Z]\w*Error\b", line), code))
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for code, cells in re.findall(r"^\| `(\d)` \|(.*)\|$", readme, re.M):
+        table.update(dict.fromkeys(re.findall(r"`([A-Z]\w*Error)`", cells), int(code)))
+    return listed, table
+
+
+def test_documented_exit_codes_name_live_errors(monkeypatch, capsys):
+    """Every error that cli's docstring or README.md lists under an exit
+    code is a class of eigenframe.errors (or a builtin), and main returns
+    that code when it is raised; a class deleted but left in the docs
+    fails here."""
+    listed, table = _documented_exit_codes()
+    assert listed == table and set(listed.values()) == {1, 2, 3}, (listed, table)
+    for name, code in listed.items():
+        kind = getattr(errors, name, None) or getattr(builtins, name)
+
+        def raise_it(_grid, kind=kind):
+            raise kind.__new__(kind)
+
+        monkeypatch.setattr(cli, "_parse_grid", raise_it)
+        assert cli.main(["selftest"]) == code, name
 
 
 def test_nine_variable_frame_runs_every_command(tmp_path, capsys):

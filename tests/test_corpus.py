@@ -293,6 +293,28 @@ def test_load_rejects_nan_base_in_memory():
         corpus_mod.load_example_from_doc(doc)
 
 
+def test_load_rejects_nan_frame_param_in_memory():
+    """The schema's number admits NaN, so a NaN param in a document built in
+    memory used to load (and ex6.1b's sqrt(gamma) then raised DomainError
+    in run_example); it is refused by its path, in the frame's params or in
+    a candidate's."""
+    doc = json.loads((Path(corpus_mod.corpus_dir()) / "ex6.1b.json").read_text())
+    doc["params"]["gamma"] = math.nan
+    with pytest.raises(SchemaError, match=r"^<memory>: params\.gamma is not a finite number$"):
+        corpus_mod.load_example_from_doc(doc)
+    doc["params"]["gamma"] = 1.4
+    doc["candidates"][1]["params"] = {"gamma": math.nan}
+    with pytest.raises(SchemaError, match=r"candidates\[1\]\.params\.gamma is not a finite"):
+        corpus_mod.load_example_from_doc(doc)
+
+
+def test_load_candidate_rejects_nan_param_in_memory():
+    doc = json.loads((Path(corpus_mod.corpus_dir()) / "ex6.1b.json").read_text())
+    cand = {**doc["candidates"][0], "params": {"gamma": math.nan}}
+    with pytest.raises(SchemaError, match=r"^cand\.json: params\.gamma is not a finite number$"):
+        corpus_mod.load_candidate(cand, doc["vars"], doc["params"], source="cand.json")
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_read_json_refuses_non_json_numbers(tmp_path, constant):
     path = tmp_path / "doc.json"

@@ -103,15 +103,26 @@ def test_standard_frame_flatness_exact():
     assert curvature == 0.0
 
 
-def test_corrupted_gamma_trips_curvature_detector():
-    rng = np.random.default_rng(13)
-    spec = random_polynomial_frame(rng)
-    pts = spec.sample_points(10)
-    conn = g.eval_connection(spec, pts)
-    bad = conn.Gamma.copy()
-    bad[:, 0, 1, 2] += 1.0
-    res = g.flatness_residual(bad, bad - bad.transpose(0, 2, 1, 3), directional_gamma(conn))
-    assert res.max() > 0.1
+def test_corrupted_gamma_trips_curvature_detector(corpus_cases):
+    """A Gamma corrupted at one entry, with r_d(Gamma) left clean, trips the
+    curvature identity: on a random frame, and on ex6.2 at chart-space
+    points with a cross component moved by 0.1."""
+    spec = random_polynomial_frame(np.random.default_rng(13))
+    rotational = corpus_cases["ex6.2"].spec
+    rng = np.random.default_rng(33)
+    w = np.stack([rng.uniform(lo, hi, 10) for lo, hi in ((0.0, 0.4), (0.2, 0.6), (1.0, 1.4))],
+                 axis=1)
+    cases = [
+        (g.eval_connection(spec, spec.sample_points(10)), (0, 1, 2), 1.0),
+        (g.eval_connection(rotational, g.chart_inverse(rotational.chart, w)), (1, 2, 0), 0.1),
+    ]
+    for conn, (i, j, k), shift in cases:
+        dGamma = directional_gamma(conn)
+        assert g.flatness_residual(conn.Gamma, conn.c, dGamma).max() < 1e-12
+        bad = conn.Gamma.copy()
+        bad[:, i, j, k] += shift
+        res = g.flatness_residual(bad, bad - bad.transpose(0, 2, 1, 3), dGamma)
+        assert res.max() > 0.1 * shift
 
 
 def test_frame_with_a_short_column_is_refused():
@@ -529,17 +540,22 @@ def test_identity_chart_on_standard_frame():
 
 
 def test_pullback_symmetry_and_flatness(corpus_cases):
-    spec = corpus_cases["ex6.4"].spec
+    """At chart-space points of three charts (ex6.4's, ex6.2's and the
+    spherical one) the frame commutes and the curvature gate holds."""
     rng = np.random.default_rng(3)
-    w = np.stack(
-        [rng.uniform(0.1, 0.4, 10), rng.uniform(-0.2, 0.2, 10), rng.uniform(-0.2, 0.2, 10)],
-        axis=1,
-    )
-    conn = g.eval_connection(spec, g.chart_inverse(spec.chart, w))
-    assert np.abs(conn.c).max() / (1.0 + np.abs(conn.Gamma).max()) < 1e-9
-    torsion, curvature = g.check_symmetry_flatness(conn)
-    assert torsion < 1e-9
-    assert curvature < 1e-8
+    sloped, rotational = corpus_cases["ex6.4"].spec, corpus_cases["ex6.2"].spec
+    cases = [
+        ((sloped, sloped.chart), ((0.1, 0.4), (-0.2, 0.2), (-0.2, 0.2))),
+        ((rotational, rotational.chart), ((0.0, 0.4), (0.2, 0.6), (1.0, 1.4))),
+        (spherical_frame_and_chart(), ((1.0, 1.5), (0.5, 1.0), (0.3, 0.8))),
+    ]
+    for (spec, chart), box in cases:
+        w = np.stack([rng.uniform(lo, hi, 10) for lo, hi in box], axis=1)
+        conn = g.eval_connection(spec, g.chart_inverse(chart, w))
+        assert np.abs(conn.c).max() / (1.0 + np.abs(conn.Gamma).max()) < 1e-9
+        torsion, curvature = g.check_symmetry_flatness(conn)
+        assert torsion < 1e-9
+        assert curvature < 1e-8
 
 
 def test_frame_derivative_is_chart_derivative(corpus_cases):

@@ -28,7 +28,6 @@ from eigenframe.errors import (
     CurlViolationError,
     DomainError,
     NotRankZeroError,
-    NotRichError,
     QuadratureFailureError,
     SingularFrameError,
     StepFailureError,
@@ -470,10 +469,12 @@ def test_solver_rejects_rank1_frame(corpus_cases):
 
 
 def test_solver_refuses_nonrich_frame(corpus_cases):
+    """A frame that is not rich has nonvanishing cross components (c[i,j,k]
+    = Z[i,j,k] - Z[j,i,k]), so the grid's one gate refuses it."""
     spec = corpus_cases["ex6.10"].spec
     chart = g.chart_from_sources(["u1", "u2", "u3"], ["w1", "w2", "w3"], V3)
     phi = [lambda t: np.ones_like(t)] * 3
-    with pytest.raises(NotRichError, match="frame is not rich"):
+    with pytest.raises(NotRankZeroError, match="not rich with rank 0 on this grid"):
         pot.solve_rich_beta(spec, chart, phi, [1.0, 1.0, 1.0], [5, 5, 5], 1 / 8)
 
 

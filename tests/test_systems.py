@@ -1,23 +1,17 @@
 """Algebraic systems, residual records, rank duality, the eigenvalue-gap
-identity, convexity classification, and chart-space compatibility."""
+identity and convexity classification."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import (
-    V3,
-    connect,
-    directional_gamma,
-    random_polynomial_frame,
-    spherical_frame_and_chart,
-)
+from conftest import V3, connect, random_polynomial_frame
 
 from eigenframe import exprlang as ex
 from eigenframe import geometry as g
 from eigenframe import systems as sy
-from eigenframe.errors import CoincidentEigenvaluesError, NotRichError
+from eigenframe.errors import CoincidentEigenvaluesError
 
 
 def standard_frame():
@@ -292,64 +286,3 @@ def test_convexity_indefinite():
     cand = sy.BetaCandidate.from_sources(["u1-0.5", "1", "1"], V3)
     out = sy.convexity_classify(_values(cand, spec.sample_points(40)))
     assert out["verdict"] == "indefinite"
-
-
-# ---------------------------------------------------------------------------
-# chart-space compatibility coefficients
-# ---------------------------------------------------------------------------
-
-
-def test_darboux_compatibility_rotational(corpus_cases):
-    spec = corpus_cases["ex6.2"].spec
-    rng = np.random.default_rng(31)
-    w = np.stack(
-        [rng.uniform(0.0, 0.4, 20), rng.uniform(0.2, 0.6, 20), rng.uniform(1.0, 1.4, 20)],
-        axis=1,
-    )
-    assert sy.darboux_compatibility(spec, spec.chart, w) < 1e-8
-
-
-def test_darboux_compatibility_spherical_chart():
-    """A chart-space connection with nonzero derivatives, so the derivative
-    index of the coefficients must be the chart direction."""
-    spec, chart = spherical_frame_and_chart()
-    rng = np.random.default_rng(37)
-    w = np.stack(
-        [rng.uniform(1.0, 1.5, 10), rng.uniform(0.5, 1.0, 10), rng.uniform(0.3, 0.8, 10)],
-        axis=1,
-    )
-    assert sy.darboux_compatibility(spec, chart, w) < 1e-8
-
-
-def test_darboux_compatibility_identity_chart():
-    spec = standard_frame()
-    chart = g.chart_from_sources(["u1", "u2", "u3"], ["w1", "w2", "w3"], V3)
-    assert sy.darboux_compatibility(spec, chart, spec.sample_points(10)) == 0.0
-
-
-def test_darboux_compatibility_refuses_nonrich_frame(corpus_cases):
-    spec = corpus_cases["ex6.10"].spec
-    chart = g.chart_from_sources(["u1", "u2", "u3"], ["w1", "w2", "w3"], V3)
-    with pytest.raises(NotRichError, match="frame is not rich"):
-        sy.darboux_compatibility(spec, chart, spec.sample_points(10))
-
-
-def test_darboux_compatibility_detector(corpus_cases):
-    spec = corpus_cases["ex6.2"].spec
-    rng = np.random.default_rng(33)
-    w = np.stack(
-        [rng.uniform(0.0, 0.4, 10), rng.uniform(0.2, 0.6, 10), rng.uniform(1.0, 1.4, 10)],
-        axis=1,
-    )
-    conn = g.eval_connection(spec, g.chart_inverse(spec.chart, w))
-    Z = conn.Gamma.copy()
-    Z[:, 1, 2, 0] += 0.1  # corrupt one cross component
-    dZ = np.moveaxis(directional_gamma(conn), 1, -1)
-    assert sy.compat_coefficient_residual(Z, dZ) > 0.01
-
-
-def test_rank1_chart_reports_large_compat_residual(corpus_cases):
-    spec = corpus_cases["ex6.4"].spec
-    rng = np.random.default_rng(35)
-    w = np.stack([rng.uniform(0.1, 0.3, 10) for _ in range(3)], axis=1)
-    assert sy.darboux_compatibility(spec, spec.chart, w) > 0.01
