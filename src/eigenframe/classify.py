@@ -26,10 +26,11 @@ vanish (two resp. three).
 The lambda verdicts use a two-threshold scheme at the module tolerance
 CLASSIFY_TOL: a scaled magnitude below it counts as zero, above 10 times it
 as nonzero, and anything in between raises InconclusiveVanishingError
-rather than silently guessing.  The count reads its ranks the same way at
-systems.JET_RANK_TOL.  InconclusiveVanishingError is also raised when no
-label fits: a lambda constraint in fewer than two unknowns, or a count with
-d_2 != 3f + c or with an (f, c) that no label has.
+rather than silently guessing.  The count reads its pivots and ranks the
+same way at systems.JET_RANK_TOL, and raises InconclusiveVanishingError
+where algebraic rows are left after its elimination.  The error is also
+raised when no label fits: a lambda constraint in fewer than two unknowns,
+or a count with d_2 != 3f + c or with an (f, c) that no label has.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ selftest one line that counts the failed examples):
      working set exceeds the physical memory)
   3  numerical degeneracy: SingularFrameError, CoincidentEigenvaluesError,
      InconclusiveVanishingError (also a lambda constraint in fewer than two
-     unknowns, or a solution count, that no label fits),
+     unknowns, or a solution count, that no label fits, and length
+     algebraic rows that the count's elimination leaves),
      DomainError (also a frame whose determinant overflows)
 
 Each command evaluates the frame once on its sample set (one

@@ -176,8 +176,8 @@ class JetCount:
     """The jets of order 3 at one point that solve the length system:
     dims[k] is the dimension of their projection onto the coefficients of
     degree <= k, for k < 3; support is the number of components not forced
-    to vanish; kept and dropped are the smallest relative singular value
-    counted in a rank and the largest one not counted."""
+    to vanish; kept and dropped are the smallest relative pivot or singular
+    value counted in a rank and the largest one not counted."""
 
     dims: tuple
     support: int
@@ -186,8 +186,9 @@ class JetCount:
 
 
 # rank tolerance of the solution-jet count, about halfway in decades across
-# its gap: at 2400 points (12 rank-1 corpus files, seeds 0-199) the kept
-# relative singular values stay above 1.5e-5 and the dropped ones below 2e-13
+# its gap: at 15000 points (tools/count_points.py, the 15 n = 3 corpus files
+# at 200 points of seeds 0-4, every rank) the kept relative pivots and
+# singular values stay at or above 4.8e-6 and the dropped ones below 1.9e-13
 JET_RANK_TOL = 1e-9
 
 
@@ -207,10 +208,28 @@ def beta_jet_count(conn: ConnectionEval) -> JetCount:
     Coefficient l enters as the unit series e_l: r_d(e_l) is row l of the
     operator, and a product f e_l is column l of f's multiplication matrix,
     gathered through _quotient.
-    One SVD of the column-equilibrated rows gives the solution jets.  A
-    singular value relative to the largest (to 1 for the orthonormal null
-    basis) counts above 10 tol and not below tol, tol = JET_RANK_TOL; one
-    in between raises InconclusiveVanishingError."""
+
+    The algebraic part A is solved, not carried.  Complete pivoting on its
+    value A_0 (_complete_pivots) gives its rank r at the point, and
+    b^piv = -A[rows, piv]^-1 A[rows, rest] b^rest, as series, is the map T
+    from the n - r free components to b (one solve on the multiplication
+    matrices, which are block lower triangular).  Every algebraic row times
+    T must vanish, to tol times max(max |A|, 1); a row left, as where A_0
+    vanishes but its derivatives do not, raises
+    InconclusiveVanishingError.  One SVD of the column-equilibrated PDE
+    rows times T (60 x 40 at n = 3 and r = 1) gives the solution jets.
+    Their null basis is mapped back through T to b and read in the
+    coordinates of the column-equilibrated PDE and algebraic rows together
+    (a column of zeros at weight 1), where it is orthonormalized; in the
+    reduced coordinates, or in b's own, the ranks below misread.  The
+    ranks of its degree <= k projections (dims) and of each component's
+    coefficients below the top degree (support) come from one batched SVD.
+
+    A pivot over 1 + max |A_0|, a singular value of the PDE rows relative
+    to the largest, and one of the orthonormal null basis's projections
+    (relative to 1) counts above 10 tol and not below tol,
+    tol = JET_RANK_TOL; one in between raises
+    InconclusiveVanishingError."""
     tol = JET_RANK_TOL
     order = 3  # dims d_0..d_2: degrees below the highest, which no PDE row closes
     n, size, low = conn.n, _size(conn.n, order), _size(conn.n, order - 1)
@@ -227,8 +246,7 @@ def beta_jet_count(conn: ConnectionEval) -> JetCount:
         """(..., k, l): coefficient k of the series f (..., size) times e_l."""
         return np.concatenate([f, np.zeros(f.shape[:-1] + (1,))], axis=-1)[..., Q]
 
-    # rows (row, coefficient k) by columns (component, coefficient l)
-    alg = product(_beta_matrix(G.coef, c.coef)[0]).transpose(0, 2, 1, 3)
+    A = product(_beta_matrix(G.coef, c.coef)[0])  # (row, component, k, l)
     _, (i, j) = _index_arrays(n)
     X, Y = (product(f.coef[0])[:, :low] for f in _beta_pde_coefficients(G, c, i, j))
     dr = w[:, None, None] * D[0, :, :size, :low]  # r_d(e_l)[k], (d, l, k)
@@ -236,24 +254,74 @@ def beta_jet_count(conn: ConnectionEval) -> JetCount:
     pde = np.zeros((len(i), low, n, size))
     pde[pairs, :, j] = dr[i].transpose(0, 2, 1) - X
     pde[pairs, :, i] = Y
-    M = np.concatenate([pde.reshape(-1, n * size), alg.reshape(-1, n * size)])
-    norms = np.linalg.norm(M, axis=0)
-    _, s, vt = np.linalg.svd(M / np.where(norms > 0, norms, 1.0), full_matrices=False)
-    seen = [s / s[0]]
-    null = vt[int((seen[0] > 10 * tol).sum()):].reshape(-1, n, size)
-
-    def rank(block: np.ndarray) -> int:
-        seen.append(np.linalg.svd(block, compute_uv=False))
-        return int((seen[-1] > 10 * tol).sum())
-
-    dims = tuple(rank(null[..., : _size(n, k)].reshape(len(null), n * _size(n, k)))
-                 for k in range(order))
-    support = sum(rank(null[:, a, :low]) > 0 for a in range(n))
-    s = np.concatenate(seen)
+    # rows (row, coefficient k) by columns (component, coefficient l)
+    pde, alg = (m.reshape(-1, n * size) for m in (pde, A.transpose(0, 2, 1, 3)))
+    rows, piv, pivots = _complete_pivots(A[..., 0, 0], tol)
+    rest = [a for a in range(n) if a not in piv]
+    # T maps the coefficients of b^rest to those of b: the identity on rest,
+    # and b^piv = -A[rows, piv]^-1 A[rows, rest] b^rest as series on piv
+    T = np.zeros((n, size, len(rest), size))
+    T[rest, :, range(len(rest))] = np.eye(size)
+    if piv:
+        width = len(piv) * size
+        P = A[rows][:, piv + rest].transpose(0, 2, 1, 3).reshape(width, n * size)
+        T[piv] = -np.linalg.solve(P[:, :width], P[:, width:]).reshape(
+            len(piv), size, len(rest), size)
+    T = T.reshape(n * size, -1)
+    left = float(np.abs(alg @ T).max(initial=0.0))
+    if left > tol * max(float(np.abs(alg).max(initial=0.0)), 1.0):
+        raise InconclusiveVanishingError(
+            f"beta algebraic rows left after elimination: {left:.3e} at rank {len(piv)}")
+    reduced = pde @ T
+    norms = np.linalg.norm(reduced, axis=0)
+    norms = np.where(norms > 0, norms, 1.0)
+    _, s, vt = np.linalg.svd(reduced / norms, full_matrices=False)
+    s = s / s[:1]
+    # the null basis mapped back through T to b, in the coordinates of the
+    # column-equilibrated [PDE; algebraic] rows, and orthonormalized by the
+    # left vectors of an SVD, not by np.linalg.qr: qr's LAPACK routine would
+    # be paged in for this one call and raise the peak resident set
+    weights = np.hypot(np.linalg.norm(pde, axis=0), np.linalg.norm(alg, axis=0))
+    weights = np.where(weights > 0, weights, 1.0)[:, None]
+    null = (T @ (vt[int((s > 10 * tol).sum()):] / norms).T) * weights
+    null = np.linalg.svd(null, full_matrices=False)[0].T.reshape(-1, n, size)
+    # the degree <= k projections and each component's coefficients below
+    # the top degree, zero-padded into one batch whose ranks are read at once
+    blocks = np.zeros((order + n, len(null), n * low))
+    for k in range(order):
+        cols = n * _size(n, k)
+        blocks[k, :, :cols] = null[..., : _size(n, k)].reshape(len(null), cols)
+    blocks[order:, :, :low] = null[..., :low].transpose(1, 0, 2)
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    ranks = (sv > 10 * tol).sum(axis=-1)
+    s = np.concatenate([pivots, s, sv.ravel()])
     dead = s[(s >= tol) & (s <= 10 * tol)]
     if dead.size:
         raise InconclusiveVanishingError("beta jet singular value", float(dead[0]), tol)
-    return JetCount(dims, support, float(s[s > 10 * tol].min()), float(s[s < tol].max(initial=0.0)))
+    return JetCount(tuple(int(d) for d in ranks[:order]), int((ranks[order:] > 0).sum()),
+                    float(s[s > 10 * tol].min()), float(s[s < tol].max(initial=0.0)))
+
+
+def _complete_pivots(A0: np.ndarray, tol: float) -> tuple:
+    """The pivot rows, pivot columns and pivot sizes of Gaussian elimination
+    with complete pivoting on A0 (rows, n): each pivot over 1 + max |A0|
+    counts above 10 tol and ends the elimination below tol (the first such
+    pivot is returned with the rest); one in between raises
+    InconclusiveVanishingError."""
+    work, scale = A0.copy(), 1.0 + float(np.abs(A0).max(initial=0.0))
+    rows, cols, sizes = [], [], []
+    for _ in range(min(A0.shape)):
+        i, j = np.unravel_index(int(np.argmax(np.abs(work))), work.shape)
+        sizes.append(abs(float(work[i, j])) / scale)
+        if sizes[-1] < tol:
+            break
+        if sizes[-1] <= 10 * tol:
+            raise InconclusiveVanishingError("beta algebraic pivot", sizes[-1], tol)
+        rows.append(int(i))
+        cols.append(int(j))
+        work -= np.outer(work[:, j] / work[i, j], work[i])
+        work[i], work[:, j] = 0.0, 0.0
+    return rows, cols, np.array(sizes)
 
 
 def check_rank_duality_n3(conn: ConnectionEval) -> float:

@@ -705,6 +705,24 @@ def test_inconclusive_count_is_one_line_exit_three(capsys, monkeypatch, system):
     assert _one_error_line(capsys).startswith(expected)
 
 
+def test_algebraic_rows_left_at_the_counted_sample_is_one_line_exit_three(tmp_path, capsys):
+    """A rank-1 frame whose length algebraic part, (u1 - a) times rows in b^1,
+    vanishes at sample 0 (u1 = a there) but not to first order: the count
+    eliminates no row, and the rows left end analyze with exit 3 and one
+    error line."""
+    doc = json.loads(Path(corpus_path("ex6.9.json")).read_text())
+    lo, hi = (np.array(doc["domain"][end]) for end in ("lo", "hi"))
+    a = float(geometry.halton_points(lo, hi, 1)[0, 0])
+    doc["frame"] = [["1", "0", "0"], ["0", "1", "0"], [f"(u1-{a!r})*u2", "0", "1"]]
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(frame)]) == cli.EXIT_DEGENERATE
+    assert _one_error_line(capsys) == (
+        "error: beta algebraic rows left after elimination: 1.000e+00 at rank 0")
+    assert cli.main(["--seed", "1", "analyze", str(frame)]) == cli.EXIT_PASS
+    assert "beta_case: nr-3a" in capsys.readouterr().out
+
+
 def test_one_unknown_lambda_constraint_is_one_line_exit_three(capsys, monkeypatch):
     """analyze on a frame whose rank-1 speed constraint is in one unknown
     ends with exit 3 and one error line instead of a label."""
