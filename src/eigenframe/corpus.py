@@ -315,7 +315,8 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
     every candidate checked (_check_candidate) but parsed only when read,
     from doc's candidate documents (Candidates)."""
     path = source
-    deferred = _validate("example", doc, path)
+    if _validate("example", doc, path):
+        _require_finite(doc, path)
     n = doc["n"]
     vars = doc["vars"]
     if len(vars) != n or len(doc["frame"]) != n or any(len(c) != n for c in doc["frame"]):
@@ -351,8 +352,6 @@ def load_example_from_doc(doc: dict, source: str = "<memory>") -> ExampleCase:
         raise SchemaError(f"{path}: the domain box needs lo < hi with a finite width hi - lo")
     if not np.all((lo <= base) & (base <= hi)):
         raise SchemaError(f"{path}: base point outside the domain box")
-    if deferred:
-        _require_finite(doc, path)
     return ExampleCase(
         id=doc["id"], spec=spec, candidates=Candidates(doc["candidates"], vars, params, path),
         expected=doc["expected"], notes=doc.get("notes", {}), path=str(path),

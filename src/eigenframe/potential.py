@@ -43,9 +43,9 @@ or A.  For n = 3 they do not form L = R^{-1} either: L d = adj(R) d / det R
 and L^T z = adj(R)^T z / det R are applied from the cofactors of R, past the
 same singularity gate as a frame inversion; other n invert the frame once
 per point set.  The matrices and their exact first derivatives, which the
-curl tests read, come from the same products run on order-1 Taylor fields
-at the n unit directions, with L formed.  A grid's CSV and JSON text come
-from one formatting pass, run once per grid (PotentialGrid).
+curl tests read, are formed as order-1 Taylor fields, one series product
+L^T (b L) or R (l L) per field, with L formed.  A grid's CSV and JSON text
+come from one formatting pass, run once per grid (PotentialGrid).
 
 The chart-space boundary-value solver (solve_rich_beta) fills a grid with
 the unique solution determined by one single-variable function per axis,
@@ -124,10 +124,10 @@ class MatrixField:
     R (l * (L d)) from one L d, and never formed.  For n = 3, values works
     on the frame entries and candidate components as rows (m,) and applies
     L by cofactors, L d = adj(R) d / det and L^T z = adj(R)^T z / det,
-    without forming L; other n invert the frame once per point set.  Run on
-    order-1 Taylor fields at the n unit directions, the same products give
-    the matrices and their exact first derivatives (value_grad, with L's
-    order-1 series solved from R L = I by geometry._graded_solve).
+    without forming L; other n invert the frame once per point set.  The
+    matrices and their exact first derivatives (value_grad) are one series
+    product per field on order-1 Taylor fields, L^T (b L) or R (l L), with
+    L's order-1 series solved from R L = I by geometry._graded_solve.
 
     values(points, d) -> [(m, N), ...], M d at each point with its own
     direction; value_grad(points) -> [(V, G), ...] with V the matrices and
@@ -140,21 +140,17 @@ class MatrixField:
         self.tape = frame_tape(spec, *cands)
         self.hessian = tuple(isinstance(c, BetaCandidate) for c in cands)
 
-    def _times(self, R, L, cands, d) -> list:
-        """[M d, ...] over each candidate's field, on arrays or on Taylor
-        fields."""
-        Ld = _matvec(L, d)
-        return [
-            _matvec(L.transpose(0, 2, 1) if h else R, s * Ld)
-            for h, s in zip(self.hessian, cands)
-        ]
-
     def values(self, points: np.ndarray, d: np.ndarray) -> list:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         block = ex.eval_scalar_many(self.tape, pts)
         R, cands = split_frame_tape(block, self.n)
-        if self.n != 3:
-            return self._times(R, _invert_frame(pts, R)[0], cands, d)
+        if self.n != 3:  # einsum is about twice as fast as a stacked @
+            L = _invert_frame(pts, R)[0]
+            Ld = np.einsum("mab,mb->ma", L, d)
+            return [
+                np.einsum("mab,mb->ma", L.transpose(0, 2, 1) if h else R, s * Ld)
+                for h, s in zip(self.hessian, cands)
+            ]
         # every frame entry R[a, j] and candidate component as a row (m,),
         # views of one copy of the block; L d = adj(R) d / det
         Rr, cand_rows = split_frame_tape(np.ascontiguousarray(block.T)[None], 3)
@@ -183,26 +179,16 @@ class MatrixField:
         eye[:, :, 0] = np.eye(n)
         L = _graded_solve(R, _invert_frame(pts, R.value)[0], eye)
         L = Taylor(L.transpose(0, 1, 3, 2), n, 1)
-        # every point repeated at the n unit directions: row p n + j of the
-        # products is M e_j at point p
-        rows, E = np.arange(m).repeat(n), np.tile(np.eye(n), (m, 1))
-        cands = [Taylor(c, n, 1)[rows] for c in cands]
-        p, a, j = np.ix_(np.arange(m), np.arange(n), np.arange(n))
-        fields = [Md[p * n + j, a] for Md in self._times(R[rows], L[rows], cands, E)]
+        fields = [
+            (L.transpose(0, 2, 1) if h else R) @ (Taylor(s, n, 1)[:, :, None] * L)
+            for h, s in zip(self.hessian, cands)
+        ]
         return [(M.value, M.coef[..., 1:]) for M in fields]
 
 
 def _dot3(x, z) -> np.ndarray:
     """x[0] z[0] + x[1] z[1] + x[2] z[2], over rows (m,)."""
     return x[0] * z[0] + x[1] * z[1] + x[2] * z[2]
-
-
-def _matvec(A, x):
-    """A x for stacks (m, a, b) of matrices and (m, b) of vectors, of arrays
-    or of Taylor fields (einsum is about twice as fast as a stacked @)."""
-    if isinstance(A, Taylor):
-        return (A @ x[:, :, None])[:, :, 0]
-    return np.einsum("mab,mb->ma", A, x)
 
 
 def curl_residual(field: MatrixField, points: np.ndarray) -> list:

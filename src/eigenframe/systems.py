@@ -186,9 +186,10 @@ class JetCount:
 
 
 # rank tolerance of the solution-jet count, about halfway in decades across
-# its gap: at 15000 points (tools/count_points.py, the 15 n = 3 corpus files
-# at 200 points of seeds 0-4, every rank) the kept relative pivots and
-# singular values stay at or above 4.8e-6 and the dropped ones below 1.9e-13
+# its gap: at 16000 points (tools/count_points.py, the 16 corpus files at
+# 200 points of seeds 0-4, every rank) the kept relative pivots and singular
+# values stay at or above 3.8e-6 and the dropped ones at or below 1.9e-13 on
+# the n = 3 files, and at or above 8.2e-2 and 7.8e-15 on ex6.12 (n = 4)
 JET_RANK_TOL = 1e-9
 
 
@@ -216,14 +217,17 @@ def beta_jet_count(conn: ConnectionEval) -> JetCount:
     matrices, which are block lower triangular).  Every algebraic row times
     T must vanish, to tol times max(max |A|, 1); a row left, as where A_0
     vanishes but its derivatives do not, raises
-    InconclusiveVanishingError.  One SVD of the column-equilibrated PDE
-    rows times T (60 x 40 at n = 3 and r = 1) gives the solution jets.
-    Their null basis is mapped back through T to b and read in the
-    coordinates of the column-equilibrated PDE and algebraic rows together
-    (a column of zeros at weight 1), where it is orthonormalized; in the
-    reduced coordinates, or in b's own, the ranks below misread.  The
-    ranks of its degree <= k projections (dims) and of each component's
-    coefficients below the top degree (support) come from one batched SVD.
+    InconclusiveVanishingError.
+
+    Everything after is read in one set of coordinates, W b, with W the
+    column norms of the PDE and algebraic rows together; a column at most
+    tol times the largest, rounding noise, keeps weight 1 rather than
+    being scaled up to a unit column, which misread ex6.12 (n = 4).  One
+    SVD of the PDE rows times T (60 x 40 at n = 3 and r = 1), both in
+    these coordinates, gives the solution jets, and their null basis,
+    mapped through T, is orthonormalized there.  The ranks of its
+    degree <= k projections (dims) and of each component's coefficients
+    below the top degree (support) come from one batched SVD.
 
     A pivot over 1 + max |A_0|, a singular value of the PDE rows relative
     to the largest, and one of the orthonormal null basis's projections
@@ -272,18 +276,15 @@ def beta_jet_count(conn: ConnectionEval) -> JetCount:
     if left > tol * max(float(np.abs(alg).max(initial=0.0)), 1.0):
         raise InconclusiveVanishingError(
             f"beta algebraic rows left after elimination: {left:.3e} at rank {len(piv)}")
-    reduced = pde @ T
-    norms = np.linalg.norm(reduced, axis=0)
-    norms = np.where(norms > 0, norms, 1.0)
-    _, s, vt = np.linalg.svd(reduced / norms, full_matrices=False)
+    W = np.hypot(np.linalg.norm(pde, axis=0), np.linalg.norm(alg, axis=0))
+    W = np.where(W > tol * W.max(), W, 1.0)
+    T = T * W[:, None] / W.reshape(n, size)[rest].ravel()
+    _, s, vt = np.linalg.svd(pde / W @ T, full_matrices=False)
     s = s / s[:1]
-    # the null basis mapped back through T to b, in the coordinates of the
-    # column-equilibrated [PDE; algebraic] rows, and orthonormalized by the
-    # left vectors of an SVD, not by np.linalg.qr: qr's LAPACK routine would
-    # be paged in for this one call and raise the peak resident set
-    weights = np.hypot(np.linalg.norm(pde, axis=0), np.linalg.norm(alg, axis=0))
-    weights = np.where(weights > 0, weights, 1.0)[:, None]
-    null = (T @ (vt[int((s > 10 * tol).sum()):] / norms).T) * weights
+    # the null basis, orthonormalized by the left vectors of an SVD, not by
+    # np.linalg.qr: qr's LAPACK routine would be paged in for this one call
+    # and raise the peak resident set
+    null = T @ vt[int((s > 10 * tol).sum()):].T
     null = np.linalg.svd(null, full_matrices=False)[0].T.reshape(-1, n, size)
     # the degree <= k projections and each component's coefficients below
     # the top degree, zero-padded into one batch whose ranks are read at once

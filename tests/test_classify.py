@@ -239,18 +239,21 @@ RANK1_SUPPORT = {
 
 
 def test_count_at_every_rank_and_point(corpus_cases):
-    """At 20 Halton points of each of the 15 n = 3 corpus files, the count
-    on a one-point connection reads the file's (dims, support): ((3, 6, 9),
-    3) at rank 0 (no row eliminated), ((1, 2, 3), 1) at rank 2 (two
-    components eliminated) and, at rank 1, d_k = f (k + 1) + c for the
-    (f, c) of the file's label, on its support."""
+    """At 20 Halton points of each of the 16 corpus files, the count on a
+    one-point connection reads the file's (dims, support).  For the 15
+    n = 3 files that is ((3, 6, 9), 3) at rank 0 (no row eliminated),
+    ((1, 2, 3), 1) at rank 2 (two components eliminated) and, at rank 1,
+    d_k = f (k + 1) + c for the (f, c) of the file's label, on its support.
+    The n = 4 file ex6.12 (rank 2) reads ((2, 4, 6), 2), 2 functions of 2
+    variables, at every point: a column of rounding noise scaled up to a
+    unit column once misread it at 5 of the 20."""
     files = 0
     for cid, case in corpus_cases.items():
-        if case.spec.n != 3:
-            continue
         files += 1
         rank = case.expected["rank_beta"]
-        if rank == 1:
+        if case.spec.n != 3:
+            want = ((2, 4, 6), 2)
+        elif rank == 1:
             f, c = cl._COUNTS[case.expected["beta_case"]]
             want = (tuple(f * (k + 1) + c for k in range(3)), RANK1_SUPPORT[cid])
         else:
@@ -258,7 +261,7 @@ def test_count_at_every_rank_and_point(corpus_cases):
         for point in case.spec.sample_points(20):
             count = sy.beta_jet_count(g.eval_connection(case.spec, point[None]))
             assert (count.dims, count.support) == want, (cid, point)
-    assert files == 15
+    assert files == 16
 
 
 def test_algebraic_pivot_dead_zone_raises(corpus_cases, monkeypatch):

@@ -285,11 +285,16 @@ def test_load_rejects_base_outside_domain(tmp_path):
 
 def test_load_rejects_nan_base_in_memory():
     """A NaN coordinate compares false both ways, so `base < lo or base > hi`
-    let it through; a document built in memory (not read from JSON, which
-    refuses NaN) is checked by the same gate."""
+    let it through; in a document built in memory (not read from JSON, which
+    refuses NaN) a NaN base, or a NaN box corner, is refused by its path
+    before the shape and box checks, with the message of a NaN param."""
     doc = _valid_doc()
     doc["base"] = [math.nan, 1.5, 1.5]
-    with pytest.raises(SchemaError, match="base point outside the domain box"):
+    with pytest.raises(SchemaError, match=r"^<memory>: base\[0\] is not a finite number$"):
+        corpus_mod.load_example_from_doc(doc)
+    doc = _valid_doc()
+    doc["domain"]["lo"][0] = math.nan
+    with pytest.raises(SchemaError, match=r"^<memory>: domain\.lo\[0\] is not a finite number$"):
         corpus_mod.load_example_from_doc(doc)
 
 

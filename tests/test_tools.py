@@ -21,17 +21,19 @@ def _count_points():
 
 def test_count_points_reads_the_repo_against_itself():
     """One corpus file at 3 points, this checkout against itself: the
-    histogram of each, no mismatch and exit 0."""
-    run = subprocess.run(
-        [sys.executable, str(COUNT_POINTS), str(ROOT), str(ROOT), "--points", "3",
-         "--files", "ex6.4"], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    assert lines[0] == "ex6.4" and len(lines) == 4, lines
-    for line in lines[1:3]:
-        assert line.split(";")[0][7:] == "((2, 4, 6), 2) x3", line
-    assert lines[1][7:] == lines[2][7:]
-    assert lines[3] == "3 points, 0 mismatches"
+    histogram of each, no mismatch and exit 0; the n = 4 file ex6.12 gets
+    a line of its own, as an n = 3 file does."""
+    for cid in ("ex6.4", "ex6.12"):
+        run = subprocess.run(
+            [sys.executable, str(COUNT_POINTS), str(ROOT), str(ROOT), "--points", "3",
+             "--files", cid], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[0] == cid and len(lines) == 4, lines
+        for line in lines[1:3]:
+            assert line.split(";")[0][7:] == "((2, 4, 6), 2) x3", line
+        assert lines[1][7:] == lines[2][7:]
+        assert lines[3] == "3 points, 0 mismatches"
 
 
 def test_count_points_lists_each_mismatch():

@@ -4,8 +4,8 @@ point by point.
     python3 tools/count_points.py OLD_CHECKOUT NEW_CHECKOUT [--points N]
         [--seeds 0,7] [--files ex6.4,ex6.9]
 
-For each n = 3 corpus file (the bundled examples and their extended
-variants; --files keeps the named ones) and each seed, runs
+For each corpus file, of any dimension (the bundled examples and their
+extended variants; --files keeps the named ones) and each seed, runs
 ``systems.beta_jet_count`` on a one-point connection at each of N Halton
 points of the file's box (``FrameSpec.sample_points(N, seed)``), in a fresh
 process per checkout that imports that checkout's ``src/`` (read only:
@@ -47,7 +47,7 @@ def collect(checkout: Path, points: int, seeds: list, files: list) -> dict:
     readings = {}
     for path in paths:
         case = corpus.load_example(path)
-        if case.spec.n != 3 or (files and case.id not in files):
+        if files and case.id not in files:
             continue
         rows = readings[case.id] = []
         for seed in seeds:
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="0",
                         help="a range lo-hi or a comma list (default 0)")
     parser.add_argument("--files", default="",
-                        help="a comma list of file ids (default every n = 3 file)")
+                        help="a comma list of file ids (default every corpus file)")
     parser.add_argument("--collect", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     files = [f for f in args.files.split(",") if f]
